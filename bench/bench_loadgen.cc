@@ -345,7 +345,7 @@ int main(int argc, char** argv) {
   auto make_pool = [&]() -> std::unique_ptr<BoostSession> {
     StatusOr<std::unique_ptr<BoostSession>> session =
         config.external
-            ? LoadPoolSnapshot(g, config.snapshot_path)
+            ? LoadPoolSnapshot(g, config.snapshot_path, PoolLoadOptions{})
             : BoostSession::Create(g, instance.seeds,
                                    MakeBoostOptions(k_max, flags));
     if (!session.ok()) {
@@ -693,7 +693,9 @@ int main(int argc, char** argv) {
     std::unique_ptr<KboostServer> server =
         start_server(calm.get(), server_options);
     const char* snapshot = "bench_loadgen_refresh.pool";
-    if (!SavePoolSnapshot(*calm->GetPool(config.pool), snapshot).ok()) {
+    if (!SavePoolSnapshot(*calm->GetPool(config.pool), snapshot,
+                          PoolSaveOptions{})
+             .ok()) {
       std::fprintf(stderr, "FATAL: refresh snapshot save failed\n");
       std::abort();
     }

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
 
     WallTimer load_timer;
     StatusOr<std::unique_ptr<BoostSession>> loaded =
-        LoadPoolSnapshot(g, snapshot_path);
+        LoadPoolSnapshot(g, snapshot_path, PoolLoadOptions{});
     const double load_ms = load_timer.Seconds() * 1e3;
     if (!loaded.ok()) {
       std::fprintf(stderr, "load (S=%zu): %s\n", num_shards,

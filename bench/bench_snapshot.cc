@@ -1,17 +1,16 @@
-// Snapshot format bench: sweeps codec ∈ {nop, varint} × load path ∈
-// {cold owned-arena, zero-copy mmap} over one fixed digg pool and reports
-// save wall time, file size (total + bytes/sample) and load wall time
-// (best of N). A v2 stream-format save/load runs alongside as the warm-start
-// baseline the v3 mmap path is judged against.
+// Snapshot format bench: sweeps codec ∈ {nop, varint} × byte source ∈
+// {cold owned copy, mmap} over one fixed digg pool and reports save wall
+// time (temp write + fsync + rename + directory fsync), file size (total +
+// bytes/sample) and load wall time (best of N). The cold nop load is the
+// warm-start baseline the mmap load is judged against.
 //
 // This bench doubles as a Release-mode regression gate:
-//   - every loaded session (cold nop, cold varint, mmap, v2) must answer
-//     bit-identically to the live pool it was saved from — ABORT otherwise;
-//   - mmap-ing a varint-coded snapshot must fail with FailedPrecondition —
-//     ABORT if it loads;
-//   - on pools of >= 100k samples the mmap warm start must be >= 2x faster
-//     than the v2 stream load — ABORT otherwise (see the gate comment in
-//     main() for why 2x, not the paper-shape 10x);
+//   - every loaded session (cold nop, cold varint, mmap nop, mmap varint)
+//     must answer bit-identically to the live pool it was saved from —
+//     ABORT otherwise;
+//   - on pools of >= 100k samples the mmap warm start must be >= 1.5x
+//     faster than the cold nop load — ABORT otherwise (see the gate comment
+//     in main() for the measured ratio);
 //   - the varint codec must shrink bytes/sample >= 2x vs nop — ABORT
 //     otherwise.
 //
@@ -91,9 +90,8 @@ int main(int argc, char** argv) {
   // mmap gate is calibrated against.
   flags.epsilon = std::min(flags.epsilon, 0.35);
   PrintBanner(
-      "Snapshot sweep: codec {nop,varint} x load path {cold,mmap} vs the v2 "
-      "stream format",
-      "mmap warm start beats the v2 stream load >= 2x on a >= 100k-sample "
+      "Snapshot sweep: codec {nop,varint} x load path {cold,mmap}",
+      "mmap warm start beats the cold nop load >= 1.5x on a >= 100k-sample "
       "pool; varint shrinks bytes/sample >= 2x; every restored pool answers "
       "bit-identically",
       flags);
@@ -104,7 +102,6 @@ int main(int argc, char** argv) {
   const auto tmp = std::filesystem::temp_directory_path();
   const std::string v3_nop_path = (tmp / "kboost_snap_v3_nop.bin").string();
   const std::string v3_var_path = (tmp / "kboost_snap_v3_varint.bin").string();
-  const std::string v2_path = (tmp / "kboost_snap_v2.bin").string();
   const std::vector<size_t> budgets = {1, std::max<size_t>(1, k / 2), k};
 
   BoostOptions options = MakeBoostOptions(k, flags);
@@ -141,11 +138,6 @@ int main(int argc, char** argv) {
     varint_options.codec = SnapshotCodec::kVarint;
     saves.push_back({"v3", "varint", v3_var_path, varint_options, 0.0, {}});
   }
-  {
-    PoolSaveOptions v2_options;
-    v2_options.format_version = 2;
-    saves.push_back({"v2", "nop", v2_path, v2_options, 0.0, {}});
-  }
   for (SaveRun& run : saves) {
     WallTimer timer;
     StatusOr<PoolSaveResult> saved =
@@ -170,33 +162,21 @@ int main(int argc, char** argv) {
   std::unique_ptr<BoostSession> restored;
   PoolLoadOptions cold;
 
-  const double nop_cold_ms = TimedLoad(g, v3_nop_path, cold, "v3/nop", &restored);
+  const double nop_cold_ms =
+      TimedLoad(g, v3_nop_path, cold, "v3/nop", &restored);
   GateAnswers(live, *restored, budgets, "v3/nop cold-loaded");
   const double var_cold_ms =
       TimedLoad(g, v3_var_path, cold, "v3/varint", &restored);
   GateAnswers(live, *restored, budgets, "v3/varint cold-loaded");
-  const double v2_cold_ms = TimedLoad(g, v2_path, cold, "v2", &restored);
-  GateAnswers(live, *restored, budgets, "v2 stream-loaded");
 
   PoolLoadOptions mmap_options;
   mmap_options.use_mmap = true;
   const double mmap_ms =
       TimedLoad(g, v3_nop_path, mmap_options, "v3/nop mmap", &restored);
   GateAnswers(live, *restored, budgets, "mmap-served");
-
-  // mmap of a varint-coded snapshot must be refused, not mis-served.
-  {
-    StatusOr<std::unique_ptr<BoostSession>> mapped =
-        LoadPoolSnapshot(g, v3_var_path, mmap_options);
-    if (mapped.ok() ||
-        mapped.status().code() != StatusCode::kFailedPrecondition) {
-      std::fprintf(stderr,
-                   "FATAL: mmap of a varint snapshot was not refused with "
-                   "FailedPrecondition (got: %s)\n",
-                   mapped.ok() ? "Ok" : mapped.status().ToString().c_str());
-      std::abort();
-    }
-  }
+  const double var_mmap_ms =
+      TimedLoad(g, v3_var_path, mmap_options, "v3/varint mmap", &restored);
+  GateAnswers(live, *restored, budgets, "v3/varint mmap-loaded");
 
   table.AddRow({"v3", "nop", "cold", FormatDouble(saves[0].save_ms),
                 FormatDouble(static_cast<double>(saves[0].result.file_bytes) /
@@ -209,42 +189,40 @@ int main(int argc, char** argv) {
                              1e6),
                 FormatDouble(saves[1].result.bytes_per_sample),
                 FormatDouble(var_cold_ms)});
-  table.AddRow({"v2", "nop", "cold", FormatDouble(saves[2].save_ms),
-                FormatDouble(static_cast<double>(saves[2].result.file_bytes) /
-                             1e6),
-                FormatDouble(saves[2].result.bytes_per_sample),
-                FormatDouble(v2_cold_ms)});
+  table.AddRow(
+      {"v3", "varint", "mmap", "-", "-", "-", FormatDouble(var_mmap_ms)});
   json.Add("snapshot/v3_nop/cold_load_ms", nop_cold_ms, "ms");
   json.Add("snapshot/v3_nop/mmap_load_ms", mmap_ms, "ms");
   json.Add("snapshot/v3_varint/cold_load_ms", var_cold_ms, "ms");
-  json.Add("snapshot/v2_nop/cold_load_ms", v2_cold_ms, "ms");
+  json.Add("snapshot/v3_varint/mmap_load_ms", var_mmap_ms, "ms");
 
-  const double mmap_speedup = v2_cold_ms / std::max(mmap_ms, 1e-9);
+  const double mmap_speedup = nop_cold_ms / std::max(mmap_ms, 1e-9);
   const double varint_ratio = saves[0].result.bytes_per_sample /
                               std::max(saves[1].result.bytes_per_sample, 1e-9);
-  json.Add("snapshot/mmap_speedup_vs_v2", mmap_speedup, "x");
+  json.Add("snapshot/mmap_speedup_vs_cold", mmap_speedup, "x");
   json.Add("snapshot/varint_compression_vs_nop", varint_ratio, "x");
 
   table.Print(std::cout);
-  std::printf("\nmmap warm start: %.1fx vs the v2 stream load; varint: "
+  std::printf("\nmmap warm start: %.1fx vs the cold nop load; varint: "
               "%.2fx smaller per sample than nop\n",
               mmap_speedup, varint_ratio);
 
   // ---- Hard perf gates ---------------------------------------------------
-  // The mmap gate is calibrated to what the warm-start asymmetry actually
-  // buys on this workload, not to the aspirational 10x: both paths keep the
-  // always-on structural validation (per-graph offset/bounds checks), and on
-  // social-graph pools the boostable PRR-graphs are tiny (~3 nodes each), so
-  // the shared O(num_graphs) metadata pass dominates and the O(bytes)
-  // decode+copy+deep-walk that mmap skips is only ~2/3 of the v2 load.
-  // Measured on the reference box: mmap ~1.1ms vs v2 ~3.5ms (~3x) at ~107k
-  // samples; gate at 2x to absorb single-core timing noise while still
-  // catching any regression that drags O(bytes) work back onto the mmap
-  // path.
-  if (num_samples >= 100'000 && mmap_speedup < 2.0) {
+  // The mmap gate is calibrated to what the warm-start asymmetry buys on
+  // this workload. Both loads share one path — header and directory parse,
+  // the structural checks, AttachExternal and the coverage bind — and differ
+  // only in the byte source (one read() into a heap copy vs. a prefaulted
+  // mapping) and in the deep checks the owned load always runs. On
+  // social-graph pools the boostable PRR-graphs are tiny (~3 nodes each),
+  // so the shared O(num_graphs) metadata pass is a large share of both.
+  // Measured on a 4-core x86-64 box (Release, GCC 12) at ~107k samples,
+  // median of 10 runs: cold nop 0.73 ms vs mmap 0.29 ms, ~2.6x. The gate
+  // sits at 1.5x to absorb shared-box timing noise while still catching
+  // any regression that drags O(bytes) work onto the mmap path.
+  if (num_samples >= 100'000 && mmap_speedup < 1.5) {
     std::fprintf(stderr,
-                 "FATAL: mmap warm start only %.1fx faster than the v2 "
-                 "stream load (gate: >= 2x at >= 100k samples)\n",
+                 "FATAL: mmap warm start only %.1fx faster than the cold "
+                 "nop load (gate: >= 1.5x at >= 100k samples)\n",
                  mmap_speedup);
     std::abort();
   }
@@ -255,13 +233,12 @@ int main(int argc, char** argv) {
                  varint_ratio);
     std::abort();
   }
-  std::printf("gates passed: bit-identity (4 load paths), varint-mmap "
-              "refusal, %s2x mmap, 2x varint\n",
+  std::printf("gates passed: bit-identity (4 load paths), %s1.5x mmap, "
+              "2x varint\n",
               num_samples >= 100'000 ? "" : "(disarmed: pool < 100k) ");
 
   std::filesystem::remove(v3_nop_path);
   std::filesystem::remove(v3_var_path);
-  std::filesystem::remove(v2_path);
   json.WriteTo(flags.json_path);
   return 0;
 }

@@ -19,8 +19,8 @@
 // src/io/pool_io.h: sample once, then serve any budget ≤ the pool's from
 // the same file — across processes and restarts. --codec picks the section
 // codec written into the snapshot (varint shrinks it for cold storage);
-// --mmap-pool serves a nop-coded snapshot zero-copy from an mmap of the
-// file instead of copying it into fresh arenas.
+// --mmap-pool serves the snapshot from an mmap of the file instead of a
+// private copy (zero-copy for a nop-coded snapshot).
 
 #include <algorithm>
 #include <atomic>
@@ -197,8 +197,8 @@ int Usage() {
       "      --save-pool snapshots that pool (--codec=varint delta-codes\n"
       "      the arena sections for cold storage), --load-pool serves from\n"
       "      a snapshot without resampling (seeds/mode come from the file)\n"
-      "      and --mmap-pool maps it zero-copy instead of copying it in\n"
-      "      (requires a nop-coded snapshot); --threads runs sampling and\n"
+      "      and --mmap-pool maps it instead of copying it in (zero-copy\n"
+      "      for a nop-coded snapshot); --threads runs sampling and\n"
       "      selection on N workers; --shards splits the pool into S arenas\n"
       "      for parallel sampling/refresh/snapshot I/O (answers are\n"
       "      bit-identical for every S)\n"

@@ -60,7 +60,7 @@ int main() {
               session.engine().collection().num_samples(), pool_path.c_str());
 
   StatusOr<std::unique_ptr<BoostSession>> restored =
-      LoadPoolSnapshot(g, pool_path);
+      LoadPoolSnapshot(g, pool_path, PoolLoadOptions{});
   if (!restored.ok()) {
     std::fprintf(stderr, "pool load failed: %s\n",
                  restored.status().ToString().c_str());

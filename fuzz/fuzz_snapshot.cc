@@ -1,18 +1,17 @@
-// Fuzz harness for the snapshot loaders (src/io/pool_io): the other decoder
+// Fuzz harness for the snapshot loader (src/io/pool_io): the other decoder
 // that parses bytes from outside the process trust boundary. A refresh admin
-// frame points the server at a snapshot path, so the v1/v2/v3 stream loader
-// AND the v3 mmap validator must survive arbitrary file contents with a
-// typed Status — never a crash, an overread of the mapping, or an
-// unbounded allocation.
+// frame points the server at a snapshot path, so the loader must survive
+// arbitrary file contents with a typed Status — never a crash, an overread
+// of the file bytes, or an unbounded allocation.
 //
 // Shape of one input: the bytes are written to a per-process temp file and
-// loaded twice against a small fixed graph — once owned
-// (LoadPoolSnapshot, exercising the stream reader and every codec decode)
-// and once zero-copy (MmapPool, exercising the section-directory
-// structural validation). When the owned load accepts the bytes, the loaded
-// session must answer a solve: anything the validator lets through has to
-// actually be servable, which is precisely the promise the loader's
-// validation makes (the PR 9 corruption matrix distilled to a property).
+// loaded twice against a small fixed graph through the one load path —
+// once owned (a private heap copy, deep-validated) and once from an mmap
+// with verify_mapped set, so both byte sources run the header, directory
+// and LB-body parses, every codec decode and the deep checks. When a load
+// accepts the bytes, the loaded session must answer a solve: anything the
+// validator lets through has to actually be servable, which is precisely
+// the promise the loader's validation makes.
 //
 // The graph is intentionally tiny (matching fuzz/gen_corpus.cc, whose
 // checked-in seeds were snapshotted against the same graph) so accepted
@@ -82,7 +81,7 @@ void FuzzOne(const uint8_t* data, size_t size) {
 
   const DirectedGraph& graph = FuzzGraph();
 
-  // Owned load: stream reader + codec decodes + deep validation.
+  // Owned load: a private copy, always deep-validated.
   StatusOr<std::unique_ptr<BoostSession>> owned =
       LoadPoolSnapshot(graph, ScratchPath(), PoolLoadOptions{});
   if (owned.ok()) {
@@ -94,14 +93,13 @@ void FuzzOne(const uint8_t* data, size_t size) {
     FUZZ_ASSERT(result.best_set.size() <= 1);
   }
 
-  // Zero-copy load: mmap + section-directory structural validation, with
-  // the deep walk ON so the fuzzer reaches the edge/critical-id range
-  // checks too (a host refresh path runs them off by default, but the
-  // validator's job is exactly these checks, so fuzz them).
+  // Mapped load with the deep checks ON, so the fuzzer reaches the
+  // edge/critical-id range checks on this byte source too (a host refresh
+  // path runs them off by default, but the validator's job is exactly these
+  // checks, so fuzz them).
   PoolLoadOptions mmap_options;
   mmap_options.use_mmap = true;
   mmap_options.verify_mapped = true;
-  mmap_options.prefault = false;
   StatusOr<std::unique_ptr<BoostSession>> mapped =
       LoadPoolSnapshot(graph, ScratchPath(), mmap_options);
   if (mapped.ok()) {

@@ -7,11 +7,12 @@
 // Wire seeds are one valid frame of every type plus one instance of each
 // header rejection (bad magic / version / flags / type / oversized length /
 // truncation) — the decoder-hardening matrix from tests/net_test.cc as
-// files. Snapshot seeds are v3-nop / v3-varint / v2 snapshots of one tiny
-// fixed pool (the same graph fuzz_snapshot.cc loads against) plus one file
-// per corruption-matrix case from tests/snapshot_test.cc, so the mutation
-// fuzzer starts at the validator's known edges instead of rediscovering
-// them from garbage.
+// files. Snapshot seeds are v3-nop / v3-varint / LB-only snapshots of one
+// tiny fixed pool (the same graph fuzz_snapshot.cc loads against) plus one
+// file per corruption-matrix case from tests/snapshot_test.cc, so the
+// mutation fuzzer starts at the validator's known edges instead of
+// rediscovering them from garbage. Output is deterministic: two runs write
+// byte-identical files, which the CI drift check relies on.
 
 #include <cstdint>
 #include <cstring>
@@ -183,8 +184,9 @@ DirectedGraph CorpusGraph() {
 }
 
 // v3 layout landmarks (tests/snapshot_test.cc documents the layout): the
-// 128-byte v2 header prefix, the 32-byte extension, the seed list, then the
-// per-shard section directory.
+// 128-byte header, the 32-byte extension, the seed list, then the per-shard
+// section directory.
+constexpr size_t kVersionOffset = 8;
 constexpr size_t kNumThreadsOffset = 64;
 constexpr size_t kEndianOffset = 128;
 size_t DirOffset(size_t num_seeds) { return 128 + 32 + 4 * num_seeds; }
@@ -208,26 +210,34 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
 
   const std::string scratch =
       (fs::temp_directory_path() / "kboost_gen_corpus.bin").string();
-  auto save_bytes = [&](SnapshotCodec codec,
-                        uint32_t format_version) -> std::string {
+  auto save_bytes = [&](const BoostSession& pool,
+                        SnapshotCodec codec) -> std::string {
     PoolSaveOptions save;
     save.codec = codec;
-    save.format_version = format_version;
-    StatusOr<PoolSaveResult> result = SavePoolSnapshot(session, scratch, save);
+    StatusOr<PoolSaveResult> result = SavePoolSnapshot(pool, scratch, save);
     KB_CHECK(result.ok());
     std::ifstream in(scratch, std::ios::binary);
     return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
   };
 
-  const std::string v3_nop = save_bytes(SnapshotCodec::kNop, 3);
-  const std::string v3_varint = save_bytes(SnapshotCodec::kVarint, 3);
-  const std::string v2 = save_bytes(SnapshotCodec::kNop, 2);
+  BoostSession lb_session(graph, seeds, options, /*lb_only=*/true);
+  lb_session.Prepare();
+
+  const std::string v3_nop = save_bytes(session, SnapshotCodec::kNop);
+  const std::string v3_varint = save_bytes(session, SnapshotCodec::kVarint);
+  const std::string v3_lb = save_bytes(lb_session, SnapshotCodec::kNop);
   fs::remove(scratch);
 
   WriteCase(dir, "v3_nop.bin", v3_nop);
   WriteCase(dir, "v3_varint.bin", v3_varint);
-  WriteCase(dir, "v2_stream.bin", v2);
+  WriteCase(dir, "v3_lb_only.bin", v3_lb);
+
+  // Older formats are rejected typed, asking for a re-save: a v3 file whose
+  // header claims version 2 exercises that gate.
+  std::string version2 = v3_nop;
+  PokeU32(&version2, kVersionOffset, 2);
+  WriteCase(dir, "version2_header.bin", version2);
 
   // The PR 9 corruption matrix as seed files: each is the valid v3-nop
   // snapshot with one structural lie, mirroring tests/snapshot_test.cc.

@@ -41,7 +41,7 @@ BoostResult BoostSession::SolveForBudget(size_t k) {
 
 Status BoostSession::SavePool(const std::string& path) {
   engine_.EnsureSampled();
-  return SavePoolSnapshot(*this, path);
+  return SavePoolSnapshot(*this, path, PoolSaveOptions{}).status();
 }
 
 }  // namespace kboost

@@ -112,9 +112,9 @@ class BoostSession {
   /// SavePoolSnapshot (src/io/pool_io.h).
   Status SavePool(const std::string& path);
 
-  /// Pins an external resource to this session's lifetime. The mmap loader
-  /// (src/io/pool_io.h) uses this to keep the SnapshotMapping an external
-  /// pool arena aliases alive for as long as the session exists — and, since
+  /// Pins an external resource to this session's lifetime. The snapshot
+  /// loader (src/io/pool_io.h) uses this to keep the bytes a restored pool
+  /// aliases alive for as long as the session exists — and, since
   /// BoostService pool entries hold the session by shared_ptr, for as long
   /// as any in-flight request still references it.
   void RetainResource(std::shared_ptr<const void> resource) {

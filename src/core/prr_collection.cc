@@ -171,73 +171,26 @@ void PrrCollection::AddBoostableRound(
   num_boostable_ += count;
 }
 
-void PrrCollection::RestoreFullPool(std::vector<PrrStore>&& stores,
-                                    size_t num_activated,
-                                    size_t num_hopeless) {
+void PrrCollection::RestorePool(std::vector<PrrStore>&& stores,
+                                std::span<const uint32_t> set_sizes,
+                                std::span<const NodeId> coverage_nodes,
+                                size_t num_activated, size_t num_hopeless) {
   KB_CHECK(num_samples() == 0) << "snapshot restore into a non-empty pool";
-  KB_CHECK(!stores.empty() &&
-           stores.size() <= static_cast<size_t>(kMaxShards));
-  stores_ = std::move(stores);
-  // One coverage grow for the whole pool instead of an AddSet per graph,
-  // filled in shard-major stored order (see the header note on numbering).
-  const size_t num_graphs = num_stored_graphs();
-  std::vector<uint32_t> sizes;
-  sizes.reserve(num_graphs);
-  for (const PrrStore& store : stores_) {
-    for (size_t g = 0; g < store.num_graphs(); ++g) {
-      sizes.push_back(static_cast<uint32_t>(store.critical_count(g)));
-    }
+  if (stores.empty()) {
+    lb_critical_bytes_ = coverage_nodes.size_bytes();
+  } else {
+    KB_CHECK(stores.size() == stores_.size())
+        << "restoring " << stores.size() << " arenas into a pool of "
+        << stores_.size() << " shards";
+    stores_ = std::move(stores);
+    KB_CHECK(set_sizes.size() == num_stored_graphs())
+        << "coverage size table covers " << set_sizes.size() << " of "
+        << num_stored_graphs() << " stored graphs";
   }
-  // Translate every graph's critical locals to global ids in one flat pass
-  // per shard: the critical pool is contiguous in stored-graph order, so a
-  // single cursor walks it while a prefix sum tracks each graph's id base.
-  // (Per-graph View() materialization here dominated mmap warm-start time.)
-  NodeId* dst = coverage_.AppendSets(sizes);
-  for (const PrrStore& store : stores_) {
-    const NodeId* ids = store.raw_global_ids().data();
-    const uint32_t* cursor = store.raw_critical().data();
-    const size_t store_graphs = store.num_graphs();
-    uint64_t node_begin = 0;
-    for (size_t g = 0; g < store_graphs; ++g) {
-      const NodeId* base = ids + node_begin;
-      for (const uint32_t* end = cursor + store.critical_count(g);
-           cursor != end; ++cursor) {
-        *dst++ = base[*cursor];
-      }
-      node_begin += store.num_nodes(g);
-    }
-  }
-  num_boostable_ = num_graphs;
-  graph_index_built_ = false;
-  AddNonBoostableCounts(num_activated, num_hopeless);
-}
-
-void PrrCollection::RestoreFullPool(std::vector<PrrStore>&& stores,
-                                    std::span<const uint32_t> set_sizes,
-                                    std::span<const NodeId> coverage_nodes,
-                                    size_t num_activated, size_t num_hopeless) {
-  KB_CHECK(num_samples() == 0) << "snapshot restore into a non-empty pool";
-  KB_CHECK(!stores.empty() &&
-           stores.size() <= static_cast<size_t>(kMaxShards));
-  stores_ = std::move(stores);
-  // The snapshot already carries both halves of what the owned-restore path
-  // materializes: the shard-major critical-globals pool AND the per-graph
-  // set sizes (the arenas' num_critical sections, which the caller hands
-  // through so this path never strides over the per-graph meta tables).
-  KB_CHECK(set_sizes.size() == num_stored_graphs())
-      << "coverage size table covers " << set_sizes.size() << " of "
-      << num_stored_graphs() << " stored graphs";
   coverage_.BindExternalSets(set_sizes, coverage_nodes);
   num_boostable_ = set_sizes.size();
   graph_index_built_ = false;
   AddNonBoostableCounts(num_activated, num_hopeless);
-}
-
-void PrrCollection::RestoreFullPool(PrrStore&& store, size_t num_activated,
-                                    size_t num_hopeless) {
-  std::vector<PrrStore> stores;
-  stores.push_back(std::move(store));
-  RestoreFullPool(std::move(stores), num_activated, num_hopeless);
 }
 
 void PrrCollection::AddNonBoostableCounts(size_t num_activated,

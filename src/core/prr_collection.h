@@ -206,37 +206,26 @@ class PrrCollection {
     return ShardGraphLocalsContaining(0, v);
   }
 
-  /// Pool-snapshot restore (full mode): adopts deserialized shard arenas,
-  /// re-derives every critical set from them in shard-major stored order,
-  /// then accounts the non-boostable samples. Coverage numbering then
-  /// differs from a freshly-sampled pool's (shard-major vs. sample order),
-  /// but every estimator and selection depends only on set membership, never
-  /// on set numbering, so answers stay bit-identical. The collection must be
-  /// empty.
-  void RestoreFullPool(std::vector<PrrStore>&& stores, size_t num_activated,
-                       size_t num_hopeless);
-  /// Zero-copy restore: like RestoreFullPool, but the coverage node pool is
-  /// bound to `coverage_nodes` — a v3 snapshot's pre-translated
-  /// critical-globals section, laid out shard-major in stored-graph order —
-  /// instead of being re-gathered from the arenas, so restoring costs
+  /// Pool-snapshot restore: adopts the shard arenas (pass none for an
+  /// LB-only pool, which stores only critical sets) and binds the coverage
+  /// node pool to `coverage_nodes` — the snapshot's critical sets as global
+  /// ids, one set per stored graph in shard-major stored order (LB: one per
+  /// boostable sample) — without copying it, so restoring costs
   /// O(num_graphs), not O(total_critical). `set_sizes` is the matching
-  /// per-graph critical-count table in the same order (the concatenated
-  /// num_critical arena sections; length checked against the stores, sum
-  /// checked against coverage_nodes) — handed through rather than re-read
-  /// from the arenas' meta tables, which would stride cold cache lines on
-  /// every warm start. The caller must have validated the span's ids against
-  /// the serving graph and must keep both spans' backing memory alive for
-  /// the collection's lifetime (for an mmap'd snapshot: the session retains
-  /// the SnapshotMapping; set_sizes is only read during the call).
-  void RestoreFullPool(std::vector<PrrStore>&& stores,
-                       std::span<const uint32_t> set_sizes,
-                       std::span<const NodeId> coverage_nodes,
-                       size_t num_activated, size_t num_hopeless);
-  /// Single-arena compat overload (v1 snapshots load as S=1).
-  void RestoreFullPool(PrrStore&& store, size_t num_activated,
-                       size_t num_hopeless);
-  /// Accounts non-boostable samples in bulk (denominator only) — the
-  /// LB-mode snapshot-restore path after AddBoostableCriticalOnly calls.
+  /// per-set size table (length checked against the stores, sum checked
+  /// against coverage_nodes); it is only read during the call. Coverage
+  /// numbering may differ from a freshly-sampled pool's (shard-major vs.
+  /// sample order), but every estimator and selection depends only on set
+  /// membership, never on set numbering, so answers stay bit-identical. The
+  /// caller must have validated the ids against the serving graph and must
+  /// keep the memory behind the arenas and coverage_nodes alive for the
+  /// collection's lifetime (a loaded session retains the snapshot bytes).
+  /// The collection must be empty.
+  void RestorePool(std::vector<PrrStore>&& stores,
+                   std::span<const uint32_t> set_sizes,
+                   std::span<const NodeId> coverage_nodes,
+                   size_t num_activated, size_t num_hopeless);
+  /// Accounts non-boostable samples in bulk (denominator only).
   void AddNonBoostableCounts(size_t num_activated, size_t num_hopeless);
 
   /// Bytes held by stored PRR-graphs (the paper's Table 2/3 "memory for

@@ -1,8 +1,6 @@
 #include "src/core/prr_store.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
 #include "src/util/logging.h"
 
@@ -15,28 +13,6 @@ void AppendSpan(std::vector<T>& pool, std::span<const T> data) {
   pool.insert(pool.end(), data.begin(), data.end());
 }
 
-template <typename T>
-void WriteVec(std::ostream& out, std::span<const T> v) {
-  const uint64_t count = v.size();
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(count * sizeof(T)));
-}
-
-/// Reads a WriteVec-encoded vector, rejecting counts other than `expect`
-/// (every vector's size is implied by the graph-size table, so a mismatch
-/// means corruption — and guards against pathological allocations).
-template <typename T>
-bool ReadVec(std::istream& in, std::vector<T>* v, uint64_t expect) {
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || count != expect) return false;
-  v->resize(count);
-  in.read(reinterpret_cast<char*>(v->data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  return static_cast<bool>(in);
-}
-
 }  // namespace
 
 size_t PrrStore::Append(std::span<const NodeId> global_ids,
@@ -45,7 +21,7 @@ size_t PrrStore::Append(std::span<const NodeId> global_ids,
                         std::span<const uint32_t> in_offsets,
                         std::span<const uint32_t> in_edges,
                         std::span<const uint32_t> critical_locals) {
-  KB_CHECK(!external_) << "Append into an external (mmap-backed) store";
+  KB_CHECK(!external_) << "Append into an external (snapshot-backed) store";
   KB_DCHECK(out_offsets.size() == global_ids.size() + 1);
   KB_DCHECK(in_offsets.size() == global_ids.size() + 1);
   KB_DCHECK(out_edges.size() == in_edges.size());
@@ -135,75 +111,6 @@ size_t PrrStore::AllocatedBytes() const {
           out_edges_.capacity() + in_edges_.capacity() +
           critical_.capacity()) *
              sizeof(uint32_t);
-}
-
-void PrrStore::Serialize(std::ostream& out) const {
-  const uint64_t num_graphs = meta_.size();
-  out.write(reinterpret_cast<const char*>(&num_graphs), sizeof(num_graphs));
-  std::vector<uint32_t> num_nodes(num_graphs), num_critical(num_graphs);
-  for (size_t g = 0; g < num_graphs; ++g) {
-    num_nodes[g] = meta_[g].num_nodes;
-    num_critical[g] = meta_[g].num_critical;
-  }
-  WriteVec(out, std::span<const uint32_t>(num_nodes));
-  WriteVec(out, std::span<const uint32_t>(num_critical));
-  WriteVec(out, raw_global_ids());
-  WriteVec(out, raw_out_offsets());
-  WriteVec(out, raw_in_offsets());
-  WriteVec(out, raw_out_edges());
-  WriteVec(out, raw_in_edges());
-  WriteVec(out, raw_critical());
-}
-
-Status PrrStore::Deserialize(std::istream& in) {
-  KB_CHECK(meta_.empty()) << "Deserialize into a non-empty store";
-  uint64_t num_graphs = 0;
-  in.read(reinterpret_cast<char*>(&num_graphs), sizeof(num_graphs));
-  if (!in) return Status::IoError("truncated arena block: missing graph count");
-
-  // Every declared count must fit in the bytes actually present, so a
-  // corrupt count can never drive a pathological allocation: reject any
-  // vector whose payload exceeds what remains of the stream.
-  const std::streampos pos = in.tellg();
-  in.seekg(0, std::ios::end);
-  const uint64_t remaining = static_cast<uint64_t>(in.tellg() - pos);
-  in.seekg(pos);
-  const auto fits = [remaining](uint64_t count, size_t elem_size) {
-    return count <= remaining / elem_size;
-  };
-  const Status oversized = Status::InvalidArgument(
-      "arena block declares more data than the stream holds");
-  const Status truncated = Status::IoError("truncated arena block");
-  if (!fits(num_graphs, 2 * sizeof(uint32_t))) return oversized;
-
-  std::vector<uint32_t> num_nodes, num_critical;
-  if (!ReadVec(in, &num_nodes, num_graphs)) return truncated;
-  if (!ReadVec(in, &num_critical, num_graphs)) return truncated;
-  uint64_t total_nodes = 0, total_critical = 0;
-  for (size_t g = 0; g < num_graphs; ++g) {
-    total_nodes += num_nodes[g];
-    total_critical += num_critical[g];
-  }
-  const uint64_t offsets_len = total_nodes + num_graphs;
-  if (!fits(total_nodes, sizeof(NodeId)) ||
-      !fits(offsets_len, sizeof(uint32_t)) ||
-      !fits(total_critical, sizeof(uint32_t))) {
-    return oversized;
-  }
-  if (!ReadVec(in, &global_ids_, total_nodes)) return truncated;
-  if (!ReadVec(in, &out_offsets_, offsets_len)) return truncated;
-  if (!ReadVec(in, &in_offsets_, offsets_len)) return truncated;
-
-  uint64_t edge_total = 0, critical_total = 0;
-  Status meta_status =
-      BuildMetaFromSizes(num_nodes, num_critical, &edge_total, &critical_total);
-  if (!meta_status.ok()) return meta_status;
-  if (!fits(edge_total, sizeof(uint32_t))) return oversized;
-  if (!ReadVec(in, &out_edges_, edge_total)) return truncated;
-  if (!ReadVec(in, &in_edges_, edge_total)) return truncated;
-  if (!ReadVec(in, &critical_, critical_total)) return truncated;
-
-  return ValidateDeep();
 }
 
 Status PrrStore::BuildMetaFromSizes(std::span<const uint32_t> num_nodes,
@@ -349,35 +256,6 @@ Status PrrStore::AttachExternal(const ArenaSections& sections,
         "arena edge/critical sections disagree with the offset pools");
   }
   if (status.ok() && deep_validate) status = ValidateDeep();
-  if (!status.ok()) Clear();
-  return status;
-}
-
-Status PrrStore::AdoptBuffers(std::span<const uint32_t> num_nodes,
-                              std::span<const uint32_t> num_critical,
-                              std::vector<NodeId>&& global_ids,
-                              std::vector<uint32_t>&& out_offsets,
-                              std::vector<uint32_t>&& in_offsets,
-                              std::vector<uint32_t>&& out_edges,
-                              std::vector<uint32_t>&& in_edges,
-                              std::vector<uint32_t>&& critical) {
-  KB_CHECK(meta_.empty()) << "AdoptBuffers into a non-empty store";
-  global_ids_ = std::move(global_ids);
-  out_offsets_ = std::move(out_offsets);
-  in_offsets_ = std::move(in_offsets);
-  out_edges_ = std::move(out_edges);
-  in_edges_ = std::move(in_edges);
-  critical_ = std::move(critical);
-  uint64_t edge_total = 0, critical_total = 0;
-  Status status =
-      BuildMetaFromSizes(num_nodes, num_critical, &edge_total, &critical_total);
-  if (status.ok() && (out_edges_.size() != edge_total ||
-                      in_edges_.size() != edge_total ||
-                      critical_.size() != critical_total)) {
-    status = Status::InvalidArgument(
-        "arena edge/critical sections disagree with the offset pools");
-  }
-  if (status.ok()) status = ValidateDeep();
   if (!status.ok()) Clear();
   return status;
 }

@@ -2,7 +2,6 @@
 #define KBOOST_CORE_PRR_STORE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -24,8 +23,8 @@ namespace kboost {
 ///
 /// A store is either *owned* (the default: buffers live in its vectors and
 /// Append/Add grow them) or *external* (AttachExternal binds it over spans of
-/// memory someone else owns — an mmap'd v3 snapshot section, kept alive by
-/// whoever hands out the spans). Both modes serve the identical read API
+/// memory someone else owns — the sections of a loaded snapshot, kept alive
+/// by the session that loaded it). Both modes serve the identical read API
 /// (View/num_graphs/...); an external store rejects mutation (Append aborts)
 /// and Clear() detaches back to an empty owned store. Only the per-graph meta
 /// table is materialized for an external store, so attaching is O(num_graphs)
@@ -54,8 +53,8 @@ class PrrStore {
   /// in-memory shape of a v3 snapshot's per-shard region (src/io/pool_io).
   /// `num_nodes`/`num_critical` carry one entry per graph; the rest are the
   /// concatenated pools. The spans must stay valid for the lifetime of the
-  /// store they are attached to (for an mmap'd snapshot: as long as the
-  /// SnapshotMapping lives).
+  /// store they are attached to (for a loaded snapshot: as long as the
+  /// session retaining its bytes lives).
   struct ArenaSections {
     std::span<const uint32_t> num_nodes;
     std::span<const uint32_t> num_critical;
@@ -71,25 +70,9 @@ class PrrStore {
   /// Always performs the structural checks that memory safety depends on
   /// (section lengths mutually consistent, offsets graph-relative and
   /// monotone — evaluators index edge pools through them); `deep_validate`
-  /// additionally walks every edge endpoint and critical id (O(total_edges),
-  /// same rigor as Deserialize). On error the store is Clear()ed.
+  /// additionally walks every edge endpoint and critical id (O(total_edges)).
+  /// On error the store is Clear()ed.
   Status AttachExternal(const ArenaSections& sections, bool deep_validate);
-
-  /// Takes ownership of already-materialized section buffers (the codec
-  /// decode-on-load path) and validates them with full rigor — structural
-  /// checks plus the deep edge/critical walk. On error the store is
-  /// Clear()ed.
-  Status AdoptBuffers(std::span<const uint32_t> num_nodes,
-                      std::span<const uint32_t> num_critical,
-                      std::vector<NodeId>&& global_ids,
-                      std::vector<uint32_t>&& out_offsets,
-                      std::vector<uint32_t>&& in_offsets,
-                      std::vector<uint32_t>&& out_edges,
-                      std::vector<uint32_t>&& in_edges,
-                      std::vector<uint32_t>&& critical);
-
-  /// True when the arena memory is externally owned (AttachExternal).
-  bool external() const { return external_; }
 
   PrrGraphView View(size_t id) const;
 
@@ -126,7 +109,7 @@ class PrrStore {
   /// Largest per-graph local node count in the arena — the grow-only scratch
   /// bound evaluators reserve once per selection run.
   uint32_t max_num_nodes() const { return max_num_nodes_; }
-  /// Bumped on every mutation (Append/Clear/Deserialize); lets cached
+  /// Bumped on every mutation (Append/Clear/AttachExternal); lets cached
   /// per-graph evaluation state (PrrEvalState) detect resampling and
   /// invalidate itself instead of serving bits for a different pool.
   uint64_t generation() const { return generation_; }
@@ -145,17 +128,6 @@ class PrrStore {
   /// batches). On an external store this detaches the spans, leaving an
   /// empty owned store.
   void Clear();
-
-  /// Binary snapshot of the arena (pool snapshots, src/io/pool_io). The
-  /// format is independent of the Meta struct layout: per-graph sizes are
-  /// written explicitly and the arena begins are rebuilt by prefix sums on
-  /// load.
-  void Serialize(std::ostream& out) const;
-  /// Restores an arena written by Serialize into this (empty) store,
-  /// verifying structural consistency (counts, offset monotonicity, edge
-  /// targets and critical ids in range). Returns a descriptive
-  /// InvalidArgument/IoError status on malformed or truncated input.
-  Status Deserialize(std::istream& in);
 
  private:
   struct Meta {
@@ -190,7 +162,7 @@ class PrrStore {
   std::vector<uint32_t> in_edges_;
   std::vector<uint32_t> critical_;
   // External (view) mode: when external_ is set the vectors above are empty
-  // and the spans below alias memory owned elsewhere (an mmap'd snapshot).
+  // and the spans below alias memory owned elsewhere (a loaded snapshot).
   // All spans are over trivially destructible data, so destruction order
   // between a store and its backing mapping is never a correctness issue —
   // only reads must be fenced by the mapping's lifetime.

@@ -41,13 +41,13 @@ class CoverageSelector {
   /// exactly as AddSet({}) does).
   NodeId* AppendSets(std::span<const uint32_t> sizes);
   /// Binds the flat sample-node pool to externally owned read-only memory —
-  /// the pre-translated coverage section of an mmap'd v3 pool snapshot —
-  /// appending `sizes.size()` sets whose nodes are the consecutive
-  /// prefix-sum spans of `nodes`, without copying a byte. Only the per-set
-  /// offsets (O(sets)) are materialized. `nodes` must stay valid for the
-  /// selector's lifetime (for a snapshot: as long as the SnapshotMapping
-  /// lives), its ids must already be validated < num_nodes, and the sizes
-  /// must sum to exactly nodes.size() (checked). A bound selector rejects
+  /// the critical sets of a loaded pool snapshot — appending `sizes.size()`
+  /// sets whose nodes are the consecutive prefix-sum spans of `nodes`,
+  /// without copying a byte. Only the per-set offsets (O(sets)) are
+  /// materialized. `nodes` must stay valid for the selector's lifetime (for
+  /// a snapshot: as long as the session retaining its bytes lives), its ids
+  /// must already be validated < num_nodes, and the sizes must sum to
+  /// exactly nodes.size() (checked). A bound selector rejects
   /// further node-carrying appends (AddSet/AppendSets abort); empty sets may
   /// still be added.
   void BindExternalSets(std::span<const uint32_t> sizes,
@@ -66,9 +66,6 @@ class CoverageSelector {
     return flat_nodes().subspan(set_offsets_[i],
                                 set_offsets_[i + 1] - set_offsets_[i]);
   }
-
-  /// True when the node pool is externally owned (BindExternalSets).
-  bool external() const { return external_; }
 
   struct Result {
     std::vector<NodeId> selected;
@@ -125,8 +122,8 @@ class CoverageSelector {
   std::vector<size_t> set_offsets_{0};
   std::vector<NodeId> set_nodes_;
   // External (view) mode: when external_ is set, set_nodes_ is empty and the
-  // span below aliases memory owned elsewhere (an mmap'd snapshot's coverage
-  // section). Same lifetime contract as PrrStore's external spans: the data
+  // span below aliases memory owned elsewhere (a loaded snapshot's critical
+  // sets). Same lifetime contract as PrrStore's external spans: the data
   // is trivially destructible, only reads must be fenced by the owner.
   bool external_ = false;
   std::span<const NodeId> ext_set_nodes_;

@@ -6,15 +6,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <new>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "src/core/prr_collection.h"
 #include "src/core/prr_sampler.h"
-#include "src/im/coverage.h"
 #include "src/util/fault.h"
 #include "src/util/thread_pool.h"
 
@@ -23,38 +27,32 @@ namespace kboost {
 namespace {
 
 constexpr char kMagic[8] = {'K', 'B', 'P', 'R', 'R', 'P', 'O', 'L'};
-/// v1: single-arena full-mode body. v2: adds num_shards to the header and
-/// stores the full-mode body as a per-shard blob-size table followed by one
-/// independently-validated arena blob per shard. v3: keeps the v2 header
-/// prefix byte-for-byte, appends a 32-byte extension (endianness marker,
-/// default codec, alignment, directory offset) and replaces the full-mode
-/// body with a section directory over aligned flat uint32 blocks — eight per
-/// shard plus one pool-level coverage section (the critical sets translated
-/// to global ids, shard-major; present on nop-coded snapshots only), each
-/// independently codec-coded — so a nop-coded snapshot is servable in place
-/// from an mmap, coverage pool included. v1/v2 snapshots still load (v1 as
-/// S=1).
+/// The only format version this build reads or writes (layout in
+/// pool_io.h). Versions 1 and 2 were stream formats without the section
+/// directory; their files are rejected with a request to re-save.
 constexpr uint32_t kVersion = 3;
-constexpr uint32_t kMinVersion = 1;
 
 constexpr uint32_t kFlagLbOnly = 1u << 0;
 constexpr uint32_t kFlagSamplesCapped = 1u << 1;
 
-constexpr uint64_t kHeaderBytes = 128;  // v1/v2-compatible prefix
-constexpr uint64_t kExtBytes = 32;      // v3 extension after the prefix
+constexpr uint64_t kHeaderBytes = 128;  // fixed header
+constexpr uint64_t kExtBytes = 32;      // extension after the header
 constexpr uint32_t kEndianMarker = 0x01020304u;
 constexpr uint64_t kShardAlign = 4096;  // shard regions start page-aligned
 constexpr uint64_t kBlockAlign = 64;    // section blocks cache-line-aligned
 constexpr size_t kNumSections = 8;
-/// Per-shard directory entry: u64 num_graphs + kNumSections section records
-/// of {u64 offset, u64 stored_bytes, u64 raw_bytes, u32 codec, u32 reserved}.
-constexpr uint64_t kDirEntryBytes = 8 + kNumSections * 32;
-/// One more section record after the shard entries: the pool-level coverage
-/// node pool. All-zero when absent (compressed snapshots derive it on load).
-constexpr uint64_t kCoverageEntryBytes = 32;
+/// One directory record per section block: {u64 offset, u64 stored_bytes,
+/// u64 raw_bytes, u32 codec, u32 reserved}.
+constexpr uint64_t kSectionEntryBytes = 32;
+/// Per-shard directory entry: u64 num_graphs + kNumSections section records.
+/// One more section record after the shard entries locates the pool-level
+/// coverage section.
+constexpr uint64_t kDirEntryBytes = 8 + kNumSections * kSectionEntryBytes;
 
-/// Fixed-size snapshot header. Every field is written explicitly (no struct
-/// dump), so the on-disk layout is independent of compiler padding.
+/// Fixed-size snapshot header: the first 128 bytes of the file (magic
+/// included), then a 32-byte extension. Every field is written explicitly
+/// (VisitHeader, no struct dump), so the on-disk layout is independent of
+/// compiler padding.
 struct Header {
   uint32_t version = kVersion;
   uint32_t flags = 0;
@@ -65,7 +63,7 @@ struct Header {
   uint64_t rng_seed = 0;
   uint64_t max_samples = 0;
   uint32_t num_threads = 0;
-  uint32_t num_shards = 1;  // v2+; implicit 1 in v1 snapshots
+  uint32_t num_shards = 1;
   uint64_t num_seeds = 0;
   uint64_t num_boostable = 0;
   uint64_t num_activated = 0;
@@ -73,11 +71,8 @@ struct Header {
   uint64_t edges_examined = 0;
   uint64_t uncompressed_edges = 0;
   uint64_t compressed_edges = 0;
-};
-
-/// v3 header extension, at bytes [128, 160). dir_offset is 0 on LB-only
-/// snapshots (which store critical sets, not arenas, and have no directory).
-struct HeaderExt {
+  // Extension, at bytes [128, 160). dir_offset is 0 on LB-only snapshots
+  // (which store critical sets, not arenas, and have no directory).
   uint32_t endian_marker = kEndianMarker;
   uint32_t default_codec = 0;
   uint64_t section_align = kShardAlign;
@@ -85,10 +80,37 @@ struct HeaderExt {
   uint64_t reserved = 0;
 };
 
-/// One arena section block as recorded in the v3 directory. `offset` is
-/// absolute in the file; `raw_bytes` is the decoded length (4 × value
-/// count); for SnapshotCodec::kNop, stored_bytes == raw_bytes and the block
-/// IS the arena memory.
+/// Calls `f` on every header field in file order (after the magic).
+template <typename H, typename F>
+void VisitHeader(H& h, F&& f) {
+  f(h.version);
+  f(h.flags);
+  f(h.num_graph_nodes);
+  f(h.pool_budget);
+  f(h.epsilon);
+  f(h.ell);
+  f(h.rng_seed);
+  f(h.max_samples);
+  f(h.num_threads);
+  f(h.num_shards);
+  f(h.num_seeds);
+  f(h.num_boostable);
+  f(h.num_activated);
+  f(h.num_hopeless);
+  f(h.edges_examined);
+  f(h.uncompressed_edges);
+  f(h.compressed_edges);
+  f(h.endian_marker);
+  f(h.default_codec);
+  f(h.section_align);
+  f(h.dir_offset);
+  f(h.reserved);
+}
+
+/// One section block as recorded in the directory. `offset` is absolute in
+/// the file; `raw_bytes` is the decoded length (4 × value count); for
+/// SnapshotCodec::kNop, stored_bytes == raw_bytes and the block IS the
+/// arena memory.
 struct SectionEntry {
   uint64_t offset = 0;
   uint64_t stored_bytes = 0;
@@ -97,7 +119,8 @@ struct SectionEntry {
   uint32_t reserved = 0;
 };
 
-/// Section order within each shard's directory entry.
+/// Section order within each shard's directory entry — the field order of
+/// PrrStore::ArenaSections.
 enum SectionIndex : size_t {
   kSecNumNodes = 0,
   kSecNumCritical = 1,
@@ -120,36 +143,18 @@ void WritePod(std::ostream& out, const T& value) {
 }
 
 template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-uint64_t ReadU64At(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint32_t ReadU32At(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-/// Bytes left between the current position and the end of the stream. Used
-/// to bound every count-driven allocation: a corrupt count larger than the
-/// file itself is rejected before any resize happens.
-uint64_t RemainingBytes(std::istream& in) {
-  const std::streampos pos = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::streampos end = in.tellg();
-  in.seekg(pos);
-  return static_cast<uint64_t>(end - pos);
+T LoadAt(const char* p) {
+  T value;
+  std::memcpy(&value, p, sizeof(T));
+  return value;
 }
 
 uint64_t AlignUp(uint64_t value, uint64_t alignment) {
   return (value + alignment - 1) / alignment * alignment;
+}
+
+bool IsNop(const SectionEntry& e) {
+  return e.codec == static_cast<uint32_t>(SnapshotCodec::kNop);
 }
 
 void WriteZeros(std::ostream& out, uint64_t count) {
@@ -163,78 +168,54 @@ void WriteZeros(std::ostream& out, uint64_t count) {
 
 void WriteHeader(std::ostream& out, const Header& h) {
   out.write(kMagic, sizeof(kMagic));
-  WritePod(out, h.version);
-  WritePod(out, h.flags);
-  WritePod(out, h.num_graph_nodes);
-  WritePod(out, h.pool_budget);
-  WritePod(out, h.epsilon);
-  WritePod(out, h.ell);
-  WritePod(out, h.rng_seed);
-  WritePod(out, h.max_samples);
-  WritePod(out, h.num_threads);
-  WritePod(out, h.num_shards);
-  WritePod(out, h.num_seeds);
-  WritePod(out, h.num_boostable);
-  WritePod(out, h.num_activated);
-  WritePod(out, h.num_hopeless);
-  WritePod(out, h.edges_examined);
-  WritePod(out, h.uncompressed_edges);
-  WritePod(out, h.compressed_edges);
+  VisitHeader(h, [&out](const auto& field) { WritePod(out, field); });
 }
 
-void WriteHeaderExt(std::ostream& out, const HeaderExt& e) {
-  WritePod(out, e.endian_marker);
-  WritePod(out, e.default_codec);
-  WritePod(out, e.section_align);
-  WritePod(out, e.dir_offset);
+void WriteSectionEntry(std::ostream& out, const SectionEntry& e) {
+  WritePod(out, e.offset);
+  WritePod(out, e.stored_bytes);
+  WritePod(out, e.raw_bytes);
+  WritePod(out, e.codec);
   WritePod(out, e.reserved);
 }
 
-Status ReadHeader(std::istream& in, const std::string& path, Header* h) {
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a kboost pool snapshot: " + path);
-  }
-  if (!ReadPod(in, &h->version) || !ReadPod(in, &h->flags)) {
-    return Status::IoError("truncated pool snapshot header: " + path);
-  }
-  // Version gates the field layout, so it must be checked before the
-  // remaining fields are interpreted.
-  if (h->version < kMinVersion || h->version > kVersion) {
-    return Status::InvalidArgument(
-        "unsupported pool snapshot version " + std::to_string(h->version) +
-        " (this build reads versions " + std::to_string(kMinVersion) + ".." +
-        std::to_string(kVersion) + ")");
-  }
-  if (!ReadPod(in, &h->num_graph_nodes) || !ReadPod(in, &h->pool_budget) ||
-      !ReadPod(in, &h->epsilon) || !ReadPod(in, &h->ell) ||
-      !ReadPod(in, &h->rng_seed) || !ReadPod(in, &h->max_samples) ||
-      !ReadPod(in, &h->num_threads)) {
-    return Status::IoError("truncated pool snapshot header: " + path);
-  }
-  h->num_shards = 1;  // v1 snapshots are single-arena pools
-  if (h->version >= 2 && !ReadPod(in, &h->num_shards)) {
-    return Status::IoError("truncated pool snapshot header: " + path);
-  }
-  if (!ReadPod(in, &h->num_seeds) || !ReadPod(in, &h->num_boostable) ||
-      !ReadPod(in, &h->num_activated) || !ReadPod(in, &h->num_hopeless) ||
-      !ReadPod(in, &h->edges_examined) ||
-      !ReadPod(in, &h->uncompressed_edges) ||
-      !ReadPod(in, &h->compressed_edges)) {
-    return Status::IoError("truncated pool snapshot header: " + path);
-  }
-  return Status::Ok();
+SectionEntry ReadSectionEntry(const char* p) {
+  SectionEntry e;
+  e.offset = LoadAt<uint64_t>(p);
+  e.stored_bytes = LoadAt<uint64_t>(p + 8);
+  e.raw_bytes = LoadAt<uint64_t>(p + 16);
+  e.codec = LoadAt<uint32_t>(p + 24);
+  e.reserved = LoadAt<uint32_t>(p + 28);
+  return e;
 }
 
-Status ReadHeaderExt(std::istream& in, const std::string& path,
-                     HeaderExt* e) {
-  if (!ReadPod(in, &e->endian_marker) || !ReadPod(in, &e->default_codec) ||
-      !ReadPod(in, &e->section_align) || !ReadPod(in, &e->dir_offset) ||
-      !ReadPod(in, &e->reserved)) {
+/// Parses the header from the first bytes of the file.
+Status ParseHeader(const char* base, uint64_t size, const std::string& path,
+                   Header* h) {
+  if (size < sizeof(kMagic) || std::memcmp(base, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument("not a kboost pool snapshot: " + path);
+  }
+  if (size < sizeof(kMagic) + sizeof(uint32_t)) {
     return Status::IoError("truncated pool snapshot header: " + path);
   }
-  if (e->endian_marker != kEndianMarker) {
+  // Version gates the field layout, so it is checked before anything else.
+  const uint32_t version = LoadAt<uint32_t>(base + sizeof(kMagic));
+  if (version != kVersion) {
+    return Status::InvalidArgument(
+        "pool snapshot version " + std::to_string(version) +
+        " is not readable by this build, which reads only version " +
+        std::to_string(kVersion) +
+        "; re-save the pool from its graph and options: " + path);
+  }
+  if (size < kHeaderBytes + kExtBytes) {
+    return Status::IoError("truncated pool snapshot header: " + path);
+  }
+  const char* p = base + sizeof(kMagic);
+  VisitHeader(*h, [&p](auto& field) {
+    std::memcpy(&field, p, sizeof(field));
+    p += sizeof(field);
+  });
+  if (h->endian_marker != kEndianMarker) {
     return Status::InvalidArgument(
         "pool snapshot byte order does not match this host "
         "(endianness marker mismatch): " +
@@ -270,7 +251,19 @@ Status CheckGlobalIds(const PrrStore& store, uint64_t num_graph_nodes) {
   return Status::Ok();
 }
 
-/// Per-entry structural checks for one v3 section block: 4-byte aligned, in
+/// Coverage ids index per-node arrays during selection, so every one must
+/// name a node of the serving graph (one fused branch on the happy path).
+Status CheckCoverageIds(std::span<const NodeId> nodes,
+                        uint64_t num_graph_nodes, const std::string& path) {
+  bool in_range = true;
+  for (const NodeId v : nodes) in_range &= v < num_graph_nodes;
+  if (!in_range) {
+    return Status::OutOfRange("snapshot coverage node out of range: " + path);
+  }
+  return Status::Ok();
+}
+
+/// Per-entry structural checks for one section block: 4-byte aligned, in
 /// bounds, non-overlapping and in file order (`prev_end` advances); codec
 /// known; nop blocks stored verbatim; value count bounded by stored bytes
 /// (all codecs emit ≥ 1 byte per value, so a corrupt raw_bytes can never
@@ -295,8 +288,7 @@ Status ValidateSectionEntry(const SectionEntry& e, const std::string& where,
                                    std::to_string(e.codec) + " in " + where +
                                    ": " + path);
   }
-  if (e.codec == static_cast<uint32_t>(SnapshotCodec::kNop) &&
-      e.stored_bytes != e.raw_bytes) {
+  if (IsNop(e) && e.stored_bytes != e.raw_bytes) {
     return Status::InvalidArgument("nop-coded " + where +
                                    " has stored != raw bytes: " + path);
   }
@@ -308,16 +300,10 @@ Status ValidateSectionEntry(const SectionEntry& e, const std::string& where,
   return Status::Ok();
 }
 
-/// True for the all-zero entry the writer leaves when a snapshot carries no
-/// pool-level coverage section (compressed snapshots; derived on load).
-bool CoverageAbsent(const SectionEntry& e) {
-  return e.offset == 0 && e.stored_bytes == 0 && e.raw_bytes == 0;
-}
-
-/// Structural validation of a v3 section directory against the mapped file
-/// length: every shard block plus the trailing pool-level coverage section
-/// (when present, it must follow the shard regions and hold exactly as many
-/// values as the shard critical sections combined).
+/// Structural validation of the section directory against the file length:
+/// every shard block plus the trailing pool-level coverage section, which
+/// must follow the shard regions and hold exactly as many values as the
+/// shard critical sections combined.
 Status ValidateDirectory(const std::vector<ShardDir>& dirs,
                          const SectionEntry& coverage, uint64_t dir_end,
                          uint64_t file_size, const std::string& path) {
@@ -346,55 +332,94 @@ Status ValidateDirectory(const std::vector<ShardDir>& dirs,
           std::to_string(s) + ": " + path);
     }
   }
-  if (!CoverageAbsent(coverage)) {
-    if (Status e = ValidateSectionEntry(coverage, "the coverage section",
-                                        file_size, &prev_end, path);
-        !e.ok()) {
-      return e;
-    }
-    uint64_t critical_bytes = 0;
-    for (const ShardDir& dir : dirs) {
-      critical_bytes += dir.sections[kSecCritical].raw_bytes;
-    }
-    if (coverage.raw_bytes != critical_bytes) {
-      return Status::InvalidArgument(
-          "the coverage section disagrees with the shard critical pools: " +
-          path);
-    }
+  // Older writers left this entry all-zero on compressed snapshots.
+  if (coverage.offset == 0 && coverage.stored_bytes == 0 &&
+      coverage.raw_bytes == 0) {
+    return Status::InvalidArgument(
+        "pool snapshot has no coverage section (written by an older build); "
+        "re-save the pool from its graph and options: " +
+        path);
+  }
+  if (Status e = ValidateSectionEntry(coverage, "the coverage section",
+                                      file_size, &prev_end, path);
+      !e.ok()) {
+    return e;
+  }
+  uint64_t critical_bytes = 0;
+  for (const ShardDir& dir : dirs) {
+    critical_bytes += dir.sections[kSecCritical].raw_bytes;
+  }
+  if (coverage.raw_bytes != critical_bytes) {
+    return Status::InvalidArgument(
+        "the coverage section disagrees with the shard critical pools: " +
+        path);
   }
   return Status::Ok();
 }
 
-/// verify_mapped rigor for the coverage section: it must be exactly the
-/// shard-major gather of every arena's critical locals through its global
-/// ids — the pool the owned-restore path would rebuild.
-Status CheckCoverageSection(const std::vector<PrrStore>& stores,
-                            std::span<const uint32_t> section,
-                            const std::string& path) {
-  const uint32_t* want = section.data();
-  for (const PrrStore& store : stores) {
-    const NodeId* ids = store.raw_global_ids().data();
-    const uint32_t* cursor = store.raw_critical().data();
-    const size_t store_graphs = store.num_graphs();
-    uint64_t node_begin = 0;
-    for (size_t g = 0; g < store_graphs; ++g) {
-      const NodeId* base = ids + node_begin;
-      for (const uint32_t* end = cursor + store.critical_count(g);
-           cursor != end; ++cursor) {
-        if (*want++ != base[*cursor]) {
-          return Status::InvalidArgument(
-              "coverage section disagrees with the arena critical sets: " +
-              path);
-        }
-      }
-      node_begin += store.num_nodes(g);
+/// Reads the directory at `dir_offset` (which must lie past `body_begin`)
+/// and validates it.
+Status ParseDirectory(const char* base, uint64_t file_size,
+                      uint64_t dir_offset, uint64_t body_begin,
+                      size_t num_shards, const std::string& path,
+                      std::vector<ShardDir>* dirs, SectionEntry* coverage) {
+  const uint64_t dir_bytes = num_shards * kDirEntryBytes + kSectionEntryBytes;
+  if (dir_offset < body_begin || dir_offset > file_size ||
+      dir_bytes > file_size - dir_offset) {
+    return Status::InvalidArgument("snapshot directory out of bounds: " +
+                                   path);
+  }
+  dirs->resize(num_shards);
+  const char* p = base + dir_offset;
+  for (ShardDir& dir : *dirs) {
+    dir.num_graphs = LoadAt<uint64_t>(p);
+    p += sizeof(uint64_t);
+    for (SectionEntry& e : dir.sections) {
+      e = ReadSectionEntry(p);
+      p += kSectionEntryBytes;
     }
+  }
+  *coverage = ReadSectionEntry(p);
+  return ValidateDirectory(*dirs, *coverage, dir_offset + dir_bytes,
+                           file_size, path);
+}
+
+/// Calls `f` on the global id of every critical node of every graph in
+/// `store`, in stored-graph order: the store's slice of the coverage
+/// section.
+template <typename F>
+void ForEachCriticalGlobal(const PrrStore& store, F&& f) {
+  const NodeId* ids = store.raw_global_ids().data();
+  const uint32_t* cursor = store.raw_critical().data();
+  uint64_t node_begin = 0;
+  for (size_t g = 0; g < store.num_graphs(); ++g) {
+    const NodeId* base = ids + node_begin;
+    for (const uint32_t* end = cursor + store.critical_count(g);
+         cursor != end; ++cursor) {
+      f(base[*cursor]);
+    }
+    node_begin += store.num_nodes(g);
+  }
+}
+
+/// Deep check of one shard's slice of the coverage section against its
+/// arena.
+Status CheckCoverageSlice(const PrrStore& store,
+                          std::span<const uint32_t> slice,
+                          const std::string& path) {
+  const uint32_t* want = slice.data();
+  bool same = true;
+  ForEachCriticalGlobal(store, [&](NodeId v) { same &= *want++ == v; });
+  if (!same) {
+    return Status::InvalidArgument(
+        "coverage section disagrees with the arena critical sets: " + path);
   }
   return Status::Ok();
 }
 
-/// LB body (all versions): the critical sets as one flat offsets/nodes pair
-/// over the non-empty sample numbering.
+/// LB body: the critical sets as one flat offsets/nodes pair over the
+/// non-empty sample numbering — u64 num_sets, num_sets + 1 u64 offsets,
+/// then the u32 nodes.
 void WriteLbBody(std::ostream& out, const PrrCollection& pool) {
   const CoverageSelector& coverage = pool.coverage();
   const uint64_t num_sets = coverage.num_nonempty_sets();
@@ -412,74 +437,183 @@ void WriteLbBody(std::ostream& out, const PrrCollection& pool) {
   }
 }
 
-}  // namespace
-
-SnapshotMapping::~SnapshotMapping() {
-  if (addr_ != nullptr) ::munmap(addr_, len_);
+/// Parses the LB body starting at `begin` into per-set sizes plus the node
+/// pool, which stays in place in the snapshot bytes.
+Status ParseLbBody(const char* base, uint64_t file_size, uint64_t begin,
+                   uint64_t num_boostable, const std::string& path,
+                   std::vector<uint32_t>* set_sizes,
+                   std::span<const NodeId>* nodes) {
+  const Status corrupt =
+      Status::InvalidArgument("corrupt LB pool snapshot: " + path);
+  if (file_size - begin < sizeof(uint64_t)) return corrupt;
+  const uint64_t num_sets = LoadAt<uint64_t>(base + begin);
+  const uint64_t offsets_begin = begin + sizeof(uint64_t);
+  if (num_sets != num_boostable ||
+      num_sets >= (file_size - offsets_begin) / sizeof(uint64_t)) {
+    return corrupt;
+  }
+  const char* offsets = base + offsets_begin;
+  uint64_t prev = LoadAt<uint64_t>(offsets);
+  if (prev != 0) return corrupt;
+  set_sizes->resize(num_sets);
+  for (uint64_t i = 0; i < num_sets; ++i) {
+    const uint64_t next =
+        LoadAt<uint64_t>(offsets + (i + 1) * sizeof(uint64_t));
+    if (next < prev || next - prev > std::numeric_limits<uint32_t>::max()) {
+      return corrupt;
+    }
+    (*set_sizes)[i] = static_cast<uint32_t>(next - prev);
+    prev = next;
+  }
+  const uint64_t nodes_begin =
+      offsets_begin + (num_sets + 1) * sizeof(uint64_t);
+  if (prev > (file_size - nodes_begin) / sizeof(NodeId)) return corrupt;
+  *nodes = {reinterpret_cast<const NodeId*>(base + nodes_begin), prev};
+  return Status::Ok();
 }
 
-StatusOr<std::shared_ptr<SnapshotMapping>> SnapshotMapping::Open(
-    const std::string& path, bool prefault) {
-  if (MaybeInjectFault(FaultSite::kSnapshotMmap)) {
-    return Status::IoError("injected fault: mmap snapshot: " + path);
+/// Bytes a block takes in the decode buffer: none when it is read in place.
+uint64_t DecodedBytes(const SectionEntry& e) {
+  return IsNop(e) ? 0 : AlignUp(e.raw_bytes, kBlockAlign);
+}
+
+/// Resolves one validated block to its values: a nop block is read in place
+/// from `base`; any other codec decodes into `decoded` at `*decode_at`,
+/// which then advances past it.
+Status ResolveBlock(const SectionEntry& e, const char* base, char* decoded,
+                    uint64_t* decode_at, std::span<const uint32_t>* values) {
+  const size_t count = e.raw_bytes / sizeof(uint32_t);
+  if (IsNop(e)) {
+    *values = {reinterpret_cast<const uint32_t*>(base + e.offset), count};
+    return Status::Ok();
   }
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IoError("cannot open for mapping: " + path);
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    ::close(fd);
-    return Status::IoError("cannot stat for mapping: " + path);
-  }
-  const size_t len = static_cast<size_t>(st.st_size);
-  int flags = MAP_PRIVATE;
+  uint32_t* out = reinterpret_cast<uint32_t*>(decoded + *decode_at);
+  *decode_at += DecodedBytes(e);
+  *values = {out, count};
+  return CodecById(e.codec)->Decode(
+      std::span<const char>(base + e.offset, e.stored_bytes),
+      std::span<uint32_t>(out, count));
+}
+
+/// The bytes one load reads from: a read-only private mapping of the file,
+/// or a heap buffer — an owned load's copy of the file, or the decode target
+/// of codec-coded sections. Restored arenas and the coverage pool alias
+/// these bytes, so the loaded session retains them
+/// (BoostSession::RetainResource).
+class SnapshotBytes {
+ public:
+  /// An uninitialized heap buffer of `size` bytes, aligned like the file's
+  /// section blocks. Heap memory, not a fresh anonymous mapping, so the
+  /// allocator can recycle already-faulted pages across loads.
+  explicit SnapshotBytes(size_t size)
+      : data_(static_cast<char*>(
+            ::operator new(size, std::align_val_t{kBlockAlign}))),
+        size_(size) {}
+
+  /// Maps `size` bytes of `fd` read-only, prefaulted in one syscall instead
+  /// of one minor fault per 4 KiB page (a load touches most of them).
+  static StatusOr<std::shared_ptr<SnapshotBytes>> Map(int fd, size_t size,
+                                                      const std::string& path) {
+    int flags = MAP_PRIVATE;
 #ifdef MAP_POPULATE
-  // Prefault in one syscall instead of one minor fault per touched 4 KiB —
-  // load-time validation walks most of the file anyway, and fault storms
-  // were the dominant cost of warm-start-size mappings.
-  if (prefault) flags |= MAP_POPULATE;
-#else
-  (void)prefault;  // best effort; on-demand paging still works
+    flags |= MAP_POPULATE;
 #endif
-  void* addr = ::mmap(nullptr, len, PROT_READ, flags, fd, 0);
-  ::close(fd);  // the mapping holds its own reference to the file
-  if (addr == MAP_FAILED) {
-    return Status::IoError("mmap failed: " + path);
+    void* addr = ::mmap(nullptr, size, PROT_READ, flags, fd, 0);
+    if (addr == MAP_FAILED) return Status::IoError("mmap failed: " + path);
+    return std::shared_ptr<SnapshotBytes>(new SnapshotBytes(addr, size));
   }
-  return std::shared_ptr<SnapshotMapping>(new SnapshotMapping(addr, len));
+
+  SnapshotBytes(const SnapshotBytes&) = delete;
+  SnapshotBytes& operator=(const SnapshotBytes&) = delete;
+  ~SnapshotBytes() {
+    if (mapped_) {
+      ::munmap(data_, size_);
+    } else {
+      ::operator delete(data_, std::align_val_t{kBlockAlign});
+    }
+  }
+
+  const char* data() const { return data_; }
+  char* mutable_data() { return data_; }
+  uint64_t size() const { return size_; }
+
+ private:
+  SnapshotBytes(void* mapping, size_t size)
+      : data_(static_cast<char*>(mapping)), size_(size), mapped_(true) {}
+
+  char* data_;
+  size_t size_;
+  bool mapped_ = false;
+};
+
+/// Reads the open snapshot `fd` of `size` bytes: maps it (use_mmap), or
+/// copies it whole into the heap. The copy is split into chunks read on
+/// this host's cores: first-touch faults on fresh pages dominate one serial
+/// read() of a warm-start-size file (the cold load in bench_snapshot took
+/// 1.28 ms serial vs 0.67 ms split, median of 10 runs on a 4-core box).
+StatusOr<std::shared_ptr<SnapshotBytes>> ReadSnapshotBytes(
+    int fd, size_t size, bool use_mmap, const std::string& path) {
+  if (MaybeInjectFault(FaultSite::kSnapshotRead)) {
+    return Status::IoError("injected fault: snapshot read: " + path);
+  }
+  if (use_mmap) {
+    if (MaybeInjectFault(FaultSite::kSnapshotMmap)) {
+      return Status::IoError("injected fault: mmap snapshot: " + path);
+    }
+    return SnapshotBytes::Map(fd, size, path);
+  }
+  auto bytes = std::make_shared<SnapshotBytes>(size);
+  char* out = bytes->mutable_data();
+  constexpr size_t kChunkBytes = size_t{1} << 18;
+  std::atomic<bool> short_read{false};
+  ParallelFor(
+      (size + kChunkBytes - 1) / kChunkBytes, DefaultThreadCount(),
+      [&](size_t c, int /*t*/) {
+        const size_t end = std::min(size, (c + 1) * kChunkBytes);
+        for (size_t done = c * kChunkBytes; done < end;) {
+          const ssize_t n = ::pread(fd, out + done, end - done,
+                                    static_cast<off_t>(done));
+          if (n < 0 && errno == EINTR) continue;
+          if (n <= 0) {
+            short_read.store(true);
+            return;
+          }
+          done += static_cast<size_t>(n);
+        }
+      },
+      /*chunk=*/1);
+  if (short_read.load()) {
+    return Status::IoError("truncated pool snapshot: " + path);
+  }
+  return bytes;
 }
 
-StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
-                                          const std::string& path,
-                                          const PoolSaveOptions& options) {
-  if (!session.prepared()) {
-    return Status::InvalidArgument(
-        "session pool not prepared; call Prepare() before saving");
+StatusOr<std::shared_ptr<SnapshotBytes>> OpenSnapshotBytes(
+    const std::string& path, bool use_mmap) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open for reading: " + path);
+  struct stat st;
+  StatusOr<std::shared_ptr<SnapshotBytes>> bytes =
+      Status::IoError("cannot stat: " + path);
+  if (::fstat(fd, &st) == 0) {
+    bytes = st.st_size > 0
+                ? ReadSnapshotBytes(fd, static_cast<size_t>(st.st_size),
+                                    use_mmap, path)
+                : Status::IoError(
+                      "truncated pool snapshot header (empty file): " + path);
   }
-  if (options.format_version != 2 && options.format_version != 3) {
-    return Status::InvalidArgument(
-        "unsupported snapshot format version " +
-        std::to_string(options.format_version) + " (this build writes 2, 3)");
-  }
-  if (options.format_version == 2 && options.codec != SnapshotCodec::kNop) {
-    return Status::InvalidArgument(
-        "the legacy v2 format has no codec seam; use format_version 3 for " +
-        std::string(CodecName(options.codec)));
-  }
-  const Codec* codec = CodecById(static_cast<uint32_t>(options.codec));
-  if (codec == nullptr) {
-    return Status::InvalidArgument("unknown snapshot codec id " +
-                                   std::to_string(static_cast<uint32_t>(
-                                       options.codec)));
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
+  ::close(fd);  // a mapping holds its own reference to the file
+  return bytes;
+}
 
+/// Streams the snapshot of `session` to `out`; returns the file length.
+uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session,
+                       const Codec& codec) {
   const PrrBoostEngine& engine = session.engine();
   const PrrCollection& pool = engine.collection();
   const PrrSamplerStats& stats = engine.stats();
 
   Header h;
-  h.version = options.format_version;
   h.flags = (session.lb_only() ? kFlagLbOnly : 0) |
             (engine.samples_capped() ? kFlagSamplesCapped : 0);
   h.num_graph_nodes = pool.num_graph_nodes();
@@ -497,172 +631,167 @@ StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
   h.edges_examined = stats.edges_examined;
   h.uncompressed_edges = stats.uncompressed_edges;
   h.compressed_edges = stats.compressed_edges;
-  WriteHeader(out, h);
-
   const uint64_t seeds_bytes = h.num_seeds * sizeof(NodeId);
-  uint64_t file_bytes = 0;
-  HeaderExt ext;
-  if (options.format_version >= 3) {
-    ext.default_codec = static_cast<uint32_t>(options.codec);
-    ext.dir_offset =
-        session.lb_only() ? 0 : kHeaderBytes + kExtBytes + seeds_bytes;
-    WriteHeaderExt(out, ext);
-  }
+  h.default_codec = static_cast<uint32_t>(codec.id());
+  h.dir_offset = session.lb_only() ? 0 : kHeaderBytes + kExtBytes + seeds_bytes;
+  WriteHeader(out, h);
   out.write(reinterpret_cast<const char*>(session.seeds().data()),
             static_cast<std::streamsize>(seeds_bytes));
 
   if (session.lb_only()) {
     WriteLbBody(out, pool);
-    file_bytes = static_cast<uint64_t>(out.tellp());
-  } else if (options.format_version == 2) {
-    // Legacy v2 multi-shard body: per-shard blob sizes, then the blobs.
-    // Shards serialize concurrently into memory buffers; the size table is
-    // what lets the loader slice the stream and deserialize shards in
-    // parallel (and bound every per-shard allocation before it happens).
-    const size_t num_shards = pool.num_shards();
-    std::vector<std::string> blobs(num_shards);
-    ParallelFor(
-        num_shards, session.options().num_threads,
-        [&](size_t s, int /*t*/) {
-          std::ostringstream buffer(std::ios::binary);
-          pool.shard_store(s).Serialize(buffer);
-          blobs[s] = std::move(buffer).str();
-        },
-        /*chunk=*/1);
-    for (const std::string& blob : blobs) {
-      WritePod(out, static_cast<uint64_t>(blob.size()));
-    }
-    for (const std::string& blob : blobs) {
-      out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    }
-    file_bytes = static_cast<uint64_t>(out.tellp());
-  } else {
-    // v3 body: a zeroed directory placeholder, then each shard's eight
-    // section blocks streamed straight from the arena (no serialize-to-
-    // string staging — the nop path writes the arena spans verbatim; a
-    // compressing codec stages one section at a time), then, for nop-coded
-    // (mmap-servable) snapshots, the pool-level coverage section, then the
-    // directory backpatched with the final offsets and sizes.
-    const size_t num_shards = pool.num_shards();
-    const uint64_t dir_bytes = num_shards * kDirEntryBytes + kCoverageEntryBytes;
-    WriteZeros(out, dir_bytes);
-    uint64_t pos = ext.dir_offset + dir_bytes;
-
-    std::vector<ShardDir> dirs(num_shards);
-    std::string encode_buf;
-    for (size_t s = 0; s < num_shards; ++s) {
-      const PrrStore& store = pool.shard_store(s);
-      const size_t num_graphs = store.num_graphs();
-      std::vector<uint32_t> num_nodes(num_graphs), num_critical(num_graphs);
-      for (size_t g = 0; g < num_graphs; ++g) {
-        num_nodes[g] = store.num_nodes(g);
-        num_critical[g] = static_cast<uint32_t>(store.critical_count(g));
-      }
-      const std::span<const uint32_t> sections[kNumSections] = {
-          num_nodes,
-          num_critical,
-          store.raw_global_ids(),
-          store.raw_out_offsets(),
-          store.raw_in_offsets(),
-          store.raw_out_edges(),
-          store.raw_in_edges(),
-          store.raw_critical()};
-
-      dirs[s].num_graphs = num_graphs;
-      const uint64_t shard_begin = AlignUp(pos, kShardAlign);
-      WriteZeros(out, shard_begin - pos);
-      pos = shard_begin;
-      for (size_t i = 0; i < kNumSections; ++i) {
-        const uint64_t block_begin = AlignUp(pos, kBlockAlign);
-        WriteZeros(out, block_begin - pos);
-        pos = block_begin;
-        SectionEntry& e = dirs[s].sections[i];
-        e.offset = pos;
-        e.raw_bytes = sections[i].size() * sizeof(uint32_t);
-        e.codec = static_cast<uint32_t>(options.codec);
-        if (options.codec == SnapshotCodec::kNop) {
-          if (!sections[i].empty()) {
-            out.write(reinterpret_cast<const char*>(sections[i].data()),
-                      static_cast<std::streamsize>(e.raw_bytes));
-          }
-          e.stored_bytes = e.raw_bytes;
-        } else {
-          encode_buf.clear();
-          codec->Encode(sections[i], &encode_buf);
-          out.write(encode_buf.data(),
-                    static_cast<std::streamsize>(encode_buf.size()));
-          e.stored_bytes = encode_buf.size();
-        }
-        pos += e.stored_bytes;
-      }
-    }
-
-    // Pool-level coverage section: every graph's critical set translated to
-    // global ids, shard-major in stored-graph order — exactly the node pool
-    // RestoreFullPool would gather, written once so an mmap load can bind
-    // the greedy-coverage selector in place. Skipped (all-zero entry) for
-    // compressed snapshots, which decode into owned arenas and re-gather.
-    SectionEntry coverage_entry;
-    if (options.codec == SnapshotCodec::kNop) {
-      std::vector<uint32_t> coverage_pool;
-      size_t total_critical = 0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        total_critical += pool.shard_store(s).raw_critical().size();
-      }
-      coverage_pool.reserve(total_critical);
-      for (size_t s = 0; s < num_shards; ++s) {
-        const PrrStore& store = pool.shard_store(s);
-        const NodeId* ids = store.raw_global_ids().data();
-        const uint32_t* cursor = store.raw_critical().data();
-        const size_t store_graphs = store.num_graphs();
-        uint64_t node_begin = 0;
-        for (size_t g = 0; g < store_graphs; ++g) {
-          const NodeId* node_base = ids + node_begin;
-          for (const uint32_t* end = cursor + store.critical_count(g);
-               cursor != end; ++cursor) {
-            coverage_pool.push_back(node_base[*cursor]);
-          }
-          node_begin += store.num_nodes(g);
-        }
-      }
-      const uint64_t block_begin = AlignUp(pos, kBlockAlign);
-      WriteZeros(out, block_begin - pos);
-      pos = block_begin;
-      coverage_entry.offset = pos;
-      coverage_entry.raw_bytes = coverage_pool.size() * sizeof(uint32_t);
-      coverage_entry.stored_bytes = coverage_entry.raw_bytes;
-      coverage_entry.codec = static_cast<uint32_t>(SnapshotCodec::kNop);
-      if (!coverage_pool.empty()) {
-        out.write(reinterpret_cast<const char*>(coverage_pool.data()),
-                  static_cast<std::streamsize>(coverage_entry.raw_bytes));
-      }
-      pos += coverage_entry.stored_bytes;
-    }
-    file_bytes = pos;
-
-    out.seekp(static_cast<std::streamoff>(ext.dir_offset));
-    for (const ShardDir& dir : dirs) {
-      WritePod(out, dir.num_graphs);
-      for (const SectionEntry& e : dir.sections) {
-        WritePod(out, e.offset);
-        WritePod(out, e.stored_bytes);
-        WritePod(out, e.raw_bytes);
-        WritePod(out, e.codec);
-        WritePod(out, e.reserved);
-      }
-    }
-    WritePod(out, coverage_entry.offset);
-    WritePod(out, coverage_entry.stored_bytes);
-    WritePod(out, coverage_entry.raw_bytes);
-    WritePod(out, coverage_entry.codec);
-    WritePod(out, coverage_entry.reserved);
+    return static_cast<uint64_t>(out.tellp());
   }
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
+
+  // Full-mode body: a zeroed directory placeholder, each shard's eight
+  // section blocks streamed straight from the arena (a nop block is the
+  // arena span verbatim; another codec stages one block at a time), the
+  // pool-level coverage section, then the directory backpatched with the
+  // final offsets and sizes.
+  const size_t num_shards = pool.num_shards();
+  const uint64_t dir_bytes = num_shards * kDirEntryBytes + kSectionEntryBytes;
+  WriteZeros(out, dir_bytes);
+  uint64_t pos = h.dir_offset + dir_bytes;
+
+  std::string encode_buf;
+  const auto write_block = [&](std::span<const uint32_t> values,
+                               SectionEntry* e) {
+    const uint64_t block_begin = AlignUp(pos, kBlockAlign);
+    WriteZeros(out, block_begin - pos);
+    e->offset = block_begin;
+    e->raw_bytes = values.size() * sizeof(uint32_t);
+    e->codec = static_cast<uint32_t>(codec.id());
+    if (codec.id() == SnapshotCodec::kNop) {
+      if (!values.empty()) {
+        out.write(reinterpret_cast<const char*>(values.data()),
+                  static_cast<std::streamsize>(e->raw_bytes));
+      }
+      e->stored_bytes = e->raw_bytes;
+    } else {
+      encode_buf.clear();
+      codec.Encode(values, &encode_buf);
+      out.write(encode_buf.data(),
+                static_cast<std::streamsize>(encode_buf.size()));
+      e->stored_bytes = encode_buf.size();
+    }
+    pos = block_begin + e->stored_bytes;
+  };
+
+  std::vector<ShardDir> dirs(num_shards);
+  size_t total_critical = 0;
+  for (size_t s = 0; s < num_shards; ++s) {
+    const PrrStore& store = pool.shard_store(s);
+    const size_t num_graphs = store.num_graphs();
+    std::vector<uint32_t> num_nodes(num_graphs), num_critical(num_graphs);
+    for (size_t g = 0; g < num_graphs; ++g) {
+      num_nodes[g] = store.num_nodes(g);
+      num_critical[g] = static_cast<uint32_t>(store.critical_count(g));
+    }
+    const std::span<const uint32_t> sections[kNumSections] = {
+        num_nodes,
+        num_critical,
+        store.raw_global_ids(),
+        store.raw_out_offsets(),
+        store.raw_in_offsets(),
+        store.raw_out_edges(),
+        store.raw_in_edges(),
+        store.raw_critical()};
+
+    dirs[s].num_graphs = num_graphs;
+    const uint64_t shard_begin = AlignUp(pos, kShardAlign);
+    WriteZeros(out, shard_begin - pos);
+    pos = shard_begin;
+    for (size_t i = 0; i < kNumSections; ++i) {
+      write_block(sections[i], &dirs[s].sections[i]);
+    }
+    total_critical += store.raw_critical().size();
+  }
+
+  // Pool-level coverage section: every graph's critical set translated to
+  // global ids, shard-major in stored-graph order — exactly the node pool
+  // the loader binds the greedy-coverage selector to.
+  std::vector<uint32_t> coverage_pool;
+  coverage_pool.reserve(total_critical);
+  for (const PrrStore& store : pool.shards()) {
+    ForEachCriticalGlobal(store,
+                          [&](NodeId v) { coverage_pool.push_back(v); });
+  }
+  SectionEntry coverage;
+  write_block(coverage_pool, &coverage);
+  const uint64_t file_bytes = pos;
+
+  out.seekp(static_cast<std::streamoff>(h.dir_offset));
+  for (const ShardDir& dir : dirs) {
+    WritePod(out, dir.num_graphs);
+    for (const SectionEntry& e : dir.sections) WriteSectionEntry(out, e);
+  }
+  WriteSectionEntry(out, coverage);
+  return file_bytes;
+}
+
+/// fsyncs the file or directory at `path`, opened with `flags`.
+Status SyncPath(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open to sync: " + path);
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced ? Status::Ok() : Status::IoError("fsync failed: " + path);
+}
+
+}  // namespace
+
+StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
+                                          const std::string& path,
+                                          const PoolSaveOptions& options) {
+  if (!session.prepared()) {
+    return Status::InvalidArgument(
+        "session pool not prepared; call Prepare() before saving");
+  }
+  const Codec* codec = CodecById(static_cast<uint32_t>(options.codec));
+  if (codec == nullptr) {
+    return Status::InvalidArgument("unknown snapshot codec id " +
+                                   std::to_string(static_cast<uint32_t>(
+                                       options.codec)));
+  }
+  // Write a sibling temp file, make it durable, then rename it over `path`:
+  // a process mapping the old file keeps the old inode, and a failed or
+  // interrupted save never leaves a torn file at `path`.
+  static std::atomic<uint64_t> save_counter{0};
+  const std::string temp = path + ".tmp." + std::to_string(::getpid()) +
+                           "." + std::to_string(save_counter.fetch_add(1));
+  Status status = Status::Ok();
+  uint64_t file_bytes = 0;
+  {
+    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::IoError("cannot open for writing: " + temp);
+    file_bytes = WriteSnapshot(out, session, *codec);
+    out.close();
+    if (!out) status = Status::IoError("write failed: " + temp);
+  }
+  if (status.ok()) status = SyncPath(temp, O_WRONLY);
+  if (status.ok() && MaybeInjectFault(FaultSite::kSnapshotWrite)) {
+    status = Status::IoError("injected fault: snapshot write: " + path);
+  }
+  if (status.ok() && ::rename(temp.c_str(), path.c_str()) != 0) {
+    status = Status::IoError("cannot rename " + temp + " over " + path);
+  }
+  if (!status.ok()) {
+    ::unlink(temp.c_str());
+    return status;
+  }
+  // The new file is in place; the rename is durable once its directory is.
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  if (Status synced =
+          SyncPath(dir.empty() ? "." : dir.string(), O_RDONLY | O_DIRECTORY);
+      !synced.ok()) {
+    return synced;
+  }
 
   PoolSaveResult result;
+  const PrrCollection& pool = session.engine().collection();
   result.file_bytes = file_bytes;
-  result.num_samples = h.num_boostable + h.num_activated + h.num_hopeless;
+  result.num_samples =
+      pool.num_boostable() + pool.num_activated() + pool.num_hopeless();
   result.bytes_per_sample =
       result.num_samples > 0
           ? static_cast<double>(result.file_bytes) /
@@ -671,22 +800,26 @@ StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
   return result;
 }
 
-Status SavePoolSnapshot(const BoostSession& session, const std::string& path) {
-  return SavePoolSnapshot(session, path, PoolSaveOptions{}).status();
-}
-
 StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     const DirectedGraph& graph, const std::string& path,
     const PoolLoadOptions& options) {
   if (MaybeInjectFault(FaultSite::kSnapshotOpen)) {
     return Status::IoError("injected fault: open snapshot: " + path);
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
+  StatusOr<std::shared_ptr<SnapshotBytes>> opened =
+      OpenSnapshotBytes(path, options.use_mmap);
+  if (!opened.ok()) return opened.status();
+  const std::shared_ptr<SnapshotBytes> bytes = std::move(opened).value();
+  const char* base = bytes->data();
+  const uint64_t file_size = bytes->size();
+  // An owned load is a private copy that always gets the deep checks; an
+  // mmap load runs them on request (verify_mapped).
+  const bool deep = !options.use_mmap || options.verify_mapped;
 
   Header h;
-  Status header_status = ReadHeader(in, path, &h);
-  if (!header_status.ok()) return header_status;
+  if (Status s = ParseHeader(base, file_size, path, &h); !s.ok()) {
+    return s;
+  }
   if (h.num_graph_nodes != graph.num_nodes()) {
     return Status::InvalidArgument(
         "pool snapshot was taken against a graph with " +
@@ -698,44 +831,7 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
       h.num_shards > static_cast<uint32_t>(PrrCollection::kMaxShards)) {
     return Status::InvalidArgument("corrupt pool snapshot header: " + path);
   }
-  HeaderExt ext;
-  if (h.version >= 3) {
-    Status ext_status = ReadHeaderExt(in, path, &ext);
-    if (!ext_status.ok()) return ext_status;
-  }
   const bool lb_only = (h.flags & kFlagLbOnly) != 0;
-
-  if (options.use_mmap) {
-    if (h.version < 3) {
-      return Status::FailedPrecondition(
-          "pool snapshot version " + std::to_string(h.version) +
-          " predates the mmap-servable v3 layout; re-save it with the "
-          "current writer: " +
-          path);
-    }
-    if (lb_only) {
-      return Status::FailedPrecondition(
-          "LB-only snapshot holds critical sets, not arena sections; the "
-          "mmap path serves full-mode pools only: " +
-          path);
-    }
-  }
-
-  if (MaybeInjectFault(FaultSite::kSnapshotRead)) {
-    return Status::IoError("injected fault: snapshot body read: " + path);
-  }
-  std::vector<NodeId> seeds(h.num_seeds);
-  in.read(reinterpret_cast<char*>(seeds.data()),
-          static_cast<std::streamsize>(h.num_seeds * sizeof(NodeId)));
-  if (!in || MaybeInjectFault(FaultSite::kSnapshotShortRead)) {
-    return Status::IoError("truncated pool snapshot: " + path);
-  }
-  for (NodeId s : seeds) {
-    if (s >= graph.num_nodes()) {
-      return Status::OutOfRange("snapshot seed out of range: " +
-                                std::to_string(s));
-    }
-  }
 
   // The writer's thread count is provenance, not a command: clamp it into
   // the valid range before it reaches BoostOptions (whose trusting
@@ -744,326 +840,6 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
   const int load_threads = static_cast<int>(std::max<uint32_t>(
       1, std::min<uint32_t>(h.num_threads,
                             static_cast<uint32_t>(ThreadPool::kMaxWorkers))));
-  // Restore-time parallelism is additionally capped by this host's cores:
-  // the writer may have had more, and fanning tiny per-shard work (an mmap
-  // attach is O(num_graphs) metadata, not O(bytes)) across more workers
-  // than cores only buys wake/join overhead on the warm-start path.
-  const int io_threads = std::max(
-      1, std::min(load_threads,
-                  static_cast<int>(std::thread::hardware_concurrency())));
-
-  if (MaybeInjectFault(FaultSite::kAllocPressure)) {
-    return Status::ResourceExhausted(
-        "injected fault: allocation pressure restoring pool: " + path);
-  }
-  std::shared_ptr<SnapshotMapping> mapping;
-  auto pool = std::make_unique<PrrCollection>(
-      graph.num_nodes(), static_cast<int>(h.num_shards));
-  if (lb_only) {
-    uint64_t num_sets = 0;
-    if (!ReadPod(in, &num_sets) || num_sets != h.num_boostable ||
-        num_sets > RemainingBytes(in) / sizeof(uint64_t)) {
-      return Status::InvalidArgument("corrupt LB pool snapshot: " + path);
-    }
-    std::vector<uint64_t> offsets(num_sets + 1);
-    in.read(reinterpret_cast<char*>(offsets.data()),
-            static_cast<std::streamsize>(offsets.size() * sizeof(uint64_t)));
-    if (!in || offsets[0] != 0) {
-      return Status::InvalidArgument("corrupt LB pool snapshot: " + path);
-    }
-    for (uint64_t i = 0; i < num_sets; ++i) {
-      if (offsets[i] > offsets[i + 1]) {
-        return Status::InvalidArgument("corrupt LB pool snapshot: " + path);
-      }
-    }
-    if (offsets[num_sets] > RemainingBytes(in) / sizeof(NodeId)) {
-      return Status::InvalidArgument("corrupt LB pool snapshot: " + path);
-    }
-    std::vector<NodeId> nodes(offsets[num_sets]);
-    in.read(reinterpret_cast<char*>(nodes.data()),
-            static_cast<std::streamsize>(nodes.size() * sizeof(NodeId)));
-    if (!in) return Status::IoError("truncated pool snapshot: " + path);
-    for (NodeId v : nodes) {
-      if (v >= graph.num_nodes()) {
-        return Status::OutOfRange("snapshot critical node out of range: " +
-                                  std::to_string(v));
-      }
-    }
-    for (uint64_t i = 0; i < num_sets; ++i) {
-      pool->AddBoostableCriticalOnly(std::span<const NodeId>(
-          nodes.data() + offsets[i], offsets[i + 1] - offsets[i]));
-    }
-    pool->AddNonBoostableCounts(h.num_activated, h.num_hopeless);
-  } else if (h.version <= 2) {
-    const size_t num_shards = h.num_shards;
-    std::vector<std::string> blobs(num_shards);
-    if (h.version >= 2) {
-      // v2 body: the blob-size table bounds every read before it happens —
-      // reject a table that promises more bytes than the stream holds.
-      std::vector<uint64_t> blob_sizes(num_shards);
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (!ReadPod(in, &blob_sizes[s])) {
-          return Status::IoError("truncated shard size table: " + path);
-        }
-      }
-      // Per-entry then cumulative bound (the per-entry check also keeps the
-      // running total overflow-free). An absurd single entry means a corrupt
-      // table; a plausible table that sums past the stream means the file
-      // was cut short, so that case reports as truncation.
-      const uint64_t remaining = RemainingBytes(in);
-      uint64_t total_bytes = 0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (blob_sizes[s] > remaining) {
-          return Status::InvalidArgument(
-              "shard table declares more data than the snapshot holds: " +
-              path);
-        }
-        if (total_bytes + blob_sizes[s] > remaining) {
-          return Status::IoError("truncated shard block " +
-                                 std::to_string(s) + ": " + path);
-        }
-        total_bytes += blob_sizes[s];
-      }
-      for (size_t s = 0; s < num_shards; ++s) {
-        blobs[s].resize(blob_sizes[s]);
-        in.read(blobs[s].data(),
-                static_cast<std::streamsize>(blob_sizes[s]));
-        if (!in) {
-          return Status::IoError("truncated shard block " +
-                                 std::to_string(s) + ": " + path);
-        }
-      }
-    } else {
-      // v1 body: one arena blob spanning the rest of the stream; loads as a
-      // single-shard pool.
-      const uint64_t bytes = RemainingBytes(in);
-      blobs[0].resize(bytes);
-      in.read(blobs[0].data(), static_cast<std::streamsize>(bytes));
-      if (!in) return Status::IoError("truncated pool snapshot: " + path);
-    }
-
-    // Per-shard deserialization and structural validation fan out over the
-    // workers; every shard reports its own Status and the first failure (in
-    // shard order, for a deterministic message) wins.
-    std::vector<PrrStore> stores(num_shards);
-    std::vector<Status> shard_status(num_shards, Status::Ok());
-    ParallelFor(
-        num_shards, io_threads,
-        [&](size_t s, int /*t*/) {
-          std::istringstream blob_in(blobs[s], std::ios::binary);
-          if (Status arena = stores[s].Deserialize(blob_in); !arena.ok()) {
-            shard_status[s] = Status::InvalidArgument(
-                "corrupt PRR-graph arena in shard " + std::to_string(s) +
-                " of snapshot " + path + ": " + arena.ToString());
-            return;
-          }
-          shard_status[s] = CheckGlobalIds(stores[s], graph.num_nodes());
-        },
-        /*chunk=*/1);
-    for (const Status& s : shard_status) {
-      if (!s.ok()) return s;
-    }
-    size_t total_graphs = 0;
-    for (const PrrStore& store : stores) total_graphs += store.num_graphs();
-    if (total_graphs != h.num_boostable) {
-      return Status::InvalidArgument(
-          "snapshot header declares " + std::to_string(h.num_boostable) +
-          " boostable graphs but the shard arenas hold " +
-          std::to_string(total_graphs));
-    }
-    pool->RestoreFullPool(std::move(stores), h.num_activated, h.num_hopeless);
-  } else {
-    // v3 full-mode body: parse the section directory out of a file mapping
-    // (the parse itself is O(num_shards)), then either bind external stores
-    // over the mapped sections (use_mmap) or decode every block into owned
-    // arenas.
-    in.close();
-    auto mapped = SnapshotMapping::Open(path, options.prefault);
-    if (!mapped.ok()) return mapped.status();
-    mapping = std::move(mapped).value();
-    const char* base = mapping->data();
-    const uint64_t file_size = mapping->size();
-
-    const uint64_t num_shards = h.num_shards;
-    const uint64_t dir_bytes =
-        num_shards * kDirEntryBytes + kCoverageEntryBytes;
-    const uint64_t seeds_end =
-        kHeaderBytes + kExtBytes + h.num_seeds * sizeof(NodeId);
-    if (ext.dir_offset < seeds_end || ext.dir_offset > file_size ||
-        dir_bytes > file_size - ext.dir_offset) {
-      return Status::InvalidArgument("v3 snapshot directory out of bounds: " +
-                                     path);
-    }
-    std::vector<ShardDir> dirs(num_shards);
-    const char* p = base + ext.dir_offset;
-    for (uint64_t s = 0; s < num_shards; ++s) {
-      dirs[s].num_graphs = ReadU64At(p);
-      p += 8;
-      for (size_t i = 0; i < kNumSections; ++i) {
-        SectionEntry& e = dirs[s].sections[i];
-        e.offset = ReadU64At(p);
-        e.stored_bytes = ReadU64At(p + 8);
-        e.raw_bytes = ReadU64At(p + 16);
-        e.codec = ReadU32At(p + 24);
-        e.reserved = ReadU32At(p + 28);
-        p += 32;
-      }
-    }
-    SectionEntry coverage;
-    coverage.offset = ReadU64At(p);
-    coverage.stored_bytes = ReadU64At(p + 8);
-    coverage.raw_bytes = ReadU64At(p + 16);
-    coverage.codec = ReadU32At(p + 24);
-    coverage.reserved = ReadU32At(p + 28);
-    Status dir_status = ValidateDirectory(dirs, coverage,
-                                          ext.dir_offset + dir_bytes,
-                                          file_size, path);
-    if (!dir_status.ok()) return dir_status;
-
-    if (options.use_mmap) {
-      for (uint64_t s = 0; s < num_shards; ++s) {
-        for (size_t i = 0; i < kNumSections; ++i) {
-          if (dirs[s].sections[i].codec !=
-              static_cast<uint32_t>(SnapshotCodec::kNop)) {
-            return Status::FailedPrecondition(
-                "section " + std::to_string(i) + " of shard " +
-                std::to_string(s) + " is " +
-                CodecName(static_cast<SnapshotCodec>(
-                    dirs[s].sections[i].codec)) +
-                "-coded; the zero-copy mmap path serves only nop-coded "
-                "snapshots — load without mmap, or re-save with the nop "
-                "codec: " +
-                path);
-          }
-        }
-      }
-      // Only compressed snapshots omit the coverage section (their shard
-      // sections were refused above); a nop-coded file without one is
-      // corrupt, not merely old — the v3 writer always emits it.
-      if (CoverageAbsent(coverage) ||
-          coverage.codec != static_cast<uint32_t>(SnapshotCodec::kNop)) {
-        return Status::InvalidArgument(
-            "v3 snapshot has no mmap-servable coverage section: " + path);
-      }
-    }
-
-    const auto section_u32 = [base](const SectionEntry& e) {
-      return std::span<const uint32_t>(
-          reinterpret_cast<const uint32_t*>(base + e.offset),
-          e.raw_bytes / sizeof(uint32_t));
-    };
-
-    std::vector<PrrStore> stores(num_shards);
-    std::vector<Status> shard_status(num_shards, Status::Ok());
-    ParallelFor(
-        num_shards, io_threads,
-        [&](size_t s, int /*t*/) {
-          const ShardDir& dir = dirs[s];
-          const auto fail = [&](const Status& why) {
-            shard_status[s] = Status::InvalidArgument(
-                "corrupt PRR-graph arena in shard " + std::to_string(s) +
-                " of snapshot " + path + ": " + why.ToString());
-          };
-          if (options.use_mmap) {
-            PrrStore::ArenaSections sections;
-            sections.num_nodes = section_u32(dir.sections[kSecNumNodes]);
-            sections.num_critical =
-                section_u32(dir.sections[kSecNumCritical]);
-            sections.global_ids = section_u32(dir.sections[kSecGlobalIds]);
-            sections.out_offsets = section_u32(dir.sections[kSecOutOffsets]);
-            sections.in_offsets = section_u32(dir.sections[kSecInOffsets]);
-            sections.out_edges = section_u32(dir.sections[kSecOutEdges]);
-            sections.in_edges = section_u32(dir.sections[kSecInEdges]);
-            sections.critical = section_u32(dir.sections[kSecCritical]);
-            if (Status arena = stores[s].AttachExternal(
-                    sections, options.verify_mapped);
-                !arena.ok()) {
-              fail(arena);
-              return;
-            }
-          } else {
-            std::vector<uint32_t> bufs[kNumSections];
-            for (size_t i = 0; i < kNumSections; ++i) {
-              const SectionEntry& e = dir.sections[i];
-              bufs[i].resize(e.raw_bytes / sizeof(uint32_t));
-              if (Status block =
-                      CodecById(e.codec)->Decode(
-                          std::span<const char>(base + e.offset,
-                                                e.stored_bytes),
-                          std::span<uint32_t>(bufs[i]));
-                  !block.ok()) {
-                fail(block);
-                return;
-              }
-            }
-            if (Status arena = stores[s].AdoptBuffers(
-                    bufs[kSecNumNodes], bufs[kSecNumCritical],
-                    std::move(bufs[kSecGlobalIds]),
-                    std::move(bufs[kSecOutOffsets]),
-                    std::move(bufs[kSecInOffsets]),
-                    std::move(bufs[kSecOutEdges]),
-                    std::move(bufs[kSecInEdges]),
-                    std::move(bufs[kSecCritical]));
-                !arena.ok()) {
-              fail(arena);
-              return;
-            }
-          }
-          shard_status[s] = CheckGlobalIds(stores[s], graph.num_nodes());
-        },
-        /*chunk=*/1);
-    for (const Status& s : shard_status) {
-      if (!s.ok()) return s;
-    }
-    size_t total_graphs = 0;
-    for (const PrrStore& store : stores) total_graphs += store.num_graphs();
-    if (total_graphs != h.num_boostable) {
-      return Status::InvalidArgument(
-          "snapshot header declares " + std::to_string(h.num_boostable) +
-          " boostable graphs but the shard arenas hold " +
-          std::to_string(total_graphs));
-    }
-    if (options.use_mmap) {
-      // Zero-copy restore: bind the greedy-coverage node pool straight to
-      // the mapped coverage section instead of re-gathering it from the
-      // arenas. Its ids index per-node arrays during selection, so they get
-      // the same bounds pass the arena ids got (fused, one branch per
-      // section on the happy path).
-      const std::span<const uint32_t> coverage_nodes(
-          reinterpret_cast<const uint32_t*>(base + coverage.offset),
-          coverage.raw_bytes / sizeof(uint32_t));
-      bool in_range = true;
-      for (const uint32_t v : coverage_nodes) {
-        in_range &= v < graph.num_nodes();
-      }
-      if (!in_range) {
-        return Status::OutOfRange(
-            "snapshot coverage node out of range: " + path);
-      }
-      if (options.verify_mapped) {
-        if (Status cov = CheckCoverageSection(stores, coverage_nodes, path);
-            !cov.ok()) {
-          return cov;
-        }
-      }
-      // The per-graph set sizes are the mapped num_critical sections
-      // verbatim (the same bytes AttachExternal built each arena's meta
-      // from), concatenated shard-major to match the coverage pool.
-      std::vector<uint32_t> set_sizes;
-      set_sizes.reserve(total_graphs);
-      for (uint64_t s = 0; s < num_shards; ++s) {
-        const std::span<const uint32_t> counts =
-            section_u32(dirs[s].sections[kSecNumCritical]);
-        set_sizes.insert(set_sizes.end(), counts.begin(), counts.end());
-      }
-      pool->RestoreFullPool(std::move(stores), set_sizes, coverage_nodes,
-                            h.num_activated, h.num_hopeless);
-    } else {
-      pool->RestoreFullPool(std::move(stores), h.num_activated,
-                            h.num_hopeless);
-    }
-  }
-
   BoostOptions boost_options;
   boost_options.k = h.pool_budget;
   boost_options.epsilon = h.epsilon;
@@ -1082,6 +858,145 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
         opt.ToString() + "): " + path);
   }
 
+  const uint64_t seeds_begin = kHeaderBytes + kExtBytes;
+  const uint64_t body_begin = seeds_begin + h.num_seeds * sizeof(NodeId);
+  if (body_begin > file_size ||
+      MaybeInjectFault(FaultSite::kSnapshotShortRead)) {
+    return Status::IoError("truncated pool snapshot: " + path);
+  }
+  std::vector<NodeId> seeds(h.num_seeds);
+  std::memcpy(seeds.data(), base + seeds_begin,
+              h.num_seeds * sizeof(NodeId));
+  for (NodeId s : seeds) {
+    if (s >= graph.num_nodes()) {
+      return Status::OutOfRange("snapshot seed out of range: " +
+                                std::to_string(s));
+    }
+  }
+
+  if (MaybeInjectFault(FaultSite::kAllocPressure)) {
+    return Status::ResourceExhausted(
+        "injected fault: allocation pressure restoring pool: " + path);
+  }
+  // The body, all of it aliasing `bytes` or `decoded`: the shard arenas
+  // (none for an LB-only pool), the coverage node pool and its set sizes.
+  std::vector<PrrStore> stores;
+  std::vector<uint32_t> set_sizes;
+  std::span<const NodeId> coverage_nodes;
+  std::shared_ptr<SnapshotBytes> decoded;
+  bool reads_file = true;
+  if (lb_only) {
+    if (Status s = ParseLbBody(base, file_size, body_begin, h.num_boostable,
+                               path, &set_sizes, &coverage_nodes);
+        !s.ok()) {
+      return s;
+    }
+  } else {
+    std::vector<ShardDir> dirs;
+    SectionEntry coverage;
+    if (Status s = ParseDirectory(base, file_size, h.dir_offset, body_begin,
+                                  h.num_shards, path, &dirs, &coverage);
+        !s.ok()) {
+      return s;
+    }
+    // Codec-coded blocks decode into one owned buffer, shard by shard and
+    // then the coverage block; nop blocks are read in place. The coverage
+    // section is shard-major, so each shard also knows where its slice of it
+    // begins.
+    const size_t num_shards = dirs.size();
+    std::vector<uint64_t> decode_at(num_shards + 1, 0);
+    std::vector<uint64_t> coverage_at(num_shards + 1, 0);
+    size_t in_place = IsNop(coverage) ? 1 : 0;
+    for (size_t s = 0; s < num_shards; ++s) {
+      decode_at[s + 1] = decode_at[s];
+      for (const SectionEntry& e : dirs[s].sections) {
+        decode_at[s + 1] += DecodedBytes(e);
+        in_place += IsNop(e) ? 1 : 0;
+      }
+      coverage_at[s + 1] = coverage_at[s] +
+                           dirs[s].sections[kSecCritical].raw_bytes /
+                               sizeof(uint32_t);
+    }
+    const uint64_t decoded_bytes =
+        decode_at[num_shards] + DecodedBytes(coverage);
+    if (decoded_bytes > 0) {
+      decoded = std::make_shared<SnapshotBytes>(decoded_bytes);
+    }
+    char* decoded_base = decoded != nullptr ? decoded->mutable_data() : nullptr;
+    reads_file = in_place > 0;
+    uint64_t at = decode_at[num_shards];
+    if (Status s = ResolveBlock(coverage, base, decoded_base, &at,
+                                &coverage_nodes);
+        !s.ok()) {
+      return Status::InvalidArgument("corrupt coverage section of snapshot " +
+                                     path + ": " + s.ToString());
+    }
+
+    // Restore-time parallelism is capped by this host's cores: the writer
+    // may have had more, and an attach is O(num_graphs) metadata per shard.
+    const int io_threads = std::max(
+        1, std::min(load_threads,
+                    static_cast<int>(std::thread::hardware_concurrency())));
+    stores.resize(num_shards);
+    std::vector<std::span<const uint32_t>> shard_set_sizes(num_shards);
+    std::vector<Status> shard_status(num_shards, Status::Ok());
+    ParallelFor(
+        num_shards, io_threads,
+        [&](size_t s, int /*t*/) {
+          std::span<const uint32_t> v[kNumSections];
+          uint64_t shard_at = decode_at[s];
+          Status arena = Status::Ok();
+          for (size_t i = 0; i < kNumSections && arena.ok(); ++i) {
+            arena = ResolveBlock(dirs[s].sections[i], base, decoded_base,
+                                 &shard_at, &v[i]);
+          }
+          if (arena.ok()) {
+            arena = stores[s].AttachExternal(
+                {v[kSecNumNodes], v[kSecNumCritical], v[kSecGlobalIds],
+                 v[kSecOutOffsets], v[kSecInOffsets], v[kSecOutEdges],
+                 v[kSecInEdges], v[kSecCritical]},
+                deep);
+          }
+          if (!arena.ok()) {
+            shard_status[s] = Status::InvalidArgument(
+                "corrupt PRR-graph arena in shard " + std::to_string(s) +
+                " of snapshot " + path + ": " + arena.ToString());
+            return;
+          }
+          shard_set_sizes[s] = v[kSecNumCritical];
+          shard_status[s] = CheckGlobalIds(stores[s], graph.num_nodes());
+          if (deep && shard_status[s].ok()) {
+            shard_status[s] = CheckCoverageSlice(
+                stores[s],
+                coverage_nodes.subspan(coverage_at[s],
+                                       coverage_at[s + 1] - coverage_at[s]),
+                path);
+          }
+        },
+        /*chunk=*/1);
+    for (const Status& s : shard_status) {
+      if (!s.ok()) return s;
+    }
+    for (const std::span<const uint32_t> sizes : shard_set_sizes) {
+      set_sizes.insert(set_sizes.end(), sizes.begin(), sizes.end());
+    }
+    if (set_sizes.size() != h.num_boostable) {
+      return Status::InvalidArgument(
+          "snapshot header declares " + std::to_string(h.num_boostable) +
+          " boostable graphs but the shard arenas hold " +
+          std::to_string(set_sizes.size()));
+    }
+  }
+  if (Status s = CheckCoverageIds(coverage_nodes, graph.num_nodes(), path);
+      !s.ok()) {
+    return s;
+  }
+
+  auto pool = std::make_unique<PrrCollection>(
+      graph.num_nodes(), static_cast<int>(h.num_shards));
+  pool->RestorePool(std::move(stores), set_sizes, coverage_nodes,
+                    h.num_activated, h.num_hopeless);
+
   PrrSamplerStats stats;
   stats.edges_examined = h.edges_examined;
   stats.uncompressed_edges = h.uncompressed_edges;
@@ -1091,22 +1006,10 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
                                                 boost_options, lb_only);
   session->engine().AdoptPool(std::move(pool), stats,
                               (h.flags & kFlagSamplesCapped) != 0);
-  if (options.use_mmap && mapping != nullptr) {
-    session->RetainResource(std::move(mapping));
-  }
+  // A fully decoded pool reads nothing from the file bytes any more.
+  if (reads_file) session->RetainResource(bytes);
+  if (decoded != nullptr) session->RetainResource(std::move(decoded));
   return session;
-}
-
-StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
-    const DirectedGraph& graph, const std::string& path) {
-  return LoadPoolSnapshot(graph, path, PoolLoadOptions{});
-}
-
-StatusOr<std::unique_ptr<BoostSession>> MmapPool(const DirectedGraph& graph,
-                                                 const std::string& path) {
-  PoolLoadOptions options;
-  options.use_mmap = true;
-  return LoadPoolSnapshot(graph, path, options);
 }
 
 }  // namespace kboost

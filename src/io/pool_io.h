@@ -1,7 +1,6 @@
 #ifndef KBOOST_IO_POOL_IO_H_
 #define KBOOST_IO_POOL_IO_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -19,25 +18,28 @@ namespace kboost {
 /// SolveForBudget with bit-identical best sets and estimates, enabling warm
 /// restarts and cross-process serving against one prepared index.
 ///
-/// Formats:
-///   v1/v2 — legacy stream formats (v2 adds the per-shard blob table). Both
-///           still load; only v2 can still be written (PoolSaveOptions::
-///           format_version = 2, for compatibility tests).
-///   v3    — the current format: each shard arena is written as eight flat
-///           uint32 sections behind a page-aligned section directory, so a
-///           nop-coded snapshot is servable directly from an mmap'd file
-///           (PoolLoadOptions::use_mmap / MmapPool) with no per-process copy,
-///           and each section block may independently be compressed by a
-///           pluggable codec (src/io/codec.h) for cold storage. Nop-coded
-///           snapshots additionally carry one pool-level coverage section —
-///           the critical sets pre-translated to global ids, shard-major —
-///           so the mmap path binds the greedy-coverage node pool in place
-///           too and warm start does no O(total_critical) re-gather.
+/// Format v3, the only one this build reads or writes: a 128-byte header, a
+/// 32-byte extension (endianness marker, default codec, alignment, directory
+/// offset), the seed list, then the body. A full-mode body is a section
+/// directory over page-aligned shard regions of eight flat uint32 sections
+/// each, plus one pool-level coverage section — the critical sets
+/// pre-translated to global ids, shard-major — so the greedy-coverage node
+/// pool binds in place too. Every section is independently coded by a
+/// pluggable codec (src/io/codec.h); a nop-coded section IS the arena memory.
+/// An LB-only body is the critical sets as one flat offsets/nodes pair.
 ///
-/// Byte order: v3 headers stamp an endianness marker and the loader rejects
+/// A pool is a deterministic function of graph + BoostOptions, so a snapshot
+/// is a cache, not an archive: v1/v2 files, and v3 files written without a
+/// coverage section, are rejected with a typed InvalidArgument that asks for
+/// a re-save.
+///
+/// One load path: the file's bytes come from a read-only mmap (use_mmap) or
+/// from one read into an aligned heap buffer; codec-coded sections decode
+/// into one owned buffer; the shard arenas and the coverage pool are then
+/// bound over those bytes in place, and the session retains them.
+///
+/// Byte order: headers stamp an endianness marker and the loader rejects
 /// snapshots written on a different-endianness host with a typed Status.
-/// v1/v2 snapshots predate the marker and are assumed host-endian (the magic
-/// does NOT detect a byte-order mismatch — one more reason to re-save as v3).
 ///
 /// Thread count precedence: the header records the writer's num_threads as
 /// provenance only. The loader clamps it into [1, ThreadPool::kMaxWorkers]
@@ -46,13 +48,10 @@ namespace kboost {
 
 /// How to write a snapshot.
 struct PoolSaveOptions {
-  /// Codec applied to every arena section block (recorded per block in the
-  /// directory). kNop keeps the file mmap-servable; kVarint shrinks it for
-  /// cold storage at the cost of a decode-on-load into owned arenas.
+  /// Codec applied to every section block (recorded per block in the
+  /// directory). kNop makes the file servable in place from an mmap; kVarint
+  /// shrinks it for cold storage at the cost of a decode on every load.
   SnapshotCodec codec = SnapshotCodec::kNop;
-  /// 3 writes the current format; 2 writes the legacy v2 stream format
-  /// (which ignores `codec` — v2 has no codec seam).
-  uint32_t format_version = 3;
 };
 
 /// What a save produced. num_samples is θ — every sampled PRR-graph,
@@ -65,62 +64,32 @@ struct PoolSaveResult {
 
 /// How to load a snapshot.
 struct PoolLoadOptions {
-  /// Serve the arenas directly from an mmap of the file (v3 nop-coded
-  /// full-mode snapshots only — anything else is a typed FailedPrecondition).
-  /// Warm start becomes ~O(validate directory) instead of O(bytes), and the
-  /// page cache shares the arena across every process mapping it.
+  /// Serve the pool from a read-only mmap of the file (prefaulted with
+  /// MAP_POPULATE) instead of a private heap copy. Nop-coded sections are
+  /// then served zero-copy, warm start costs ~O(validate directory) instead
+  /// of O(bytes), and the page cache shares the pool across every process
+  /// mapping it. The mapping pins the file's inode, so replace a served
+  /// snapshot only by rename (SavePoolSnapshot does); rewriting it in place
+  /// can kill the serving process.
   bool use_mmap = false;
-  /// Also run the O(total_edges) deep walk (edge endpoints and critical ids
-  /// in range) over the mapped sections. Off by default: the structural
-  /// checks memory safety needs always run, and a host mapping its own
-  /// snapshot gains little from re-walking every edge at the cost of paging
-  /// the whole file in — which would defeat the point of mmap. Owned loads
-  /// (and every codec decode) always validate deeply regardless. Also
-  /// cross-checks the pool-level coverage section against the arenas'
-  /// critical sets.
+  /// Also run the deep checks on an mmap load: the O(total_edges) walk over
+  /// every edge endpoint and critical id, and the element-wise cross-check
+  /// of the coverage section against the arenas. The structural checks
+  /// memory safety needs always run; an owned load always runs the deep
+  /// checks too. Off by default for mmap, since re-walking every edge pages
+  /// in the whole file — set it for files from outside the program.
   bool verify_mapped = false;
-  /// Prefault the mapping (MAP_POPULATE) so validation and first solves hit
-  /// resident pages instead of taking one fault per 4 KiB. On by default —
-  /// it turns hundreds of page faults into one syscall for warm-start-size
-  /// pools. Turn it off to page lazily when the snapshot is larger than RAM
-  /// (the scenario mmap serving exists for).
-  bool prefault = true;
-};
-
-/// RAII read-only mmap of a snapshot file. External (mmap-backed) PrrStores
-/// alias this memory, so the mapping must outlive every session serving from
-/// it; the v3 mmap loader enforces that by handing the returned shared_ptr to
-/// BoostSession::RetainResource, which transitively pins it for as long as
-/// any pool entry holds the session.
-class SnapshotMapping {
- public:
-  /// `prefault` maps with MAP_POPULATE (where available): the whole file is
-  /// paged in by one syscall instead of on-demand faults.
-  static StatusOr<std::shared_ptr<SnapshotMapping>> Open(
-      const std::string& path, bool prefault = false);
-
-  SnapshotMapping(const SnapshotMapping&) = delete;
-  SnapshotMapping& operator=(const SnapshotMapping&) = delete;
-  ~SnapshotMapping();
-
-  const char* data() const { return static_cast<const char*>(addr_); }
-  size_t size() const { return len_; }
-
- private:
-  SnapshotMapping(void* addr, size_t len) : addr_(addr), len_(len) {}
-
-  void* addr_ = nullptr;
-  size_t len_ = 0;
 };
 
 /// Writes the session's pool to `path`. The session must be prepared()
-/// (BoostSession::SavePool prepares and delegates here).
+/// (BoostSession::SavePool prepares and delegates here). The snapshot is
+/// written to a temp file in the target's directory, fsynced, renamed over
+/// `path`, and the directory is fsynced: a process serving the old file from
+/// an mmap keeps its inode, and on any failure `path` is left untouched and
+/// the temp file is removed.
 StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
                                           const std::string& path,
                                           const PoolSaveOptions& options);
-
-/// Compatibility shim: v3 nop-coded save, discarding the result details.
-Status SavePoolSnapshot(const BoostSession& session, const std::string& path);
 
 /// Restores a session from a snapshot taken against a graph with the same
 /// node count. Seeds and BoostOptions come from the snapshot; the returned
@@ -128,14 +97,6 @@ Status SavePoolSnapshot(const BoostSession& session, const std::string& path);
 StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     const DirectedGraph& graph, const std::string& path,
     const PoolLoadOptions& options);
-
-/// Compatibility shim: owned (copying) load with default options.
-StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
-    const DirectedGraph& graph, const std::string& path);
-
-/// Zero-copy warm start: LoadPoolSnapshot with use_mmap = true.
-StatusOr<std::unique_ptr<BoostSession>> MmapPool(const DirectedGraph& graph,
-                                                 const std::string& path);
 
 }  // namespace kboost
 

@@ -110,10 +110,10 @@ class BoostService {
     int num_threads = 0;
     /// Serve snapshot-loaded pools zero-copy from an mmap of the file
     /// (LoadPool, RefreshPoolFromSnapshot and warm_pools all route through
-    /// it). Requires v3 nop-coded full-mode snapshots — loading anything
-    /// else fails with FailedPrecondition. The mapping is pinned by the
-    /// session (BoostSession::RetainResource), so hot-swaps and removals
-    /// stay safe: the bytes outlive every in-flight query.
+    /// it); nop-coded sections are then served in place. The mapping is
+    /// pinned by the session (BoostSession::RetainResource), so hot-swaps
+    /// and removals stay safe: the bytes outlive every in-flight query.
+    /// Replace a served snapshot only by rename (SavePoolSnapshot does).
     bool mmap_pools = false;
 
     // ---- Overload protection (all off by default) ----

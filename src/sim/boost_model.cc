@@ -29,17 +29,18 @@ SpreadEstimate EstimateBoostedSpread(const DirectedGraph& graph,
   const std::vector<uint8_t> boosted =
       MakeNodeBitmap(graph.num_nodes(), boost_set);
 
-  std::vector<RunningStat> per_thread(threads);
+  // Counts are reduced in simulation order, so the estimate is
+  // bit-identical at every thread count.
+  std::vector<size_t> counts(sims);
   std::vector<SimScratch> scratch(threads);
   ParallelFor(sims, threads, [&](size_t i, int t) {
     uint64_t world = options.seed * 0x100000001B3ULL + i;
-    size_t count = SimulateDiffusionOnce(graph, seeds, world, boosted.data(),
-                                         scratch[t], semantics);
-    per_thread[t].Add(static_cast<double>(count));
+    counts[i] = SimulateDiffusionOnce(graph, seeds, world, boosted.data(),
+                                      scratch[t], semantics);
   });
 
   RunningStat total;
-  for (const RunningStat& s : per_thread) total.Merge(s);
+  for (size_t count : counts) total.Add(static_cast<double>(count));
   return SpreadEstimate{total.mean(), total.stddev(), total.stderr_mean(),
                         total.count()};
 }
@@ -55,32 +56,25 @@ BoostEstimate EstimateBoost(const DirectedGraph& graph,
   const std::vector<uint8_t> boosted =
       MakeNodeBitmap(graph.num_nodes(), boost_set);
 
-  struct ThreadAccum {
-    RunningStat diff;
-    RunningStat with_boost;
-    RunningStat without_boost;
-    SimScratch scratch;
-  };
-  std::vector<ThreadAccum> acc(threads);
-
+  // Counts are reduced in simulation order, so the estimate is
+  // bit-identical at every thread count.
+  std::vector<size_t> base(sims), with(sims);
+  std::vector<SimScratch> scratch(threads);
   ParallelFor(sims, threads, [&](size_t i, int t) {
     uint64_t world = options.seed * 0x100000001B3ULL + i;
     // Same world evaluated twice: base edges are a subset of boosted edges,
     // so the difference is a nonnegative, low-variance sample of the boost.
-    size_t base = SimulateDiffusionOnce(graph, seeds, world, nullptr,
-                                        acc[t].scratch, semantics);
-    size_t with = SimulateDiffusionOnce(graph, seeds, world, boosted.data(),
-                                        acc[t].scratch, semantics);
-    acc[t].diff.Add(static_cast<double>(with) - static_cast<double>(base));
-    acc[t].with_boost.Add(static_cast<double>(with));
-    acc[t].without_boost.Add(static_cast<double>(base));
+    base[i] = SimulateDiffusionOnce(graph, seeds, world, nullptr, scratch[t],
+                                    semantics);
+    with[i] = SimulateDiffusionOnce(graph, seeds, world, boosted.data(),
+                                    scratch[t], semantics);
   });
 
   RunningStat diff, with_boost, without_boost;
-  for (const ThreadAccum& a : acc) {
-    diff.Merge(a.diff);
-    with_boost.Merge(a.with_boost);
-    without_boost.Merge(a.without_boost);
+  for (size_t i = 0; i < sims; ++i) {
+    diff.Add(static_cast<double>(with[i]) - static_cast<double>(base[i]));
+    with_boost.Add(static_cast<double>(with[i]));
+    without_boost.Add(static_cast<double>(base[i]));
   }
   BoostEstimate out;
   out.boost = diff.mean();

@@ -83,17 +83,17 @@ SpreadEstimate EstimateSpread(const DirectedGraph& graph,
   KB_CHECK(sims >= 1);
   const int threads = std::max(1, options.num_threads);
 
-  std::vector<RunningStat> per_thread(threads);
+  // Counts are reduced in simulation order, so the estimate is
+  // bit-identical at every thread count.
+  std::vector<size_t> counts(sims);
   std::vector<SimScratch> scratch(threads);
   ParallelFor(sims, threads, [&](size_t i, int t) {
     uint64_t world = options.seed * 0x100000001B3ULL + i;
-    size_t count =
-        SimulateDiffusionOnce(graph, seeds, world, nullptr, scratch[t]);
-    per_thread[t].Add(static_cast<double>(count));
+    counts[i] = SimulateDiffusionOnce(graph, seeds, world, nullptr, scratch[t]);
   });
 
   RunningStat total;
-  for (const RunningStat& s : per_thread) total.Merge(s);
+  for (size_t count : counts) total.Add(static_cast<double>(count));
   return SpreadEstimate{total.mean(), total.stddev(), total.stderr_mean(),
                         total.count()};
 }

@@ -85,15 +85,16 @@ SpreadEstimate EstimateLtSpread(const DirectedGraph& graph,
                                 const SimulationOptions& options) {
   KB_CHECK(options.num_simulations >= 1);
   const int threads = std::max(1, options.num_threads);
-  std::vector<RunningStat> per_thread(threads);
+  // Counts are reduced in simulation order, so the estimate is
+  // bit-identical at every thread count.
+  std::vector<size_t> counts(options.num_simulations);
   std::vector<SimScratch> scratch(threads);
   ParallelFor(options.num_simulations, threads, [&](size_t i, int t) {
     uint64_t world = options.seed * 0x100000001B3ULL + i;
-    per_thread[t].Add(static_cast<double>(
-        SimulateLtOnce(graph, seeds, world, nullptr, scratch[t])));
+    counts[i] = SimulateLtOnce(graph, seeds, world, nullptr, scratch[t]);
   });
   RunningStat total;
-  for (const RunningStat& s : per_thread) total.Merge(s);
+  for (size_t count : counts) total.Add(static_cast<double>(count));
   return SpreadEstimate{total.mean(), total.stddev(), total.stderr_mean(),
                         total.count()};
 }

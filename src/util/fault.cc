@@ -17,6 +17,8 @@ const char* FaultSiteName(FaultSite site) {
       return "snapshot_short_read";
     case FaultSite::kSnapshotMmap:
       return "snapshot_mmap";
+    case FaultSite::kSnapshotWrite:
+      return "snapshot_write";
     case FaultSite::kAllocPressure:
       return "alloc_pressure";
     case FaultSite::kSolveStart:

@@ -16,6 +16,7 @@ enum class FaultSite : int {
   kSnapshotRead,       ///< a body read from an open snapshot stream
   kSnapshotShortRead,  ///< truncate a read mid-record (corruption path)
   kSnapshotMmap,       ///< mmap()ing a snapshot for zero-copy serving
+  kSnapshotWrite,      ///< a saved snapshot, written but not yet renamed
   kAllocPressure,      ///< large-arena reservation before pool restore
   kSolveStart,         ///< entry of a prepared solve (delay site)
   kPickStride,         ///< per-stride delay inside the Δ̂ re-evaluation scan

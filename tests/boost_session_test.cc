@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -107,6 +106,11 @@ TEST(BoostSessionTest, LbModeMatchesPrrBoostLbAtFullBudget) {
   EXPECT_EQ(session_result.num_samples, fresh.num_samples);
 }
 
+StatusOr<std::unique_ptr<BoostSession>> LoadOwned(const DirectedGraph& g,
+                                                  const std::string& path) {
+  return LoadPoolSnapshot(g, path, PoolLoadOptions{});
+}
+
 class PoolRoundTripTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(PoolRoundTripTest, SaveLoadSolveIsBitIdentical) {
@@ -119,7 +123,7 @@ TEST_P(PoolRoundTripTest, SaveLoadSolveIsBitIdentical) {
   BoostSession session(g, seeds, MakeOptions(10), lb_only);
   ASSERT_TRUE(session.SavePool(path).ok());
 
-  StatusOr<std::unique_ptr<BoostSession>> loaded = LoadPoolSnapshot(g, path);
+  StatusOr<std::unique_ptr<BoostSession>> loaded = LoadOwned(g, path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   BoostSession& warm = *loaded.value();
   EXPECT_TRUE(warm.prepared());
@@ -156,18 +160,20 @@ TEST(PoolIoTest, SaveRequiresAPreparedPool) {
   DirectedGraph g = MakeTestGraph();
   BoostSession session(g, {0}, MakeOptions(5));
   // The free function demands a prepared pool; the member auto-prepares.
-  EXPECT_FALSE(SavePoolSnapshot(session, TempPath("kboost_never.bin")).ok());
+  EXPECT_FALSE(SavePoolSnapshot(session, TempPath("kboost_never.bin"),
+                                PoolSaveOptions{})
+                   .ok());
 }
 
 TEST(PoolIoTest, LoadRejectsMissingGarbageAndMismatchedSnapshots) {
   DirectedGraph g = MakeTestGraph();
-  EXPECT_FALSE(LoadPoolSnapshot(g, "/nonexistent/pool.bin").ok());
+  EXPECT_FALSE(LoadOwned(g, "/nonexistent/pool.bin").ok());
 
   const std::string garbage = TempPath("kboost_garbage.bin");
   FILE* f = fopen(garbage.c_str(), "wb");
   fputs("definitely not a pool snapshot", f);
   fclose(f);
-  StatusOr<std::unique_ptr<BoostSession>> r = LoadPoolSnapshot(g, garbage);
+  StatusOr<std::unique_ptr<BoostSession>> r = LoadOwned(g, garbage);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::filesystem::remove(garbage);
@@ -180,13 +186,13 @@ TEST(PoolIoTest, LoadRejectsMissingGarbageAndMismatchedSnapshots) {
   GraphBuilder small(10);
   small.AddEdge(0, 1, 0.5);
   DirectedGraph tiny = std::move(small).Build();
-  EXPECT_FALSE(LoadPoolSnapshot(tiny, path).ok());
+  EXPECT_FALSE(LoadOwned(tiny, path).ok());
   std::filesystem::remove(path);
 }
 
 TEST(PoolIoTest, InflatedHeaderCountsAreRejectedNotAllocated) {
   // A corrupt count must produce an error Status, not a multi-gigabyte
-  // allocation. num_seeds sits at byte 72 of the v2 header (after magic,
+  // allocation. num_seeds sits at byte 72 of the header (after magic,
   // version, flags, n, budget, epsilon, ell, rng seed, max_samples,
   // num_threads, num_shards).
   DirectedGraph g = MakeTestGraph();
@@ -199,7 +205,7 @@ TEST(PoolIoTest, InflatedHeaderCountsAreRejectedNotAllocated) {
     const uint64_t huge = uint64_t{1} << 60;
     f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
   }
-  StatusOr<std::unique_ptr<BoostSession>> r = LoadPoolSnapshot(g, path);
+  StatusOr<std::unique_ptr<BoostSession>> r = LoadOwned(g, path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::filesystem::remove(path);
@@ -220,7 +226,7 @@ TEST(PoolIoTest, MultiShardSnapshotRoundTripsBitIdentically) {
   BoostSession session(g, seeds, MakeShardedOptions(10, 3));
   ASSERT_TRUE(session.SavePool(path).ok());
 
-  StatusOr<std::unique_ptr<BoostSession>> loaded = LoadPoolSnapshot(g, path);
+  StatusOr<std::unique_ptr<BoostSession>> loaded = LoadOwned(g, path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   BoostSession& warm = *loaded.value();
   EXPECT_EQ(warm.engine().collection().num_shards(), 3u);
@@ -247,9 +253,9 @@ TEST(PoolIoTest, ShardedSnapshotMatchesMonolithicAnswers) {
   BoostSession sharded(g, seeds, MakeShardedOptions(8, 4));
   ASSERT_TRUE(mono.SavePool(mono_path).ok());
   ASSERT_TRUE(sharded.SavePool(sharded_path).ok());
-  StatusOr<std::unique_ptr<BoostSession>> a = LoadPoolSnapshot(g, mono_path);
+  StatusOr<std::unique_ptr<BoostSession>> a = LoadOwned(g, mono_path);
   StatusOr<std::unique_ptr<BoostSession>> b =
-      LoadPoolSnapshot(g, sharded_path);
+      LoadOwned(g, sharded_path);
   ASSERT_TRUE(a.ok() && b.ok());
   for (size_t k : {3, 8}) {
     BoostResult ra = a.value()->SolveForBudget(k);
@@ -260,117 +266,6 @@ TEST(PoolIoTest, ShardedSnapshotMatchesMonolithicAnswers) {
   }
   std::filesystem::remove(mono_path);
   std::filesystem::remove(sharded_path);
-}
-
-/// Byte offset of the v2 full-mode shard size table: the 128-byte header
-/// followed by the seed list.
-size_t ShardTableOffset(size_t num_seeds) { return 128 + 4 * num_seeds; }
-
-/// Saves in the legacy v2 stream format. The corruption tests below poke
-/// v2-specific byte offsets (shard size table, shard blob counts), which the
-/// v3 section-table layout moved — they pin the format they were written for.
-void SaveV2(BoostSession& session, const std::string& path) {
-  session.Prepare();
-  PoolSaveOptions options;
-  options.format_version = 2;
-  ASSERT_TRUE(SavePoolSnapshot(session, path, options).status().ok());
-}
-
-TEST(PoolIoTest, OverstatedShardTableIsRejected) {
-  DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_pool_badtable.bin");
-  BoostSession session(g, {0, 1}, MakeShardedOptions(5, 3));
-  SaveV2(session, path);
-  {
-    // First size-table entry promises more bytes than the file holds.
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(ShardTableOffset(2)));
-    const uint64_t huge = uint64_t{1} << 60;
-    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
-  }
-  StatusOr<std::unique_ptr<BoostSession>> r = LoadPoolSnapshot(g, path);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  std::filesystem::remove(path);
-}
-
-TEST(PoolIoTest, CorruptShardBlockIsRejected) {
-  DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_pool_badshard.bin");
-  BoostSession session(g, {0, 1}, MakeShardedOptions(5, 3));
-  SaveV2(session, path);
-  {
-    // Clobber the first shard blob's leading counts: per-shard structural
-    // validation must reject the arena, not allocate from the corrupt value.
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(ShardTableOffset(2) + 3 * 8));
-    const uint64_t huge = uint64_t{1} << 60;
-    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
-  }
-  StatusOr<std::unique_ptr<BoostSession>> r = LoadPoolSnapshot(g, path);
-  EXPECT_FALSE(r.ok());
-  std::filesystem::remove(path);
-}
-
-TEST(PoolIoTest, TruncatedShardBlockIsRejected) {
-  DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_pool_shorttail.bin");
-  BoostSession session(g, {0, 1}, MakeShardedOptions(5, 3));
-  SaveV2(session, path);
-  // Shave a few bytes off the last shard's blob.
-  const auto full_size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, full_size - 3);
-  StatusOr<std::unique_ptr<BoostSession>> r = LoadPoolSnapshot(g, path);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
-  std::filesystem::remove(path);
-}
-
-TEST(PoolIoTest, LegacyV1SnapshotLoadsAsSingleShard) {
-  // Back-compat: a v1 snapshot (no num_shards field, one monolithic arena
-  // blob, no size table) must still load — as an S = 1 pool — and answer
-  // exactly like the session it was saved from. The v1 file is synthesized
-  // from a fresh S = 1 v2 snapshot by dropping the v2-only bytes.
-  DirectedGraph g = MakeTestGraph(23);
-  const std::vector<NodeId> seeds = {0, 3};
-  const std::string v2_path = TempPath("kboost_pool_v2src.bin");
-  const std::string v1_path = TempPath("kboost_pool_v1.bin");
-  BoostSession session(g, seeds, MakeShardedOptions(8, 1));
-  SaveV2(session, v2_path);
-
-  std::string bytes;
-  {
-    std::ifstream in(v2_path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bytes = std::move(buffer).str();
-  }
-  const size_t table = ShardTableOffset(seeds.size());
-  ASSERT_GT(bytes.size(), table + 8);
-  std::string v1;
-  v1.append(bytes, 0, 68);            // magic .. num_threads
-  const uint32_t version1 = 1;        // rewrite the version field
-  v1.replace(8, 4, reinterpret_cast<const char*>(&version1), 4);
-  v1.append(bytes, 72, table - 72);   // num_seeds .. seeds (skip num_shards)
-  v1.append(bytes, table + 8, std::string::npos);  // blob (skip size table)
-  {
-    std::ofstream out(v1_path, std::ios::binary | std::ios::trunc);
-    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
-  }
-
-  StatusOr<std::unique_ptr<BoostSession>> loaded =
-      LoadPoolSnapshot(g, v1_path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->engine().collection().num_shards(), 1u);
-  for (size_t k : {2, 8}) {
-    BoostResult a = session.SolveForBudget(k);
-    BoostResult b = loaded.value()->SolveForBudget(k);
-    EXPECT_EQ(a.best_set, b.best_set);
-    EXPECT_EQ(a.best_estimate, b.best_estimate);
-    EXPECT_EQ(a.num_samples, b.num_samples);
-  }
-  std::filesystem::remove(v2_path);
-  std::filesystem::remove(v1_path);
 }
 
 TEST(BoostSessionTest, ShardAndThreadCombosAnswerIdentically) {
@@ -422,7 +317,7 @@ TEST(PoolIoTest, TruncatedSnapshotFailsCleanly) {
   ASSERT_TRUE(session.SavePool(path).ok());
   const auto full_size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full_size / 2);
-  EXPECT_FALSE(LoadPoolSnapshot(g, path).ok());
+  EXPECT_FALSE(LoadOwned(g, path).ok());
   std::filesystem::remove(path);
 }
 

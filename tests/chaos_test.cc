@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/boost_session.h"
@@ -163,7 +164,7 @@ TEST_F(ChaosTest, AllocationPressureSurfacesAsResourceExhaustedAndRetries) {
   FaultInjector::Plan plan;
   plan.fail_first = 1;
   FaultInjector::Global().Arm(FaultSite::kAllocPressure, plan);
-  EXPECT_EQ(LoadPoolSnapshot(g, path).status().code(),
+  EXPECT_EQ(LoadPoolSnapshot(g, path, PoolLoadOptions{}).status().code(),
             StatusCode::kResourceExhausted);
 
   // Service load: ResourceExhausted is transient, so the retry loop absorbs
@@ -231,6 +232,101 @@ TEST_F(ChaosTest, RefreshRecordsRetriesEvenWhenTheLoadUltimatelyFails) {
   request.pool = "p";
   request.k = 4;
   EXPECT_TRUE(service.Solve(request).ok());
+  std::remove(path.c_str());
+}
+
+bool SameAnswer(const BoostResult& a, const BoostResult& b) {
+  return a.best_set == b.best_set && a.best_estimate == b.best_estimate &&
+         a.lb_set == b.lb_set && a.lb_mu_hat == b.lb_mu_hat &&
+         a.delta_set == b.delta_set && a.delta_delta_hat == b.delta_delta_hat;
+}
+
+/// Re-save + REFRESH storm: one thread alternately saves pools A and B to
+/// the path an mmap-serving service maps and refreshes the pool from it,
+/// while four clients solve a fixed k-mix. A save renames a new file over
+/// the path instead of rewriting the mapped one, so every served pool stays
+/// whole: each answer is A's or B's serial reference, one pool_version is
+/// always one pool, nothing errors, and no admission slot leaks.
+TEST_F(ChaosTest, ResaveAndRefreshStormUnderMmapServesWholePools) {
+  DirectedGraph g = MakeTestGraph();
+  const std::string path = TempPath("kboost_chaos_resave.pool");
+  BoostOptions options_b = MakeOptions(10);
+  options_b.seed = 23;
+  BoostSession pool_a(g, {0, 1}, MakeOptions(8));
+  BoostSession pool_b(g, {2, 3}, options_b);
+  const std::vector<size_t> ks = {1, 4, 8};
+  std::vector<BoostResult> reference_a, reference_b;
+  for (size_t k : ks) {
+    reference_a.push_back(pool_a.SolveForBudget(k));
+    reference_b.push_back(pool_b.SolveForBudget(k));
+  }
+  ASSERT_FALSE(SameAnswer(reference_a.back(), reference_b.back()));
+  ASSERT_TRUE(SavePoolSnapshot(pool_a, path, PoolSaveOptions{}).ok());
+
+  BoostService::Options options;
+  options.mmap_pools = true;
+  StatusOr<std::unique_ptr<BoostService>> service_or =
+      BoostService::Create(g, options);
+  ASSERT_TRUE(service_or.ok());
+  BoostService& service = **service_or;
+  ASSERT_TRUE(service.LoadPool("p", path).ok());
+
+  // Each client logs (pool_version, which pool answered: 0 = A, 1 = B).
+  constexpr size_t kClients = 4;
+  std::vector<std::vector<std::pair<uint64_t, int>>> seen(kClients);
+  std::atomic<size_t> errors{0};
+  std::atomic<size_t> foreign{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      for (size_t i = t; !stop.load(std::memory_order_relaxed); ++i) {
+        const size_t q = i % ks.size();
+        BoostRequest request;
+        request.pool = "p";
+        request.k = ks[q];
+        StatusOr<BoostResponse> r = service.Solve(request);
+        if (!r.ok()) {
+          errors.fetch_add(1);
+        } else if (SameAnswer(r->result, reference_a[q])) {
+          seen[t].emplace_back(r->pool_version, 0);
+        } else if (SameAnswer(r->result, reference_b[q])) {
+          seen[t].emplace_back(r->pool_version, 1);
+        } else {
+          foreign.fetch_add(1);
+        }
+      }
+    });
+  }
+  constexpr int kRounds = 6;
+  size_t refresh_failures = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const BoostSession& next = round % 2 == 0 ? pool_b : pool_a;
+    if (!SavePoolSnapshot(next, path, PoolSaveOptions{}).ok() ||
+        !service.RefreshPoolFromSnapshot("p", path).ok()) {
+      ++refresh_failures;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop.store(true);
+  for (std::thread& c : clients) c.join();
+
+  EXPECT_EQ(refresh_failures, 0u);
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_EQ(foreign.load(), 0u);
+  // Version 1 is the initial load of A; refresh v serves B for even v.
+  size_t answered = 0;
+  for (const auto& log : seen) {
+    for (const auto& [version, which] : log) {
+      EXPECT_EQ(which, version % 2 == 0 ? 1 : 0) << "version " << version;
+      ++answered;
+    }
+  }
+  EXPECT_GT(answered, 0u);
+  EXPECT_EQ(service.PoolVersion("p"), 1u + kRounds);
+  ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_EQ(stats.queued, 0u);
   std::remove(path.c_str());
 }
 

@@ -720,7 +720,8 @@ TEST_F(NetServerTest, StatsAndRefreshAdminFramesWork) {
         BoostSession::Create(graph_, {0, 1, 2}, MakeOptions(8));
     ASSERT_TRUE(twin.ok());
     (*twin)->Prepare();
-    ASSERT_TRUE(SavePoolSnapshot(**twin, snapshot).ok());
+    ASSERT_TRUE(
+        SavePoolSnapshot(**twin, snapshot, PoolSaveOptions{}).ok());
   }
   StatusOr<WireRefreshReply> refreshed =
       client->Refresh(WireRefresh{"pool", snapshot});

@@ -1,8 +1,8 @@
-// Tests for the v3 zero-copy snapshot layout (src/io/pool_io) and the
-// pluggable section codecs (src/io/codec): codec round trips on adversarial
-// streams, mmap-vs-owned bit-identity, structural rejection of corrupted
-// directories, endianness and thread-count header handling, and the
-// compatibility guarantees for the v2 writer.
+// Tests for the v3 snapshot layout and its one load path (src/io/pool_io)
+// and the pluggable section codecs (src/io/codec): codec round trips on
+// adversarial streams, mmap-vs-owned bit-identity, structural rejection of
+// corrupted directories, typed rejection of older formats, endianness and
+// thread-count header handling, and the atomic-save contract.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "src/graph/graph_builder.h"
 #include "src/io/codec.h"
 #include "src/io/pool_io.h"
+#include "src/util/fault.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
@@ -45,6 +46,14 @@ BoostOptions MakeOptions(size_t k, int num_shards = 1, int num_threads = 2) {
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+StatusOr<std::unique_ptr<BoostSession>> Load(const DirectedGraph& g,
+                                             const std::string& path,
+                                             bool use_mmap = false) {
+  PoolLoadOptions options;
+  options.use_mmap = use_mmap;
+  return LoadPoolSnapshot(g, path, options);
 }
 
 Status SaveV3(BoostSession& session, const std::string& path,
@@ -81,14 +90,18 @@ uint64_t PeekU64(const std::string& bytes, size_t offset) {
   return value;
 }
 
-/// v3 layout landmarks for the corruption tests below: the 128-byte v2
-/// header prefix, the 32-byte extension, the seed list, then the directory
-/// (u64 num_graphs + 8 x 32-byte section entries per shard).
+/// v3 layout landmarks for the corruption tests below: the 128-byte header,
+/// the 32-byte extension, the seed list, then the directory (u64 num_graphs
+/// + 8 x 32-byte section entries per shard, then the coverage entry).
+constexpr size_t kVersionOffset = 8;      // u32 right after the magic
 constexpr size_t kNumThreadsOffset = 64;  // u32 in the header prefix
 constexpr size_t kEndianOffset = 128;     // first field of the extension
 size_t DirOffset(size_t num_seeds) { return 128 + 32 + 4 * num_seeds; }
 size_t SectionEntryOffset(size_t dir, size_t shard, size_t section) {
   return dir + shard * (8 + 8 * 32) + 8 + section * 32;
+}
+size_t CoverageEntryOffset(size_t dir, size_t num_shards) {
+  return dir + num_shards * (8 + 8 * 32);
 }
 
 void ExpectSameAnswers(BoostSession& a, BoostSession& b,
@@ -228,19 +241,14 @@ TEST(SnapshotV3Test, MmapRoundTripIsBitIdenticalAcrossShardsAndThreads) {
     BoostSession session(g, seeds, MakeOptions(10, num_shards, num_threads));
     ASSERT_TRUE(SaveV3(session, path).ok());
 
-    StatusOr<std::unique_ptr<BoostSession>> owned = LoadPoolSnapshot(g, path);
+    StatusOr<std::unique_ptr<BoostSession>> owned = Load(g, path);
     ASSERT_TRUE(owned.ok()) << owned.status().ToString();
-    StatusOr<std::unique_ptr<BoostSession>> mapped = MmapPool(g, path);
+    StatusOr<std::unique_ptr<BoostSession>> mapped =
+        Load(g, path, /*use_mmap=*/true);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-    // The mmap load must actually be zero-copy, the owned load must not.
     const PrrCollection& pool = mapped.value()->engine().collection();
     ASSERT_EQ(pool.num_shards(), static_cast<size_t>(num_shards));
-    for (size_t s = 0; s < pool.num_shards(); ++s) {
-      EXPECT_TRUE(pool.shard_store(s).external());
-      EXPECT_FALSE(
-          owned.value()->engine().collection().shard_store(s).external());
-    }
     EXPECT_EQ(pool.num_samples(),
               session.engine().collection().num_samples());
 
@@ -274,49 +282,145 @@ TEST(SnapshotV3Test, MmapSurvivesFileUnlink) {
   const std::string path = TempPath("kboost_v3_unlink.bin");
   BoostSession session(g, {0, 2}, MakeOptions(8, 2));
   ASSERT_TRUE(SaveV3(session, path).ok());
-  StatusOr<std::unique_ptr<BoostSession>> mapped = MmapPool(g, path);
+  StatusOr<std::unique_ptr<BoostSession>> mapped =
+      Load(g, path, /*use_mmap=*/true);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   std::filesystem::remove(path);
   ExpectSameAnswers(session, *mapped.value(), {1, 4, 8});
 }
 
-// ---- mmap preconditions ---------------------------------------------------
+// ---- one load path: every codec and mode, owned or mapped -----------------
 
-TEST(SnapshotV3Test, MmapRequiresNopCodec) {
+TEST(SnapshotV3Test, MmapLoadsVarintSnapshots) {
+  // Coded sections decode into one owned buffer on either byte source.
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_v3_varint_mmap.bin");
-  BoostSession session(g, {0, 1}, MakeOptions(5));
+  BoostSession session(g, {0, 1}, MakeOptions(5, 2));
   ASSERT_TRUE(SaveV3(session, path, SnapshotCodec::kVarint).ok());
-  StatusOr<std::unique_ptr<BoostSession>> r = MmapPool(g, path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  StatusOr<std::unique_ptr<BoostSession>> r = Load(g, path, /*use_mmap=*/true);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectSameAnswers(session, *r.value(), {1, 3, 5});
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV3Test, MmapRejectsLbOnlySnapshots) {
+TEST(SnapshotV3Test, MmapLoadsLbOnlySnapshots) {
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_v3_lb_mmap.bin");
   BoostSession session(g, {0, 1}, MakeOptions(5), /*lb_only=*/true);
   ASSERT_TRUE(SaveV3(session, path).ok());
-  StatusOr<std::unique_ptr<BoostSession>> r = MmapPool(g, path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-  // The stream (owned) path still loads LB snapshots.
-  EXPECT_TRUE(LoadPoolSnapshot(g, path).ok());
+  for (const bool use_mmap : {false, true}) {
+    StatusOr<std::unique_ptr<BoostSession>> r = Load(g, path, use_mmap);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r.value()->lb_only());
+    EXPECT_EQ(r.value()->engine().collection().StoredGraphBytes(),
+              session.engine().collection().StoredGraphBytes());
+    ExpectSameAnswers(session, *r.value(), {1, 5});
+  }
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV3Test, MmapRejectsLegacyV2Snapshots) {
+TEST(SnapshotV3Test, OwnedLoadIsAPrivateCopy) {
+  // An owned load keeps no tie to the file: truncating it to zero bytes
+  // (which would fault a mapping) leaves the session's answers unchanged.
+  DirectedGraph g = MakeTestGraph(53);
+  const std::string path = TempPath("kboost_v3_private.bin");
+  BoostSession session(g, {0, 4}, MakeOptions(8, 3));
+  for (const SnapshotCodec codec :
+       {SnapshotCodec::kNop, SnapshotCodec::kVarint}) {
+    ASSERT_TRUE(SaveV3(session, path, codec).ok());
+    StatusOr<std::unique_ptr<BoostSession>> owned = Load(g, path);
+    ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+    std::filesystem::resize_file(path, 0);
+    ExpectSameAnswers(session, *owned.value(), {1, 4, 8});
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotV3Test, OlderVersionsAreRejectedTypedAskingForAResave) {
   DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_v2_mmap.bin");
+  const std::string path = TempPath("kboost_old_version.bin");
   BoostSession session(g, {0, 1}, MakeOptions(5));
-  session.Prepare();
-  PoolSaveOptions v2;
-  v2.format_version = 2;
-  ASSERT_TRUE(SavePoolSnapshot(session, path, v2).status().ok());
-  StatusOr<std::unique_ptr<BoostSession>> r = MmapPool(g, path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(SaveV3(session, path).ok());
+  const std::string bytes = ReadFileBytes(path);
+  for (const uint32_t version : {1u, 2u, 4u}) {
+    std::string old = bytes;
+    PokeU32(&old, kVersionOffset, version);
+    WriteFileBytes(path, old);
+    for (const bool use_mmap : {false, true}) {
+      SCOPED_TRACE("version " + std::to_string(version) +
+                   (use_mmap ? " mmap" : " owned"));
+      StatusOr<std::unique_ptr<BoostSession>> r = Load(g, path, use_mmap);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find("re-save"), std::string::npos)
+          << r.status().ToString();
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+// ---- atomic save ----------------------------------------------------------
+
+std::vector<std::string> TempSiblings(const std::string& path) {
+  std::vector<std::string> found;
+  const std::filesystem::path p(path);
+  const std::string prefix = p.filename().string() + ".tmp.";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(p.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+      found.push_back(entry.path().string());
+    }
+  }
+  return found;
+}
+
+TEST(SnapshotV3Test, ResaveUnderAMappedSessionKeepsItServing) {
+  // Re-saving the snapshot a session serves from an mmap used to rewrite
+  // the mapped file in place and kill the process at its next solve. The
+  // save now renames a new file over the path; the mapping keeps the old
+  // inode and its answers.
+  DirectedGraph g = MakeTestGraph(59);
+  const std::string path = TempPath("kboost_v3_resave.bin");
+  BoostSession pool_a(g, {0, 1}, MakeOptions(8, 2));
+  ASSERT_TRUE(SaveV3(pool_a, path).ok());
+  StatusOr<std::unique_ptr<BoostSession>> mapped =
+      Load(g, path, /*use_mmap=*/true);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  BoostOptions options_b = MakeOptions(12, 3);
+  options_b.seed = 97;
+  BoostSession pool_b(g, {2, 3}, options_b);
+  ASSERT_TRUE(SaveV3(pool_b, path).ok());
+
+  ExpectSameAnswers(pool_a, *mapped.value(), {1, 5, 8});
+  // The path now holds B.
+  StatusOr<std::unique_ptr<BoostSession>> reloaded = Load(g, path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ExpectSameAnswers(pool_b, *reloaded.value(), {1, 12});
+  EXPECT_TRUE(TempSiblings(path).empty());
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotV3Test, FailedSaveLeavesTheOldFileAndNoTempFile) {
+  DirectedGraph g = MakeTestGraph(61);
+  const std::string path = TempPath("kboost_v3_failed_save.bin");
+  BoostSession pool_a(g, {0, 1}, MakeOptions(6));
+  ASSERT_TRUE(SaveV3(pool_a, path).ok());
+  const std::string before = ReadFileBytes(path);
+
+  BoostSession pool_b(g, {2, 3}, MakeOptions(9, 2));
+  pool_b.Prepare();
+  FaultInjector::Plan fail;
+  fail.fail_first = 1;
+  FaultInjector::Global().Arm(FaultSite::kSnapshotWrite, fail);
+  StatusOr<PoolSaveResult> saved =
+      SavePoolSnapshot(pool_b, path, PoolSaveOptions());
+  EXPECT_EQ(FaultInjector::Global().hits(FaultSite::kSnapshotWrite), 1u);
+  FaultInjector::Global().DisarmAll();
+  ASSERT_FALSE(saved.ok());
+  EXPECT_EQ(saved.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadFileBytes(path), before);
+  EXPECT_TRUE(TempSiblings(path).empty());
   std::filesystem::remove(path);
 }
 
@@ -342,10 +446,8 @@ TEST(SnapshotV3Test, VarintSnapshotShrinksAndRoundTrips) {
   EXPECT_LT(varint_saved->bytes_per_sample, nop_saved->bytes_per_sample);
 
   StatusOr<std::unique_ptr<BoostSession>> loaded =
-      LoadPoolSnapshot(g, varint_path);
+      Load(g, varint_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(
-      loaded.value()->engine().collection().shard_store(0).external());
   ExpectSameAnswers(session, *loaded.value(), {2, 6, 10});
   std::filesystem::remove(nop_path);
   std::filesystem::remove(varint_path);
@@ -369,25 +471,6 @@ TEST(SnapshotV3Test, SaveResultReportsBytesPerSample) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV3Test, V2WriterStillRoundTrips) {
-  DirectedGraph g = MakeTestGraph(43);
-  const std::string path = TempPath("kboost_v2_writer.bin");
-  BoostSession session(g, {1, 4}, MakeOptions(8, 2));
-  session.Prepare();
-  PoolSaveOptions v2;
-  v2.format_version = 2;
-  ASSERT_TRUE(SavePoolSnapshot(session, path, v2).status().ok());
-  StatusOr<std::unique_ptr<BoostSession>> loaded = LoadPoolSnapshot(g, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectSameAnswers(session, *loaded.value(), {2, 8});
-  // And the v2 format refuses the codec seam it does not have.
-  PoolSaveOptions v2_varint;
-  v2_varint.format_version = 2;
-  v2_varint.codec = SnapshotCodec::kVarint;
-  EXPECT_FALSE(SavePoolSnapshot(session, path, v2_varint).ok());
-  std::filesystem::remove(path);
-}
-
 // ---- header handling ------------------------------------------------------
 
 TEST(SnapshotV3Test, EndianMarkerMismatchIsRejected) {
@@ -398,7 +481,7 @@ TEST(SnapshotV3Test, EndianMarkerMismatchIsRejected) {
   std::string bytes = ReadFileBytes(path);
   PokeU32(&bytes, kEndianOffset, 0x04030201u);  // byte-swapped marker
   WriteFileBytes(path, bytes);
-  StatusOr<std::unique_ptr<BoostSession>> r = LoadPoolSnapshot(g, path);
+  StatusOr<std::unique_ptr<BoostSession>> r = Load(g, path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("byte order"), std::string::npos);
@@ -416,7 +499,7 @@ TEST(SnapshotV3Test, ThreadCountIsClampedNotTrusted) {
   // range — not abort or spawn 4 billion workers.
   PokeU32(&bytes, kNumThreadsOffset, 0xFFFFFFFFu);
   WriteFileBytes(path, bytes);
-  StatusOr<std::unique_ptr<BoostSession>> clamped = LoadPoolSnapshot(g, path);
+  StatusOr<std::unique_ptr<BoostSession>> clamped = Load(g, path);
   ASSERT_TRUE(clamped.ok()) << clamped.status().ToString();
   EXPECT_EQ(clamped.value()->engine().options().num_threads,
             ThreadPool::kMaxWorkers);
@@ -428,7 +511,7 @@ TEST(SnapshotV3Test, ThreadCountIsClampedNotTrusted) {
   PokeU32(&bytes, kNumThreadsOffset, 0);
   WriteFileBytes(path, bytes);
   StatusOr<std::unique_ptr<BoostSession>> defaulted =
-      LoadPoolSnapshot(g, path);
+      Load(g, path);
   ASSERT_TRUE(defaulted.ok()) << defaulted.status().ToString();
   EXPECT_EQ(defaulted.value()->engine().options().num_threads,
             BoostOptions().num_threads);
@@ -453,13 +536,14 @@ class V3CorruptionTest : public ::testing::Test {
   void ExpectRejected(const std::string& needle) {
     WriteFileBytes(path_, bytes_);
     StatusOr<std::unique_ptr<BoostSession>> r =
-        LoadPoolSnapshot(graph_, path_);
+        Load(graph_, path_);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(r.status().message().find(needle), std::string::npos)
         << r.status().ToString();
     // The mmap path runs the same structural validation.
-    StatusOr<std::unique_ptr<BoostSession>> m = MmapPool(graph_, path_);
+    StatusOr<std::unique_ptr<BoostSession>> m =
+        Load(graph_, path_, /*use_mmap=*/true);
     ASSERT_FALSE(m.ok());
     EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
   }
@@ -474,8 +558,8 @@ class V3CorruptionTest : public ::testing::Test {
 TEST_F(V3CorruptionTest, TruncatedSnapshotIsRejected) {
   WriteFileBytes(path_, bytes_);
   std::filesystem::resize_file(path_, bytes_.size() - 5);
-  EXPECT_FALSE(LoadPoolSnapshot(graph_, path_).ok());
-  EXPECT_FALSE(MmapPool(graph_, path_).ok());
+  EXPECT_FALSE(Load(graph_, path_).ok());
+  EXPECT_FALSE(Load(graph_, path_, /*use_mmap=*/true).ok());
 }
 
 TEST_F(V3CorruptionTest, MisalignedSectionIsRejected) {
@@ -519,7 +603,7 @@ TEST_F(V3CorruptionTest, CriticalEntryAtSuperSeedSlotIsRejected) {
   ASSERT_GE(PeekU64(bytes_, entry + 16), 4u);  // shard 0 has criticals
   PokeU32(&bytes_, crit_offset, 0);
   WriteFileBytes(path_, bytes_);
-  StatusOr<std::unique_ptr<BoostSession>> r = LoadPoolSnapshot(graph_, path_);
+  StatusOr<std::unique_ptr<BoostSession>> r = Load(graph_, path_);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   // The mmap path runs the same deep walk when verification is requested.
@@ -535,12 +619,12 @@ TEST_F(V3CorruptionTest, InvalidHeaderSamplingOptionsAreRejectedTyped) {
   // process (found by fuzz_snapshot).
   PokeU64(&bytes_, 40, 0);  // the f64 bit pattern of 0.0
   WriteFileBytes(path_, bytes_);
-  StatusOr<std::unique_ptr<BoostSession>> r = LoadPoolSnapshot(graph_, path_);
+  StatusOr<std::unique_ptr<BoostSession>> r = Load(graph_, path_);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("sampling options"), std::string::npos)
       << r.status().ToString();
-  EXPECT_FALSE(MmapPool(graph_, path_).ok());
+  EXPECT_FALSE(Load(graph_, path_, /*use_mmap=*/true).ok());
 }
 
 TEST_F(V3CorruptionTest, NopSectionWithMismatchedSizesIsRejected) {
@@ -552,6 +636,14 @@ TEST_F(V3CorruptionTest, NopSectionWithMismatchedSizesIsRejected) {
     PokeU64(&bytes_, entry + 16, raw - 4);
     ExpectRejected("stored != raw");
   }
+}
+
+TEST_F(V3CorruptionTest, MissingCoverageSectionIsRejectedAskingForAResave) {
+  // Older builds wrote compressed snapshots without the coverage section
+  // (an all-zero directory entry); every load now binds it in place.
+  const size_t entry = CoverageEntryOffset(dir_, 2);
+  for (size_t i = 0; i < 32; i += 8) PokeU64(&bytes_, entry + i, 0);
+  ExpectRejected("re-save");
 }
 
 }  // namespace

@@ -185,6 +185,7 @@ TEST(FaultInjectorTest, ProbabilityDecisionsAreSeedDeterministic) {
 
 TEST(FaultInjectorTest, SiteNamesAreStable) {
   EXPECT_STREQ(FaultSiteName(FaultSite::kSnapshotOpen), "snapshot_open");
+  EXPECT_STREQ(FaultSiteName(FaultSite::kSnapshotWrite), "snapshot_write");
   EXPECT_STREQ(FaultSiteName(FaultSite::kSolveStart), "solve_start");
   EXPECT_STREQ(FaultSiteName(FaultSite::kPickStride), "pick_stride");
 }
