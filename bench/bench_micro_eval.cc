@@ -1,202 +1,26 @@
-// Micro-benchmarks for the Δ̂ evaluation path: the incremental engine
-// (cached per-graph reach state + shard-local gain merge) and the batched
-// 64-graphs-per-word estimators versus the pre-incremental engine, which
-// re-ran a from-scratch IsActivated/CriticalNodes BFS over every touched
-// PRR-graph on every pick. The legacy engine is reimplemented here against
-// public APIs so the two can race on the same pool; the fixture aborts if
-// their selections are not bit-identical at 1 and 4 threads.
+// Micro-benchmarks for the Δ̂ evaluation path: the incremental selection
+// engine (one per-graph record in the eval state, serial per-pick scan) on a
+// monolithic and an S = 4 sharded pool, and the batched
+// 64-graphs-per-word estimators. The fixture aborts if the sharded pool's
+// answers are not bit-identical to the monolithic pool's; agreement with a
+// from-scratch reference greedy on the same pool is asserted by
+// tests/incremental_eval_test.cc.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "src/core/prr_collection.h"
-#include "src/core/prr_graph.h"
 #include "src/core/prr_sampler.h"
 #include "src/expt/datasets.h"
 #include "src/expt/seed_selection.h"
-#include "src/select/greedy.h"
 #include "src/sim/boost_model.h"
-#include "src/util/thread_pool.h"
 
 namespace kboost {
 namespace {
-
-/// The pre-incremental Δ̂ oracle: every Commit re-evaluates the pick's
-/// PRR-graphs with a full scratch CriticalNodes pass (two BFS from the
-/// super-seed/root per graph), diffing old and new critical sets through
-/// atomic gain updates.
-class LegacyDeltaOracle final : public SelectionOracle {
- public:
-  LegacyDeltaOracle(const PrrCollection& collection,
-                    const std::vector<uint8_t>& excluded, int num_threads)
-      : collection_(collection),
-        excluded_(excluded),
-        threads_(std::max(1, num_threads)),
-        n_(collection.num_graph_nodes()),
-        boosted_(n_, 0),
-        covered_(collection.store().num_graphs(), 0),
-        critical_(collection.store().num_graphs()),
-        gains_(n_),
-        evaluators_(threads_),
-        new_critical_(threads_),
-        worker_touched_(threads_) {
-    for (size_t v = 0; v < n_; ++v) {
-      gains_[v].store(0, std::memory_order_relaxed);
-    }
-    const size_t num_graphs = collection.store().num_graphs();
-    for (size_t g = 0; g < num_graphs; ++g) {
-      const PrrGraphView view = collection.store().View(g);
-      critical_[g].reserve(view.num_critical_count);
-      for (uint32_t c : view.critical()) {
-        const NodeId global = view.global_ids[c];
-        critical_[g].push_back(global);
-        if (!excluded_[global]) {
-          gains_[global].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-  }
-
-  size_t num_candidates() const override { return n_; }
-  uint64_t InitialGain(NodeId v) const override {
-    return gains_[v].load(std::memory_order_relaxed);
-  }
-  uint64_t CurrentGain(NodeId v) const override {
-    return gains_[v].load(std::memory_order_relaxed);
-  }
-
-  void Commit(NodeId pick, std::vector<NodeId>* touched) override {
-    boosted_[pick] = 1;
-    gains_[pick].store(0, std::memory_order_relaxed);
-    const std::span<const uint32_t> graphs_of_pick =
-        collection_.GraphsContaining(pick);
-    for (auto& t : worker_touched_) t.clear();
-    ParallelFor(
-        graphs_of_pick.size(), threads_,
-        [&](size_t gi, int t) {
-          const uint32_t g = graphs_of_pick[gi];
-          if (covered_[g]) return;
-          std::vector<NodeId>& tl_touched = worker_touched_[t];
-          for (NodeId old : critical_[g]) {
-            if (!boosted_[old] && !excluded_[old]) {
-              gains_[old].fetch_sub(1, std::memory_order_relaxed);
-              tl_touched.push_back(old);
-            }
-          }
-          const PrrGraphView view = collection_.store().View(g);
-          const bool now_active = evaluators_[t].CriticalNodes(
-              view, boosted_.data(), &new_critical_[t]);
-          if (now_active) {
-            covered_[g] = 1;
-            activated_.fetch_add(1, std::memory_order_relaxed);
-            critical_[g].clear();
-            return;
-          }
-          critical_[g].clear();
-          for (uint32_t c : new_critical_[t]) {
-            const NodeId global = view.global_ids[c];
-            critical_[g].push_back(global);
-            if (!boosted_[global] && !excluded_[global]) {
-              gains_[global].fetch_add(1, std::memory_order_relaxed);
-              tl_touched.push_back(global);
-            }
-          }
-        },
-        /*chunk=*/8);
-    for (const std::vector<NodeId>& tl : worker_touched_) {
-      touched->insert(touched->end(), tl.begin(), tl.end());
-    }
-  }
-
-  size_t activated() const {
-    return activated_.load(std::memory_order_relaxed);
-  }
-  std::vector<uint8_t>& boosted() { return boosted_; }
-
- private:
-  const PrrCollection& collection_;
-  const std::vector<uint8_t>& excluded_;
-  const int threads_;
-  const size_t n_;
-  std::vector<uint8_t> boosted_;
-  std::vector<uint8_t> covered_;
-  std::vector<std::vector<NodeId>> critical_;
-  std::vector<std::atomic<uint32_t>> gains_;
-  std::vector<PrrEvaluator> evaluators_;
-  std::vector<std::vector<uint32_t>> new_critical_;
-  std::vector<std::vector<NodeId>> worker_touched_;
-  std::atomic<size_t> activated_{0};
-};
-
-/// Legacy SelectGreedyDelta: the shared greedy loop over the scratch oracle
-/// plus the same occurrence-count fallback fill.
-PrrCollection::DeltaResult LegacySelectGreedyDelta(
-    const PrrCollection& collection, size_t k,
-    const std::vector<uint8_t>& excluded, int num_threads) {
-  PrrCollection::DeltaResult result;
-  if (k == 0 || collection.num_samples() == 0) return result;
-  LegacyDeltaOracle oracle(collection, excluded, num_threads);
-  GreedyResult greedy = RunLazyGreedy(oracle, k, &excluded);
-  result.nodes = std::move(greedy.selected);
-  result.pick_gains = std::move(greedy.gains);
-  result.activated_samples = oracle.activated();
-  if (result.nodes.size() < k) {
-    std::vector<uint8_t>& boosted = oracle.boosted();
-    std::vector<NodeId> order;
-    const size_t n = collection.num_graph_nodes();
-    order.reserve(n);
-    for (NodeId v = 0; v < n; ++v) {
-      if (!boosted[v] && !excluded[v] &&
-          !collection.GraphsContaining(v).empty()) {
-        order.push_back(v);
-      }
-    }
-    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-      const size_t ca = collection.GraphsContaining(a).size();
-      const size_t cb = collection.GraphsContaining(b).size();
-      return ca > cb || (ca == cb && a < b);
-    });
-    for (NodeId v : order) {
-      if (result.nodes.size() >= k) break;
-      boosted[v] = 1;
-      result.nodes.push_back(v);
-    }
-  }
-  result.delta_hat = static_cast<double>(collection.num_graph_nodes()) *
-                     static_cast<double>(result.activated_samples) /
-                     static_cast<double>(collection.num_samples());
-  return result;
-}
-
-/// Legacy EstimateDelta: one scratch IsActivated per graph with an atomic
-/// activation counter (no word packing).
-double LegacyEstimateDelta(const PrrCollection& collection,
-                           const std::vector<NodeId>& boost_set,
-                           int num_threads) {
-  if (collection.num_samples() == 0) return 0.0;
-  const std::vector<uint8_t> boosted =
-      MakeNodeBitmap(collection.num_graph_nodes(), boost_set);
-  std::atomic<size_t> activated{0};
-  const int threads = std::max(1, num_threads);
-  std::vector<PrrEvaluator> evaluators(threads);
-  ParallelFor(
-      collection.store().num_graphs(), threads,
-      [&](size_t g, int t) {
-        if (evaluators[t].IsActivated(collection.store().View(g),
-                                      boosted.data())) {
-          activated.fetch_add(1, std::memory_order_relaxed);
-        }
-      },
-      /*chunk=*/256);
-  return static_cast<double>(collection.num_graph_nodes()) *
-         static_cast<double>(activated.load()) /
-         static_cast<double>(collection.num_samples());
-}
 
 constexpr size_t kSamples = 20000;
 constexpr size_t kBudget = 100;
@@ -210,35 +34,6 @@ struct Fixture {
                        /*seed=*/11, /*num_threads=*/4);
     sampler.EnsureSamples(*collection, kSamples);
     lb_set = collection->SelectGreedyLowerBound(kBudget, excluded).nodes;
-
-    // Bit-identity gate: the incremental engine must select exactly what
-    // the legacy engine selects, at 1 and 4 threads, before any timing runs.
-    for (int threads : {1, 4}) {
-      const auto legacy =
-          LegacySelectGreedyDelta(*collection, kBudget, excluded, threads);
-      const auto incremental =
-          collection->SelectGreedyDelta(kBudget, excluded, threads,
-                                        &eval_state);
-      if (legacy.nodes != incremental.nodes ||
-          legacy.pick_gains != incremental.pick_gains ||
-          legacy.activated_samples != incremental.activated_samples) {
-        std::fprintf(stderr,
-                     "FATAL: incremental selection diverged from the legacy "
-                     "engine at %d threads\n",
-                     threads);
-        std::abort();
-      }
-      const double legacy_delta =
-          LegacyEstimateDelta(*collection, lb_set, threads);
-      const double batched_delta =
-          collection->EstimateDelta(lb_set, threads);
-      if (legacy_delta != batched_delta) {
-        std::fprintf(stderr,
-                     "FATAL: batched EstimateDelta diverged at %d threads\n",
-                     threads);
-        std::abort();
-      }
-    }
 
     // Shard-invariance gate: the same pool sampled into S = 4 arenas must
     // select and estimate exactly what the monolithic S = 1 pool does —
@@ -273,9 +68,9 @@ struct Fixture {
 
   Dataset dataset;
   // Persistent eval-state arenas (one PrrEvalState per pool shard): keep the
-  // timed selection loop measuring selection (the arenas are re-zeroed per
-  // run, not re-allocated), matching how the engine's serial path reuses its
-  // SolveContext across a sweep.
+  // timed selection loop measuring selection (the arenas are kept across
+  // runs, not re-allocated), matching how the engine's serial path reuses
+  // its SolveContext across a sweep.
   ShardedEvalState eval_state;
   ShardedEvalState sharded_eval_state;
   std::vector<NodeId> seeds;
@@ -291,19 +86,8 @@ Fixture& GetFixture() {
 }
 
 // The Δ̂ selection phase exactly as full-mode SolveForBudget runs it after
-// the LB order: the Δ̂ greedy over the pool. Arg is the worker count.
-void BM_DeltaSelectPhase_Legacy(benchmark::State& state) {
-  Fixture& f = GetFixture();
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto result =
-        LegacySelectGreedyDelta(*f.collection, kBudget, f.excluded, threads);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_DeltaSelectPhase_Legacy)->Arg(1)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
+// the LB order: the Δ̂ greedy over the pool. Arg is the worker count; the
+// greedy runs on the calling thread whatever it is, so only 1 is measured.
 void BM_DeltaSelectPhase_Incremental(benchmark::State& state) {
   Fixture& f = GetFixture();
   const int threads = static_cast<int>(state.range(0));
@@ -313,11 +97,11 @@ void BM_DeltaSelectPhase_Incremental(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_DeltaSelectPhase_Incremental)->Arg(1)->Arg(4)->UseRealTime()
+BENCHMARK(BM_DeltaSelectPhase_Incremental)->Arg(1)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Same selection phase over the S = 4 sharded pool (bit-identical answers,
-// per-shard eval state, per-pick fan-out over shard index spans).
+// per-shard eval state, per-pick scan over shard index spans).
 void BM_DeltaSelectPhase_Sharded(benchmark::State& state) {
   Fixture& f = GetFixture();
   const int threads = static_cast<int>(state.range(0));
@@ -327,21 +111,10 @@ void BM_DeltaSelectPhase_Sharded(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_DeltaSelectPhase_Sharded)->Arg(1)->Arg(4)->UseRealTime()
+BENCHMARK(BM_DeltaSelectPhase_Sharded)->Arg(1)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The sandwich spot check: Δ̂ of a fixed boost set over every stored graph.
-void BM_EstimateDelta_Legacy(benchmark::State& state) {
-  Fixture& f = GetFixture();
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    double d = LegacyEstimateDelta(*f.collection, f.lb_set, threads);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(BM_EstimateDelta_Legacy)->Arg(1)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 void BM_EstimateDelta_Batched(benchmark::State& state) {
   Fixture& f = GetFixture();
   const int threads = static_cast<int>(state.range(0));

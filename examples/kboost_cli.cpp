@@ -198,10 +198,11 @@ int Usage() {
       "      the arena sections for cold storage), --load-pool serves from\n"
       "      a snapshot without resampling (seeds/mode come from the file)\n"
       "      and --mmap-pool maps it instead of copying it in (zero-copy\n"
-      "      for a nop-coded snapshot); --threads runs sampling and\n"
-      "      selection on N workers; --shards splits the pool into S arenas\n"
-      "      for parallel sampling/refresh/snapshot I/O (answers are\n"
-      "      bit-identical for every S)\n"
+      "      for a nop-coded snapshot); --threads runs sampling and the\n"
+      "      sandwich estimate on N workers (each greedy runs on one);\n"
+      "      --shards splits the pool into S arenas for parallel\n"
+      "      sampling/refresh/snapshot I/O (answers are bit-identical for\n"
+      "      every S)\n"
       "  evaluate --graph=PATH --seeds=a,b,c --boost=x,y,z [--sims=N]\n"
       "      Monte-Carlo estimate of the spread and boost of a given set\n"
       "  serve --graph=PATH --pool=NAME=SNAPSHOT [--pool=...] \n"

@@ -24,9 +24,9 @@ struct BoostOptions {
   /// Number of independent pool shards S. Samples are assigned round-robin
   /// by global sample index, so selections and estimates are bit-identical
   /// for every S (and every thread count) — S only decides how wide
-  /// sampling, refresh rebuilds, snapshot I/O and the per-pick re-evaluation
-  /// scan can go. Defaults to the hardware worker count so sampling
-  /// parallelism is available out of the box.
+  /// sampling, index builds, refresh rebuilds and snapshot I/O can go.
+  /// Defaults to the hardware worker count so sampling parallelism is
+  /// available out of the box.
   int num_shards = DefaultThreadCount();
   /// Hard cap on the PRR-graph pool size θ (0 = no cap). When the IMM
   /// schedule asks for more, sampling stops at the cap and
@@ -59,8 +59,10 @@ enum class SolveMode {
 struct SolveSpec {
   size_t k = 0;  ///< budget; must be in [1, pool budget]
   SolveMode mode = SolveMode::kAuto;
-  /// Worker cap for this query's selection/estimator phases. 0 = the pool's
-  /// configured count; otherwise must be in [1, ThreadPool::kMaxWorkers].
+  /// Worker cap for this query's EstimateDelta of the LB set, the one
+  /// parallel step of a solve; the Δ̂ greedy runs on the calling thread, so
+  /// concurrency comes from concurrent queries. 0 = the pool's configured
+  /// count; otherwise must be in [1, ThreadPool::kMaxWorkers].
   int num_threads = 0;
   /// Optional cooperative cancellation: polled between greedy rounds AND
   /// every bounded stride of the per-pick Δ̂ re-evaluation scan, so even a

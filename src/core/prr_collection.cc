@@ -120,6 +120,15 @@ void PrrCollection::EnsureGraphIndex(int num_threads) const {
         }
       },
       /*chunk=*/1);
+  // The Δ̂ greedy's initial gains: how many stored critical sets hold each
+  // node.
+  critical_counts_.assign(num_graph_nodes_, 0);
+  for (const PrrStore& store : stores_) {
+    for (size_t g = 0; g < store.num_graphs(); ++g) {
+      const PrrGraphView view = store.View(g);
+      for (uint32_t c : view.critical()) ++critical_counts_[view.global_ids[c]];
+    }
+  }
   graph_index_built_ = true;
 }
 
@@ -227,180 +236,62 @@ namespace {
 /// ways as B grows (Δ̂ is not submodular), so Commit re-evaluates exactly the
 /// PRR-graphs containing the pick and reports every node whose gain moved.
 ///
-/// The re-evaluation runs on the incremental engine: each graph keeps
-/// fwd/bwd/crit bitmaps in its shard's PrrEvalState arena, initialized
-/// lazily on first touch (live-edge-only reach at B ∩ R = ∅ plus the stored
-/// critical set) and relaxed forward/backward from the pick afterwards.
-/// Because boosting only opens edges, reach and criticality grow
-/// monotonically until a graph activates — so commits emit only +1 events
-/// for newly critical nodes, and -1 events for a graph's whole critical set
-/// exactly once, on activation. Graphs too large for cached state fall back
-/// to the scratch evaluator's full recompute (old-vs-new critical diff).
+/// Commit runs on the calling thread. Each graph's status and bitmaps live
+/// in its shard's PrrEvalState — the one record of the graph this run —
+/// initialized lazily on first touch (live-edge-only reach at B ∩ R = ∅ plus
+/// the stored critical set) and relaxed forward/backward from the pick
+/// afterwards. Because boosting only opens edges, reach and criticality grow
+/// monotonically until a graph activates — so commits credit only newly
+/// critical nodes, and debit a graph's crit bitmap exactly once, on
+/// activation. Graphs too large for reach bitmaps fall back to the scratch
+/// evaluator's full recompute, diffed against crit.
 ///
-/// Sharding: graphs are addressed by flat shard-major ids (shard s's graphs
-/// occupy [base(s), base(s)+|s|)) purely for the oracle's own tables; gains
-/// settle additively from per-worker event buffers, so both the flat
-/// numbering and the shard partition are invisible in the selected set.
-/// Workers collect (node, ±1) gain events and activation counts in
-/// per-worker buffers; one serial merge per pick settles the plain (non-
-/// atomic) gain table and reports touched nodes, so the settled gains are
-/// deterministic for every thread count and every shard count. Every gain
-/// *increase* is reported (required for lazy-greedy correctness); decreases
-/// ride along for free.
+/// Gains start from the pool's per-node critical-set counts and settle in
+/// place. They are sums over graphs, so neither the shard partition nor the
+/// scan order shows in the selected set. Excluded nodes keep a gain too: the
+/// greedy loop never reads it. Every gain *increase* is reported (required
+/// for lazy-greedy correctness); decreases ride along for free.
 class DeltaOracle final : public SelectionOracle {
  public:
   DeltaOracle(const PrrCollection& collection,
-              const std::vector<uint8_t>& excluded, int num_threads,
-              ShardedEvalState* state, StopToken* stop)
+              std::span<const uint32_t> initial_gains, ShardedEvalState* state,
+              StopToken* stop)
       : collection_(collection),
-        excluded_(excluded),
         stop_(stop),
-        threads_(std::max(1, num_threads)),
-        n_(collection.num_graph_nodes()),
-        boosted_(n_, 0),
-        gains_(n_, 0),
-        state_(state),
-        incrementals_(threads_),
-        evaluators_(threads_),
-        new_critical_(threads_),
-        worker_events_(threads_),
-        worker_activated_(threads_, 0) {
+        boosted_(collection.num_graph_nodes(), 0),
+        gains_(initial_gains.begin(), initial_gains.end()),
+        state_(state) {
     state_->Attach(collection.shards());
-    const size_t num_shards = collection.num_shards();
-    shard_base_.assign(num_shards + 1, 0);
-    for (size_t s = 0; s < num_shards; ++s) {
-      shard_base_[s + 1] =
-          shard_base_[s] + collection.shard_store(s).num_graphs();
-    }
-    const size_t total = shard_base_[num_shards];
-    covered_.assign(total, 0);
-    critical_.resize(total);
-    uint32_t max_nodes = 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      const PrrStore& store = collection.shard_store(s);
-      max_nodes = std::max(max_nodes, store.max_num_nodes());
-      for (size_t g = 0; g < store.num_graphs(); ++g) {
-        const size_t flat = shard_base_[s] + g;
-        const PrrGraphView view = store.View(g);
-        critical_[flat].reserve(view.num_critical_count);
-        for (uint32_t c : view.critical()) {
-          const NodeId global = view.global_ids[c];
-          critical_[flat].push_back(global);
-          if (!excluded_[global]) ++gains_[global];
-        }
-      }
-    }
-    // Grow-only scratch for the fallback evaluators, sized once per run.
-    for (PrrEvaluator& e : evaluators_) e.Reserve(max_nodes);
-    pick_graphs_.resize(num_shards);
-    pick_locals_.resize(num_shards);
-    pick_prefix_.assign(num_shards + 1, 0);
   }
 
-  size_t num_candidates() const override { return n_; }
+  size_t num_candidates() const override { return gains_.size(); }
   uint64_t InitialGain(NodeId v) const override { return gains_[v]; }
   uint64_t CurrentGain(NodeId v) const override { return gains_[v]; }
 
   void Commit(NodeId pick, std::vector<NodeId>* touched) override {
     boosted_[pick] = 1;
     gains_[pick] = 0;
-    // Graphs are disjoint work items: the eval-state bitmaps and
-    // critical_[flat] are per-graph, and gain events land in per-worker
-    // buffers — nothing shared is written during the scan. One flat
-    // ParallelFor spans the pick's graphs of every shard (the per-item
-    // shard lookup walks the tiny prefix table).
-    const size_t num_shards = collection_.num_shards();
-    for (size_t s = 0; s < num_shards; ++s) {
-      pick_graphs_[s] = collection_.ShardGraphsContaining(s, pick);
-      pick_locals_[s] = collection_.ShardGraphLocalsContaining(s, pick);
-      pick_prefix_[s + 1] = pick_prefix_[s] + pick_graphs_[s].size();
-    }
-    ParallelFor(
-        pick_prefix_[num_shards], threads_,
-        [&](size_t gi, int t) {
-          // Deadline/cancel polling inside the pick: a single pick's fan-out
-          // can span the whole pool (today the only uninterruptible stretch
-          // of a solve), so each worker re-polls the token every
-          // kStopStride items and drains — not skipping mid-item, so a
-          // graph's bitmaps are never left torn — once it tripped. The
-          // abandoned gain table is discarded by the caller, never served.
-          if (stop_ != nullptr) {
-            if (stop_->stopped()) return;
-            if (gi % kStopStride == 0) {
-              MaybeInjectFaultDelay(FaultSite::kPickStride);
-              if (stop_->ShouldStop()) return;
-            }
-          }
-          size_t s = 0;
-          while (gi >= pick_prefix_[s + 1]) ++s;
-          const size_t i = gi - pick_prefix_[s];
-          const uint32_t g = pick_graphs_[s][i];
-          const size_t flat = shard_base_[s] + g;
-          if (covered_[flat]) return;
-          std::vector<GainEvent>& events = worker_events_[t];
-          const PrrGraphView view = collection_.shard_store(s).View(g);
-          PrrEvalState& shard_state = state_->shard(s);
-          if (!shard_state.has_state(g)) {
-            ScratchCommit(flat, view, t);
-            return;
-          }
-          uint64_t* fwd = shard_state.fwd(g);
-          uint64_t* bwd = shard_state.bwd(g);
-          uint64_t* crit = shard_state.crit(g);
-          PrrIncrementalEvaluator& inc = incrementals_[t];
-          bool activated = false;
-          if (!shard_state.initialized(g)) {
-            // First touch this run: B ∩ R = {pick} (an earlier pick inside R
-            // would have touched it), so the empty-set state plus one relax
-            // is exact. The stored critical set is the ∅-state membership.
-            shard_state.mark_initialized(g);
-            inc.InitEmptyReach(view, fwd, bwd);
-            for (uint32_t c : view.critical()) {
-              PrrIncrementalEvaluator::SetBit(crit, c);
-            }
-            activated =
-                PrrIncrementalEvaluator::TestBit(fwd, PrrGraph::kRootLocal);
-          }
-          if (!activated) {
-            activated = inc.RelaxCommit(view, boosted_.data(),
-                                        pick_locals_[s][i], fwd, bwd);
-          }
-          if (activated) {
-            covered_[flat] = 1;
-            ++worker_activated_[t];
-            for (NodeId old : critical_[flat]) {
-              if (!boosted_[old] && !excluded_[old]) {
-                events.push_back(GainEvent{old, -1});
-              }
-            }
-            critical_[flat].clear();
-            critical_[flat].shrink_to_fit();
-            return;
-          }
-          std::vector<uint32_t>& fresh = new_critical_[t];
-          fresh.clear();
-          inc.AppendNewCriticalFrontier(view, boosted_.data(), fwd, bwd, crit,
-                                        &fresh);
-          for (uint32_t c : fresh) {
-            const NodeId global = view.global_ids[c];
-            critical_[flat].push_back(global);
-            // Newly critical nodes are never boosted (the evaluator checks),
-            // so only exclusion filters the gain event.
-            if (!excluded_[global]) events.push_back(GainEvent{global, +1});
-          }
-        },
-        /*chunk=*/16);
-    // One serial merge per pick: settle gains, count activations, report
-    // touched nodes (duplicates are tolerated by the greedy loop).
-    for (int t = 0; t < threads_; ++t) {
-      activated_ += worker_activated_[t];
-      worker_activated_[t] = 0;
-      for (const GainEvent& e : worker_events_[t]) {
-        gains_[e.node] = static_cast<uint32_t>(
-            static_cast<int64_t>(gains_[e.node]) + e.delta);
-        touched->push_back(e.node);
+    // Deadline/cancel polling inside the pick: a single pick's scan can span
+    // the whole pool, so the token is re-polled every kStopStride graphs
+    // (counted across shards, activated graphs included), between graphs so
+    // no bitmap is left torn. The abandoned gain table is discarded by the
+    // caller, never served.
+    size_t position = 0;
+    for (size_t s = 0; s < collection_.num_shards(); ++s) {
+      const PrrStore& store = collection_.shard_store(s);
+      PrrEvalState& state = state_->shard(s);
+      const std::span<const uint32_t> graphs =
+          collection_.ShardGraphsContaining(s, pick);
+      const std::span<const uint32_t> locals =
+          collection_.ShardGraphLocalsContaining(s, pick);
+      for (size_t i = 0; i < graphs.size(); ++i, ++position) {
+        if (stop_ != nullptr && position % kStopStride == 0) {
+          MaybeInjectFaultDelay(FaultSite::kPickStride);
+          if (stop_->ShouldStop()) return;
+        }
+        CommitGraph(store.View(graphs[i]), state, graphs[i], locals[i],
+                    touched);
       }
-      worker_events_[t].clear();
     }
   }
 
@@ -408,71 +299,98 @@ class DeltaOracle final : public SelectionOracle {
   std::vector<uint8_t>& boosted() { return boosted_; }
 
  private:
-  /// Items between full stop-token polls in the per-pick scan. Small enough
+  /// Graphs between full stop-token polls in the per-pick scan. Small enough
   /// that even tiny PRR-graphs (~3 nodes on the paper's workloads) bound the
   /// time between polls to microseconds; large enough that the clock read
   /// (a vDSO call) stays noise.
   static constexpr size_t kStopStride = 32;
 
-  struct GainEvent {
-    NodeId node;
-    int32_t delta;
-  };
+  /// Re-evaluates graph g, which contains the pick at local id `local`.
+  void CommitGraph(const PrrGraphView& view, PrrEvalState& state, uint32_t g,
+                   uint32_t local, std::vector<NodeId>* touched) {
+    using GraphStatus = PrrEvalState::GraphStatus;
+    if (state.status(g) == GraphStatus::kActivated) return;
+    const bool first_touch = state.status(g) == GraphStatus::kUntouched;
+    uint64_t* crit = state.crit(g);
+    if (first_touch) {
+      // B ∩ R = {pick} (an earlier pick inside R would have touched it), so
+      // the empty-set state plus one relax is exact. The stored critical set
+      // is the ∅-state membership.
+      state.Touch(g);
+      for (uint32_t c : view.critical()) {
+        PrrIncrementalEvaluator::SetBit(crit, c);
+      }
+    }
+    bool activated = false;
+    if (!state.has_reach(g)) {
+      activated = ScratchCommit(view, crit, state.words_per_bitmap(g), touched);
+    } else {
+      uint64_t* fwd = state.fwd(g);
+      uint64_t* bwd = state.bwd(g);
+      if (first_touch) inc_.InitEmptyReach(view, fwd, bwd);
+      activated =
+          PrrIncrementalEvaluator::TestBit(fwd, PrrGraph::kRootLocal) ||
+          inc_.RelaxCommit(view, boosted_.data(), local, fwd, bwd);
+      if (!activated) {
+        fresh_.clear();
+        inc_.AppendNewCriticalFrontier(view, boosted_.data(), fwd, bwd, crit,
+                                       &fresh_);
+        // Newly critical nodes are never boosted (the evaluator checks).
+        for (uint32_t c : fresh_) {
+          const NodeId global = view.global_ids[c];
+          ++gains_[global];
+          touched->push_back(global);
+        }
+      }
+    }
+    if (!activated) return;
+    state.MarkActivated(g);
+    ++activated_;
+    for (uint32_t w = 0; w < state.words_per_bitmap(g); ++w) {
+      Settle(view, crit[w], w * 64, -1, touched);
+    }
+  }
 
-  /// Full-recompute fallback for graphs without cached state: diff the old
-  /// and new critical sets exactly as the pre-incremental engine did.
-  void ScratchCommit(size_t flat, const PrrGraphView& view, int t) {
-    std::vector<GainEvent>& events = worker_events_[t];
-    for (NodeId old : critical_[flat]) {
-      if (!boosted_[old] && !excluded_[old]) {
-        events.push_back(GainEvent{old, -1});
-      }
+  /// Full-recompute fallback for graphs without reach bitmaps: settles the
+  /// difference between the old critical set (crit) and the new one, and
+  /// leaves crit holding the new one. Returns true when the graph activated;
+  /// crit then still holds the old set, for the activation debit.
+  bool ScratchCommit(const PrrGraphView& view, uint64_t* crit, uint32_t words,
+                     std::vector<NodeId>* touched) {
+    if (evaluator_.CriticalNodes(view, boosted_.data(), &fresh_)) return true;
+    next_.assign(words, 0);
+    for (uint32_t c : fresh_) PrrIncrementalEvaluator::SetBit(next_.data(), c);
+    for (uint32_t w = 0; w < words; ++w) {
+      Settle(view, crit[w] & ~next_[w], w * 64, -1, touched);
+      Settle(view, next_[w] & ~crit[w], w * 64, +1, touched);
+      crit[w] = next_[w];
     }
-    const bool now_active =
-        evaluators_[t].CriticalNodes(view, boosted_.data(), &new_critical_[t]);
-    if (now_active) {
-      covered_[flat] = 1;
-      ++worker_activated_[t];
-      critical_[flat].clear();
-      return;
-    }
-    critical_[flat].clear();
-    for (uint32_t c : new_critical_[t]) {
-      const NodeId global = view.global_ids[c];
-      critical_[flat].push_back(global);
-      if (!boosted_[global] && !excluded_[global]) {
-        events.push_back(GainEvent{global, +1});
-      }
+    return false;
+  }
+
+  /// Moves the gain of every non-boosted node in `bits` (one crit word whose
+  /// bit 0 is local id `base`) by `delta`, reporting each.
+  void Settle(const PrrGraphView& view, uint64_t bits, uint32_t base,
+              int delta, std::vector<NodeId>* touched) {
+    for (; bits != 0; bits &= bits - 1) {
+      const NodeId global =
+          view.global_ids[base + static_cast<uint32_t>(std::countr_zero(bits))];
+      if (boosted_[global]) continue;
+      gains_[global] =
+          static_cast<uint32_t>(static_cast<int64_t>(gains_[global]) + delta);
+      touched->push_back(global);
     }
   }
 
   const PrrCollection& collection_;
-  const std::vector<uint8_t>& excluded_;
   StopToken* stop_;
-  const int threads_;
-  const size_t n_;
   std::vector<uint8_t> boosted_;
-  // Flat shard-major graph numbering: shard s's graph g is
-  // shard_base_[s] + g in covered_/critical_.
-  std::vector<size_t> shard_base_;
-  std::vector<uint8_t> covered_;
-  // Current critical set per stored graph (global ids). May retain nodes
-  // that were boosted after becoming critical; every consumer filters with
-  // !boosted_, so the settled gains are unaffected.
-  std::vector<std::vector<NodeId>> critical_;
   std::vector<uint32_t> gains_;
   ShardedEvalState* state_;
-  // Per-pick fan-out scratch: the pick's graph/local spans per shard and
-  // their prefix counts (reused across picks).
-  std::vector<std::span<const uint32_t>> pick_graphs_;
-  std::vector<std::span<const uint32_t>> pick_locals_;
-  std::vector<size_t> pick_prefix_;
-  // Per-worker scratch reused across picks.
-  std::vector<PrrIncrementalEvaluator> incrementals_;
-  std::vector<PrrEvaluator> evaluators_;
-  std::vector<std::vector<uint32_t>> new_critical_;
-  std::vector<std::vector<GainEvent>> worker_events_;
-  std::vector<size_t> worker_activated_;
+  PrrIncrementalEvaluator inc_;
+  PrrEvaluator evaluator_;
+  std::vector<uint32_t> fresh_;  // one graph's newly critical locals
+  std::vector<uint64_t> next_;   // scratch recompute's new crit words
   size_t activated_ = 0;
 };
 
@@ -483,13 +401,15 @@ PrrCollection::DeltaResult PrrCollection::SelectGreedyDelta(
     ShardedEvalState* eval_state, StopToken* stop) const {
   DeltaResult result;
   if (k == 0 || num_samples() == 0) return result;
+  // `num_threads` only sizes a cold index build; the greedy itself runs on
+  // this thread.
   EnsureGraphIndex(num_threads);
 
   // Callers that serve queries concurrently pass per-query eval state (from
   // their SolveContext); the call-local fallback keeps one-shot callers
   // correct at the cost of rebuilding the bitmap arenas.
   ShardedEvalState local_state;
-  DeltaOracle oracle(*this, excluded, num_threads,
+  DeltaOracle oracle(*this, critical_counts_,
                      eval_state != nullptr ? eval_state : &local_state, stop);
   GreedyResult greedy = RunLazyGreedy(oracle, k, &excluded, stop);
   result.nodes = std::move(greedy.selected);

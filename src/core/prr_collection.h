@@ -31,8 +31,9 @@ namespace kboost {
 /// estimators average over samples, every selection and estimate is
 /// bit-identical across shard counts too (the union of shards is the same
 /// multiset of samples; greedy ties break on node ids, never on sample or
-/// graph numbering). Sharding only decides how wide sampling, index builds,
-/// snapshot I/O and the per-pick re-evaluation scan can go.
+/// graph numbering). Sharding only decides how wide sampling, index builds
+/// and snapshot I/O can go; the Δ̂ greedy runs on its caller's thread at
+/// every S.
 ///
 /// The per-shard node→graphs inverted index used by the greedy is a flat CSR
 /// built lazily in one counting-sort pass over each arena (the super-seed
@@ -126,24 +127,24 @@ class PrrCollection {
 
   /// Greedy maximization of Δ̂ (the NodeSelection step; full mode only) — a
   /// push-model oracle over the shared src/select lazy-greedy engine,
-  /// backed by the incremental evaluation engine: every graph keeps a
-  /// persistent fwd/bwd/crit bitmap state (PrrEvalState, one arena per
-  /// shard), so committing a pick only relaxes reachability forward/backward
-  /// from the newly boosted node instead of recomputing from the super-seed.
-  /// The re-evaluation scan fans out over the pick's graphs across ALL
-  /// shards on `num_threads` workers with per-thread scratch and per-worker
-  /// gain-delta buffers merged once per pick (no atomics); ties break toward
-  /// smaller node ids, so the selected set is identical for every thread
-  /// count AND every shard count. If gains hit zero before k picks (no
-  /// single node helps), remaining slots are filled by PRR-occurrence counts
-  /// so the budget is never silently wasted.
+  /// backed by the incremental evaluation engine: every graph keeps its
+  /// status and crit bitmap, plus fwd/bwd reach bitmaps when small enough,
+  /// in a PrrEvalState (one arena per shard), so committing a pick only
+  /// relaxes reachability forward/backward from the newly boosted node
+  /// instead of recomputing from the super-seed. Each pick's re-evaluation
+  /// walks its graphs shard by shard on the calling thread; ties break
+  /// toward smaller node ids, so the selected set is identical for every
+  /// shard count. `num_threads` only sizes a cold index build. If gains hit
+  /// zero before k picks (no single node helps), remaining slots are filled
+  /// by PRR-occurrence counts so the budget is never silently wasted.
   ///
   /// Concurrency: all query-time mutable state is oracle-local or lives in
   /// the caller-supplied `eval_state` (one PrrEvalState per shard), so
   /// concurrent calls on one collection are safe — and bit-identical to the
   /// serial loop — provided each call brings its own eval state and the
   /// lazily-built indexes were warmed first (WarmIndexes(), done by
-  /// BoostSession::Prepare). A null `eval_state` uses call-local state
+  /// BoostSession::Prepare). Throughput comes from concurrent queries, not
+  /// from splitting one. A null `eval_state` uses call-local state
   /// (correct, but re-allocates the bitmap arenas every call). `stop`, if
   /// non-null, is polled between greedy rounds AND every bounded stride of
   /// the per-pick re-evaluation scan — a single huge pick stops promptly on
@@ -195,17 +196,6 @@ class PrrCollection {
   /// Number of stored graphs (across all shards) containing global node v.
   size_t OccurrenceCount(NodeId v) const;
 
-  /// Compat accessors for single-shard pools (reference implementations in
-  /// tests/benches).
-  std::span<const uint32_t> GraphsContaining(NodeId v) const {
-    KB_DCHECK(stores_.size() == 1);
-    return ShardGraphsContaining(0, v);
-  }
-  std::span<const uint32_t> GraphLocalsContaining(NodeId v) const {
-    KB_DCHECK(stores_.size() == 1);
-    return ShardGraphLocalsContaining(0, v);
-  }
-
   /// Pool-snapshot restore: adopts the shard arenas (pass none for an
   /// LB-only pool, which stores only critical sets) and binds the coverage
   /// node pool to `coverage_nodes` — the snapshot's critical sets as global
@@ -254,7 +244,7 @@ class PrrCollection {
   };
 
   /// Builds all per-shard node→graph CSRs (one counting-sort pass each,
-  /// shards in parallel on `num_threads` workers).
+  /// shards in parallel on `num_threads` workers) and critical_counts_.
   void EnsureGraphIndex(int num_threads) const;
   /// The shard the next round-robin sample index maps to (compat add paths).
   size_t NextSampleShard() const {
@@ -270,6 +260,9 @@ class PrrCollection {
   size_t lb_critical_bytes_ = 0;   // LB-mode critical-set accounting
   std::vector<NodeId> critical_scratch_;
   mutable std::vector<ShardIndex> shard_index_;
+  // Per node, the number of stored critical sets holding it (the Δ̂
+  // greedy's initial gains); built with shard_index_.
+  mutable std::vector<uint32_t> critical_counts_;
   mutable bool graph_index_built_ = false;
 };
 

@@ -815,25 +815,6 @@ bool PrrIncrementalEvaluator::RebuildReach(const PrrGraphView& g,
   return TestBit(fwd, PrrGraph::kRootLocal);
 }
 
-void PrrIncrementalEvaluator::AppendNewCriticalFull(
-    const PrrGraphView& g, const uint8_t* boosted_global, const uint64_t* fwd,
-    const uint64_t* bwd, uint64_t* crit, std::vector<uint32_t>* out) {
-  const uint32_t n = g.num_nodes();
-  for (uint32_t v = PrrGraph::kRootLocal; v < n; ++v) {
-    if (!TestBit(bwd, v) || TestBit(crit, v)) continue;
-    if (boosted_global[g.global_ids[v]]) continue;
-    for (uint32_t s = g.in_offsets[v]; s < g.in_offsets[v + 1]; ++s) {
-      const uint32_t packed = g.in_edges[s];
-      if (!PrrGraph::EdgeBoost(packed)) continue;
-      if (TestBit(fwd, PrrGraph::EdgeNode(packed))) {
-        SetBit(crit, v);
-        out->push_back(v);
-        break;
-      }
-    }
-  }
-}
-
 size_t PrrBatchEvaluator::CountActivated(
     const PrrStore& store, const uint8_t* boosted_global, int num_threads,
     std::vector<uint64_t>* activation_words) {

@@ -217,7 +217,7 @@ class PrrEvaluator {
  public:
   /// Grow-only scratch sizing: pre-sizes the reach marks and queue for
   /// graphs of up to `max_nodes` local nodes, so per-graph evaluation never
-  /// reallocates. Call once per selection run with the pool's max local node
+  /// reallocates. Call once per evaluation run with the pool's max local node
   /// count (PrrStore::max_num_nodes); buffers never shrink.
   void Reserve(uint32_t max_nodes);
 
@@ -291,15 +291,10 @@ class PrrIncrementalEvaluator {
                                  const uint64_t* fwd, const uint64_t* bwd,
                                  uint64_t* crit, std::vector<uint32_t>* out);
 
-  /// Full-rebuild variants (stale-state fallback and test cross-checks):
-  /// recompute fwd/bwd under `boosted_global` from scratch; returns f_R(B).
+  /// Full rebuild for test cross-checks: recomputes fwd/bwd under
+  /// `boosted_global` from scratch; returns f_R(B).
   bool RebuildReach(const PrrGraphView& g, const uint8_t* boosted_global,
                     uint64_t* fwd, uint64_t* bwd);
-  /// Scans every candidate instead of a frontier (use after RebuildReach).
-  void AppendNewCriticalFull(const PrrGraphView& g,
-                             const uint8_t* boosted_global,
-                             const uint64_t* fwd, const uint64_t* bwd,
-                             uint64_t* crit, std::vector<uint32_t>* out);
 
  private:
   std::vector<uint32_t> stack_;

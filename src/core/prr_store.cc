@@ -1,12 +1,19 @@
 #include "src/core/prr_store.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/util/logging.h"
 
 namespace kboost {
 
 namespace {
+
+/// A fresh stamp for each store mutation; 0 stays the never-mutated store's.
+uint64_t NextGeneration() {
+  static std::atomic<uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 template <typename T>
 void AppendSpan(std::vector<T>& pool, std::span<const T> data) {
@@ -43,7 +50,7 @@ size_t PrrStore::Append(std::span<const NodeId> global_ids,
 
   meta_.push_back(meta);
   max_num_nodes_ = std::max(max_num_nodes_, meta.num_nodes);
-  ++generation_;
+  generation_ = NextGeneration();
   return meta_.size() - 1;
 }
 
@@ -199,7 +206,7 @@ Status PrrStore::BuildMetaFromSizes(std::span<const uint32_t> num_nodes,
                                    std::to_string(bad));
   }
   max_num_nodes_ = max_nodes;
-  ++generation_;
+  generation_ = NextGeneration();
   *total_edges = edge_begin;
   *total_critical = critical_begin;
   return Status::Ok();
@@ -276,27 +283,32 @@ void PrrStore::Clear() {
   ext_in_edges_ = {};
   ext_critical_ = {};
   max_num_nodes_ = 0;
-  ++generation_;
+  generation_ = NextGeneration();
 }
 
 void PrrEvalState::Attach(const PrrStore& store) {
-  if (store_ != &store || generation_ != store.generation()) {
-    store_ = &store;
+  const size_t num_graphs = store.num_graphs();
+  if (generation_ != store.generation()) {
     generation_ = store.generation();
-    const size_t num_graphs = store.num_graphs();
     slots_.resize(num_graphs);
     uint64_t begin = 0;
     for (size_t g = 0; g < num_graphs; ++g) {
       const uint32_t n = store.num_nodes(g);
-      const uint32_t wpb = n <= kMaxStateNodes ? (n + 63) / 64 : 0;
-      slots_[g] = Slot{begin, wpb};
-      begin += 3ull * wpb;
+      const uint32_t wpb = (n + 63) / 64;
+      const bool has_reach = n <= kMaxStateNodes;
+      slots_[g] = Slot{begin, wpb, has_reach};
+      begin += (has_reach ? 3ull : 1ull) * wpb;
     }
     words_.resize(begin);
-    init_.resize(num_graphs);
   }
-  std::fill(words_.begin(), words_.end(), 0);
-  std::fill(init_.begin(), init_.end(), 0);
+  status_.assign(num_graphs, GraphStatus::kUntouched);
+}
+
+void PrrEvalState::Touch(size_t g) {
+  const Slot& slot = slots_[g];
+  std::fill_n(words_.data() + slot.begin,
+              (slot.has_reach ? 3 : 1) * size_t{slot.words_per_bitmap}, 0);
+  status_[g] = GraphStatus::kLive;
 }
 
 }  // namespace kboost

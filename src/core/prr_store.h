@@ -107,11 +107,12 @@ class PrrStore {
   size_t critical_count(size_t id) const { return meta_[id].num_critical; }
   uint32_t num_nodes(size_t id) const { return meta_[id].num_nodes; }
   /// Largest per-graph local node count in the arena — the grow-only scratch
-  /// bound evaluators reserve once per selection run.
+  /// bound batch evaluators reserve once per estimate.
   uint32_t max_num_nodes() const { return max_num_nodes_; }
-  /// Bumped on every mutation (Append/Clear/AttachExternal); lets cached
-  /// per-graph evaluation state (PrrEvalState) detect resampling and
-  /// invalidate itself instead of serving bits for a different pool.
+  /// Redrawn on every mutation (Append/Clear/AttachExternal) from one
+  /// process-wide counter, so two stores share a generation only when one is
+  /// a copy of the other — never two pools that happen to reuse an address.
+  /// Cached per-graph evaluation state (PrrEvalState) keys on it alone.
   uint64_t generation() const { return generation_; }
 
   /// Bytes actually used by the pool (the paper's Table 2/3 "memory for
@@ -143,7 +144,8 @@ class PrrStore {
   /// both ownership modes): lengths consistent with the size table, offsets
   /// graph-relative, monotone and out/in-consistent. Outputs the implied
   /// edge-pool and critical-pool lengths; the caller checks (or reads) those
-  /// sections against them. Bumps max_num_nodes_/generation_ on success.
+  /// sections against them. Sets max_num_nodes_ and a fresh generation_ on
+  /// success.
   Status BuildMetaFromSizes(std::span<const uint32_t> num_nodes,
                             std::span<const uint32_t> num_critical,
                             uint64_t* total_edges, uint64_t* total_critical);
@@ -177,67 +179,73 @@ class PrrStore {
   uint64_t generation_ = 0;
 };
 
-/// Per-session evaluation state for every graph of a PrrStore: three bitmaps
-/// per graph — fwd (0-weight-reached from the super-seed under the current
-/// boost set), bwd (0-weight-reaches the root) and crit (current critical-set
-/// membership) — packed as contiguous uint64 words in one arena. Small graphs
-/// need only a handful of words, so a graph's whole state usually fits in one
-/// cache line. Because boosting only ever *opens* edges, fwd/bwd/crit grow
-/// monotonically under commits, which is what makes incremental relaxation
-/// (PrrIncrementalEvaluator) exact.
-///
-/// Graphs larger than kMaxStateNodes get no slot (has_state() is false);
-/// selections fall back to the scratch evaluator for them, bounding arena
-/// memory on pathological pools.
+/// Per-run evaluation state for every graph of a PrrStore, the one record of
+/// where each graph stands during a Δ̂ selection: a status byte (untouched,
+/// live or activated) plus bitmaps packed as contiguous uint64 words in one
+/// arena — crit (current critical-set membership) for every graph, and fwd
+/// (0-weight-reached from the super-seed under the current boost set) and
+/// bwd (0-weight-reaches the root) for graphs of at most kMaxStateNodes
+/// nodes. Small graphs need only a handful of words, so a graph's whole
+/// state usually fits in one cache line. Because boosting only ever *opens*
+/// edges, fwd/bwd/crit grow monotonically under commits, which is what makes
+/// incremental relaxation (PrrIncrementalEvaluator) exact. Larger graphs
+/// keep only crit and are re-evaluated by the scratch evaluator, bounding
+/// arena memory on pathological pools.
 class PrrEvalState {
  public:
   static constexpr uint32_t kMaxStateNodes = 1u << 16;
 
-  /// (Re)binds to `store` and zeroes all state. Slot offsets are rebuilt
-  /// only when the store mutated since the last Attach (pointer or
-  /// generation mismatch — the resample-invalidation rule); otherwise only
-  /// the words are cleared, reusing every allocation across selection runs.
+  /// Where a graph stands in the current run.
+  enum class GraphStatus : uint8_t {
+    kUntouched,  ///< no pick has reached it; its words are garbage
+    kLive,       ///< touched, not activated; its words are current
+    kActivated,  ///< f_R(B) = 1; its words are dead
+  };
+
+  /// (Re)binds to `store` and marks every graph untouched. Slot offsets are
+  /// rebuilt only when the store's generation differs from the last
+  /// Attach's; the words are never cleared here — Touch zeroes a graph's
+  /// words when a run first reaches it.
   void Attach(const PrrStore& store);
 
-  bool has_state(size_t g) const { return slots_[g].words_per_bitmap != 0; }
-  uint64_t* fwd(size_t g) { return words_.data() + slots_[g].begin; }
+  GraphStatus status(size_t g) const { return status_[g]; }
+  /// First touch this run: zeroes graph g's words and marks it live.
+  void Touch(size_t g);
+  void MarkActivated(size_t g) { status_[g] = GraphStatus::kActivated; }
+
+  /// Whether graph g has fwd/bwd bitmaps (at most kMaxStateNodes nodes).
+  bool has_reach(size_t g) const { return slots_[g].has_reach; }
+  uint32_t words_per_bitmap(size_t g) const {
+    return slots_[g].words_per_bitmap;
+  }
+  uint64_t* crit(size_t g) { return words_.data() + slots_[g].begin; }
+  uint64_t* fwd(size_t g) { return crit(g) + slots_[g].words_per_bitmap; }
   uint64_t* bwd(size_t g) {
-    return words_.data() + slots_[g].begin + slots_[g].words_per_bitmap;
+    return crit(g) + size_t{2} * slots_[g].words_per_bitmap;
   }
-  uint64_t* crit(size_t g) {
-    return words_.data() + slots_[g].begin + 2 * slots_[g].words_per_bitmap;
-  }
-  /// Whether graph g's bitmaps have been initialized this run (lazy
-  /// per-graph init on first touch; cleared by Attach). One byte per graph,
-  /// NOT packed bits: workers touching different graphs concurrently must
-  /// write distinct memory locations.
-  bool initialized(size_t g) const { return init_[g] != 0; }
-  void mark_initialized(size_t g) { init_[g] = 1; }
 
   size_t total_words() const { return words_.size(); }
 
  private:
   struct Slot {
-    uint64_t begin = 0;            // into words_
-    uint32_t words_per_bitmap = 0; // ceil(num_nodes/64); 0 = no cached state
+    uint64_t begin = 0;             // into words_
+    uint32_t words_per_bitmap = 0;  // ceil(num_nodes/64)
+    bool has_reach = false;         // fwd/bwd follow crit
   };
 
-  const PrrStore* store_ = nullptr;
   uint64_t generation_ = 0;
   std::vector<Slot> slots_;
   std::vector<uint64_t> words_;
-  std::vector<uint8_t> init_;
+  std::vector<GraphStatus> status_;
 };
 
 /// Per-shard PrrEvalState bundle for a sharded pool: one bitmap arena per
 /// shard arena, each following the PrrEvalState attach/reuse rules (slot
-/// tables rebuilt only on generation mismatch, words re-zeroed otherwise).
+/// tables rebuilt only on generation mismatch).
 ///
-/// Thread-safety model: during a selection run any worker may scan graphs of
-/// any shard, but the pick-commit fan-out assigns each graph to exactly one
-/// worker, and a graph's bitmaps live entirely inside its shard's state — so
-/// per-shard states need no synchronization beyond what PrrEvalState already
-/// guarantees (one writer per graph, byte-wide init flags).
+/// Thread-safety model: a selection run reads and writes its states on the
+/// calling thread only, so concurrent queries need one bundle each (one per
+/// SolveContext) and nothing else.
 class ShardedEvalState {
  public:
   /// (Re)binds one eval state per shard arena. Safe to call with a different

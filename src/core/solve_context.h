@@ -9,19 +9,20 @@ namespace kboost {
 /// pool (sampled PrrCollection, warmed inverted indexes, cached LB greedy
 /// order) is strictly read-only at query time; everything a solve scribbles
 /// on lives either in oracle-local scratch created per call (the greedy
-/// heap, the gain table, per-worker evaluator scratch) or here — the
-/// incremental evaluation engine's fwd/bwd/crit bitmap arenas (one
-/// PrrEvalState per pool shard), which are the one piece worth keeping warm
-/// across queries.
+/// heap, the gain table, evaluator scratch) or here — the incremental
+/// evaluation engine's per-graph status and bitmap arenas (one PrrEvalState
+/// per pool shard), which are the one piece worth keeping warm across
+/// queries.
 ///
 /// Concurrency contract: one SolveContext per in-flight query. N threads
 /// may solve different budgets/modes against one shared prepared pool
 /// simultaneously by bringing one context each; the results are
 /// bit-identical to the serial loop. Reusing a context across *sequential*
 /// queries on the same pool keeps its allocations (the eval-state arenas are
-/// re-zeroed, not re-allocated, while the shard generations are unchanged);
-/// a context carried across a pool hot-swap simply re-attaches — even when
-/// the replacement pool has a different shard count.
+/// kept while the shard generations are unchanged, and a solve zeroes only
+/// the graphs it touches); a context carried across a pool hot-swap or a
+/// reload simply re-attaches — even when the replacement pool has a
+/// different shard count or reuses the old pool's memory.
 struct SolveContext {
   ShardedEvalState eval_state;
 };

@@ -77,8 +77,8 @@ GreedyResult RunLazyGreedy(SelectionOracle& oracle, size_t k,
     result.total_gain += top.gain;
     touched.clear();
     oracle.Commit(top.node, &touched);
-    // A push-model oracle's Commit fans out over many graphs and polls the
-    // token every stride; when it tripped mid-pick its gain table may be
+    // A push-model oracle's Commit scans many graphs and polls the token
+    // every stride; when it tripped mid-pick its gain table may be
     // partially settled, so stop HERE — the partial result is discarded by
     // the serving layer, never served.
     if (StampStop(stop, &result)) break;

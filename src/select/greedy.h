@@ -19,14 +19,14 @@ inline int64_t SteadyNowNanos() {
       .count();
 }
 
-/// Cooperative stop signal shared by a solve's greedy loop and its oracle's
-/// parallel re-evaluation workers: one request's cancel flag and absolute
-/// deadline, plus the tripped state and its reason. The greedy loop polls
-/// ShouldStop() once per round; a push-model oracle whose single Commit can
-/// be huge (the Δ̂ re-evaluation fan-out) polls it again every bounded stride
-/// of its per-pick scan, so even a one-pick solve stops promptly. Once
-/// tripped, a token stays tripped — workers observe it with one relaxed load
-/// (stopped()) and drain without doing further work.
+/// Cooperative stop signal for one solve: the request's cancel flag and
+/// absolute deadline, plus the tripped state and its reason. The greedy loop
+/// polls ShouldStop() once per round; a push-model oracle whose single
+/// Commit can be huge (the Δ̂ per-pick re-evaluation scan) polls it again
+/// every bounded stride of that scan, so even a one-pick solve stops
+/// promptly. Both run on the solving thread; only the cancel flag is written
+/// from elsewhere. Once tripped, a token stays tripped (stopped() is one
+/// relaxed load).
 ///
 /// The first reason to trip wins and is stable; reading the clock costs a
 /// vDSO call, so per-item code should gate ShouldStop() behind a stride and
@@ -68,10 +68,10 @@ class StopToken {
   static constexpr int kDeadline = 2;
 
   // Mutex-free by design: the token is one sticky tri-state (why_) plus two
-  // immutable-after-construction fields, shared between the greedy loop and
-  // the oracle's ParallelFor workers. The CAS in Trip() is the only write
-  // that races, and "first reason wins" is exactly its semantics — nothing
-  // here guards other data, so there is no capability to annotate.
+  // immutable-after-construction fields, polled and tripped on the solving
+  // thread; the cancel flag it watches is the only thing another thread
+  // writes. The CAS in Trip() keeps "first reason wins" — nothing here
+  // guards other data, so there is no capability to annotate.
   void Trip(int reason) {
     int expected = 0;  // first reason wins; later trips keep it stable
     why_.compare_exchange_strong(expected, reason, std::memory_order_relaxed);
@@ -141,12 +141,13 @@ struct GreedyResult {
 /// The one lazy-greedy (CELF) selection loop: up to k rounds, each committing
 /// a candidate of maximum current marginal gain. Ties break toward the
 /// smaller node id, making the selection deterministic and independent of
-/// heap insertion order (and hence of oracle-internal thread counts).
+/// heap insertion order (and hence of the order an oracle reports touched
+/// candidates in).
 /// Candidates flagged in `excluded` (n-sized bitmap, may be null) and
 /// candidates with zero gain are never picked; the loop stops early when no
 /// positive-gain candidate remains. `stop`, if non-null, is polled each loop
 /// iteration AND after every Commit (a push-model oracle may trip it
-/// mid-pick from its parallel scan); when it trips the loop returns the
+/// mid-pick from its per-pick scan); when it trips the loop returns the
 /// partial result with `cancelled` or `deadline_exceeded` set.
 GreedyResult RunLazyGreedy(SelectionOracle& oracle, size_t k,
                            const std::vector<uint8_t>* excluded = nullptr,

@@ -30,8 +30,10 @@ struct BoostRequest {
   /// full pool to the O(k) cached-order answer; kFull is rejected against
   /// LB-only pools. (SolveMode/SolveSpec are defined in src/core.)
   SolveMode mode = SolveMode::kAuto;
-  /// Worker cap for this query's selection/estimator phases; 0 = the pool's
-  /// configured count.
+  /// Worker cap for this query's EstimateDelta of the LB set, the one
+  /// parallel step of a solve; the Δ̂ greedy runs on the solving thread, so
+  /// concurrency comes from concurrent queries. 0 = the pool's configured
+  /// count.
   int num_threads = 0;
   /// Optional cooperative cancellation; polled between greedy rounds AND
   /// every bounded stride of the per-pick Δ̂ re-evaluation scan, so even a

@@ -104,7 +104,24 @@ void ThreadPool::Run(int num_workers, const std::function<void(int)>& body) {
 
   body(0);
 
+  // Helper slots no worker has claimed yet (every worker may be busy with
+  // other jobs) are taken back and run here, as the nested path does, so
+  // the caller never waits for a worker to pick up a slot. Workers claim
+  // slots only under mutex_, and a job leaves queue_ with its last slot.
+  int unclaimed = num_workers;
+  {
+    MutexLock lock(mutex_);
+    const auto it = std::find(queue_.begin(), queue_.end(), &job);
+    if (it != queue_.end()) {
+      queue_.erase(it);
+      unclaimed =
+          job.next_index.exchange(num_workers, std::memory_order_relaxed);
+    }
+  }
+  for (int t = unclaimed; t < num_workers; ++t) body(t);
+
   MutexLock done_lock(job.done_mutex);
+  job.remaining.fetch_sub(num_workers - unclaimed, std::memory_order_relaxed);
   while (job.remaining.load(std::memory_order_relaxed) != 0) {
     job.done_cv.Wait(job.done_mutex);
   }

@@ -42,7 +42,8 @@ class ThreadPool {
 
   /// Runs `body(worker_index)` for worker_index in [0, num_workers).
   /// Index 0 runs on the calling thread; the rest are dispatched to pool
-  /// workers. Blocks until every invocation has returned.
+  /// workers, and any no worker has claimed by the time index 0 returns run
+  /// on the calling thread too. Blocks until every invocation has returned.
   void Run(int num_workers, const std::function<void(int)>& body);
 
   /// True when called from inside a pool worker (useful for tests).

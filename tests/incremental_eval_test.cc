@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "src/core/boost_session.h"
@@ -16,6 +17,8 @@
 #include "src/core/prr_graph.h"
 #include "src/core/prr_sampler.h"
 #include "src/core/prr_store.h"
+#include "src/expt/datasets.h"
+#include "src/expt/seed_selection.h"
 #include "src/graph/generators.h"
 #include "src/graph/probability_models.h"
 #include "src/im/coverage.h"
@@ -164,13 +167,13 @@ std::vector<ReferencePick> ReferenceGreedyDelta(
   std::vector<uint8_t> boosted(n, 0);
   std::vector<uint8_t> covered(collection.store().num_graphs(), 0);
   PrrEvaluator scratch;
+  std::vector<uint32_t> critical;
   std::vector<ReferencePick> picks;
   while (picks.size() < k) {
     std::vector<uint64_t> gains(n, 0);
     for (size_t g = 0; g < collection.store().num_graphs(); ++g) {
       if (covered[g]) continue;
       const PrrGraphView view = collection.store().View(g);
-      std::vector<uint32_t> critical;
       if (scratch.CriticalNodes(view, boosted.data(), &critical)) {
         covered[g] = 1;  // activated by earlier picks
         continue;
@@ -224,6 +227,143 @@ TEST(IncrementalEvalTest, PerPickGainsMatchScratchReference) {
       }
     }
   }
+}
+
+/// Graphs activated by `boost_set`, counted by the scratch evaluator.
+size_t ScratchActivated(const PrrCollection& collection,
+                        const std::vector<NodeId>& boost_set) {
+  const std::vector<uint8_t> boosted =
+      MakeNodeBitmap(collection.num_graph_nodes(), boost_set);
+  PrrEvaluator scratch;
+  size_t activated = 0;
+  for (size_t g = 0; g < collection.store().num_graphs(); ++g) {
+    activated += scratch.IsActivated(collection.store().View(g),
+                                     boosted.data());
+  }
+  return activated;
+}
+
+/// The dataset-scale gate: on the digg stand-in pool the engine's Δ̂ greedy
+/// must match the from-scratch reference pick for pick, and the batched
+/// EstimateDelta must match a scratch activation count, at 1 and 4 threads.
+TEST(IncrementalEvalTest, StandInPoolMatchesScratchReference) {
+  const Dataset dataset = MakeDataset(SpecByName("digg", 0.02));
+  const size_t n = dataset.graph.num_nodes();
+  const std::vector<NodeId> seeds =
+      SelectInfluentialSeeds(dataset.graph, 10, 7, 4);
+  const std::vector<uint8_t> excluded = MakeNodeBitmap(n, seeds);
+  constexpr size_t kBudget = 100;
+  PrrCollection collection(n);
+  {
+    PrrSampler sampler(dataset.graph, seeds, kBudget, /*lb_only=*/false,
+                       /*seed=*/11, /*num_threads=*/4);
+    sampler.EnsureSamples(collection, 20000);
+  }
+  const std::vector<ReferencePick> want =
+      ReferenceGreedyDelta(collection, kBudget, excluded);
+  ASSERT_GT(want.size(), 10u);
+  std::vector<NodeId> want_nodes;
+  for (const ReferencePick& p : want) want_nodes.push_back(p.node);
+  const size_t want_activated = ScratchActivated(collection, want_nodes);
+  const std::vector<NodeId> lb_set =
+      collection.SelectGreedyLowerBound(kBudget, excluded).nodes;
+  const double want_lb_delta =
+      static_cast<double>(n) *
+      static_cast<double>(ScratchActivated(collection, lb_set)) /
+      static_cast<double>(collection.num_samples());
+
+  ShardedEvalState state;  // reused across runs, as a SolveContext is
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const PrrCollection::DeltaResult got =
+        collection.SelectGreedyDelta(kBudget, excluded, threads, &state);
+    ASSERT_GE(got.nodes.size(), want.size());
+    ASSERT_EQ(got.pick_gains.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.nodes[i], want[i].node) << "pick " << i;
+      EXPECT_EQ(got.pick_gains[i], want[i].gain) << "pick " << i;
+    }
+    EXPECT_EQ(got.activated_samples, want_activated);
+    EXPECT_EQ(collection.EstimateDelta(lb_set, threads), want_lb_delta);
+  }
+}
+
+/// A compressed PRR-graph built by hand: `globals[v]` is local v's global id
+/// (local 0 the super-seed, 1 the root) and each edge is (tail, head,
+/// is_boost) in local ids.
+PrrGraph HandBuiltGraph(std::vector<NodeId> globals,
+                        const std::vector<std::tuple<uint32_t, uint32_t, bool>>&
+                            edges,
+                        std::vector<uint32_t> critical) {
+  PrrGraph g;
+  g.global_ids = std::move(globals);
+  g.critical_locals = std::move(critical);
+  const uint32_t n = g.num_nodes();
+  g.out_offsets.assign(n + 1, 0);
+  g.in_offsets.assign(n + 1, 0);
+  for (const auto& [tail, head, boost] : edges) {
+    ++g.out_offsets[tail + 1];
+    ++g.in_offsets[head + 1];
+  }
+  for (uint32_t v = 0; v < n; ++v) {
+    g.out_offsets[v + 1] += g.out_offsets[v];
+    g.in_offsets[v + 1] += g.in_offsets[v];
+  }
+  g.out_edges.resize(edges.size());
+  g.in_edges.resize(edges.size());
+  std::vector<uint32_t> out_cursor(g.out_offsets.begin(), g.out_offsets.end());
+  std::vector<uint32_t> in_cursor(g.in_offsets.begin(), g.in_offsets.end());
+  for (const auto& [tail, head, boost] : edges) {
+    g.out_edges[out_cursor[tail]++] = PrrGraph::PackEdge(head, boost);
+    g.in_edges[in_cursor[head]++] = PrrGraph::PackEdge(tail, boost);
+  }
+  return g;
+}
+
+/// Graphs over kMaxStateNodes keep only a crit bitmap and are re-evaluated
+/// from scratch on every touch; the diff against crit must credit new
+/// criticals and the activation debit must clear the whole old set.
+TEST(IncrementalEvalTest, OversizedGraphFallsBackToScratchExactly) {
+  // Globals: 0 the shared root, 1 = a, 2 = b, then the fan x_i.
+  const uint32_t fan = PrrEvalState::kMaxStateNodes;
+  const NodeId n = fan + 3;
+  // Big graph: super-seed -b-> x_i -> root for every i (all critical at ∅)
+  // plus super-seed -b-> a -b-> b -> root, so b turns critical once a is
+  // boosted.
+  std::vector<NodeId> big_globals = {kInvalidNode, 0, 1, 2};
+  std::vector<std::tuple<uint32_t, uint32_t, bool>> big_edges = {
+      {0, 2, true}, {2, 3, true}, {3, 1, false}};
+  std::vector<uint32_t> big_critical;
+  for (uint32_t i = 0; i < fan; ++i) {
+    const uint32_t local = 4 + i;
+    big_globals.push_back(3 + i);
+    big_edges.emplace_back(0, local, true);
+    big_edges.emplace_back(local, 1, false);
+    big_critical.push_back(local);
+  }
+  PrrCollection collection(n);
+  collection.AddBoostable(HandBuiltGraph(big_globals, big_edges, big_critical));
+  // Small graphs: super-seed -b-> a -> root, and the same through b.
+  collection.AddBoostable(
+      HandBuiltGraph({kInvalidNode, 0, 1}, {{0, 2, true}, {2, 1, false}}, {2}));
+  collection.AddBoostable(
+      HandBuiltGraph({kInvalidNode, 0, 2}, {{0, 2, true}, {2, 1, false}}, {2}));
+
+  const std::vector<uint8_t> excluded(n, 0);
+  const std::vector<ReferencePick> want =
+      ReferenceGreedyDelta(collection, 3, excluded);
+  // a (gain 1) makes b critical in the big graph; b (gain 2) activates it.
+  ASSERT_EQ(want.size(), 2u);
+  ShardedEvalState state;
+  const PrrCollection::DeltaResult got =
+      collection.SelectGreedyDelta(3, excluded, 1, &state);
+  EXPECT_FALSE(state.shard(0).has_reach(0));
+  ASSERT_EQ(got.pick_gains.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.nodes[i], want[i].node) << "pick " << i;
+    EXPECT_EQ(got.pick_gains[i], want[i].gain) << "pick " << i;
+  }
+  EXPECT_EQ(got.activated_samples, 3u);
 }
 
 TEST(IncrementalEvalTest, EstimatorsMatchScratchLoops) {

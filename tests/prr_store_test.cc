@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "src/core/prr_boost.h"
@@ -256,6 +257,35 @@ TEST_F(PrrDeterminismTest, FullPipelineSelectsSameBoostSet) {
   EXPECT_EQ(serial.best_set, parallel.best_set);
   EXPECT_EQ(serial.num_samples, parallel.num_samples);
   EXPECT_DOUBLE_EQ(serial.best_estimate, parallel.best_estimate);
+}
+
+/// A graph of `num_nodes` local nodes and no edges: enough to size an eval
+/// state's bitmaps.
+PrrGraph EdgelessGraph(uint32_t num_nodes) {
+  PrrGraph g;
+  g.global_ids.push_back(kInvalidNode);
+  for (uint32_t v = 1; v < num_nodes; ++v) g.global_ids.push_back(v);
+  g.out_offsets.assign(num_nodes + 1, 0);
+  g.in_offsets.assign(num_nodes + 1, 0);
+  return g;
+}
+
+TEST(PrrEvalStateTest, ReattachesToAnotherStoreAtTheSameAddress) {
+  // A reloaded pool can land where the dropped one lived, after the same
+  // number of mutations. The eval state must still see a different store:
+  // keeping the old layout would serve the old pool's bitmaps and write past
+  // the arena for the new pool's larger graphs.
+  std::optional<PrrStore> slot;
+  PrrEvalState state;
+  slot.emplace();
+  slot->Add(EdgelessGraph(150));  // 3 words per bitmap
+  state.Attach(*slot);
+  EXPECT_EQ(state.total_words(), 3u * 3u);
+  slot.reset();
+  slot.emplace();
+  slot->Add(EdgelessGraph(350));  // 6 words per bitmap
+  state.Attach(*slot);
+  EXPECT_EQ(state.total_words(), 3u * 6u);
 }
 
 TEST(PrrCollectionTest, EstimateMuWithInterleavedEmptySets) {

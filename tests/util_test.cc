@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <deque>
+#include <future>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -433,6 +436,39 @@ TEST(ThreadPoolTest, OversubscribedRequestStillCompletes) {
   std::atomic<int> calls{0};
   RunOnThreads(12, [&](int) { calls++; });
   EXPECT_EQ(calls.load(), 12);
+}
+
+TEST(ThreadPoolTest, CallerRunsHelperSlotsNoWorkerClaimed) {
+  // A one-worker pool whose worker is held by another caller's job: a
+  // second Run must run its own unclaimed helper slot instead of waiting for
+  // that worker. The wait is bounded so a regression fails, not hangs.
+  ThreadPool pool;
+  std::atomic<bool> worker_held{false};
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::thread holder([&] {
+    pool.Run(2, [&](int t) {
+      if (t == 1) {
+        worker_held = true;
+        released.wait();
+      } else {
+        while (!worker_held) std::this_thread::yield();
+      }
+    });
+  });
+  while (!worker_held) std::this_thread::yield();
+
+  std::atomic<int> calls{0};
+  std::future<void> second = std::async(std::launch::async, [&] {
+    pool.Run(2, [&](int) { calls++; });
+  });
+  const bool returned = second.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  release.set_value();
+  second.wait();
+  holder.join();
+  EXPECT_TRUE(returned) << "Run waited for a busy worker to claim its slot";
+  EXPECT_EQ(calls.load(), 2);
 }
 
 TEST(RingDequeTest, MatchesDequeSemantics) {
