@@ -310,14 +310,12 @@ int main(int argc, char** argv) {
     requests[i].pool = config.pool;
     requests[i].k = sweep[i % sweep.size()];
     requests[i].mode = kModes[(i / sweep.size()) % 3];
-    requests[i].num_threads = 1;
   }
   auto to_boost_request = [](const WireQuery& q) {
     BoostRequest r;
     r.pool = q.pool;
     r.k = q.k;
     r.mode = q.mode;
-    r.num_threads = q.num_threads;
     r.deadline_ms = q.deadline_ms;
     return r;
   };

@@ -170,7 +170,6 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < num_queries; ++i) {
     requests[i].pool = "digg";
     requests[i].k = sweep[i % sweep.size()];
-    requests[i].num_threads = 1;
   }
 
   auto make_pool = [&]() -> std::unique_ptr<BoostSession> {

@@ -1,9 +1,9 @@
 // Measures the serving layer's claim to exist: one pool prepared once inside
 // a BoostService answering a mixed (k, mode) query stream from 1, 2 and 4
-// concurrent client threads. Each request runs its selection single-worker,
-// so the client count is the only concurrency variable; throughput should
-// scale with clients on a multi-core box (on a 1-core CI container the
-// clients time-slice one core and the ratio stays ≈1×).
+// concurrent client threads. Each request's solve runs on its client's
+// thread, so the client count is the only concurrency variable; throughput
+// should scale with clients on a multi-core box (on a 1-core CI container
+// the clients time-slice one core and the ratio stays ≈1×).
 //
 // Every concurrent answer is compared bit-identically against a serial
 // reference pass — the process ABORTS on divergence, which is what makes
@@ -136,14 +136,13 @@ int main(int argc, char** argv) {
 
   // The query stream: budgets cycle the sweep, every other query downgrades
   // to the O(k) cached-order answer — the cheap/expensive mix a real serving
-  // tier sees. Selection runs single-worker per request (see header).
+  // tier sees. Each solve runs on its client's thread (see header).
   const size_t num_queries = 64 * sweep.size();
   std::vector<BoostRequest> requests(num_queries);
   for (size_t i = 0; i < num_queries; ++i) {
     requests[i].pool = "digg";
     requests[i].k = sweep[i % sweep.size()];
     requests[i].mode = i % 2 == 1 ? SolveMode::kLbOnly : SolveMode::kAuto;
-    requests[i].num_threads = 1;
   }
 
   // Serial reference: the bits every concurrent answer must reproduce.

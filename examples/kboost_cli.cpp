@@ -199,7 +199,7 @@ int Usage() {
       "      a snapshot without resampling (seeds/mode come from the file)\n"
       "      and --mmap-pool maps it instead of copying it in (zero-copy\n"
       "      for a nop-coded snapshot); --threads runs sampling and the\n"
-      "      sandwich estimate on N workers (each greedy runs on one);\n"
+      "      index builds on N workers (each solve runs on one);\n"
       "      --shards splits the pool into S arenas for parallel\n"
       "      sampling/refresh/snapshot I/O (answers are bit-identical for\n"
       "      every S)\n"
@@ -215,8 +215,7 @@ int Usage() {
       "      SIGTERM triggers the graceful drain; --listen=0 binds an\n"
       "      ephemeral port and prints it\n"
       "  query --connect=HOST:PORT --k=N [--pool=NAME]\n"
-      "        [--mode=auto|full|lb] [--threads=N] [--deadline-ms=N]\n"
-      "        [--timeout-ms=N]\n"
+      "        [--mode=auto|full|lb] [--deadline-ms=N] [--timeout-ms=N]\n"
       "      round-trip one query against a running kboostd and print the\n"
       "      typed outcome (exit 0 only when the remote solve succeeded)\n"
       "  serve-bench --graph=PATH (--load-pool=PATH [--mmap-pool] |\n"
@@ -643,8 +642,8 @@ int CmdServeBench(int argc, char** argv) {
               service.GetPool("pool")->engine().collection().num_shards());
 
   // The mixed query stream: budgets sweep the pool range, modes alternate
-  // native/LB on full pools. Each request runs its selection single-worker
-  // so the client count is the only concurrency variable.
+  // native/LB on full pools. Each solve runs on its client's thread, so the
+  // client count is the only concurrency variable.
   std::vector<BoostRequest> requests(num_queries);
   const size_t k_steps[] = {1, budget / 4, budget / 2, (3 * budget) / 4,
                             budget};
@@ -653,7 +652,6 @@ int CmdServeBench(int argc, char** argv) {
     requests[i].k = std::max<size_t>(1, k_steps[i % 5]);
     requests[i].mode =
         (!lb && i % 2 == 1) ? SolveMode::kLbOnly : SolveMode::kAuto;
-    requests[i].num_threads = 1;
   }
 
   // Serial reference pass: every concurrent answer must match these bits.

@@ -55,7 +55,6 @@ void CheckQueryRoundTrip(const uint8_t* body, size_t len) {
   FUZZ_ASSERT(again.pool == query.pool);
   FUZZ_ASSERT(again.k == query.k);
   FUZZ_ASSERT(again.mode == query.mode);
-  FUZZ_ASSERT(again.num_threads == query.num_threads);
   FUZZ_ASSERT(again.deadline_ms == query.deadline_ms);
 }
 

@@ -68,7 +68,6 @@ void GenerateWireCorpus(const fs::path& dir) {
   query.pool = "default";
   query.k = 5;
   query.mode = SolveMode::kAuto;
-  query.num_threads = 4;
   query.deadline_ms = 250;
   WriteCase(dir, "query.bin", EncodeQueryFrame(1, query));
 
@@ -301,6 +300,21 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   std::string zero_ell = v3_nop;
   PokeU64(&zero_ell, 40, 0);  // 0.0 ℓ — Validate() must reject, not abort
   WriteCase(dir, "zero_ell.bin", zero_ell);
+
+  // A live super-seed out-edge: graph 0's first out-edge (the super-seed's)
+  // with its boost bit cleared. Sampling never stores such an activated
+  // graph, so deep validation must reject it; it used to load and read
+  // Δ̂(∅) > 0.
+  std::string live_superseed = v3_nop;
+  const size_t edges_entry = SectionEntryOffset(d, 0, 5);
+  KB_CHECK(PeekU64(live_superseed, edges_entry + 16) >= sizeof(uint32_t));
+  const uint64_t edges_off = PeekU64(live_superseed, edges_entry);
+  uint32_t first_edge = 0;
+  std::memcpy(&first_edge, live_superseed.data() + edges_off,
+              sizeof(first_edge));
+  KB_CHECK((first_edge & 1u) != 0) << "super-seed edges are boost edges";
+  PokeU32(&live_superseed, edges_off, first_edge & ~1u);
+  WriteCase(dir, "live_superseed_edge.bin", live_superseed);
 }
 
 }  // namespace

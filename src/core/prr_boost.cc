@@ -101,6 +101,12 @@ const PrrCollection::LbResult& PrrBoostEngine::LbGreedyOrder() {
     // NodeSelectionLB at the full pool budget: maximize μ̂ by greedy
     // max-coverage over critical sets. Computed once; nested budgets slice.
     lb_order_ = collection_->SelectGreedyLowerBound(options_.k, excluded_);
+    // Δ̂ of every prefix in one pass, so a full solve's sandwich compare
+    // reads Δ̂(B_µ) instead of re-evaluating the pool.
+    if (!lb_only_) {
+      lb_order_.prefix_delta_hat = collection_->PrefixDeltaHat(
+          lb_order_.nodes, options_.num_threads);
+    }
     lb_order_ready_ = true;
   }
   return lb_order_;
@@ -113,15 +119,14 @@ void PrrBoostEngine::Prepare() {
   EnsureSampled();
   // Concurrent const Solve() calls must never take a lazy-build path: warm
   // every inverted index (per-shard builds fan out over the workers) and
-  // cache the LB greedy order now, while this thread still has the engine
-  // exclusively.
+  // cache the LB greedy order with its prefix estimates now, while this
+  // thread still has the engine exclusively.
   collection_->WarmIndexes(options_.num_threads);
   LbGreedyOrder();
   serving_ready_ = true;
 }
 
 BoostResult PrrBoostEngine::SolvePrepared(size_t k, bool lb_answer,
-                                          int num_threads,
                                           ShardedEvalState* eval_state,
                                           StopToken* stop) const {
   KB_DCHECK(sampled_ && lb_order_ready_);
@@ -138,16 +143,19 @@ BoostResult PrrBoostEngine::SolvePrepared(size_t k, bool lb_answer,
   } else {
     // NodeSelection: greedy on Δ̂ directly, reusing the same pool. Not
     // nested in k (Δ̂ gains are non-monotone), so selection re-runs per k.
+    // The LB order's prefix pass already built the indexes, so nothing here
+    // forks.
     PrrCollection::DeltaResult dr = collection_->SelectGreedyDelta(
-        k, excluded_, num_threads, eval_state, stop);
+        k, excluded_, /*num_threads=*/1, eval_state, stop);
     if (dr.cancelled || dr.deadline_exceeded) return result;
     result.delta_set = std::move(dr.nodes);
     result.delta_delta_hat = dr.delta_hat;
-    // One more phase remains (Δ̂ of the LB set); poll between phases so a
-    // deadline that passed during selection is honored before more work.
+    // The solve's last deadline check: when the Δ̂ heap starts empty the
+    // greedy never polls, so without it a deadline that passed after entry
+    // would go unnoticed.
     if (stop != nullptr && stop->ShouldStop()) return result;
     result.lb_delta_hat =
-        collection_->EstimateDelta(result.lb_set, num_threads);
+        take > 0 ? lb_order_.prefix_delta_hat[take - 1] : 0.0;
     // Sandwich pick: the better of B_µ and B_Δ under Δ̂ (Alg. 2 line 5).
     if (result.lb_delta_hat >= result.delta_delta_hat) {
       result.best_set = result.lb_set;
@@ -192,9 +200,8 @@ BoostResult PrrBoostEngine::SolveForBudget(size_t k) {
 
   WallTimer selection_timer;
   LbGreedyOrder();
-  BoostResult result =
-      SolvePrepared(k, lb_only_, options_.num_threads,
-                    &serial_context_.eval_state, /*stop=*/nullptr);
+  BoostResult result = SolvePrepared(k, lb_only_, &serial_context_.eval_state,
+                                     /*stop=*/nullptr);
   result.sampling_seconds = sampling_seconds;
   result.pool_reused = had_pool;
   result.selection_seconds = selection_timer.Seconds();
@@ -227,11 +234,9 @@ StatusOr<BoostResult> PrrBoostEngine::Solve(const SolveSpec& spec,
       }
       break;
   }
-  const int num_threads =
-      spec.num_threads == 0 ? options_.num_threads : spec.num_threads;
-  if (num_threads < 1 || num_threads > ThreadPool::kMaxWorkers) {
+  if (spec.num_threads < 0 || spec.num_threads > ThreadPool::kMaxWorkers) {
     return Status::InvalidArgument(
-        "request num_threads must be 0 (pool default) or in [1, " +
+        "request num_threads must be 0 or in [1, " +
         std::to_string(ThreadPool::kMaxWorkers) + "], got " +
         std::to_string(spec.num_threads));
   }
@@ -245,9 +250,9 @@ StatusOr<BoostResult> PrrBoostEngine::Solve(const SolveSpec& spec,
   MaybeInjectFaultDelay(FaultSite::kSolveStart);
 
   WallTimer selection_timer;
-  BoostResult result = SolvePrepared(
-      spec.k, lb_answer, num_threads,
-      context != nullptr ? &context->eval_state : nullptr, &stop);
+  BoostResult result =
+      SolvePrepared(spec.k, lb_answer,
+                    context != nullptr ? &context->eval_state : nullptr, &stop);
   if (stop.cancelled()) {
     return Status::Cancelled("request cancelled during selection");
   }

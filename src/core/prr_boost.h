@@ -59,10 +59,10 @@ enum class SolveMode {
 struct SolveSpec {
   size_t k = 0;  ///< budget; must be in [1, pool budget]
   SolveMode mode = SolveMode::kAuto;
-  /// Worker cap for this query's EstimateDelta of the LB set, the one
-  /// parallel step of a solve; the Δ̂ greedy runs on the calling thread, so
-  /// concurrency comes from concurrent queries. 0 = the pool's configured
-  /// count; otherwise must be in [1, ThreadPool::kMaxWorkers].
+  /// Unused: a prepared solve runs on its caller's thread end to end, so
+  /// concurrency comes from concurrent queries. Still range-checked (0, or
+  /// [1, ThreadPool::kMaxWorkers]) because kbench sets it; delete it with
+  /// the next change to the benchmark.
   int num_threads = 0;
   /// Optional cooperative cancellation: polled between greedy rounds AND
   /// every bounded stride of the per-pick Δ̂ re-evaluation scan, so even a
@@ -135,9 +135,10 @@ class PrrBoostEngine {
 
   /// Makes the engine ready for concurrent const Solve() calls: samples the
   /// pool (if needed), builds every lazily-constructed read-only index, and
-  /// caches the LB greedy order. Idempotent. After Prepare() the engine's
-  /// query surface is strictly read-only, which is the thread-safety
-  /// contract Solve() relies on.
+  /// caches the LB greedy order with μ̂ and (full pools) Δ̂ of every prefix.
+  /// Idempotent. After Prepare() the engine's query surface is strictly
+  /// read-only, which is the thread-safety contract Solve() relies on, and a
+  /// solve forks nothing: it runs on its caller's thread.
   void Prepare();
   /// Whether Prepare() has run (a snapshot-adopted pool still needs it).
   bool serving_ready() const { return serving_ready_; }
@@ -145,7 +146,8 @@ class PrrBoostEngine {
   /// Answers the k-boosting problem for any budget k ≤ options.k on the
   /// already-sampled pool — selection only, no resampling. LB answers are
   /// prefix slices of one cached greedy order (greedy on the submodular μ̂
-  /// yields nested solutions); full mode re-runs only the Δ̂ selection.
+  /// yields nested solutions); full mode re-runs only the Δ̂ selection and
+  /// reads Δ̂ of the LB prefix from the cache.
   /// The returned result carries pool_budget/pool_reused provenance.
   /// Serial convenience path: samples lazily, KB_CHECKs the budget, and
   /// reuses engine-owned scratch — NOT safe to call concurrently.
@@ -157,8 +159,8 @@ class PrrBoostEngine {
   /// number of threads may call Solve() simultaneously on one prepared
   /// engine, with results bit-identical to the serial SolveForBudget loop.
   /// Fails with FailedPrecondition before Prepare(), InvalidArgument for an
-  /// out-of-range budget/thread count or a full-mode request against an LB
-  /// pool, Cancelled when spec.cancel was raised mid-selection, and
+  /// out-of-range budget or spec.num_threads or a full-mode request against
+  /// an LB pool, Cancelled when spec.cancel was raised mid-selection, and
   /// DeadlineExceeded when spec.deadline_ns passed mid-selection.
   StatusOr<BoostResult> Solve(const SolveSpec& spec,
                               SolveContext* context = nullptr) const;
@@ -173,11 +175,13 @@ class PrrBoostEngine {
   const DirectedGraph& graph() const { return graph_; }
   const std::vector<NodeId>& seeds() const { return seeds_; }
   const BoostOptions& options() const { return options_; }
-  /// Overrides the worker count for subsequent selection and estimator
-  /// calls (the CLI's --threads). Sampling keeps the count the engine was
-  /// built with — pools are bit-identical for every thread count anyway.
-  /// Validated by BoostOptions::Validate (InvalidArgument when out of
-  /// range). Not safe to call while Solve() requests are in flight.
+  /// Overrides the worker count for later index builds (Prepare's warm-up,
+  /// or a cold EstimateDelta) — the CLI's --threads. Selection and Δ̂
+  /// estimates run on their caller's thread whatever it is, and sampling
+  /// keeps the count the engine was built with — pools are bit-identical
+  /// for every thread count anyway. Validated by BoostOptions::Validate
+  /// (InvalidArgument when out of range). Not safe to call while Solve()
+  /// requests are in flight.
   Status set_num_threads(int num_threads);
   bool lb_only() const { return lb_only_; }
   bool sampled() const { return sampled_; }
@@ -192,8 +196,9 @@ class PrrBoostEngine {
                  const PrrSamplerStats& stats, bool samples_capped);
 
  private:
-  /// The cached NodeSelectionLB greedy order at the full pool budget; every
-  /// smaller budget's LB answer is a prefix of it.
+  /// The cached NodeSelectionLB greedy order at the full pool budget, with
+  /// μ̂ and (full pools) Δ̂ of every prefix; every smaller budget's LB answer
+  /// is a prefix of it.
   const PrrCollection::LbResult& LbGreedyOrder();
 
   /// The one selection core both solve paths share. Requires a sampled pool
@@ -203,7 +208,7 @@ class PrrBoostEngine {
   /// when it trips, the partial result is returned as-is and the caller
   /// inspects the token for the reason. Timing/provenance fields are left
   /// for the caller.
-  BoostResult SolvePrepared(size_t k, bool lb_answer, int num_threads,
+  BoostResult SolvePrepared(size_t k, bool lb_answer,
                             ShardedEvalState* eval_state,
                             StopToken* stop) const;
 

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "src/select/greedy.h"
-#include "src/sim/boost_model.h"
 #include "src/util/fault.h"
 #include "src/util/thread_pool.h"
 
@@ -455,23 +454,45 @@ PrrCollection::DeltaResult PrrCollection::SelectGreedyDelta(
   return result;
 }
 
+std::vector<double> PrrCollection::PrefixDeltaHat(
+    std::span<const NodeId> order, int num_threads) const {
+  if (num_samples() == 0) return std::vector<double>(order.size(), 0.0);
+  EnsureGraphIndex(num_threads);
+  // Boosting only opens edges, so an activated graph stays activated and is
+  // never re-evaluated. The count sums over graphs, so the shard partition
+  // does not show in it.
+  std::vector<std::vector<uint8_t>> activated(stores_.size());
+  for (size_t s = 0; s < stores_.size(); ++s) {
+    activated[s].assign(stores_[s].num_graphs(), 0);
+  }
+  std::vector<uint8_t> boosted(num_graph_nodes_, 0);
+  PrrEvaluator evaluator;
+  std::vector<double> prefix;
+  prefix.reserve(order.size());
+  size_t count = 0;
+  for (const NodeId v : order) {
+    KB_CHECK(v < num_graph_nodes_) << "node " << v << " out of range";
+    boosted[v] = 1;
+    for (size_t s = 0; s < stores_.size(); ++s) {
+      for (const uint32_t g : ShardGraphsContaining(s, v)) {
+        if (activated[s][g] == 0 &&
+            evaluator.IsActivated(stores_[s].View(g), boosted.data())) {
+          activated[s][g] = 1;
+          ++count;
+        }
+      }
+    }
+    prefix.push_back(static_cast<double>(num_graph_nodes_) *
+                     static_cast<double>(count) /
+                     static_cast<double>(num_samples()));
+  }
+  return prefix;
+}
+
 double PrrCollection::EstimateDelta(const std::vector<NodeId>& boost_set,
                                     int num_threads) const {
-  if (num_samples() == 0) return 0.0;
-  const std::vector<uint8_t> boosted =
-      MakeNodeBitmap(num_graph_nodes_, boost_set);
-  // Batched evaluation: activation bits for 64 graphs land in one word per
-  // worker-owned chunk; the count is a popcount reduction, no atomics. The
-  // per-shard counts are summed — addition makes the result shard-count-
-  // invariant.
-  PrrBatchEvaluator batch;
-  size_t activated = 0;
-  for (const PrrStore& store : stores_) {
-    activated += batch.CountActivated(store, boosted.data(), num_threads);
-  }
-  return static_cast<double>(num_graph_nodes_) *
-         static_cast<double>(activated) /
-         static_cast<double>(num_samples());
+  const std::vector<double> prefix = PrefixDeltaHat(boost_set, num_threads);
+  return prefix.empty() ? 0.0 : prefix.back();
 }
 
 double PrrCollection::EstimateMu(const std::vector<NodeId>& boost_set) const {

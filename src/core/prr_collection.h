@@ -32,13 +32,13 @@ namespace kboost {
 /// bit-identical across shard counts too (the union of shards is the same
 /// multiset of samples; greedy ties break on node ids, never on sample or
 /// graph numbering). Sharding only decides how wide sampling, index builds
-/// and snapshot I/O can go; the Δ̂ greedy runs on its caller's thread at
-/// every S.
+/// and snapshot I/O can go; the Δ̂ greedy and Δ̂ estimates run on their
+/// caller's thread at every S.
 ///
-/// The per-shard node→graphs inverted index used by the greedy is a flat CSR
-/// built lazily in one counting-sort pass over each arena (the super-seed
-/// sentinel at local id 0 is skipped — it has no global identity). Appending
-/// samples therefore never grows per-node vectors.
+/// The per-shard node→graphs inverted index they use is a flat CSR built
+/// lazily in one counting-sort pass over each arena (the super-seed
+/// sentinel at local id 0 is skipped — it has no global identity).
+/// Appending samples therefore never grows per-node vectors.
 class PrrCollection {
  public:
   /// Upper bound on the shard count (BoostOptions::Validate enforces the
@@ -121,6 +121,8 @@ class PrrCollection {
     double mu_hat = 0.0;
     /// μ̂(nodes[0..i]) for each i — the nested-budget answers.
     std::vector<double> prefix_mu_hat;
+    /// Δ̂(nodes[0..i]) for each i; PrrBoostEngine fills it on full pools.
+    std::vector<double> prefix_delta_hat;
   };
   LbResult SelectGreedyLowerBound(size_t k,
                                   const std::vector<uint8_t>& excluded) const;
@@ -165,7 +167,15 @@ class PrrCollection {
                                 ShardedEvalState* eval_state = nullptr,
                                 StopToken* stop = nullptr) const;
 
-  /// Δ̂_R(B) for an arbitrary boost set (full mode only).
+  /// Δ̂ of every prefix of `order` (entry i is Δ̂_R(order[0..i])), on the
+  /// calling thread. Every stored graph has f_R(∅) = 0, so adding v can flip
+  /// only the graphs containing v: the reference PrrEvaluator re-runs on the
+  /// not-yet-activated ones among them. `num_threads` only sizes a cold
+  /// index build. Full mode only.
+  std::vector<double> PrefixDeltaHat(std::span<const NodeId> order,
+                                     int num_threads = 1) const;
+  /// Δ̂_R(B) for an arbitrary boost set (full mode only): the last entry of
+  /// PrefixDeltaHat(B), or 0 for an empty set.
   double EstimateDelta(const std::vector<NodeId>& boost_set,
                        int num_threads = 1) const;
   /// μ̂_R(B) for an arbitrary boost set (works in both modes).
@@ -229,8 +239,8 @@ class PrrCollection {
   /// concurrent readers must be warmed once, from one thread, before serving
   /// starts — PrrBoostEngine::Prepare does. After warming, every read-only
   /// query path (SelectGreedyLowerBound, SelectGreedyDelta with per-call
-  /// eval state, EstimateDelta, EstimateMu, ShardGraphsContaining) is safe
-  /// to run concurrently.
+  /// eval state, PrefixDeltaHat, EstimateDelta, EstimateMu,
+  /// ShardGraphsContaining) is safe to run concurrently.
   void WarmIndexes(int num_threads = 1) const;
 
  private:

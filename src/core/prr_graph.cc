@@ -1,11 +1,9 @@
 #include "src/core/prr_graph.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "src/core/prr_store.h"
 #include "src/util/logging.h"
-#include "src/util/thread_pool.h"
 
 namespace kboost {
 
@@ -515,14 +513,6 @@ void PrrGenerator::ExtractCriticalLbOnly(uint32_t root_local,
   }
 }
 
-void PrrEvaluator::Reserve(uint32_t max_nodes) {
-  if (fwd0_.size() < max_nodes) {
-    fwd0_.resize(max_nodes);
-    bwd0_.resize(max_nodes);
-  }
-  queue_.reserve(max_nodes);
-}
-
 void PrrEvaluator::PrepareMarks(uint32_t n) {
   if (fwd0_.size() < n) {
     fwd0_.resize(n);
@@ -813,37 +803,6 @@ bool PrrIncrementalEvaluator::RebuildReach(const PrrGraphView& g,
     }
   }
   return TestBit(fwd, PrrGraph::kRootLocal);
-}
-
-size_t PrrBatchEvaluator::CountActivated(
-    const PrrStore& store, const uint8_t* boosted_global, int num_threads,
-    std::vector<uint64_t>* activation_words) {
-  const size_t num_graphs = store.num_graphs();
-  const size_t num_words = (num_graphs + 63) / 64;
-  words_.assign(num_words, 0);
-  const int threads = std::max(1, num_threads);
-  if (evaluators_.size() < static_cast<size_t>(threads)) {
-    evaluators_.resize(threads);
-  }
-  for (PrrEvaluator& e : evaluators_) e.Reserve(store.max_num_nodes());
-  ParallelFor(
-      num_words, threads,
-      [&](size_t w, int t) {
-        const size_t begin = w * 64;
-        const size_t end = std::min(num_graphs, begin + 64);
-        uint64_t word = 0;
-        for (size_t g = begin; g < end; ++g) {
-          word |= static_cast<uint64_t>(evaluators_[t].IsActivated(
-                      store.View(g), boosted_global))
-                  << (g - begin);
-        }
-        words_[w] = word;
-      },
-      /*chunk=*/2);
-  size_t count = 0;
-  for (const uint64_t w : words_) count += std::popcount(w);
-  if (activation_words != nullptr) *activation_words = words_;
-  return count;
 }
 
 }  // namespace kboost

@@ -211,16 +211,11 @@ class PrrGenerator {
 
 /// Evaluates f_R(B) and per-node criticality on compressed PRR-graphs from
 /// scratch (a full 0-weight BFS per call). Holds scratch; one instance per
-/// thread. This is the reference evaluator; PrrIncrementalEvaluator and
-/// PrrBatchEvaluator are the hot-path variants built on the same semantics.
+/// thread. This is the reference evaluator: PrrCollection::PrefixDeltaHat
+/// runs IsActivated on the graphs each added node can flip, and
+/// PrrIncrementalEvaluator is the Δ̂ greedy's variant on the same semantics.
 class PrrEvaluator {
  public:
-  /// Grow-only scratch sizing: pre-sizes the reach marks and queue for
-  /// graphs of up to `max_nodes` local nodes, so per-graph evaluation never
-  /// reallocates. Call once per evaluation run with the pool's max local node
-  /// count (PrrStore::max_num_nodes); buffers never shrink.
-  void Reserve(uint32_t max_nodes);
-
   /// f_R(B): is the root activated under boost set B (given as an n-sized
   /// global bitmap)? Implemented as 0-weight reachability from the
   /// super-seed, where live edges and boost edges into B have weight 0.
@@ -299,26 +294,6 @@ class PrrIncrementalEvaluator {
  private:
   std::vector<uint32_t> stack_;
   std::vector<uint32_t> newly_fwd_, newly_bwd_;
-};
-
-/// Word-packed batch evaluation of one boost set against many graphs: the
-/// activation bit of graph g lands in word g/64, bit g%64. Workers own
-/// disjoint whole words (each work item is one word, i.e. 64 graphs), so
-/// packing needs no atomics, results are deterministic for every thread
-/// count, and the activated total is one popcount reduction.
-class PrrBatchEvaluator {
- public:
-  /// Evaluates every graph of `store` under `boosted_global` on
-  /// `num_threads` workers with per-thread scratch. Returns the number of
-  /// activated graphs; when `activation_words` is non-null it receives the
-  /// packed activation bitmap (ceil(num_graphs/64) words).
-  size_t CountActivated(const PrrStore& store, const uint8_t* boosted_global,
-                        int num_threads,
-                        std::vector<uint64_t>* activation_words = nullptr);
-
- private:
-  std::vector<PrrEvaluator> evaluators_;
-  std::vector<uint64_t> words_;
 };
 
 }  // namespace kboost

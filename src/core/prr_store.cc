@@ -49,7 +49,6 @@ size_t PrrStore::Append(std::span<const NodeId> global_ids,
   AppendSpan(critical_, critical_locals);
 
   meta_.push_back(meta);
-  max_num_nodes_ = std::max(max_num_nodes_, meta.num_nodes);
   generation_ = NextGeneration();
   return meta_.size() - 1;
 }
@@ -158,7 +157,6 @@ Status PrrStore::BuildMetaFromSizes(std::span<const uint32_t> num_nodes,
   meta_.clear();
   meta_.reserve(num_graphs);  // push_back below: no zero-fill double write
   uint64_t node_begin = 0, edge_begin = 0, critical_begin = 0;
-  uint32_t max_nodes = max_num_nodes_;
   uint64_t expected_descents = 0;
   bool bounds_ok = true;
   for (size_t g = 0; g < num_graphs; ++g) {
@@ -169,7 +167,6 @@ Status PrrStore::BuildMetaFromSizes(std::span<const uint32_t> num_nodes,
     const uint32_t edges = oo[off + n];
     bounds_ok &= oo[off] == 0 && io[off] == 0 && edges == io[off + n];
     expected_descents += edges > 0;
-    if (n > max_nodes) max_nodes = n;
     node_begin += n;
     edge_begin += edges;
     critical_begin += criticals;
@@ -205,7 +202,6 @@ Status PrrStore::BuildMetaFromSizes(std::span<const uint32_t> num_nodes,
     return Status::InvalidArgument("malformed offsets in arena graph " +
                                    std::to_string(bad));
   }
-  max_num_nodes_ = max_nodes;
   generation_ = NextGeneration();
   *total_edges = edge_begin;
   *total_critical = critical_begin;
@@ -213,7 +209,8 @@ Status PrrStore::BuildMetaFromSizes(std::span<const uint32_t> num_nodes,
 }
 
 Status PrrStore::ValidateDeep() const {
-  // Every packed edge endpoint and critical id must be a valid local node.
+  // Every packed edge endpoint and critical id must be a valid local node,
+  // and every super-seed out-edge must be a boost edge.
   const std::span<const uint32_t> oo = raw_out_offsets();
   const std::span<const uint32_t> oe = raw_out_edges();
   const std::span<const uint32_t> ie = raw_in_edges();
@@ -226,6 +223,17 @@ Status PrrStore::ValidateDeep() const {
           PrrGraph::EdgeNode(ie[m.edge_begin + e]) >= m.num_nodes) {
         return Status::OutOfRange("edge endpoint out of range in arena graph " +
                                   std::to_string(g));
+      }
+    }
+    // A live super-seed edge would make f_R(∅) = 1: an activated sample,
+    // which sampling never stores and which every Δ̂ path assumes absent.
+    if (m.num_nodes > 0) {
+      const uint64_t ss = m.node_begin + g + PrrGraph::kSuperSeedLocal;
+      for (uint64_t e = oo[ss]; e < oo[ss + 1]; ++e) {
+        if (!PrrGraph::EdgeBoost(oe[m.edge_begin + e])) {
+          return Status::InvalidArgument(
+              "live super-seed out-edge in arena graph " + std::to_string(g));
+        }
       }
     }
     for (uint32_t c = 0; c < m.num_critical; ++c) {
@@ -282,7 +290,6 @@ void PrrStore::Clear() {
   ext_out_edges_ = {};
   ext_in_edges_ = {};
   ext_critical_ = {};
-  max_num_nodes_ = 0;
   generation_ = NextGeneration();
 }
 

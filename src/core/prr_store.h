@@ -106,9 +106,6 @@ class PrrStore {
   size_t total_nodes() const { return raw_global_ids().size(); }
   size_t critical_count(size_t id) const { return meta_[id].num_critical; }
   uint32_t num_nodes(size_t id) const { return meta_[id].num_nodes; }
-  /// Largest per-graph local node count in the arena — the grow-only scratch
-  /// bound batch evaluators reserve once per estimate.
-  uint32_t max_num_nodes() const { return max_num_nodes_; }
   /// Redrawn on every mutation (Append/Clear/AttachExternal) from one
   /// process-wide counter, so two stores share a generation only when one is
   /// a copy of the other — never two pools that happen to reuse an address.
@@ -144,14 +141,14 @@ class PrrStore {
   /// both ownership modes): lengths consistent with the size table, offsets
   /// graph-relative, monotone and out/in-consistent. Outputs the implied
   /// edge-pool and critical-pool lengths; the caller checks (or reads) those
-  /// sections against them. Sets max_num_nodes_ and a fresh generation_ on
-  /// success.
+  /// sections against them. Sets a fresh generation_ on success.
   Status BuildMetaFromSizes(std::span<const uint32_t> num_nodes,
                             std::span<const uint32_t> num_critical,
                             uint64_t* total_edges, uint64_t* total_critical);
 
   /// O(total_edges) walk: every packed edge endpoint and critical id must be
-  /// a valid local node of its graph. Requires a built meta table.
+  /// a valid local node of its graph, and every super-seed out-edge must be
+  /// a boost edge (f_R(∅) = 0). Requires a built meta table.
   Status ValidateDeep() const;
 
   std::vector<Meta> meta_;
@@ -175,7 +172,6 @@ class PrrStore {
   std::span<const uint32_t> ext_out_edges_;
   std::span<const uint32_t> ext_in_edges_;
   std::span<const uint32_t> ext_critical_;
-  uint32_t max_num_nodes_ = 0;
   uint64_t generation_ = 0;
 };
 

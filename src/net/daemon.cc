@@ -279,8 +279,8 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
 
 int RunQueryCommand(int argc, char** argv, int flag_start) {
   if (!ValidateFlags(argc, argv, flag_start, "query",
-                     {"--connect", "--pool", "--k", "--mode", "--threads",
-                      "--deadline-ms", "--timeout-ms"})) {
+                     {"--connect", "--pool", "--k", "--mode", "--deadline-ms",
+                      "--timeout-ms"})) {
     return 2;
   }
   const char* connect = FlagValue(argc, argv, flag_start, "--connect");
@@ -288,8 +288,8 @@ int RunQueryCommand(int argc, char** argv, int flag_start) {
   if (connect == nullptr || k_s == nullptr) {
     std::fprintf(stderr,
                  "usage: query --connect=HOST:PORT --k=N [--pool=NAME]\n"
-                 "             [--mode=auto|full|lb] [--threads=N]\n"
-                 "             [--deadline-ms=N] [--timeout-ms=N]\n");
+                 "             [--mode=auto|full|lb] [--deadline-ms=N]\n"
+                 "             [--timeout-ms=N]\n");
     return 2;
   }
   std::string host;
@@ -299,19 +299,13 @@ int RunQueryCommand(int argc, char** argv, int flag_start) {
   WireQuery query;
   const char* pool = FlagValue(argc, argv, flag_start, "--pool");
   query.pool = pool != nullptr ? pool : "pool";
-  uint64_t threads = 0, timeout_ms = 30000;
+  uint64_t timeout_ms = 30000;
   if (!ParseUint64Flag(argc, argv, flag_start, "--k", &query.k) ||
-      !ParseUint64Flag(argc, argv, flag_start, "--threads", &threads) ||
       !ParseUint64Flag(argc, argv, flag_start, "--deadline-ms",
                        &query.deadline_ms) ||
       !ParseUint64Flag(argc, argv, flag_start, "--timeout-ms", &timeout_ms)) {
     return 2;
   }
-  if (threads > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    std::fprintf(stderr, "error: --threads out of range\n");
-    return 2;
-  }
-  query.num_threads = static_cast<int32_t>(threads);
   if (!ParseMode(FlagValue(argc, argv, flag_start, "--mode"), &query.mode)) {
     return 2;
   }

@@ -714,7 +714,6 @@ void KboostServer::WorkerLoop() {
         request.pool = item.query.pool;
         request.k = static_cast<size_t>(item.query.k);
         request.mode = item.query.mode;
-        request.num_threads = static_cast<int>(item.query.num_threads);
         request.deadline_ms = item.query.deadline_ms;
         request.cancel = &drain_cancel_;
         StatusOr<BoostResponse> solved = service_->Solve(request, &context);

@@ -309,7 +309,6 @@ std::string EncodeQueryFrame(uint32_t request_id, const WireQuery& query) {
   AppendString(query.pool, &body);
   AppendU64(query.k, &body);
   AppendU8(static_cast<uint8_t>(query.mode), &body);
-  AppendU32(static_cast<uint32_t>(query.num_threads), &body);
   AppendU64(query.deadline_ms, &body);
   return Frame(FrameType::kQuery, request_id, std::move(body));
 }
@@ -317,10 +316,9 @@ std::string EncodeQueryFrame(uint32_t request_id, const WireQuery& query) {
 Status DecodeQueryBody(const uint8_t* body, size_t len, WireQuery* out) {
   Reader reader(body, len);
   uint8_t mode = 0;
-  uint32_t num_threads = 0;
   if (!reader.ReadString(&out->pool) || !reader.ReadU64(&out->k) ||
-      !reader.ReadU8(&mode) || !reader.ReadU32(&num_threads) ||
-      !reader.ReadU64(&out->deadline_ms) || !reader.AtEnd()) {
+      !reader.ReadU8(&mode) || !reader.ReadU64(&out->deadline_ms) ||
+      !reader.AtEnd()) {
     return Malformed("query");
   }
   if (mode > static_cast<uint8_t>(SolveMode::kLbOnly)) {
@@ -328,7 +326,6 @@ Status DecodeQueryBody(const uint8_t* body, size_t len, WireQuery* out) {
                                    std::to_string(mode) + " on the wire");
   }
   out->mode = static_cast<SolveMode>(mode);
-  out->num_threads = static_cast<int32_t>(num_threads);
   return Status::Ok();
 }
 

@@ -347,7 +347,6 @@ StatusOr<BoostResponse> BoostService::Solve(const BoostRequest& request,
   SolveSpec spec;
   spec.k = request.k;
   spec.mode = request.mode;
-  spec.num_threads = request.num_threads;
   spec.cancel = request.cancel;
   spec.deadline_ns = deadline_ns;
   bool degraded = false;

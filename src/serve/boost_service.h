@@ -22,7 +22,9 @@ namespace kboost {
 /// request of the serving API. Everything a client may vary per query lives
 /// here; everything else (the graph, the seed set, ε/ℓ, the sampled pool)
 /// is fixed per pool at registration time, which is what makes the answer
-/// path read-only and therefore concurrent.
+/// path read-only and therefore concurrent. A request has no thread knob: its
+/// solve runs on the calling thread, so concurrency comes from concurrent
+/// requests.
 struct BoostRequest {
   std::string pool;  ///< registered pool name
   size_t k = 0;      ///< budget; must be in [1, pool budget]
@@ -30,11 +32,6 @@ struct BoostRequest {
   /// full pool to the O(k) cached-order answer; kFull is rejected against
   /// LB-only pools. (SolveMode/SolveSpec are defined in src/core.)
   SolveMode mode = SolveMode::kAuto;
-  /// Worker cap for this query's EstimateDelta of the LB set, the one
-  /// parallel step of a solve; the Δ̂ greedy runs on the solving thread, so
-  /// concurrency comes from concurrent queries. 0 = the pool's configured
-  /// count.
-  int num_threads = 0;
   /// Optional cooperative cancellation; polled between greedy rounds AND
   /// every bounded stride of the per-pick Δ̂ re-evaluation scan, so even a
   /// one-pick solve cancels promptly. Must outlive the Solve() call.

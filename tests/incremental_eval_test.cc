@@ -1,12 +1,14 @@
 // Equivalence tests for the incremental evaluation engine: the cached
 // fwd/bwd/crit bitmap state relaxed per commit must reproduce the scratch
 // evaluator's answers exactly — for reachability, critical sets, per-pick Δ̂
-// gains, batched estimators and the bulk shard-merge coverage path — across
-// random graphs, random commit orders, thread counts and pool reuse.
+// gains, the estimators (including Δ̂ of every cached LB prefix) and the bulk
+// shard-merge coverage path — across random graphs, random commit orders,
+// thread counts, shard counts, snapshot loads and pool reuse.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -22,6 +24,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/probability_models.h"
 #include "src/im/coverage.h"
+#include "src/io/pool_io.h"
 #include "src/sim/boost_model.h"
 #include "src/util/rng.h"
 
@@ -236,16 +239,25 @@ size_t ScratchActivated(const PrrCollection& collection,
       MakeNodeBitmap(collection.num_graph_nodes(), boost_set);
   PrrEvaluator scratch;
   size_t activated = 0;
-  for (size_t g = 0; g < collection.store().num_graphs(); ++g) {
-    activated += scratch.IsActivated(collection.store().View(g),
-                                     boosted.data());
+  for (const PrrStore& store : collection.shards()) {
+    for (size_t g = 0; g < store.num_graphs(); ++g) {
+      activated += scratch.IsActivated(store.View(g), boosted.data());
+    }
   }
   return activated;
 }
 
+/// n·(scratch activations over every stored graph)/θ — Δ̂ by definition.
+double ScratchDeltaHat(const PrrCollection& collection,
+                       const std::vector<NodeId>& boost_set) {
+  return static_cast<double>(collection.num_graph_nodes()) *
+         static_cast<double>(ScratchActivated(collection, boost_set)) /
+         static_cast<double>(collection.num_samples());
+}
+
 /// The dataset-scale gate: on the digg stand-in pool the engine's Δ̂ greedy
-/// must match the from-scratch reference pick for pick, and the batched
-/// EstimateDelta must match a scratch activation count, at 1 and 4 threads.
+/// must match the from-scratch reference pick for pick, and EstimateDelta
+/// must match a scratch activation count, at 1 and 4 threads.
 TEST(IncrementalEvalTest, StandInPoolMatchesScratchReference) {
   const Dataset dataset = MakeDataset(SpecByName("digg", 0.02));
   const size_t n = dataset.graph.num_nodes();
@@ -395,19 +407,67 @@ TEST(IncrementalEvalTest, EstimatorsMatchScratchLoops) {
     for (int threads : {1, 4}) {
       EXPECT_DOUBLE_EQ(collection.EstimateDelta(boost_set, threads), want);
     }
-    // Batch evaluator exposes the packed activation bitmap too.
-    PrrBatchEvaluator batch;
-    std::vector<uint64_t> bits;
-    EXPECT_EQ(batch.CountActivated(collection.store(), boosted.data(), 4,
-                                   &bits),
-              activated);
-    ASSERT_EQ(bits.size(), (collection.store().num_graphs() + 63) / 64);
-    for (size_t g = 0; g < collection.store().num_graphs(); ++g) {
-      EXPECT_EQ((bits[g >> 6] >> (g & 63)) & 1,
-                static_cast<uint64_t>(scratch.IsActivated(
-                    collection.store().View(g), boosted.data())));
+  }
+}
+
+/// Δ̂ of every LB prefix is cached at Prepare and read by each full solve;
+/// it must equal a scratch evaluation of the k-prefix over every stored
+/// graph, exactly, on fresh, owned-loaded and mmap-loaded pools at S = 1
+/// and S = 4. EstimateDelta's edge cases (empty set, repeated node, a seed)
+/// must match the scratch count too.
+TEST(IncrementalEvalTest, LbPrefixDeltaHatIsExactOnEveryPool) {
+  DirectedGraph graph = MakeRandomGraph(9001, 120, 720);
+  const std::vector<NodeId> seeds = {0, 1, 2};
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "kboost_lb_prefix.bin")
+          .string();
+  for (int shards : {1, 4}) {
+    BoostOptions options;
+    options.k = 15;
+    options.epsilon = 0.7;
+    options.seed = 123;
+    options.num_threads = 2;
+    options.num_shards = shards;
+    options.max_samples = 3000;
+    BoostSession fresh(graph, seeds, options);
+    fresh.Prepare();
+    ASSERT_TRUE(SavePoolSnapshot(fresh, path, PoolSaveOptions{}).ok());
+    PoolLoadOptions mmap;
+    mmap.use_mmap = true;
+    StatusOr<std::unique_ptr<BoostSession>> owned =
+        LoadPoolSnapshot(graph, path, PoolLoadOptions{});
+    StatusOr<std::unique_ptr<BoostSession>> mapped =
+        LoadPoolSnapshot(graph, path, mmap);
+    ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+    const std::pair<const char*, BoostSession*> pools[] = {
+        {"fresh", &fresh}, {"owned", owned->get()}, {"mmap", mapped->get()}};
+    for (const auto& [name, session] : pools) {
+      SCOPED_TRACE(std::string(name) + " S=" + std::to_string(shards));
+      session->Prepare();  // a loaded pool caches its LB order here
+      const PrrCollection& collection = session->engine().collection();
+      ASSERT_GT(collection.num_stored_graphs(), 0u);
+      for (size_t k = 1; k <= options.k; ++k) {
+        SolveSpec spec;
+        spec.k = k;
+        StatusOr<BoostResult> result = session->Solve(spec);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result->lb_delta_hat,
+                  ScratchDeltaHat(collection, result->lb_set))
+            << "k=" << k;
+      }
+      const NodeId v = session->Solve(SolveSpec{.k = 1})->lb_set.at(0);
+      for (const std::vector<NodeId>& set :
+           {std::vector<NodeId>{}, std::vector<NodeId>{v, v},
+            std::vector<NodeId>{seeds[0], v}}) {
+        EXPECT_EQ(collection.EstimateDelta(set),
+                  ScratchDeltaHat(collection, set))
+            << "set size " << set.size();
+      }
     }
   }
+  std::filesystem::remove(path);
 }
 
 /// Pool reuse: one session answering several budgets (in both directions)

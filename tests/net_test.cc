@@ -170,7 +170,6 @@ TEST(WireQueryTest, QueryRoundTripsEveryFieldAndMode) {
     query.pool = "digg-pool";
     query.k = 17;
     query.mode = mode;
-    query.num_threads = 3;
     query.deadline_ms = 2500;
     const std::string frame = EncodeQueryFrame(9, query);
     FrameHeader header;
@@ -188,7 +187,6 @@ TEST(WireQueryTest, QueryRoundTripsEveryFieldAndMode) {
     EXPECT_EQ(out.pool, query.pool);
     EXPECT_EQ(out.k, query.k);
     EXPECT_EQ(out.mode, query.mode);
-    EXPECT_EQ(out.num_threads, query.num_threads);
     EXPECT_EQ(out.deadline_ms, query.deadline_ms);
   }
 }
@@ -550,7 +548,6 @@ TEST_F(NetServerTest, WireAnswersAreBitIdenticalToInProcessSolve) {
       query.pool = "pool";
       query.k = k;
       query.mode = mode;
-      query.num_threads = 1;
       StatusOr<WireQueryReply> wire = client->Query(query);
       ASSERT_TRUE(wire.ok()) << wire.status().ToString();
       ASSERT_TRUE(wire.value().status.ok())
@@ -560,7 +557,6 @@ TEST_F(NetServerTest, WireAnswersAreBitIdenticalToInProcessSolve) {
       request.pool = "pool";
       request.k = k;
       request.mode = mode;
-      request.num_threads = 1;
       StatusOr<BoostResponse> local = service_->Solve(request);
       ASSERT_TRUE(local.ok()) << local.status().ToString();
 

@@ -818,7 +818,7 @@ TEST(BoostServiceConcurrencyTest, MixedQueriesFromManyThreadsAreBitIdentical) {
                                      MakeOptions(16), /*lb_only=*/true))
                   .ok());
 
-  // 32 queries cycling budgets 1..16, pools, modes and worker counts.
+  // 32 queries cycling budgets 1..16, pools and modes.
   std::vector<BoostRequest> requests;
   for (size_t i = 0; i < 32; ++i) {
     BoostRequest r;
@@ -826,7 +826,6 @@ TEST(BoostServiceConcurrencyTest, MixedQueriesFromManyThreadsAreBitIdentical) {
     r.pool = (i % 3 == 0) ? "lb" : "full";
     r.mode = (r.pool == "full" && i % 4 == 1) ? SolveMode::kLbOnly
                                               : SolveMode::kAuto;
-    r.num_threads = (i % 2 == 0) ? 1 : 2;
     requests.push_back(std::move(r));
   }
 

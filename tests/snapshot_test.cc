@@ -613,6 +613,33 @@ TEST_F(V3CorruptionTest, CriticalEntryAtSuperSeedSlotIsRejected) {
   EXPECT_FALSE(LoadPoolSnapshot(graph_, path_, verify).ok());
 }
 
+TEST_F(V3CorruptionTest, LiveSuperSeedEdgeIsRejected) {
+  // Sampling stores only graphs with f_R(∅) = 0, so every super-seed
+  // out-edge is a boost edge. Shard 0's first out-edge is graph 0's first
+  // super-seed edge; with its boost bit cleared the graph is an activated
+  // sample, which used to load and read Δ̂(∅) > 0.
+  const size_t entry = SectionEntryOffset(dir_, 0, 5);
+  ASSERT_GE(PeekU64(bytes_, entry + 16), 4u);  // shard 0 stores edges
+  const uint64_t edges_offset = PeekU64(bytes_, entry);
+  uint32_t first_edge = 0;
+  std::memcpy(&first_edge, bytes_.data() + edges_offset, sizeof(first_edge));
+  ASSERT_TRUE(PrrGraph::EdgeBoost(first_edge));
+  PokeU32(&bytes_, edges_offset, first_edge & ~1u);
+  WriteFileBytes(path_, bytes_);
+  StatusOr<std::unique_ptr<BoostSession>> r = Load(graph_, path_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("super-seed"), std::string::npos)
+      << r.status().ToString();
+  PoolLoadOptions verify;
+  verify.use_mmap = true;
+  verify.verify_mapped = true;
+  StatusOr<std::unique_ptr<BoostSession>> m =
+      LoadPoolSnapshot(graph_, path_, verify);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(V3CorruptionTest, InvalidHeaderSamplingOptionsAreRejectedTyped) {
   // ℓ lives at header offset 40; zero must be a typed rejection — it used
   // to reach the trusting BoostSession constructor and KB_CHECK-abort the
