@@ -8,9 +8,8 @@
 //     IEEE-754 bit patterns, so exact == is the gate);
 //   - every overload outcome crosses the wire as a typed frame — admission
 //     shed (ResourceExhausted), deadline miss (DeadlineExceeded), dispatch
-//     queue reject (Unavailable), degraded answer (OK + degraded flag,
-//     bit-identical to explicit LB-only) — with zero untyped errors and
-//     zero dropped connections;
+//     queue reject (Unavailable) — with zero untyped errors and zero dropped
+//     connections;
 //   - when a storm drains, the service's admission gauges read empty and
 //     the server has no leaked connections or protocol errors.
 //
@@ -139,7 +138,6 @@ bool SameBits(const WireQueryReply& got, const BoostResponse& want) {
 
 struct NetOutcome {
   size_t answered = 0;
-  size_t degraded = 0;
   size_t shed = 0;           // typed ResourceExhausted replies
   size_t deadline_missed = 0;
   size_t unavailable = 0;    // typed Unavailable replies (queue/drain)
@@ -151,13 +149,12 @@ struct NetOutcome {
 
 /// Fires `per_client` wire queries from each of `clients` connections at
 /// host:port and classifies every reply against `reference` (the request's
-/// own mode) and `lb_reference` (what a degraded answer must equal).
+/// own mode).
 NetOutcome RunNetStorm(const std::string& host, uint16_t port,
                        const std::vector<WireQuery>& requests,
                        const std::vector<BoostResponse>& reference,
-                       const std::vector<BoostResponse>& lb_reference,
                        size_t clients, size_t per_client) {
-  std::atomic<size_t> answered{0}, degraded{0}, shed{0}, missed{0};
+  std::atomic<size_t> answered{0}, shed{0}, missed{0};
   std::atomic<size_t> unavailable{0}, untyped{0}, divergent{0};
   std::mutex latency_mutex;
   std::vector<double> latencies;
@@ -191,10 +188,7 @@ NetOutcome RunNetStorm(const std::string& host, uint16_t port,
         if (code == StatusCode::kOk) {
           answered.fetch_add(1, std::memory_order_relaxed);
           local_latencies.push_back(latency_ms);
-          const BoostResponse& expect =
-              r->degraded ? lb_reference[q] : reference[q];
-          if (r->degraded) degraded.fetch_add(1, std::memory_order_relaxed);
-          if (!SameBits(*r, expect)) {
+          if (!SameBits(*r, reference[q])) {
             divergent.fetch_add(1, std::memory_order_relaxed);
           }
         } else if (code == StatusCode::kResourceExhausted) {
@@ -217,7 +211,6 @@ NetOutcome RunNetStorm(const std::string& host, uint16_t port,
   for (std::thread& w : threads) w.join();
   NetOutcome o;
   o.answered = answered.load();
-  o.degraded = degraded.load();
   o.shed = shed.load();
   o.deadline_missed = missed.load();
   o.unavailable = unavailable.load();
@@ -292,7 +285,7 @@ int main(int argc, char** argv) {
   PrintBanner(
       "Loadgen: the kboostd wire protocol under C concurrent clients",
       "every socket reply is bit-identical to the in-process Solve "
-      "reference; shed/deadline/degraded/queue-reject outcomes all cross "
+      "reference; shed/deadline/queue-reject outcomes all cross "
       "the wire as typed frames; throughput saturates as clients grow",
       flags);
   FaultInjector::Global().DisarmAll();
@@ -354,7 +347,6 @@ int main(int argc, char** argv) {
   };
 
   std::vector<BoostResponse> reference(num_queries);
-  std::vector<BoostResponse> lb_reference(num_queries);
   std::unique_ptr<BoostService> calm;
   {
     StatusOr<std::unique_ptr<BoostService>> calm_or = BoostService::Create(g);
@@ -364,31 +356,25 @@ int main(int argc, char** argv) {
       return 1;
     }
     calm = std::move(calm_or).value();
-    SolveContext context;
     for (size_t i = 0; i < num_queries; ++i) {
-      StatusOr<BoostResponse> own =
-          calm->Solve(to_boost_request(requests[i]), &context);
-      BoostRequest lb = to_boost_request(requests[i]);
-      lb.mode = SolveMode::kLbOnly;
-      StatusOr<BoostResponse> lb_only = calm->Solve(lb, &context);
-      if (!own.ok() || !lb_only.ok()) {
+      StatusOr<BoostResponse> own = calm->Solve(to_boost_request(requests[i]));
+      if (!own.ok()) {
         std::fprintf(stderr, "reference query %zu failed\n", i);
         return 1;
       }
       reference[i] = std::move(own).value();
-      lb_reference[i] = std::move(lb_only).value();
     }
   }
 
   TablePrinter table({"scenario", "clients", "offered", "answered", "shed",
-                      "missed", "navail", "degraded", "qps", "p99_ms"});
+                      "missed", "navail", "qps", "p99_ms"});
   BenchJsonWriter json;
   auto add_row = [&](const char* scenario, size_t clients, size_t issued,
                      const NetOutcome& o, const std::vector<double>& q) {
     table.AddRow({scenario, std::to_string(clients), std::to_string(issued),
                   std::to_string(o.answered), std::to_string(o.shed),
                   std::to_string(o.deadline_missed),
-                  std::to_string(o.unavailable), std::to_string(o.degraded),
+                  std::to_string(o.unavailable),
                   FormatDouble(static_cast<double>(o.answered) / o.wall_s),
                   FormatDouble(q[2])});
   };
@@ -402,8 +388,7 @@ int main(int argc, char** argv) {
       const size_t per_client = (2 * num_queries) / clients;
       const size_t issued = clients * per_client;
       NetOutcome o = RunNetStorm(config.host, config.port, requests,
-                                 reference, lb_reference, clients,
-                                 per_client);
+                                 reference, clients, per_client);
       StatusOr<std::unique_ptr<KboostClient>> admin =
           KboostClient::Connect(config.host, config.port);
       StatusOr<ServiceStatsSnapshot> stats =
@@ -476,7 +461,7 @@ int main(int argc, char** argv) {
       const size_t per_client = (2 * num_queries) / clients;
       const size_t issued = clients * per_client;
       NetOutcome o = RunNetStorm(host, server->port(), requests, reference,
-                                 lb_reference, clients, per_client);
+                                 clients, per_client);
       GateOrAbort("saturation sweep", calm->Stats(), o, issued);
       if (o.answered != issued) {
         // An unlimited service behind a deep dispatch queue answers
@@ -512,7 +497,9 @@ int main(int argc, char** argv) {
   // ---- Scenario 2: admission overload through the wire ----
   // 6 workers race 8 closed-loop clients into a 2+2 admission budget, so
   // some Solve calls are shed: the typed ResourceExhausted must cross the
-  // wire as a reply frame, never as a dropped connection.
+  // wire as a reply frame, never as a dropped connection. A prepared solve
+  // is a microsecond slice, so a 1 ms stall at solve entry keeps slots held
+  // long enough for the 6 workers to overrun them.
   {
     BoostService::Options options;
     options.max_in_flight = 2;
@@ -530,16 +517,18 @@ int main(int argc, char** argv) {
         start_server(service->get(), server_options);
     const size_t clients = 8, per_client = 12;
     const size_t issued = clients * per_client;
+    FaultInjector::Plan slow;
+    slow.delay_micros = 1000;
+    FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
     NetOutcome o = RunNetStorm(host, server->port(), requests, reference,
-                               lb_reference, clients, per_client);
+                               clients, per_client);
+    FaultInjector::Global().DisarmAll();
     GateOrAbort("admission overload", (*service)->Stats(), o, issued);
     const ServiceStatsSnapshot stats = (*service)->Stats();
-    if (o.shed == 0 || stats.shed != o.shed || o.degraded != 0) {
+    if (o.shed == 0 || stats.shed != o.shed) {
       std::fprintf(stderr,
-                   "FATAL: admission overload: shed=%zu (service says %llu), "
-                   "degraded=%zu in a scenario with no degradation\n",
-                   o.shed, static_cast<unsigned long long>(stats.shed),
-                   o.degraded);
+                   "FATAL: admission overload: shed=%zu (service says %llu)\n",
+                   o.shed, static_cast<unsigned long long>(stats.shed));
       std::abort();
     }
     GateServerDrainedOrAbort("admission overload", *server);
@@ -553,47 +542,7 @@ int main(int argc, char** argv) {
                 o.shed);
   }
 
-  // ---- Scenario 3: graceful degradation through the wire ----
-  {
-    BoostService::Options options;
-    options.max_in_flight = 2;
-    options.max_queued = 2;
-    options.degrade_load_factor = 0.5;
-    StatusOr<std::unique_ptr<BoostService>> service =
-        BoostService::Create(g, options);
-    if (!service.ok() ||
-        !(*service)->AddPool(config.pool, make_pool()).ok()) {
-      std::fprintf(stderr, "degrade service construction failed\n");
-      return 1;
-    }
-    ServerOptions server_options;
-    server_options.num_workers = 6;
-    std::unique_ptr<KboostServer> server =
-        start_server(service->get(), server_options);
-    const size_t clients = 8, per_client = 12;
-    const size_t issued = clients * per_client;
-    NetOutcome o = RunNetStorm(host, server->port(), requests, reference,
-                               lb_reference, clients, per_client);
-    GateOrAbort("degrade storm", (*service)->Stats(), o, issued);
-    if (o.degraded == 0) {
-      std::fprintf(stderr,
-                   "FATAL: degrade storm produced zero degraded answers "
-                   "under a saturated budget with degrade_load_factor=0.5\n");
-      std::abort();
-    }
-    GateServerDrainedOrAbort("degrade storm", *server);
-    json.Add("net/degraded_rate",
-             static_cast<double>(o.degraded) /
-                 static_cast<double>(std::max<size_t>(o.answered, 1)),
-             "fraction");
-    add_row("degrade", clients, issued, o,
-            LatencyRow(&json, "net/degrade_latency", o.ok_latency_ms));
-    std::printf("degrade storm: %zu degraded answers, each bit-identical to "
-                "explicit LB-only\n",
-                o.degraded);
-  }
-
-  // ---- Scenario 4: wire deadlines through the single-budget path ----
+  // ---- Scenario 3: wire deadlines through the single-budget path ----
   // A 2 ms deadline_ms travels in the query frame; a 10 ms injected stall
   // at solve entry guarantees expiry, so every miss must come back as a
   // typed DeadlineExceeded reply. A deadline-free replay then answers the
@@ -611,7 +560,7 @@ int main(int argc, char** argv) {
     const size_t clients = 4, per_client = 9;
     const size_t issued = clients * per_client;
     NetOutcome o = RunNetStorm(host, server->port(), tight, reference,
-                               lb_reference, clients, per_client);
+                               clients, per_client);
     FaultInjector::Global().DisarmAll();
     GateOrAbort("deadline storm", calm->Stats(), o, issued);
     if (o.deadline_missed == 0) {
@@ -623,7 +572,7 @@ int main(int argc, char** argv) {
     std::vector<WireQuery> roomy = requests;
     for (WireQuery& q : roomy) q.deadline_ms = 60000;
     NetOutcome replay = RunNetStorm(host, server->port(), roomy, reference,
-                                    lb_reference, 2, num_queries / 2);
+                                    2, num_queries / 2);
     GateOrAbort("deadline-free replay", calm->Stats(), replay, num_queries);
     if (replay.answered != num_queries) {
       std::fprintf(stderr,
@@ -643,7 +592,7 @@ int main(int argc, char** argv) {
                 o.deadline_missed);
   }
 
-  // ---- Scenario 5: dispatch-queue rejects ----
+  // ---- Scenario 4: dispatch-queue rejects ----
   // One worker stalled 20 ms per solve behind a 1-slot dispatch queue: the
   // connection-level kUnavailable reject fires deterministically, and the
   // rejected connections keep working afterwards (closed-loop clients
@@ -660,7 +609,7 @@ int main(int argc, char** argv) {
     const size_t clients = 4, per_client = 6;
     const size_t issued = clients * per_client;
     NetOutcome o = RunNetStorm(host, server->port(), requests, reference,
-                               lb_reference, clients, per_client);
+                               clients, per_client);
     FaultInjector::Global().DisarmAll();
     GateOrAbort("queue-reject storm", calm->Stats(), o, issued);
     if (o.unavailable == 0) {
@@ -681,7 +630,7 @@ int main(int argc, char** argv) {
                 o.unavailable);
   }
 
-  // ---- Scenario 6: REFRESH mid-storm ----
+  // ---- Scenario 5: REFRESH mid-storm ----
   // Hot-swap the pool from a snapshot of an identical twin while 4 clients
   // are mid-stream: the version bumps, and because the twin's bits equal
   // the original's, the bit-identity gate must hold across the swap.
@@ -704,8 +653,8 @@ int main(int argc, char** argv) {
     const uint64_t version_before = calm->PoolVersion(config.pool);
     NetOutcome o;
     std::thread storm([&] {
-      o = RunNetStorm(host, server->port(), requests, reference,
-                      lb_reference, clients, per_client);
+      o = RunNetStorm(host, server->port(), requests, reference, clients,
+                      per_client);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     StatusOr<std::unique_ptr<KboostClient>> admin =

@@ -70,8 +70,7 @@ struct Fixture {
   Dataset dataset;
   // Persistent eval-state arenas (one PrrEvalState per pool shard): keep the
   // timed selection loop measuring selection (the arenas are kept across
-  // runs, not re-allocated), matching how the engine's serial path reuses
-  // its SolveContext across a sweep.
+  // runs, not re-allocated).
   ShardedEvalState eval_state;
   ShardedEvalState sharded_eval_state;
   std::vector<NodeId> seeds;
@@ -86,9 +85,9 @@ Fixture& GetFixture() {
   return *fixture;
 }
 
-// The Δ̂ selection phase exactly as full-mode SolveForBudget runs it after
-// the LB order: the Δ̂ greedy over the pool. Arg is the worker count; the
-// greedy runs on the calling thread whatever it is, so only 1 is measured.
+// The Δ̂ selection phase exactly as Prepare runs it once, after the LB
+// order: the Δ̂ greedy over the pool. Arg is the worker count; the greedy
+// runs on the calling thread whatever it is, so only 1 is measured.
 void BM_DeltaSelectPhase_Incremental(benchmark::State& state) {
   Fixture& f = GetFixture();
   const int threads = static_cast<int>(state.range(0));

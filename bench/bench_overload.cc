@@ -1,20 +1,18 @@
-// Overload bench and CI gate for the admission/deadline/degradation stack:
-// a BoostService with a small admission budget takes ≥2× its capacity in
+// Overload bench and CI gate for the admission/deadline stack: a
+// BoostService with a small admission budget takes ≥2× its capacity in
 // offered load from closed-loop clients, and the contract is enforced with
 // aborts, not warnings:
 //
 //   - every rejection is typed (ResourceExhausted shed or DeadlineExceeded) —
 //     overload never surfaces as a crash or an untyped error;
-//   - every admitted, non-degraded answer is bit-identical to the serial
-//     reference;
+//   - every admitted answer is bit-identical to the serial reference;
 //   - when the storm drains, the admission gauges read empty (no slot leaks)
 //     and the lifetime counters reconcile exactly with what clients saw;
-//   - degraded answers (scenario 2) are bit-identical to explicit kLbOnly;
-//   - after a deadline storm (scenario 3), a deadline-free replay records
+//   - after a deadline storm (scenario 2), a deadline-free replay records
 //     ZERO new misses.
 //
-// With --json=BENCH_overload.json the saturation throughput, shed rate,
-// client-observed p50/p95/p99 latency and degraded fraction are recorded.
+// With --json=BENCH_overload.json the saturation throughput, shed rate and
+// client-observed p50/p95/p99 latency are recorded.
 
 #include <algorithm>
 #include <atomic>
@@ -47,7 +45,6 @@ bool SameAnswer(const BoostResult& a, const BoostResult& b) {
 
 struct StormOutcome {
   size_t answered = 0;
-  size_t degraded = 0;
   size_t shed = 0;
   size_t deadline_missed = 0;
   size_t untyped = 0;
@@ -57,14 +54,12 @@ struct StormOutcome {
 };
 
 /// Fires `per_client` requests from each of `clients` closed-loop threads at
-/// `service` and classifies every outcome against `reference` (the full-mode
-/// bits) and `lb_reference` (what a degraded answer must equal).
+/// `service` and classifies every outcome against `reference`.
 StormOutcome RunStorm(const BoostService& service,
                       const std::vector<BoostRequest>& requests,
                       const std::vector<BoostResult>& reference,
-                      const std::vector<BoostResult>& lb_reference,
                       size_t clients, size_t per_client) {
-  std::atomic<size_t> answered{0}, degraded{0}, shed{0}, missed{0};
+  std::atomic<size_t> answered{0}, shed{0}, missed{0};
   std::atomic<size_t> untyped{0}, divergent{0};
   std::mutex latency_mutex;
   std::vector<double> latencies;
@@ -72,20 +67,16 @@ StormOutcome RunStorm(const BoostService& service,
   WallTimer storm_timer;
   for (size_t t = 0; t < clients; ++t) {
     workers.emplace_back([&, t] {
-      SolveContext context;
       std::vector<double> local_latencies;
       for (size_t i = 0; i < per_client; ++i) {
         const size_t q = (t * per_client + i) % requests.size();
         WallTimer request_timer;
-        StatusOr<BoostResponse> r = service.Solve(requests[q], &context);
+        StatusOr<BoostResponse> r = service.Solve(requests[q]);
         const double latency_ms = request_timer.Seconds() * 1e3;
         if (r.ok()) {
           answered.fetch_add(1, std::memory_order_relaxed);
           local_latencies.push_back(latency_ms);
-          const BoostResult& expect =
-              r->degraded ? lb_reference[q] : reference[q];
-          if (r->degraded) degraded.fetch_add(1, std::memory_order_relaxed);
-          if (!SameAnswer(r->result, expect)) {
+          if (!SameAnswer(r->result, reference[q])) {
             divergent.fetch_add(1, std::memory_order_relaxed);
           }
         } else if (r.status().code() == StatusCode::kResourceExhausted) {
@@ -106,7 +97,6 @@ StormOutcome RunStorm(const BoostService& service,
   for (std::thread& w : workers) w.join();
   StormOutcome outcome;
   outcome.answered = answered.load();
-  outcome.degraded = degraded.load();
   outcome.shed = shed.load();
   outcome.deadline_missed = missed.load();
   outcome.untyped = untyped.load();
@@ -142,7 +132,7 @@ void GateOrAbort(const char* scenario, const BoostService& service,
 int main(int argc, char** argv) {
   BenchFlags flags = ParseBenchFlags(argc, argv);
   PrintBanner(
-      "Overload: admission control, deadlines and degradation at 2x capacity",
+      "Overload: admission control and deadlines at 2x capacity",
       "excess load sheds with typed statuses at a stable saturation "
       "throughput; admitted answers stay bit-identical to the serial "
       "reference and no admission slot leaks",
@@ -185,33 +175,27 @@ int main(int argc, char** argv) {
   };
 
   std::vector<BoostResult> reference(num_queries);
-  std::vector<BoostResult> lb_reference(num_queries);
   {
     StatusOr<std::unique_ptr<BoostService>> calm = BoostService::Create(g);
     if (!calm.ok() || !(*calm)->AddPool("digg", make_pool()).ok()) {
       std::fprintf(stderr, "reference service construction failed\n");
       return 1;
     }
-    SolveContext context;
     for (size_t i = 0; i < num_queries; ++i) {
-      StatusOr<BoostResponse> full = (*calm)->Solve(requests[i], &context);
-      BoostRequest lb = requests[i];
-      lb.mode = SolveMode::kLbOnly;
-      StatusOr<BoostResponse> lb_only = (*calm)->Solve(lb, &context);
-      if (!full.ok() || !lb_only.ok()) {
+      StatusOr<BoostResponse> full = (*calm)->Solve(requests[i]);
+      if (!full.ok()) {
         std::fprintf(stderr, "reference query %zu failed\n", i);
         return 1;
       }
       reference[i] = std::move(*full).result;
-      lb_reference[i] = std::move(*lb_only).result;
     }
   }
 
   TablePrinter table({"scenario", "offered", "answered", "shed", "missed",
-                      "degraded", "qps"});
+                      "qps"});
   BenchJsonWriter json;
 
-  // ---- Scenario 1: pure admission overload (no deadlines, no degrade) ----
+  // ---- Scenario 1: pure admission overload (no deadlines) ----
   {
     BoostService::Options options;
     options.max_in_flight = kMaxInFlight;
@@ -224,22 +208,28 @@ int main(int argc, char** argv) {
     }
     const BoostService& service = **service_or;
     const size_t issued = kClients * kPerClient;
-    StormOutcome o = RunStorm(service, requests, reference, lb_reference,
-                              kClients, kPerClient);
+    // A prepared solve is a microsecond slice, too short for 8 closed-loop
+    // clients to hold 4 slots at once; a 1 ms stall at solve entry makes
+    // each solve long enough that the offered load really is 2x capacity.
+    FaultInjector::Plan slow;
+    slow.delay_micros = 1000;
+    FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
+    StormOutcome o =
+        RunStorm(service, requests, reference, kClients, kPerClient);
+    FaultInjector::Global().DisarmAll();
     GateOrAbort("admission overload", service, o, issued);
     const ServiceStatsSnapshot stats = service.Stats();
     if (o.shed == 0 || stats.shed != o.shed ||
-        stats.pools[0].queries != o.answered || o.degraded != 0 ||
-        o.deadline_missed != 0) {
+        stats.pools[0].queries != o.answered || o.deadline_missed != 0) {
       // 2x offered load against a 4-slot budget MUST shed, the service's
-      // books must agree with the clients', and nothing may degrade or miss
-      // a deadline in a scenario that configured neither.
+      // books must agree with the clients', and nothing may miss a deadline
+      // in a scenario that configured none.
       std::fprintf(stderr,
                    "FATAL: admission overload: shed=%zu (service says %llu), "
-                   "queries=%llu vs answered=%zu, degraded=%zu, missed=%zu\n",
+                   "queries=%llu vs answered=%zu, missed=%zu\n",
                    o.shed, static_cast<unsigned long long>(stats.shed),
                    static_cast<unsigned long long>(stats.pools[0].queries),
-                   o.answered, o.degraded, o.deadline_missed);
+                   o.answered, o.deadline_missed);
       std::abort();
     }
     const double qps = static_cast<double>(o.answered) / o.wall_s;
@@ -247,8 +237,7 @@ int main(int argc, char** argv) {
                              static_cast<double>(issued);
     table.AddRow({"admission", std::to_string(issued),
                   std::to_string(o.answered), std::to_string(o.shed),
-                  std::to_string(o.deadline_missed),
-                  std::to_string(o.degraded), FormatDouble(qps)});
+                  std::to_string(o.deadline_missed), FormatDouble(qps)});
     json.Add("overload/saturation_qps", qps, "queries/s");
     json.Add("overload/shed_rate", shed_rate, "fraction");
     json.Add("overload/offered", static_cast<double>(issued), "requests");
@@ -265,49 +254,7 @@ int main(int argc, char** argv) {
                 issued, o.answered, o.shed);
   }
 
-  // ---- Scenario 2: graceful degradation under the same storm ----
-  {
-    BoostService::Options options;
-    options.max_in_flight = kMaxInFlight;
-    options.max_queued = kMaxQueued;
-    options.degrade_load_factor = 0.5;  // degrade once half the budget is used
-    StatusOr<std::unique_ptr<BoostService>> service_or =
-        BoostService::Create(g, options);
-    if (!service_or.ok() || !(*service_or)->AddPool("digg", make_pool()).ok()) {
-      std::fprintf(stderr, "degrade service construction failed\n");
-      return 1;
-    }
-    const BoostService& service = **service_or;
-    const size_t issued = kClients * kPerClient;
-    StormOutcome o = RunStorm(service, requests, reference, lb_reference,
-                              kClients, kPerClient);
-    GateOrAbort("degradation storm", service, o, issued);
-    const ServiceStatsSnapshot stats = service.Stats();
-    if (o.degraded == 0 || stats.pools[0].degraded != o.degraded) {
-      // A saturated budget with degrade_load_factor = 0.5 must downgrade
-      // some kAuto answers, and Stats() must count exactly those.
-      std::fprintf(stderr,
-                   "FATAL: degradation storm: %zu degraded answers (service "
-                   "says %llu) under a saturated budget\n",
-                   o.degraded,
-                   static_cast<unsigned long long>(stats.pools[0].degraded));
-      std::abort();
-    }
-    const double qps = static_cast<double>(o.answered) / o.wall_s;
-    const double degraded_rate = static_cast<double>(o.degraded) /
-                                 static_cast<double>(o.answered);
-    table.AddRow({"degrade", std::to_string(issued),
-                  std::to_string(o.answered), std::to_string(o.shed),
-                  std::to_string(o.deadline_missed),
-                  std::to_string(o.degraded), FormatDouble(qps)});
-    json.Add("overload/degraded_rate", degraded_rate, "fraction");
-    json.Add("overload/degraded_qps", qps, "queries/s");
-    std::printf("degradation storm: %zu of %zu answers degraded, every one "
-                "bit-identical to explicit LB-only\n",
-                o.degraded, o.answered);
-  }
-
-  // ---- Scenario 3: deadline storm, then a deadline-free replay ----
+  // ---- Scenario 2: deadline storm, then a deadline-free replay ----
   {
     BoostService::Options options;
     options.default_deadline_ms = 2;
@@ -324,8 +271,8 @@ int main(int argc, char** argv) {
     slow.delay_micros = 10000;
     FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
     const size_t issued = kClients * kPerClient / 4;
-    StormOutcome o = RunStorm(service, requests, reference, lb_reference,
-                              kClients, kPerClient / 4);
+    StormOutcome o =
+        RunStorm(service, requests, reference, kClients, kPerClient / 4);
     FaultInjector::Global().DisarmAll();
     GateOrAbort("deadline storm", service, o, issued);
     if (o.deadline_missed == 0) {
@@ -336,11 +283,10 @@ int main(int argc, char** argv) {
     // The acceptance criterion: a deadline-free replay of the whole stream
     // records ZERO new misses and answers bit-identically.
     const uint64_t misses_before = service.Stats().pools[0].deadline_misses;
-    SolveContext context;
     for (size_t i = 0; i < num_queries; ++i) {
       BoostRequest replay = requests[i];
       replay.deadline_ms = 60000;  // 60 s: present but unreachable
-      StatusOr<BoostResponse> r = service.Solve(replay, &context);
+      StatusOr<BoostResponse> r = service.Solve(replay);
       if (!r.ok() || !SameAnswer(r->result, reference[i])) {
         std::fprintf(stderr,
                      "FATAL: deadline-free replay query %zu: %s\n", i,
@@ -360,7 +306,6 @@ int main(int argc, char** argv) {
     table.AddRow({"deadline", std::to_string(issued),
                   std::to_string(o.answered), std::to_string(o.shed),
                   std::to_string(o.deadline_missed),
-                  std::to_string(o.degraded),
                   FormatDouble(static_cast<double>(o.answered) / o.wall_s)});
     json.Add("overload/deadline_miss_rate",
              static_cast<double>(o.deadline_missed) /

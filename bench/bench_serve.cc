@@ -134,9 +134,9 @@ int main(int argc, char** argv) {
   for (size_t count : shard_graphs) std::printf(" %zu", count);
   std::printf("\n\n");
 
-  // The query stream: budgets cycle the sweep, every other query downgrades
-  // to the O(k) cached-order answer — the cheap/expensive mix a real serving
-  // tier sees. Each solve runs on its client's thread (see header).
+  // The query stream: budgets cycle the sweep, every other query asks for
+  // the LB cached-order answer instead of the sandwich. Each solve runs on
+  // its client's thread (see header).
   const size_t num_queries = 64 * sweep.size();
   std::vector<BoostRequest> requests(num_queries);
   for (size_t i = 0; i < num_queries; ++i) {
@@ -147,17 +147,14 @@ int main(int argc, char** argv) {
 
   // Serial reference: the bits every concurrent answer must reproduce.
   std::vector<BoostResult> reference(num_queries);
-  {
-    SolveContext context;
-    for (size_t i = 0; i < num_queries; ++i) {
-      StatusOr<BoostResponse> r = service.Solve(requests[i], &context);
-      if (!r.ok()) {
-        std::fprintf(stderr, "serial query %zu: %s\n", i,
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      reference[i] = std::move(*r).result;
+  for (size_t i = 0; i < num_queries; ++i) {
+    StatusOr<BoostResponse> r = service.Solve(requests[i]);
+    if (!r.ok()) {
+      std::fprintf(stderr, "serial query %zu: %s\n", i,
+                   r.status().ToString().c_str());
+      return 1;
     }
+    reference[i] = std::move(*r).result;
   }
 
   TablePrinter table({"clients", "queries/s", "wall_s", "vs_1_client"});
@@ -170,9 +167,8 @@ int main(int argc, char** argv) {
     workers.reserve(clients);
     for (size_t t = 0; t < clients; ++t) {
       workers.emplace_back([&, t] {
-        SolveContext context;
         for (size_t i = t; i < num_queries; i += clients) {
-          StatusOr<BoostResponse> r = service.Solve(requests[i], &context);
+          StatusOr<BoostResponse> r = service.Solve(requests[i]);
           if (!r.ok() || !SameAnswer(r.value().result, reference[i])) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
@@ -221,14 +217,13 @@ int main(int argc, char** argv) {
     std::vector<std::thread> clients;
     for (size_t t = 0; t < 4; ++t) {
       clients.emplace_back([&, t] {
-        SolveContext context;
         // Each client cycles the WHOLE mixed stream (phase-shifted per
-        // thread), so cheap LB slices and heavy full-mode solves both hit
-        // the pool while it is being swapped.
+        // thread), so LB and full answers both hit the pool while it is
+        // being swapped.
         size_t i = t * (num_queries / 4);
         while (!stop.load(std::memory_order_relaxed)) {
           const size_t q = i % num_queries;
-          StatusOr<BoostResponse> r = service.Solve(requests[q], &context);
+          StatusOr<BoostResponse> r = service.Solve(requests[q]);
           if (!r.ok()) {
             refresh_errors.fetch_add(1, std::memory_order_relaxed);
           } else if (!SameAnswer(r.value().result, reference[q])) {
@@ -275,26 +270,23 @@ int main(int argc, char** argv) {
     }
     // Post-swap serial pass: the swapped-in pool must answer bit-identically
     // to the original (same options, same rng seed -> same bits).
-    {
-      SolveContext context;
-      for (size_t i = 0; i < num_queries; ++i) {
-        StatusOr<BoostResponse> r = service.Solve(requests[i], &context);
-        if (!r.ok() || !SameAnswer(r.value().result, reference[i])) {
-          std::fprintf(stderr,
-                       "FATAL: post-swap answer %zu diverged from the "
-                       "fresh-build reference\n",
-                       i);
-          std::abort();
-        }
-        if (r.value().pool_version != version_after) {
-          std::fprintf(stderr,
-                       "FATAL: post-swap answer %zu stamped version %llu, "
-                       "expected %llu\n",
-                       i,
-                       static_cast<unsigned long long>(r.value().pool_version),
-                       static_cast<unsigned long long>(version_after));
-          std::abort();
-        }
+    for (size_t i = 0; i < num_queries; ++i) {
+      StatusOr<BoostResponse> r = service.Solve(requests[i]);
+      if (!r.ok() || !SameAnswer(r.value().result, reference[i])) {
+        std::fprintf(stderr,
+                     "FATAL: post-swap answer %zu diverged from the "
+                     "fresh-build reference\n",
+                     i);
+        std::abort();
+      }
+      if (r.value().pool_version != version_after) {
+        std::fprintf(stderr,
+                     "FATAL: post-swap answer %zu stamped version %llu, "
+                     "expected %llu\n",
+                     i,
+                     static_cast<unsigned long long>(r.value().pool_version),
+                     static_cast<unsigned long long>(version_after));
+        std::abort();
       }
     }
     const double refresh_qps =
@@ -344,11 +336,10 @@ int main(int argc, char** argv) {
     std::vector<std::thread> clients;
     for (size_t t = 0; t < 4; ++t) {
       clients.emplace_back([&, t] {
-        SolveContext context;
         size_t i = t * (num_queries / 4);
         while (!stop.load(std::memory_order_relaxed)) {
           const size_t q = i % num_queries;
-          StatusOr<BoostResponse> r = service.Solve(requests[q], &context);
+          StatusOr<BoostResponse> r = service.Solve(requests[q]);
           if (!r.ok()) {
             swap_errors.fetch_add(1, std::memory_order_relaxed);
           } else if (!SameAnswer(r.value().result, reference[q])) {
@@ -389,26 +380,23 @@ int main(int argc, char** argv) {
     }
     // Post-swap serial pass: every answer off the mapped arenas must still
     // be bit-identical (and stamped with the new version).
-    {
-      SolveContext context;
-      for (size_t i = 0; i < num_queries; ++i) {
-        StatusOr<BoostResponse> r = service.Solve(requests[i], &context);
-        if (!r.ok() || !SameAnswer(r.value().result, reference[i])) {
-          std::fprintf(stderr,
-                       "FATAL: post-mmap-swap answer %zu diverged from the "
-                       "reference\n",
-                       i);
-          std::abort();
-        }
-        if (r.value().pool_version != version_after) {
-          std::fprintf(stderr,
-                       "FATAL: post-mmap-swap answer %zu stamped version "
-                       "%llu, expected %llu\n",
-                       i,
-                       static_cast<unsigned long long>(r.value().pool_version),
-                       static_cast<unsigned long long>(version_after));
-          std::abort();
-        }
+    for (size_t i = 0; i < num_queries; ++i) {
+      StatusOr<BoostResponse> r = service.Solve(requests[i]);
+      if (!r.ok() || !SameAnswer(r.value().result, reference[i])) {
+        std::fprintf(stderr,
+                     "FATAL: post-mmap-swap answer %zu diverged from the "
+                     "reference\n",
+                     i);
+        std::abort();
+      }
+      if (r.value().pool_version != version_after) {
+        std::fprintf(stderr,
+                     "FATAL: post-mmap-swap answer %zu stamped version "
+                     "%llu, expected %llu\n",
+                     i,
+                     static_cast<unsigned long long>(r.value().pool_version),
+                     static_cast<unsigned long long>(version_after));
+        std::abort();
       }
     }
     std::printf("mmap warm-swap under load: %zu queries from 4 clients, "
@@ -436,10 +424,9 @@ int main(int argc, char** argv) {
                 ps.latency_p50_ms, ps.latency_p95_ms, ps.latency_ewma_ms,
                 ps.last_rebuild_ms);
     std::printf("service stats: pool '%s' overload counters: %llu shed, "
-                "%llu deadline misses, %llu degraded, %llu load retries\n",
+                "%llu deadline misses, %llu load retries\n",
                 ps.pool.c_str(), static_cast<unsigned long long>(ps.shed),
                 static_cast<unsigned long long>(ps.deadline_misses),
-                static_cast<unsigned long long>(ps.degraded),
                 static_cast<unsigned long long>(ps.load_retries));
     json.Add("serve/latency_p50_ms", ps.latency_p50_ms, "ms");
     json.Add("serve/latency_p95_ms", ps.latency_p95_ms, "ms");
@@ -448,7 +435,6 @@ int main(int argc, char** argv) {
     json.Add("serve/shed", static_cast<double>(ps.shed), "requests");
     json.Add("serve/deadline_misses",
              static_cast<double>(ps.deadline_misses), "requests");
-    json.Add("serve/degraded", static_cast<double>(ps.degraded), "requests");
     json.Add("serve/load_retries", static_cast<double>(ps.load_retries),
              "retries");
   }

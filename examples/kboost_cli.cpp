@@ -207,7 +207,7 @@ int Usage() {
       "      Monte-Carlo estimate of the spread and boost of a given set\n"
       "  serve --graph=PATH --pool=NAME=SNAPSHOT [--pool=...] \n"
       "        [--listen=PORT] [--bind=ADDR] [--mmap-pool] [--workers=N]\n"
-      "        [--queue-cap=N] [--deadline-ms=N] [--degrade=F]\n"
+      "        [--queue-cap=N] [--deadline-ms=N]\n"
       "        [--dispatch-queue=N] [--max-connections=N]\n"
       "        [--drain-deadline-ms=N] [--no-remote-shutdown]\n"
       "      run the kboostd network server in-process: serve the listed\n"
@@ -221,15 +221,14 @@ int Usage() {
       "  serve-bench --graph=PATH (--load-pool=PATH [--mmap-pool] |\n"
       "        --seeds=a,b,c --k=N [--lb] [--epsilon=F] [--seed=N]\n"
       "        [--shards=S]) [--clients=1,2,4] [--queries=32] [--threads=N]\n"
-      "        [--deadline-ms=N] [--queue-cap=N] [--degrade=F]\n"
+      "        [--deadline-ms=N] [--queue-cap=N]\n"
       "      register the pool in a BoostService and measure concurrent\n"
       "      query throughput: each client count issues the same mixed\n"
       "      (k, mode) query stream from that many threads and every\n"
       "      answer is checked bit-identical against the serial run;\n"
-      "      --deadline-ms sets the service default deadline, --queue-cap\n"
-      "      caps in-flight solves at N (plus N queued, excess shed typed)\n"
-      "      and --degrade=F downgrades kAuto answers to the LB order past\n"
-      "      that load fraction — overload outcomes are reported per run\n");
+      "      --deadline-ms sets the service default deadline and --queue-cap\n"
+      "      caps in-flight solves at N (plus N queued, excess shed typed) —\n"
+      "      overload outcomes are reported per run\n");
   return 2;
 }
 
@@ -496,8 +495,7 @@ int CmdServeBench(int argc, char** argv) {
   if (!ValidateFlags(argc, argv,
                      {"--graph", "--load-pool", "--seeds", "--k", "--epsilon",
                       "--seed", "--clients", "--queries", "--threads",
-                      "--shards", "--deadline-ms", "--queue-cap",
-                      "--degrade"},
+                      "--shards", "--deadline-ms", "--queue-cap"},
                      {"--lb", "--mmap-pool"})) {
     return 2;
   }
@@ -544,27 +542,13 @@ int CmdServeBench(int argc, char** argv) {
                  static_cast<unsigned long long>(num_queries));
     return 2;
   }
-  // Overload knobs, all off by default: --deadline-ms is the service
+  // Overload knobs, both off by default: --deadline-ms is the service
   // default deadline, --queue-cap bounds in-flight solves (with an
-  // equal-sized waiting room), --degrade is the load factor past which
-  // kAuto answers downgrade to the LB cached order. Range validation for
-  // --degrade is owned by BoostService::Create (the one place the service
-  // agrees on it).
+  // equal-sized waiting room).
   uint64_t deadline_ms = 0;
   if (!ParseUint64Flag(argc, argv, "--deadline-ms", &deadline_ms)) return 2;
   uint64_t queue_cap = 0;
   if (!ParseUint64Flag(argc, argv, "--queue-cap", &queue_cap)) return 2;
-  double degrade = 0.0;
-  if (const char* degrade_s = FlagValue(argc, argv, "--degrade");
-      degrade_s != nullptr) {
-    char* end = nullptr;
-    degrade = std::strtod(degrade_s, &end);
-    if (end == degrade_s || *end != '\0') {
-      std::fprintf(stderr, "error: --degrade must be a number, got '%s'\n",
-                   degrade_s);
-      return 2;
-    }
-  }
 
   StatusOr<DirectedGraph> g = LoadEdgeList(path);
   if (!g.ok()) {
@@ -619,7 +603,6 @@ int CmdServeBench(int argc, char** argv) {
   service_options.default_deadline_ms = deadline_ms;
   service_options.max_in_flight = queue_cap;
   service_options.max_queued = queue_cap;
-  service_options.degrade_load_factor = degrade;
   StatusOr<std::unique_ptr<BoostService>> service_or =
       BoostService::Create(g.value(), service_options);
   if (!service_or.ok()) {
@@ -655,36 +638,19 @@ int CmdServeBench(int argc, char** argv) {
   }
 
   // Serial reference pass: every concurrent answer must match these bits.
-  // The reference queries pin explicit modes (always honored, pressure or
-  // not) and a deliberately unreachable deadline, so the reference stays the
-  // un-degraded truth even when overload knobs are set; degraded concurrent
-  // answers are checked against the LB reference instead.
+  // The reference queries carry a deliberately unreachable deadline, so
+  // the reference stays the truth even when --deadline-ms is tight.
   std::vector<BoostResult> reference(num_queries);
-  std::vector<BoostResult> lb_reference(num_queries);
   WallTimer serial_timer;
-  {
-    SolveContext context;
-    for (size_t i = 0; i < num_queries; ++i) {
-      BoostRequest ref = requests[i];
-      ref.deadline_ms = 600'000;  // 10 min: present but unreachable
-      if (!lb && ref.mode == SolveMode::kAuto) ref.mode = SolveMode::kFull;
-      StatusOr<BoostResponse> r = service.Solve(ref, &context);
-      if (!r.ok()) {
-        std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
-        return 1;
-      }
-      reference[i] = std::move(r).value().result;
-      if (!lb) {
-        ref.mode = SolveMode::kLbOnly;
-        StatusOr<BoostResponse> lb_r = service.Solve(ref, &context);
-        if (!lb_r.ok()) {
-          std::fprintf(stderr, "error: %s\n",
-                       lb_r.status().ToString().c_str());
-          return 1;
-        }
-        lb_reference[i] = std::move(lb_r).value().result;
-      }
+  for (size_t i = 0; i < num_queries; ++i) {
+    BoostRequest ref = requests[i];
+    ref.deadline_ms = 600'000;  // 10 min: present but unreachable
+    StatusOr<BoostResponse> r = service.Solve(ref);
+    if (!r.ok()) {
+      std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
+      return 1;
     }
+    reference[i] = std::move(r).value().result;
   }
   const double serial_s = serial_timer.Seconds();
   std::printf("serial reference: %zu queries in %.3fs (%.1f q/s)\n\n",
@@ -701,27 +667,19 @@ int CmdServeBench(int argc, char** argv) {
   };
   std::vector<Row> rows;
   bool diverged = false;
-  size_t total_shed = 0, total_missed = 0, total_degraded = 0;
+  size_t total_shed = 0, total_missed = 0;
   for (size_t c : clients) {
     std::atomic<size_t> mismatches{0};
-    std::atomic<size_t> shed{0}, missed{0}, degraded{0};
+    std::atomic<size_t> shed{0}, missed{0};
     WallTimer timer;
     std::vector<std::thread> workers;
     workers.reserve(c);
     for (size_t t = 0; t < c; ++t) {
       workers.emplace_back([&, t] {
-        SolveContext context;
         for (size_t i = t; i < num_queries; i += c) {
-          StatusOr<BoostResponse> r = service.Solve(requests[i], &context);
+          StatusOr<BoostResponse> r = service.Solve(requests[i]);
           if (r.ok()) {
-            // A degraded answer must be the pool's exact LB answer; an
-            // un-degraded one must match the full reference bits.
-            const BoostResult& expect =
-                r.value().degraded ? lb_reference[i] : reference[i];
-            if (r.value().degraded) {
-              degraded.fetch_add(1, std::memory_order_relaxed);
-            }
-            if (!SameAnswer(r.value().result, expect)) {
+            if (!SameAnswer(r.value().result, reference[i])) {
               mismatches.fetch_add(1, std::memory_order_relaxed);
             }
           } else if (r.status().code() == StatusCode::kResourceExhausted) {
@@ -742,7 +700,6 @@ int CmdServeBench(int argc, char** argv) {
     rows.push_back({c, static_cast<double>(num_queries) / secs, secs});
     total_shed += shed.load();
     total_missed += missed.load();
-    total_degraded += degraded.load();
     if (mismatches.load() != 0) {
       std::fprintf(stderr,
                    "error: %zu of %zu concurrent answers diverged from the "
@@ -770,11 +727,10 @@ int CmdServeBench(int argc, char** argv) {
   // The service's own metrics, as an operator dashboard would read them:
   // per-pool traffic counters and solve-latency quantiles collected on the
   // query path (src/serve/service_stats.h).
-  if (total_shed + total_missed + total_degraded != 0) {
+  if (total_shed + total_missed != 0) {
     std::printf("\noverload outcomes across all client counts: %zu shed "
-                "(ResourceExhausted), %zu deadline misses, %zu degraded "
-                "answers\n",
-                total_shed, total_missed, total_degraded);
+                "(ResourceExhausted), %zu deadline misses\n",
+                total_shed, total_missed);
   }
 
   const ServiceStatsSnapshot stats = service.Stats();
@@ -788,12 +744,11 @@ int CmdServeBench(int argc, char** argv) {
                 static_cast<unsigned long long>(ps.errors), ps.latency_mean_ms,
                 ps.latency_p50_ms, ps.latency_p95_ms, ps.latency_ewma_ms,
                 ps.last_rebuild_ms);
-    if (ps.shed + ps.deadline_misses + ps.degraded + ps.load_retries != 0) {
+    if (ps.shed + ps.deadline_misses + ps.load_retries != 0) {
       std::printf("    overload: %llu shed, %llu deadline misses, %llu "
-                  "degraded, %llu load retries\n",
+                  "load retries\n",
                   static_cast<unsigned long long>(ps.shed),
                   static_cast<unsigned long long>(ps.deadline_misses),
-                  static_cast<unsigned long long>(ps.degraded),
                   static_cast<unsigned long long>(ps.load_retries));
     }
   }

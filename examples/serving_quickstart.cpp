@@ -69,7 +69,7 @@ int main() {
     full.pool = "digg";
     full.k = k;
     requests.push_back(full);
-    BoostRequest cheap = full;  // the O(k) cached-order answer
+    BoostRequest cheap = full;  // the LB cached-order answer
     cheap.mode = SolveMode::kLbOnly;
     requests.push_back(cheap);
   }
@@ -77,17 +77,14 @@ int main() {
   // Serial reference: prepared pools are immutable, so the concurrent
   // answers below must reproduce these bits exactly.
   std::vector<BoostResult> reference;
-  {
-    SolveContext context;
-    for (const BoostRequest& request : requests) {
-      StatusOr<BoostResponse> r = service.Solve(request, &context);
-      if (!r.ok()) {
-        std::fprintf(stderr, "serial query failed: %s\n",
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      reference.push_back(std::move(r).value().result);
+  for (const BoostRequest& request : requests) {
+    StatusOr<BoostResponse> r = service.Solve(request);
+    if (!r.ok()) {
+      std::fprintf(stderr, "serial query failed: %s\n",
+                   r.status().ToString().c_str());
+      return 1;
     }
+    reference.push_back(std::move(r).value().result);
   }
 
   constexpr size_t kClients = 4;
@@ -96,9 +93,8 @@ int main() {
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      SolveContext context;  // per-client scratch, kept warm across queries
       for (size_t i = c; i < requests.size(); i += kClients) {
-        StatusOr<BoostResponse> r = service.Solve(requests[i], &context);
+        StatusOr<BoostResponse> r = service.Solve(requests[i]);
         if (!r.ok()) {
           std::fprintf(stderr, "query failed: %s\n",
                        r.status().ToString().c_str());

@@ -71,7 +71,6 @@ void CheckQueryReplyRoundTrip(const uint8_t* body, size_t len) {
   FUZZ_ASSERT(again.status.code() == reply.status.code());
   FUZZ_ASSERT(again.status.message() == reply.status.message());
   FUZZ_ASSERT(again.pool_version == reply.pool_version);
-  FUZZ_ASSERT(again.degraded == reply.degraded);
   FUZZ_ASSERT(again.best_set == reply.best_set);
   FUZZ_ASSERT(again.lb_set == reply.lb_set);
   FUZZ_ASSERT(again.delta_set == reply.delta_set);

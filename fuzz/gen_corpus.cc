@@ -77,10 +77,14 @@ void GenerateWireCorpus(const fs::path& dir) {
   lb_query.mode = SolveMode::kLbOnly;
   WriteCase(dir, "query_lb_extreme_k.bin", EncodeQueryFrame(2, lb_query));
 
+  // A "never" deadline: the service saturates it instead of overflowing.
+  WireQuery max_deadline = query;
+  max_deadline.deadline_ms = std::numeric_limits<uint64_t>::max();
+  WriteCase(dir, "query_max_deadline.bin", EncodeQueryFrame(3, max_deadline));
+
   WireQueryReply reply;
   reply.status = Status::Ok();
   reply.pool_version = 3;
-  reply.degraded = true;
   reply.solve_seconds = 0.0625;
   reply.best_set = {1, 2, 3};
   reply.best_estimate = 12.5;
@@ -110,7 +114,6 @@ void GenerateWireCorpus(const fs::path& dir) {
   pool.errors = 3;
   pool.shed = 2;
   pool.deadline_misses = 1;
-  pool.degraded = 4;
   pool.load_retries = 1;
   stats.pools.push_back(pool);
   stats.not_found = 5;

@@ -17,24 +17,24 @@ namespace kboost {
 /// budget) and then answers any budget k ≤ budget() with selection work
 /// only:
 ///
-/// - LB mode: greedy on the submodular μ̂ yields nested solutions, so every
-///   budget's answer is a prefix slice of one cached greedy order — O(k)
-///   per query after the first.
-/// - Full mode: only the Δ̂ greedy re-runs per budget (its gains are not
-///   monotone in B); the pool, the LB order and all estimators are reused.
+/// - LB mode: greedy on μ̂ yields nested solutions, so every budget's answer
+///   is a prefix slice of one cached greedy order.
+/// - Full mode: the Δ̂ greedy is nested too — round i's argmax reads only
+///   picks 0..i−1, never k, and its padding order is sorted independently
+///   of k — so B_Δ is a slice of a second cached order, and the sandwich
+///   compare reads both orders' cached prefix Δ̂.
 ///
-/// Two query surfaces share that machinery:
+/// Either way a query is O(k) after Prepare(). Two query surfaces share that
+/// machinery:
 ///
-/// - SolveForBudget(k): the serial sweep API. Samples lazily, aborts on a
-///   bad budget, reuses session-owned scratch. NOT safe to call from more
-///   than one thread.
+/// - SolveForBudget(k): the serial sweep API. Samples lazily and aborts on a
+///   bad budget. NOT safe to call from more than one thread.
 /// - Solve(spec): the concurrent serving API. Requires Prepare() (which
 ///   freezes the pool read-only), validates the request and returns
 ///   StatusOr. Any number of threads may Solve() against one prepared
-///   session simultaneously — each call brings its own SolveContext (or
-///   lets the call allocate one) — with results bit-identical to the serial
-///   loop. BoostService (src/serve) serves a registry of named prepared
-///   sessions through exactly this surface.
+///   session simultaneously, with results bit-identical to the serial loop.
+///   BoostService (src/serve) serves a registry of named prepared sessions
+///   through exactly this surface.
 ///
 /// Results answered from an existing pool carry pool_reused = true and
 /// pool_budget = budget(), recording that the sampling constants correspond
@@ -61,7 +61,7 @@ class BoostSession {
                const BoostOptions& options, bool lb_only = false);
 
   /// Samples the pool at budget() via the IMM schedule, warms every lazily
-  /// built read-only index and caches the LB greedy order, making the
+  /// built read-only index and caches both greedy orders, making the
   /// session ready for concurrent Solve() calls. Idempotent; also called
   /// lazily by SolveForBudget — call eagerly to front-load the expensive
   /// part (e.g. at server startup or before SavePool).
@@ -74,15 +74,11 @@ class BoostSession {
   /// Concurrent serving path: answers `spec` against the prepared pool,
   /// touching no session-owned mutable state. Safe to call from any number
   /// of threads once Prepare() has run; bit-identical to SolveForBudget for
-  /// the same (k, mode). Pass a per-query `context` to keep selection
-  /// scratch warm across sequential queries; the single-argument overload
-  /// allocates one per call.
+  /// the same (k, mode). `context` is unused; delete it with the next
+  /// benchmark change.
   StatusOr<BoostResult> Solve(const SolveSpec& spec,
-                              SolveContext* context) const {
+                              SolveContext* context = nullptr) const {
     return engine_.Solve(spec, context);
-  }
-  StatusOr<BoostResult> Solve(const SolveSpec& spec) const {
-    return engine_.Solve(spec, nullptr);
   }
 
   /// The largest budget this session can answer (options.k).

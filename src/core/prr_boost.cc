@@ -96,20 +96,25 @@ void PrrBoostEngine::AdoptPool(std::unique_ptr<PrrCollection> collection,
   sampled_ = true;
 }
 
-const PrrCollection::LbResult& PrrBoostEngine::LbGreedyOrder() {
-  if (!lb_order_ready_) {
-    // NodeSelectionLB at the full pool budget: maximize μ̂ by greedy
-    // max-coverage over critical sets. Computed once; nested budgets slice.
-    lb_order_ = collection_->SelectGreedyLowerBound(options_.k, excluded_);
-    // Δ̂ of every prefix in one pass, so a full solve's sandwich compare
-    // reads Δ̂(B_µ) instead of re-evaluating the pool.
-    if (!lb_only_) {
-      lb_order_.prefix_delta_hat = collection_->PrefixDeltaHat(
-          lb_order_.nodes, options_.num_threads);
-    }
-    lb_order_ready_ = true;
+void PrrBoostEngine::CacheGreedyOrders() {
+  if (orders_ready_) return;
+  // NodeSelectionLB at the full pool budget: maximize μ̂ by greedy
+  // max-coverage over critical sets. Every smaller budget's LB answer is a
+  // prefix of it.
+  lb_order_ = collection_->SelectGreedyLowerBound(options_.k, excluded_);
+  if (!lb_only_) {
+    // Δ̂ of every LB prefix in one pass, so the sandwich compare reads Δ̂(B_µ)
+    // instead of re-evaluating the pool. It also builds the indexes the Δ̂
+    // greedy below reads.
+    lb_order_.prefix_delta_hat =
+        collection_->PrefixDeltaHat(lb_order_.nodes, options_.num_threads);
+    // NodeSelection at the full pool budget: greedy on Δ̂ directly. It is
+    // nested in k too (see SelectGreedyDelta), so this one run answers
+    // every budget.
+    delta_order_ = collection_->SelectGreedyDelta(options_.k, excluded_,
+                                                  options_.num_threads);
   }
-  return lb_order_;
+  orders_ready_ = true;
 }
 
 BoostResult PrrBoostEngine::Run() { return SolveForBudget(options_.k); }
@@ -119,17 +124,15 @@ void PrrBoostEngine::Prepare() {
   EnsureSampled();
   // Concurrent const Solve() calls must never take a lazy-build path: warm
   // every inverted index (per-shard builds fan out over the workers) and
-  // cache the LB greedy order with its prefix estimates now, while this
+  // cache both greedy orders with their prefix estimates now, while this
   // thread still has the engine exclusively.
   collection_->WarmIndexes(options_.num_threads);
-  LbGreedyOrder();
+  CacheGreedyOrders();
   serving_ready_ = true;
 }
 
-BoostResult PrrBoostEngine::SolvePrepared(size_t k, bool lb_answer,
-                                          ShardedEvalState* eval_state,
-                                          StopToken* stop) const {
-  KB_DCHECK(sampled_ && lb_order_ready_);
+BoostResult PrrBoostEngine::SolvePrepared(size_t k, bool lb_answer) const {
+  KB_DCHECK(sampled_ && orders_ready_);
   BoostResult result;
   result.pool_budget = options_.k;
 
@@ -141,19 +144,12 @@ BoostResult PrrBoostEngine::SolvePrepared(size_t k, bool lb_answer,
     result.best_set = result.lb_set;
     result.best_estimate = result.lb_mu_hat;
   } else {
-    // NodeSelection: greedy on Δ̂ directly, reusing the same pool. Not
-    // nested in k (Δ̂ gains are non-monotone), so selection re-runs per k.
-    // The LB order's prefix pass already built the indexes, so nothing here
-    // forks.
-    PrrCollection::DeltaResult dr = collection_->SelectGreedyDelta(
-        k, excluded_, /*num_threads=*/1, eval_state, stop);
-    if (dr.cancelled || dr.deadline_exceeded) return result;
-    result.delta_set = std::move(dr.nodes);
-    result.delta_delta_hat = dr.delta_hat;
-    // The solve's last deadline check: when the Δ̂ heap starts empty the
-    // greedy never polls, so without it a deadline that passed after entry
-    // would go unnoticed.
-    if (stop != nullptr && stop->ShouldStop()) return result;
+    // NodeSelection's answer, B_Δ: the k-prefix of the cached Δ̂ order.
+    const size_t take_delta = std::min(k, delta_order_.nodes.size());
+    result.delta_set.assign(delta_order_.nodes.begin(),
+                            delta_order_.nodes.begin() + take_delta);
+    result.delta_delta_hat =
+        take_delta > 0 ? delta_order_.prefix_delta_hat[take_delta - 1] : 0.0;
     result.lb_delta_hat =
         take > 0 ? lb_order_.prefix_delta_hat[take - 1] : 0.0;
     // Sandwich pick: the better of B_µ and B_Δ under Δ̂ (Alg. 2 line 5).
@@ -199,17 +195,33 @@ BoostResult PrrBoostEngine::SolveForBudget(size_t k) {
   const double sampling_seconds = sampling_timer.Seconds();
 
   WallTimer selection_timer;
-  LbGreedyOrder();
-  BoostResult result = SolvePrepared(k, lb_only_, &serial_context_.eval_state,
-                                     /*stop=*/nullptr);
+  CacheGreedyOrders();
+  BoostResult result = SolvePrepared(k, lb_only_);
   result.sampling_seconds = sampling_seconds;
   result.pool_reused = had_pool;
   result.selection_seconds = selection_timer.Seconds();
   return result;
 }
 
+namespace {
+
+/// The request's stop condition, if it holds: Cancelled when its cancel flag
+/// is raised, DeadlineExceeded when its deadline has passed, else OK.
+Status StopStatus(const SolveSpec& spec, const char* when) {
+  if (spec.cancel != nullptr && spec.cancel->load(std::memory_order_relaxed)) {
+    return Status::Cancelled(std::string("request cancelled ") + when);
+  }
+  if (spec.deadline_ns > 0 && SteadyNowNanos() >= spec.deadline_ns) {
+    return Status::DeadlineExceeded(std::string("request deadline passed ") +
+                                    when);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 StatusOr<BoostResult> PrrBoostEngine::Solve(const SolveSpec& spec,
-                                            SolveContext* context) const {
+                                            SolveContext* /*context*/) const {
   if (!serving_ready_) {
     return Status::FailedPrecondition(
         "pool is not prepared for serving; call Prepare() first");
@@ -240,25 +252,18 @@ StatusOr<BoostResult> PrrBoostEngine::Solve(const SolveSpec& spec,
         std::to_string(ThreadPool::kMaxWorkers) + "], got " +
         std::to_string(spec.num_threads));
   }
-  StopToken stop(spec.cancel, spec.deadline_ns);
-  if (stop.ShouldStop()) {
-    return stop.cancelled()
-               ? Status::Cancelled("request cancelled before selection started")
-               : Status::DeadlineExceeded(
-                     "request deadline passed before selection started");
+  if (Status s = StopStatus(spec, "before selection started"); !s.ok()) {
+    return s;
   }
   MaybeInjectFaultDelay(FaultSite::kSolveStart);
+  // A full answer checks once more, so a request that stalled at the fault
+  // site above past its deadline (or a drain's cancel) is not served.
+  if (!lb_answer) {
+    if (Status s = StopStatus(spec, "during selection"); !s.ok()) return s;
+  }
 
   WallTimer selection_timer;
-  BoostResult result =
-      SolvePrepared(spec.k, lb_answer,
-                    context != nullptr ? &context->eval_state : nullptr, &stop);
-  if (stop.cancelled()) {
-    return Status::Cancelled("request cancelled during selection");
-  }
-  if (stop.deadline_exceeded()) {
-    return Status::DeadlineExceeded("request deadline passed mid-selection");
-  }
+  BoostResult result = SolvePrepared(spec.k, lb_answer);
   result.pool_reused = true;
   result.selection_seconds = selection_timer.Seconds();
   return result;

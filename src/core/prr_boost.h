@@ -49,8 +49,8 @@ enum class SolveMode {
   kAuto = 0,
   /// Force the full sandwich answer; invalid against an LB-only pool.
   kFull,
-  /// Answer from the cached μ̂ greedy order only — O(k) per query on any
-  /// pool, including full ones (useful for cheap/approximate traffic).
+  /// Answer from the cached μ̂ greedy order only, on any pool including full
+  /// ones: B_µ and μ̂(B_µ), with no Δ̂ and no sandwich compare.
   kLbOnly,
 };
 
@@ -64,16 +64,17 @@ struct SolveSpec {
   /// [1, ThreadPool::kMaxWorkers]) because kbench sets it; delete it with
   /// the next change to the benchmark.
   int num_threads = 0;
-  /// Optional cooperative cancellation: polled between greedy rounds AND
-  /// every bounded stride of the per-pick Δ̂ re-evaluation scan, so even a
-  /// one-pick solve stops promptly. When it reads true the solve stops and
-  /// reports Status::Cancelled. The flag must outlive the call.
+  /// Optional cooperative cancellation, checked at solve entry and, for a
+  /// full answer, once more after the kSolveStart fault site; when it reads
+  /// true the solve reports Status::Cancelled. A prepared solve is an O(k)
+  /// slice, so there is no loop to poll inside. The flag must outlive the
+  /// call.
   const std::atomic<bool>* cancel = nullptr;
-  /// Optional absolute deadline in SteadyNowNanos() time (0 = none), polled
-  /// at the same points as `cancel`. A solve that overruns stops and reports
-  /// Status::DeadlineExceeded; its partial selection is discarded, never
-  /// served. Absolute (not a duration) so queue wait and solve time draw
-  /// down the same budget when a service sets it at admission.
+  /// Optional absolute deadline in SteadyNowNanos() time (0 = none), checked
+  /// at the same points as `cancel`; a solve past it reports
+  /// Status::DeadlineExceeded. Absolute (not a duration) so queue wait and
+  /// solve time draw down the same budget when a service sets it at
+  /// admission.
   int64_t deadline_ns = 0;
 };
 
@@ -135,33 +136,34 @@ class PrrBoostEngine {
 
   /// Makes the engine ready for concurrent const Solve() calls: samples the
   /// pool (if needed), builds every lazily-constructed read-only index, and
-  /// caches the LB greedy order with μ̂ and (full pools) Δ̂ of every prefix.
-  /// Idempotent. After Prepare() the engine's query surface is strictly
-  /// read-only, which is the thread-safety contract Solve() relies on, and a
-  /// solve forks nothing: it runs on its caller's thread.
+  /// caches both greedy orders at the pool budget — the μ̂ (LB) order with μ̂
+  /// and (full pools) Δ̂ of every prefix, and (full pools) the Δ̂ order with
+  /// Δ̂ of every prefix. Idempotent. After Prepare() the engine's query
+  /// surface is strictly read-only, which is the thread-safety contract
+  /// Solve() relies on, and a solve runs no greedy: it slices the two orders.
   void Prepare();
   /// Whether Prepare() has run (a snapshot-adopted pool still needs it).
   bool serving_ready() const { return serving_ready_; }
 
   /// Answers the k-boosting problem for any budget k ≤ options.k on the
-  /// already-sampled pool — selection only, no resampling. LB answers are
-  /// prefix slices of one cached greedy order (greedy on the submodular μ̂
-  /// yields nested solutions); full mode re-runs only the Δ̂ selection and
-  /// reads Δ̂ of the LB prefix from the cache.
+  /// already-sampled pool — selection only, no resampling. Both greedy
+  /// orders are nested in k (round i reads only picks 0..i−1, never k), so
+  /// every answer is the k-prefix of the two cached orders plus their cached
+  /// prefix estimates; the first call caches them.
   /// The returned result carries pool_budget/pool_reused provenance.
-  /// Serial convenience path: samples lazily, KB_CHECKs the budget, and
-  /// reuses engine-owned scratch — NOT safe to call concurrently.
+  /// Serial convenience path: samples lazily and KB_CHECKs the budget — NOT
+  /// safe to call concurrently.
   BoostResult SolveForBudget(size_t k);
 
   /// The concurrent serving path: answers `spec` against the prepared pool
-  /// without touching any engine-owned mutable state — all scratch lives in
-  /// `context` (one per in-flight query; null uses call-local scratch). Any
-  /// number of threads may call Solve() simultaneously on one prepared
-  /// engine, with results bit-identical to the serial SolveForBudget loop.
-  /// Fails with FailedPrecondition before Prepare(), InvalidArgument for an
+  /// without touching any engine-owned mutable state. Any number of threads
+  /// may call Solve() simultaneously on one prepared engine, with results
+  /// bit-identical to the serial SolveForBudget loop. Fails with
+  /// FailedPrecondition before Prepare(), InvalidArgument for an
   /// out-of-range budget or spec.num_threads or a full-mode request against
-  /// an LB pool, Cancelled when spec.cancel was raised mid-selection, and
-  /// DeadlineExceeded when spec.deadline_ns passed mid-selection.
+  /// an LB pool, and Cancelled or DeadlineExceeded when spec.cancel was
+  /// raised or spec.deadline_ns passed (see SolveSpec). `context` is
+  /// unused; delete it with the next benchmark change.
   StatusOr<BoostResult> Solve(const SolveSpec& spec,
                               SolveContext* context = nullptr) const;
 
@@ -196,21 +198,16 @@ class PrrBoostEngine {
                  const PrrSamplerStats& stats, bool samples_capped);
 
  private:
-  /// The cached NodeSelectionLB greedy order at the full pool budget, with
-  /// μ̂ and (full pools) Δ̂ of every prefix; every smaller budget's LB answer
-  /// is a prefix of it.
-  const PrrCollection::LbResult& LbGreedyOrder();
+  /// Caches the two greedy orders at the pool budget (see Prepare()).
+  /// Idempotent.
+  void CacheGreedyOrders();
 
-  /// The one selection core both solve paths share. Requires a sampled pool
-  /// and a cached LB order; reads them const. `lb_answer` selects the
+  /// The one selection core both solve paths share: slices of the cached
+  /// orders, plus the sandwich compare on full answers. Requires a sampled
+  /// pool and cached orders; reads them const. `lb_answer` selects the
   /// LB-slice answer (LB pools, or SolveMode::kLbOnly on a full pool).
-  /// `stop` (may be null) carries the request's cancel flag and deadline;
-  /// when it trips, the partial result is returned as-is and the caller
-  /// inspects the token for the reason. Timing/provenance fields are left
-  /// for the caller.
-  BoostResult SolvePrepared(size_t k, bool lb_answer,
-                            ShardedEvalState* eval_state,
-                            StopToken* stop) const;
+  /// Timing/provenance fields are left for the caller.
+  BoostResult SolvePrepared(size_t k, bool lb_answer) const;
 
   const DirectedGraph& graph_;
   std::vector<NodeId> seeds_;
@@ -223,11 +220,9 @@ class PrrBoostEngine {
   bool samples_capped_ = false;
   bool serving_ready_ = false;
   PrrSamplerStats stats_;
-  bool lb_order_ready_ = false;
-  PrrCollection::LbResult lb_order_;  // greedy order at options_.k
-  // Scratch for the serial SolveForBudget path (kept warm across a sweep);
-  // concurrent Solve() calls bring their own SolveContext instead.
-  SolveContext serial_context_;
+  bool orders_ready_ = false;
+  PrrCollection::LbResult lb_order_;        // μ̂ greedy order at options_.k
+  PrrCollection::DeltaResult delta_order_;  // Δ̂ greedy order (full pools)
 };
 
 /// PRR-Boost (Algorithm 2): sandwich approximation over {B_µ, B_Δ}.

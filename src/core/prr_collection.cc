@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "src/select/greedy.h"
-#include "src/util/fault.h"
 #include "src/util/thread_pool.h"
 
 namespace kboost {
@@ -253,10 +252,8 @@ namespace {
 class DeltaOracle final : public SelectionOracle {
  public:
   DeltaOracle(const PrrCollection& collection,
-              std::span<const uint32_t> initial_gains, ShardedEvalState* state,
-              StopToken* stop)
+              std::span<const uint32_t> initial_gains, ShardedEvalState* state)
       : collection_(collection),
-        stop_(stop),
         boosted_(collection.num_graph_nodes(), 0),
         gains_(initial_gains.begin(), initial_gains.end()),
         state_(state) {
@@ -270,12 +267,6 @@ class DeltaOracle final : public SelectionOracle {
   void Commit(NodeId pick, std::vector<NodeId>* touched) override {
     boosted_[pick] = 1;
     gains_[pick] = 0;
-    // Deadline/cancel polling inside the pick: a single pick's scan can span
-    // the whole pool, so the token is re-polled every kStopStride graphs
-    // (counted across shards, activated graphs included), between graphs so
-    // no bitmap is left torn. The abandoned gain table is discarded by the
-    // caller, never served.
-    size_t position = 0;
     for (size_t s = 0; s < collection_.num_shards(); ++s) {
       const PrrStore& store = collection_.shard_store(s);
       PrrEvalState& state = state_->shard(s);
@@ -283,27 +274,22 @@ class DeltaOracle final : public SelectionOracle {
           collection_.ShardGraphsContaining(s, pick);
       const std::span<const uint32_t> locals =
           collection_.ShardGraphLocalsContaining(s, pick);
-      for (size_t i = 0; i < graphs.size(); ++i, ++position) {
-        if (stop_ != nullptr && position % kStopStride == 0) {
-          MaybeInjectFaultDelay(FaultSite::kPickStride);
-          if (stop_->ShouldStop()) return;
-        }
+      for (size_t i = 0; i < graphs.size(); ++i) {
         CommitGraph(store.View(graphs[i]), state, graphs[i], locals[i],
                     touched);
       }
     }
+    activated_after_.push_back(activated_);
   }
 
   size_t activated() const { return activated_; }
+  /// Graphs activated after each commit, in commit order.
+  const std::vector<size_t>& activated_after() const {
+    return activated_after_;
+  }
   std::vector<uint8_t>& boosted() { return boosted_; }
 
  private:
-  /// Graphs between full stop-token polls in the per-pick scan. Small enough
-  /// that even tiny PRR-graphs (~3 nodes on the paper's workloads) bound the
-  /// time between polls to microseconds; large enough that the clock read
-  /// (a vDSO call) stays noise.
-  static constexpr size_t kStopStride = 32;
-
   /// Re-evaluates graph g, which contains the pick at local id `local`.
   void CommitGraph(const PrrGraphView& view, PrrEvalState& state, uint32_t g,
                    uint32_t local, std::vector<NodeId>* touched) {
@@ -382,7 +368,6 @@ class DeltaOracle final : public SelectionOracle {
   }
 
   const PrrCollection& collection_;
-  StopToken* stop_;
   std::vector<uint8_t> boosted_;
   std::vector<uint32_t> gains_;
   ShardedEvalState* state_;
@@ -391,42 +376,43 @@ class DeltaOracle final : public SelectionOracle {
   std::vector<uint32_t> fresh_;  // one graph's newly critical locals
   std::vector<uint64_t> next_;   // scratch recompute's new crit words
   size_t activated_ = 0;
+  std::vector<size_t> activated_after_;
 };
 
 }  // namespace
 
 PrrCollection::DeltaResult PrrCollection::SelectGreedyDelta(
     size_t k, const std::vector<uint8_t>& excluded, int num_threads,
-    ShardedEvalState* eval_state, StopToken* stop) const {
+    ShardedEvalState* eval_state) const {
   DeltaResult result;
   if (k == 0 || num_samples() == 0) return result;
   // `num_threads` only sizes a cold index build; the greedy itself runs on
   // this thread.
   EnsureGraphIndex(num_threads);
 
-  // Callers that serve queries concurrently pass per-query eval state (from
-  // their SolveContext); the call-local fallback keeps one-shot callers
-  // correct at the cost of rebuilding the bitmap arenas.
   ShardedEvalState local_state;
   DeltaOracle oracle(*this, critical_counts_,
-                     eval_state != nullptr ? eval_state : &local_state, stop);
-  GreedyResult greedy = RunLazyGreedy(oracle, k, &excluded, stop);
+                     eval_state != nullptr ? eval_state : &local_state);
+  GreedyResult greedy = RunLazyGreedy(oracle, k, &excluded);
   result.nodes = std::move(greedy.selected);
   result.pick_gains = std::move(greedy.gains);
   result.activated_samples = oracle.activated();
-  result.cancelled = greedy.cancelled;
-  result.deadline_exceeded = greedy.deadline_exceeded;
-  if (result.cancelled || result.deadline_exceeded) {
-    result.delta_hat = static_cast<double>(num_graph_nodes_) *
-                       static_cast<double>(result.activated_samples) /
-                       static_cast<double>(num_samples());
-    return result;
+  // Each prefix's Δ̂ is what a run stopped after that pick reports: the same
+  // commits, so the same activated count and the same n·count/θ expression.
+  const auto delta_hat = [&](size_t activated) {
+    return static_cast<double>(num_graph_nodes_) *
+           static_cast<double>(activated) / static_cast<double>(num_samples());
+  };
+  for (const size_t activated : oracle.activated_after()) {
+    result.prefix_delta_hat.push_back(delta_hat(activated));
   }
+  result.delta_hat = delta_hat(result.activated_samples);
 
   // Budget left but no single-node gains: fall back to PRR-occurrence
   // counts (nodes present in many boostable PRR-graphs are the best
   // remaining heuristic candidates). Occurrence counts sum over shards, so
-  // the fill order is shard-count-invariant.
+  // the fill order is shard-count-invariant; it never reads k, so padding
+  // keeps the answer nested.
   if (result.nodes.size() < k) {
     std::vector<uint8_t>& boosted = oracle.boosted();
     std::vector<NodeId> order;
@@ -446,11 +432,8 @@ PrrCollection::DeltaResult PrrCollection::SelectGreedyDelta(
       boosted[v] = 1;
       result.nodes.push_back(v);
     }
+    result.prefix_delta_hat.resize(result.nodes.size(), result.delta_hat);
   }
-
-  result.delta_hat = static_cast<double>(num_graph_nodes_) *
-                     static_cast<double>(result.activated_samples) /
-                     static_cast<double>(num_samples());
   return result;
 }
 

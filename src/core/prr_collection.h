@@ -140,32 +140,32 @@ class PrrCollection {
   /// zero before k picks (no single node helps), remaining slots are filled
   /// by PRR-occurrence counts so the budget is never silently wasted.
   ///
-  /// Concurrency: all query-time mutable state is oracle-local or lives in
-  /// the caller-supplied `eval_state` (one PrrEvalState per shard), so
-  /// concurrent calls on one collection are safe — and bit-identical to the
-  /// serial loop — provided each call brings its own eval state and the
-  /// lazily-built indexes were warmed first (WarmIndexes(), done by
-  /// BoostSession::Prepare). Throughput comes from concurrent queries, not
-  /// from splitting one. A null `eval_state` uses call-local state
-  /// (correct, but re-allocates the bitmap arenas every call). `stop`, if
-  /// non-null, is polled between greedy rounds AND every bounded stride of
-  /// the per-pick re-evaluation scan — a single huge pick stops promptly on
-  /// cancellation or a passed deadline; the partial result carries
-  /// `cancelled`/`deadline_exceeded` and must be discarded, not served.
+  /// The answer is nested in k: round i's argmax reads only picks 0..i−1,
+  /// and the padding order is sorted independently of k, so the k-node
+  /// answer is the k-prefix of the k_max one and `prefix_delta_hat[k−1]` is
+  /// its Δ̂. PrrBoostEngine::Prepare runs it once, at k_max.
+  ///
+  /// Concurrency: all mutable state is oracle-local or lives in the
+  /// caller-supplied `eval_state` (one PrrEvalState per shard), so
+  /// concurrent calls on one collection are safe provided each call brings
+  /// its own eval state and the lazily-built indexes were warmed first
+  /// (WarmIndexes()). A null `eval_state` uses call-local state.
   struct DeltaResult {
     std::vector<NodeId> nodes;
     /// Marginal Δ̂ gain (in covered samples) of each greedy pick, in
     /// selection order; fallback-filled nodes contribute no entries.
     std::vector<uint64_t> pick_gains;
-    size_t activated_samples = 0;
+    size_t activated_samples = 0;  ///< Σ pick_gains on a sampled pool
     double delta_hat = 0.0;
-    bool cancelled = false;
-    bool deadline_exceeded = false;
+    /// Δ̂(nodes[0..i]) for each i — the twin of LbResult::prefix_mu_hat,
+    /// from the activated count after each pick (Σ_{j≤i} pick_gains[j] on a
+    /// sampled pool). Entries past the last real pick (the occurrence-count
+    /// padding) repeat the total.
+    std::vector<double> prefix_delta_hat;
   };
   DeltaResult SelectGreedyDelta(size_t k, const std::vector<uint8_t>& excluded,
                                 int num_threads = 1,
-                                ShardedEvalState* eval_state = nullptr,
-                                StopToken* stop = nullptr) const;
+                                ShardedEvalState* eval_state = nullptr) const;
 
   /// Δ̂ of every prefix of `order` (entry i is Δ̂_R(order[0..i])), on the
   /// calling thread. Every stored graph has f_R(∅) = 0, so adding v can flip

@@ -240,8 +240,8 @@ class PrrEvalState {
 /// tables rebuilt only on generation mismatch).
 ///
 /// Thread-safety model: a selection run reads and writes its states on the
-/// calling thread only, so concurrent queries need one bundle each (one per
-/// SolveContext) and nothing else.
+/// calling thread only, so concurrent runs need one bundle each and nothing
+/// else.
 class ShardedEvalState {
  public:
   /// (Re)binds one eval state per shard arena. Safe to call with a different

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <limits>
@@ -81,20 +80,6 @@ bool ParseUint64Flag(int argc, char** argv, int start, const char* flag_name,
   return true;
 }
 
-bool ParseDoubleFlag(int argc, char** argv, int start, const char* flag_name,
-                     double* out) {
-  const char* text = FlagValue(argc, argv, start, flag_name);
-  if (text == nullptr) return true;
-  char* end = nullptr;
-  *out = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "error: %s must be a number, got '%s'\n", flag_name,
-                 text);
-    return false;
-  }
-  return true;
-}
-
 /// Splits "host:port" with a strict port parse. The last ':' separates, so
 /// this stays correct if hosts ever grow colons.
 bool ParseHostPort(const char* text, std::string* host, uint16_t* port) {
@@ -144,7 +129,7 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
   if (!ValidateFlags(argc, argv, flag_start, "serve",
                      {"--graph", "--pool", "--listen", "--bind", "--workers",
                       "--threads", "--queue-cap", "--deadline-ms",
-                      "--degrade", "--dispatch-queue", "--max-connections",
+                      "--dispatch-queue", "--max-connections",
                       "--drain-deadline-ms"},
                      {"--mmap-pool", "--no-remote-shutdown"})) {
     return 2;
@@ -155,7 +140,7 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
                  "usage: serve --graph=PATH --pool=NAME=SNAPSHOT "
                  "[--pool=...] [--mmap-pool] [--listen=PORT] [--bind=ADDR]\n"
                  "             [--workers=N] [--threads=N] [--queue-cap=N]\n"
-                 "             [--deadline-ms=N] [--degrade=F]\n"
+                 "             [--deadline-ms=N]\n"
                  "             [--dispatch-queue=N] [--max-connections=N]\n"
                  "             [--drain-deadline-ms=N] "
                  "[--no-remote-shutdown]\n");
@@ -184,7 +169,6 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
   uint64_t listen_port = 0, workers = 2, threads = 0, queue_cap = 0;
   uint64_t deadline_ms = 0, dispatch_queue = 64, max_connections = 256;
   uint64_t drain_deadline_ms = 2000;
-  double degrade = 0.0;
   if (!ParseUint64Flag(argc, argv, flag_start, "--listen", &listen_port) ||
       !ParseUint64Flag(argc, argv, flag_start, "--workers", &workers) ||
       !ParseUint64Flag(argc, argv, flag_start, "--threads", &threads) ||
@@ -196,8 +180,7 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
       !ParseUint64Flag(argc, argv, flag_start, "--max-connections",
                        &max_connections) ||
       !ParseUint64Flag(argc, argv, flag_start, "--drain-deadline-ms",
-                       &drain_deadline_ms) ||
-      !ParseDoubleFlag(argc, argv, flag_start, "--degrade", &degrade)) {
+                       &drain_deadline_ms)) {
     return 2;
   }
   if (listen_port > 65535) {
@@ -223,7 +206,6 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
   service_options.max_in_flight = queue_cap;
   service_options.max_queued = queue_cap;
   service_options.default_deadline_ms = deadline_ms;
-  service_options.degrade_load_factor = degrade;
   StatusOr<std::unique_ptr<BoostService>> service =
       BoostService::Create(graph.value(), service_options);
   if (!service.ok()) {
@@ -331,10 +313,9 @@ int RunQueryCommand(int argc, char** argv, int flag_start) {
     return 1;
   }
   const WireQueryReply& r = reply.value();
-  std::printf("pool '%s' v%llu k=%llu%s\n", query.pool.c_str(),
+  std::printf("pool '%s' v%llu k=%llu\n", query.pool.c_str(),
               static_cast<unsigned long long>(r.pool_version),
-              static_cast<unsigned long long>(query.k),
-              r.degraded ? "  [degraded]" : "");
+              static_cast<unsigned long long>(query.k));
   std::printf("boost_set: ");
   for (size_t i = 0; i < r.best_set.size(); ++i) {
     std::printf("%s%u", i ? "," : "", r.best_set[i]);

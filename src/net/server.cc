@@ -8,7 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstring>
 
@@ -16,7 +18,7 @@
 #include <sys/epoll.h>
 #endif
 
-#include "src/select/greedy.h"  // SteadyNowNanos
+#include "src/util/timer.h"
 
 namespace kboost {
 
@@ -334,7 +336,8 @@ void KboostServer::EventLoop() {
           drain_cancel_.store(true, std::memory_order_release);
           timeout_ms = 100;
         } else {
-          timeout_ms = static_cast<int>(left_ns / 1'000'000) + 1;
+          timeout_ms = static_cast<int>(
+              std::min<int64_t>(left_ns / 1'000'000 + 1, INT_MAX));
         }
       } else {
         timeout_ms = 100;
@@ -370,9 +373,7 @@ void KboostServer::EventLoop() {
     if (shutdown_requested_.load(std::memory_order_acquire) &&
         !draining_.load(std::memory_order_relaxed)) {
       BeginDrain();
-      drain_deadline_ns =
-          SteadyNowNanos() +
-          static_cast<int64_t>(options_.drain_deadline_ms) * 1'000'000;
+      drain_deadline_ns = DeadlineAfterMillis(options_.drain_deadline_ms);
     }
   }
 
@@ -679,8 +680,6 @@ void KboostServer::CompleteWork(const std::shared_ptr<Connection>& conn) {
 }
 
 void KboostServer::WorkerLoop() {
-  // One context per worker keeps selection scratch warm across requests.
-  SolveContext context;
   while (true) {
     WorkItem item;
     {
@@ -716,12 +715,11 @@ void KboostServer::WorkerLoop() {
         request.mode = item.query.mode;
         request.deadline_ms = item.query.deadline_ms;
         request.cancel = &drain_cancel_;
-        StatusOr<BoostResponse> solved = service_->Solve(request, &context);
+        StatusOr<BoostResponse> solved = service_->Solve(request);
         if (solved.ok()) {
           const BoostResponse& response = solved.value();
           reply.status = Status::Ok();
           reply.pool_version = response.pool_version;
-          reply.degraded = response.degraded;
           reply.solve_seconds = response.solve_seconds;
           reply.best_set = response.result.best_set;
           reply.best_estimate = response.result.best_estimate;

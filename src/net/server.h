@@ -25,7 +25,8 @@ struct ServerOptions {
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
   /// Worker threads draining the dispatch queue into BoostService::Solve.
-  /// Each worker keeps its own SolveContext warm across requests.
+  /// A solve is an O(k) slice of cached orders, so workers mostly run reply
+  /// encoding and socket writes; they keep no per-worker solve state.
   int num_workers = 2;
   /// Bounded dispatch queue between the event loop and the workers. A query
   /// arriving while the queue is full is answered immediately with a typed
@@ -82,7 +83,7 @@ struct ServerCounters {
 /// is covered by the same budget because the worker passes the wire value
 /// through untouched and the clock starts at Solve() entry; socket read
 /// time is the client's own cost. Every overload outcome (shed, deadline
-/// miss, degraded, shutdown reject) travels as a typed reply frame; a
+/// miss, shutdown reject) travels as a typed reply frame; a
 /// connection is only ever closed without a reply when the peer itself
 /// vanished or sent bytes that do not parse as a frame (and even then an
 /// error frame is attempted first).
@@ -191,8 +192,8 @@ class KboostServer {
   // on its OWN thread — so connection/drain state needs no lock and no
   // signal-safety gymnastics. Shutdown then proceeds in one direction:
   //   shutdown_requested_ → BeginDrain() (close acceptor, set draining_) →
-  //   outstanding_ reaches 0 (past drain_deadline_ms, drain_cancel_ trips
-  //   every in-flight StopToken) → stop_workers_ under queue_mutex_ →
+  //   outstanding_ reaches 0 (past drain_deadline_ms, drain_cancel_ cancels
+  //   every in-flight solve) → stop_workers_ under queue_mutex_ →
   //   workers joined → connections closed → finished_.
   // No step is ever reversed, which is why each flag can be an independent
   // atomic rather than multi-field state under one lock.

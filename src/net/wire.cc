@@ -335,7 +335,6 @@ std::string EncodeQueryReplyFrame(uint32_t request_id,
   AppendStatus(reply.status, &body);
   if (reply.status.ok()) {
     AppendU64(reply.pool_version, &body);
-    AppendU8(reply.degraded ? 1 : 0, &body);
     AppendF64(reply.solve_seconds, &body);
     AppendNodeVec(reply.best_set, &body);
     AppendF64(reply.best_estimate, &body);
@@ -359,8 +358,8 @@ Status DecodeQueryReplyBody(const uint8_t* body, size_t len,
   if (!out->status.ok()) {
     return reader.AtEnd() ? Status::Ok() : Malformed("query reply");
   }
-  uint8_t degraded = 0, pool_reused = 0;
-  if (!reader.ReadU64(&out->pool_version) || !reader.ReadU8(&degraded) ||
+  uint8_t pool_reused = 0;
+  if (!reader.ReadU64(&out->pool_version) ||
       !reader.ReadF64(&out->solve_seconds) ||
       !reader.ReadNodeVec(&out->best_set) ||
       !reader.ReadF64(&out->best_estimate) ||
@@ -373,7 +372,6 @@ Status DecodeQueryReplyBody(const uint8_t* body, size_t len,
       !reader.ReadU64(&out->num_boostable) || !reader.AtEnd()) {
     return Malformed("query reply");
   }
-  out->degraded = degraded != 0;
   out->pool_reused = pool_reused != 0;
   return Status::Ok();
 }
@@ -402,7 +400,6 @@ std::string EncodeStatsReplyFrame(uint32_t request_id,
     AppendU64(pool.errors, &body);
     AppendU64(pool.shed, &body);
     AppendU64(pool.deadline_misses, &body);
-    AppendU64(pool.degraded, &body);
     AppendU64(pool.load_retries, &body);
     AppendF64(pool.latency_mean_ms, &body);
     AppendF64(pool.latency_p50_ms, &body);
@@ -432,7 +429,6 @@ Status DecodeStatsReplyBody(const uint8_t* body, size_t len,
         !reader.ReadU64(&pool.refreshes) || !reader.ReadU64(&pool.queries) ||
         !reader.ReadU64(&pool.errors) || !reader.ReadU64(&pool.shed) ||
         !reader.ReadU64(&pool.deadline_misses) ||
-        !reader.ReadU64(&pool.degraded) ||
         !reader.ReadU64(&pool.load_retries) ||
         !reader.ReadF64(&pool.latency_mean_ms) ||
         !reader.ReadF64(&pool.latency_p50_ms) ||

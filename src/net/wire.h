@@ -34,7 +34,7 @@ namespace kboost {
 /// are a typed error, never ignored. docs/PROTOCOL.md is the normative
 /// description.
 inline constexpr uint32_t kWireMagic = 0x5453424Bu;  // "KBST" little-endian
-inline constexpr uint8_t kWireVersion = 2;
+inline constexpr uint8_t kWireVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Default decoder bound on body_len. Generous for answers (a selection is
 /// k u32s) yet small enough that a hostile length can't balloon memory.
@@ -98,12 +98,11 @@ struct WireQuery {
 /// A query reply on the wire: the typed Status outcome plus, when OK, the
 /// answer fields a client (and the loadgen's bit-identity gate) consumes.
 /// Every overload outcome of the serving stack — shed (ResourceExhausted),
-/// deadline miss, degraded answer, shutdown reject (Unavailable) — is
-/// representable here, so overload never surfaces as a dropped connection.
+/// deadline miss, shutdown reject (Unavailable) — is representable here, so
+/// overload never surfaces as a dropped connection.
 struct WireQueryReply {
   Status status;  ///< the remote Solve outcome, typed
   uint64_t pool_version = 0;
-  bool degraded = false;
   double solve_seconds = 0.0;
   std::vector<NodeId> best_set;
   double best_estimate = 0.0;

@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "src/select/greedy.h"  // SteadyNowNanos
-
 namespace kboost {
 
 StatusOr<AdmissionController::Ticket> AdmissionController::Admit(
@@ -32,10 +30,11 @@ StatusOr<AdmissionController::Ticket> AdmissionController::Admit(
   // analyzed in the frame that holds mutex_ — see src/util/sync.h.
   bool got_slot = true;
   if (deadline_ns > 0) {
-    // Reconstruct the absolute steady time point the nanos refer to.
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::nanoseconds(deadline_ns - SteadyNowNanos());
+    // The steady time point the nanos refer to (SteadyNowNanos() counts
+    // from the same epoch), built without arithmetic so a saturated
+    // INT64_MAX deadline cannot overflow.
+    const std::chrono::steady_clock::time_point deadline{
+        std::chrono::nanoseconds(deadline_ns)};
     while (in_flight_.load(std::memory_order_relaxed) >=
            options_.max_in_flight) {
       if (slot_free_.WaitUntil(mutex_, deadline)) continue;
@@ -72,16 +71,6 @@ void AdmissionController::ReleaseSlot() {
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
   }
   slot_free_.NotifyOne();
-}
-
-double AdmissionController::load() const {
-  if (unlimited()) return 0.0;
-  const double capacity =
-      static_cast<double>(options_.max_in_flight + options_.max_queued);
-  const double used =
-      static_cast<double>(in_flight_.load(std::memory_order_relaxed) +
-                          queued_.load(std::memory_order_relaxed));
-  return used >= capacity ? 1.0 : used / capacity;
 }
 
 }  // namespace kboost

@@ -32,9 +32,6 @@ struct AdmissionOptions {
 /// Rejections are typed: ResourceExhausted when the waiting room is full
 /// (shed), DeadlineExceeded when a queued request's deadline passed before a
 /// slot freed. Both are counted for Stats().
-///
-/// The fullness fraction (load()) doubles as the service's load-pressure
-/// signal for graceful degradation.
 class AdmissionController {
  public:
   /// Releases one admission slot when destroyed. Default-constructed and
@@ -88,12 +85,6 @@ class AdmissionController {
   /// Whether no concurrency bound is configured.
   bool unlimited() const { return options_.max_in_flight == 0; }
 
-  /// Occupancy fraction of the total budget (in-flight + waiting over
-  /// max_in_flight + max_queued), in [0, 1]. Always 0 when unlimited — an
-  /// unbounded service has no meaningful fullness. This is the load signal
-  /// the degradation policy thresholds on.
-  double load() const;
-
   // Gauges (point-in-time) and lifetime counters, all lock-free reads.
   uint64_t in_flight() const {
     return in_flight_.load(std::memory_order_relaxed);
@@ -117,8 +108,8 @@ class AdmissionController {
   Mutex mutex_;
   CondVar slot_free_;
   // Mutated under mutex_ (no lost wakeups) but deliberately atomic, NOT
-  // KB_GUARDED_BY: the gauges/load() accessors and the degradation policy
-  // read them lock-free on the query path.
+  // KB_GUARDED_BY: the gauge accessors read them lock-free, and the
+  // unlimited path bumps them without the lock.
   std::atomic<uint64_t> in_flight_{0};
   std::atomic<uint64_t> queued_{0};
   std::atomic<uint64_t> admitted_{0};

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/io/pool_io.h"
-#include "src/select/greedy.h"  // SteadyNowNanos
 #include "src/util/timer.h"
 
 namespace kboost {
@@ -28,16 +27,6 @@ StatusOr<std::unique_ptr<BoostService>> BoostService::Create(
     BoostOptions probe;
     probe.num_threads = options.num_threads;
     if (Status s = probe.Validate(); !s.ok()) return s;
-  }
-  if (options.degrade_load_factor < 0.0 ||
-      options.degrade_load_factor > 1.0) {
-    return Status::InvalidArgument(
-        "degrade_load_factor must be in [0, 1], got " +
-        std::to_string(options.degrade_load_factor));
-  }
-  if (options.degrade_latency_ms < 0.0) {
-    return Status::InvalidArgument("degrade_latency_ms must be >= 0, got " +
-                                   std::to_string(options.degrade_latency_ms));
   }
   if (options.snapshot_retry.max_attempts < 1) {
     return Status::InvalidArgument(
@@ -294,8 +283,8 @@ ServiceStatsSnapshot BoostService::Stats() const {
   return result;  // std::map iteration already sorted by name
 }
 
-StatusOr<BoostResponse> BoostService::Solve(const BoostRequest& request,
-                                            SolveContext* context) const {
+StatusOr<BoostResponse> BoostService::Solve(
+    const BoostRequest& request, SolveContext* /*context*/) const {
   // One lookup pins everything the query needs — the session, the version
   // it will be attributed to and the metrics collector — so a refresh or
   // removal racing this call cannot tear them apart.
@@ -319,13 +308,9 @@ StatusOr<BoostResponse> BoostService::Solve(const BoostRequest& request,
 
   // One latency budget from here on: admission wait and solve time draw
   // down the same absolute deadline.
-  const uint64_t deadline_ms = request.deadline_ms != 0
-                                   ? request.deadline_ms
-                                   : options_.default_deadline_ms;
-  const int64_t deadline_ns =
-      deadline_ms == 0
-          ? 0
-          : SteadyNowNanos() + static_cast<int64_t>(deadline_ms) * 1000000;
+  const int64_t deadline_ns = DeadlineAfterMillis(
+      request.deadline_ms != 0 ? request.deadline_ms
+                               : options_.default_deadline_ms);
 
   // Admission: the ticket's destructor returns the slot on every exit path
   // below, so slots cannot leak. Shed requests never ran and never waited —
@@ -340,24 +325,14 @@ StatusOr<BoostResponse> BoostService::Solve(const BoostRequest& request,
     return ticket.status();
   }
 
-  // Graceful degradation: under pressure, a kAuto request against a full
-  // pool answers from the O(k) LB cached order instead of running the Δ̂
-  // selection. Explicit modes are always honored; LB pools have nothing to
-  // degrade to.
   SolveSpec spec;
   spec.k = request.k;
   spec.mode = request.mode;
   spec.cancel = request.cancel;
   spec.deadline_ns = deadline_ns;
-  bool degraded = false;
-  if (request.mode == SolveMode::kAuto && !pool->lb_only() &&
-      ShouldDegrade(*stats)) {
-    spec.mode = SolveMode::kLbOnly;
-    degraded = true;
-  }
 
   WallTimer timer;
-  StatusOr<BoostResult> solved = pool->Solve(spec, context);
+  StatusOr<BoostResult> solved = pool->Solve(spec);
   if (!solved.ok()) {
     stats->RecordError();
     if (solved.status().code() == StatusCode::kDeadlineExceeded) {
@@ -366,24 +341,14 @@ StatusOr<BoostResponse> BoostService::Solve(const BoostRequest& request,
     return solved.status();
   }
   const double solve_seconds = timer.Seconds();
-  stats->RecordQuery(solve_seconds, degraded);
+  stats->RecordQuery(solve_seconds);
 
   BoostResponse response;
   response.pool = request.pool;
   response.pool_version = version;
   response.result = std::move(solved).value();
   response.solve_seconds = solve_seconds;
-  response.degraded = degraded;
   return response;
-}
-
-bool BoostService::ShouldDegrade(const PoolStatsCollector& stats) const {
-  if (options_.degrade_load_factor > 0.0 &&
-      admission_.load() >= options_.degrade_load_factor) {
-    return true;
-  }
-  return options_.degrade_latency_ms > 0.0 &&
-         stats.latency_ewma_ms() >= options_.degrade_latency_ms;
 }
 
 }  // namespace kboost

@@ -28,19 +28,18 @@ namespace kboost {
 struct BoostRequest {
   std::string pool;  ///< registered pool name
   size_t k = 0;      ///< budget; must be in [1, pool budget]
-  /// kAuto answers with the pool's native pipeline; kLbOnly downgrades a
-  /// full pool to the O(k) cached-order answer; kFull is rejected against
-  /// LB-only pools. (SolveMode/SolveSpec are defined in src/core.)
+  /// kAuto answers with the pool's native pipeline; kLbOnly answers a full
+  /// pool from its LB order alone; kFull is rejected against LB-only pools.
+  /// (SolveMode/SolveSpec are defined in src/core.)
   SolveMode mode = SolveMode::kAuto;
-  /// Optional cooperative cancellation; polled between greedy rounds AND
-  /// every bounded stride of the per-pick Δ̂ re-evaluation scan, so even a
-  /// one-pick solve cancels promptly. Must outlive the Solve() call.
+  /// Optional cooperative cancellation, checked where SolveSpec::cancel is.
+  /// Must outlive the Solve() call.
   const std::atomic<bool>* cancel = nullptr;
   /// Per-request latency budget in milliseconds, measured from Solve()
   /// entry and covering admission wait AND solve time (one budget, not
   /// two). 0 = the service's Options::default_deadline_ms (which may itself
-  /// be 0 = no deadline). A request that overruns gets DeadlineExceeded;
-  /// its partial selection is discarded, never served.
+  /// be 0 = no deadline). A request that overruns gets DeadlineExceeded.
+  /// Any u64 is valid: a budget too large to represent never expires.
   uint64_t deadline_ms = 0;
 };
 
@@ -56,12 +55,6 @@ struct BoostResponse {
   uint64_t pool_version = 0;
   BoostResult result;
   double solve_seconds = 0.0;
-  /// Set when the degradation policy downgraded this kAuto request from the
-  /// full sandwich pipeline to the LB cached-order answer (see
-  /// Options::degrade_load_factor / degrade_latency_ms). The answer is the
-  /// pool's exact LB answer — bit-identical to an explicit kLbOnly request —
-  /// just not the full sandwich the pool could produce unloaded.
-  bool degraded = false;
 };
 
 /// A thread-safe registry of named, immutable prepared pools answering
@@ -70,12 +63,12 @@ struct BoostResponse {
 /// The service exploits the paper's core asymmetry: sampling a PRR-graph
 /// pool is expensive, answering a budget query against it is cheap — a
 /// read-mostly serving workload. Pools are prepared (sampled + indexes
-/// warmed + LB order cached) BEFORE registration and held as
+/// warmed + both greedy orders cached) BEFORE registration and held as
 /// shared_ptr<const BoostSession>, so the query path holds the registry
-/// lock only for the name lookup; the solve itself runs lock-free on the
-/// shared pool with per-query SolveContext scratch. N clients solving
-/// mixed budgets/modes against one pool get results bit-identical to the
-/// same queries issued serially.
+/// lock only for the name lookup; the solve itself is a lock-free slice of
+/// the shared pool's cached orders. N clients solving mixed budgets/modes
+/// against one pool get results bit-identical to the same queries issued
+/// serially.
 ///
 /// Registry mutations (LoadPool/AddPool/RefreshPool/RemovePool) take the
 /// writer lock only around the map update; preparing a pool happens outside
@@ -127,16 +120,6 @@ class BoostService {
     /// Deadline applied to requests that carry none (deadline_ms == 0).
     /// 0 = no default; see BoostRequest::deadline_ms for semantics.
     uint64_t default_deadline_ms = 0;
-    /// Graceful degradation on load: when the admission budget is at least
-    /// this full (AdmissionController::load() ∈ [0,1]), kAuto requests
-    /// against full pools answer from the O(k) LB cached order instead of
-    /// running the Δ̂ selection, with BoostResponse::degraded set. 0 = never
-    /// degrade on load. Explicit kFull/kLbOnly requests are always honored.
-    double degrade_load_factor = 0.0;
-    /// Graceful degradation on latency: same downgrade when the pool's
-    /// recent solve-latency EWMA exceeds this many milliseconds. 0 = never
-    /// degrade on latency.
-    double degrade_latency_ms = 0.0;
     /// Retry schedule for transient snapshot-load faults (I/O errors,
     /// allocation pressure) in LoadPool / RefreshPoolFromSnapshot /
     /// warm_pools. Permanent errors (corruption, graph mismatch) are never
@@ -208,20 +191,14 @@ class BoostService {
   /// (checked before admission — a typo never consumes a slot);
   /// ResourceExhausted when the admission waiting room is full (the request
   /// is shed without waiting); DeadlineExceeded when the request's deadline
-  /// passes while queued for admission or mid-solve; otherwise exactly the
-  /// statuses of BoostSession::Solve (InvalidArgument, Cancelled). Under
-  /// degradation pressure, kAuto requests against full pools may answer
-  /// from the LB cached order with response.degraded set. Every non-OK
-  /// return is one of these typed statuses — overload never surfaces as a
-  /// crash or an untyped error — and the RAII admission ticket guarantees
-  /// the slot is returned on every path. The overload taking a
-  /// SolveContext lets a client thread keep selection scratch warm across
-  /// its queries; contexts must not be shared between in-flight calls.
-  StatusOr<BoostResponse> Solve(const BoostRequest& request) const {
-    return Solve(request, nullptr);
-  }
+  /// passes while queued for admission or at solve entry; otherwise exactly
+  /// the statuses of BoostSession::Solve (InvalidArgument, Cancelled). Every
+  /// non-OK return is one of these typed statuses — overload never surfaces
+  /// as a crash or an untyped error — and the RAII admission ticket
+  /// guarantees the slot is returned on every path. `context` is unused;
+  /// delete it with the next benchmark change.
   StatusOr<BoostResponse> Solve(const BoostRequest& request,
-                                SolveContext* context) const;
+                                SolveContext* context = nullptr) const;
 
  private:
   /// What the registry maps a name to: the published session plus the
@@ -259,11 +236,6 @@ class BoostService {
   /// Adds `retries` to the named pool's load-retry counter (no-op when the
   /// name is not registered).
   void NoteLoadRetries(const std::string& name, uint64_t retries) const;
-
-  /// Whether a kAuto request should downgrade to the LB answer right now:
-  /// admission fullness ≥ degrade_load_factor, or the pool's latency EWMA ≥
-  /// degrade_latency_ms (each signal only when configured).
-  bool ShouldDegrade(const PoolStatsCollector& stats) const;
 
   const DirectedGraph& graph_;
   const Options options_;  // warm_pools unused after Create()

@@ -2,22 +2,17 @@
 
 namespace kboost {
 
-void PoolStatsCollector::RecordQuery(double latency_seconds, bool degraded) {
+void PoolStatsCollector::RecordQuery(double latency_seconds) {
   const double ms = latency_seconds * 1e3;
   MutexLock lock(mutex_);
   latency_ms_.Add(ms);
-  if (degraded) ++degraded_;
   if (window_ms_.size() < kWindow) {
     window_ms_.push_back(ms);
   } else {
     window_ms_[window_next_] = ms;
   }
   window_next_ = (window_next_ + 1) % kWindow;
-  // Updated under the mutex (no lost updates), stored atomically so the
-  // degradation policy reads it without locking on the query path.
-  const double prev = ewma_ms_.load(std::memory_order_relaxed);
-  const double next = prev == 0.0 ? ms : prev + (ms - prev) * kEwmaAlpha;
-  ewma_ms_.store(next, std::memory_order_relaxed);
+  ewma_ms_ = ewma_ms_ == 0.0 ? ms : ewma_ms_ + (ms - ewma_ms_) * kEwmaAlpha;
 }
 
 void PoolStatsCollector::RecordError() {
@@ -43,14 +38,13 @@ void PoolStatsCollector::FillSnapshot(PoolStatsSnapshot* out) const {
     MutexLock lock(mutex_);
     out->queries = latency_ms_.count();
     out->errors = errors_;
-    out->degraded = degraded_;
     out->latency_mean_ms = latency_ms_.mean();
+    out->latency_ewma_ms = ewma_ms_;
     window = window_ms_;
   }
   out->shed = shed_.load(std::memory_order_relaxed);
   out->deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
   out->load_retries = load_retries_.load(std::memory_order_relaxed);
-  out->latency_ewma_ms = ewma_ms_.load(std::memory_order_relaxed);
   // Quantile sorts a copy; done outside the lock so a slow snapshot never
   // stalls the query path.
   if (!window.empty()) {

@@ -31,10 +31,6 @@ struct PoolStatsSnapshot {
   /// Requests whose deadline passed — waiting for an admission slot or
   /// mid-solve (the latter also count as errors; the former do not).
   uint64_t deadline_misses = 0;
-  /// Successfully answered queries that the degradation policy downgraded
-  /// from the full sandwich pipeline to the LB cached-order answer. A subset
-  /// of `queries`.
-  uint64_t degraded = 0;
   /// Transient snapshot-load faults absorbed by the retry-with-backoff loop
   /// while loading or refreshing this pool (retries that led to an eventual
   /// success or gave up; either way each retry counts once).
@@ -43,8 +39,8 @@ struct PoolStatsSnapshot {
   double latency_p50_ms = 0.0;   ///< median over the recent window
   double latency_p95_ms = 0.0;   ///< 95th percentile over the recent window
   /// Exponentially weighted moving average of solve latency (α = 1/32, ~32
-  /// queries of memory) — the cheap load-pressure signal the degradation
-  /// policy thresholds on, readable lock-free on the query path.
+  /// queries of memory) — a load signal that, unlike the window quantiles,
+  /// forgets a burst within a few dozen queries.
   double latency_ewma_ms = 0.0;
   double registered_at = 0.0;    ///< seconds since epoch, AddPool/LoadPool
   double refreshed_at = 0.0;     ///< seconds since epoch, last swap (0 = never)
@@ -87,9 +83,8 @@ class PoolStatsCollector {
   /// its latency, so the signal remembers roughly the last 32 queries.
   static constexpr double kEwmaAlpha = 1.0 / 32.0;
 
-  /// Records one successfully answered query, its solve latency, and
-  /// whether the degradation policy downgraded it to the LB answer.
-  void RecordQuery(double latency_seconds, bool degraded = false);
+  /// Records one successfully answered query and its solve latency.
+  void RecordQuery(double latency_seconds);
   /// Records one query that failed against this pool (bad request,
   /// cancellation, deadline mid-solve, ...). NotFound is service-level,
   /// not per-pool.
@@ -102,12 +97,6 @@ class PoolStatsCollector {
   /// pool's snapshot.
   void RecordLoadRetries(uint64_t retries);
 
-  /// Current latency EWMA in milliseconds; lock-free (read on the query
-  /// path by the degradation policy). 0 until the first query.
-  double latency_ewma_ms() const {
-    return ewma_ms_.load(std::memory_order_relaxed);
-  }
-
   /// Fills the count and latency fields of `out` (the identity fields —
   /// name, version, timestamps — belong to the registry entry).
   void FillSnapshot(PoolStatsSnapshot* out) const;
@@ -116,18 +105,15 @@ class PoolStatsCollector {
   mutable Mutex mutex_;
   RunningStat latency_ms_ KB_GUARDED_BY(mutex_);
   uint64_t errors_ KB_GUARDED_BY(mutex_) = 0;
-  uint64_t degraded_ KB_GUARDED_BY(mutex_) = 0;
+  double ewma_ms_ KB_GUARDED_BY(mutex_) = 0.0;  ///< 0 until the first query
   /// Ring buffer of the last kWindow solves.
   std::vector<double> window_ms_ KB_GUARDED_BY(mutex_);
   size_t window_next_ KB_GUARDED_BY(mutex_) = 0;
   // Outside the mutex: bumped on paths that must not contend with solvers
-  // (shed happens exactly when the service is saturated) or read lock-free.
+  // (shed happens exactly when the service is saturated).
   std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> deadline_misses_{0};
   std::atomic<uint64_t> load_retries_{0};
-  /// Written under mutex_ (RecordQuery), read lock-free by the degradation
-  /// policy — atomic by design, not guarded.
-  std::atomic<double> ewma_ms_{0.0};
 };
 
 }  // namespace kboost

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,47 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// FNV-1a over 64-bit words: a stable fingerprint of a pool's contents.
+class Digest {
+ public:
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ = (hash_ ^ ((word >> (8 * byte)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  }
+  void Add(std::span<const uint32_t> words) {
+    Add(words.size());
+    for (const uint32_t w : words) Add(w);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+/// Digests a pool's realization: every stored graph's global ids, packed
+/// out-edges (with their offsets) and critical locals, in shard-major
+/// order, plus θ and the boostable/activated/hopeless counts.
+uint64_t PoolDigest(const PrrCollection& collection) {
+  Digest digest;
+  for (const PrrStore& store : collection.shards()) {
+    digest.Add(store.num_graphs());
+    for (size_t g = 0; g < store.num_graphs(); ++g) {
+      const PrrGraphView view = store.View(g);
+      const uint32_t n = view.num_nodes();
+      digest.Add({view.global_ids, n});
+      digest.Add({view.out_offsets, n + 1});
+      digest.Add({view.out_edges, view.num_edges()});
+      digest.Add(view.critical());
+    }
+  }
+  digest.Add(collection.num_samples());
+  digest.Add(collection.num_boostable());
+  digest.Add(collection.num_activated());
+  digest.Add(collection.num_hopeless());
+  return digest.value();
+}
+
 TEST(BoostSessionTest, NestedBudgetInvariantInLbMode) {
   DirectedGraph g = MakeTestGraph();
   BoostSession session(g, {0, 1, 2}, MakeOptions(16), /*lb_only=*/true);
@@ -49,6 +92,34 @@ TEST(BoostSessionTest, NestedBudgetInvariantInLbMode) {
     }
     // μ̂ grows monotonically along the prefix chain.
     EXPECT_LE(r.lb_mu_hat, full.lb_mu_hat + 1e-12);
+  }
+}
+
+/// Pins one small pool's realization. Every other test compares pools with
+/// each other, so a sampler change that draws a different but
+/// self-consistent pool would pass them all; this one fails instead. The
+/// digest depends on S (shard-major order) but never on the thread count.
+/// Update the constants only for a deliberate change to sampling.
+TEST(BoostSessionTest, PoolRealizationIsPinned) {
+  DirectedGraph g = MakeTestGraph();
+  const std::pair<int, uint64_t> pinned[] = {
+      {1, 0x1FF4E964B5B95402ULL},
+      {4, 0x6FA3EEA734F546BDULL},
+  };
+  for (const auto& [shards, want] : pinned) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("S=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      BoostOptions options = MakeOptions(8);
+      options.num_shards = shards;
+      options.num_threads = threads;
+      BoostSession session(g, {0, 1, 2}, options);
+      session.Prepare();
+      const PrrCollection& collection = session.engine().collection();
+      ASSERT_GT(collection.num_stored_graphs(), 0u);
+      EXPECT_EQ(PoolDigest(collection), want)
+          << std::hex << "0x" << PoolDigest(collection);
+    }
   }
 }
 

@@ -34,11 +34,11 @@ namespace {
 /// A small random graph with mixed live/boost edges and a few seeds —
 /// deterministic given `seed`.
 DirectedGraph MakeRandomGraph(uint64_t seed, NodeId num_nodes,
-                              size_t num_edges) {
+                              size_t num_edges, double p = 0.3) {
   Rng rng(seed);
   GraphBuilder builder = BuildErdosRenyi(num_nodes, num_edges, rng);
   ProbabilityModelParams params;
-  params.constant_p = 0.3;
+  params.constant_p = p;
   params.beta = 4.0;  // strong boost: plenty of live-upon-boost edges
   ApplyProbabilityModel(builder, ProbabilityModel::kConstant, params, rng);
   return std::move(builder).Build();
@@ -284,7 +284,7 @@ TEST(IncrementalEvalTest, StandInPoolMatchesScratchReference) {
       static_cast<double>(ScratchActivated(collection, lb_set)) /
       static_cast<double>(collection.num_samples());
 
-  ShardedEvalState state;  // reused across runs, as a SolveContext is
+  ShardedEvalState state;  // reused across runs
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const PrrCollection::DeltaResult got =
@@ -410,60 +410,129 @@ TEST(IncrementalEvalTest, EstimatorsMatchScratchLoops) {
   }
 }
 
-/// Δ̂ of every LB prefix is cached at Prepare and read by each full solve;
-/// it must equal a scratch evaluation of the k-prefix over every stored
-/// graph, exactly, on fresh, owned-loaded and mmap-loaded pools at S = 1
-/// and S = 4. EstimateDelta's edge cases (empty set, repeated node, a seed)
-/// must match the scratch count too.
+/// One pool of the every-budget test: a graph, its seeds and the options
+/// its session samples with.
+struct BudgetPool {
+  const char* name;
+  DirectedGraph graph;
+  std::vector<NodeId> seeds;
+  BoostOptions options;
+  bool pads;  ///< its k_max Δ̂ greedy runs out of positive gains
+};
+
+std::vector<BudgetPool> MakeBudgetPools() {
+  std::vector<BudgetPool> pools;
+  auto options = [](size_t k, uint64_t seed, size_t max_samples) {
+    BoostOptions o;
+    o.k = k;
+    o.epsilon = 0.7;
+    o.seed = seed;
+    o.num_threads = 2;
+    o.max_samples = max_samples;
+    return o;
+  };
+  pools.push_back({"random120", MakeRandomGraph(9001, 120, 720), {0, 1, 2},
+                   options(15, 123, 3000), false});
+  pools.push_back({"random200", MakeRandomGraph(4242, 200, 1400), {3, 7},
+                   options(25, 77, 4000), false});
+  // A sparse, weakly live graph: the greedy exhausts its positive gains
+  // after 13 picks, and the occurrence-count padding runs out too, short of
+  // the budget.
+  pools.push_back({"padded", MakeRandomGraph(31, 100, 120, 0.1), {0, 1, 2, 3},
+                   options(20, 5, 2000), true});
+  // The dataset-scale stand-in of StandInPoolMatchesScratchReference.
+  Dataset digg = MakeDataset(SpecByName("digg", 0.02));
+  std::vector<NodeId> digg_seeds = SelectInfluentialSeeds(digg.graph, 10, 7, 4);
+  BoostOptions digg_options = options(100, 11, 20000);
+  digg_options.epsilon = 0.5;
+  pools.push_back({"digg", std::move(digg.graph), std::move(digg_seeds),
+                   digg_options, false});
+  return pools;
+}
+
+/// Every budget's full answer is a slice of the two greedy orders cached at
+/// Prepare. For every k ≤ k_max, on fresh, owned-loaded and mmap-loaded
+/// pools at S = 1 and S = 4, Solve({k, kFull}) must equal a fresh per-k run
+/// of both greedies: B_Δ and its Δ̂ are a fresh SelectGreedyDelta(k), B_µ is
+/// a fresh SelectGreedyLowerBound(k) whose Δ̂ matches a scratch evaluation
+/// over every stored graph, and the best set is the sandwich pick of the
+/// two — all with doubles compared exactly. SolveForBudget(k) must give the
+/// same answer. EstimateDelta's edge cases (empty set, repeated node, a
+/// seed) must match the scratch count too.
 TEST(IncrementalEvalTest, LbPrefixDeltaHatIsExactOnEveryPool) {
-  DirectedGraph graph = MakeRandomGraph(9001, 120, 720);
-  const std::vector<NodeId> seeds = {0, 1, 2};
   const std::string path =
       (std::filesystem::temp_directory_path() / "kboost_lb_prefix.bin")
           .string();
-  for (int shards : {1, 4}) {
-    BoostOptions options;
-    options.k = 15;
-    options.epsilon = 0.7;
-    options.seed = 123;
-    options.num_threads = 2;
-    options.num_shards = shards;
-    options.max_samples = 3000;
-    BoostSession fresh(graph, seeds, options);
-    fresh.Prepare();
-    ASSERT_TRUE(SavePoolSnapshot(fresh, path, PoolSaveOptions{}).ok());
-    PoolLoadOptions mmap;
-    mmap.use_mmap = true;
-    StatusOr<std::unique_ptr<BoostSession>> owned =
-        LoadPoolSnapshot(graph, path, PoolLoadOptions{});
-    StatusOr<std::unique_ptr<BoostSession>> mapped =
-        LoadPoolSnapshot(graph, path, mmap);
-    ASSERT_TRUE(owned.ok()) << owned.status().ToString();
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  for (BudgetPool& pool : MakeBudgetPools()) {
+    const size_t k_max = pool.options.k;
+    const std::vector<uint8_t> excluded =
+        MakeNodeBitmap(pool.graph.num_nodes(), pool.seeds);
+    for (int shards : {1, 4}) {
+      pool.options.num_shards = shards;
+      BoostSession fresh(pool.graph, pool.seeds, pool.options);
+      fresh.Prepare();
+      ASSERT_TRUE(SavePoolSnapshot(fresh, path, PoolSaveOptions{}).ok());
+      PoolLoadOptions mmap;
+      mmap.use_mmap = true;
+      StatusOr<std::unique_ptr<BoostSession>> owned =
+          LoadPoolSnapshot(pool.graph, path, PoolLoadOptions{});
+      StatusOr<std::unique_ptr<BoostSession>> mapped =
+          LoadPoolSnapshot(pool.graph, path, mmap);
+      ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-    const std::pair<const char*, BoostSession*> pools[] = {
-        {"fresh", &fresh}, {"owned", owned->get()}, {"mmap", mapped->get()}};
-    for (const auto& [name, session] : pools) {
-      SCOPED_TRACE(std::string(name) + " S=" + std::to_string(shards));
-      session->Prepare();  // a loaded pool caches its LB order here
-      const PrrCollection& collection = session->engine().collection();
-      ASSERT_GT(collection.num_stored_graphs(), 0u);
-      for (size_t k = 1; k <= options.k; ++k) {
-        SolveSpec spec;
-        spec.k = k;
-        StatusOr<BoostResult> result = session->Solve(spec);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        EXPECT_EQ(result->lb_delta_hat,
-                  ScratchDeltaHat(collection, result->lb_set))
-            << "k=" << k;
-      }
-      const NodeId v = session->Solve(SolveSpec{.k = 1})->lb_set.at(0);
-      for (const std::vector<NodeId>& set :
-           {std::vector<NodeId>{}, std::vector<NodeId>{v, v},
-            std::vector<NodeId>{seeds[0], v}}) {
-        EXPECT_EQ(collection.EstimateDelta(set),
-                  ScratchDeltaHat(collection, set))
-            << "set size " << set.size();
+      const std::pair<const char*, BoostSession*> sessions[] = {
+          {"fresh", &fresh}, {"owned", owned->get()}, {"mmap", mapped->get()}};
+      for (const auto& [name, session] : sessions) {
+        SCOPED_TRACE(std::string(pool.name) + " " + name +
+                     " S=" + std::to_string(shards));
+        session->Prepare();  // a loaded pool caches its orders here
+        const PrrCollection& collection = session->engine().collection();
+        ASSERT_GT(collection.num_stored_graphs(), 0u);
+        // The padded pool must actually pad, or its case tests nothing.
+        const PrrCollection::DeltaResult order =
+            collection.SelectGreedyDelta(k_max, excluded);
+        if (pool.pads) {
+          EXPECT_LT(order.pick_gains.size(), k_max);
+          EXPECT_GT(order.nodes.size(), order.pick_gains.size());
+        } else {
+          EXPECT_EQ(order.pick_gains.size(), k_max);
+        }
+        for (size_t k = 1; k <= k_max; ++k) {
+          SCOPED_TRACE("k=" + std::to_string(k));
+          StatusOr<BoostResult> got =
+              session->Solve(SolveSpec{.k = k, .mode = SolveMode::kFull});
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const PrrCollection::DeltaResult delta =
+              collection.SelectGreedyDelta(k, excluded);
+          EXPECT_EQ(got->delta_set, delta.nodes);
+          EXPECT_EQ(got->delta_delta_hat, delta.delta_hat);
+          EXPECT_EQ(got->lb_set,
+                    collection.SelectGreedyLowerBound(k, excluded).nodes);
+          const double lb_delta_hat = ScratchDeltaHat(collection, got->lb_set);
+          EXPECT_EQ(got->lb_delta_hat, lb_delta_hat);
+          const bool lb_wins = lb_delta_hat >= delta.delta_hat;
+          EXPECT_EQ(got->best_set, lb_wins ? got->lb_set : delta.nodes);
+          EXPECT_EQ(got->best_estimate,
+                    lb_wins ? lb_delta_hat : delta.delta_hat);
+
+          const BoostResult serial = session->SolveForBudget(k);
+          EXPECT_EQ(serial.best_set, got->best_set);
+          EXPECT_EQ(serial.best_estimate, got->best_estimate);
+          EXPECT_EQ(serial.lb_set, got->lb_set);
+          EXPECT_EQ(serial.lb_mu_hat, got->lb_mu_hat);
+          EXPECT_EQ(serial.lb_delta_hat, got->lb_delta_hat);
+          EXPECT_EQ(serial.delta_set, got->delta_set);
+          EXPECT_EQ(serial.delta_delta_hat, got->delta_delta_hat);
+        }
+        const NodeId v = session->Solve(SolveSpec{.k = 1})->lb_set.at(0);
+        for (const std::vector<NodeId>& set :
+             {std::vector<NodeId>{}, std::vector<NodeId>{v, v},
+              std::vector<NodeId>{pool.seeds[0], v}}) {
+          EXPECT_EQ(collection.EstimateDelta(set),
+                    ScratchDeltaHat(collection, set))
+              << "set size " << set.size();
+        }
       }
     }
   }

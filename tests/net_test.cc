@@ -217,7 +217,6 @@ TEST(WireQueryTest, QueryReplyRoundTripsDoublesBitIdentically) {
   WireQueryReply reply;
   reply.status = Status::Ok();
   reply.pool_version = 7;
-  reply.degraded = true;
   reply.solve_seconds = 0.1 + 0.2;  // famously not 0.3
   reply.best_set = {5, 1, 80, 3};
   reply.best_estimate = 1.0 / 3.0;
@@ -244,7 +243,6 @@ TEST(WireQueryTest, QueryReplyRoundTripsDoublesBitIdentically) {
                   .ok());
   EXPECT_TRUE(out.status.ok());
   EXPECT_EQ(out.pool_version, reply.pool_version);
-  EXPECT_EQ(out.degraded, reply.degraded);
   EXPECT_EQ(out.solve_seconds, reply.solve_seconds);
   EXPECT_EQ(out.best_set, reply.best_set);
   EXPECT_EQ(out.best_estimate, reply.best_estimate);
@@ -294,7 +292,6 @@ TEST(WireAdminTest, StatsReplyRoundTrips) {
   pool.errors = 2;
   pool.shed = 7;
   pool.deadline_misses = 1;
-  pool.degraded = 9;
   pool.load_retries = 2;
   pool.latency_mean_ms = 1.5;
   pool.latency_p50_ms = 1.25;
@@ -332,7 +329,6 @@ TEST(WireAdminTest, StatsReplyRoundTrips) {
   EXPECT_EQ(p.errors, pool.errors);
   EXPECT_EQ(p.shed, pool.shed);
   EXPECT_EQ(p.deadline_misses, pool.deadline_misses);
-  EXPECT_EQ(p.degraded, pool.degraded);
   EXPECT_EQ(p.load_retries, pool.load_retries);
   EXPECT_EQ(p.latency_mean_ms, pool.latency_mean_ms);
   EXPECT_EQ(p.latency_p50_ms, pool.latency_p50_ms);
@@ -575,7 +571,6 @@ TEST_F(NetServerTest, WireAnswersAreBitIdenticalToInProcessSolve) {
       EXPECT_EQ(w.num_samples, r.num_samples);
       EXPECT_EQ(w.num_boostable, r.num_boostable);
       EXPECT_EQ(w.pool_version, local.value().pool_version);
-      EXPECT_EQ(w.degraded, local.value().degraded);
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <deque>
 #include <future>
+#include <limits>
 #include <set>
 #include <thread>
 #include <utility>
@@ -190,7 +191,6 @@ TEST(FaultInjectorTest, SiteNamesAreStable) {
   EXPECT_STREQ(FaultSiteName(FaultSite::kSnapshotOpen), "snapshot_open");
   EXPECT_STREQ(FaultSiteName(FaultSite::kSnapshotWrite), "snapshot_write");
   EXPECT_STREQ(FaultSiteName(FaultSite::kSolveStart), "solve_start");
-  EXPECT_STREQ(FaultSiteName(FaultSite::kPickStride), "pick_stride");
 }
 
 TEST(StatusOrTest, DereferenceSugar) {
@@ -510,6 +510,18 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_GE(timer.Seconds(), 0.0);
   timer.Restart();
   EXPECT_LT(timer.Seconds(), 1.0);
+}
+
+TEST(TimerTest, DeadlineAfterMillisSaturatesInsteadOfOverflowing) {
+  constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(DeadlineAfterMillis(0), 0);  // no deadline
+  const int64_t before = SteadyNowNanos();
+  const int64_t second = DeadlineAfterMillis(1000);
+  EXPECT_GE(second, before + 1'000'000'000);
+  EXPECT_LT(second, SteadyNowNanos() + 1'000'000'000 + 1);
+  // 10^13 ms is 10^19 ns, past INT64_MAX; 2^64−1 ms is further still.
+  EXPECT_EQ(DeadlineAfterMillis(10'000'000'000'000), kNever);
+  EXPECT_EQ(DeadlineAfterMillis(std::numeric_limits<uint64_t>::max()), kNever);
 }
 
 }  // namespace

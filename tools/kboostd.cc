@@ -3,7 +3,7 @@
 //
 //   kboostd --graph=graph.txt --pool=digg=pool.bin [--pool=...]
 //           [--listen=7447] [--bind=ADDR] [--mmap-pool] [--workers=N]
-//           [--queue-cap=N] [--deadline-ms=N] [--degrade=F]
+//           [--queue-cap=N] [--deadline-ms=N]
 //           [--dispatch-queue=N] [--max-connections=N]
 //           [--drain-deadline-ms=N] [--no-remote-shutdown]
 //
