@@ -6,10 +6,12 @@
 //   - every reply received over the socket is BIT-IDENTICAL to the
 //     in-process Solve reference for the same request (doubles travel as
 //     IEEE-754 bit patterns, so exact == is the gate);
-//   - every overload outcome crosses the wire as a typed frame — admission
-//     shed (ResourceExhausted), deadline miss (DeadlineExceeded), dispatch
-//     queue reject (Unavailable) — with zero untyped errors and zero dropped
-//     connections;
+//   - every non-OK outcome crosses the wire as a typed frame — a deadline
+//     miss (DeadlineExceeded) here, and a shed (ResourceExhausted) or drain
+//     reject (Unavailable) wherever one occurs — with zero untyped errors
+//     and zero dropped connections;
+//   - a REFRESH hot-swap mid-storm bumps the pool version without changing
+//     a single answer;
 //   - when a storm drains, the service's admission gauges read empty and
 //     the server has no leaked connections or protocol errors.
 //
@@ -140,7 +142,7 @@ struct NetOutcome {
   size_t answered = 0;
   size_t shed = 0;           // typed ResourceExhausted replies
   size_t deadline_missed = 0;
-  size_t unavailable = 0;    // typed Unavailable replies (queue/drain)
+  size_t unavailable = 0;    // typed Unavailable replies (drain)
   size_t untyped = 0;        // transport failures or unclassifiable codes
   size_t divergent = 0;
   double wall_s = 0.0;
@@ -285,8 +287,9 @@ int main(int argc, char** argv) {
   PrintBanner(
       "Loadgen: the kboostd wire protocol under C concurrent clients",
       "every socket reply is bit-identical to the in-process Solve "
-      "reference; shed/deadline/queue-reject outcomes all cross "
-      "the wire as typed frames; throughput saturates as clients grow",
+      "reference; deadline misses cross the wire as typed frames; a "
+      "mid-storm REFRESH keeps every answer; throughput saturates as "
+      "clients grow",
       flags);
   FaultInjector::Global().DisarmAll();
 
@@ -435,8 +438,9 @@ int main(int argc, char** argv) {
 
   // ==== Self-host mode: the full gate over a scenario ladder ====
   const std::string host = "127.0.0.1";
-  auto start_server = [&](BoostService* service, ServerOptions options)
+  auto start_server = [&](BoostService* service)
       -> std::unique_ptr<KboostServer> {
+    ServerOptions options;
     options.bind_address = host;
     options.port = 0;
     StatusOr<std::unique_ptr<KboostServer>> server =
@@ -453,10 +457,7 @@ int main(int argc, char** argv) {
   size_t saturation_clients = 0;
   std::vector<double> saturation_latencies;
   {
-    ServerOptions server_options;
-    server_options.num_workers = 4;
-    std::unique_ptr<KboostServer> server =
-        start_server(calm.get(), server_options);
+    std::unique_ptr<KboostServer> server = start_server(calm.get());
     for (size_t clients : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
       const size_t per_client = (2 * num_queries) / clients;
       const size_t issued = clients * per_client;
@@ -464,9 +465,8 @@ int main(int argc, char** argv) {
                                  clients, per_client);
       GateOrAbort("saturation sweep", calm->Stats(), o, issued);
       if (o.answered != issued) {
-        // An unlimited service behind a deep dispatch queue answers
-        // everything; any other outcome is a typed reject we did not
-        // configure.
+        // An unlimited service answers everything; any other outcome is a
+        // typed reject we did not configure.
         std::fprintf(stderr,
                      "FATAL: saturation sweep c=%zu: %zu of %zu answered\n",
                      clients, o.answered, issued);
@@ -494,64 +494,13 @@ int main(int argc, char** argv) {
                 FormatDouble(saturation_qps).c_str(), saturation_clients);
   }
 
-  // ---- Scenario 2: admission overload through the wire ----
-  // 6 workers race 8 closed-loop clients into a 2+2 admission budget, so
-  // some Solve calls are shed: the typed ResourceExhausted must cross the
-  // wire as a reply frame, never as a dropped connection. A prepared solve
-  // is a microsecond slice, so a 1 ms stall at solve entry keeps slots held
-  // long enough for the 6 workers to overrun them.
-  {
-    BoostService::Options options;
-    options.max_in_flight = 2;
-    options.max_queued = 2;
-    StatusOr<std::unique_ptr<BoostService>> service =
-        BoostService::Create(g, options);
-    if (!service.ok() ||
-        !(*service)->AddPool(config.pool, make_pool()).ok()) {
-      std::fprintf(stderr, "overload service construction failed\n");
-      return 1;
-    }
-    ServerOptions server_options;
-    server_options.num_workers = 6;
-    std::unique_ptr<KboostServer> server =
-        start_server(service->get(), server_options);
-    const size_t clients = 8, per_client = 12;
-    const size_t issued = clients * per_client;
-    FaultInjector::Plan slow;
-    slow.delay_micros = 1000;
-    FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
-    NetOutcome o = RunNetStorm(host, server->port(), requests, reference,
-                               clients, per_client);
-    FaultInjector::Global().DisarmAll();
-    GateOrAbort("admission overload", (*service)->Stats(), o, issued);
-    const ServiceStatsSnapshot stats = (*service)->Stats();
-    if (o.shed == 0 || stats.shed != o.shed) {
-      std::fprintf(stderr,
-                   "FATAL: admission overload: shed=%zu (service says %llu)\n",
-                   o.shed, static_cast<unsigned long long>(stats.shed));
-      std::abort();
-    }
-    GateServerDrainedOrAbort("admission overload", *server);
-    json.Add("net/overload_shed_rate",
-             static_cast<double>(o.shed) / static_cast<double>(issued),
-             "fraction");
-    add_row("overload", clients, issued, o,
-            LatencyRow(&json, "net/overload_latency", o.ok_latency_ms));
-    std::printf("admission overload: %zu shed typed over the wire, answers "
-                "bit-identical, zero slot leaks\n",
-                o.shed);
-  }
-
-  // ---- Scenario 3: wire deadlines through the single-budget path ----
+  // ---- Scenario 2: wire deadlines through the single-budget path ----
   // A 2 ms deadline_ms travels in the query frame; a 10 ms injected stall
   // at solve entry guarantees expiry, so every miss must come back as a
   // typed DeadlineExceeded reply. A deadline-free replay then answers the
   // whole stream bit-identically — the storm poisoned nothing.
   {
-    ServerOptions server_options;
-    server_options.num_workers = 4;
-    std::unique_ptr<KboostServer> server =
-        start_server(calm.get(), server_options);
+    std::unique_ptr<KboostServer> server = start_server(calm.get());
     std::vector<WireQuery> tight = requests;
     for (WireQuery& q : tight) q.deadline_ms = 2;
     FaultInjector::Plan slow;
@@ -592,53 +541,12 @@ int main(int argc, char** argv) {
                 o.deadline_missed);
   }
 
-  // ---- Scenario 4: dispatch-queue rejects ----
-  // One worker stalled 20 ms per solve behind a 1-slot dispatch queue: the
-  // connection-level kUnavailable reject fires deterministically, and the
-  // rejected connections keep working afterwards (closed-loop clients
-  // retry by construction).
-  {
-    ServerOptions server_options;
-    server_options.num_workers = 1;
-    server_options.max_dispatch_queue = 1;
-    std::unique_ptr<KboostServer> server =
-        start_server(calm.get(), server_options);
-    FaultInjector::Plan slow;
-    slow.delay_micros = 20000;
-    FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
-    const size_t clients = 4, per_client = 6;
-    const size_t issued = clients * per_client;
-    NetOutcome o = RunNetStorm(host, server->port(), requests, reference,
-                               clients, per_client);
-    FaultInjector::Global().DisarmAll();
-    GateOrAbort("queue-reject storm", calm->Stats(), o, issued);
-    if (o.unavailable == 0) {
-      std::fprintf(stderr,
-                   "FATAL: queue-reject storm produced zero typed "
-                   "kUnavailable replies from a 1-deep dispatch queue\n");
-      std::abort();
-    }
-    GateServerDrainedOrAbort("queue-reject storm", *server);
-    json.Add("net/queue_reject_rate",
-             static_cast<double>(o.unavailable) /
-                 static_cast<double>(issued),
-             "fraction");
-    add_row("queue", clients, issued, o,
-            std::vector<double>{0.0, 0.0, 0.0});
-    std::printf("queue-reject storm: %zu typed kUnavailable rejects, "
-                "connections survived and retried\n",
-                o.unavailable);
-  }
-
-  // ---- Scenario 5: REFRESH mid-storm ----
+  // ---- Scenario 3: REFRESH mid-storm ----
   // Hot-swap the pool from a snapshot of an identical twin while 4 clients
   // are mid-stream: the version bumps, and because the twin's bits equal
   // the original's, the bit-identity gate must hold across the swap.
   {
-    ServerOptions server_options;
-    server_options.num_workers = 4;
-    std::unique_ptr<KboostServer> server =
-        start_server(calm.get(), server_options);
+    std::unique_ptr<KboostServer> server = start_server(calm.get());
     const char* snapshot = "bench_loadgen_refresh.pool";
     if (!SavePoolSnapshot(*calm->GetPool(config.pool), snapshot,
                           PoolSaveOptions{})

@@ -205,13 +205,13 @@ int Usage() {
       "      every S)\n"
       "  evaluate --graph=PATH --seeds=a,b,c --boost=x,y,z [--sims=N]\n"
       "      Monte-Carlo estimate of the spread and boost of a given set\n"
-      "  serve --graph=PATH --pool=NAME=SNAPSHOT [--pool=...] \n"
-      "        [--listen=PORT] [--bind=ADDR] [--mmap-pool] [--workers=N]\n"
-      "        [--queue-cap=N] [--deadline-ms=N]\n"
-      "        [--dispatch-queue=N] [--max-connections=N]\n"
-      "        [--drain-deadline-ms=N] [--no-remote-shutdown]\n"
+      "  serve --graph=PATH --pool=NAME=SNAPSHOT [--pool=...]\n"
+      "        [--listen=PORT] [--bind=ADDR] [--mmap-pool] [--threads=N]\n"
+      "        [--deadline-ms=N] [--max-connections=N]\n"
+      "        [--no-remote-shutdown]\n"
       "      run the kboostd network server in-process: serve the listed\n"
-      "      pool snapshots over TCP (docs/PROTOCOL.md) until SIGINT or\n"
+      "      pool snapshots over TCP (docs/PROTOCOL.md) from one event\n"
+      "      loop, with REFRESH on one background thread, until SIGINT or\n"
       "      SIGTERM triggers the graceful drain; --listen=0 binds an\n"
       "      ephemeral port and prints it\n"
       "  query --connect=HOST:PORT --k=N [--pool=NAME]\n"

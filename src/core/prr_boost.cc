@@ -257,7 +257,7 @@ StatusOr<BoostResult> PrrBoostEngine::Solve(const SolveSpec& spec,
   }
   MaybeInjectFaultDelay(FaultSite::kSolveStart);
   // A full answer checks once more, so a request that stalled at the fault
-  // site above past its deadline (or a drain's cancel) is not served.
+  // site above past its deadline (or its caller's cancel) is not served.
   if (!lb_answer) {
     if (Status s = StopStatus(spec, "during selection"); !s.ok()) return s;
   }

@@ -127,10 +127,8 @@ bool ParseMode(const char* text, SolveMode* out) {
 
 int RunServeCommand(int argc, char** argv, int flag_start) {
   if (!ValidateFlags(argc, argv, flag_start, "serve",
-                     {"--graph", "--pool", "--listen", "--bind", "--workers",
-                      "--threads", "--queue-cap", "--deadline-ms",
-                      "--dispatch-queue", "--max-connections",
-                      "--drain-deadline-ms"},
+                     {"--graph", "--pool", "--listen", "--bind", "--threads",
+                      "--deadline-ms", "--max-connections"},
                      {"--mmap-pool", "--no-remote-shutdown"})) {
     return 2;
   }
@@ -139,11 +137,9 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
     std::fprintf(stderr,
                  "usage: serve --graph=PATH --pool=NAME=SNAPSHOT "
                  "[--pool=...] [--mmap-pool] [--listen=PORT] [--bind=ADDR]\n"
-                 "             [--workers=N] [--threads=N] [--queue-cap=N]\n"
-                 "             [--deadline-ms=N]\n"
-                 "             [--dispatch-queue=N] [--max-connections=N]\n"
-                 "             [--drain-deadline-ms=N] "
-                 "[--no-remote-shutdown]\n");
+                 "             [--threads=N] [--deadline-ms=N] "
+                 "[--max-connections=N]\n"
+                 "             [--no-remote-shutdown]\n");
     return 2;
   }
 
@@ -166,30 +162,22 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
     return 2;
   }
 
-  uint64_t listen_port = 0, workers = 2, threads = 0, queue_cap = 0;
-  uint64_t deadline_ms = 0, dispatch_queue = 64, max_connections = 256;
-  uint64_t drain_deadline_ms = 2000;
+  uint64_t listen_port = 0, threads = 0, deadline_ms = 0;
+  uint64_t max_connections = 256;
   if (!ParseUint64Flag(argc, argv, flag_start, "--listen", &listen_port) ||
-      !ParseUint64Flag(argc, argv, flag_start, "--workers", &workers) ||
       !ParseUint64Flag(argc, argv, flag_start, "--threads", &threads) ||
-      !ParseUint64Flag(argc, argv, flag_start, "--queue-cap", &queue_cap) ||
       !ParseUint64Flag(argc, argv, flag_start, "--deadline-ms",
                        &deadline_ms) ||
-      !ParseUint64Flag(argc, argv, flag_start, "--dispatch-queue",
-                       &dispatch_queue) ||
       !ParseUint64Flag(argc, argv, flag_start, "--max-connections",
-                       &max_connections) ||
-      !ParseUint64Flag(argc, argv, flag_start, "--drain-deadline-ms",
-                       &drain_deadline_ms)) {
+                       &max_connections)) {
     return 2;
   }
   if (listen_port > 65535) {
     std::fprintf(stderr, "error: --listen must be in [0, 65535]\n");
     return 2;
   }
-  if (threads > static_cast<uint64_t>(std::numeric_limits<int>::max()) ||
-      workers > 64) {
-    std::fprintf(stderr, "error: --threads/--workers out of range\n");
+  if (threads > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    std::fprintf(stderr, "error: --threads out of range\n");
     return 2;
   }
 
@@ -203,8 +191,6 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
   service_options.warm_pools = std::move(pools);
   service_options.num_threads = static_cast<int>(threads);
   service_options.mmap_pools = HasFlag(argc, argv, flag_start, "--mmap-pool");
-  service_options.max_in_flight = queue_cap;
-  service_options.max_queued = queue_cap;
   service_options.default_deadline_ms = deadline_ms;
   StatusOr<std::unique_ptr<BoostService>> service =
       BoostService::Create(graph.value(), service_options);
@@ -217,10 +203,7 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
   const char* bind = FlagValue(argc, argv, flag_start, "--bind");
   if (bind != nullptr) server_options.bind_address = bind;
   server_options.port = static_cast<uint16_t>(listen_port);
-  server_options.num_workers = static_cast<int>(workers);
-  server_options.max_dispatch_queue = dispatch_queue;
   server_options.max_connections = max_connections;
-  server_options.drain_deadline_ms = drain_deadline_ms;
   server_options.allow_remote_shutdown =
       !HasFlag(argc, argv, flag_start, "--no-remote-shutdown");
   StatusOr<std::unique_ptr<KboostServer>> server =
@@ -241,10 +224,9 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
   }
   // The pid and the (possibly ephemeral) bound port, parseable by scripts
   // that start the daemon and then point clients at it.
-  std::printf("kboostd listening on %s:%u (pid %d, %llu workers)\n",
+  std::printf("kboostd listening on %s:%u (pid %d)\n",
               server_options.bind_address.c_str(), server.value()->port(),
-              static_cast<int>(::getpid()),
-              static_cast<unsigned long long>(workers));
+              static_cast<int>(::getpid()));
   std::fflush(stdout);
 
   server.value()->Wait();

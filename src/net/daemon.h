@@ -4,10 +4,10 @@
 namespace kboost {
 
 /// The `serve` command shared by the kboostd binary and `kboost_cli serve`:
-/// loads a graph and pool snapshots, builds a BoostService with the given
-/// overload knobs, starts a KboostServer on --listen, installs SIGINT/
-/// SIGTERM handlers and blocks until graceful shutdown completes. Flags
-/// start at argv[flag_start] (1 for kboostd, 2 for the cli subcommand).
+/// loads a graph and pool snapshots, builds a BoostService, starts a
+/// KboostServer on --listen, installs SIGINT/SIGTERM handlers and blocks
+/// until graceful shutdown completes. Flags start at argv[flag_start] (1 for
+/// kboostd, 2 for the cli subcommand).
 /// Returns the process exit code: 0 after a clean drain, 1 on runtime
 /// failure, 2 on a flag error.
 int RunServeCommand(int argc, char** argv, int flag_start);

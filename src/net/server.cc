@@ -10,9 +10,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <climits>
 #include <csignal>
 #include <cstring>
+#include <limits>
 
 #ifdef __linux__
 #include <sys/epoll.h>
@@ -25,16 +25,14 @@ namespace kboost {
 namespace {
 
 // Wake-pipe byte tags: the event loop dispatches on the byte value, so one
-// pipe carries completions, explicit shutdown requests and signal-handler
-// shutdown requests without the handler needing any non-signal-safe state.
-constexpr char kWakeCompletion = 'c';
+// pipe carries refresh completions, explicit shutdown requests and
+// signal-handler shutdown requests without the handler needing any
+// non-signal-safe state.
+constexpr char kWakeRefresh = 'c';
 constexpr char kWakeShutdown = 'q';
 constexpr char kWakeSignal = 'T';
 
-/// How long a blocked reply write may stall on an unresponsive peer before
-/// the connection is abandoned. Bounds both worker and event-loop writes so
-/// a slow reader can never wedge the serving process.
-constexpr int kWriteStallMs = 5000;
+constexpr int64_t kPeerStallNs = int64_t{kPeerStallMs} * 1'000'000;
 
 /// The wake fd the installed SIGINT/SIGTERM handler writes to; -1 when no
 /// server has handlers installed. One server per process may install them.
@@ -62,39 +60,47 @@ Status SetNonBlocking(int fd) {
   return Status::Ok();
 }
 
-/// Writes the whole buffer to a non-blocking socket, polling for
-/// writability on short writes. False on peer failure or a stall longer
-/// than kWriteStallMs — the caller abandons the connection.
-bool WriteFully(int fd, const char* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      struct pollfd p;
-      p.fd = fd;
-      p.events = POLLOUT;
-      p.revents = 0;
-      if (::poll(&p, 1, kWriteStallMs) <= 0) return false;
-      continue;
-    }
-    return false;
-  }
-  return true;
+/// Input a connection may buffer before the loop stops reading it: two
+/// full frames, so a blasting client cannot grow the buffer unboundedly.
+size_t MaxBufferedInput(const ServerOptions& options) {
+  return 2 * (options.max_frame_bytes + kFrameHeaderBytes);
 }
 
-/// Readiness multiplexer: epoll on Linux, poll(2) elsewhere. Only read
-/// interest is managed here — writes poll their own fd inline (WriteFully),
-/// which keeps the event loop's state machine to "who has bytes for me".
+WireQueryReply ToWireReply(StatusOr<BoostResponse> solved) {
+  WireQueryReply reply;
+  if (!solved.ok()) {
+    reply.status = solved.status();
+    return reply;
+  }
+  BoostResponse& response = solved.value();
+  BoostResult& result = response.result;
+  reply.status = Status::Ok();
+  reply.pool_version = response.pool_version;
+  reply.solve_seconds = response.solve_seconds;
+  reply.best_set = std::move(result.best_set);
+  reply.best_estimate = result.best_estimate;
+  reply.lb_set = std::move(result.lb_set);
+  reply.lb_mu_hat = result.lb_mu_hat;
+  reply.lb_delta_hat = result.lb_delta_hat;
+  reply.delta_set = std::move(result.delta_set);
+  reply.delta_delta_hat = result.delta_delta_hat;
+  reply.pool_budget = result.pool_budget;
+  reply.pool_reused = result.pool_reused;
+  reply.num_samples = result.num_samples;
+  reply.num_boostable = result.num_boostable;
+  return reply;
+}
+
+/// Level-triggered readiness multiplexer: epoll on Linux, poll(2)
+/// elsewhere. Every fd starts with read interest; a connection wants reads
+/// while it may take input and writes only while a reply is left over from
+/// a short send.
 class Poller {
  public:
   struct Event {
     int fd;
     bool readable;
+    bool writable;
   };
 
 #ifdef __linux__
@@ -102,19 +108,10 @@ class Poller {
   ~Poller() {
     if (epfd_ >= 0) ::close(epfd_);
   }
-  bool ok() const { return epfd_ >= 0; }
 
-  void Add(int fd, bool want_read) {
-    struct epoll_event ev = {};
-    ev.events = want_read ? static_cast<uint32_t>(EPOLLIN) : 0u;
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
-  }
-  void Update(int fd, bool want_read) {
-    struct epoll_event ev = {};
-    ev.events = want_read ? static_cast<uint32_t>(EPOLLIN) : 0u;
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
+  void Add(int fd) { Control(EPOLL_CTL_ADD, fd, true, false); }
+  void Update(int fd, bool want_read, bool want_write) {
+    Control(EPOLL_CTL_MOD, fd, want_read, want_write);
   }
   void Remove(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
@@ -123,41 +120,54 @@ class Poller {
     out->clear();
     const int n = ::epoll_wait(epfd_, events, 64, timeout_ms);
     for (int i = 0; i < n; ++i) {
-      // Hangup/error surface as readable: the subsequent recv() observes
-      // EOF or the error and the connection closes cleanly.
-      out->push_back({events[i].data.fd, true});
+      // Hangup/error surface as both: the next send() or recv() observes
+      // the EOF or the error and the connection closes cleanly.
+      const uint32_t e = events[i].events;
+      const bool failed = (e & (EPOLLHUP | EPOLLERR)) != 0;
+      out->push_back({events[i].data.fd, failed || (e & EPOLLIN) != 0,
+                      failed || (e & EPOLLOUT) != 0});
     }
   }
 
  private:
+  void Control(int op, int fd, bool want_read, bool want_write) {
+    struct epoll_event ev = {};
+    ev.events = (want_read ? static_cast<uint32_t>(EPOLLIN) : 0u) |
+                (want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
+    ev.data.fd = fd;
+    ::epoll_ctl(epfd_, op, fd, &ev);
+  }
+
   int epfd_;
 #else
-  bool ok() const { return true; }
-
-  void Add(int fd, bool want_read) { interest_[fd] = want_read; }
-  void Update(int fd, bool want_read) { interest_[fd] = want_read; }
+  void Add(int fd) { interest_[fd] = POLLIN; }
+  void Update(int fd, bool want_read, bool want_write) {
+    interest_[fd] = Mask(want_read, want_write);
+  }
   void Remove(int fd) { interest_.erase(fd); }
 
   void Wait(int timeout_ms, std::vector<Event>* out) {
     std::vector<struct pollfd> fds;
     fds.reserve(interest_.size());
-    for (const auto& [fd, want_read] : interest_) {
-      struct pollfd p;
-      p.fd = fd;
-      p.events = want_read ? POLLIN : 0;
-      p.revents = 0;
-      fds.push_back(p);
-    }
+    for (const auto& [fd, events] : interest_) fds.push_back({fd, events, 0});
     out->clear();
     const int n = ::poll(fds.data(), fds.size(), timeout_ms);
     if (n <= 0) return;
     for (const struct pollfd& p : fds) {
-      if (p.revents != 0) out->push_back({p.fd, true});
+      if (p.revents == 0) continue;
+      const bool failed = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
+      out->push_back({p.fd, failed || (p.revents & POLLIN) != 0,
+                      failed || (p.revents & POLLOUT) != 0});
     }
   }
 
  private:
-  std::map<int, bool> interest_;
+  static short Mask(bool want_read, bool want_write) {
+    return static_cast<short>((want_read ? POLLIN : 0) |
+                              (want_write ? POLLOUT : 0));
+  }
+
+  std::map<int, short> interest_;
 #endif
 };
 
@@ -168,30 +178,24 @@ thread_local Poller* t_poller = nullptr;
 
 }  // namespace
 
-/// Per-connection state. The event-loop thread owns `in`, `busy`,
-/// `peer_closed` and `want_read`; a worker holding the shared_ptr may only
-/// write to the socket (under `write_mutex`) and set `closing`.
+/// Per-connection state, owned by the event-loop thread alone.
 struct KboostServer::Connection {
-  int fd = -1;
-  std::string in;           ///< buffered unparsed bytes
-  bool busy = false;        ///< a dispatched request is in flight
+  int fd = -1;               ///< -1 once closed
+  std::string in;            ///< buffered unparsed bytes
+  std::string out;           ///< reply bytes a short send left behind
+  bool busy = false;         ///< its REFRESH is on the refresh thread
   bool peer_closed = false;  ///< recv() saw EOF
-  bool want_read = true;    ///< current poller interest
-  std::atomic<bool> closing{false};
-  Mutex write_mutex;
+  bool closing = false;      ///< an error frame is queued: close once out
+  bool want_read = true;     ///< current poller interest
+  bool want_write = false;
+  bool watched = false;      ///< the peer-stall rule is timing it
+  int64_t progress_ns = 0;   ///< when watched: last byte moved, or start
 };
 
 StatusOr<std::unique_ptr<KboostServer>> KboostServer::Start(
     BoostService* service, const ServerOptions& options) {
   if (service == nullptr) {
     return Status::InvalidArgument("KboostServer needs a BoostService");
-  }
-  if (options.num_workers < 1 || options.num_workers > 64) {
-    return Status::InvalidArgument("num_workers must be in [1, 64], got " +
-                                   std::to_string(options.num_workers));
-  }
-  if (options.max_dispatch_queue < 1) {
-    return Status::InvalidArgument("max_dispatch_queue must be >= 1");
   }
   if (options.max_frame_bytes < 64) {
     return Status::InvalidArgument(
@@ -210,10 +214,8 @@ StatusOr<std::unique_ptr<KboostServer>> KboostServer::Start(
   if (Status s = SetNonBlocking(server->wake_write_fd_); !s.ok()) return s;
 
   server->io_thread_ = std::thread([raw = server.get()] { raw->EventLoop(); });
-  server->workers_.reserve(options.num_workers);
-  for (int i = 0; i < options.num_workers; ++i) {
-    server->workers_.emplace_back([raw = server.get()] { raw->WorkerLoop(); });
-  }
+  server->refresh_thread_ =
+      std::thread([raw = server.get()] { raw->RefreshLoop(); });
   return server;
 }
 
@@ -224,6 +226,8 @@ KboostServer::~KboostServer() {
     ::sigaction(SIGTERM, &g_old_sigterm, nullptr);
     g_signal_wake_fd.store(-1, std::memory_order_release);
   }
+  // The drain closes the acceptor; a Start that failed never ran one.
+  if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
 }
@@ -319,102 +323,104 @@ ServerCounters KboostServer::counters() const {
 void KboostServer::EventLoop() {
   Poller poller;
   t_poller = &poller;
-  poller.Add(listen_fd_, true);
-  poller.Add(wake_read_fd_, true);
+  poller.Add(listen_fd_);
+  poller.Add(wake_read_fd_);
 
-  int64_t drain_deadline_ns = 0;
   std::vector<Poller::Event> events;
   while (true) {
-    // Drain bookkeeping: once draining, the loop only waits for outstanding
-    // work; past the drain deadline the solves are cooperatively cancelled.
-    int timeout_ms = -1;
-    if (draining_.load(std::memory_order_relaxed)) {
-      if (outstanding_ == 0) break;
-      if (!drain_cancel_.load(std::memory_order_relaxed)) {
-        const int64_t left_ns = drain_deadline_ns - SteadyNowNanos();
-        if (left_ns <= 0) {
-          drain_cancel_.store(true, std::memory_order_release);
-          timeout_ms = 100;
-        } else {
-          timeout_ms = static_cast<int>(
-              std::min<int64_t>(left_ns / 1'000'000 + 1, INT_MAX));
-        }
-      } else {
-        timeout_ms = 100;
-      }
-    }
-
+    const int timeout_ms = ReapStalledPeers();
+    if (draining_.load(std::memory_order_relaxed) && Drained()) break;
     poller.Wait(timeout_ms, &events);
     for (const Poller::Event& event : events) {
       if (event.fd == wake_read_fd_) {
         char bytes[256];
         ssize_t n;
         while ((n = ::read(wake_read_fd_, bytes, sizeof(bytes))) > 0) {
-          for (ssize_t i = 0; i < n; ++i) {
-            if (bytes[i] == kWakeSignal) {
-              shutdown_requested_.store(true, std::memory_order_release);
-            }
+          if (std::memchr(bytes, kWakeSignal, static_cast<size_t>(n)) !=
+              nullptr) {
+            shutdown_requested_.store(true, std::memory_order_release);
           }
         }
-        HandleCompletions();
+        HandleRefreshReplies();
       } else if (event.fd == listen_fd_) {
         AcceptNew();
       } else {
         auto it = connections_.find(event.fd);
-        if (it != connections_.end()) {
-          // Copy out of the map: ReadFrom may fail/close the connection,
-          // erasing the map node a reference to it->second would dangle on.
-          std::shared_ptr<Connection> conn = it->second;
-          ReadFrom(conn);
+        if (it == connections_.end()) continue;
+        // Copy out of the map: closing the connection erases the map node
+        // a reference to it->second would dangle on.
+        std::shared_ptr<Connection> conn = it->second;
+        if (event.writable) {
+          Flush(conn);
+          if (conn->fd >= 0) ProcessBuffered(conn);
         }
+        if (event.readable && conn->fd >= 0) ReadFrom(conn);
       }
     }
 
     if (shutdown_requested_.load(std::memory_order_acquire) &&
         !draining_.load(std::memory_order_relaxed)) {
       BeginDrain();
-      drain_deadline_ns = DeadlineAfterMillis(options_.drain_deadline_ms);
     }
   }
 
-  // Outstanding work is zero: workers are idle. Stop and join them, then
-  // close every connection. No admission slot can be held here — every
-  // dispatched request ran Solve to completion (its RAII ticket released)
-  // or was answered without entering Solve at all.
+  // No refresh is running and no reply is owed: stop and join the refresh
+  // thread, then close every connection. No admission slot can be held
+  // here — every Solve ran to completion on this thread.
   {
-    MutexLock lock(queue_mutex_);
-    stop_workers_ = true;
+    MutexLock lock(refresh_mutex_);
+    stop_refresh_ = true;
   }
-  queue_cv_.NotifyAll();
-  for (std::thread& worker : workers_) worker.join();
+  refresh_cv_.NotifyAll();
+  refresh_thread_.join();
 
-  std::vector<int> open_fds;
-  open_fds.reserve(connections_.size());
-  for (const auto& [fd, conn] : connections_) open_fds.push_back(fd);
-  for (int fd : open_fds) CloseConnection(fd);
+  std::vector<std::shared_ptr<Connection>> open;
+  open.reserve(connections_.size());
+  for (const auto& [fd, conn] : connections_) open.push_back(conn);
+  for (const std::shared_ptr<Connection>& conn : open) CloseConnection(conn);
   t_poller = nullptr;
   finished_.store(true, std::memory_order_release);
 }
 
 void KboostServer::BeginDrain() {
   draining_.store(true, std::memory_order_release);
-  if (listen_fd_ >= 0) {
-    t_poller->Remove(listen_fd_);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  t_poller->Remove(listen_fd_);
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+}
+
+bool KboostServer::Drained() const {
+  if (refreshes_in_flight_ != 0) return false;
+  for (const auto& [fd, conn] : connections_) {
+    if (!conn->out.empty()) return false;
   }
-  // Queued-but-unstarted requests are answered kUnavailable by the workers
-  // themselves: they check draining_ after popping, so the queue drains
-  // with typed replies without a second bookkeeping path here.
-  queue_cv_.NotifyAll();
+  return true;
+}
+
+int KboostServer::ReapStalledPeers() {
+  if (watched_ == 0) return -1;
+  const int64_t now = SteadyNowNanos();
+  int64_t next_expiry = std::numeric_limits<int64_t>::max();
+  std::vector<std::shared_ptr<Connection>> stalled;
+  for (const auto& [fd, conn] : connections_) {
+    if (!conn->watched) continue;
+    const int64_t expiry = conn->progress_ns + kPeerStallNs;
+    if (expiry <= now) {
+      stalled.push_back(conn);
+    } else {
+      next_expiry = std::min(next_expiry, expiry);
+    }
+  }
+  for (const std::shared_ptr<Connection>& conn : stalled) {
+    CloseConnection(conn);
+  }
+  if (watched_ == 0) return -1;
+  return static_cast<int>((next_expiry - now) / 1'000'000 + 1);
 }
 
 void KboostServer::AcceptNew() {
   while (true) {
-    struct sockaddr_in peer = {};
-    socklen_t peer_len = sizeof(peer);
-    const int fd = ::accept(
-        listen_fd_, reinterpret_cast<struct sockaddr*>(&peer), &peer_len);
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;  // EAGAIN or transient accept failure: try later
     if (Status s = SetNonBlocking(fd); !s.ok()) {
       ::close(fd);
@@ -424,10 +430,12 @@ void KboostServer::AcceptNew() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (connections_.size() >= options_.max_connections) {
       // Typed front-door reject: one kUnavailable error frame, then close.
+      // A fresh socket's send buffer is empty, so one send carries it.
       unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
       const std::string frame = EncodeErrorFrame(
           0, Status::Unavailable("connection limit reached"));
-      WriteFully(fd, frame.data(), frame.size());
+      [[maybe_unused]] ssize_t ignored =
+          ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       ::close(fd);
       continue;
     }
@@ -436,64 +444,69 @@ void KboostServer::AcceptNew() {
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     connections_[fd] = conn;
-    t_poller->Add(fd, true);
+    t_poller->Add(fd);
   }
 }
 
 void KboostServer::ReadFrom(const std::shared_ptr<Connection>& conn) {
   char buffer[65536];
-  while (!conn->closing.load(std::memory_order_relaxed)) {
+  bool progressed = false;
+  while (conn->in.size() <= MaxBufferedInput(options_)) {
     const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
     if (n > 0) {
       conn->in.append(buffer, static_cast<size_t>(n));
-      // Flow control: stop reading once two full frames are buffered so a
-      // blasting client cannot grow the buffer unboundedly while a request
-      // is in flight.
-      if (conn->in.size() >
-          2 * (options_.max_frame_bytes + kFrameHeaderBytes)) {
-        break;
-      }
+      progressed = true;
+      // A short read emptied the socket; the level-triggered poller
+      // reports any later bytes, so skip the recv() that would say EAGAIN.
+      if (static_cast<size_t>(n) < sizeof(buffer)) break;
       continue;
     }
     if (n == 0) {
       conn->peer_closed = true;
       break;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    conn->peer_closed = true;  // hard error: treat as gone
-    break;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    CloseConnection(conn);  // hard error: the peer is gone
+    return;
   }
+  if (progressed && conn->watched) conn->progress_ns = SteadyNowNanos();
   ProcessBuffered(conn);
 }
 
 void KboostServer::ProcessBuffered(const std::shared_ptr<Connection>& conn) {
-  while (!conn->busy && !conn->closing.load(std::memory_order_relaxed)) {
-    if (conn->in.size() < kFrameHeaderBytes) break;
+  // Frames are consumed by offset and the buffer compacted once at the end:
+  // erasing each frame would move the rest of the buffer per frame, which
+  // is quadratic in the pipelining depth.
+  size_t consumed = 0;
+  while (conn->fd >= 0 && !conn->busy && !conn->closing &&
+         conn->out.empty()) {
+    const size_t available = conn->in.size() - consumed;
+    if (available < kFrameHeaderBytes) break;
+    const uint8_t* frame =
+        reinterpret_cast<const uint8_t*>(conn->in.data()) + consumed;
     FrameHeader header;
-    Status s = DecodeFrameHeader(
-        reinterpret_cast<const uint8_t*>(conn->in.data()),
-        options_.max_frame_bytes, &header);
-    if (!s.ok()) {
+    if (Status s = DecodeFrameHeader(frame, options_.max_frame_bytes, &header);
+        !s.ok()) {
       FailConnection(conn, 0, s);
-      return;
+      break;
     }
-    if (conn->in.size() < kFrameHeaderBytes + header.body_len) break;
+    if (available < kFrameHeaderBytes + header.body_len) break;
+    consumed += kFrameHeaderBytes + header.body_len;
     frames_.fetch_add(1, std::memory_order_relaxed);
-    const std::string body =
-        conn->in.substr(kFrameHeaderBytes, header.body_len);
-    conn->in.erase(0, kFrameHeaderBytes + header.body_len);
-    HandleFrame(conn, header, reinterpret_cast<const uint8_t*>(body.data()));
+    HandleFrame(conn, header, frame + kFrameHeaderBytes);
   }
-  // A peer that closed mid-frame (or cleanly) with nothing in flight:
-  // whatever partial bytes remain are dropped and the connection closes —
-  // a clean close, never a crash or a hang.
-  if (!conn->busy && conn->peer_closed &&
-      connections_.count(conn->fd) != 0) {
-    CloseConnection(conn->fd);
+  if (conn->fd < 0) return;  // a send failed: the peer is gone
+  conn->in.erase(0, consumed);
+  // Nothing owed and nothing more to answer: an error frame has gone out,
+  // or the peer closed (whatever partial bytes it left are dropped — a
+  // clean close, never a crash or a hang).
+  if (conn->out.empty() && !conn->busy &&
+      (conn->closing || conn->peer_closed)) {
+    CloseConnection(conn);
     return;
   }
-  UpdateReadInterest(conn);
+  UpdateInterest(conn);
 }
 
 void KboostServer::HandleFrame(const std::shared_ptr<Connection>& conn,
@@ -508,45 +521,25 @@ void KboostServer::HandleFrame(const std::shared_ptr<Connection>& conn,
         FailConnection(conn, header.request_id, s);
         return;
       }
-      // Check-and-enqueue under ONE lock hold. The old shape (check full,
-      // unlock, push under a second hold) was correct only because this loop
-      // is the queue's sole producer; one critical section makes the bound
-      // a structural invariant instead of a thread-count accident, and
-      // halves the dispatch path's lock traffic.
-      bool enqueued = false;
-      if (!draining) {
-        WorkItem item;
-        item.conn = conn;
-        item.request_id = header.request_id;
-        item.query = std::move(query);
-        MutexLock lock(queue_mutex_);
-        if (queue_.size() < options_.max_dispatch_queue) {
-          queue_.push_back(std::move(item));
-          enqueued = true;
-        }
-      }
-      if (!enqueued) {
-        // The connection-level reject: a typed kUnavailable reply, and the
-        // connection stays open for the client's retry-elsewhere logic.
+      WireQueryReply reply;
+      if (draining) {
         unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
-        WireQueryReply reply;
-        reply.status = Status::Unavailable(
-            draining ? "server shutting down" : "dispatch queue full");
-        WriteReply(conn, EncodeQueryReplyFrame(header.request_id, reply));
-        return;
+        reply.status = Status::Unavailable("server shutting down");
+      } else {
+        dispatched_.fetch_add(1, std::memory_order_relaxed);
+        BoostRequest request;
+        request.pool = std::move(query.pool);
+        request.k = static_cast<size_t>(query.k);
+        request.mode = query.mode;
+        request.deadline_ms = query.deadline_ms;
+        reply = ToWireReply(service_->Solve(request));
       }
-      // busy/outstanding_ are event-loop-owned; safe to set after the push
-      // because completions are only processed by this same thread, later.
-      conn->busy = true;
-      ++outstanding_;
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
-      queue_cv_.NotifyOne();
+      QueueReply(conn, EncodeQueryReplyFrame(header.request_id, reply));
       return;
     }
     case FrameType::kStats: {
-      // One lock-free-ish snapshot; cheap enough to answer on the loop.
       admin_frames_.fetch_add(1, std::memory_order_relaxed);
-      WriteReply(conn,
+      QueueReply(conn,
                  EncodeStatsReplyFrame(header.request_id, service_->Stats()));
       return;
     }
@@ -558,30 +551,23 @@ void KboostServer::HandleFrame(const std::shared_ptr<Connection>& conn,
         FailConnection(conn, header.request_id, s);
         return;
       }
-      // Same single-hold check-and-enqueue as the query path above.
-      bool enqueued = false;
-      if (!draining) {
-        WorkItem item;
-        item.conn = conn;
-        item.request_id = header.request_id;
-        item.is_refresh = true;
-        item.refresh = std::move(refresh);
-        MutexLock lock(queue_mutex_);
-        if (queue_.size() < options_.max_dispatch_queue) {
-          queue_.push_back(std::move(item));
-          enqueued = true;
-        }
-      }
-      if (!enqueued) {
+      if (draining) {
+        unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
         WireRefreshReply reply;
-        reply.status = Status::Unavailable(
-            draining ? "server shutting down" : "dispatch queue full");
-        WriteReply(conn, EncodeRefreshReplyFrame(header.request_id, reply));
+        reply.status = Status::Unavailable("server shutting down");
+        QueueReply(conn, EncodeRefreshReplyFrame(header.request_id, reply));
         return;
       }
+      // Loading and preparing a pool takes ms to s: the one job that leaves
+      // the loop. The connection's next frame waits for its reply.
       conn->busy = true;
-      ++outstanding_;
-      queue_cv_.NotifyOne();
+      ++refreshes_in_flight_;
+      {
+        MutexLock lock(refresh_mutex_);
+        refresh_jobs_.push_back(
+            RefreshJob{conn, header.request_id, std::move(refresh), {}});
+      }
+      refresh_cv_.NotifyOne();
       return;
     }
     case FrameType::kShutdown: {
@@ -592,7 +578,7 @@ void KboostServer::HandleFrame(const std::shared_ptr<Connection>& conn,
             Status::FailedPrecondition("remote shutdown is disabled"));
         return;
       }
-      WriteReply(conn, EncodeShutdownReplyFrame(header.request_id));
+      QueueReply(conn, EncodeShutdownReplyFrame(header.request_id));
       RequestShutdown();
       return;
     }
@@ -608,145 +594,122 @@ void KboostServer::HandleFrame(const std::shared_ptr<Connection>& conn,
   }
 }
 
+void KboostServer::QueueReply(const std::shared_ptr<Connection>& conn,
+                              const std::string& frame) {
+  conn->out.append(frame);
+  Flush(conn);
+}
+
+void KboostServer::Flush(const std::shared_ptr<Connection>& conn) {
+  size_t sent = 0;
+  while (sent < conn->out.size()) {
+    const ssize_t n = ::send(conn->fd, conn->out.data() + sent,
+                             conn->out.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    CloseConnection(conn);  // the peer is gone
+    return;
+  }
+  conn->out.erase(0, sent);
+  if (sent > 0 && conn->watched) conn->progress_ns = SteadyNowNanos();
+}
+
 void KboostServer::FailConnection(const std::shared_ptr<Connection>& conn,
                                   uint32_t request_id, const Status& error) {
   protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  WriteReply(conn, EncodeErrorFrame(request_id, error));
-  conn->closing.store(true, std::memory_order_release);
-  if (!conn->busy && connections_.count(conn->fd) != 0) {
-    CloseConnection(conn->fd);
-  }
+  conn->closing = true;
+  QueueReply(conn, EncodeErrorFrame(request_id, error));
 }
 
-void KboostServer::CloseConnection(int fd) {
-  auto it = connections_.find(fd);
-  if (it == connections_.end()) return;
-  t_poller->Remove(fd);
-  ::close(fd);
-  connections_.erase(it);
+void KboostServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
+  if (conn->fd < 0) return;
+  if (conn->watched) --watched_;
+  t_poller->Remove(conn->fd);
+  ::close(conn->fd);
+  connections_.erase(conn->fd);
+  conn->fd = -1;
   active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void KboostServer::HandleCompletions() {
-  std::vector<int> done;
+void KboostServer::HandleRefreshReplies() {
+  std::vector<RefreshJob> done;
   {
-    MutexLock lock(completed_mutex_);
-    done.swap(completed_fds_);
+    MutexLock lock(refresh_mutex_);
+    done.swap(refresh_done_);
   }
-  for (int fd : done) {
-    auto it = connections_.find(fd);
-    if (it == connections_.end()) continue;
-    std::shared_ptr<Connection> conn = it->second;
+  for (RefreshJob& job : done) {
+    --refreshes_in_flight_;
+    const std::shared_ptr<Connection>& conn = job.conn;
+    if (conn->fd < 0) continue;  // the peer went away meanwhile
     conn->busy = false;
-    --outstanding_;
-    if (conn->closing.load(std::memory_order_acquire) || conn->peer_closed) {
-      CloseConnection(fd);
-      continue;
-    }
-    // The reply is out; any pipelined frames buffered meanwhile run now.
-    ProcessBuffered(conn);
+    QueueReply(conn, job.reply);
+    // The reply is out (or pending); pipelined frames may run now.
+    if (conn->fd >= 0) ProcessBuffered(conn);
   }
 }
 
-void KboostServer::UpdateReadInterest(const std::shared_ptr<Connection>& conn) {
-  if (connections_.count(conn->fd) == 0) return;
-  const bool want =
-      !conn->closing.load(std::memory_order_relaxed) && !conn->peer_closed &&
-      conn->in.size() <= 2 * (options_.max_frame_bytes + kFrameHeaderBytes);
-  if (want != conn->want_read) {
-    conn->want_read = want;
-    t_poller->Update(conn->fd, want);
+void KboostServer::UpdateInterest(const std::shared_ptr<Connection>& conn) {
+  const bool want_read = conn->out.empty() && !conn->peer_closed &&
+                         conn->in.size() <= MaxBufferedInput(options_);
+  const bool want_write = !conn->out.empty();
+  if (want_read != conn->want_read || want_write != conn->want_write) {
+    conn->want_read = want_read;
+    conn->want_write = want_write;
+    t_poller->Update(conn->fd, want_read, want_write);
   }
-}
-
-// ---- Worker side -----------------------------------------------------------
-
-void KboostServer::WriteReply(const std::shared_ptr<Connection>& conn,
-                              const std::string& frame) {
-  MutexLock lock(conn->write_mutex);
-  if (conn->closing.load(std::memory_order_acquire)) return;
-  if (!WriteFully(conn->fd, frame.data(), frame.size())) {
-    conn->closing.store(true, std::memory_order_release);
-  }
-}
-
-void KboostServer::CompleteWork(const std::shared_ptr<Connection>& conn) {
-  {
-    MutexLock lock(completed_mutex_);
-    completed_fds_.push_back(conn->fd);
-  }
-  const char byte = kWakeCompletion;
-  [[maybe_unused]] ssize_t ignored = ::write(wake_write_fd_, &byte, 1);
-}
-
-void KboostServer::WorkerLoop() {
-  while (true) {
-    WorkItem item;
-    {
-      MutexLock lock(queue_mutex_);
-      while (queue_.empty() && !stop_workers_) queue_cv_.Wait(queue_mutex_);
-      if (queue_.empty()) return;  // stop_workers_ with nothing left
-      item = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    const bool draining = draining_.load(std::memory_order_acquire);
-    if (item.is_refresh) {
-      WireRefreshReply reply;
-      if (draining) {
-        reply.status = Status::Unavailable("server shutting down");
-      } else {
-        reply.status = service_->RefreshPoolFromSnapshot(
-            item.refresh.pool, item.refresh.snapshot_path);
-        if (reply.status.ok()) {
-          reply.version = service_->PoolVersion(item.refresh.pool);
-        }
-      }
-      WriteReply(item.conn, EncodeRefreshReplyFrame(item.request_id, reply));
+  // The peer-stall rule times a connection while the server waits on its
+  // peer: for a reply the peer does not read, or for the rest of a partial
+  // frame. A connection whose REFRESH is running waits on the server.
+  const bool watched =
+      !conn->out.empty() || (!conn->busy && !conn->in.empty());
+  if (watched != conn->watched) {
+    conn->watched = watched;
+    if (watched) {
+      ++watched_;
+      conn->progress_ns = SteadyNowNanos();
     } else {
-      WireQueryReply reply;
-      if (draining) {
-        // Queued when the drain began: answered typed, never solved.
-        unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
-        reply.status = Status::Unavailable("server shutting down");
-      } else {
-        BoostRequest request;
-        request.pool = item.query.pool;
-        request.k = static_cast<size_t>(item.query.k);
-        request.mode = item.query.mode;
-        request.deadline_ms = item.query.deadline_ms;
-        request.cancel = &drain_cancel_;
-        StatusOr<BoostResponse> solved = service_->Solve(request);
-        if (solved.ok()) {
-          const BoostResponse& response = solved.value();
-          reply.status = Status::Ok();
-          reply.pool_version = response.pool_version;
-          reply.solve_seconds = response.solve_seconds;
-          reply.best_set = response.result.best_set;
-          reply.best_estimate = response.result.best_estimate;
-          reply.lb_set = response.result.lb_set;
-          reply.lb_mu_hat = response.result.lb_mu_hat;
-          reply.lb_delta_hat = response.result.lb_delta_hat;
-          reply.delta_set = response.result.delta_set;
-          reply.delta_delta_hat = response.result.delta_delta_hat;
-          reply.pool_budget = response.result.pool_budget;
-          reply.pool_reused = response.result.pool_reused;
-          reply.num_samples = response.result.num_samples;
-          reply.num_boostable = response.result.num_boostable;
-        } else if (solved.status().code() == StatusCode::kCancelled &&
-                   drain_cancel_.load(std::memory_order_relaxed)) {
-          // Cancelled by the drain deadline, not by the client: report the
-          // process-level condition.
-          unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
-          reply.status =
-              Status::Unavailable("server shutting down (solve cancelled)");
-        } else {
-          reply.status = solved.status();
-        }
-      }
-      WriteReply(item.conn, EncodeQueryReplyFrame(item.request_id, reply));
+      --watched_;
     }
-    CompleteWork(item.conn);
-    item.conn.reset();
+  }
+}
+
+// ---- Refresh thread --------------------------------------------------------
+
+void KboostServer::RefreshLoop() {
+  while (true) {
+    RefreshJob job;
+    {
+      MutexLock lock(refresh_mutex_);
+      while (refresh_jobs_.empty() && !stop_refresh_) {
+        refresh_cv_.Wait(refresh_mutex_);
+      }
+      if (refresh_jobs_.empty()) return;  // stop_refresh_ with nothing left
+      job = std::move(refresh_jobs_.front());
+      refresh_jobs_.pop_front();
+    }
+    WireRefreshReply reply;
+    if (draining_.load(std::memory_order_acquire)) {
+      // Not started when the drain began: answered typed, never run.
+      unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
+      reply.status = Status::Unavailable("server shutting down");
+    } else {
+      reply.status = service_->RefreshPoolFromSnapshot(
+          job.refresh.pool, job.refresh.snapshot_path);
+      if (reply.status.ok()) {
+        reply.version = service_->PoolVersion(job.refresh.pool);
+      }
+    }
+    job.reply = EncodeRefreshReplyFrame(job.request_id, reply);
+    {
+      MutexLock lock(refresh_mutex_);
+      refresh_done_.push_back(std::move(job));
+    }
+    const char byte = kWakeRefresh;
+    [[maybe_unused]] ssize_t ignored = ::write(wake_write_fd_, &byte, 1);
   }
 }
 

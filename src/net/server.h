@@ -17,34 +17,26 @@
 
 namespace kboost {
 
-/// How a KboostServer listens and schedules work.
+/// A connection that makes no progress for this long while the server is
+/// waiting on its peer is closed: a reply is pending that the peer does not
+/// read, or its input holds a partial frame that gains no byte. A
+/// connection idling with nothing buffered is never reaped.
+inline constexpr int kPeerStallMs = 5000;
+
+/// How a KboostServer listens and bounds its peers.
 struct ServerOptions {
   /// Address to bind; loopback by default so a daemon started for a bench
   /// never listens on the open network unless asked to.
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// Worker threads draining the dispatch queue into BoostService::Solve.
-  /// A solve is an O(k) slice of cached orders, so workers mostly run reply
-  /// encoding and socket writes; they keep no per-worker solve state.
-  int num_workers = 2;
-  /// Bounded dispatch queue between the event loop and the workers. A query
-  /// arriving while the queue is full is answered immediately with a typed
-  /// kUnavailable reply — the connection-level reject — instead of piling
-  /// onto a saturated process. (The BoostService's own admission budget,
-  /// when configured, is a second, finer gate inside Solve.)
-  size_t max_dispatch_queue = 64;
   /// Decoder bound on a frame's declared body length; larger declarations
-  /// are rejected typed and the connection closed.
+  /// are rejected typed and the connection closed. A connection buffers at
+  /// most two such frames of input before the server stops reading it.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Accepted connections beyond this are sent one kUnavailable error frame
   /// and closed.
   size_t max_connections = 256;
-  /// Graceful-shutdown drain budget: in-flight solves get this long to
-  /// finish; past it they are cooperatively cancelled (and answered
-  /// kUnavailable). Queued-but-unstarted requests are answered kUnavailable
-  /// immediately.
-  uint64_t drain_deadline_ms = 2000;
   /// Whether a SHUTDOWN admin frame from a client triggers graceful
   /// shutdown (operators may prefer signals only).
   bool allow_remote_shutdown = true;
@@ -57,47 +49,54 @@ struct ServerCounters {
   uint64_t active_connections = 0;  ///< gauge
   uint64_t frames_received = 0;
   uint64_t protocol_errors = 0;  ///< error frames sent before closing
-  uint64_t queries_dispatched = 0;
-  uint64_t unavailable_rejects = 0;  ///< typed queue-full/draining rejects
+  uint64_t queries_dispatched = 0;   ///< QUERY frames handed to Solve
+  uint64_t unavailable_rejects = 0;  ///< typed draining/connection-limit
   uint64_t admin_frames = 0;         ///< STATS / REFRESH / SHUTDOWN
 };
 
 /// The kboostd serving front-end: exposes one BoostService over TCP with
 /// the length-prefixed binary protocol of src/net/wire.h.
 ///
-/// Threading model: one event-loop thread owns the listening socket, every
-/// connection's input buffering and frame extraction (epoll on Linux, poll
-/// elsewhere), and feeds complete query/refresh frames through a bounded
-/// dispatch queue to `num_workers` worker threads, which call
-/// BoostService::Solve and write the reply back on the request's
-/// connection. One request is in flight per connection at a time (the
-/// blocking client's contract); pipelined bytes wait in the connection
-/// buffer. STATS is answered inline on the event loop (it is one lock-free
-/// snapshot), REFRESH runs on a worker (pool preparation is seconds), and
-/// SHUTDOWN triggers the graceful drain.
+/// Threading model: two threads. The event loop (epoll on Linux, poll
+/// elsewhere) owns the listening socket and every connection: it reads and
+/// extracts frames, answers QUERY, STATS, SHUTDOWN and every reject or error
+/// inline, and performs every socket write. A prepared solve is an O(k)
+/// slice of cached orders, so BoostService::Solve runs right on the loop:
+/// decode, solve, encode, append to the connection's output buffer, one
+/// non-blocking send. Write interest is registered only when bytes remain.
+/// REFRESH alone (loading and preparing a pool, ms to s) goes to one
+/// background refresh thread, which hands the encoded reply back for the
+/// loop to write.
+///
+/// One request is processed per connection at a time: while a connection
+/// has a reply pending or a refresh in flight, its next frame waits (and
+/// while a reply is pending, the loop does not read at all), so at most one
+/// reply is ever buffered per connection. Pipelined frames are answered in
+/// order. A peer that stops reading its replies, or that leaves a partial
+/// frame hanging, is closed after kPeerStallMs without progress; it never
+/// blocks the loop or another connection.
 ///
 /// Per-request deadlines resolve through BoostService's single-budget
-/// deadline path: the wire deadline_ms lands in BoostRequest::deadline_ms,
-/// which Solve() converts once at entry to an absolute deadline covering
-/// admission wait AND solve — dispatch-queue wait on this side of the call
-/// is covered by the same budget because the worker passes the wire value
-/// through untouched and the clock starts at Solve() entry; socket read
-/// time is the client's own cost. Every overload outcome (shed, deadline
-/// miss, shutdown reject) travels as a typed reply frame; a
-/// connection is only ever closed without a reply when the peer itself
-/// vanished or sent bytes that do not parse as a frame (and even then an
-/// error frame is attempted first).
+/// deadline path: the wire deadline_ms lands in BoostRequest::deadline_ms
+/// untouched, and Solve() converts it once at entry to an absolute deadline
+/// covering admission and solve only. Time spent on the loop and in the
+/// sockets before Solve() is entered is not charged to the budget. Since the
+/// loop is the service's only solver, an admission budget configured on the
+/// service never binds here. Every overload outcome (deadline miss, shutdown
+/// reject, connection limit) travels as a typed frame; a connection is only
+/// closed without a reply when the peer vanished or stalled, or sent bytes
+/// that do not parse as a frame (and then an error frame is attempted first).
 ///
 /// Graceful shutdown (RequestShutdown, a SHUTDOWN frame, or an installed
-/// SIGINT/SIGTERM handler): the acceptor closes first, queued-but-unstarted
-/// requests are answered kUnavailable, in-flight solves get
-/// `drain_deadline_ms` to finish before cooperative cancellation, workers
-/// are joined, and every connection is closed. Admission slots cannot leak:
-/// they are RAII tickets inside Solve, and every dispatched request runs
-/// Solve to completion (normally or cancelled) before its worker exits.
+/// SIGINT/SIGTERM handler): the acceptor closes, frames that arrive after it
+/// are answered kUnavailable, refresh jobs not yet started are answered
+/// kUnavailable, and the loop exits once no refresh is running and every
+/// connection's output is flushed or reaped. It then joins the refresh
+/// thread and closes every connection. Admission slots cannot leak: they are
+/// RAII tickets inside Solve, and nothing is in flight when the loop exits.
 class KboostServer {
  public:
-  /// Binds, listens and starts the event-loop and worker threads. `service`
+  /// Binds, listens and starts the event-loop and refresh threads. `service`
   /// must outlive the server. Typed errors for bind/listen failures
   /// (kUnavailable when the address is in use).
   static StatusOr<std::unique_ptr<KboostServer>> Start(
@@ -109,16 +108,16 @@ class KboostServer {
   /// The actual bound port (useful with options.port = 0).
   uint16_t port() const { return port_; }
 
-  /// Requests graceful shutdown and returns immediately. Async-signal-safe
-  /// apart from being callable from any thread: it is one atomic store and
-  /// one write() to the event loop's wake pipe.
+  /// Requests graceful shutdown and returns immediately. Callable from any
+  /// thread: it is one atomic store and one write() to the event loop's
+  /// wake pipe.
   void RequestShutdown();
 
   /// RequestShutdown() + Wait().
   void Shutdown();
 
   /// Blocks until the server has fully shut down (event loop exited,
-  /// workers joined, all connections closed).
+  /// refresh thread joined, all connections closed).
   void Wait();
 
   bool shutdown_requested() const {
@@ -138,15 +137,15 @@ class KboostServer {
  private:
   struct Connection;
 
-  /// One dispatched request: the connection it answers on, the echoed id,
-  /// and the decoded query/refresh payload. Complete here (not in the .cc)
-  /// because the dispatch deque holds items by value.
-  struct WorkItem {
+  /// One REFRESH on its way to the refresh thread and, with `reply` filled
+  /// in, back to the loop. `conn` only identifies the connection: the
+  /// refresh thread never touches it, and a reply whose connection closed
+  /// meanwhile is dropped.
+  struct RefreshJob {
     std::shared_ptr<Connection> conn;
     uint32_t request_id = 0;
-    bool is_refresh = false;
-    WireQuery query;
     WireRefresh refresh;
+    std::string reply;
   };
 
   KboostServer(BoostService* service, const ServerOptions& options)
@@ -154,7 +153,7 @@ class KboostServer {
 
   Status Listen();
   void EventLoop();
-  void WorkerLoop();
+  void RefreshLoop();
 
   // Event-loop internals (called only from the event-loop thread).
   void AcceptNew();
@@ -162,17 +161,20 @@ class KboostServer {
   void ProcessBuffered(const std::shared_ptr<Connection>& conn);
   void HandleFrame(const std::shared_ptr<Connection>& conn,
                    const FrameHeader& header, const uint8_t* body);
+  void QueueReply(const std::shared_ptr<Connection>& conn,
+                  const std::string& frame);
+  void Flush(const std::shared_ptr<Connection>& conn);
   void FailConnection(const std::shared_ptr<Connection>& conn,
                       uint32_t request_id, const Status& error);
-  void CloseConnection(int fd);
-  void HandleCompletions();
-  void UpdateReadInterest(const std::shared_ptr<Connection>& conn);
+  void CloseConnection(const std::shared_ptr<Connection>& conn);
+  void HandleRefreshReplies();
+  void UpdateInterest(const std::shared_ptr<Connection>& conn);
+  /// Closes every connection past the peer-stall rule and returns the poll
+  /// timeout (ms) until the next one could be, or -1 when none is timed.
+  int ReapStalledPeers();
+  /// No refresh is running and no connection has output pending.
+  bool Drained() const;
   void BeginDrain();
-
-  // Worker-side reply path.
-  void WriteReply(const std::shared_ptr<Connection>& conn,
-                  const std::string& frame);
-  void CompleteWork(const std::shared_ptr<Connection>& conn);
 
   BoostService* service_;
   const ServerOptions options_;
@@ -184,7 +186,7 @@ class KboostServer {
   // The event loop sleeps in epoll/poll; everything that must get its
   // attention writes ONE tagged byte to this self-pipe instead of touching
   // loop state directly:
-  //   'c' — a worker finished a request (completed_fds_ has its fd),
+  //   'c' — the refresh thread finished a job (refresh_done_ has it),
   //   'q' — some thread called RequestShutdown(),
   //   'T' — the installed SIGINT/SIGTERM handler fired (the only operation
   //         a signal context performs is this async-signal-safe write()).
@@ -192,44 +194,42 @@ class KboostServer {
   // on its OWN thread — so connection/drain state needs no lock and no
   // signal-safety gymnastics. Shutdown then proceeds in one direction:
   //   shutdown_requested_ → BeginDrain() (close acceptor, set draining_) →
-  //   outstanding_ reaches 0 (past drain_deadline_ms, drain_cancel_ cancels
-  //   every in-flight solve) → stop_workers_ under queue_mutex_ →
-  //   workers joined → connections closed → finished_.
+  //   no refresh running and every output flushed or reaped →
+  //   stop_refresh_ under refresh_mutex_ → refresh thread joined →
+  //   connections closed → finished_.
   // No step is ever reversed, which is why each flag can be an independent
   // atomic rather than multi-field state under one lock.
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
 
   std::thread io_thread_;
-  std::vector<std::thread> workers_;
+  std::thread refresh_thread_;
 
-  // Dispatch queue between the event loop and workers.
-  Mutex queue_mutex_;
-  CondVar queue_cv_;
-  std::deque<WorkItem> queue_ KB_GUARDED_BY(queue_mutex_);
-  bool stop_workers_ KB_GUARDED_BY(queue_mutex_) = false;
+  // The refresh handoff: the loop pushes jobs, the refresh thread pushes
+  // them back with the reply encoded. At most one job per connection is in
+  // flight, so max_connections bounds both queues.
+  Mutex refresh_mutex_;
+  CondVar refresh_cv_;
+  std::deque<RefreshJob> refresh_jobs_ KB_GUARDED_BY(refresh_mutex_);
+  std::vector<RefreshJob> refresh_done_ KB_GUARDED_BY(refresh_mutex_);
+  bool stop_refresh_ KB_GUARDED_BY(refresh_mutex_) = false;
 
-  // Completion notifications back to the event loop.
-  Mutex completed_mutex_;
-  std::vector<int> completed_fds_ KB_GUARDED_BY(completed_mutex_);
-
-  // Event-loop-owned connection registry (no lock by design: only the event
-  // loop thread touches the map and the outstanding_ counter, from EventLoop
-  // and the helpers it calls; workers hold shared_ptr<Connection> but never
-  // the map. Thread ownership is invisible to -Wthread-safety, so the
-  // contract is documented here and enforced by keeping every accessor
-  // private to the event-loop section above).
+  // Event-loop-owned state (no lock by design: only the event-loop thread
+  // touches the map, the Connection objects and these fields, from
+  // EventLoop and the helpers it calls; the refresh thread holds
+  // shared_ptr<Connection> only as an identity. Thread ownership is
+  // invisible to -Wthread-safety, so the contract is documented here and
+  // enforced by keeping every accessor private to the event-loop section
+  // above).
   std::map<int, std::shared_ptr<Connection>> connections_;
-  size_t outstanding_ = 0;  ///< dispatched, not yet completed (event loop)
+  size_t refreshes_in_flight_ = 0;  ///< pushed, reply not yet picked up
+  size_t watched_ = 0;  ///< connections the peer-stall rule is timing
 
   // One-way lifecycle flags (see the drain-handshake comment above). Each is
   // set-once-and-sticky, read with one relaxed/acquire load — none of them
   // guards other data, so none is a pseudo-lock.
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<bool> draining_{false};
-  /// Cooperative cancel flag handed to every dispatched Solve; set when the
-  /// drain deadline passes so in-flight selections stop at their next poll.
-  std::atomic<bool> drain_cancel_{false};
   std::atomic<bool> finished_{false};
   bool signal_handlers_installed_ = false;  ///< main-thread-owned (Start/dtor)
 

@@ -27,11 +27,11 @@ enum class StatusCode {
   /// Transient by definition: the same request may succeed on retry.
   kResourceExhausted = 9,
   /// The service as a whole cannot take the request right now — it is
-  /// shutting down, its dispatch queue is full, or the connection was
-  /// refused at the front door. Where ResourceExhausted means "this
-  /// request was shed by the admission budget", Unavailable means "the
-  /// serving process itself is not accepting work"; clients should back
-  /// off and retry against the same or another replica.
+  /// shutting down, or the connection was refused at the front door. Where
+  /// ResourceExhausted means "this request was shed by the admission
+  /// budget", Unavailable means "the serving process itself is not
+  /// accepting work"; clients should back off and retry against the same or
+  /// another replica.
   kUnavailable = 10,
 };
 

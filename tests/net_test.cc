@@ -7,14 +7,17 @@
 //     length, truncated/garbage bodies, trailing bytes — is a typed error
 //     on every row, never a crash.
 //  2. Server: a live KboostServer answers wire queries bit-identically to
-//     in-process BoostService::Solve, keeps typed behaviour under the same
-//     corruption matrix fired over a real socket (and survives it), rejects
-//     queue overflow and connection overflow with kUnavailable, and serves
-//     STATS/REFRESH/SHUTDOWN admin frames.
+//     in-process BoostService::Solve (one at a time or pipelined deep in
+//     one write), keeps typed behaviour under the same corruption matrix
+//     fired over a real socket (and survives it), rejects connection
+//     overflow with kUnavailable, serves STATS/REFRESH/SHUTDOWN admin
+//     frames, and never lets one peer stall another: a peer that stops
+//     reading its replies or leaves a partial frame hanging is closed after
+//     kPeerStallMs, and a failed Start leaks no descriptor.
 //  3. Shutdown: SIGTERM mid-storm drains gracefully — acceptor closed,
-//     queued work answered kUnavailable, in-flight solves finished or
-//     cooperatively cancelled — with zero leaked admission slots and only
-//     typed outcomes observed by every client.
+//     later frames answered kUnavailable, every reply flushed — with zero
+//     leaked admission slots and only typed outcomes observed by every
+//     client.
 //
 // This file runs under the ASan/UBSan job and the TSan job in CI.
 
@@ -32,6 +35,7 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -259,7 +263,7 @@ TEST(WireQueryTest, QueryReplyRoundTripsDoublesBitIdentically) {
 
 TEST(WireQueryTest, NonOkReplyCarriesOnlyTheTypedStatus) {
   WireQueryReply reply;
-  reply.status = Status::Unavailable("dispatch queue full");
+  reply.status = Status::Unavailable("server shutting down");
   const std::string frame = EncodeQueryReplyFrame(2, reply);
   FrameHeader header;
   ASSERT_TRUE(DecodeFrameHeader(
@@ -272,7 +276,7 @@ TEST(WireQueryTest, NonOkReplyCarriesOnlyTheTypedStatus) {
                                    header.body_len, &out)
                   .ok());
   EXPECT_EQ(out.status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(out.status.message(), "dispatch queue full");
+  EXPECT_EQ(out.status.message(), "server shutting down");
   EXPECT_TRUE(out.best_set.empty());
 }
 
@@ -489,6 +493,29 @@ class RawConn {
     return true;
   }
 };
+
+/// Every field of a wire answer equals the in-process one, doubles bit for
+/// bit.
+bool SameAnswer(const WireQueryReply& got, const BoostResult& want) {
+  return got.best_set == want.best_set &&
+         got.best_estimate == want.best_estimate &&
+         got.lb_set == want.lb_set && got.lb_mu_hat == want.lb_mu_hat &&
+         got.lb_delta_hat == want.lb_delta_hat &&
+         got.delta_set == want.delta_set &&
+         got.delta_delta_hat == want.delta_delta_hat &&
+         got.pool_budget == want.pool_budget &&
+         got.num_samples == want.num_samples &&
+         got.num_boostable == want.num_boostable;
+}
+
+size_t OpenFdCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
 
 class NetServerTest : public ::testing::Test {
  protected:
@@ -738,55 +765,6 @@ TEST_F(NetServerTest, StatsAndRefreshAdminFramesWork) {
   std::remove(snapshot.c_str());
 }
 
-TEST_F(NetServerTest, QueueOverflowIsTypedUnavailableAndConnectionSurvives) {
-  StartService();
-  ServerOptions options;
-  options.num_workers = 1;
-  options.max_dispatch_queue = 1;
-  StartServer(options);
-
-  // Hold the single worker for ~600ms per solve.
-  FaultInjector::Plan slow;
-  slow.delay_micros = 600'000;
-  FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
-
-  std::unique_ptr<KboostClient> busy = MustConnect();
-  std::unique_ptr<KboostClient> queued = MustConnect();
-  std::unique_ptr<KboostClient> rejected = MustConnect();
-  ASSERT_NE(busy, nullptr);
-  ASSERT_NE(queued, nullptr);
-  ASSERT_NE(rejected, nullptr);
-
-  std::thread busy_thread([&] {
-    StatusOr<WireQueryReply> reply = busy->Query(WireQuery{"pool", 1});
-    ASSERT_TRUE(reply.ok());
-    EXPECT_TRUE(reply.value().status.ok());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  std::thread queued_thread([&] {
-    StatusOr<WireQueryReply> reply = queued->Query(WireQuery{"pool", 1});
-    ASSERT_TRUE(reply.ok());
-    EXPECT_TRUE(reply.value().status.ok());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-
-  // Worker busy, queue full: this one must be rejected typed, immediately
-  // (well before the 600ms solve finishes), on a connection that survives.
-  StatusOr<WireQueryReply> reply = rejected->Query(WireQuery{"pool", 1});
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply.value().status.code(), StatusCode::kUnavailable)
-      << reply.value().status.ToString();
-
-  busy_thread.join();
-  queued_thread.join();
-  FaultInjector::Global().DisarmAll();
-
-  StatusOr<WireQueryReply> retry = rejected->Query(WireQuery{"pool", 1});
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_TRUE(retry.value().status.ok());
-  EXPECT_GE(server_->counters().unavailable_rejects, 1u);
-}
-
 TEST_F(NetServerTest, ConnectionLimitSendsTypedUnavailableErrorFrame) {
   StartService();
   ServerOptions options;
@@ -802,6 +780,7 @@ TEST_F(NetServerTest, ConnectionLimitSendsTypedUnavailableErrorFrame) {
 
   int fd = RawConn::Connect(server_->port());
   RawConn::ExpectErrorAndClose(fd, StatusCode::kUnavailable);
+  EXPECT_EQ(server_->counters().unavailable_rejects, 1u);
 
   // The admitted connection is unaffected.
   StatusOr<WireQueryReply> still = first->Query(WireQuery{"pool", 1});
@@ -842,6 +821,202 @@ TEST_F(NetServerTest, RemoteShutdownCanBeDisabled) {
   EXPECT_TRUE(reply.value().status.ok());
 }
 
+TEST_F(NetServerTest, PipelinedQueriesAreAnsweredInOrderBitIdentically) {
+  StartService();
+  StartServer();
+
+  // The in-process answer for every (k, mode) the stream mixes.
+  constexpr SolveMode kModes[] = {SolveMode::kAuto, SolveMode::kFull,
+                                  SolveMode::kLbOnly};
+  std::map<std::pair<uint64_t, SolveMode>, BoostResult> reference;
+  for (uint64_t k = 1; k <= 8; ++k) {
+    for (SolveMode mode : kModes) {
+      BoostRequest request;
+      request.pool = "pool";
+      request.k = k;
+      request.mode = mode;
+      StatusOr<BoostResponse> local = service_->Solve(request);
+      ASSERT_TRUE(local.ok()) << local.status().ToString();
+      reference[{k, mode}] = local.value().result;
+    }
+  }
+
+  constexpr uint32_t kFrames = 12'000;
+  std::vector<WireQuery> queries(kFrames);
+  std::string stream;
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    queries[i].pool = "pool";
+    queries[i].k = 1 + i % 8;
+    queries[i].mode = kModes[(i / 8) % 3];
+    stream += EncodeQueryFrame(i + 1, queries[i]);
+  }
+  const int fd = RawConn::Connect(server_->port());
+  // One write, from its own thread: this side must read replies while the
+  // write runs, or both socket buffers fill and the server stops reading.
+  std::thread writer([&] { RawConn::Send(fd, stream); });
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    FrameHeader header;
+    std::string body;
+    ASSERT_NO_FATAL_FAILURE(RawConn::ReadFrame(fd, &header, &body));
+    ASSERT_EQ(header.type, FrameType::kQueryReply) << "frame " << i;
+    ASSERT_EQ(header.request_id, i + 1);
+    WireQueryReply reply;
+    ASSERT_TRUE(DecodeQueryReplyBody(
+                    reinterpret_cast<const uint8_t*>(body.data()),
+                    body.size(), &reply)
+                    .ok());
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    ASSERT_TRUE(
+        SameAnswer(reply, reference.at({queries[i].k, queries[i].mode})))
+        << "frame " << i;
+  }
+  writer.join();
+  ::close(fd);
+}
+
+TEST_F(NetServerTest, NonReadingFlooderNeitherDelaysOthersNorKeepsItsSlot) {
+  StartService();
+  StartServer();
+  std::unique_ptr<KboostClient> client = MustConnect();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Query(WireQuery{"pool", 1}).ok());
+
+  // A peer pipelines ~200k STATS frames and never reads a reply.
+  std::string flood;
+  for (uint32_t id = 1; id <= 200'000; ++id) {
+    AppendFrameHeader(FrameType::kStats, id, 0, &flood);
+  }
+  const int flooder = RawConn::Connect(server_->port());
+  struct timeval send_timeout = {kPeerStallMs / 1000 + 5, 0};
+  ::setsockopt(flooder, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+               sizeof(send_timeout));
+  const uint64_t before_flood = server_->counters().frames_received;
+  std::thread flood_thread([&] {
+    // Blocks once the server stops reading; fails once it closes us.
+    [[maybe_unused]] ssize_t sent =
+        ::send(flooder, flood.data(), flood.size(), MSG_NOSIGNAL);
+  });
+  // The server answers what the socket buffers take, then the flooder's
+  // replies are stuck: wait until no frame has arrived for 100 ms.
+  uint64_t frames = before_flood;
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const uint64_t now = server_->counters().frames_received;
+    if (now == frames && now > before_flood) break;
+    frames = now;
+  }
+
+  // The other client keeps querying while the flooder's replies pile up;
+  // within kPeerStallMs + 2 s the flooder's connection is closed.
+  const auto start = std::chrono::steady_clock::now();
+  const auto bound = std::chrono::milliseconds(kPeerStallMs + 2000);
+  double slowest_ms = 0.0;
+  bool reaped = false;
+  while (!reaped && std::chrono::steady_clock::now() - start < bound) {
+    const auto sent_at = std::chrono::steady_clock::now();
+    StatusOr<WireQueryReply> reply = client->Query(WireQuery{"pool", 2});
+    slowest_ms = std::max(
+        slowest_ms, std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - sent_at)
+                        .count());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_TRUE(reply.value().status.ok());
+    reaped = server_->counters().active_connections == 1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  flood_thread.join();
+  ::close(flooder);
+  EXPECT_LT(slowest_ms, 1000.0) << "a non-reading peer delayed a query";
+  EXPECT_TRUE(reaped) << "the flooder still holds its connection";
+}
+
+TEST_F(NetServerTest, PartialFramePeersAreClosedAndFreeTheirSlots) {
+  StartService();
+  ServerOptions options;
+  options.max_connections = 3;
+  StartServer(options);
+  std::unique_ptr<KboostClient> live = MustConnect();
+  ASSERT_NE(live, nullptr);
+  ASSERT_TRUE(live->Query(WireQuery{"pool", 1}).ok());
+
+  // Two peers send 4 bytes of a header and go quiet. The receive timeout
+  // turns a server that never closes them into a failure, not a hang.
+  const auto start = std::chrono::steady_clock::now();
+  const int stalled[] = {RawConn::Connect(server_->port()),
+                         RawConn::Connect(server_->port())};
+  struct timeval read_timeout = {kPeerStallMs / 1000 + 2, 0};
+  for (int fd : stalled) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+                 sizeof(read_timeout));
+    RawConn::Send(fd, std::string("KBST", 4));
+  }
+  for (int i = 0; i < 200 && server_->counters().active_connections < 3;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server_->counters().active_connections, 3u);
+
+  // Every slot is held: the front door rejects typed.
+  RawConn::ExpectErrorAndClose(RawConn::Connect(server_->port()),
+                               StatusCode::kUnavailable);
+
+  // Both stalled peers are closed within kPeerStallMs + 2 s ...
+  for (int fd : stalled) {
+    EXPECT_TRUE(RawConn::ReadClosed(fd));
+    ::close(fd);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(kPeerStallMs + 2000));
+
+  // ... which frees their slots for a new client, while the live client,
+  // idle with nothing buffered all along, was never reaped.
+  std::unique_ptr<KboostClient> fresh = MustConnect();
+  ASSERT_NE(fresh, nullptr);
+  StatusOr<WireQueryReply> reply = fresh->Query(WireQuery{"pool", 2});
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(reply.value().status.ok());
+  StatusOr<WireQueryReply> still = live->Query(WireQuery{"pool", 2});
+  ASSERT_TRUE(still.ok()) << still.status().ToString();
+  EXPECT_TRUE(still.value().status.ok());
+}
+
+TEST_F(NetServerTest, FailedStartsLeakNoDescriptors) {
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "needs /proc/self/fd";
+  }
+  StartService();
+  // A plain listener holds the port the in-use starts collide with; no
+  // server thread runs, so nothing else opens or closes a descriptor here.
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  struct sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<struct sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<struct sockaddr*>(&addr),
+                          &addr_len),
+            0);
+  ServerOptions in_use;
+  in_use.port = ntohs(addr.sin_port);
+  ServerOptions bad_address;
+  bad_address.bind_address = "not-an-ip";
+
+  const size_t before = OpenFdCount();
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(KboostServer::Start(service_.get(), in_use).status().code(),
+              StatusCode::kUnavailable);
+    EXPECT_EQ(
+        KboostServer::Start(service_.get(), bad_address).status().code(),
+        StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(OpenFdCount(), before);
+  ::close(holder);
+}
+
 // ---- 3. Graceful shutdown --------------------------------------------------
 
 TEST_F(NetServerTest, SigtermMidStormDrainsWithZeroLeakedAdmissionSlots) {
@@ -850,11 +1025,7 @@ TEST_F(NetServerTest, SigtermMidStormDrainsWithZeroLeakedAdmissionSlots) {
   service_options.max_in_flight = 2;
   service_options.max_queued = 2;
   StartService(service_options);
-  ServerOptions options;
-  options.num_workers = 2;
-  options.max_dispatch_queue = 4;
-  options.drain_deadline_ms = 2000;
-  StartServer(options);
+  StartServer();
   ASSERT_TRUE(server_->InstallSignalHandlers().ok());
 
   // Make every solve slow enough that SIGTERM lands mid-storm.
@@ -930,18 +1101,15 @@ TEST_F(NetServerTest, SigtermMidStormDrainsWithZeroLeakedAdmissionSlots) {
   EXPECT_EQ(stats.queued, 0u);
 }
 
-TEST_F(NetServerTest, DrainDeadlineCancelsInFlightSolvesAsUnavailable) {
+TEST_F(NetServerTest, ShutdownDuringAStalledSolveAnswersItOk) {
   StartService();
-  ServerOptions options;
-  options.num_workers = 1;
-  options.drain_deadline_ms = 50;
-  StartServer(options);
+  StartServer();
 
-  // One solve that stalls far past the drain budget: the server must not
-  // wait for it — the cooperative cancel fires and the client still gets a
-  // typed reply.
+  // The loop is inside this solve when the shutdown arrives. Nothing is in
+  // flight elsewhere to cancel: the solve finishes, its reply goes out,
+  // and then the drain completes.
   FaultInjector::Plan stall;
-  stall.delay_micros = 700'000;
+  stall.delay_micros = 300'000;
   FaultInjector::Global().Arm(FaultSite::kSolveStart, stall);
 
   std::unique_ptr<KboostClient> client = MustConnect();
@@ -949,10 +1117,13 @@ TEST_F(NetServerTest, DrainDeadlineCancelsInFlightSolvesAsUnavailable) {
   std::thread slow_query([&] {
     StatusOr<WireQueryReply> reply = client->Query(WireQuery{"pool", 4});
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    EXPECT_EQ(reply.value().status.code(), StatusCode::kUnavailable)
-        << reply.value().status.ToString();
+    EXPECT_TRUE(reply.value().status.ok()) << reply.value().status.ToString();
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // The query is handed to Solve before the stall starts.
+  for (int i = 0; i < 2000 && server_->counters().queries_dispatched == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   server_->RequestShutdown();
   slow_query.join();
   server_->Wait();

@@ -80,7 +80,7 @@ TEST(StatusTest, OverloadCodesCarryCodeMessageAndName) {
   EXPECT_NE(StatusCode::kResourceExhausted, StatusCode::kIoError);
 
   // Unavailable — the network front door's "the process is not taking
-  // work" reject (shutdown drain, dispatch queue full, connection refused).
+  // work" reject (shutdown drain, connection limit).
   Status down = Status::Unavailable("draining for shutdown");
   EXPECT_FALSE(down.ok());
   EXPECT_EQ(down.code(), StatusCode::kUnavailable);
