@@ -19,8 +19,7 @@ PrrGenerator::PrrGenerator(const DirectedGraph& graph,
                            const std::vector<NodeId>& seeds)
     : graph_(graph),
       is_seed_(graph.num_nodes(), 0),
-      visit_stamp_(graph.num_nodes(), 0),
-      local_index_(graph.num_nodes(), 0) {
+      slots_(graph.num_nodes()) {
   for (NodeId s : seeds) {
     KB_CHECK(s < graph.num_nodes());
     is_seed_[s] = 1;
@@ -32,16 +31,14 @@ PrrGenerator::PrrGenerator(const DirectedGraph& graph,
   pass_buf_.resize(max_in_degree);
 }
 
-uint32_t PrrGenerator::LocalOf(NodeId global) {
-  if (visit_stamp_[global] != stamp_) {
-    visit_stamp_[global] = stamp_;
-    local_index_[global] = static_cast<uint32_t>(locals_.size());
-    locals_.push_back(global);
-    dist_.push_back(kInf);
-    in_run_start_.push_back(0);
-    in_run_end_.push_back(0);
-  }
-  return local_index_[global];
+void PrrGenerator::GrowLocals(size_t need) {
+  const size_t size = std::max(need, 2 * locals_.size());
+  locals_.resize(size);
+  dist_.resize(size);
+  in_runs_.resize(size);
+  stack_.resize(size);
+  fifo_.resize(size);
+  next_.resize(size);
 }
 
 PrrGenResult PrrGenerator::GenerateRandomRoot(size_t k, bool lb_only,
@@ -62,98 +59,162 @@ PrrGenResult PrrGenerator::Generate(NodeId root, size_t k, bool lb_only,
   // ---- Phase I: backward 0/1-BFS from the root (Algorithm 1) ----
   ++stamp_;
   if (stamp_ == 0) {  // wrapped: reset stamps
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
+    std::fill(slots_.begin(), slots_.end(), NodeSlot{});
     stamp_ = 1;
   }
-  locals_.clear();
-  dist_.clear();
-  edges_.clear();
-  in_run_start_.clear();
-  in_run_end_.clear();
-  queue_.clear();
-
-  const uint32_t root_local = LocalOf(root);
-  dist_[root_local] = 0;
-  queue_.emplace_back(root_local, 0);
+  seed_locals_.clear();
+  if (locals_.empty()) GrowLocals(1);
 
   // LB mode only needs paths with at most one live-upon-boost edge.
   const uint32_t prune =
       lb_only ? static_cast<uint32_t>(std::min<size_t>(k, 1))
               : static_cast<uint32_t>(k);
-  bool seed_found = false;
+  const uint32_t stamp = stamp_;
+  NodeSlot* const slots = slots_.data();
+  const uint8_t* const is_seed = is_seed_.data();
+  uint32_t* const pass = pass_buf_.data();
+  // The scan state lives in locals so the compiler keeps it in registers:
+  // the buffers below are re-fetched only when one of them grows, which is
+  // checked once per popped node for the most it can add (one local, one
+  // edge and one queue entry per survivor).
+  NodeId* locals = locals_.data();
+  uint32_t* dist = dist_.data();
+  InRun* in_runs = in_runs_.data();
+  uint32_t* stack = stack_.data();
+  uint32_t* fifo = fifo_.data();
+  uint32_t* next = next_.data();
+  uint64_t* edges = edges_.data();
+  uint32_t num_locals = 1;
+  uint32_t num_edges = 0;
+  uint32_t stack_size = 1;
+  uint32_t fifo_head = 0, fifo_size = 0, next_size = 0;
+  uint32_t level = 0;
+
+  const uint32_t root_local = 0;
+  slots[root] = {stamp, root_local};
+  locals[root_local] = root;
+  dist[root_local] = 0;
+  stack[0] = root_local;
   // Local copy keeps the 4-word RNG state in registers across the scan;
   // written back before every return.
   Rng local_rng = rng;
 
-  // Hot loop: one RNG draw per examined in-edge, in BFS pop order — the
-  // realization is bit-identical to drawing inside a branchy loop. The scan
-  // is two-phase to keep the pipeline full: phase one draws every edge of
-  // the popped node branchlessly and collects survivors (GraphBuilder
-  // guarantees p <= p_boost, so one compare against p_boost classifies
-  // blocked edges and `x >= p` recovers the boost bit); phase two does the
-  // BFS bookkeeping only for the ~p_boost fraction that passed. Each sample
+  // Hot loop: one RNG draw per examined in-edge, in BFS pop order. The pop
+  // order is exactly a 0/1-BFS deque's: the stack top first (live
+  // in-neighbours, pushed last), then the current level's fifo in push
+  // order; when both run dry the next level becomes the fifo. An entry
+  // left in the fifo by a node that a live edge later pulled a level
+  // closer is stale and skipped. Each popped node is scanned in two passes
+  // to keep the pipeline full: the draw pass draws every in-edge
+  // branchlessly and collects survivors (GraphBuilder guarantees
+  // p <= p_boost, so one compare against p_boost classifies blocked edges
+  // and `x >= p` recovers the boost bit); the survivor pass does the BFS
+  // bookkeeping only for the ~p_boost fraction that passed. Each sample
   // has its own Rng, so drawing a popped node's edges eagerly — even when
   // an activation early-return follows — cannot perturb any other sample.
   size_t edges_examined = 0;
-  while (!queue_.empty()) {
-    auto [u_local, dur] = queue_.front();
-    queue_.pop_front();
-    if (dur > dist_[u_local]) continue;  // stale entry
-    const NodeId u_global = locals_[u_local];
+  for (;;) {
+    uint32_t u_local;
+    if (stack_size != 0) {
+      u_local = stack[--stack_size];
+    } else if (fifo_head != fifo_size) {
+      u_local = fifo[fifo_head++];
+      if (dist[u_local] != level) continue;  // stale entry
+    } else if (next_size != 0) {
+      std::swap(fifo_, next_);
+      std::swap(fifo, next);
+      fifo_size = next_size;
+      fifo_head = 0;
+      next_size = 0;
+      ++level;
+      continue;
+    } else {
+      break;
+    }
+    const NodeId u_global = locals[u_local];
     const std::span<const DirectedGraph::InEdge> in_edges =
         graph_.InEdges(u_global);
     const std::span<const DirectedGraph::InThreshold> thresholds =
         graph_.InThresholds(u_global);
     const size_t degree = in_edges.size();
     edges_examined += degree;
-    size_t passed = 0;
+    uint32_t passed = 0;
     for (size_t i = 0; i < degree; ++i) {
       const uint64_t x = local_rng.NextU64() >> 11;  // 53-bit draw
       const DirectedGraph::InThreshold& t = thresholds[i];
-      // Survivors carry (source << 1) | boost; the process loop never
+      // Survivors carry (source << 1) | boost; the survivor pass never
       // touches the adjacency arrays again.
-      pass_buf_[passed] =
-          (in_edges[i].from << 1) | static_cast<uint32_t>(x >= t.p);
+      pass[passed] = (in_edges[i].from << 1) | static_cast<uint32_t>(x >= t.p);
       passed += x < t.p_boost;
     }
-    const uint32_t run_start = static_cast<uint32_t>(edges_.size());
-    for (size_t s = 0; s < passed; ++s) {
-      const uint32_t rec = pass_buf_[s];
-      const NodeId from = rec >> 1;
-      const bool boost = (rec & 1u) != 0;
-      const uint32_t dvr = dur + (boost ? 1u : 0u);
-      if (dvr > prune) continue;  // pruning (Line 11)
-      const uint32_t v_local = LocalOf(from);
-      edges_.push_back(PackLocalEdge(v_local, u_local, boost));
-      if (dvr < dist_[v_local]) {
-        dist_[v_local] = dvr;
-        if (is_seed_[from]) {
-          if (dvr == 0) {
-            result.status = PrrStatus::kActivated;
-            result.edges_examined = edges_examined;
-            rng = local_rng;
-            return result;
-          }
-          seed_found = true;  // seeds are never expanded further
-        } else if (dvr == dur) {
-          queue_.emplace_front(v_local, dvr);
-        } else {
-          queue_.emplace_back(v_local, dvr);
-        }
-      }
+    if (num_locals + passed > locals_.size()) {
+      GrowLocals(num_locals + passed);
+      locals = locals_.data();
+      dist = dist_.data();
+      in_runs = in_runs_.data();
+      stack = stack_.data();
+      fifo = fifo_.data();
+      next = next_.data();
     }
-    in_run_start_[u_local] = run_start;
-    in_run_end_[u_local] = static_cast<uint32_t>(edges_.size());
+    if (num_edges + passed > edges_.size()) {
+      edges_.resize(std::max<size_t>(num_edges + passed, 2 * edges_.size()));
+      edges = edges_.data();
+    }
+    const uint32_t run_begin = num_edges;
+    for (uint32_t s = 0; s < passed; ++s) {
+      const uint32_t rec = pass[s];
+      const uint32_t boost = rec & 1u;
+      const uint32_t dvr = level + boost;
+      if (dvr > prune) continue;  // pruning (Line 11)
+      const NodeId from = rec >> 1;
+      NodeSlot& slot = slots[from];
+      uint32_t v_local;
+      bool first_reach;
+      if (slot.stamp != stamp) {  // first touch: a new local at distance dvr
+        v_local = num_locals++;
+        slot = {stamp, v_local};
+        locals[v_local] = from;
+        dist[v_local] = dvr;
+        first_reach = true;
+        edges[num_edges++] = PackLocalEdge(v_local, u_local, boost != 0);
+      } else {
+        v_local = slot.local;
+        edges[num_edges++] = PackLocalEdge(v_local, u_local, boost != 0);
+        if (dvr >= dist[v_local]) continue;
+        dist[v_local] = dvr;
+        first_reach = false;
+      }
+      if (is_seed[from]) [[unlikely]] {
+        if (dvr == 0) {
+          result.status = PrrStatus::kActivated;
+          result.edges_examined = edges_examined;
+          rng = local_rng;
+          return result;
+        }
+        // Seeds are never expanded further.
+        if (first_reach) seed_locals_.push_back(v_local);
+        continue;
+      }
+      // Branch-free push: store on both queues, keep it on the one the edge
+      // type picks (both have room for `passed` more entries).
+      stack[stack_size] = v_local;
+      next[next_size] = v_local;
+      stack_size += boost ^ 1u;
+      next_size += boost;
+    }
+    in_runs[u_local] = {run_begin, num_edges};
   }
   result.edges_examined = edges_examined;
   rng = local_rng;
+  num_locals_ = num_locals;
+  num_edges_ = num_edges;
 
-  if (!seed_found) {
+  if (seed_locals_.empty()) {
     result.status = PrrStatus::kHopeless;
     return result;
   }
   result.status = PrrStatus::kBoostable;
-  result.uncompressed_edges = edges_.size();
+  result.uncompressed_edges = num_edges;
 
   if (lb_only) {
     ExtractCriticalLbOnly(root_local, &result);
@@ -163,133 +224,216 @@ PrrGenResult PrrGenerator::Generate(NodeId root, size_t k, bool lb_only,
   return result;
 }
 
-void PrrGenerator::BuildLocalOutCsr() {
-  const size_t num_locals = locals_.size();
-  csr_offsets_.assign(num_locals + 1, 0);
-  for (const uint64_t e : edges_) ++csr_offsets_[LocalEdgeFrom(e) + 1];
-  for (size_t v = 0; v < num_locals; ++v) {
-    csr_offsets_[v + 1] += csr_offsets_[v];
+void PrrGenerator::ResetSuperSeedSet() {
+  x_state_.assign(num_locals_, kUnknown);
+  for (const uint32_t v : seed_locals_) x_state_[v] = kInX;
+}
+
+bool PrrGenerator::InSuperSeedSet(uint32_t v) {
+  if (x_state_[v] == kUnknown) ClassifyFrom(v);
+  return x_state_[v] == kInX;
+}
+
+void PrrGenerator::ClassifyFrom(uint32_t v) {
+  // DFS backward over live in-edges, stopping at the first node already
+  // known to be in X. Every live edge scanned into an explored node from an
+  // explored or unexplored tail is recorded as (tail << 32) | head.
+  explored_.assign(1, v);
+  live_pairs_.clear();
+  frames_.assign(1, {v, in_runs_[v].begin});
+  x_state_[v] = kExploring;
+  bool found = false;
+  while (!frames_.empty() && !found) {
+    auto& [z, cursor] = frames_.back();
+    const uint32_t end = in_runs_[z].end;
+    uint32_t next = kInf;
+    while (cursor < end) {
+      const uint64_t e = edges_[cursor++];
+      if (LocalEdgeBoost(e)) continue;
+      const uint32_t tail = LocalEdgeFrom(e);
+      const XState state = x_state_[tail];
+      if (state == kNotInX) continue;
+      if (state == kInX) {
+        found = true;
+        break;
+      }
+      live_pairs_.push_back(SortKey(tail, z));
+      if (state == kUnknown) {
+        next = tail;
+        break;
+      }
+    }
+    if (found) break;
+    if (next == kInf) {
+      frames_.pop_back();  // every live in-edge of z is recorded
+      continue;
+    }
+    x_state_[next] = kExploring;
+    explored_.push_back(next);
+    frames_.push_back({next, in_runs_[next].begin});
   }
-  csr_edges_.resize(edges_.size());
-  cursor_.assign(csr_offsets_.begin(), csr_offsets_.end() - 1);
-  for (const uint64_t e : edges_) {
-    csr_edges_[cursor_[LocalEdgeFrom(e)]++] =
-        (LocalEdgeTo(e) << 1) | static_cast<uint32_t>(e & 1u);
+  if (found) {
+    // The DFS path is a live chain out of X. A finished node had all its
+    // live in-edges recorded, so it is in X exactly when a recorded chain
+    // reaches it from the path. The frames serve as the worklist.
+    std::sort(live_pairs_.begin(), live_pairs_.end());
+    for (const auto& [z, cursor] : frames_) x_state_[z] = kInX;
+    while (!frames_.empty()) {
+      const uint32_t w = frames_.back().first;
+      frames_.pop_back();
+      for (auto it = std::lower_bound(live_pairs_.begin(), live_pairs_.end(),
+                                      SortKey(w, 0));
+           it != live_pairs_.end() && (*it >> 32) == w; ++it) {
+        const uint32_t z = static_cast<uint32_t>(*it);
+        if (x_state_[z] != kExploring) continue;
+        x_state_[z] = kInX;
+        frames_.push_back({z, 0});
+      }
+    }
+  }
+  for (const uint32_t u : explored_) {
+    if (x_state_[u] == kExploring) x_state_[u] = kNotInX;
   }
 }
 
 void PrrGenerator::Compress(uint32_t root_local, size_t k,
                             PrrGenResult* result, PrrStore* sink) {
-  const size_t num_locals = locals_.size();
-
-  BuildLocalOutCsr();
-
-  // ---- Forward 0/1-BFS from seeds: ds_[v] = min #boosts to activate v ----
-  ds_.assign(num_locals, kInf);
-  queue_.clear();
-  for (uint32_t v = 0; v < num_locals; ++v) {
-    if (is_seed_[locals_[v]]) {
-      ds_[v] = 0;
-      queue_.emplace_back(v, 0);
-    }
-  }
-  while (!queue_.empty()) {
-    auto [u, du] = queue_.front();
-    queue_.pop_front();
-    if (du > ds_[u]) continue;
-    for (uint32_t s = csr_offsets_[u]; s < csr_offsets_[u + 1]; ++s) {
-      const uint32_t packed = csr_edges_[s];
-      const uint32_t to = packed >> 1;
-      const uint32_t boost = packed & 1u;
-      const uint32_t dv = du + boost;
-      if (dv > k || dv >= ds_[to]) continue;
-      ds_[to] = dv;
-      if (boost) {
-        queue_.emplace_back(to, dv);
-      } else {
-        queue_.emplace_front(to, dv);
-      }
-    }
-  }
-  // Phase I guarantees no live seed→root path survives.
-  KB_DCHECK(ds_[root_local] != 0) << "activated graph reached compression";
+  const uint32_t num_locals = num_locals_;
+  ResetSuperSeedSet();
 
   // ---- Backward 0/1-BFS from root restricted to nodes outside X ----
-  // (paths through X would pass "through the super-seed").
+  // (paths through X would pass "through the super-seed"). It reaches the
+  // set D of nodes with dpr_ ≤ k, scanning each one's in-edges once. A live
+  // in-edge of a node outside X never comes from X, so only boost in-edges
+  // ask whether their tail is in X; those that do are the super-seed
+  // fan-out candidates. The rest are D's candidate internal edges.
   dpr_.assign(num_locals, kInf);
-  queue_.clear();
+  reached_.clear();
+  internal_.clear();
+  fanout_.clear();
+  next_level_.clear();
   dpr_[root_local] = 0;
-  queue_.emplace_back(root_local, 0);
-  while (!queue_.empty()) {
-    auto [u, du] = queue_.front();
-    queue_.pop_front();
-    if (du > dpr_[u]) continue;
-    for (uint32_t s = in_run_start_[u]; s < in_run_end_[u]; ++s) {
-      const uint64_t e = edges_[s];
-      const uint32_t v = LocalEdgeFrom(e);
-      if (ds_[v] == 0) continue;  // v ∈ X: contracted into the super-seed
-      const uint32_t boost = static_cast<uint32_t>(e & 1u);
-      const uint32_t dv = du + boost;
-      if (dv > k || dv >= dpr_[v]) continue;
-      dpr_[v] = dv;
-      if (boost) {
-        queue_.emplace_back(v, dv);
-      } else {
-        queue_.emplace_front(v, dv);
+  level_.assign(1, root_local);
+  for (uint32_t level = 0; !level_.empty(); ++level) {
+    while (!level_.empty()) {
+      const uint32_t u = level_.back();
+      level_.pop_back();
+      if (dpr_[u] != level) continue;  // pulled a level closer since queued
+      const InRun run = in_runs_[u];
+      for (uint32_t s = run.begin; s < run.end; ++s) {
+        const uint64_t e = edges_[s];
+        const uint32_t v = LocalEdgeFrom(e);
+        const uint32_t boost = static_cast<uint32_t>(e & 1u);
+        const uint64_t key = SortKey(v, s);
+        if (boost && InSuperSeedSet(v)) {
+          fanout_.push_back(key);
+          continue;
+        }
+        internal_.push_back(key);
+        const uint32_t dv = level + boost;
+        if (dv > k || dv >= dpr_[v]) continue;
+        if (dpr_[v] == kInf) reached_.push_back(v);
+        dpr_[v] = dv;
+        (boost ? next_level_ : level_).push_back(v);
       }
     }
+    level_.swap(next_level_);
+  }
+
+  // D's out-adjacency: its internal edges grouped by tail, each group in
+  // collection (edge-slot) order, the order kept out-edges are emitted in.
+  std::erase_if(internal_,
+                [this](uint64_t key) { return dpr_[key >> 32] == kInf; });
+  std::sort(internal_.begin(), internal_.end());
+  out_runs_.resize(num_locals);
+  out_runs_[root_local] = {0, 0};
+  for (const uint32_t v : reached_) out_runs_[v] = {0, 0};
+  for (uint32_t i = 0; i < internal_.size();) {
+    const uint32_t v = static_cast<uint32_t>(internal_[i] >> 32);
+    const uint32_t begin = i;
+    while (i < internal_.size() && (internal_[i] >> 32) == v) ++i;
+    out_runs_[v] = {begin, i};
+  }
+
+  // ---- Forward 0/1-BFS inside D: ds_[v] = min #boosts to activate v ----
+  // Levels start at 1 from the heads of X's boost edges. A shortest seed→v
+  // path leaves X for the last time into a node whose whole remaining path
+  // reaches the root through v, so for every v ∈ D with ds + dpr ≤ k that
+  // path runs inside D: distances inside D decide the keep set exactly as
+  // a BFS over the whole subgraph would.
+  ds_.assign(num_locals, kInf);
+  level_.clear();
+  for (const uint64_t key : fanout_) {
+    const uint32_t u = LocalEdgeTo(KeyedEdge(key));
+    if (ds_[u] == kInf) {
+      ds_[u] = 1;
+      level_.push_back(u);
+    }
+  }
+  for (uint32_t level = 1; !level_.empty(); ++level) {
+    while (!level_.empty()) {
+      const uint32_t u = level_.back();
+      level_.pop_back();
+      if (ds_[u] != level) continue;
+      const InRun run = out_runs_[u];
+      for (uint32_t i = run.begin; i < run.end; ++i) {
+        const uint64_t e = KeyedEdge(internal_[i]);
+        const uint32_t to = LocalEdgeTo(e);
+        const uint32_t boost = static_cast<uint32_t>(e & 1u);
+        const uint32_t dv = level + boost;
+        if (dv > k || dv >= ds_[to]) continue;
+        ds_[to] = dv;
+        (boost ? next_level_ : level_).push_back(to);
+      }
+    }
+    level_.swap(next_level_);
   }
 
   // ---- Keep set: every path through v must fit in the budget ----
-  // new_id_: 0 = super-seed, 1 = root, 2.. = kept intermediates.
+  // new_id_: 0 = super-seed, 1 = root, 2.. = kept intermediates, numbered
+  // in ascending local id. Only nodes the backward BFS reached can qualify.
+  std::sort(reached_.begin(), reached_.end());
   new_id_.assign(num_locals, kInf);
   new_id_[root_local] = PrrGraph::kRootLocal;
+  kept_.clear();
   uint32_t next_id = 2;
-  for (uint32_t v = 0; v < num_locals; ++v) {
-    if (v == root_local || ds_[v] == 0) continue;
-    if (ds_[v] == kInf || dpr_[v] == kInf) continue;
+  for (const uint32_t v : reached_) {
+    if (ds_[v] == kInf) continue;
     if (static_cast<size_t>(ds_[v]) + dpr_[v] > k) continue;
     new_id_[v] = next_id++;
+    kept_.push_back(v);
   }
   const uint32_t compact_n = next_id;
 
   // ---- Emit compressed edges as flat (node, packed) pairs ----
   emit_edges_.clear();
-  flag_.assign(compact_n, 0);  // dedupe super-seed fanout
-
-  for (uint32_t v = 0; v < num_locals; ++v) {
+  for (const uint32_t v : kept_) {
     const uint32_t nv = new_id_[v];
-    if (nv == kInf) continue;
-    if (nv != PrrGraph::kRootLocal && dpr_[v] == 0) {
+    if (dpr_[v] == 0) {
       // Live path v→root: replace all out-edges with one live shortcut.
       emit_edges_.emplace_back(
           nv, PrrGraph::PackEdge(PrrGraph::kRootLocal, false));
       continue;
     }
-    if (nv == PrrGraph::kRootLocal) continue;  // root keeps no out-edges
-    for (uint32_t s = csr_offsets_[v]; s < csr_offsets_[v + 1]; ++s) {
-      const uint32_t packed = csr_edges_[s];
-      const uint32_t to = packed >> 1;
-      const uint32_t nt = new_id_[to];
-      if (nt == kInf || ds_[to] == 0) continue;  // dropped or into X
-      emit_edges_.emplace_back(nv, PrrGraph::PackEdge(nt, (packed & 1u) != 0));
+    const InRun run = out_runs_[v];
+    for (uint32_t i = run.begin; i < run.end; ++i) {
+      const uint64_t e = KeyedEdge(internal_[i]);
+      const uint32_t nt = new_id_[LocalEdgeTo(e)];
+      if (nt == kInf) continue;  // dropped
+      emit_edges_.emplace_back(nv, PrrGraph::PackEdge(nt, LocalEdgeBoost(e)));
     }
   }
-  // Super-seed fanout: X → kept nodes. All such edges are boost edges
-  // (a live edge out of X would have pulled its head into X).
-  for (uint32_t v = 0; v < num_locals; ++v) {
-    if (ds_[v] != 0) continue;
-    for (uint32_t s = csr_offsets_[v]; s < csr_offsets_[v + 1]; ++s) {
-      const uint32_t packed = csr_edges_[s];
-      const uint32_t nt = new_id_[packed >> 1];
-      if (nt == kInf) continue;
-      KB_DCHECK(packed & 1u) << "live edge out of the super-seed set";
-      if (!flag_[nt]) {
-        flag_[nt] = 1;
-        emit_edges_.emplace_back(PrrGraph::kSuperSeedLocal,
-                                 PrrGraph::PackEdge(nt, true));
-      }
-    }
+  // Super-seed fanout: X → kept nodes, all boost edges (a live edge out of
+  // X would have pulled its head into X), emitted by ascending (X tail,
+  // edge slot) and deduplicated by head.
+  std::sort(fanout_.begin(), fanout_.end());
+  flag_.assign(compact_n, 0);
+  for (const uint64_t key : fanout_) {
+    const uint32_t nt = new_id_[LocalEdgeTo(KeyedEdge(key))];
+    if (nt == kInf || flag_[nt]) continue;
+    flag_[nt] = 1;
+    emit_edges_.emplace_back(PrrGraph::kSuperSeedLocal,
+                             PrrGraph::PackEdge(nt, true));
   }
 
   // ---- Compact out- and in-CSRs via counting sort (reused buffers) ----
@@ -319,29 +463,29 @@ void PrrGenerator::Compress(uint32_t root_local, size_t k,
   // ---- Reachability cleanup: keep nodes on super-seed→root paths ----
   fwd_.assign(compact_n, 0);
   bwd_.assign(compact_n, 0);
-  stack_.assign(1, PrrGraph::kSuperSeedLocal);
+  level_.assign(1, PrrGraph::kSuperSeedLocal);
   fwd_[PrrGraph::kSuperSeedLocal] = 1;
-  while (!stack_.empty()) {
-    const uint32_t u = stack_.back();
-    stack_.pop_back();
+  while (!level_.empty()) {
+    const uint32_t u = level_.back();
+    level_.pop_back();
     for (uint32_t s = cadj_offsets_[u]; s < cadj_offsets_[u + 1]; ++s) {
       const uint32_t t = PrrGraph::EdgeNode(cadj_edges_[s]);
       if (!fwd_[t]) {
         fwd_[t] = 1;
-        stack_.push_back(t);
+        level_.push_back(t);
       }
     }
   }
-  stack_.assign(1, PrrGraph::kRootLocal);
+  level_.assign(1, PrrGraph::kRootLocal);
   bwd_[PrrGraph::kRootLocal] = 1;
-  while (!stack_.empty()) {
-    const uint32_t u = stack_.back();
-    stack_.pop_back();
+  while (!level_.empty()) {
+    const uint32_t u = level_.back();
+    level_.pop_back();
     for (uint32_t s = cradj_offsets_[u]; s < cradj_offsets_[u + 1]; ++s) {
       const uint32_t t = PrrGraph::EdgeNode(cradj_edges_[s]);
       if (!bwd_[t]) {
         bwd_[t] = 1;
-        stack_.push_back(t);
+        level_.push_back(t);
       }
     }
   }
@@ -362,10 +506,8 @@ void PrrGenerator::Compress(uint32_t root_local, size_t k,
 
   g_global_ids_.assign(final_n, kInvalidNode);
   g_global_ids_[PrrGraph::kRootLocal] = locals_[root_local];
-  for (uint32_t v = 0; v < num_locals; ++v) {
-    const uint32_t nv = new_id_[v];
-    if (nv == kInf || nv < 2) continue;
-    const uint32_t fv = final_id_[nv];
+  for (const uint32_t v : kept_) {
+    const uint32_t fv = final_id_[new_id_[v]];
     if (fv != kInf) g_global_ids_[fv] = locals_[v];
   }
 
@@ -453,63 +595,43 @@ void PrrGenerator::Compress(uint32_t root_local, size_t k,
 
 void PrrGenerator::ExtractCriticalLbOnly(uint32_t root_local,
                                          PrrGenResult* result) {
-  const size_t num_locals = locals_.size();
-  const size_t num_edges = edges_.size();
+  ResetSuperSeedSet();
 
-  BuildLocalOutCsr();
-
-  // X: live-reachable from seeds (forward BFS over live edges only).
-  ds_.assign(num_locals, kInf);
-  stack_.clear();
-  for (uint32_t v = 0; v < num_locals; ++v) {
-    if (is_seed_[locals_[v]]) {
-      ds_[v] = 0;
-      stack_.push_back(v);
-    }
-  }
-  while (!stack_.empty()) {
-    uint32_t u = stack_.back();
-    stack_.pop_back();
-    for (uint32_t s = csr_offsets_[u]; s < csr_offsets_[u + 1]; ++s) {
-      const uint32_t packed = csr_edges_[s];
-      const uint32_t to = packed >> 1;
-      if ((packed & 1u) || ds_[to] == 0) continue;
-      ds_[to] = 0;
-      stack_.push_back(to);
-    }
-  }
-
-  // live-to-root: backward BFS over live edges (never enters X: a live
-  // X→root chain would have made the sample "activated" in phase I).
-  dpr_.assign(num_locals, kInf);
+  // Live-to-root set L: backward DFS over live edges. It never meets X: a
+  // live X→root chain would have made the sample "activated" in phase I.
+  dpr_.assign(num_locals_, kInf);
   dpr_[root_local] = 0;
-  stack_.assign(1, root_local);
-  while (!stack_.empty()) {
-    uint32_t u = stack_.back();
-    stack_.pop_back();
-    for (uint32_t s = in_run_start_[u]; s < in_run_end_[u]; ++s) {
+  reached_.assign(1, root_local);
+  level_.assign(1, root_local);
+  while (!level_.empty()) {
+    const uint32_t u = level_.back();
+    level_.pop_back();
+    const InRun run = in_runs_[u];
+    for (uint32_t s = run.begin; s < run.end; ++s) {
       const uint64_t e = edges_[s];
       const uint32_t from = LocalEdgeFrom(e);
-      if ((e & 1u) || dpr_[from] == 0 || ds_[from] == 0) continue;
+      if (LocalEdgeBoost(e) || dpr_[from] == 0) continue;
       dpr_[from] = 0;
-      stack_.push_back(from);
+      reached_.push_back(from);
+      level_.push_back(from);
     }
   }
 
-  // Critical: v ∉ X, live path v→root, and some boost edge (u,v) with u ∈ X.
-  flag_.assign(num_locals, 0);
+  // Critical: v ∈ L with a boost in-edge (u,v) from u ∈ X, listed in the
+  // order their in-edges were collected.
+  std::sort(reached_.begin(), reached_.end(), [this](uint32_t a, uint32_t b) {
+    return in_runs_[a].begin < in_runs_[b].begin;
+  });
   result->critical_globals.clear();
-  for (size_t i = 0; i < num_edges; ++i) {
-    const uint64_t e = edges_[i];
-    if (!LocalEdgeBoost(e)) continue;
-    const uint32_t from = LocalEdgeFrom(e);
-    const uint32_t to = LocalEdgeTo(e);
-    if (ds_[from] != 0) continue;
-    if (ds_[to] == 0) continue;
-    if (dpr_[to] != 0) continue;
-    if (flag_[to]) continue;
-    flag_[to] = 1;
-    result->critical_globals.push_back(locals_[to]);
+  for (const uint32_t v : reached_) {
+    const InRun run = in_runs_[v];
+    for (uint32_t s = run.begin; s < run.end; ++s) {
+      const uint64_t e = edges_[s];
+      if (LocalEdgeBoost(e) && InSuperSeedSet(LocalEdgeFrom(e))) {
+        result->critical_globals.push_back(locals_[v]);
+        break;
+      }
+    }
   }
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/graph/graph.h"
-#include "src/util/ring_deque.h"
 #include "src/util/rng.h"
 
 namespace kboost {
@@ -110,6 +109,19 @@ struct PrrGenResult {
 /// Generates PRR-graphs for one (graph, seed set). Holds O(n) scratch, so
 /// create one instance per thread and reuse it across samples.
 ///
+/// A sample is Algorithm 1 in two phases. Phase I is a backward 0/1-BFS
+/// from the root that draws every examined in-edge once, in pop order, and
+/// collects the non-blocked edges grouped by head. Phase II (Compress)
+/// contracts the super-seed set X — the nodes the seeds activate without
+/// boosting — and keeps the nodes on budget-fitting seed→root paths. It
+/// runs a backward 0/1-BFS from the root around X over the set D it
+/// reaches, a forward 0/1-BFS from X's boost edges inside D, and emits the
+/// kept nodes and X's fan-out from D's in-edges. X is never enumerated:
+/// only the tails of boost edges into D ask whether they are in X, and a
+/// short backward search answers. On a dense graph, where X holds most of
+/// the subgraph and D a handful of nodes, compression costs little more
+/// than D.
+///
 /// `lb_only` mode implements the PRR-Boost-LB shortcut (Sec. V-C): the
 /// backward exploration prunes at distance 1 and only the critical-node set
 /// is produced — no compressed graph is stored.
@@ -136,8 +148,8 @@ class PrrGenerator {
   static constexpr uint32_t kInf = static_cast<uint32_t>(-1);
 
   // Phase-I edges are packed into one u64 — (from << 33) | (to << 1) |
-  // boost — so the hot push is a single 8-byte store and the CSR build
-  // reads one word per edge.
+  // boost — so the hot push is a single 8-byte store and Compress reads
+  // one word per edge.
   static uint64_t PackLocalEdge(uint32_t from, uint32_t to, bool boost) {
     return (static_cast<uint64_t>(from) << 33) |
            (static_cast<uint64_t>(to) << 1) | static_cast<uint64_t>(boost);
@@ -150,48 +162,99 @@ class PrrGenerator {
   }
   static bool LocalEdgeBoost(uint64_t e) { return (e & 1u) != 0; }
 
-  /// Maps a global node to its local id, creating it on first touch.
-  uint32_t LocalOf(NodeId global);
+  /// (node << 32) | low: orders by node, then by `low` — an edge slot
+  /// (collection order) or a second node. KeyedEdge reads a slot key's edge.
+  static uint64_t SortKey(uint32_t node, uint32_t low) {
+    return (static_cast<uint64_t>(node) << 32) | low;
+  }
+  uint64_t KeyedEdge(uint64_t key) const {
+    return edges_[static_cast<uint32_t>(key)];
+  }
+
+  /// One global node's local id in the sample that last touched it: a
+  /// single slot, so phase I's first-touch check is one load.
+  struct NodeSlot {
+    uint32_t stamp = 0;
+    uint32_t local = 0;
+  };
+
+  /// A node's collected in-edges: the slice [begin, end) of edges_. Edges
+  /// are collected while expanding their head and every node is expanded
+  /// at most once, so edges_ is grouped by head and needs no in-CSR build.
+  struct InRun {
+    uint32_t begin;
+    uint32_t end;
+  };
+
+  /// Grows the local-indexed phase-I buffers to hold at least `need` locals.
+  /// Every node enters the stack and the next level at most once per
+  /// sample, so the queue buffers never outgrow the local count.
+  void GrowLocals(size_t need);
 
   /// Phase II: compress the collected subgraph into reused flat scratch and
   /// emit it into `sink` (when given) or result->graph. Extracts critical
-  /// nodes and sets result->status.
+  /// nodes and sets result->status. Reads only the edges into D and the
+  /// few the X search explores.
   void Compress(uint32_t root_local, size_t k, PrrGenResult* result,
                 PrrStore* sink);
 
   /// Critical-node extraction for lb_only mode (no compression).
   void ExtractCriticalLbOnly(uint32_t root_local, PrrGenResult* result);
 
-  /// Builds the packed local out-CSR over the phase-I subgraph in one
-  /// counting-sort pass (entries: (target << 1) | boost). In-adjacency
-  /// needs no build at all: edges are collected while expanding their head
-  /// node and every node is expanded at most once, so edges_ is naturally
-  /// grouped by head — in_run_{start,end}_ record each node's slice.
-  void BuildLocalOutCsr();
+  /// Membership in the super-seed set X — the nodes a seed reaches over
+  /// live edges of the phase-I subgraph — decided on demand, so a sample
+  /// pays only for the part of X its compression asks about.
+  /// ResetSuperSeedSet starts a sample with just the seeds known.
+  void ResetSuperSeedSet();
+  bool InSuperSeedSet(uint32_t v);
+  /// Classifies `v` and every node its search explores: a DFS backward over
+  /// live in-edges that stops at the first node known to be in X. On a miss
+  /// everything explored is outside X. On a hit the DFS path is in X, and
+  /// so is each explored node that a recorded live edge chain reaches from
+  /// the path; the rest had all their live in-edges recorded and are
+  /// outside X. No node is explored twice in a sample.
+  void ClassifyFrom(uint32_t v);
 
   const DirectedGraph& graph_;
   std::vector<uint8_t> is_seed_;
 
   // Global->local mapping with stamps so Generate() is O(|R|), not O(n).
-  std::vector<uint32_t> visit_stamp_;
-  std::vector<uint32_t> local_index_;
+  std::vector<NodeSlot> slots_;
   uint32_t stamp_ = 0;
 
-  // Phase-I state, local-indexed.
+  // Phase-I state, local-indexed. The buffers grow on demand to the largest
+  // sample and are written through raw pointers; num_locals_ and
+  // num_edges_ say how much of them the current sample uses.
+  uint32_t num_locals_ = 0;
+  uint32_t num_edges_ = 0;
   std::vector<NodeId> locals_;     // local -> global
   std::vector<uint32_t> dist_;     // distance to root
+  std::vector<InRun> in_runs_;     // in-edge slice per expanded local
   std::vector<uint64_t> edges_;    // collected non-blocked edges (packed)
-  std::vector<uint32_t> in_run_start_, in_run_end_;  // in-edge slice per local
-  RingDeque<std::pair<uint32_t, uint32_t>> queue_;
+  // Phase-I 0/1-BFS queue, one level at a time: live in-neighbours go on
+  // `stack_` (popped next, as a deque's push_front would be); boost
+  // in-neighbours go on `next_`, which becomes the following level's
+  // `fifo_` and is read front to back beneath the stack.
+  std::vector<uint32_t> stack_, fifo_, next_;
+  std::vector<uint32_t> seed_locals_;  // seeds phase I reached
   // Branchless-scan survivor buffer, sized to the graph's max in-degree;
-  // entries pack (edge slot << 1) | boost.
+  // entries pack (source node id << 1) | boost.
   std::vector<uint32_t> pass_buf_;
 
-  // Phase-II scratch, local-indexed; reused across samples. The local CSR
-  // holds packed (target << 1) | boost entries, not edge indices.
-  std::vector<uint32_t> csr_offsets_, csr_edges_;
+  // Phase-II scratch, local-indexed; reused across samples.
+  enum XState : uint8_t { kUnknown, kInX, kNotInX, kExploring };
+  std::vector<XState> x_state_;  // X membership, filled on demand
+  std::vector<std::pair<uint32_t, uint32_t>> frames_;  // (node, next slot)
+  std::vector<uint32_t> explored_;
+  std::vector<uint64_t> live_pairs_;  // (tail << 32) | head, one search
   std::vector<uint32_t> ds_, dpr_;
+  std::vector<uint32_t> level_, next_level_;  // per-level BFS stacks
   std::vector<uint32_t> new_id_;
+  std::vector<uint32_t> reached_;  // nodes the backward BFS reached
+  std::vector<uint32_t> kept_;     // kept intermediates, ascending local id
+  std::vector<uint64_t> internal_;  // D's internal edges: (tail << 32) | slot
+  std::vector<InRun> out_runs_;     // per node of D: its slice of internal_
+  std::vector<uint64_t> fanout_;    // X → D edges: (X tail << 32) | slot
   std::vector<uint8_t> flag_;
   // Compact-graph scratch (everything Compress used to heap-allocate per
   // sample): emitted edge list, compact CSRs, reachability marks, renumber
@@ -200,7 +263,6 @@ class PrrGenerator {
   std::vector<uint32_t> cadj_offsets_, cadj_edges_;
   std::vector<uint32_t> cradj_offsets_, cradj_edges_;
   std::vector<uint8_t> fwd_, bwd_;
-  std::vector<uint32_t> stack_;
   std::vector<uint32_t> final_id_;
   std::vector<uint32_t> cursor_;
   std::vector<NodeId> g_global_ids_;

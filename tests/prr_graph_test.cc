@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "src/core/prr_collection.h"
 #include "src/core/prr_graph.h"
 #include "src/core/prr_sampler.h"
+#include "src/core/prr_store.h"
+#include "src/expt/datasets.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_builder.h"
 #include "src/sim/boost_model.h"
@@ -145,30 +151,99 @@ TEST(PrrGeneratorTest, DeadBranchesAreRemoved) {
   }
 }
 
-TEST(PrrGeneratorTest, StoredCriticalsMatchEvaluator) {
-  Rng topo_rng(77);
-  GraphBuilder b = BuildErdosRenyi(60, 360, topo_rng);
-  b.AssignConstantProbability(0.15);
-  b.SetBoostWithBeta(3.0);
-  DirectedGraph g = std::move(b).Build();
-  PrrGenerator gen(g, {0, 1, 2});
+/// The twitter stand-in at 323 nodes: mean p ≈ 0.6 with many always-live
+/// edges, β = 2. With seed 0 about 5% of samples are boostable, and those
+/// explore most of the graph behind a large super-seed set — the regime
+/// that dominates sampling cost on the full-size stand-in.
+DirectedGraph MakeDenseGraph() {
+  return MakeDataset(SpecByName("twitter", 0.001)).graph;
+}
+
+/// Marks the nodes of `g` reachable from `start` along out-edges (or
+/// in-edges when `backward`), ignoring edge types.
+std::vector<uint8_t> Reach(const PrrGraph& g, uint32_t start, bool backward) {
+  const std::vector<uint32_t>& offsets =
+      backward ? g.in_offsets : g.out_offsets;
+  const std::vector<uint32_t>& edges = backward ? g.in_edges : g.out_edges;
+  std::vector<uint8_t> seen(g.num_nodes(), 0);
+  std::vector<uint32_t> stack = {start};
+  seen[start] = 1;
+  while (!stack.empty()) {
+    const uint32_t u = stack.back();
+    stack.pop_back();
+    for (uint32_t s = offsets[u]; s < offsets[u + 1]; ++s) {
+      const uint32_t t = PrrGraph::EdgeNode(edges[s]);
+      if (!seen[t]) {
+        seen[t] = 1;
+        stack.push_back(t);
+      }
+    }
+  }
+  return seen;
+}
+
+/// Checks every boostable sample's compressed graph against the reference
+/// evaluator and the compression invariants: f_R(∅) = 0, stored criticals
+/// equal the evaluator's at B = ∅, super-seed out-edges are boost edges with
+/// distinct heads, and every stored node lies on a super-seed→root path.
+/// Returns the number of boostable samples checked.
+int CheckCompressedSamples(const DirectedGraph& g,
+                           const std::vector<NodeId>& seeds, size_t k,
+                           int samples) {
+  PrrGenerator gen(g, seeds);
   PrrEvaluator eval;
   Rng rng(5);
   std::vector<uint8_t> none(g.num_nodes(), 0);
   std::vector<uint32_t> crit;
   int boostable = 0;
-  for (int i = 0; i < 400; ++i) {
-    PrrGenResult r = gen.GenerateRandomRoot(4, false, rng);
+  for (int i = 0; i < samples; ++i) {
+    PrrGenResult r = gen.GenerateRandomRoot(k, false, rng);
     if (r.status != PrrStatus::kBoostable) continue;
     ++boostable;
-    EXPECT_FALSE(eval.IsActivated(r.graph, none.data()));
-    ASSERT_FALSE(eval.CriticalNodes(r.graph, none.data(), &crit));
-    std::vector<uint32_t> stored = r.graph.critical_locals;
+    const PrrGraph& graph = r.graph;
+    EXPECT_FALSE(eval.IsActivated(graph, none.data()));
+    EXPECT_FALSE(eval.CriticalNodes(graph, none.data(), &crit));
+    std::vector<uint32_t> stored = graph.critical_locals;
     std::sort(stored.begin(), stored.end());
     std::sort(crit.begin(), crit.end());
     EXPECT_EQ(stored, crit);
+
+    std::vector<uint8_t> head_seen(graph.num_nodes(), 0);
+    for (uint32_t s = graph.out_offsets[PrrGraph::kSuperSeedLocal];
+         s < graph.out_offsets[PrrGraph::kSuperSeedLocal + 1]; ++s) {
+      const uint32_t packed = graph.out_edges[s];
+      EXPECT_TRUE(PrrGraph::EdgeBoost(packed)) << "live super-seed out-edge";
+      EXPECT_FALSE(head_seen[PrrGraph::EdgeNode(packed)])
+          << "duplicate super-seed fan-out head";
+      head_seen[PrrGraph::EdgeNode(packed)] = 1;
+    }
+    const std::vector<uint8_t> from_super_seed =
+        Reach(graph, PrrGraph::kSuperSeedLocal, /*backward=*/false);
+    const std::vector<uint8_t> to_root =
+        Reach(graph, PrrGraph::kRootLocal, /*backward=*/true);
+    for (uint32_t v = 0; v < graph.num_nodes(); ++v) {
+      EXPECT_TRUE(from_super_seed[v] && to_root[v])
+          << "node " << v << " is on no super-seed→root path";
+    }
   }
-  EXPECT_GT(boostable, 10);
+  return boostable;
+}
+
+TEST(PrrGeneratorTest, StoredCriticalsMatchEvaluator) {
+  {
+    SCOPED_TRACE("sparse, k = 4");
+    Rng topo_rng(77);
+    GraphBuilder b = BuildErdosRenyi(60, 360, topo_rng);
+    b.AssignConstantProbability(0.15);
+    b.SetBoostWithBeta(3.0);
+    DirectedGraph g = std::move(b).Build();
+    EXPECT_GT(CheckCompressedSamples(g, {0, 1, 2}, 4, 400), 10);
+  }
+  {
+    SCOPED_TRACE("dense, k = 100");
+    EXPECT_GT(CheckCompressedSamples(MakeDenseGraph(), {0}, 100, 2000),
+              10);
+  }
 }
 
 TEST(PrrGeneratorTest, LbModeCriticalsMatchFullModeDistribution) {
@@ -198,6 +273,134 @@ TEST(PrrGeneratorTest, LbModeCriticalsMatchFullModeDistribution) {
   }
   EXPECT_NEAR(full_sum / trials, lb_sum / trials,
               0.05 * std::max(1.0, full_sum / trials));
+}
+
+// ---------------------------------------------------------------------------
+// Pinned realizations. Every other test compares samples with each other or
+// with an evaluator, so a generator change that draws a different but
+// self-consistent sample would pass them all; these fail instead. Update the
+// constants only for a deliberate change to sampling.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over 64-bit words: a stable fingerprint.
+class Digest {
+ public:
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ = (hash_ ^ ((word >> (8 * byte)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  }
+  void Add(std::span<const uint32_t> words) {
+    Add(words.size());
+    for (const uint32_t w : words) Add(w);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+/// Adds a store's six arrays, graph by graph.
+void AddStore(const PrrStore& store, Digest* digest) {
+  digest->Add(store.num_graphs());
+  for (size_t id = 0; id < store.num_graphs(); ++id) {
+    const PrrGraphView view = store.View(id);
+    const uint32_t n = view.num_nodes();
+    digest->Add({view.global_ids, n});
+    digest->Add({view.out_offsets, n + 1});
+    digest->Add({view.out_edges, view.num_edges()});
+    digest->Add({view.in_offsets, n + 1});
+    digest->Add({view.in_edges, view.num_edges()});
+    digest->Add(view.critical());
+  }
+}
+
+DirectedGraph MakeSparseGraph() {
+  Rng topo_rng(7);
+  GraphBuilder b = BuildErdosRenyi(80, 500, topo_rng);
+  b.AssignConstantProbability(0.12);
+  b.SetBoostWithBeta(2.0);
+  return std::move(b).Build();
+}
+
+/// Digests every PrrGenResult field of `samples` random-root draws from one
+/// Rng stream — so each sample's draw count is pinned too — and, in full
+/// mode, the sink store the graphs were appended to.
+uint64_t GeneratorDigest(const DirectedGraph& g,
+                         const std::vector<NodeId>& seeds, size_t k,
+                         bool lb_only, int samples) {
+  PrrGenerator gen(g, seeds);
+  PrrStore store;
+  Digest digest;
+  Rng rng(2017);
+  for (int i = 0; i < samples; ++i) {
+    const PrrGenResult r =
+        gen.GenerateRandomRoot(k, lb_only, rng, lb_only ? nullptr : &store);
+    digest.Add(static_cast<uint64_t>(r.status));
+    digest.Add(r.edges_examined);
+    digest.Add(r.uncompressed_edges);
+    digest.Add(r.store_id);
+    digest.Add(r.critical_globals);
+  }
+  AddStore(store, &digest);
+  return digest.value();
+}
+
+TEST(PrrGeneratorTest, RealizationIsPinned) {
+  const DirectedGraph sparse = MakeSparseGraph();
+  const DirectedGraph dense = MakeDenseGraph();
+  struct Case {
+    const char* name;
+    const DirectedGraph* graph;
+    std::vector<NodeId> seeds;
+    int samples;
+    size_t k;
+    bool lb_only;
+    uint64_t want;
+  };
+  const Case cases[] = {
+      {"sparse", &sparse, {0, 1, 2}, 3000, 1, false, 0xB9449727A81F8B45ULL},
+      {"sparse", &sparse, {0, 1, 2}, 3000, 2, false, 0xA7983397FB3E90A7ULL},
+      {"sparse", &sparse, {0, 1, 2}, 3000, 100, false, 0x6EEDE34309C13BCBULL},
+      {"sparse", &sparse, {0, 1, 2}, 3000, 1, true, 0x1CB93E842C4AAA0DULL},
+      {"sparse", &sparse, {0, 1, 2}, 3000, 2, true, 0x1CB93E842C4AAA0DULL},
+      {"sparse", &sparse, {0, 1, 2}, 3000, 100, true, 0x1CB93E842C4AAA0DULL},
+      {"dense", &dense, {0}, 2000, 1, false, 0xF712D1852E4AF540ULL},
+      {"dense", &dense, {0}, 2000, 2, false, 0xDBC5964C867D798FULL},
+      {"dense", &dense, {0}, 2000, 100, false, 0xB947A572B93E2781ULL},
+      {"dense", &dense, {0}, 2000, 1, true, 0x8948ECF8B8D68A65ULL},
+      {"dense", &dense, {0}, 2000, 2, true, 0x8948ECF8B8D68A65ULL},
+      {"dense", &dense, {0}, 2000, 100, true, 0x8948ECF8B8D68A65ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.name) + " k=" + std::to_string(c.k) +
+                 (c.lb_only ? " lb" : " full"));
+    const uint64_t got =
+        GeneratorDigest(*c.graph, c.seeds, c.k, c.lb_only, c.samples);
+    EXPECT_EQ(got, c.want) << std::hex << "0x" << got;
+  }
+}
+
+TEST(PrrSamplerTest, PoolAndStatsArePinned) {
+  const DirectedGraph g = MakeDenseGraph();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    PrrCollection collection(g.num_nodes(), /*num_shards=*/4);
+    PrrSampler sampler(g, {0}, /*k=*/100, /*lb_only=*/false, /*seed=*/11,
+                       threads);
+    sampler.EnsureSamples(collection, 4000);
+    Digest digest;
+    for (const PrrStore& store : collection.shards()) AddStore(store, &digest);
+    digest.Add(collection.num_samples());
+    digest.Add(collection.num_boostable());
+    digest.Add(collection.num_activated());
+    digest.Add(collection.num_hopeless());
+    digest.Add(sampler.stats().edges_examined);
+    digest.Add(sampler.stats().uncompressed_edges);
+    digest.Add(sampler.stats().compressed_edges);
+    EXPECT_EQ(digest.value(), 0xF00A24F59F804CA7ULL)
+        << std::hex << "0x" << digest.value();
+  }
 }
 
 // ---------------------------------------------------------------------------

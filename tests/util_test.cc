@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <future>
 #include <limits>
 #include <set>
@@ -16,7 +15,6 @@
 #include "src/util/bounds.h"
 #include "src/util/fault.h"
 #include "src/util/parse.h"
-#include "src/util/ring_deque.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/status.h"
@@ -469,38 +467,6 @@ TEST(ThreadPoolTest, CallerRunsHelperSlotsNoWorkerClaimed) {
   holder.join();
   EXPECT_TRUE(returned) << "Run waited for a busy worker to claim its slot";
   EXPECT_EQ(calls.load(), 2);
-}
-
-TEST(RingDequeTest, MatchesDequeSemantics) {
-  RingDeque<std::pair<uint32_t, uint32_t>> ring;
-  std::deque<std::pair<uint32_t, uint32_t>> ref;
-  Rng rng(77);
-  for (int op = 0; op < 20000; ++op) {
-    const uint64_t r = rng.NextU64();
-    const uint32_t a = static_cast<uint32_t>(r >> 32);
-    switch (r % 3) {
-      case 0:
-        ring.emplace_back(a, a + 1);
-        ref.emplace_back(a, a + 1);
-        break;
-      case 1:
-        ring.emplace_front(a, a + 2);
-        ref.emplace_front(a, a + 2);
-        break;
-      default:
-        if (!ref.empty()) {
-          ASSERT_EQ(ring.front(), ref.front());
-          ring.pop_front();
-          ref.pop_front();
-        }
-        break;
-    }
-    ASSERT_EQ(ring.size(), ref.size());
-    ASSERT_EQ(ring.empty(), ref.empty());
-    if (!ref.empty()) {
-      ASSERT_EQ(ring.front(), ref.front());
-    }
-  }
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {
