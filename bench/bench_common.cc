@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-
-#include <fstream>
 #include <iostream>
 
 #include "src/baselines/high_degree.h"
@@ -59,30 +57,6 @@ BoostOptions MakeBoostOptions(size_t k, const BenchFlags& flags) {
   options.num_threads = flags.ResolvedThreads();
   options.max_samples = flags.max_samples;
   return options;
-}
-
-void BenchJsonWriter::Add(const std::string& name, double value,
-                          const std::string& unit) {
-  records_.push_back(Record{name, value, unit});
-}
-
-bool BenchJsonWriter::WriteTo(const std::string& path) const {
-  if (path.empty()) return true;
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write bench json to %s\n",
-                 path.c_str());
-    return false;
-  }
-  out << "{\n  \"benchmarks\": [\n";
-  for (size_t i = 0; i < records_.size(); ++i) {
-    const Record& r = records_[i];
-    out << "    {\"name\": \"" << r.name << "\", \"value\": " << r.value
-        << ", \"unit\": \"" << r.unit << "\"}"
-        << (i + 1 < records_.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  return true;
 }
 
 double MeasureBoost(const BenchInstance& instance,
@@ -202,7 +176,6 @@ void RunBoostVsK(SeedMode mode, const BenchFlags& flags) {
 void RunTiming(SeedMode mode, const BenchFlags& flags) {
   TablePrinter table({"dataset", "k", "PRR-Boost(s)", "PRR-Boost-LB(s)",
                       "speedup", "theta", "boostable"});
-  BenchJsonWriter json;
   for (const char* name : kAllDatasets) {
     BenchInstance instance = LoadInstance(name, mode, flags);
     for (size_t k : DefaultKSweep(flags)) {
@@ -221,18 +194,9 @@ void RunTiming(SeedMode mode, const BenchFlags& flags) {
                     FormatDouble(full_s / std::max(lb_s, 1e-9), 1) + "x",
                     std::to_string(full.num_samples),
                     std::to_string(full.num_boostable)});
-      const std::string prefix =
-          "timing/" + ModeName(mode) + "/" + instance.dataset.name +
-          "/k=" + std::to_string(k) + "/";
-      json.Add(prefix + "prr_boost_s", full_s, "s");
-      json.Add(prefix + "prr_boost_lb_s", lb_s, "s");
-      json.Add(prefix + "samples_per_s",
-               static_cast<double>(full.num_samples) / std::max(full_s, 1e-9),
-               "samples/s");
     }
   }
   table.Print(std::cout);
-  json.WriteTo(flags.json_path);
 }
 
 void RunCompression(SeedMode mode, const BenchFlags& flags) {

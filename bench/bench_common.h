@@ -47,27 +47,6 @@ double BestHighDegreeLocal(const BenchInstance& instance, size_t k,
 /// BoostOptions prefilled from flags.
 BoostOptions MakeBoostOptions(size_t k, const BenchFlags& flags);
 
-/// Collects benchmark records and serializes them in the BENCH_*.json shape
-/// Google Benchmark emits with --benchmark_format=json, so one consumer can
-/// plot micro and figure benches alike:
-///   {"benchmarks": [{"name": ..., "value": ..., "unit": ...}, ...]}
-class BenchJsonWriter {
- public:
-  void Add(const std::string& name, double value, const std::string& unit);
-  /// Writes the collected records to `path`; no-op when path is empty.
-  /// Returns false (with a warning on stderr) if the file can't be written.
-  bool WriteTo(const std::string& path) const;
-  size_t size() const { return records_.size(); }
-
- private:
-  struct Record {
-    std::string name;
-    double value;
-    std::string unit;
-  };
-  std::vector<Record> records_;
-};
-
 /// Generates `count` perturbations of `base_set` (random subsets replaced by
 /// other non-seed nodes) for the sandwich-ratio experiments (Figs. 7/9/12).
 std::vector<std::vector<NodeId>> PerturbBoostSets(

@@ -22,17 +22,14 @@ struct BenchFlags {
   /// keeps low-OPT instances (flickr stand-in) from exploding θ = λ*/OPT.
   size_t max_samples = 1'000'000;
   std::vector<size_t> ks;  ///< override for k sweeps (--k=10,50,100)
-  /// When non-empty, harnesses write machine-readable records to this path
-  /// (BENCH_micro_prr.json-style: {"benchmarks": [{name, value, unit}]}),
-  /// overwriting any previous contents — one file per harness run, giving
-  /// future PRs a perf trajectory to compare against.
-  std::string json_path;
 
   int ResolvedThreads() const;
 };
 
-/// Parses --scale= --sims= --threads= --epsilon= --seed= --k=a,b,c --full.
-/// Prints usage and exits on --help or unknown flags.
+/// Parses --scale= --sims= --threads= --epsilon= --seed= --max-samples=
+/// --k=a,b,c --full, each value strictly (kboost::ParseUint64/ParseDouble)
+/// and range-checked. Prints usage and exits 0 on --help, 2 on an unknown
+/// flag or a bad value.
 BenchFlags ParseBenchFlags(int argc, char** argv);
 
 /// Prints the standard harness banner: what experiment this regenerates and

@@ -17,12 +17,24 @@
 #include "src/expt/datasets.h"
 #include "src/expt/seed_selection.h"
 #include "src/sim/boost_model.h"
+#include "src/util/parse.h"
 
 int main(int argc, char** argv) {
   using namespace kboost;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.02;
+  double scale = 0.02;
+  if (argc > 1) {
+    if (Status s = ParseDouble(argv[1], "scale", &scale); !s.ok()) {
+      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+      return 2;
+    }
+  }
+  StatusOr<DatasetSpec> spec = FindDatasetSpec("flixster", scale);
+  if (!spec.ok()) {
+    std::fprintf(stderr, "error: %s\n", spec.status().ToString().c_str());
+    return 2;
+  }
 
-  Dataset d = MakeDataset(SpecByName("flixster", scale));
+  Dataset d = MakeDataset(*spec);
   std::printf("campaign network: %s (n=%zu, m=%zu)\n", d.name.c_str(),
               d.graph.num_nodes(), d.graph.num_edges());
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <utility>
 
 #include "src/graph/generators.h"
 #include "src/util/logging.h"
@@ -9,8 +11,20 @@
 
 namespace kboost {
 
+Status ValidateDatasetParams(double scale, double beta) {
+  char bad[64];
+  if (!(scale > 0.0 && scale <= 1.0)) {
+    std::snprintf(bad, sizeof(bad), "scale must be in (0, 1], got %g", scale);
+  } else if (!(beta >= 1.0)) {
+    std::snprintf(bad, sizeof(bad), "beta must be >= 1, got %g", beta);
+  } else {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(bad);
+}
+
 std::vector<DatasetSpec> PaperDatasetSpecs(double scale, double beta) {
-  KB_CHECK(scale > 0.0 && scale <= 1.0);
+  KB_CHECK_OK(ValidateDatasetParams(scale, beta));
   // Paper Table 1: n, m, average influence probability.
   struct Raw {
     const char* name;
@@ -40,12 +54,22 @@ std::vector<DatasetSpec> PaperDatasetSpecs(double scale, double beta) {
   return specs;
 }
 
-DatasetSpec SpecByName(const std::string& name, double scale, double beta) {
+StatusOr<DatasetSpec> FindDatasetSpec(const std::string& name, double scale,
+                                      double beta) {
+  if (Status params = ValidateDatasetParams(scale, beta); !params.ok()) {
+    return params;
+  }
   for (DatasetSpec& spec : PaperDatasetSpecs(scale, beta)) {
     if (spec.name == name) return spec;
   }
-  KB_CHECK(false) << "unknown dataset: " << name;
-  return {};
+  return Status::InvalidArgument("unknown dataset '" + name +
+                                 "' (digg|flixster|twitter|flickr)");
+}
+
+DatasetSpec SpecByName(const std::string& name, double scale, double beta) {
+  StatusOr<DatasetSpec> spec = FindDatasetSpec(name, scale, beta);
+  KB_CHECK_OK(spec.status());
+  return std::move(spec).value();
 }
 
 double CalibrateExponentialMean(double target_mean) {

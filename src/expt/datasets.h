@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/graph/graph.h"
+#include "src/util/status.h"
 
 namespace kboost {
 
@@ -30,15 +31,29 @@ struct Dataset {
   DirectedGraph graph;
 };
 
+/// OK when every stand-in can be built at `scale` and `beta`: scale in
+/// (0, 1] and beta >= 1. Else InvalidArgument naming the bad value — the
+/// one check behind PaperDatasetSpecs, FindDatasetSpec and the tools'
+/// --scale/--beta flags.
+Status ValidateDatasetParams(double scale, double beta = 2.0);
+
 /// The four stand-ins (digg, flixster, twitter, flickr) at `scale` times the
 /// paper's node/edge counts. scale = 1 reproduces paper-scale sizes;
-/// the benches default to a laptop-friendly fraction.
+/// the benches default to a laptop-friendly fraction. Aborts unless
+/// ValidateDatasetParams(scale, beta) holds.
 std::vector<DatasetSpec> PaperDatasetSpecs(double scale, double beta = 2.0);
 
 /// Builds the graph for a spec.
 Dataset MakeDataset(const DatasetSpec& spec);
 
-/// Convenience: spec by name ("digg" | "flixster" | "twitter" | "flickr").
+/// The spec for `name` ("digg" | "flixster" | "twitter" | "flickr"), or
+/// InvalidArgument for an unknown name or parameters ValidateDatasetParams
+/// rejects. For user input; never aborts.
+StatusOr<DatasetSpec> FindDatasetSpec(const std::string& name, double scale,
+                                      double beta = 2.0);
+
+/// FindDatasetSpec for names and parameters the caller knows are valid:
+/// aborts on anything it rejects.
 DatasetSpec SpecByName(const std::string& name, double scale,
                        double beta = 2.0);
 

@@ -549,8 +549,9 @@ class SnapshotBytes {
 /// Reads the open snapshot `fd` of `size` bytes: maps it (use_mmap), or
 /// copies it whole into the heap. The copy is split into chunks read on
 /// this host's cores: first-touch faults on fresh pages dominate one serial
-/// read() of a warm-start-size file (the cold load in bench_snapshot took
-/// 1.28 ms serial vs 0.67 ms split, median of 10 runs on a 4-core box).
+/// read() of a warm-start-size file (a ~107k-sample digg stand-in snapshot
+/// loaded cold in 1.28 ms serial vs 0.67 ms split, median of 10 runs on a
+/// 4-core box).
 StatusOr<std::shared_ptr<SnapshotBytes>> ReadSnapshotBytes(
     int fd, size_t size, bool use_mmap, const std::string& path) {
   if (MaybeInjectFault(FaultSite::kSnapshotRead)) {

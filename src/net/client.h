@@ -12,8 +12,10 @@
 namespace kboost {
 
 struct ClientOptions {
-  /// Socket send/receive timeout. A remote solve on a large pool can take
-  /// seconds, so this must comfortably exceed the request's own deadline.
+  /// Socket send/receive timeout (SO_SNDTIMEO/SO_RCVTIMEO, also bounding
+  /// the connect); 0 disables it, so every call waits indefinitely. A
+  /// remote solve on a large pool can take seconds, so a nonzero value must
+  /// comfortably exceed the request's own deadline.
   uint64_t io_timeout_ms = 30000;
   /// Decoder bound on reply frames (mirror of the server-side bound).
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
@@ -31,8 +33,7 @@ struct ClientOptions {
 ///     operation's own typed Status in its `status` field — a remote
 ///     DeadlineExceeded or kUnavailable shed is a *successful* round trip
 ///     whose payload says the solve did not happen. Callers classifying
-///     overload outcomes (the loadgen gate) read reply.status, not the
-///     wrapper.
+///     overload outcomes read reply.status, not the wrapper.
 class KboostClient {
  public:
   /// Connects (IPv4, blocking with io_timeout_ms) to host:port.

@@ -253,7 +253,8 @@ int RunQueryCommand(int argc, char** argv, int flag_start) {
     std::fprintf(stderr,
                  "usage: query --connect=HOST:PORT --k=N [--pool=NAME]\n"
                  "             [--mode=auto|full|lb] [--deadline-ms=N]\n"
-                 "             [--timeout-ms=N]\n");
+                 "             [--timeout-ms=N]  (socket timeout, default "
+                 "30000; 0 = none)\n");
     return 2;
   }
   std::string host;

@@ -1,7 +1,9 @@
 #include "src/util/parse.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 namespace kboost {
@@ -32,6 +34,30 @@ Status ParseUint64(const char* text, const char* what, uint64_t* out) {
                               "' overflows a 64-bit integer");
   }
   *out = static_cast<uint64_t>(value);
+  return Status::Ok();
+}
+
+Status ParseDouble(const char* text, const char* what, double* out) {
+  const auto malformed = [&] {
+    return Status::InvalidArgument(std::string(what) +
+                                   " must be a decimal number, got '" +
+                                   (text == nullptr ? "" : text) + "'");
+  };
+  // strtod also takes leading whitespace, "inf", "nan" and hex floats;
+  // limiting the alphabet to decimal notation rejects all three up front.
+  if (text == nullptr || *text == '\0' ||
+      text[std::strspn(text, "0123456789.eE+-")] != '\0') {
+    return malformed();
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0') return malformed();
+  if (errno == ERANGE || !std::isfinite(value)) {
+    return Status::OutOfRange(std::string(what) + " value '" + text +
+                              "' is out of a double's range");
+  }
+  *out = value;
   return Status::Ok();
 }
 

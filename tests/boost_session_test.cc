@@ -13,6 +13,7 @@
 #include "src/graph/graph_builder.h"
 #include "src/io/pool_io.h"
 #include "src/util/rng.h"
+#include "tests/same_answer.h"
 
 namespace kboost {
 namespace {
@@ -314,29 +315,39 @@ TEST(PoolIoTest, MultiShardSnapshotRoundTripsBitIdentically) {
 }
 
 TEST(PoolIoTest, ShardedSnapshotMatchesMonolithicAnswers) {
-  // Snapshots taken at different shard counts answer identically: the shard
-  // layout is a storage detail, never a semantic one.
+  // The shard layout is a storage detail, never a semantic one: at every S,
+  // the live pool, its owned load and its mmap load answer exactly what
+  // the S = 1 pool does.
   DirectedGraph g = MakeTestGraph(19);
   const std::vector<NodeId> seeds = {1, 2};
-  const std::string mono_path = TempPath("kboost_pool_s1.bin");
-  const std::string sharded_path = TempPath("kboost_pool_s4.bin");
-  BoostSession mono(g, seeds, MakeShardedOptions(8, 1));
-  BoostSession sharded(g, seeds, MakeShardedOptions(8, 4));
-  ASSERT_TRUE(mono.SavePool(mono_path).ok());
-  ASSERT_TRUE(sharded.SavePool(sharded_path).ok());
-  StatusOr<std::unique_ptr<BoostSession>> a = LoadOwned(g, mono_path);
-  StatusOr<std::unique_ptr<BoostSession>> b =
-      LoadOwned(g, sharded_path);
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (size_t k : {3, 8}) {
-    BoostResult ra = a.value()->SolveForBudget(k);
-    BoostResult rb = b.value()->SolveForBudget(k);
-    EXPECT_EQ(ra.best_set, rb.best_set);
-    EXPECT_EQ(ra.best_estimate, rb.best_estimate);
-    EXPECT_EQ(ra.num_samples, rb.num_samples);
+  const std::vector<size_t> budgets = {1, 3, 8};
+  const std::string path = TempPath("kboost_pool_sharded_sweep.bin");
+  std::vector<BoostResult> reference;  // S = 1's live answers
+  for (int num_shards : {1, 2, 4, 8}) {
+    SCOPED_TRACE("S=" + std::to_string(num_shards));
+    BoostSession live(g, seeds, MakeShardedOptions(8, num_shards));
+    ASSERT_TRUE(live.SavePool(path).ok());
+    StatusOr<std::unique_ptr<BoostSession>> owned = LoadOwned(g, path);
+    PoolLoadOptions mmap_options;
+    mmap_options.use_mmap = true;
+    StatusOr<std::unique_ptr<BoostSession>> mapped =
+        LoadPoolSnapshot(g, path, mmap_options);
+    ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    ASSERT_EQ(mapped.value()->engine().collection().num_shards(),
+              static_cast<size_t>(num_shards));
+    for (size_t i = 0; i < budgets.size(); ++i) {
+      SCOPED_TRACE("k=" + std::to_string(budgets[i]));
+      const BoostResult answer = live.SolveForBudget(budgets[i]);
+      if (num_shards == 1) reference.push_back(answer);
+      EXPECT_TRUE(SameAnswer(answer, reference[i]));
+      EXPECT_TRUE(
+          SameAnswer(owned.value()->SolveForBudget(budgets[i]), answer));
+      EXPECT_TRUE(
+          SameAnswer(mapped.value()->SolveForBudget(budgets[i]), answer));
+    }
   }
-  std::filesystem::remove(mono_path);
-  std::filesystem::remove(sharded_path);
+  std::filesystem::remove(path);
 }
 
 TEST(BoostSessionTest, ShardAndThreadCombosAnswerIdentically) {

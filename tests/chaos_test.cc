@@ -27,6 +27,7 @@
 #include "src/serve/boost_service.h"
 #include "src/util/fault.h"
 #include "src/util/rng.h"
+#include "tests/same_answer.h"
 
 namespace kboost {
 namespace {
@@ -59,15 +60,6 @@ class ChaosTest : public ::testing::Test {
   void TearDown() override { FaultInjector::Global().DisarmAll(); }
 };
 
-void ExpectSameAnswer(const BoostResult& a, const BoostResult& b) {
-  EXPECT_EQ(a.best_set, b.best_set);
-  EXPECT_EQ(a.best_estimate, b.best_estimate);
-  EXPECT_EQ(a.lb_set, b.lb_set);
-  EXPECT_EQ(a.lb_mu_hat, b.lb_mu_hat);
-  EXPECT_EQ(a.delta_set, b.delta_set);
-  EXPECT_EQ(a.delta_delta_hat, b.delta_delta_hat);
-}
-
 TEST_F(ChaosTest, SnapshotLoadRetriesTransientFaultsUntilSuccess) {
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_chaos_retry.pool");
@@ -99,7 +91,7 @@ TEST_F(ChaosTest, SnapshotLoadRetriesTransientFaultsUntilSuccess) {
   request.k = 4;
   StatusOr<BoostResponse> r = service.Solve(request);
   ASSERT_TRUE(r.ok());
-  ExpectSameAnswer(expect, r->result);
+  EXPECT_TRUE(SameAnswer(expect, r->result));
   std::remove(path.c_str());
 }
 
@@ -235,10 +227,19 @@ TEST_F(ChaosTest, RefreshRecordsRetriesEvenWhenTheLoadUltimatelyFails) {
   std::remove(path.c_str());
 }
 
-bool SameAnswer(const BoostResult& a, const BoostResult& b) {
-  return a.best_set == b.best_set && a.best_estimate == b.best_estimate &&
-         a.lb_set == b.lb_set && a.lb_mu_hat == b.lb_mu_hat &&
-         a.delta_set == b.delta_set && a.delta_delta_hat == b.delta_delta_hat;
+/// True when the file now at `path` is mapped into this process. Owned and
+/// mmap loads both bind their arenas over snapshot bytes, so the mapping
+/// itself is what tells an mmap-served pool from a private copy. A mapping
+/// of a file since renamed over reads "path (deleted)" and does not count.
+bool FileIsMapped(const std::string& path) {
+  std::error_code error;
+  const std::string canonical = std::filesystem::canonical(path, error);
+  if (error) return false;
+  std::ifstream maps("/proc/self/maps");
+  for (std::string line; std::getline(maps, line);) {
+    if (line.ends_with(" " + canonical)) return true;
+  }
+  return false;
 }
 
 /// Re-save + REFRESH storm: one thread alternately saves pools A and B to
@@ -246,7 +247,8 @@ bool SameAnswer(const BoostResult& a, const BoostResult& b) {
 /// while four clients solve a fixed k-mix. A save renames a new file over
 /// the path instead of rewriting the mapped one, so every served pool stays
 /// whole: each answer is A's or B's serial reference, one pool_version is
-/// always one pool, nothing errors, and no admission slot leaks.
+/// always one pool, nothing errors, and no admission slot leaks. The pool
+/// served last is really served from a mapping of the file at the path.
 TEST_F(ChaosTest, ResaveAndRefreshStormUnderMmapServesWholePools) {
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_chaos_resave.pool");
@@ -327,6 +329,7 @@ TEST_F(ChaosTest, ResaveAndRefreshStormUnderMmapServesWholePools) {
   ServiceStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.in_flight, 0u);
   EXPECT_EQ(stats.queued, 0u);
+  EXPECT_TRUE(FileIsMapped(path)) << "the mmap refresh installed a copy";
   std::remove(path.c_str());
 }
 
@@ -392,14 +395,15 @@ TEST_F(ChaosTest, DeadlineStormShedsTypedAndRepliesCleanAfterward) {
     request.k = 8;
     StatusOr<BoostResponse> r = service.Solve(request);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectSameAnswer(expect, r->result);
+    EXPECT_TRUE(SameAnswer(expect, r->result));
   }
   EXPECT_EQ(service.Stats().pools[0].deadline_misses, misses_before);
 }
 
 /// Queue saturation under lifecycle churn: a small admission budget, slow
 /// injected solves, 2× more clients than capacity, while another thread
-/// adds/refreshes/removes pools. Excess load sheds typed; when the storm
+/// adds/refreshes/removes pools. Excess load sheds typed, every admitted
+/// answer is bit-identical to the serial reference, and when the storm
 /// drains, no admission slot has leaked.
 TEST_F(ChaosTest, QueueSaturationShedsTypedWithNoSlotLeaks) {
   DirectedGraph g = MakeTestGraph();
@@ -415,6 +419,12 @@ TEST_F(ChaosTest, QueueSaturationShedsTypedWithNoSlotLeaks) {
                                     g, std::vector<NodeId>{0, 1},
                                     MakeOptions(8)))
                   .ok());
+  const std::vector<size_t> ks = {1, 4, 8};
+  std::vector<BoostResult> reference;
+  {
+    BoostSession serial(g, {0, 1}, MakeOptions(8));
+    for (size_t k : ks) reference.push_back(serial.SolveForBudget(k));
+  }
 
   FaultInjector::Plan slow;
   slow.delay_micros = 5000;  // 5 ms per solve: a queue forms immediately
@@ -423,6 +433,7 @@ TEST_F(ChaosTest, QueueSaturationShedsTypedWithNoSlotLeaks) {
   constexpr size_t kClients = 8;  // 2x the in-flight + queued capacity
   constexpr int kPerClient = 4;
   std::atomic<size_t> answered{0};
+  std::atomic<size_t> divergent{0};
   std::atomic<size_t> shed{0};
   std::atomic<size_t> untyped{0};
   std::atomic<bool> stop_churn{false};
@@ -446,14 +457,16 @@ TEST_F(ChaosTest, QueueSaturationShedsTypedWithNoSlotLeaks) {
   });
   std::vector<std::thread> clients;
   for (size_t t = 0; t < kClients; ++t) {
-    clients.emplace_back([&] {
+    clients.emplace_back([&, t] {
       for (int i = 0; i < kPerClient; ++i) {
+        const size_t q = (t + i) % ks.size();
         BoostRequest request;
         request.pool = "p";
-        request.k = 4;
+        request.k = ks[q];
         StatusOr<BoostResponse> r = service.Solve(request);
         if (r.ok()) {
           answered.fetch_add(1);
+          if (!SameAnswer(r->result, reference[q])) divergent.fetch_add(1);
         } else if (r.status().code() == StatusCode::kResourceExhausted) {
           shed.fetch_add(1);
         } else {
@@ -467,6 +480,7 @@ TEST_F(ChaosTest, QueueSaturationShedsTypedWithNoSlotLeaks) {
   churn.join();
 
   EXPECT_EQ(untyped.load(), 0u);
+  EXPECT_EQ(divergent.load(), 0u);
   EXPECT_EQ(answered.load() + shed.load(), kClients * kPerClient);
   EXPECT_GT(shed.load(), 0u);
 

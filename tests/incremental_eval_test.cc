@@ -257,7 +257,10 @@ double ScratchDeltaHat(const PrrCollection& collection,
 
 /// The dataset-scale gate: on the digg stand-in pool the engine's Δ̂ greedy
 /// must match the from-scratch reference pick for pick, and EstimateDelta
-/// must match a scratch activation count, at 1 and 4 threads.
+/// must match a scratch activation count, at 1 and 4 threads. The same pool
+/// sampled into S = 4 arenas must then select and estimate exactly what the
+/// S = 1 pool does: sample i goes to shard i mod S, so the partition is
+/// invisible in every answer.
 TEST(IncrementalEvalTest, StandInPoolMatchesScratchReference) {
   const Dataset dataset = MakeDataset(SpecByName("digg", 0.02));
   const size_t n = dataset.graph.num_nodes();
@@ -284,7 +287,15 @@ TEST(IncrementalEvalTest, StandInPoolMatchesScratchReference) {
       static_cast<double>(ScratchActivated(collection, lb_set)) /
       static_cast<double>(collection.num_samples());
 
+  PrrCollection sharded(n, /*num_shards=*/4);
+  {
+    PrrSampler sampler(dataset.graph, seeds, kBudget, /*lb_only=*/false,
+                       /*seed=*/11, /*num_threads=*/4);
+    sampler.EnsureSamples(sharded, 20000);
+  }
+
   ShardedEvalState state;  // reused across runs
+  ShardedEvalState sharded_state;
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const PrrCollection::DeltaResult got =
@@ -297,6 +308,15 @@ TEST(IncrementalEvalTest, StandInPoolMatchesScratchReference) {
     }
     EXPECT_EQ(got.activated_samples, want_activated);
     EXPECT_EQ(collection.EstimateDelta(lb_set, threads), want_lb_delta);
+
+    const PrrCollection::DeltaResult got_sharded = sharded.SelectGreedyDelta(
+        kBudget, excluded, threads, &sharded_state);
+    EXPECT_EQ(got_sharded.nodes, got.nodes);
+    EXPECT_EQ(got_sharded.pick_gains, got.pick_gains);
+    EXPECT_EQ(got_sharded.activated_samples, got.activated_samples);
+    EXPECT_EQ(sharded.EstimateDelta(lb_set, threads),
+              collection.EstimateDelta(lb_set, threads));
+    EXPECT_EQ(sharded.EstimateMu(lb_set), collection.EstimateMu(lb_set));
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/baselines/high_degree.h"
 #include "src/baselines/more_seeds.h"
@@ -42,6 +45,30 @@ TEST(DatasetsTest, ScaleControlsSize) {
   Dataset big = MakeDataset(SpecByName("digg", 0.02));
   EXPECT_LT(small.graph.num_nodes(), big.graph.num_nodes());
   EXPECT_LT(small.graph.num_edges(), big.graph.num_edges());
+}
+
+TEST(DatasetsTest, FindDatasetSpecRejectsBadInputTyped) {
+  StatusOr<DatasetSpec> twitter = FindDatasetSpec("twitter", 0.005, 3.0);
+  ASSERT_TRUE(twitter.ok()) << twitter.status().ToString();
+  EXPECT_EQ(twitter->name, "twitter");
+  EXPECT_EQ(twitter->num_nodes, SpecByName("twitter", 0.005).num_nodes);
+  EXPECT_EQ(twitter->beta, 3.0);
+  EXPECT_TRUE(FindDatasetSpec("flickr", 1.0, 1.0).ok());
+  for (const auto& [name, scale, beta] :
+       std::vector<std::tuple<std::string, double, double>>{
+           {"nope", 0.01, 2.0},
+           {"digg", 0.0, 2.0},
+           {"digg", 1.5, 2.0},
+           {"digg", std::nan(""), 2.0},
+           {"digg", 0.01, 0.5},
+           {"digg", 0.01, std::nan("")}}) {
+    SCOPED_TRACE(name + " scale=" + std::to_string(scale) +
+                 " beta=" + std::to_string(beta));
+    EXPECT_EQ(FindDatasetSpec(name, scale, beta).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(ValidateDatasetParams(0.02).ok());
+  EXPECT_FALSE(ValidateDatasetParams(2.0).ok());
 }
 
 TEST(SeedSelectionTest, InfluentialBeatsRandomSeeds) {

@@ -51,6 +51,7 @@
 #include "src/serve/boost_service.h"
 #include "src/util/fault.h"
 #include "src/util/rng.h"
+#include "tests/same_answer.h"
 
 namespace kboost {
 namespace {
@@ -494,20 +495,6 @@ class RawConn {
   }
 };
 
-/// Every field of a wire answer equals the in-process one, doubles bit for
-/// bit.
-bool SameAnswer(const WireQueryReply& got, const BoostResult& want) {
-  return got.best_set == want.best_set &&
-         got.best_estimate == want.best_estimate &&
-         got.lb_set == want.lb_set && got.lb_mu_hat == want.lb_mu_hat &&
-         got.lb_delta_hat == want.lb_delta_hat &&
-         got.delta_set == want.delta_set &&
-         got.delta_delta_hat == want.delta_delta_hat &&
-         got.pool_budget == want.pool_budget &&
-         got.num_samples == want.num_samples &&
-         got.num_boostable == want.num_boostable;
-}
-
 size_t OpenFdCount() {
   size_t count = 0;
   for ([[maybe_unused]] const auto& entry :
@@ -553,53 +540,229 @@ class NetServerTest : public ::testing::Test {
     return client.ok() ? std::move(client).value() : nullptr;
   }
 
+  /// The in-process response, pool version included, for each of
+  /// `queries`, solved before any fault is armed.
+  std::vector<BoostResponse> InProcessAnswers(
+      const std::vector<WireQuery>& queries) {
+    std::vector<BoostResponse> answers;
+    for (const WireQuery& query : queries) {
+      BoostRequest request;
+      request.pool = query.pool;
+      request.k = query.k;
+      request.mode = query.mode;
+      StatusOr<BoostResponse> local = service_->Solve(request);
+      EXPECT_TRUE(local.ok()) << local.status().ToString();
+      answers.push_back(local.ok() ? local.value() : BoostResponse());
+    }
+    return answers;
+  }
+
+  /// After every client has closed: the loop has reaped each connection
+  /// (it sees EOFs asynchronously, so poll briefly), sent no protocol
+  /// error, and left no admission slot held.
+  void ExpectDrained() {
+    for (int i = 0; i < 500 && server_->counters().active_connections != 0;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(server_->counters().active_connections, 0u);
+    EXPECT_EQ(server_->counters().protocol_errors, 0u);
+    const ServiceStatsSnapshot stats = service_->Stats();
+    EXPECT_EQ(stats.in_flight, 0u);
+    EXPECT_EQ(stats.queued, 0u);
+  }
+
   DirectedGraph graph_;
   std::unique_ptr<BoostService> service_;
   std::unique_ptr<KboostServer> server_;
 };
 
-TEST_F(NetServerTest, WireAnswersAreBitIdenticalToInProcessSolve) {
-  StartService();
-  StartServer();
-  std::unique_ptr<KboostClient> client = MustConnect();
-  ASSERT_NE(client, nullptr);
-
-  for (size_t k : {size_t{1}, size_t{4}, size_t{8}}) {
+/// Every (k, mode) once, the stream the wire tests replay.
+std::vector<WireQuery> KModeStream() {
+  std::vector<WireQuery> queries;
+  for (uint64_t k : {1, 4, 8}) {
     for (SolveMode mode :
          {SolveMode::kAuto, SolveMode::kFull, SolveMode::kLbOnly}) {
       WireQuery query;
       query.pool = "pool";
       query.k = k;
       query.mode = mode;
-      StatusOr<WireQueryReply> wire = client->Query(query);
-      ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-      ASSERT_TRUE(wire.value().status.ok())
-          << wire.value().status.ToString();
-
-      BoostRequest request;
-      request.pool = "pool";
-      request.k = k;
-      request.mode = mode;
-      StatusOr<BoostResponse> local = service_->Solve(request);
-      ASSERT_TRUE(local.ok()) << local.status().ToString();
-
-      // The serving guarantee crosses the wire intact: every set and every
-      // double of the answer compares exactly equal.
-      const WireQueryReply& w = wire.value();
-      const BoostResult& r = local.value().result;
-      EXPECT_EQ(w.best_set, r.best_set);
-      EXPECT_EQ(w.best_estimate, r.best_estimate);
-      EXPECT_EQ(w.lb_set, r.lb_set);
-      EXPECT_EQ(w.lb_mu_hat, r.lb_mu_hat);
-      EXPECT_EQ(w.lb_delta_hat, r.lb_delta_hat);
-      EXPECT_EQ(w.delta_set, r.delta_set);
-      EXPECT_EQ(w.delta_delta_hat, r.delta_delta_hat);
-      EXPECT_EQ(w.pool_budget, r.pool_budget);
-      EXPECT_EQ(w.num_samples, r.num_samples);
-      EXPECT_EQ(w.num_boostable, r.num_boostable);
-      EXPECT_EQ(w.pool_version, local.value().pool_version);
+      queries.push_back(query);
     }
   }
+  return queries;
+}
+
+/// Outcomes of a wire storm, classified per reply.
+struct StormCounts {
+  std::atomic<size_t> answered{0};
+  std::atomic<size_t> deadline_missed{0};
+  std::atomic<size_t> divergent{0};
+  std::atomic<size_t> untyped{0};  ///< transport failures and other codes
+};
+
+/// `clients` connections each send `per_client` queries from `queries`
+/// (phase-shifted per client) and classify every reply against `reference`.
+void RunWireStorm(uint16_t port, const std::vector<WireQuery>& queries,
+                  const std::vector<BoostResponse>& reference, size_t clients,
+                  size_t per_client, StormCounts* counts) {
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < clients; ++t) {
+    threads.emplace_back([&, t] {
+      StatusOr<std::unique_ptr<KboostClient>> client =
+          KboostClient::Connect("127.0.0.1", port);
+      if (!client.ok()) {
+        counts->untyped.fetch_add(per_client);
+        return;
+      }
+      for (size_t i = 0; i < per_client; ++i) {
+        const size_t q = (t + i) % queries.size();
+        StatusOr<WireQueryReply> reply = (*client)->Query(queries[q]);
+        if (!reply.ok()) {
+          counts->untyped.fetch_add(per_client - i);
+          return;
+        }
+        if (reply->status.ok()) {
+          counts->answered.fetch_add(1);
+          if (!SameAnswer(*reply, reference[q])) counts->divergent.fetch_add(1);
+        } else if (reply->status.code() == StatusCode::kDeadlineExceeded) {
+          counts->deadline_missed.fetch_add(1);
+        } else {
+          counts->untyped.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+}
+
+TEST_F(NetServerTest, WireAnswersAreBitIdenticalToInProcessSolve) {
+  StartService();
+  StartServer();
+  const std::vector<WireQuery> queries = KModeStream();
+  const std::vector<BoostResponse> reference = InProcessAnswers(queries);
+
+  // Four concurrent clients replay the stream three times each. The
+  // serving guarantee crosses the wire intact: every set and every double
+  // of every answer compares exactly equal.
+  StormCounts storm;
+  RunWireStorm(server_->port(), queries, reference, 4, 3 * queries.size(),
+               &storm);
+  EXPECT_EQ(storm.answered.load(), 4 * 3 * queries.size());
+  EXPECT_EQ(storm.divergent.load(), 0u);
+  ExpectDrained();
+}
+
+/// A deadline carried in the query frame that the solve cannot meet comes
+/// back as a typed DeadlineExceeded reply, never an untyped error or a
+/// dropped connection; replies that beat it are bit-identical. A replay
+/// with a roomy deadline then answers everything bit-identically.
+TEST_F(NetServerTest, WireDeadlineMissesAreTypedAndTheReplayIsClean) {
+  StartService();
+  StartServer();
+  const std::vector<WireQuery> queries = KModeStream();
+  const std::vector<BoostResponse> reference = InProcessAnswers(queries);
+
+  std::vector<WireQuery> tight = queries;
+  for (WireQuery& q : tight) q.deadline_ms = 2;
+  FaultInjector::Plan slow;  // every solve stalls far past the deadline
+  slow.delay_micros = 10'000;
+  FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
+  StormCounts storm;
+  RunWireStorm(server_->port(), tight, reference, 4, 9, &storm);
+  FaultInjector::Global().DisarmAll();
+  EXPECT_EQ(storm.untyped.load(), 0u);
+  EXPECT_EQ(storm.divergent.load(), 0u);
+  EXPECT_EQ(storm.answered.load() + storm.deadline_missed.load(), 4u * 9u);
+  EXPECT_GT(storm.deadline_missed.load(), 0u);
+
+  std::vector<WireQuery> roomy = queries;
+  for (WireQuery& q : roomy) q.deadline_ms = 60'000;
+  StormCounts replay;
+  RunWireStorm(server_->port(), roomy, reference, 2, queries.size(), &replay);
+  EXPECT_EQ(replay.answered.load(), 2 * queries.size());
+  EXPECT_EQ(replay.divergent.load(), 0u);
+  ExpectDrained();
+}
+
+/// REFRESH to an identical twin lands while clients are mid-stream: the
+/// version goes up by exactly one and not one answer changes, before or
+/// after the swap.
+TEST_F(NetServerTest, RefreshMidStormKeepsEveryAnswer) {
+  StartService();
+  StartServer();
+  const std::vector<WireQuery> queries = KModeStream();
+  const std::vector<BoostResponse> reference = InProcessAnswers(queries);
+  const std::string snapshot = TempPath("net_test_refresh_storm.pool");
+  {
+    StatusOr<std::unique_ptr<BoostSession>> twin =
+        BoostSession::Create(graph_, {0, 1, 2}, MakeOptions(8));
+    ASSERT_TRUE(twin.ok());
+    (*twin)->Prepare();
+    ASSERT_TRUE(SavePoolSnapshot(**twin, snapshot, PoolSaveOptions{}).ok());
+  }
+  // The twin answers with the same bits under the next version.
+  std::vector<BoostResponse> twin_reference = reference;
+  for (BoostResponse& r : twin_reference) r.pool_version = 2;
+
+  // Each client keeps querying until it has sent kMinPerClient queries and
+  // seen an answer from the refreshed pool, so answers from both pools are
+  // checked; a short stall keeps the storm running across the swap.
+  FaultInjector::Plan slow;
+  slow.delay_micros = 1'000;
+  FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
+  constexpr size_t kClients = 3;
+  constexpr size_t kMinPerClient = 12;
+  constexpr size_t kMaxPerClient = 2'000;
+  std::atomic<size_t> failures{0};
+  std::atomic<size_t> divergent{0};
+  std::atomic<size_t> per_version[3] = {0, 0, 0};
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      std::unique_ptr<KboostClient> client = MustConnect();
+      if (client == nullptr) return;
+      bool saw_refreshed = false;
+      for (size_t i = 0; i < kMaxPerClient; ++i) {
+        if (i >= kMinPerClient && saw_refreshed) break;
+        const size_t q = (t + i) % queries.size();
+        StatusOr<WireQueryReply> reply = client->Query(queries[q]);
+        if (!reply.ok() || !reply->status.ok() ||
+            reply->pool_version < 1 || reply->pool_version > 2) {
+          failures.fetch_add(1);
+          return;
+        }
+        const std::vector<BoostResponse>& want =
+            reply->pool_version == 1 ? reference : twin_reference;
+        if (!SameAnswer(*reply, want[q])) divergent.fetch_add(1);
+        per_version[reply->pool_version].fetch_add(1);
+        saw_refreshed = reply->pool_version == 2;
+      }
+    });
+  }
+  for (int i = 0; i < 5000 && server_->counters().queries_dispatched <
+                                  kClients;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::unique_ptr<KboostClient> admin = MustConnect();
+  ASSERT_NE(admin, nullptr);
+  StatusOr<WireRefreshReply> refreshed =
+      admin->Refresh(WireRefresh{"pool", snapshot});
+  admin->Close();
+  for (std::thread& c : clients) c.join();
+  FaultInjector::Global().DisarmAll();
+  std::remove(snapshot.c_str());
+
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  ASSERT_TRUE(refreshed->status.ok()) << refreshed->status.ToString();
+  EXPECT_EQ(refreshed->version, 2u);
+  EXPECT_EQ(service_->PoolVersion("pool"), 2u);
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(divergent.load(), 0u);
+  EXPECT_GT(per_version[1].load(), 0u);
+  EXPECT_GT(per_version[2].load(), 0u);
+  ExpectDrained();
 }
 
 TEST_F(NetServerTest, UnknownPoolIsTypedNotFoundOverTheWire) {
@@ -828,7 +991,7 @@ TEST_F(NetServerTest, PipelinedQueriesAreAnsweredInOrderBitIdentically) {
   // The in-process answer for every (k, mode) the stream mixes.
   constexpr SolveMode kModes[] = {SolveMode::kAuto, SolveMode::kFull,
                                   SolveMode::kLbOnly};
-  std::map<std::pair<uint64_t, SolveMode>, BoostResult> reference;
+  std::map<std::pair<uint64_t, SolveMode>, BoostResponse> reference;
   for (uint64_t k = 1; k <= 8; ++k) {
     for (SolveMode mode : kModes) {
       BoostRequest request;
@@ -837,7 +1000,7 @@ TEST_F(NetServerTest, PipelinedQueriesAreAnsweredInOrderBitIdentically) {
       request.mode = mode;
       StatusOr<BoostResponse> local = service_->Solve(request);
       ASSERT_TRUE(local.ok()) << local.status().ToString();
-      reference[{k, mode}] = local.value().result;
+      reference[{k, mode}] = local.value();
     }
   }
 

@@ -27,6 +27,7 @@
 #include "src/util/fault.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
+#include "tests/same_answer.h"
 
 namespace kboost {
 namespace {
@@ -49,20 +50,6 @@ BoostOptions MakeOptions(size_t k) {
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
-}
-
-/// Exact equality of everything a query answer is made of. The serving
-/// guarantee is bit-identical results, so doubles are compared with ==.
-void ExpectSameAnswer(const BoostResult& a, const BoostResult& b) {
-  EXPECT_EQ(a.best_set, b.best_set);
-  EXPECT_EQ(a.best_estimate, b.best_estimate);
-  EXPECT_EQ(a.lb_set, b.lb_set);
-  EXPECT_EQ(a.lb_mu_hat, b.lb_mu_hat);
-  EXPECT_EQ(a.delta_set, b.delta_set);
-  EXPECT_EQ(a.delta_delta_hat, b.delta_delta_hat);
-  EXPECT_EQ(a.lb_delta_hat, b.lb_delta_hat);
-  EXPECT_EQ(a.num_samples, b.num_samples);
-  EXPECT_EQ(a.pool_budget, b.pool_budget);
 }
 
 TEST(BoostOptionsTest, ValidateAcceptsDefaults) {
@@ -119,7 +106,7 @@ TEST(BoostSessionCreateTest, CreatedSessionAnswersLikeConstructed) {
   BoostResult via_create = (*created)->SolveForBudget(8);
 
   BoostSession constructed(g, {0, 1}, MakeOptions(8));
-  ExpectSameAnswer(via_create, constructed.SolveForBudget(8));
+  EXPECT_TRUE(SameAnswer(via_create, constructed.SolveForBudget(8)));
 }
 
 TEST(BoostSessionTest, SetNumThreadsValidatesThroughOptions) {
@@ -185,7 +172,7 @@ TEST(BoostSessionSolveTest, MatchesSerialSolveForBudget) {
       spec.k = k;
       StatusOr<BoostResult> served = session.Solve(spec);
       ASSERT_TRUE(served.ok());
-      ExpectSameAnswer(serial, *served);
+      EXPECT_TRUE(SameAnswer(serial, *served));
       EXPECT_TRUE(served->pool_reused);
     }
   }
@@ -433,12 +420,12 @@ TEST(BoostServiceTest, WarmStartFromSnapshotsAnswersIdentically) {
     request.k = k;
     StatusOr<BoostResponse> served = service.Solve(request);
     ASSERT_TRUE(served.ok());
-    ExpectSameAnswer(full.SolveForBudget(k), served->result);
+    EXPECT_TRUE(SameAnswer(full.SolveForBudget(k), served->result));
 
     request.pool = "lb";
     served = service.Solve(request);
     ASSERT_TRUE(served.ok());
-    ExpectSameAnswer(lb.SolveForBudget(k), served->result);
+    EXPECT_TRUE(SameAnswer(lb.SolveForBudget(k), served->result));
   }
 
   BoostService::Options missing;
@@ -557,7 +544,7 @@ TEST(BoostServiceLifecycleTest, RefreshSwapIsBitIdenticalToFreshService) {
     StatusOr<BoostResponse> b = cold.Solve(request);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    ExpectSameAnswer(a->result, b->result);
+    EXPECT_TRUE(SameAnswer(a->result, b->result));
   }
 }
 
@@ -660,10 +647,15 @@ TEST(BoostServiceLifecycleTest, RefreshUnderConcurrentSolvesNeverNotFound) {
   ASSERT_TRUE(service_or.ok());
   BoostService& service = **service_or;
 
-  // Two alternating pool builds; different rng seeds give different pools,
-  // so an answer reveals which build produced it.
+  // Two pool builds; different rng seeds give different pools, so an
+  // answer reveals which build produced it. A is built at S = 4 and at
+  // S = 1: the shard count must not show in any answer, so both map to A's
+  // reference.
   const std::vector<NodeId> seeds = {0, 1};
   BoostOptions opts_a = MakeOptions(8);
+  opts_a.num_shards = 4;
+  BoostOptions opts_a1 = opts_a;
+  opts_a1.num_shards = 1;
   BoostOptions opts_b = MakeOptions(8);
   opts_b.seed = 99;
 
@@ -720,18 +712,23 @@ TEST(BoostServiceLifecycleTest, RefreshUnderConcurrentSolvesNeverNotFound) {
   }
 
   // The lifecycle churn, all from this thread: the hot pool is refreshed 4
-  // times (alternating builds) while unrelated pools are added, queried and
-  // removed — AddPool/RefreshPool/RemovePool racing live Solve() traffic.
+  // times (B, A at S = 1, B, A at S = 4) while unrelated pools are added,
+  // queried and removed — AddPool/RefreshPool/RemovePool racing live
+  // Solve() traffic.
   for (int round = 0; round < 4; ++round) {
     const bool use_b = (round % 2 == 0);
+    const BoostOptions& next =
+        use_b ? opts_b : (round == 1 ? opts_a1 : opts_a);
     ASSERT_TRUE(service
                     .AddPool("churn", std::make_unique<BoostSession>(
                                           g, seeds, MakeOptions(4)))
                     .ok());
+    const uint64_t version_before = service.PoolVersion("hot");
     ASSERT_TRUE(service
                     .RefreshPool("hot", std::make_unique<BoostSession>(
-                                            g, seeds, use_b ? opts_b : opts_a))
+                                            g, seeds, next))
                     .ok());
+    EXPECT_GT(service.PoolVersion("hot"), version_before);
     version_is_b[service.PoolVersion("hot")] = use_b;
     ASSERT_TRUE(service.RemovePool("churn").ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -763,17 +760,22 @@ TEST(BoostServiceLifecycleTest, RefreshUnderConcurrentSolvesNeverNotFound) {
 }
 
 /// The acceptance-criterion test: pools prepared once, mixed-budget
-/// mixed-mode mixed-worker-count queries from N ≥ 4 threads, every answer
-/// bit-identical to the serial loop. Runs under ASan/UBSan and TSan in CI.
+/// mixed-mode queries from N ≥ 4 threads, every answer bit-identical to the
+/// serial loop. The full pool is pinned to S = 4 arenas (the default S is
+/// the core count, 1 on a 1-vCPU runner). With unlimited admission nothing
+/// is shed or timed out, and no slot is held once the threads join. Runs
+/// under ASan/UBSan and TSan in CI.
 TEST(BoostServiceConcurrencyTest, MixedQueriesFromManyThreadsAreBitIdentical) {
   DirectedGraph g = MakeTestGraph();
   StatusOr<std::unique_ptr<BoostService>> service_or = BoostService::Create(g);
   ASSERT_TRUE(service_or.ok());
   BoostService& service = **service_or;
+  BoostOptions sharded = MakeOptions(16);
+  sharded.num_shards = 4;
   ASSERT_TRUE(service
                   .AddPool("full", std::make_unique<BoostSession>(
                                        g, std::vector<NodeId>{0, 1, 2},
-                                       MakeOptions(16)))
+                                       sharded))
                   .ok());
   ASSERT_TRUE(service
                   .AddPool("lb", std::make_unique<BoostSession>(
@@ -821,9 +823,14 @@ TEST(BoostServiceConcurrencyTest, MixedQueriesFromManyThreadsAreBitIdentical) {
   for (size_t t = 0; t < kThreads; ++t) {
     size_t slot = 0;
     for (size_t i = t; i < requests.size(); i += kThreads, ++slot) {
-      ExpectSameAnswer(reference[i], answers[t][slot]);
+      EXPECT_TRUE(SameAnswer(reference[i], answers[t][slot]));
     }
   }
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.queue_timeouts, 0u);
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_EQ(stats.queued, 0u);
 }
 
 }  // namespace

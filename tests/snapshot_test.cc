@@ -2,11 +2,17 @@
 // and the pluggable section codecs (src/io/codec): codec round trips on
 // adversarial streams, mmap-vs-owned bit-identity, structural rejection of
 // corrupted directories, typed rejection of older formats, endianness and
-// thread-count header handling, and the atomic-save contract.
+// thread-count header handling, the atomic-save contract, and the varint
+// size and mmap load-time gates on the digg stand-in pool.
 
 #include <gtest/gtest.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +22,8 @@
 #include <vector>
 
 #include "src/core/boost_session.h"
+#include "src/expt/datasets.h"
+#include "src/expt/seed_selection.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_builder.h"
 #include "src/io/codec.h"
@@ -23,6 +31,8 @@
 #include "src/util/fault.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "src/util/timer.h"
+#include "tests/same_answer.h"
 
 namespace kboost {
 namespace {
@@ -107,16 +117,8 @@ size_t CoverageEntryOffset(size_t dir, size_t num_shards) {
 void ExpectSameAnswers(BoostSession& a, BoostSession& b,
                        const std::vector<size_t>& budgets) {
   for (size_t k : budgets) {
-    SCOPED_TRACE("k=" + std::to_string(k));
-    BoostResult ra = a.SolveForBudget(k);
-    BoostResult rb = b.SolveForBudget(k);
-    EXPECT_EQ(ra.best_set, rb.best_set);
-    EXPECT_EQ(ra.lb_set, rb.lb_set);
-    EXPECT_EQ(ra.delta_set, rb.delta_set);
-    EXPECT_EQ(ra.best_estimate, rb.best_estimate);
-    EXPECT_EQ(ra.lb_mu_hat, rb.lb_mu_hat);
-    EXPECT_EQ(ra.delta_delta_hat, rb.delta_delta_hat);
-    EXPECT_EQ(ra.num_samples, rb.num_samples);
+    EXPECT_TRUE(SameAnswer(a.SolveForBudget(k), b.SolveForBudget(k)))
+        << "k=" << k;
   }
 }
 
@@ -449,6 +451,101 @@ TEST(SnapshotV3Test, VarintSnapshotShrinksAndRoundTrips) {
       Load(g, varint_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectSameAnswers(session, *loaded.value(), {2, 6, 10});
+  std::filesystem::remove(nop_path);
+  std::filesystem::remove(varint_path);
+}
+
+/// Best of 3 wall-clock loads of `path`, in ms; `*session` keeps the last
+/// loaded session for the answer checks. Each load starts from a trimmed
+/// heap, so its buffers fault in fresh pages as in a fresh process, rather
+/// than reusing pages the previous load already faulted.
+double BestLoadMs(const DirectedGraph& g, const std::string& path,
+                  bool use_mmap, std::unique_ptr<BoostSession>* session) {
+  double best_ms = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+#ifdef __GLIBC__
+    malloc_trim(0);
+#endif
+    WallTimer timer;
+    StatusOr<std::unique_ptr<BoostSession>> loaded = Load(g, path, use_mmap);
+    const double ms = timer.Seconds() * 1e3;
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    *session = loaded.ok() ? std::move(loaded).value() : nullptr;
+    best_ms = rep == 0 ? ms : std::min(best_ms, ms);
+  }
+  return best_ms;
+}
+
+/// The snapshot format's gate on the digg stand-in pool it is tuned for (20
+/// influential seeds, k = 50, ε = 0.35, S = 4: θ = 106,698). Every codec ×
+/// byte source loads bit-identically to the live pool, and varint shrinks
+/// bytes/sample ≥ 2× against nop. In optimized builds, where wall time
+/// means something, the best-of-3 mmap load must also be ≥ 1.5× faster than
+/// the best-of-3 cold nop load once the pool has ≥ 100k samples: both loads
+/// share the header parse, structural checks and AttachExternal, so the
+/// ratio falls below 1 when O(bytes) work — a heap copy of the mapping,
+/// say — lands on the mmap path. On a 4-core x86-64 box (GCC 12.2,
+/// Release), 30 runs of its ctest entry measured 1.69–4.23×, median 2.2×,
+/// and with the mapping copied to the heap mostly 0.6–1.0×. Beside a
+/// parallel ctest the ratio sags, so the entry runs serially.
+TEST(SnapshotStandInTest, VarintShrinksAndMmapBeatsTheColdLoad) {
+  const Dataset dataset = MakeDataset(SpecByName("digg", 0.02));
+  const DirectedGraph& g = dataset.graph;
+  constexpr size_t kBudget = 50;
+  BoostOptions options;
+  options.k = kBudget;
+  options.epsilon = 0.35;
+  options.seed = 42;
+  options.max_samples = 1'000'000;
+  options.num_shards = 4;
+  BoostSession live(
+      g, SelectInfluentialSeeds(g, 20, 42, options.num_threads), options);
+  live.Prepare();
+  const size_t num_samples = live.engine().collection().num_samples();
+
+  const std::string nop_path = TempPath("kboost_stand_in_nop.bin");
+  const std::string varint_path = TempPath("kboost_stand_in_varint.bin");
+  PoolSaveOptions varint_options;
+  varint_options.codec = SnapshotCodec::kVarint;
+  StatusOr<PoolSaveResult> nop = SavePoolSnapshot(live, nop_path, {});
+  StatusOr<PoolSaveResult> varint =
+      SavePoolSnapshot(live, varint_path, varint_options);
+  ASSERT_TRUE(nop.ok()) << nop.status().ToString();
+  ASSERT_TRUE(varint.ok()) << varint.status().ToString();
+  const double varint_ratio =
+      nop->bytes_per_sample / varint->bytes_per_sample;
+  EXPECT_GE(varint_ratio, 2.0) << "nop " << nop->bytes_per_sample
+                               << " B/sample, varint "
+                               << varint->bytes_per_sample;
+
+  const std::vector<size_t> budgets = {1, kBudget / 2, kBudget};
+  std::unique_ptr<BoostSession> loaded;
+  const double cold_ms = BestLoadMs(g, nop_path, /*use_mmap=*/false, &loaded);
+  ASSERT_NE(loaded, nullptr);
+  ExpectSameAnswers(live, *loaded, budgets);
+  const double mmap_ms = BestLoadMs(g, nop_path, /*use_mmap=*/true, &loaded);
+  ASSERT_NE(loaded, nullptr);
+  ExpectSameAnswers(live, *loaded, budgets);
+  for (const bool use_mmap : {false, true}) {
+    SCOPED_TRACE(use_mmap ? "varint mmap" : "varint owned");
+    StatusOr<std::unique_ptr<BoostSession>> varint_loaded =
+        Load(g, varint_path, use_mmap);
+    ASSERT_TRUE(varint_loaded.ok()) << varint_loaded.status().ToString();
+    ExpectSameAnswers(live, **varint_loaded, budgets);
+  }
+  loaded.reset();
+
+  const double mmap_speedup = cold_ms / std::max(mmap_ms, 1e-9);
+  std::printf("theta %zu; varint %.2fx smaller per sample; cold nop load "
+              "%.3f ms, mmap load %.3f ms: %.2fx\n",
+              num_samples, varint_ratio, cold_ms, mmap_ms, mmap_speedup);
+#ifdef NDEBUG
+  if (num_samples >= 100'000) {
+    EXPECT_GE(mmap_speedup, 1.5)
+        << "mmap load " << mmap_ms << " ms vs cold nop load " << cold_ms
+        << " ms";
+  }
+#endif
   std::filesystem::remove(nop_path);
   std::filesystem::remove(varint_path);
 }

@@ -244,6 +244,39 @@ TEST(ParseUint64Test, RejectsEverythingStrtoullSilentlyAccepts) {
   EXPECT_EQ(v, 7u) << "failed parses must not clobber the output";
 }
 
+TEST(ParseDoubleTest, AcceptsDecimalNotation) {
+  double v = 7.0;
+  EXPECT_TRUE(ParseDouble("0.02", "x", &v).ok());
+  EXPECT_EQ(v, 0.02);
+  EXPECT_TRUE(ParseDouble("2", "x", &v).ok());
+  EXPECT_EQ(v, 2.0);
+  EXPECT_TRUE(ParseDouble(".5", "x", &v).ok());
+  EXPECT_EQ(v, 0.5);
+  EXPECT_TRUE(ParseDouble("-1.5e-3", "x", &v).ok());
+  EXPECT_EQ(v, -1.5e-3);
+  EXPECT_TRUE(ParseDouble("+3E2", "x", &v).ok());
+  EXPECT_EQ(v, 300.0);
+}
+
+TEST(ParseDoubleTest, RejectsEverythingAtofSilentlyAccepts) {
+  // Regression for the flag sites: bare atof turned each of these into a
+  // silent 0 (or a truncated prefix such as 0.5) instead of an error.
+  double v = 7.0;
+  for (const char* bad : {"", "abc", "0.5x", " 1", "1 ", "inf", "nan",
+                          "0x1p3", "1e", ".", "1..2", "--1", "1,5"}) {
+    Status s = ParseDouble(bad, "--scale", &v);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "'" << bad << "'";
+    EXPECT_NE(s.message().find("--scale"), std::string::npos);
+  }
+  EXPECT_EQ(ParseDouble(nullptr, "--scale", &v).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseDouble("1e999", "--scale", &v).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ParseDouble("1e-999", "--scale", &v).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(v, 7.0) << "failed parses must not clobber the output";
+}
+
 TEST(RngTest, DeterministicGivenSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.NextU64(), b.NextU64());
