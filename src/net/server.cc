@@ -13,22 +13,23 @@
 #include <csignal>
 #include <cstring>
 #include <limits>
+#include <map>
 
 #ifdef __linux__
 #include <sys/epoll.h>
 #endif
 
+#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace kboost {
 
 namespace {
 
-// Wake-pipe byte tags: the event loop dispatches on the byte value, so one
-// pipe carries refresh completions, explicit shutdown requests and
-// signal-handler shutdown requests without the handler needing any
-// non-signal-safe state.
-constexpr char kWakeRefresh = 'c';
+// Wake-pipe byte tags: a loop dispatches on the byte value, so one pipe
+// carries inbox deliveries, shutdown requests and signal-handler shutdown
+// requests without the handler needing any non-signal-safe state.
+constexpr char kWakeInbox = 'c';
 constexpr char kWakeShutdown = 'q';
 constexpr char kWakeSignal = 'T';
 
@@ -171,16 +172,12 @@ class Poller {
 #endif
 };
 
-/// The event loop's poller, reachable from the connection helpers without
-/// threading it through every signature. Only the event-loop thread touches
-/// it, and only while EventLoop() is on the stack.
-thread_local Poller* t_poller = nullptr;
-
 }  // namespace
 
-/// Per-connection state, owned by the event-loop thread alone.
+/// Per-connection state, owned by its loop's thread alone.
 struct KboostServer::Connection {
   int fd = -1;               ///< -1 once closed
+  uint64_t id = 0;           ///< unique within its loop; a RefreshJob names it
   std::string in;            ///< buffered unparsed bytes
   std::string out;           ///< reply bytes a short send left behind
   bool busy = false;         ///< its REFRESH is on the refresh thread
@@ -192,6 +189,101 @@ struct KboostServer::Connection {
   int64_t progress_ns = 0;   ///< when watched: last byte moved, or start
 };
 
+/// One event loop: a thread with its own poller, wake pipe, connections,
+/// peer-stall reaper and drain check. Only its thread touches the members
+/// below the inbox; another thread reaches the loop through Post() and
+/// Wake() alone (see the drain-handshake comment in server.h).
+class KboostServer::Loop {
+ public:
+  explicit Loop(KboostServer* server) : server_(server) {}
+  ~Loop() {
+    if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
+    if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
+  }
+  Loop(const Loop&) = delete;
+  Loop& operator=(const Loop&) = delete;
+
+  /// Creates the wake pipe.
+  Status Open();
+  void Start() { thread_ = std::thread([this] { Run(); }); }
+  void Join() {
+    if (thread_.joinable()) thread_.join();
+  }
+  int wake_fd() const { return wake_write_fd_; }
+
+  /// Callable from any thread: one write() to the wake pipe, which the
+  /// signal handler also writes through wake_fd(). A full pipe is fine:
+  /// the loop is already due to wake.
+  void Wake(char tag) {
+    [[maybe_unused]] ssize_t ignored = ::write(wake_write_fd_, &tag, 1);
+  }
+
+  /// Hands the loop a socket loop 0 accepted for it.
+  void Post(int fd) {
+    {
+      MutexLock lock(inbox_mutex_);
+      inbox_fds_.push_back(fd);
+    }
+    Wake(kWakeInbox);
+  }
+
+  /// Hands the loop a REFRESH reply for one of its connections.
+  void Post(RefreshJob job) {
+    {
+      MutexLock lock(inbox_mutex_);
+      inbox_replies_.push_back(std::move(job));
+    }
+    Wake(kWakeInbox);
+  }
+
+ private:
+  void Run();
+
+  // Loop 0 only.
+  void AcceptNew();
+  void BeginDrain();
+
+  void HandleInbox();
+  void ReadFrom(const std::shared_ptr<Connection>& conn);
+  void ProcessBuffered(const std::shared_ptr<Connection>& conn);
+  void HandleFrame(const std::shared_ptr<Connection>& conn,
+                   const FrameHeader& header, const uint8_t* body);
+  void QueueReply(const std::shared_ptr<Connection>& conn,
+                  const std::string& frame);
+  void Flush(const std::shared_ptr<Connection>& conn);
+  void FailConnection(const std::shared_ptr<Connection>& conn,
+                      uint32_t request_id, const Status& error);
+  void CloseConnection(const std::shared_ptr<Connection>& conn);
+  void UpdateInterest(const std::shared_ptr<Connection>& conn);
+  /// Closes every connection past the peer-stall rule and returns the poll
+  /// timeout (ms) until the next one could be, or -1 when none is timed.
+  int ReapStalledPeers();
+  /// No connection has a refresh running or output pending.
+  bool Drained() const;
+
+  KboostServer* const server_;
+  int wake_read_fd_ = -1;
+  int wake_write_fd_ = -1;
+
+  Mutex inbox_mutex_;
+  std::vector<int> inbox_fds_ KB_GUARDED_BY(inbox_mutex_);
+  std::vector<RefreshJob> inbox_replies_ KB_GUARDED_BY(inbox_mutex_);
+
+  // Loop-thread-owned (no lock by design: thread ownership is invisible to
+  // -Wthread-safety, so the contract is documented here and enforced by
+  // keeping every accessor private to this class).
+  Poller poller_;
+  std::map<int, std::shared_ptr<Connection>> connections_;
+  uint64_t next_conn_id_ = 0;
+  size_t watched_ = 0;  ///< connections the peer-stall rule is timing
+
+  std::thread thread_;  // last: it runs on everything above
+};
+
+KboostServer::KboostServer(BoostService* service,
+                           const ServerOptions& options)
+    : service_(service), options_(options) {}
+
 StatusOr<std::unique_ptr<KboostServer>> KboostServer::Start(
     BoostService* service, const ServerOptions& options) {
   if (service == nullptr) {
@@ -202,21 +294,22 @@ StatusOr<std::unique_ptr<KboostServer>> KboostServer::Start(
         "max_frame_bytes must be >= 64 (a query frame does not fit below)");
   }
   std::unique_ptr<KboostServer> server(new KboostServer(service, options));
+  for (int i = 0; i < NumLoops(); ++i) {
+    server->loops_.push_back(std::make_unique<Loop>(server.get()));
+    if (Status s = server->loops_.back()->Open(); !s.ok()) return s;
+  }
   if (Status s = server->Listen(); !s.ok()) return s;
 
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    return Status::IoError(std::string("pipe: ") + std::strerror(errno));
-  }
-  server->wake_read_fd_ = pipe_fds[0];
-  server->wake_write_fd_ = pipe_fds[1];
-  if (Status s = SetNonBlocking(server->wake_read_fd_); !s.ok()) return s;
-  if (Status s = SetNonBlocking(server->wake_write_fd_); !s.ok()) return s;
-
-  server->io_thread_ = std::thread([raw = server.get()] { raw->EventLoop(); });
+  server->loops_running_.store(server->loops_.size(),
+                               std::memory_order_relaxed);
+  for (const std::unique_ptr<Loop>& loop : server->loops_) loop->Start();
   server->refresh_thread_ =
       std::thread([raw = server.get()] { raw->RefreshLoop(); });
   return server;
+}
+
+int KboostServer::NumLoops() {
+  return std::max(1, DefaultThreadCount() / 2);
 }
 
 KboostServer::~KboostServer() {
@@ -226,10 +319,8 @@ KboostServer::~KboostServer() {
     ::sigaction(SIGTERM, &g_old_sigterm, nullptr);
     g_signal_wake_fd.store(-1, std::memory_order_release);
   }
-  // The drain closes the acceptor; a Start that failed never ran one.
+  // Loop 0's drain closes the acceptor; a Start that failed never ran one.
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
 }
 
 Status KboostServer::Listen() {
@@ -272,8 +363,7 @@ Status KboostServer::Listen() {
 
 void KboostServer::RequestShutdown() {
   shutdown_requested_.store(true, std::memory_order_release);
-  const char byte = kWakeShutdown;
-  [[maybe_unused]] ssize_t ignored = ::write(wake_write_fd_, &byte, 1);
+  loops_.front()->Wake(kWakeShutdown);
 }
 
 void KboostServer::Shutdown() {
@@ -283,16 +373,19 @@ void KboostServer::Shutdown() {
 
 void KboostServer::Wait() {
   MutexLock lock(join_mutex_);
-  if (!joined_) {
-    if (io_thread_.joinable()) io_thread_.join();
-    joined_ = true;
-  }
+  if (joined_) return;
+  // The last loop out has stopped the refresh thread (see Loop::Run), so
+  // no lock is taken here beside join_mutex_.
+  for (const std::unique_ptr<Loop>& loop : loops_) loop->Join();
+  if (refresh_thread_.joinable()) refresh_thread_.join();
+  joined_ = true;
+  finished_.store(true, std::memory_order_release);
 }
 
 Status KboostServer::InstallSignalHandlers() {
   int expected = -1;
-  if (!g_signal_wake_fd.compare_exchange_strong(expected, wake_write_fd_,
-                                                std::memory_order_acq_rel)) {
+  if (!g_signal_wake_fd.compare_exchange_strong(
+          expected, loops_.front()->wake_fd(), std::memory_order_acq_rel)) {
     return Status::FailedPrecondition(
         "another KboostServer already installed signal handlers");
   }
@@ -318,19 +411,30 @@ ServerCounters KboostServer::counters() const {
   return c;
 }
 
-// ---- Event loop ------------------------------------------------------------
+// ---- Event loops ------------------------------------------------------------
 
-void KboostServer::EventLoop() {
-  Poller poller;
-  t_poller = &poller;
-  poller.Add(listen_fd_);
-  poller.Add(wake_read_fd_);
+Status KboostServer::Loop::Open() {
+  int pipe_fds[2];
+  if (::pipe(pipe_fds) != 0) {
+    return Status::IoError(std::string("pipe: ") + std::strerror(errno));
+  }
+  wake_read_fd_ = pipe_fds[0];
+  wake_write_fd_ = pipe_fds[1];
+  if (Status s = SetNonBlocking(wake_read_fd_); !s.ok()) return s;
+  return SetNonBlocking(wake_write_fd_);
+}
+
+void KboostServer::Loop::Run() {
+  // Loop 0 owns the acceptor; no other loop ever reads listen_fd_.
+  const bool acceptor = this == server_->loops_.front().get();
+  if (acceptor) poller_.Add(server_->listen_fd_);
+  poller_.Add(wake_read_fd_);
 
   std::vector<Poller::Event> events;
   while (true) {
     const int timeout_ms = ReapStalledPeers();
-    if (draining_.load(std::memory_order_relaxed) && Drained()) break;
-    poller.Wait(timeout_ms, &events);
+    if (server_->draining_.load(std::memory_order_acquire) && Drained()) break;
+    poller_.Wait(timeout_ms, &events);
     for (const Poller::Event& event : events) {
       if (event.fd == wake_read_fd_) {
         char bytes[256];
@@ -338,11 +442,12 @@ void KboostServer::EventLoop() {
         while ((n = ::read(wake_read_fd_, bytes, sizeof(bytes))) > 0) {
           if (std::memchr(bytes, kWakeSignal, static_cast<size_t>(n)) !=
               nullptr) {
-            shutdown_requested_.store(true, std::memory_order_release);
+            server_->shutdown_requested_.store(true,
+                                               std::memory_order_release);
           }
         }
-        HandleRefreshReplies();
-      } else if (event.fd == listen_fd_) {
+        HandleInbox();
+      } else if (acceptor && event.fd == server_->listen_fd_) {
         AcceptNew();
       } else {
         auto it = connections_.find(event.fd);
@@ -358,46 +463,55 @@ void KboostServer::EventLoop() {
       }
     }
 
-    if (shutdown_requested_.load(std::memory_order_acquire) &&
-        !draining_.load(std::memory_order_relaxed)) {
+    if (acceptor &&
+        server_->shutdown_requested_.load(std::memory_order_acquire) &&
+        !server_->draining_.load(std::memory_order_relaxed)) {
       BeginDrain();
     }
   }
 
-  // No refresh is running and no reply is owed: stop and join the refresh
-  // thread, then close every connection. No admission slot can be held
-  // here — every Solve ran to completion on this thread.
-  {
-    MutexLock lock(refresh_mutex_);
-    stop_refresh_ = true;
-  }
-  refresh_cv_.NotifyAll();
-  refresh_thread_.join();
-
+  // Nothing is owed on this loop. Sockets loop 0 dealt it before the drain
+  // began may still sit in the inbox: adopt them, then close every
+  // connection. No admission slot can be held here — every Solve this loop
+  // started ran to completion on its thread.
+  HandleInbox();
   std::vector<std::shared_ptr<Connection>> open;
   open.reserve(connections_.size());
   for (const auto& [fd, conn] : connections_) open.push_back(conn);
   for (const std::shared_ptr<Connection>& conn : open) CloseConnection(conn);
-  t_poller = nullptr;
-  finished_.store(true, std::memory_order_release);
+
+  // The last loop out stops the refresh thread: no loop is left to push a
+  // job, and a refresh still running (its connection went away meanwhile)
+  // finishes before the thread exits.
+  if (server_->loops_running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    {
+      MutexLock lock(server_->refresh_mutex_);
+      server_->stop_refresh_ = true;
+    }
+    server_->refresh_cv_.NotifyAll();
+  }
 }
 
-void KboostServer::BeginDrain() {
-  draining_.store(true, std::memory_order_release);
-  t_poller->Remove(listen_fd_);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+void KboostServer::Loop::BeginDrain() {
+  poller_.Remove(server_->listen_fd_);
+  ::close(server_->listen_fd_);
+  server_->listen_fd_ = -1;
+  // The acceptor is closed, so no socket enters an inbox from here on: a
+  // loop that sees draining_ may exit once its own connections are done.
+  server_->draining_.store(true, std::memory_order_release);
+  for (const std::unique_ptr<Loop>& loop : server_->loops_) {
+    loop->Wake(kWakeShutdown);
+  }
 }
 
-bool KboostServer::Drained() const {
-  if (refreshes_in_flight_ != 0) return false;
+bool KboostServer::Loop::Drained() const {
   for (const auto& [fd, conn] : connections_) {
-    if (!conn->out.empty()) return false;
+    if (conn->busy || !conn->out.empty()) return false;
   }
   return true;
 }
 
-int KboostServer::ReapStalledPeers() {
+int KboostServer::Loop::ReapStalledPeers() {
   if (watched_ == 0) return -1;
   const int64_t now = SteadyNowNanos();
   int64_t next_expiry = std::numeric_limits<int64_t>::max();
@@ -418,9 +532,9 @@ int KboostServer::ReapStalledPeers() {
   return static_cast<int>((next_expiry - now) / 1'000'000 + 1);
 }
 
-void KboostServer::AcceptNew() {
+void KboostServer::Loop::AcceptNew() {
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(server_->listen_fd_, nullptr, nullptr);
     if (fd < 0) return;  // EAGAIN or transient accept failure: try later
     if (Status s = SetNonBlocking(fd); !s.ok()) {
       ::close(fd);
@@ -428,10 +542,13 @@ void KboostServer::AcceptNew() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (connections_.size() >= options_.max_connections) {
+    // Only this thread raises active_, so the check cannot over-admit; a
+    // loop lowering it concurrently only frees a slot.
+    if (server_->active_.load(std::memory_order_acquire) >=
+        server_->options_.max_connections) {
       // Typed front-door reject: one kUnavailable error frame, then close.
       // A fresh socket's send buffer is empty, so one send carries it.
-      unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
+      server_->unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
       const std::string frame = EncodeErrorFrame(
           0, Status::Unavailable("connection limit reached"));
       [[maybe_unused]] ssize_t ignored =
@@ -439,19 +556,44 @@ void KboostServer::AcceptNew() {
       ::close(fd);
       continue;
     }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    active_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    connections_[fd] = conn;
-    t_poller->Add(fd);
+    server_->active_.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t i =
+        server_->accepted_.fetch_add(1, std::memory_order_relaxed);
+    server_->loops_[i % server_->loops_.size()]->Post(fd);
   }
 }
 
-void KboostServer::ReadFrom(const std::shared_ptr<Connection>& conn) {
+void KboostServer::Loop::HandleInbox() {
+  std::vector<int> fds;
+  std::vector<RefreshJob> replies;
+  {
+    MutexLock lock(inbox_mutex_);
+    fds.swap(inbox_fds_);
+    replies.swap(inbox_replies_);
+  }
+  for (int fd : fds) {
+    auto conn = std::make_shared<Connection>();
+    conn->fd = fd;
+    conn->id = next_conn_id_++;
+    connections_[fd] = conn;
+    poller_.Add(fd);
+  }
+  for (RefreshJob& job : replies) {
+    auto it = connections_.find(job.fd);
+    // The peer went away meanwhile (and its fd may name a newer one).
+    if (it == connections_.end() || it->second->id != job.conn_id) continue;
+    std::shared_ptr<Connection> conn = it->second;
+    conn->busy = false;
+    QueueReply(conn, job.reply);
+    // The reply is out (or pending); pipelined frames may run now.
+    if (conn->fd >= 0) ProcessBuffered(conn);
+  }
+}
+
+void KboostServer::Loop::ReadFrom(const std::shared_ptr<Connection>& conn) {
   char buffer[65536];
   bool progressed = false;
-  while (conn->in.size() <= MaxBufferedInput(options_)) {
+  while (conn->in.size() <= MaxBufferedInput(server_->options_)) {
     const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
     if (n > 0) {
       conn->in.append(buffer, static_cast<size_t>(n));
@@ -474,7 +616,8 @@ void KboostServer::ReadFrom(const std::shared_ptr<Connection>& conn) {
   ProcessBuffered(conn);
 }
 
-void KboostServer::ProcessBuffered(const std::shared_ptr<Connection>& conn) {
+void KboostServer::Loop::ProcessBuffered(
+    const std::shared_ptr<Connection>& conn) {
   // Frames are consumed by offset and the buffer compacted once at the end:
   // erasing each frame would move the rest of the buffer per frame, which
   // is quadratic in the pipelining depth.
@@ -486,14 +629,15 @@ void KboostServer::ProcessBuffered(const std::shared_ptr<Connection>& conn) {
     const uint8_t* frame =
         reinterpret_cast<const uint8_t*>(conn->in.data()) + consumed;
     FrameHeader header;
-    if (Status s = DecodeFrameHeader(frame, options_.max_frame_bytes, &header);
+    if (Status s = DecodeFrameHeader(
+            frame, server_->options_.max_frame_bytes, &header);
         !s.ok()) {
       FailConnection(conn, 0, s);
       break;
     }
     if (available < kFrameHeaderBytes + header.body_len) break;
     consumed += kFrameHeaderBytes + header.body_len;
-    frames_.fetch_add(1, std::memory_order_relaxed);
+    server_->frames_.fetch_add(1, std::memory_order_relaxed);
     HandleFrame(conn, header, frame + kFrameHeaderBytes);
   }
   if (conn->fd < 0) return;  // a send failed: the peer is gone
@@ -509,10 +653,10 @@ void KboostServer::ProcessBuffered(const std::shared_ptr<Connection>& conn) {
   UpdateInterest(conn);
 }
 
-void KboostServer::HandleFrame(const std::shared_ptr<Connection>& conn,
-                               const FrameHeader& header,
-                               const uint8_t* body) {
-  const bool draining = draining_.load(std::memory_order_relaxed);
+void KboostServer::Loop::HandleFrame(const std::shared_ptr<Connection>& conn,
+                                     const FrameHeader& header,
+                                     const uint8_t* body) {
+  const bool draining = server_->draining_.load(std::memory_order_relaxed);
   switch (header.type) {
     case FrameType::kQuery: {
       WireQuery query;
@@ -523,28 +667,28 @@ void KboostServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       }
       WireQueryReply reply;
       if (draining) {
-        unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
+        server_->unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
         reply.status = Status::Unavailable("server shutting down");
       } else {
-        dispatched_.fetch_add(1, std::memory_order_relaxed);
+        server_->dispatched_.fetch_add(1, std::memory_order_relaxed);
         BoostRequest request;
         request.pool = std::move(query.pool);
         request.k = static_cast<size_t>(query.k);
         request.mode = query.mode;
         request.deadline_ms = query.deadline_ms;
-        reply = ToWireReply(service_->Solve(request));
+        reply = ToWireReply(server_->service_->Solve(request));
       }
       QueueReply(conn, EncodeQueryReplyFrame(header.request_id, reply));
       return;
     }
     case FrameType::kStats: {
-      admin_frames_.fetch_add(1, std::memory_order_relaxed);
-      QueueReply(conn,
-                 EncodeStatsReplyFrame(header.request_id, service_->Stats()));
+      server_->admin_frames_.fetch_add(1, std::memory_order_relaxed);
+      QueueReply(conn, EncodeStatsReplyFrame(header.request_id,
+                                             server_->service_->Stats()));
       return;
     }
     case FrameType::kRefresh: {
-      admin_frames_.fetch_add(1, std::memory_order_relaxed);
+      server_->admin_frames_.fetch_add(1, std::memory_order_relaxed);
       WireRefresh refresh;
       if (Status s = DecodeRefreshBody(body, header.body_len, &refresh);
           !s.ok()) {
@@ -552,7 +696,7 @@ void KboostServer::HandleFrame(const std::shared_ptr<Connection>& conn,
         return;
       }
       if (draining) {
-        unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
+        server_->unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
         WireRefreshReply reply;
         reply.status = Status::Unavailable("server shutting down");
         QueueReply(conn, EncodeRefreshReplyFrame(header.request_id, reply));
@@ -561,25 +705,25 @@ void KboostServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       // Loading and preparing a pool takes ms to s: the one job that leaves
       // the loop. The connection's next frame waits for its reply.
       conn->busy = true;
-      ++refreshes_in_flight_;
       {
-        MutexLock lock(refresh_mutex_);
-        refresh_jobs_.push_back(
-            RefreshJob{conn, header.request_id, std::move(refresh), {}});
+        MutexLock lock(server_->refresh_mutex_);
+        server_->refresh_jobs_.push_back(RefreshJob{
+            this, conn->fd, conn->id, header.request_id, std::move(refresh),
+            {}});
       }
-      refresh_cv_.NotifyOne();
+      server_->refresh_cv_.NotifyOne();
       return;
     }
     case FrameType::kShutdown: {
-      admin_frames_.fetch_add(1, std::memory_order_relaxed);
-      if (!options_.allow_remote_shutdown) {
+      server_->admin_frames_.fetch_add(1, std::memory_order_relaxed);
+      if (!server_->options_.allow_remote_shutdown) {
         FailConnection(
             conn, header.request_id,
             Status::FailedPrecondition("remote shutdown is disabled"));
         return;
       }
       QueueReply(conn, EncodeShutdownReplyFrame(header.request_id));
-      RequestShutdown();
+      server_->RequestShutdown();
       return;
     }
     case FrameType::kQueryReply:
@@ -594,13 +738,13 @@ void KboostServer::HandleFrame(const std::shared_ptr<Connection>& conn,
   }
 }
 
-void KboostServer::QueueReply(const std::shared_ptr<Connection>& conn,
-                              const std::string& frame) {
+void KboostServer::Loop::QueueReply(const std::shared_ptr<Connection>& conn,
+                                    const std::string& frame) {
   conn->out.append(frame);
   Flush(conn);
 }
 
-void KboostServer::Flush(const std::shared_ptr<Connection>& conn) {
+void KboostServer::Loop::Flush(const std::shared_ptr<Connection>& conn) {
   size_t sent = 0;
   while (sent < conn->out.size()) {
     const ssize_t n = ::send(conn->fd, conn->out.data() + sent,
@@ -618,48 +762,36 @@ void KboostServer::Flush(const std::shared_ptr<Connection>& conn) {
   if (sent > 0 && conn->watched) conn->progress_ns = SteadyNowNanos();
 }
 
-void KboostServer::FailConnection(const std::shared_ptr<Connection>& conn,
-                                  uint32_t request_id, const Status& error) {
-  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+void KboostServer::Loop::FailConnection(
+    const std::shared_ptr<Connection>& conn, uint32_t request_id,
+    const Status& error) {
+  server_->protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   conn->closing = true;
   QueueReply(conn, EncodeErrorFrame(request_id, error));
 }
 
-void KboostServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
+void KboostServer::Loop::CloseConnection(
+    const std::shared_ptr<Connection>& conn) {
   if (conn->fd < 0) return;
   if (conn->watched) --watched_;
-  t_poller->Remove(conn->fd);
+  // The slot is freed before close(): loop 0 admits on another thread, and
+  // a peer that sees this close must find the slot free when it reconnects.
+  server_->active_.fetch_sub(1, std::memory_order_release);
+  poller_.Remove(conn->fd);
   ::close(conn->fd);
   connections_.erase(conn->fd);
   conn->fd = -1;
-  active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void KboostServer::HandleRefreshReplies() {
-  std::vector<RefreshJob> done;
-  {
-    MutexLock lock(refresh_mutex_);
-    done.swap(refresh_done_);
-  }
-  for (RefreshJob& job : done) {
-    --refreshes_in_flight_;
-    const std::shared_ptr<Connection>& conn = job.conn;
-    if (conn->fd < 0) continue;  // the peer went away meanwhile
-    conn->busy = false;
-    QueueReply(conn, job.reply);
-    // The reply is out (or pending); pipelined frames may run now.
-    if (conn->fd >= 0) ProcessBuffered(conn);
-  }
-}
-
-void KboostServer::UpdateInterest(const std::shared_ptr<Connection>& conn) {
+void KboostServer::Loop::UpdateInterest(
+    const std::shared_ptr<Connection>& conn) {
   const bool want_read = conn->out.empty() && !conn->peer_closed &&
-                         conn->in.size() <= MaxBufferedInput(options_);
+                         conn->in.size() <= MaxBufferedInput(server_->options_);
   const bool want_write = !conn->out.empty();
   if (want_read != conn->want_read || want_write != conn->want_write) {
     conn->want_read = want_read;
     conn->want_write = want_write;
-    t_poller->Update(conn->fd, want_read, want_write);
+    poller_.Update(conn->fd, want_read, want_write);
   }
   // The peer-stall rule times a connection while the server waits on its
   // peer: for a reply the peer does not read, or for the rest of a partial
@@ -704,12 +836,8 @@ void KboostServer::RefreshLoop() {
       }
     }
     job.reply = EncodeRefreshReplyFrame(job.request_id, reply);
-    {
-      MutexLock lock(refresh_mutex_);
-      refresh_done_.push_back(std::move(job));
-    }
-    const char byte = kWakeRefresh;
-    [[maybe_unused]] ssize_t ignored = ::write(wake_write_fd_, &byte, 1);
+    Loop* loop = job.loop;
+    loop->Post(std::move(job));
   }
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -57,43 +56,55 @@ struct ServerCounters {
 /// The kboostd serving front-end: exposes one BoostService over TCP with
 /// the length-prefixed binary protocol of src/net/wire.h.
 ///
-/// Threading model: two threads. The event loop (epoll on Linux, poll
-/// elsewhere) owns the listening socket and every connection: it reads and
-/// extracts frames, answers QUERY, STATS, SHUTDOWN and every reject or error
-/// inline, and performs every socket write. A prepared solve is an O(k)
-/// slice of cached orders, so BoostService::Solve runs right on the loop:
-/// decode, solve, encode, append to the connection's output buffer, one
+/// Threading model: N = NumLoops() event loops, one per two hardware
+/// threads (epoll on Linux, poll elsewhere), plus one refresh thread.
+/// Loop 0 also owns the listening socket: it accepts, checks
+/// max_connections against the server-wide active-connection gauge, and
+/// deals accepted connection i to loop i mod N through that loop's inbox.
+/// From then on the connection belongs to its loop alone, which reads and
+/// extracts its frames, answers QUERY, STATS, SHUTDOWN and every reject or
+/// error inline, and performs every write to its socket. A prepared solve
+/// is an O(k) slice of cached orders, and BoostService::Solve is safe to
+/// call concurrently, so each loop solves right on its own thread: decode,
+/// solve, encode, append to the connection's output buffer, one
 /// non-blocking send. Write interest is registered only when bytes remain.
-/// REFRESH alone (loading and preparing a pool, ms to s) goes to one
-/// background refresh thread, which hands the encoded reply back for the
-/// loop to write.
+/// REFRESH alone (loading and preparing a pool, ms to s) goes to the
+/// refresh thread, which hands the encoded reply back through the inbox of
+/// the loop that owns the connection. A host with fewer than four hardware
+/// threads runs the same code with one loop.
 ///
 /// One request is processed per connection at a time: while a connection
 /// has a reply pending or a refresh in flight, its next frame waits (and
-/// while a reply is pending, the loop does not read at all), so at most one
-/// reply is ever buffered per connection. Pipelined frames are answered in
-/// order. A peer that stops reading its replies, or that leaves a partial
-/// frame hanging, is closed after kPeerStallMs without progress; it never
-/// blocks the loop or another connection.
+/// while a reply is pending, its loop does not read it at all), so at most
+/// one reply is ever buffered per connection. Pipelined frames are answered
+/// in order, in one pass of their loop, so connections on the same loop
+/// wait for that pass. A peer that stops reading its replies, or that
+/// leaves a partial frame hanging, is closed after kPeerStallMs without
+/// progress; it never blocks its loop or another connection.
 ///
 /// Per-request deadlines resolve through BoostService's single-budget
 /// deadline path: the wire deadline_ms lands in BoostRequest::deadline_ms
 /// untouched, and Solve() converts it once at entry to an absolute deadline
-/// covering admission and solve only. Time spent on the loop and in the
-/// sockets before Solve() is entered is not charged to the budget. Since the
-/// loop is the service's only solver, an admission budget configured on the
-/// service never binds here. Every overload outcome (deadline miss, shutdown
-/// reject, connection limit) travels as a typed frame; a connection is only
-/// closed without a reply when the peer vanished or stalled, or sent bytes
-/// that do not parse as a frame (and then an error frame is attempted first).
+/// covering admission and solve only. Time spent on a loop and in the
+/// sockets before Solve() is entered is not charged to the budget. With N
+/// loops solving at once, an admission budget configured on the service
+/// can bind: a queued query waits on its loop's thread, and a shed one is
+/// answered typed ResourceExhausted. Every
+/// overload outcome (shed, deadline miss, shutdown reject, connection
+/// limit) travels as a typed frame; a connection is only closed without a
+/// reply when the peer vanished or stalled, or sent bytes that do not parse
+/// as a frame (and then an error frame is attempted first).
 ///
 /// Graceful shutdown (RequestShutdown, a SHUTDOWN frame, or an installed
-/// SIGINT/SIGTERM handler): the acceptor closes, frames that arrive after it
-/// are answered kUnavailable, refresh jobs not yet started are answered
-/// kUnavailable, and the loop exits once no refresh is running and every
-/// connection's output is flushed or reaped. It then joins the refresh
-/// thread and closes every connection. Admission slots cannot leak: they are
-/// RAII tickets inside Solve, and nothing is in flight when the loop exits.
+/// SIGINT/SIGTERM handler): loop 0 closes the acceptor and fans the drain
+/// out to every loop. Frames that arrive after it are answered
+/// kUnavailable, refresh jobs not yet started are answered kUnavailable,
+/// and each loop exits once none of its connections has a refresh running
+/// or output unflushed (or the peer-stall rule reaped it); it then closes
+/// its connections; the last loop out stops the refresh thread. Wait()
+/// joins every loop, then the refresh thread. Admission slots cannot leak:
+/// they are RAII tickets inside Solve, and every Solve a loop starts runs
+/// to completion before that loop exits.
 class KboostServer {
  public:
   /// Binds, listens and starts the event-loop and refresh threads. `service`
@@ -102,6 +113,15 @@ class KboostServer {
   static StatusOr<std::unique_ptr<KboostServer>> Start(
       BoostService* service, const ServerOptions& options);
 
+  /// The number of event loops a server runs: DefaultThreadCount() / 2, at
+  /// least one. Each loop does its queries' CPU work inline; the other half
+  /// of the hardware threads is left to the peers and to the kernel's side
+  /// of every send and receive. A loop per hardware thread oversubscribes
+  /// the CPUs when callers share the host: each caller gets a private loop,
+  /// and throughput then swings from run to run with whether the scheduler
+  /// puts each caller on its loop's CPU.
+  static int NumLoops();
+
   /// Graceful shutdown + join, if still running.
   ~KboostServer();
 
@@ -109,121 +129,99 @@ class KboostServer {
   uint16_t port() const { return port_; }
 
   /// Requests graceful shutdown and returns immediately. Callable from any
-  /// thread: it is one atomic store and one write() to the event loop's
-  /// wake pipe.
+  /// thread: it is one atomic store and one write() to loop 0's wake pipe.
   void RequestShutdown();
 
   /// RequestShutdown() + Wait().
   void Shutdown();
 
-  /// Blocks until the server has fully shut down (event loop exited,
-  /// refresh thread joined, all connections closed).
+  /// Blocks until the server has fully shut down (every loop exited and
+  /// joined, the refresh thread joined, all connections closed).
   void Wait();
 
   bool shutdown_requested() const {
     return shutdown_requested_.load(std::memory_order_acquire);
   }
-  /// True once Wait() would return without blocking.
+  /// True once Wait() has completed the shutdown.
   bool finished() const { return finished_.load(std::memory_order_acquire); }
 
   /// Installs SIGINT/SIGTERM handlers that RequestShutdown() this server
   /// (at most one server per process may install them; FailedPrecondition
-  /// otherwise). The handler is one async-signal-safe write to the wake
-  /// pipe. Handlers are restored when this server is destroyed.
+  /// otherwise). The handler is one async-signal-safe write to loop 0's
+  /// wake pipe. Handlers are restored when this server is destroyed.
   Status InstallSignalHandlers();
 
   ServerCounters counters() const;
 
  private:
   struct Connection;
+  class Loop;
 
   /// One REFRESH on its way to the refresh thread and, with `reply` filled
-  /// in, back to the loop. `conn` only identifies the connection: the
-  /// refresh thread never touches it, and a reply whose connection closed
-  /// meanwhile is dropped.
+  /// in, back to `loop`, the loop that owns the connection. The job names
+  /// its connection by fd and the id the loop gave it, so the refresh
+  /// thread holds no reference into loop state, and a reply whose
+  /// connection closed meanwhile is dropped.
   struct RefreshJob {
-    std::shared_ptr<Connection> conn;
+    Loop* loop = nullptr;
+    int fd = -1;
+    uint64_t conn_id = 0;
     uint32_t request_id = 0;
     WireRefresh refresh;
     std::string reply;
   };
 
-  KboostServer(BoostService* service, const ServerOptions& options)
-      : service_(service), options_(options) {}
+  KboostServer(BoostService* service, const ServerOptions& options);
 
   Status Listen();
-  void EventLoop();
   void RefreshLoop();
-
-  // Event-loop internals (called only from the event-loop thread).
-  void AcceptNew();
-  void ReadFrom(const std::shared_ptr<Connection>& conn);
-  void ProcessBuffered(const std::shared_ptr<Connection>& conn);
-  void HandleFrame(const std::shared_ptr<Connection>& conn,
-                   const FrameHeader& header, const uint8_t* body);
-  void QueueReply(const std::shared_ptr<Connection>& conn,
-                  const std::string& frame);
-  void Flush(const std::shared_ptr<Connection>& conn);
-  void FailConnection(const std::shared_ptr<Connection>& conn,
-                      uint32_t request_id, const Status& error);
-  void CloseConnection(const std::shared_ptr<Connection>& conn);
-  void HandleRefreshReplies();
-  void UpdateInterest(const std::shared_ptr<Connection>& conn);
-  /// Closes every connection past the peer-stall rule and returns the poll
-  /// timeout (ms) until the next one could be, or -1 when none is timed.
-  int ReapStalledPeers();
-  /// No refresh is running and no connection has output pending.
-  bool Drained() const;
-  void BeginDrain();
 
   BoostService* service_;
   const ServerOptions options_;
   uint16_t port_ = 0;
+  /// Loop 0's once the loops run; it closes the acceptor when the drain
+  /// begins. No other loop reads it.
   int listen_fd_ = -1;
 
-  // ---- The wake pipe and the drain handshake -------------------------------
+  // ---- The loops, their inboxes and the drain handshake --------------------
   //
-  // The event loop sleeps in epoll/poll; everything that must get its
-  // attention writes ONE tagged byte to this self-pipe instead of touching
-  // loop state directly:
-  //   'c' — the refresh thread finished a job (refresh_done_ has it),
-  //   'q' — some thread called RequestShutdown(),
+  // Each loop sleeps in its own epoll/poll. Another thread never touches a
+  // loop's connections; it reaches the loop only through the loop's inbox
+  // (one push under the inbox mutex) plus ONE tagged byte on the loop's
+  // wake pipe:
+  //   'c' — the inbox holds something: a socket loop 0 accepted for this
+  //         loop, or a REFRESH reply from the refresh thread,
+  //   'q' — shutdown: RequestShutdown() to loop 0, or loop 0's drain fan-out
+  //         to every loop,
   //   'T' — the installed SIGINT/SIGTERM handler fired (the only operation
-  //         a signal context performs is this async-signal-safe write()).
-  // The loop drains the pipe, folds 'T' into shutdown_requested_, and acts
-  // on its OWN thread — so connection/drain state needs no lock and no
-  // signal-safety gymnastics. Shutdown then proceeds in one direction:
-  //   shutdown_requested_ → BeginDrain() (close acceptor, set draining_) →
-  //   no refresh running and every output flushed or reaped →
-  //   stop_refresh_ under refresh_mutex_ → refresh thread joined →
-  //   connections closed → finished_.
+  //         a signal context performs is this async-signal-safe write() to
+  //         loop 0's pipe).
+  // A loop drains its pipe, folds 'T' into shutdown_requested_, empties
+  // its inbox and acts on its OWN thread — so connection/drain state needs
+  // no lock and no signal-safety gymnastics. Shutdown then proceeds in one
+  // direction:
+  //   shutdown_requested_ → loop 0 closes the acceptor, sets draining_ and
+  //   wakes every loop (so no socket enters an inbox after draining_) →
+  //   each loop, once none of its connections has a refresh running or
+  //   output pending, takes the last sockets from its inbox, closes every
+  //   connection and exits; the last one out (loops_running_ reaches 0)
+  //   sets stop_refresh_ under refresh_mutex_ → Wait() joins the loops and
+  //   the refresh thread → finished_.
   // No step is ever reversed, which is why each flag can be an independent
-  // atomic rather than multi-field state under one lock.
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
+  // atomic rather than multi-field state under one lock. The vector itself
+  // is fixed before the first loop starts.
+  std::vector<std::unique_ptr<Loop>> loops_;
+  std::atomic<size_t> loops_running_{0};  ///< counts down as loops exit
 
-  std::thread io_thread_;
   std::thread refresh_thread_;
 
-  // The refresh handoff: the loop pushes jobs, the refresh thread pushes
-  // them back with the reply encoded. At most one job per connection is in
-  // flight, so max_connections bounds both queues.
+  // The refresh queue: loops push jobs; each reply goes back through the
+  // inbox of the job's loop. At most one job per connection is in flight,
+  // so max_connections bounds the queue.
   Mutex refresh_mutex_;
   CondVar refresh_cv_;
   std::deque<RefreshJob> refresh_jobs_ KB_GUARDED_BY(refresh_mutex_);
-  std::vector<RefreshJob> refresh_done_ KB_GUARDED_BY(refresh_mutex_);
   bool stop_refresh_ KB_GUARDED_BY(refresh_mutex_) = false;
-
-  // Event-loop-owned state (no lock by design: only the event-loop thread
-  // touches the map, the Connection objects and these fields, from
-  // EventLoop and the helpers it calls; the refresh thread holds
-  // shared_ptr<Connection> only as an identity. Thread ownership is
-  // invisible to -Wthread-safety, so the contract is documented here and
-  // enforced by keeping every accessor private to the event-loop section
-  // above).
-  std::map<int, std::shared_ptr<Connection>> connections_;
-  size_t refreshes_in_flight_ = 0;  ///< pushed, reply not yet picked up
-  size_t watched_ = 0;  ///< connections the peer-stall rule is timing
 
   // One-way lifecycle flags (see the drain-handshake comment above). Each is
   // set-once-and-sticky, read with one relaxed/acquire load — none of them
@@ -236,13 +234,17 @@ class KboostServer {
   Mutex join_mutex_;  // serializes Wait() callers
   bool joined_ KB_GUARDED_BY(join_mutex_) = false;
 
-  // Counters (relaxed; read by counters()).
+  // Counters (relaxed; read by counters()). accepted_ is also the acceptor's
+  // round-robin cursor: only loop 0 increments it.
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> frames_{0};
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> dispatched_{0};
   std::atomic<uint64_t> unavailable_rejects_{0};
   std::atomic<uint64_t> admin_frames_{0};
+  /// Open connections, the gauge max_connections is checked against. Only
+  /// loop 0 raises it (at accept); the owning loop lowers it before close(),
+  /// so a peer that sees its connection closed finds the slot free.
   std::atomic<uint64_t> active_{0};
 };
 

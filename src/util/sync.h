@@ -23,7 +23,7 @@
 ///    std::atomic and are NOT annotated; the comment on the field names the
 ///    discipline instead (the analysis has no vocabulary for "atomic gauge
 ///    published under a lock").
-///  - State owned by a single thread (e.g. the KboostServer event loop's
+///  - State owned by a single thread (e.g. each KboostServer event loop's
 ///    connection map) is documented with an ownership comment, not a fake
 ///    mutex — the analysis cannot see thread identity, and a lock taken only
 ///    to satisfy it would cost real cycles on the hot path.

@@ -13,7 +13,10 @@
 //     overflow with kUnavailable, serves STATS/REFRESH/SHUTDOWN admin
 //     frames, and never lets one peer stall another: a peer that stops
 //     reading its replies or leaves a partial frame hanging is closed after
-//     kPeerStallMs, and a failed Start leaks no descriptor.
+//     kPeerStallMs. Each event loop answers its own connections while the
+//     others answer theirs, a REFRESH reply reaches the loop that owns its
+//     connection, and neither a failed nor a finished Start leaks a
+//     descriptor.
 //  3. Shutdown: SIGTERM mid-storm drains gracefully — acceptor closed,
 //     later frames answered kUnavailable, every reply flushed — with zero
 //     leaked admission slots and only typed outcomes observed by every
@@ -35,6 +38,7 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -526,6 +530,17 @@ class NetServerTest : public ::testing::Test {
     ASSERT_TRUE(service_->AddPool("pool", std::move(session).value()).ok());
   }
 
+  /// Saves to `path` a snapshot of a pool identical to "pool" (same graph,
+  /// seeds and options): the twin the REFRESH tests swap in, which answers
+  /// with the same bits under the next version.
+  void SaveTwinSnapshot(const std::string& path) {
+    StatusOr<std::unique_ptr<BoostSession>> twin =
+        BoostSession::Create(graph_, {0, 1, 2}, MakeOptions(8));
+    ASSERT_TRUE(twin.ok());
+    (*twin)->Prepare();
+    ASSERT_TRUE(SavePoolSnapshot(**twin, path, PoolSaveOptions{}).ok());
+  }
+
   void StartServer(ServerOptions options = ServerOptions()) {
     StatusOr<std::unique_ptr<KboostServer>> server =
         KboostServer::Start(service_.get(), options);
@@ -694,13 +709,7 @@ TEST_F(NetServerTest, RefreshMidStormKeepsEveryAnswer) {
   const std::vector<WireQuery> queries = KModeStream();
   const std::vector<BoostResponse> reference = InProcessAnswers(queries);
   const std::string snapshot = TempPath("net_test_refresh_storm.pool");
-  {
-    StatusOr<std::unique_ptr<BoostSession>> twin =
-        BoostSession::Create(graph_, {0, 1, 2}, MakeOptions(8));
-    ASSERT_TRUE(twin.ok());
-    (*twin)->Prepare();
-    ASSERT_TRUE(SavePoolSnapshot(**twin, snapshot, PoolSaveOptions{}).ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(SaveTwinSnapshot(snapshot));
   // The twin answers with the same bits under the next version.
   std::vector<BoostResponse> twin_reference = reference;
   for (BoostResponse& r : twin_reference) r.pool_version = 2;
@@ -763,6 +772,45 @@ TEST_F(NetServerTest, RefreshMidStormKeepsEveryAnswer) {
   EXPECT_GT(per_version[1].load(), 0u);
   EXPECT_GT(per_version[2].load(), 0u);
   ExpectDrained();
+}
+
+/// A REFRESH reply returns through the inbox of the loop that owns its
+/// connection. Connection i lands on loop i mod N, so N + 1 connections
+/// cover every loop (loop 0 twice); each refreshes in turn and then answers
+/// from the refreshed pool.
+TEST_F(NetServerTest, RefreshRepliesReachTheLoopThatOwnsTheConnection) {
+  StartService();
+  StartServer();
+  const std::vector<WireQuery> queries = KModeStream();
+  const std::vector<BoostResponse> reference = InProcessAnswers(queries);
+  const std::string snapshot = TempPath("net_test_refresh_loops.pool");
+  ASSERT_NO_FATAL_FAILURE(SaveTwinSnapshot(snapshot));
+  std::vector<std::unique_ptr<KboostClient>> clients;
+  for (int i = 0; i <= KboostServer::NumLoops(); ++i) {
+    clients.push_back(MustConnect());
+    ASSERT_NE(clients.back(), nullptr);
+  }
+
+  uint64_t version = service_->PoolVersion("pool");
+  for (size_t i = 0; i < clients.size(); ++i) {
+    StatusOr<WireRefreshReply> refreshed =
+        clients[i]->Refresh(WireRefresh{"pool", snapshot});
+    ASSERT_TRUE(refreshed.ok())
+        << "connection " << i << ": " << refreshed.status().ToString();
+    ASSERT_TRUE(refreshed->status.ok()) << refreshed->status.ToString();
+    EXPECT_GT(refreshed->version, version) << "connection " << i;
+    version = refreshed->version;
+
+    // The twin answers with the same bits under the new version.
+    const size_t q = i % queries.size();
+    StatusOr<WireQueryReply> reply = clients[i]->Query(queries[q]);
+    ASSERT_TRUE(reply.ok())
+        << "connection " << i << ": " << reply.status().ToString();
+    BoostResponse want = reference[q];
+    want.pool_version = version;
+    EXPECT_TRUE(SameAnswer(*reply, want)) << "connection " << i;
+  }
+  std::remove(snapshot.c_str());
 }
 
 TEST_F(NetServerTest, UnknownPoolIsTypedNotFoundOverTheWire) {
@@ -896,14 +944,7 @@ TEST_F(NetServerTest, StatsAndRefreshAdminFramesWork) {
   EXPECT_EQ(before.value().pool_version, 1u);
 
   const std::string snapshot = TempPath("net_test_refresh.pool");
-  {
-    StatusOr<std::unique_ptr<BoostSession>> twin =
-        BoostSession::Create(graph_, {0, 1, 2}, MakeOptions(8));
-    ASSERT_TRUE(twin.ok());
-    (*twin)->Prepare();
-    ASSERT_TRUE(
-        SavePoolSnapshot(**twin, snapshot, PoolSaveOptions{}).ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(SaveTwinSnapshot(snapshot));
   StatusOr<WireRefreshReply> refreshed =
       client->Refresh(WireRefresh{"pool", snapshot});
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
@@ -1037,6 +1078,45 @@ TEST_F(NetServerTest, PipelinedQueriesAreAnsweredInOrderBitIdentically) {
   ::close(fd);
 }
 
+/// Each loop answers its own connections: two stalled solves on two
+/// connections overlap instead of queueing behind one loop.
+TEST_F(NetServerTest, LoopsAnswerTheirConnectionsConcurrently) {
+  if (KboostServer::NumLoops() < 2) {
+    GTEST_SKIP() << "fewer than four hardware threads run one loop";
+  }
+  StartService();
+  StartServer();
+  // Consecutive connections land on different loops (i mod N).
+  std::unique_ptr<KboostClient> clients[] = {MustConnect(), MustConnect()};
+  for (const std::unique_ptr<KboostClient>& client : clients) {
+    ASSERT_NE(client, nullptr);
+  }
+
+  // Every solve stalls 300 ms, so one loop answering both queries would
+  // send the second reply no earlier than 600 ms after the two were sent.
+  FaultInjector::Plan stall;
+  stall.delay_micros = 300'000;
+  FaultInjector::Global().Arm(FaultSite::kSolveStart, stall);
+  std::latch start(2);
+  double elapsed_ms[2] = {0.0, 0.0};
+  std::vector<std::thread> senders;
+  for (int c = 0; c < 2; ++c) {
+    senders.emplace_back([&, c] {
+      start.arrive_and_wait();
+      const auto sent_at = std::chrono::steady_clock::now();
+      StatusOr<WireQueryReply> reply = clients[c]->Query(WireQuery{"pool", 4});
+      elapsed_ms[c] = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - sent_at)
+                          .count();
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_TRUE(reply->status.ok()) << reply->status.ToString();
+    });
+  }
+  for (std::thread& sender : senders) sender.join();
+  EXPECT_LT(elapsed_ms[0], 450.0);
+  EXPECT_LT(elapsed_ms[1], 450.0);
+}
+
 TEST_F(NetServerTest, NonReadingFlooderNeitherDelaysOthersNorKeepsItsSlot) {
   StartService();
   StartServer();
@@ -1148,8 +1228,9 @@ TEST_F(NetServerTest, FailedStartsLeakNoDescriptors) {
     GTEST_SKIP() << "needs /proc/self/fd";
   }
   StartService();
-  // A plain listener holds the port the in-use starts collide with; no
-  // server thread runs, so nothing else opens or closes a descriptor here.
+  // A plain listener holds the port the in-use starts collide with. Each
+  // server below is shut down and destroyed before a count is taken, so
+  // nothing else opens or closes a descriptor meanwhile.
   const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(holder, 0);
   struct sockaddr_in addr = {};
@@ -1175,6 +1256,27 @@ TEST_F(NetServerTest, FailedStartsLeakNoDescriptors) {
     EXPECT_EQ(
         KboostServer::Start(service_.get(), bad_address).status().code(),
         StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(OpenFdCount(), before);
+
+  // Successful cycles leak none either: N + 1 connections put one on every
+  // loop, and after the shutdown every loop's poller, wake pipe and
+  // accepted socket is closed.
+  for (int i = 0; i < 10; ++i) {
+    StatusOr<std::unique_ptr<KboostServer>> server =
+        KboostServer::Start(service_.get(), ServerOptions());
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    std::vector<std::unique_ptr<KboostClient>> clients;
+    for (int c = 0; c <= KboostServer::NumLoops(); ++c) {
+      StatusOr<std::unique_ptr<KboostClient>> client =
+          KboostClient::Connect("127.0.0.1", (*server)->port());
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      StatusOr<WireQueryReply> reply = (*client)->Query(WireQuery{"pool", 1});
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_TRUE(reply->status.ok()) << reply->status.ToString();
+      clients.push_back(std::move(client).value());
+    }
+    (*server)->Shutdown();
   }
   EXPECT_EQ(OpenFdCount(), before);
   ::close(holder);

@@ -5,13 +5,14 @@
 //           [--listen=7447] [--bind=ADDR] [--mmap-pool] [--threads=N]
 //           [--deadline-ms=N] [--max-connections=N] [--no-remote-shutdown]
 //
-// One event-loop thread answers every query, STATS and SHUTDOWN frame and
-// writes every reply; one background thread runs REFRESH. --listen=0 (the
-// default) binds an ephemeral port and prints it; scripts parse the
-// "kboostd listening on HOST:PORT" line. SIGINT/SIGTERM trigger the
-// graceful drain (acceptor closed, later frames answered kUnavailable,
-// every reply flushed, exit 0). `kboost_cli serve` runs the identical
-// command in-process.
+// One event loop per two hardware threads: loop 0 accepts and deals
+// connections round-robin, and each loop answers its connections' query, STATS
+// and SHUTDOWN frames and writes their replies; one background thread runs
+// REFRESH and hands each reply back to the connection's loop. --listen=0 (the
+// default) binds an ephemeral port and prints it; scripts parse the "kboostd
+// listening on HOST:PORT" line. SIGINT/SIGTERM trigger the graceful drain
+// (acceptor closed, later frames answered kUnavailable, every reply flushed,
+// exit 0). `kboost_cli serve` runs the identical command in-process.
 
 #include "src/net/daemon.h"
 
