@@ -168,37 +168,32 @@ bool NodesInRange(const std::vector<NodeId>& nodes, size_t num_nodes,
   return true;
 }
 
-/// Parses one signed integer flag (--threads, --shards) if present: syntax
-/// errors are rejected here, the valid range is owned by
-/// BoostOptions::Validate() (the one place the CLI, set_num_threads and
+/// Parses --threads if present: syntax errors are rejected here, the valid
+/// range is owned by BoostOptions::Validate() (the one place the CLI and
 /// BoostSession::Create agree on ranges). Returns false on a syntax error;
-/// `*out` stays 0 when the flag is absent.
-bool ParseIntFlag(int argc, char** argv, const char* flag_name, int* out) {
-  *out = 0;
-  const char* text = FlagValue(argc, argv, flag_name);
+/// `*threads` stays 0 when the flag is absent.
+bool ParseThreadsFlag(int argc, char** argv, int* threads) {
+  *threads = 0;
+  const char* text = FlagValue(argc, argv, "--threads");
   if (text == nullptr) return true;
   char* end = nullptr;
   errno = 0;
   const long value = std::strtol(text, &end, 10);
   if (end == text || *end != '\0') {
-    std::fprintf(stderr, "error: %s must be an integer, got '%s'\n",
-                 flag_name, text);
+    std::fprintf(stderr, "error: --threads must be an integer, got '%s'\n",
+                 text);
     return false;
   }
   // A strtol overflow (or a value outside int) saturates so that
   // BoostOptions::Validate rejects it with its range message.
   if (errno == ERANGE || value > std::numeric_limits<int>::max()) {
-    *out = std::numeric_limits<int>::max();
+    *threads = std::numeric_limits<int>::max();
   } else if (value < std::numeric_limits<int>::min()) {
-    *out = std::numeric_limits<int>::min();
+    *threads = std::numeric_limits<int>::min();
   } else {
-    *out = static_cast<int>(value);
+    *threads = static_cast<int>(value);
   }
   return true;
-}
-
-bool ParseThreadsFlag(int argc, char** argv, int* threads) {
-  return ParseIntFlag(argc, argv, "--threads", threads);
 }
 
 int Usage() {
@@ -212,7 +207,7 @@ int Usage() {
       "  boost --graph=PATH --seeds=a,b,c --k=N [--lb] [--epsilon=F]\n"
       "        [--seed=N] [--k-sweep=a,b,c] [--save-pool=PATH]\n"
       "        [--codec=nop|varint] [--load-pool=PATH] [--mmap-pool]\n"
-      "        [--threads=N] [--shards=S]\n"
+      "        [--threads=N]\n"
       "      run PRR-Boost (or PRR-Boost-LB with --lb); prints the boost\n"
       "      set and its Monte-Carlo-verified boost. --k-sweep answers\n"
       "      every listed budget from ONE sampled pool (a BoostSession);\n"
@@ -220,22 +215,20 @@ int Usage() {
       "      the arena sections for cold storage), --load-pool serves from\n"
       "      a snapshot without resampling (seeds/mode come from the file)\n"
       "      and --mmap-pool maps it instead of copying it in (zero-copy\n"
-      "      for a nop-coded snapshot); --threads runs sampling and the\n"
-      "      index builds on N workers (each solve runs on one);\n"
-      "      --shards splits the pool into S arenas for parallel\n"
-      "      sampling/refresh/snapshot I/O (answers are bit-identical for\n"
-      "      every S)\n"
+      "      for a nop-coded snapshot); --threads samples the pool on N\n"
+      "      workers (the pool and every answer are bit-identical for\n"
+      "      every N; each solve runs on one thread)\n"
       "  evaluate --graph=PATH --seeds=a,b,c --boost=x,y,z [--sims=N]\n"
       "      Monte-Carlo estimate of the spread and boost of a given set\n"
       "  serve --graph=PATH --pool=NAME=SNAPSHOT [--pool=...]\n"
-      "        [--listen=PORT] [--bind=ADDR] [--mmap-pool] [--threads=N]\n"
+      "        [--listen=PORT] [--bind=ADDR] [--mmap-pool]\n"
       "        [--deadline-ms=N] [--max-connections=N]\n"
       "        [--no-remote-shutdown]\n"
       "      run the kboostd network server in-process: serve the listed\n"
       "      pool snapshots over TCP (docs/PROTOCOL.md) from one event\n"
-      "      loop, with REFRESH on one background thread, until SIGINT or\n"
-      "      SIGTERM triggers the graceful drain; --listen=0 binds an\n"
-      "      ephemeral port and prints it\n"
+      "      loop per two usable CPUs, with REFRESH on one background\n"
+      "      thread, until SIGINT or SIGTERM triggers the graceful drain;\n"
+      "      --listen=0 binds an ephemeral port and prints it\n"
       "  query --connect=HOST:PORT --k=N [--pool=NAME]\n"
       "        [--mode=auto|full|lb] [--deadline-ms=N] [--timeout-ms=N]\n"
       "      round-trip one query against a running kboostd and print the\n"
@@ -313,7 +306,7 @@ int CmdBoost(int argc, char** argv) {
   if (!ValidateFlags(argc, argv,
                      {"--graph", "--seeds", "--k", "--k-sweep", "--epsilon",
                       "--seed", "--save-pool", "--load-pool", "--codec",
-                      "--threads", "--shards"},
+                      "--threads"},
                      {"--lb", "--mmap-pool"})) {
     return 2;
   }
@@ -324,9 +317,6 @@ int CmdBoost(int argc, char** argv) {
   const bool has_threads = FlagValue(argc, argv, "--threads") != nullptr;
   int threads = 0;
   if (!ParseThreadsFlag(argc, argv, &threads)) return 2;
-  const bool has_shards = FlagValue(argc, argv, "--shards") != nullptr;
-  int shards = 0;
-  if (!ParseIntFlag(argc, argv, "--shards", &shards)) return 2;
   const char* load_pool = FlagValue(argc, argv, "--load-pool");
   const char* save_pool = FlagValue(argc, argv, "--save-pool");
   const char* codec_s = FlagValue(argc, argv, "--codec");
@@ -357,10 +347,10 @@ int CmdBoost(int argc, char** argv) {
     return 2;
   }
   if (load_pool != nullptr) {
-    // Mode, sampling options, seeds and the shard layout come from the
-    // snapshot; accepting these flags alongside --load-pool would silently
-    // discard them.
-    for (const char* name : {"--seeds", "--epsilon", "--seed", "--shards"}) {
+    // Mode, sampling options and seeds come from the snapshot, and a loaded
+    // pool never samples, so --threads has nothing to size; accepting these
+    // flags alongside --load-pool would silently discard them.
+    for (const char* name : {"--seeds", "--epsilon", "--seed"}) {
       if (FlagValue(argc, argv, name) != nullptr) {
         std::fprintf(stderr,
                      "error: %s comes from the pool snapshot; it cannot be "
@@ -368,6 +358,12 @@ int CmdBoost(int argc, char** argv) {
                      name);
         return 2;
       }
+    }
+    if (has_threads) {
+      std::fprintf(stderr,
+                   "error: --threads sizes sampling, and a loaded pool never "
+                   "samples; it cannot be combined with --load-pool\n");
+      return 2;
     }
     if (HasFlag(argc, argv, "--lb")) {
       std::fprintf(stderr,
@@ -397,19 +393,11 @@ int CmdBoost(int argc, char** argv) {
       return 1;
     }
     session = std::move(loaded).value();
-    if (has_threads) {
-      if (Status s = session->set_num_threads(threads); !s.ok()) {
-        std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-        return 2;
-      }
-    }
-    std::printf(
-        "loaded pool %s: budget=%zu theta=%zu mode=%s shards=%zu%s\n",
-        load_pool, session->budget(),
-        session->engine().collection().num_samples(),
-        session->lb_only() ? "lb" : "full",
-        session->engine().collection().num_shards(),
-        mmap_pool ? " (mmap)" : "");
+    std::printf("loaded pool %s: budget=%zu theta=%zu mode=%s%s\n", load_pool,
+                session->budget(),
+                session->engine().collection().num_samples(),
+                session->lb_only() ? "lb" : "full",
+                mmap_pool ? " (mmap)" : "");
   } else {
     BoostOptions options;
     options.k = k_flag;
@@ -420,7 +408,6 @@ int CmdBoost(int argc, char** argv) {
       return 2;
     }
     if (has_threads) options.num_threads = threads;
-    if (has_shards) options.num_shards = shards;
     StatusOr<std::unique_ptr<BoostSession>> created = BoostSession::Create(
         g.value(), seeds, options, HasFlag(argc, argv, "--lb"));
     if (!created.ok()) {

@@ -186,14 +186,15 @@ DirectedGraph CorpusGraph() {
 }
 
 // v3 layout landmarks (tests/snapshot_test.cc documents the layout): the
-// 128-byte header, the 32-byte extension, the seed list, then the per-shard
+// 128-byte header, the 32-byte extension, the seed list, then the arena's
 // section directory.
 constexpr size_t kVersionOffset = 8;
 constexpr size_t kNumThreadsOffset = 64;
+constexpr size_t kNumShardsOffset = 68;
 constexpr size_t kEndianOffset = 128;
 size_t DirOffset(size_t num_seeds) { return 128 + 32 + 4 * num_seeds; }
-size_t SectionEntryOffset(size_t dir, size_t shard, size_t section) {
-  return dir + shard * (8 + 8 * 32) + 8 + section * 32;
+size_t SectionEntryOffset(size_t dir, size_t section) {
+  return dir + 8 + section * 32;
 }
 
 void GenerateSnapshotCorpus(const fs::path& dir) {
@@ -205,7 +206,6 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   options.k = 2;
   options.seed = 11;
   options.num_threads = 2;
-  options.num_shards = 2;
   options.max_samples = 64;  // keep the checked-in seed files a few KiB
   BoostSession session(graph, seeds, options);
   session.Prepare();
@@ -236,43 +236,47 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   WriteCase(dir, "v3_lb_only.bin", v3_lb);
 
   // Older formats are rejected typed, asking for a re-save: a v3 file whose
-  // header claims version 2 exercises that gate.
+  // header claims version 2 exercises that gate, and one whose header claims
+  // two arenas (older builds could split a pool) the single-arena gate.
   std::string version2 = v3_nop;
   PokeU32(&version2, kVersionOffset, 2);
   WriteCase(dir, "version2_header.bin", version2);
+  std::string two_arenas = v3_nop;
+  PokeU32(&two_arenas, kNumShardsOffset, 2);
+  WriteCase(dir, "two_arena_header.bin", two_arenas);
 
   // The PR 9 corruption matrix as seed files: each is the valid v3-nop
   // snapshot with one structural lie, mirroring tests/snapshot_test.cc.
   const size_t d = DirOffset(seeds.size());
-  KB_CHECK(v3_nop.size() > SectionEntryOffset(d, 1, 7) + 32);
+  KB_CHECK(v3_nop.size() > SectionEntryOffset(d, 7) + 32);
 
   WriteCase(dir, "truncated.bin", v3_nop.substr(0, v3_nop.size() - 5));
   WriteCase(dir, "truncated_header.bin", v3_nop.substr(0, 40));
 
   std::string misaligned = v3_nop;
-  const size_t entry0 = SectionEntryOffset(d, 0, 0);
+  const size_t entry0 = SectionEntryOffset(d, 0);
   PokeU64(&misaligned, entry0, PeekU64(misaligned, entry0) + 2);
   WriteCase(dir, "misaligned_section.bin", misaligned);
 
   std::string overlapping = v3_nop;
-  PokeU64(&overlapping, SectionEntryOffset(d, 0, 1),
-          PeekU64(overlapping, SectionEntryOffset(d, 0, 0)));
+  PokeU64(&overlapping, SectionEntryOffset(d, 1),
+          PeekU64(overlapping, SectionEntryOffset(d, 0)));
   WriteCase(dir, "overlapping_sections.bin", overlapping);
 
   std::string overstated = v3_nop;
-  PokeU64(&overstated, SectionEntryOffset(d, 0, 2) + 8, uint64_t{1} << 60);
+  PokeU64(&overstated, SectionEntryOffset(d, 2) + 8, uint64_t{1} << 60);
   WriteCase(dir, "overstated_section.bin", overstated);
 
   std::string bad_codec = v3_nop;
-  PokeU32(&bad_codec, SectionEntryOffset(d, 0, 0) + 24, 77);
+  PokeU32(&bad_codec, SectionEntryOffset(d, 0) + 24, 77);
   WriteCase(dir, "unknown_codec.bin", bad_codec);
 
   std::string inflated = v3_nop;
-  PokeU64(&inflated, SectionEntryOffset(d, 0, 5) + 16, uint64_t{1} << 40);
+  PokeU64(&inflated, SectionEntryOffset(d, 5) + 16, uint64_t{1} << 40);
   WriteCase(dir, "inflated_value_count.bin", inflated);
 
   std::string nop_mismatch = v3_nop;
-  const size_t entry5 = SectionEntryOffset(d, 0, 5);
+  const size_t entry5 = SectionEntryOffset(d, 5);
   const uint64_t raw = PeekU64(nop_mismatch, entry5 + 16);
   if (raw >= 8) {
     PokeU64(&nop_mismatch, entry5 + 16, raw - 4);
@@ -292,7 +296,7 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   // 0) used to pass deep validation and smuggle the slot's kInvalidNode
   // global id into the coverage index — a segfault at first solve.
   std::string superseed_critical = v3_nop;
-  const size_t crit_entry = SectionEntryOffset(d, 0, 7);
+  const size_t crit_entry = SectionEntryOffset(d, 7);
   const uint64_t crit_off = PeekU64(superseed_critical, crit_entry);
   PokeU32(&superseed_critical, crit_off, 0);
   WriteCase(dir, "critical_superseed.bin", superseed_critical);
@@ -309,7 +313,7 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   // graph, so deep validation must reject it; it used to load and read
   // Δ̂(∅) > 0.
   std::string live_superseed = v3_nop;
-  const size_t edges_entry = SectionEntryOffset(d, 0, 5);
+  const size_t edges_entry = SectionEntryOffset(d, 5);
   KB_CHECK(PeekU64(live_superseed, edges_entry + 16) >= sizeof(uint32_t));
   const uint64_t edges_off = PeekU64(live_superseed, edges_entry);
   uint32_t first_edge = 0;

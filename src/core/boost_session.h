@@ -92,13 +92,6 @@ class BoostSession {
   const DirectedGraph& graph() const { return engine_.graph(); }
   const std::vector<NodeId>& seeds() const { return engine_.seeds(); }
   const BoostOptions& options() const { return engine_.options(); }
-  /// Overrides the selection/estimator worker count (the CLI's --threads);
-  /// useful for sessions restored from a snapshot, whose options come from
-  /// the file. Validated by BoostOptions::Validate (InvalidArgument when out
-  /// of range). Not safe to call while Solve() requests are in flight.
-  Status set_num_threads(int num_threads) {
-    return engine_.set_num_threads(num_threads);
-  }
   /// The wrapped engine, for pool estimators (EstimateDelta/EstimateMu) and
   /// snapshot restore.
   PrrBoostEngine& engine() { return engine_; }

@@ -27,12 +27,6 @@ Status BoostOptions::Validate() const {
         std::to_string(ThreadPool::kMaxWorkers) + "], got " +
         std::to_string(num_threads));
   }
-  if (num_shards < 1 || num_shards > PrrCollection::kMaxShards) {
-    return Status::InvalidArgument(
-        "num_shards (--shards) must be in [1, " +
-        std::to_string(PrrCollection::kMaxShards) + "], got " +
-        std::to_string(num_shards));
-  }
   return Status::Ok();
 }
 
@@ -47,11 +41,7 @@ PrrBoostEngine::PrrBoostEngine(const DirectedGraph& graph,
   KB_CHECK(options_.Validate().ok()) << options_.Validate().ToString();
   KB_CHECK(!seeds_.empty()) << "the k-boosting problem requires seeds";
   excluded_ = MakeNodeBitmap(graph_.num_nodes(), seeds_);
-  collection_ = std::make_unique<PrrCollection>(graph_.num_nodes(),
-                                                options_.num_shards);
-  sampler_ = std::make_unique<PrrSampler>(graph_, seeds_, options_.k,
-                                          lb_only_, options_.seed,
-                                          options_.num_threads);
+  collection_ = std::make_unique<PrrCollection>(graph_.num_nodes());
 }
 
 void PrrBoostEngine::EnsureSampled() {
@@ -66,13 +56,17 @@ void PrrBoostEngine::EnsureSampled() {
   bounds.n = n;
   bounds.k = options_.k;
 
+  // The sampler lives only as long as the schedule: its per-worker
+  // generators and chunk arenas are scratch, not part of the pool.
+  PrrSampler sampler(graph_, seeds_, options_.k, lb_only_, options_.seed,
+                     options_.num_threads);
   ImmScheduleCallbacks callbacks;
   callbacks.ensure_samples = [&](size_t target) {
     if (options_.max_samples > 0 && target > options_.max_samples) {
       target = options_.max_samples;
       samples_capped_ = true;
     }
-    return sampler_->EnsureSamples(*collection_, target);
+    return sampler.EnsureSamples(*collection_, target);
   };
   callbacks.select_coverage = [&]() {
     return collection_->coverage()
@@ -80,7 +74,7 @@ void PrrBoostEngine::EnsureSampled() {
         .coverage_fraction;
   };
   RunImmSchedule(bounds, callbacks);
-  stats_ = sampler_->stats();
+  stats_ = sampler.stats();
   sampled_ = true;
 }
 
@@ -106,13 +100,11 @@ void PrrBoostEngine::CacheGreedyOrders() {
     // Δ̂ of every LB prefix in one pass, so the sandwich compare reads Δ̂(B_µ)
     // instead of re-evaluating the pool. It also builds the indexes the Δ̂
     // greedy below reads.
-    lb_order_.prefix_delta_hat =
-        collection_->PrefixDeltaHat(lb_order_.nodes, options_.num_threads);
+    lb_order_.prefix_delta_hat = collection_->PrefixDeltaHat(lb_order_.nodes);
     // NodeSelection at the full pool budget: greedy on Δ̂ directly. It is
     // nested in k too (see SelectGreedyDelta), so this one run answers
     // every budget.
-    delta_order_ = collection_->SelectGreedyDelta(options_.k, excluded_,
-                                                  options_.num_threads);
+    delta_order_ = collection_->SelectGreedyDelta(options_.k, excluded_);
   }
   orders_ready_ = true;
 }
@@ -123,10 +115,9 @@ void PrrBoostEngine::Prepare() {
   if (serving_ready_) return;
   EnsureSampled();
   // Concurrent const Solve() calls must never take a lazy-build path: warm
-  // every inverted index (per-shard builds fan out over the workers) and
-  // cache both greedy orders with their prefix estimates now, while this
-  // thread still has the engine exclusively.
-  collection_->WarmIndexes(options_.num_threads);
+  // every inverted index and cache both greedy orders with their prefix
+  // estimates now, while this thread still has the engine exclusively.
+  collection_->WarmIndexes();
   CacheGreedyOrders();
   serving_ready_ = true;
 }
@@ -269,18 +260,10 @@ StatusOr<BoostResult> PrrBoostEngine::Solve(const SolveSpec& spec,
   return result;
 }
 
-Status PrrBoostEngine::set_num_threads(int num_threads) {
-  BoostOptions probe = options_;
-  probe.num_threads = num_threads;
-  if (Status s = probe.Validate(); !s.ok()) return s;
-  options_.num_threads = num_threads;
-  return Status::Ok();
-}
-
 double PrrBoostEngine::EstimateDelta(
     const std::vector<NodeId>& boost_set) const {
   KB_CHECK(!lb_only_) << "Δ̂ needs stored PRR-graphs (full mode)";
-  return collection_->EstimateDelta(boost_set, options_.num_threads);
+  return collection_->EstimateDelta(boost_set);
 }
 
 double PrrBoostEngine::EstimateMu(const std::vector<NodeId>& boost_set) const {

@@ -20,14 +20,11 @@ struct BoostOptions {
   double epsilon = 0.5; ///< sampling slack ε
   double ell = 1.0;     ///< success probability 1 - n^-ℓ
   uint64_t seed = 42;
+  /// Sampling width: how many workers draw the pool and fill its critical
+  /// sets; the pool is bit-identical at every width. A snapshot records it
+  /// as provenance only. kbench still sets it, so it stays until the next
+  /// benchmark change (ROADMAP item 4) deletes it for DefaultThreadCount().
   int num_threads = DefaultThreadCount();
-  /// Number of independent pool shards S. Samples are assigned round-robin
-  /// by global sample index, so selections and estimates are bit-identical
-  /// for every S (and every thread count) — S only decides how wide
-  /// sampling, index builds, refresh rebuilds and snapshot I/O can go.
-  /// Defaults to the hardware worker count so sampling parallelism is
-  /// available out of the box.
-  int num_shards = DefaultThreadCount();
   /// Hard cap on the PRR-graph pool size θ (0 = no cap). When the IMM
   /// schedule asks for more, sampling stops at the cap and
   /// BoostResult::samples_capped is set; the (1-1/e-ε) guarantee then no
@@ -36,10 +33,9 @@ struct BoostOptions {
   size_t max_samples = 0;
 
   /// The one place option validation lives: k ≥ 1, ε ∈ (0,1), ℓ > 0,
-  /// num_threads ∈ [1, ThreadPool::kMaxWorkers], num_shards ∈
-  /// [1, PrrCollection::kMaxShards]. Fallible entry points
-  /// (BoostSession::Create, set_num_threads, the CLI's --threads/--shards)
-  /// all defer here; the trusting constructors KB_CHECK the same predicate.
+  /// num_threads ∈ [1, ThreadPool::kMaxWorkers]. Fallible entry points
+  /// (BoostSession::Create, the CLI's --threads) defer here; the trusting
+  /// constructors KB_CHECK the same predicate.
   Status Validate() const;
 };
 
@@ -177,14 +173,6 @@ class PrrBoostEngine {
   const DirectedGraph& graph() const { return graph_; }
   const std::vector<NodeId>& seeds() const { return seeds_; }
   const BoostOptions& options() const { return options_; }
-  /// Overrides the worker count for later index builds (Prepare's warm-up,
-  /// or a cold EstimateDelta) — the CLI's --threads. Selection and Δ̂
-  /// estimates run on their caller's thread whatever it is, and sampling
-  /// keeps the count the engine was built with — pools are bit-identical
-  /// for every thread count anyway. Validated by BoostOptions::Validate
-  /// (InvalidArgument when out of range). Not safe to call while Solve()
-  /// requests are in flight.
-  Status set_num_threads(int num_threads);
   bool lb_only() const { return lb_only_; }
   bool sampled() const { return sampled_; }
   bool samples_capped() const { return samples_capped_; }
@@ -215,7 +203,6 @@ class PrrBoostEngine {
   bool lb_only_;
   std::vector<uint8_t> excluded_;  // seeds cannot be boosted
   std::unique_ptr<PrrCollection> collection_;
-  std::unique_ptr<PrrSampler> sampler_;
   bool sampled_ = false;
   bool samples_capped_ = false;
   bool serving_ready_ = false;

@@ -8,53 +8,15 @@
 
 namespace kboost {
 
-PrrCollection::PrrCollection(size_t num_graph_nodes, int num_shards)
-    : num_graph_nodes_(num_graph_nodes),
-      stores_(static_cast<size_t>(std::max(1, num_shards))),
-      coverage_(num_graph_nodes) {
-  KB_CHECK(num_shards >= 1 && num_shards <= kMaxShards)
-      << "num_shards " << num_shards << " outside [1, " << kMaxShards << "]";
-}
-
-size_t PrrCollection::num_stored_graphs() const {
-  size_t total = 0;
-  for (const PrrStore& store : stores_) total += store.num_graphs();
-  return total;
-}
+PrrCollection::PrrCollection(size_t num_graph_nodes)
+    : num_graph_nodes_(num_graph_nodes), coverage_(num_graph_nodes) {}
 
 size_t PrrCollection::StoredGraphBytes() const {
-  size_t total = lb_critical_bytes_;
-  for (const PrrStore& store : stores_) total += store.MemoryBytes();
-  return total;
-}
-
-size_t PrrCollection::OccurrenceCount(NodeId v) const {
-  EnsureGraphIndex(1);
-  size_t count = 0;
-  for (const ShardIndex& index : shard_index_) {
-    count += index.node_offsets[v + 1] - index.node_offsets[v];
-  }
-  return count;
+  return lb_critical_bytes_ + store_.MemoryBytes();
 }
 
 void PrrCollection::AddBoostable(const PrrGraph& graph) {
-  PrrStore& store = stores_[NextSampleShard()];
-  const size_t id = store.Add(graph);
-  const PrrGraphView view = store.View(id);
-  critical_scratch_.clear();
-  for (uint32_t c : view.critical()) {
-    critical_scratch_.push_back(view.global_ids[c]);
-  }
-  coverage_.AddSet(critical_scratch_);
-  graph_index_built_ = false;
-  ++num_boostable_;
-}
-
-void PrrCollection::AddBoostableFromStore(const PrrStore& shard,
-                                          size_t shard_id) {
-  PrrStore& store = stores_[NextSampleShard()];
-  const size_t id = store.AppendFrom(shard, shard_id);
-  const PrrGraphView view = store.View(id);
+  const PrrGraphView view = store_.View(store_.Add(graph));
   critical_scratch_.clear();
   for (uint32_t c : view.critical()) {
     critical_scratch_.push_back(view.global_ids[c]);
@@ -81,57 +43,41 @@ void PrrCollection::AddNonBoostable(PrrStatus status) {
   }
 }
 
-void PrrCollection::EnsureGraphIndex(int num_threads) const {
+void PrrCollection::EnsureGraphIndex() const {
   if (graph_index_built_) return;
-  shard_index_.resize(stores_.size());
-  // Each shard's CSR touches only that shard's arrays, so the per-shard
-  // counting-sort builds are independent work items.
-  ParallelFor(
-      stores_.size(), num_threads,
-      [&](size_t s, int /*t*/) {
-        const PrrStore& store = stores_[s];
-        ShardIndex& index = shard_index_[s];
-        const size_t num_graphs = store.num_graphs();
-        index.node_offsets.assign(num_graph_nodes_ + 1, 0);
-        // Counting-sort pass: local id 0 is the super-seed sentinel (no
-        // global identity) and is skipped consistently in both passes.
-        for (size_t g = 0; g < num_graphs; ++g) {
-          const PrrGraphView view = store.View(g);
-          for (uint32_t v = PrrGraph::kRootLocal; v < view.num_nodes(); ++v) {
-            ++index.node_offsets[view.global_ids[v] + 1];
-          }
-        }
-        for (size_t v = 0; v < num_graph_nodes_; ++v) {
-          index.node_offsets[v + 1] += index.node_offsets[v];
-        }
-        index.graphs.resize(index.node_offsets[num_graph_nodes_]);
-        index.locals.resize(index.node_offsets[num_graph_nodes_]);
-        std::vector<size_t> cursor(index.node_offsets.begin(),
-                                   index.node_offsets.end() - 1);
-        for (size_t g = 0; g < num_graphs; ++g) {
-          const PrrGraphView view = store.View(g);
-          for (uint32_t v = PrrGraph::kRootLocal; v < view.num_nodes(); ++v) {
-            const size_t slot = cursor[view.global_ids[v]]++;
-            index.graphs[slot] = static_cast<uint32_t>(g);
-            index.locals[slot] = v;
-          }
-        }
-      },
-      /*chunk=*/1);
-  // The Δ̂ greedy's initial gains: how many stored critical sets hold each
-  // node.
-  critical_counts_.assign(num_graph_nodes_, 0);
-  for (const PrrStore& store : stores_) {
-    for (size_t g = 0; g < store.num_graphs(); ++g) {
-      const PrrGraphView view = store.View(g);
-      for (uint32_t c : view.critical()) ++critical_counts_[view.global_ids[c]];
+  const size_t num_graphs = store_.num_graphs();
+  index_offsets_.assign(num_graph_nodes_ + 1, 0);
+  // Counting-sort pass: local id 0 is the super-seed sentinel (no global
+  // identity) and is skipped consistently in both passes.
+  for (size_t g = 0; g < num_graphs; ++g) {
+    const PrrGraphView view = store_.View(g);
+    for (uint32_t v = PrrGraph::kRootLocal; v < view.num_nodes(); ++v) {
+      ++index_offsets_[view.global_ids[v] + 1];
     }
+  }
+  for (size_t v = 0; v < num_graph_nodes_; ++v) {
+    index_offsets_[v + 1] += index_offsets_[v];
+  }
+  index_graphs_.resize(index_offsets_[num_graph_nodes_]);
+  index_locals_.resize(index_offsets_[num_graph_nodes_]);
+  std::vector<size_t> cursor(index_offsets_.begin(), index_offsets_.end() - 1);
+  // The Δ̂ greedy's initial gains ride along: how many stored critical sets
+  // hold each node.
+  critical_counts_.assign(num_graph_nodes_, 0);
+  for (size_t g = 0; g < num_graphs; ++g) {
+    const PrrGraphView view = store_.View(g);
+    for (uint32_t v = PrrGraph::kRootLocal; v < view.num_nodes(); ++v) {
+      const size_t slot = cursor[view.global_ids[v]]++;
+      index_graphs_[slot] = static_cast<uint32_t>(g);
+      index_locals_[slot] = v;
+    }
+    for (uint32_t c : view.critical()) ++critical_counts_[view.global_ids[c]];
   }
   graph_index_built_ = true;
 }
 
-void PrrCollection::WarmIndexes(int num_threads) const {
-  EnsureGraphIndex(num_threads);
+void PrrCollection::WarmIndexes(int /*unused*/) const {
+  EnsureGraphIndex();
   coverage_.WarmIndex();
 }
 
@@ -148,12 +94,11 @@ void PrrCollection::AddBoostableRound(
     }
     lb_critical_bytes_ += total * sizeof(NodeId);
   } else {
-    // Graphs already sit in their shard arenas (the sampler's direct-write
-    // path); only the critical sets still need to reach the coverage
-    // structure.
+    // Graphs already sit in the arena (the sampler appended them); only the
+    // critical sets still need to reach the coverage structure.
     for (size_t i = 0; i < count; ++i) {
-      sizes[i] = static_cast<uint32_t>(
-          stores_[items[i].shard].critical_count(items[i].shard_graph_id));
+      sizes[i] =
+          static_cast<uint32_t>(store_.critical_count(items[i].graph_id));
     }
     graph_index_built_ = false;
   }
@@ -167,8 +112,7 @@ void PrrCollection::AddBoostableRound(
         if (lb_only) {
           std::copy(items[i].critical, items[i].critical + sizes[i], dst);
         } else {
-          const PrrGraphView view =
-              stores_[items[i].shard].View(items[i].shard_graph_id);
+          const PrrGraphView view = store_.View(items[i].graph_id);
           for (uint32_t c = 0; c < sizes[i]; ++c) {
             dst[c] = view.global_ids[view.critical_locals[c]];
           }
@@ -178,21 +122,20 @@ void PrrCollection::AddBoostableRound(
   num_boostable_ += count;
 }
 
-void PrrCollection::RestorePool(std::vector<PrrStore>&& stores,
+void PrrCollection::RestorePool(PrrStore&& store,
                                 std::span<const uint32_t> set_sizes,
                                 std::span<const NodeId> coverage_nodes,
                                 size_t num_activated, size_t num_hopeless) {
   KB_CHECK(num_samples() == 0) << "snapshot restore into a non-empty pool";
-  if (stores.empty()) {
+  if (store.num_graphs() == 0) {
+    // An LB-only pool: its critical sets are all it stores. (A full pool
+    // without graphs has no critical sets, so this counts 0 bytes for it.)
     lb_critical_bytes_ = coverage_nodes.size_bytes();
   } else {
-    KB_CHECK(stores.size() == stores_.size())
-        << "restoring " << stores.size() << " arenas into a pool of "
-        << stores_.size() << " shards";
-    stores_ = std::move(stores);
-    KB_CHECK(set_sizes.size() == num_stored_graphs())
+    store_ = std::move(store);
+    KB_CHECK(set_sizes.size() == store_.num_graphs())
         << "coverage size table covers " << set_sizes.size() << " of "
-        << num_stored_graphs() << " stored graphs";
+        << store_.num_graphs() << " stored graphs";
   }
   coverage_.BindExternalSets(set_sizes, coverage_nodes);
   num_boostable_ = set_sizes.size();
@@ -235,7 +178,7 @@ namespace {
 /// PRR-graphs containing the pick and reports every node whose gain moved.
 ///
 /// Commit runs on the calling thread. Each graph's status and bitmaps live
-/// in its shard's PrrEvalState — the one record of the graph this run —
+/// in the PrrEvalState — the one record of the graph this run —
 /// initialized lazily on first touch (live-edge-only reach at B ∩ R = ∅ plus
 /// the stored critical set) and relaxed forward/backward from the pick
 /// afterwards. Because boosting only opens edges, reach and criticality grow
@@ -245,19 +188,19 @@ namespace {
 /// evaluator's full recompute, diffed against crit.
 ///
 /// Gains start from the pool's per-node critical-set counts and settle in
-/// place. They are sums over graphs, so neither the shard partition nor the
-/// scan order shows in the selected set. Excluded nodes keep a gain too: the
-/// greedy loop never reads it. Every gain *increase* is reported (required
-/// for lazy-greedy correctness); decreases ride along for free.
+/// place. They are sums over graphs, so the scan order does not show in the
+/// selected set. Excluded nodes keep a gain too: the greedy loop never reads
+/// it. Every gain *increase* is reported (required for lazy-greedy
+/// correctness); decreases ride along for free.
 class DeltaOracle final : public SelectionOracle {
  public:
   DeltaOracle(const PrrCollection& collection,
-              std::span<const uint32_t> initial_gains, ShardedEvalState* state)
+              std::span<const uint32_t> initial_gains, PrrEvalState* state)
       : collection_(collection),
         boosted_(collection.num_graph_nodes(), 0),
         gains_(initial_gains.begin(), initial_gains.end()),
         state_(state) {
-    state_->Attach(collection.shards());
+    state_->Attach(collection.store());
   }
 
   size_t num_candidates() const override { return gains_.size(); }
@@ -267,17 +210,14 @@ class DeltaOracle final : public SelectionOracle {
   void Commit(NodeId pick, std::vector<NodeId>* touched) override {
     boosted_[pick] = 1;
     gains_[pick] = 0;
-    for (size_t s = 0; s < collection_.num_shards(); ++s) {
-      const PrrStore& store = collection_.shard_store(s);
-      PrrEvalState& state = state_->shard(s);
-      const std::span<const uint32_t> graphs =
-          collection_.ShardGraphsContaining(s, pick);
-      const std::span<const uint32_t> locals =
-          collection_.ShardGraphLocalsContaining(s, pick);
-      for (size_t i = 0; i < graphs.size(); ++i) {
-        CommitGraph(store.View(graphs[i]), state, graphs[i], locals[i],
-                    touched);
-      }
+    const PrrStore& store = collection_.store();
+    const std::span<const uint32_t> graphs =
+        collection_.GraphsContaining(pick);
+    const std::span<const uint32_t> locals =
+        collection_.GraphLocalsContaining(pick);
+    for (size_t i = 0; i < graphs.size(); ++i) {
+      CommitGraph(store.View(graphs[i]), *state_, graphs[i], locals[i],
+                  touched);
     }
     activated_after_.push_back(activated_);
   }
@@ -370,7 +310,7 @@ class DeltaOracle final : public SelectionOracle {
   const PrrCollection& collection_;
   std::vector<uint8_t> boosted_;
   std::vector<uint32_t> gains_;
-  ShardedEvalState* state_;
+  PrrEvalState* state_;
   PrrIncrementalEvaluator inc_;
   PrrEvaluator evaluator_;
   std::vector<uint32_t> fresh_;  // one graph's newly critical locals
@@ -382,15 +322,13 @@ class DeltaOracle final : public SelectionOracle {
 }  // namespace
 
 PrrCollection::DeltaResult PrrCollection::SelectGreedyDelta(
-    size_t k, const std::vector<uint8_t>& excluded, int num_threads,
-    ShardedEvalState* eval_state) const {
+    size_t k, const std::vector<uint8_t>& excluded, int /*unused*/,
+    PrrEvalState* eval_state) const {
   DeltaResult result;
   if (k == 0 || num_samples() == 0) return result;
-  // `num_threads` only sizes a cold index build; the greedy itself runs on
-  // this thread.
-  EnsureGraphIndex(num_threads);
+  EnsureGraphIndex();
 
-  ShardedEvalState local_state;
+  PrrEvalState local_state;
   DeltaOracle oracle(*this, critical_counts_,
                      eval_state != nullptr ? eval_state : &local_state);
   GreedyResult greedy = RunLazyGreedy(oracle, k, &excluded);
@@ -410,9 +348,8 @@ PrrCollection::DeltaResult PrrCollection::SelectGreedyDelta(
 
   // Budget left but no single-node gains: fall back to PRR-occurrence
   // counts (nodes present in many boostable PRR-graphs are the best
-  // remaining heuristic candidates). Occurrence counts sum over shards, so
-  // the fill order is shard-count-invariant; it never reads k, so padding
-  // keeps the answer nested.
+  // remaining heuristic candidates). The fill order never reads k, so
+  // padding keeps the answer nested.
   if (result.nodes.size() < k) {
     std::vector<uint8_t>& boosted = oracle.boosted();
     std::vector<NodeId> order;
@@ -438,16 +375,12 @@ PrrCollection::DeltaResult PrrCollection::SelectGreedyDelta(
 }
 
 std::vector<double> PrrCollection::PrefixDeltaHat(
-    std::span<const NodeId> order, int num_threads) const {
+    std::span<const NodeId> order) const {
   if (num_samples() == 0) return std::vector<double>(order.size(), 0.0);
-  EnsureGraphIndex(num_threads);
+  EnsureGraphIndex();
   // Boosting only opens edges, so an activated graph stays activated and is
-  // never re-evaluated. The count sums over graphs, so the shard partition
-  // does not show in it.
-  std::vector<std::vector<uint8_t>> activated(stores_.size());
-  for (size_t s = 0; s < stores_.size(); ++s) {
-    activated[s].assign(stores_[s].num_graphs(), 0);
-  }
+  // never re-evaluated.
+  std::vector<uint8_t> activated(store_.num_graphs(), 0);
   std::vector<uint8_t> boosted(num_graph_nodes_, 0);
   PrrEvaluator evaluator;
   std::vector<double> prefix;
@@ -456,13 +389,11 @@ std::vector<double> PrrCollection::PrefixDeltaHat(
   for (const NodeId v : order) {
     KB_CHECK(v < num_graph_nodes_) << "node " << v << " out of range";
     boosted[v] = 1;
-    for (size_t s = 0; s < stores_.size(); ++s) {
-      for (const uint32_t g : ShardGraphsContaining(s, v)) {
-        if (activated[s][g] == 0 &&
-            evaluator.IsActivated(stores_[s].View(g), boosted.data())) {
-          activated[s][g] = 1;
-          ++count;
-        }
+    for (const uint32_t g : GraphsContaining(v)) {
+      if (activated[g] == 0 &&
+          evaluator.IsActivated(store_.View(g), boosted.data())) {
+        activated[g] = 1;
+        ++count;
       }
     }
     prefix.push_back(static_cast<double>(num_graph_nodes_) *
@@ -473,8 +404,8 @@ std::vector<double> PrrCollection::PrefixDeltaHat(
 }
 
 double PrrCollection::EstimateDelta(const std::vector<NodeId>& boost_set,
-                                    int num_threads) const {
-  const std::vector<double> prefix = PrefixDeltaHat(boost_set, num_threads);
+                                    int /*unused*/) const {
+  const std::vector<double> prefix = PrefixDeltaHat(boost_set);
   return prefix.empty() ? 0.0 : prefix.back();
 }
 

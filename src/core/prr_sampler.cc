@@ -12,9 +12,14 @@ namespace {
 /// Upper bound on per-batch result buffering; keeps memory flat even when
 /// the schedule asks for millions of samples at once.
 constexpr size_t kBatchSize = 1 << 16;
+/// Samples per dynamically dealt work item: small enough to balance uneven
+/// sample costs across workers, large enough that a chunk's bookkeeping and
+/// arena append are noise next to its sampling.
+constexpr size_t kChunkSamples = 256;
 }  // namespace
 
-void PrrSampler::ShardBatch::Clear() {
+void PrrSampler::Chunk::Clear() {
+  store.Clear();
   statuses.clear();
   crit_offsets.assign(1, 0);
   crit_nodes.clear();
@@ -31,107 +36,87 @@ PrrSampler::PrrSampler(const DirectedGraph& graph,
       k_(k),
       lb_only_(lb_only),
       seed_(seed),
-      num_threads_(std::max(1, std::min(num_threads, 255))) {}
+      num_threads_(std::max(1, std::min(num_threads, 255))),
+      generators_(static_cast<size_t>(num_threads_)) {}
 
 size_t PrrSampler::EnsureSamples(PrrCollection& collection, size_t target) {
-  // Per-shard machinery is sized to the collection (the shard count lives
-  // there); generators and record staging only ever grow, so a sampler
-  // reused across collections keeps its allocations.
-  const size_t num_shards = collection.num_shards();
-  while (generators_.size() < num_shards) {
-    generators_.push_back(std::make_unique<PrrGenerator>(graph_, seeds_));
-  }
-  if (shards_.size() < num_shards) shards_.resize(num_shards);
-
   while (collection.num_samples() < target) {
     const size_t have = collection.num_samples();
     const size_t need = std::min(kBatchSize, target - have);
+    const size_t num_chunks = (need + kChunkSamples - 1) / kChunkSamples;
+    if (chunks_.size() < num_chunks) chunks_.resize(num_chunks);
 
-    for (size_t s = 0; s < num_shards; ++s) shards_[s].Clear();
-    // Arena sizes before the batch: this batch's b-th boostable graph of
-    // shard s gets arena id base[s] + b.
-    std::vector<uint32_t> base(num_shards, 0);
-    if (!lb_only_) {
-      for (size_t s = 0; s < num_shards; ++s) {
-        base[s] =
-            static_cast<uint32_t>(collection.shard_store(s).num_graphs());
-      }
-    }
-
-    // Generation: one task per shard, each writing compressed graphs
-    // directly into its persistent arena (capacity is retained across
-    // batches — no per-round reallocation, no merge copy). Shard s owns the
-    // samples with global index ≡ s (mod S), generated in ascending order;
-    // each sample's Rng is seeded by its global index, so shard contents
-    // are bit-identical for every thread count.
+    // Generation: chunk c holds batch samples [c·kChunkSamples, ...), each
+    // seeded by its global index, so a chunk's output does not depend on
+    // which worker drew it. Worker t only ever touches generators_[t].
     ParallelFor(
-        num_shards, num_threads_,
-        [&](size_t s, int /*t*/) {
-          ShardBatch& shard = shards_[s];
-          PrrStore* sink =
-              lb_only_ ? nullptr : collection.mutable_shard_store(s);
-          const size_t first = (s + num_shards - have % num_shards) %
-                               num_shards;  // smallest j with (have+j)%S == s
-          for (size_t j = first; j < need; j += num_shards) {
+        num_chunks, num_threads_,
+        [&](size_t c, int t) {
+          std::unique_ptr<PrrGenerator>& generator = generators_[t];
+          if (generator == nullptr) {
+            generator = std::make_unique<PrrGenerator>(graph_, seeds_);
+          }
+          Chunk& chunk = chunks_[c];
+          chunk.Clear();
+          PrrStore* sink = lb_only_ ? nullptr : &chunk.store;
+          const size_t end = std::min(need, (c + 1) * kChunkSamples);
+          for (size_t j = c * kChunkSamples; j < end; ++j) {
             uint64_t rs = seed_;
             rs ^= (have + j + 1) * 0x9E3779B97F4A7C15ULL;
             Rng rng(rs);
             const size_t edges_before = sink ? sink->total_edges() : 0;
-            PrrGenResult r =
-                generators_[s]->GenerateRandomRoot(k_, lb_only_, rng, sink);
-            shard.statuses.push_back(r.status);
-            shard.edges_examined += r.edges_examined;
+            PrrGenResult r = generator->GenerateRandomRoot(k_, lb_only_, rng,
+                                                           sink);
+            chunk.statuses.push_back(r.status);
+            chunk.edges_examined += r.edges_examined;
             if (r.status == PrrStatus::kBoostable) {
-              shard.uncompressed_edges += r.uncompressed_edges;
+              chunk.uncompressed_edges += r.uncompressed_edges;
               if (lb_only_) {
-                shard.crit_nodes.insert(shard.crit_nodes.end(),
+                chunk.crit_nodes.insert(chunk.crit_nodes.end(),
                                         r.critical_globals.begin(),
                                         r.critical_globals.end());
-                shard.crit_offsets.push_back(shard.crit_nodes.size());
+                chunk.crit_offsets.push_back(chunk.crit_nodes.size());
               } else {
-                shard.compressed_edges += sink->total_edges() - edges_before;
+                chunk.compressed_edges += sink->total_edges() - edges_before;
               }
             }
           }
         },
         /*chunk=*/1);
 
-    // Ordered record walk: visit the batch in global sample order, pulling
-    // each status from its shard (the round-robin assignment is a pure
-    // function of the index — no owner table needed). Non-boostable samples
+    // Ordered merge: chunk arenas join the pool's arena in chunk order, and
+    // the records are walked in global sample order. Non-boostable samples
     // just bump counters; boostable samples are collected as refs and handed
     // to the collection in ONE round call — the coverage structure grows
-    // once and the critical-set fill fans back out over the workers. Graphs
-    // themselves are already in place.
-    merge_pos_.assign(num_shards, 0);
-    merge_boostable_.assign(num_shards, 0);
+    // once and the critical-set fill fans back out over the workers.
+    PrrStore* arena = collection.mutable_store();
     round_items_.clear();
-    for (size_t j = 0; j < need; ++j) {
-      const size_t s = (have + j) % num_shards;
-      ShardBatch& shard = shards_[s];
-      const PrrStatus status = shard.statuses[merge_pos_[s]++];
-      if (status != PrrStatus::kBoostable) {
-        collection.AddNonBoostable(status);
-        continue;
+    for (size_t c = 0; c < num_chunks; ++c) {
+      const Chunk& chunk = chunks_[c];
+      const uint32_t base = static_cast<uint32_t>(arena->num_graphs());
+      if (!lb_only_) arena->AppendAll(chunk.store);
+      size_t b = 0;
+      for (const PrrStatus status : chunk.statuses) {
+        if (status != PrrStatus::kBoostable) {
+          collection.AddNonBoostable(status);
+          continue;
+        }
+        PrrCollection::BoostableSampleRef ref;
+        if (lb_only_) {
+          ref.critical = chunk.crit_nodes.data() + chunk.crit_offsets[b];
+          ref.critical_count = static_cast<uint32_t>(
+              chunk.crit_offsets[b + 1] - chunk.crit_offsets[b]);
+        } else {
+          ref.graph_id = base + static_cast<uint32_t>(b);
+        }
+        ++b;
+        round_items_.push_back(ref);
       }
-      const size_t b = merge_boostable_[s]++;
-      PrrCollection::BoostableSampleRef ref;
-      if (lb_only_) {
-        ref.critical = shard.crit_nodes.data() + shard.crit_offsets[b];
-        ref.critical_count = static_cast<uint32_t>(shard.crit_offsets[b + 1] -
-                                                   shard.crit_offsets[b]);
-      } else {
-        ref.shard = static_cast<uint32_t>(s);
-        ref.shard_graph_id = base[s] + static_cast<uint32_t>(b);
-      }
-      round_items_.push_back(ref);
+      stats_.edges_examined += chunk.edges_examined;
+      stats_.uncompressed_edges += chunk.uncompressed_edges;
+      stats_.compressed_edges += chunk.compressed_edges;
     }
     collection.AddBoostableRound(round_items_, lb_only_, num_threads_);
-    for (size_t s = 0; s < num_shards; ++s) {
-      stats_.edges_examined += shards_[s].edges_examined;
-      stats_.uncompressed_edges += shards_[s].uncompressed_edges;
-      stats_.compressed_edges += shards_[s].compressed_edges;
-    }
   }
   return collection.num_samples();
 }

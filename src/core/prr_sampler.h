@@ -21,15 +21,13 @@ struct PrrSamplerStats {
 /// Parallel, deterministic PRR-graph sampler. Sample i is generated from an
 /// Rng seeded by (seed, i), so pools are identical for any thread count.
 ///
-/// Samples are assigned to the collection's shards round-robin by global
-/// sample index (sample i → shard i mod S, matching the collection's
-/// contract), and each shard's generation task writes compressed graphs
-/// *directly into the persistent shard arena* — there is no staging store
-/// and no shard→monolith merge copy. Only the tiny per-sample records
-/// (status, LB critical sets) are staged per shard and walked in global
-/// sample order afterwards, so the coverage structure grows exactly as a
-/// serial per-sample funnel would. Shard tasks fan out over the thread
-/// pool; a shard is always written by exactly one task at a time.
+/// Each batch is cut into chunks of 256 consecutive global sample indices,
+/// which ParallelFor deals out to the workers dynamically. A chunk fills its
+/// own arena and per-sample records with its worker's generator; the chunk
+/// arenas are then appended to the collection's one arena in chunk order,
+/// and the records are accounted in global sample order through one
+/// AddBoostableRound. So the pool is the one a serial per-sample loop would
+/// build, byte for byte, at every thread count.
 class PrrSampler {
  public:
   PrrSampler(const DirectedGraph& graph, const std::vector<NodeId>& seeds,
@@ -44,11 +42,10 @@ class PrrSampler {
   const PrrSamplerStats& stats() const { return stats_; }
 
  private:
-  /// One shard's per-batch record staging, reused (capacity kept) across
-  /// batches. Full-mode graphs never pass through here — they land straight
-  /// in the collection's persistent shard arena.
-  struct ShardBatch {
-    std::vector<PrrStatus> statuses;      // this shard's samples, in order
+  /// One chunk's output, reused (capacity kept) across batches.
+  struct Chunk {
+    PrrStore store;                       // full mode: the chunk's graphs
+    std::vector<PrrStatus> statuses;      // the chunk's samples, in order
     std::vector<size_t> crit_offsets{0};  // LB mode: spans into crit_nodes
     std::vector<NodeId> crit_nodes;
     size_t edges_examined = 0;
@@ -65,12 +62,11 @@ class PrrSampler {
   uint64_t seed_;
   int num_threads_;
   PrrSamplerStats stats_;
-  std::vector<std::unique_ptr<PrrGenerator>> generators_;  // one per shard
-  std::vector<ShardBatch> shards_;                         // one per shard
-  // Batch-local cursors and boostable refs in global sample order, handed to
+  // One generator per worker index, created by that worker on first use.
+  std::vector<std::unique_ptr<PrrGenerator>> generators_;
+  std::vector<Chunk> chunks_;
+  // Boostable refs in global sample order, handed to
   // PrrCollection::AddBoostableRound (capacity reused across batches).
-  std::vector<size_t> merge_pos_;
-  std::vector<size_t> merge_boostable_;
   std::vector<PrrCollection::BoostableSampleRef> round_items_;
 };
 

@@ -58,17 +58,24 @@ size_t PrrStore::Add(const PrrGraph& graph) {
                 graph.in_offsets, graph.in_edges, graph.critical_locals);
 }
 
-size_t PrrStore::AppendFrom(const PrrStore& other, size_t id) {
-  KB_DCHECK(id < other.meta_.size());
-  const Meta& m = other.meta_[id];
-  const uint64_t off = m.node_begin + id;
-  const uint64_t edge_count = other.raw_out_offsets()[off + m.num_nodes];
-  return Append(other.raw_global_ids().subspan(m.node_begin, m.num_nodes),
-                other.raw_out_offsets().subspan(off, m.num_nodes + 1),
-                other.raw_out_edges().subspan(m.edge_begin, edge_count),
-                other.raw_in_offsets().subspan(off, m.num_nodes + 1),
-                other.raw_in_edges().subspan(m.edge_begin, edge_count),
-                other.raw_critical().subspan(m.critical_begin, m.num_critical));
+void PrrStore::AppendAll(const PrrStore& other) {
+  KB_CHECK(!external_) << "Append into an external (snapshot-backed) store";
+  if (other.meta_.empty()) return;
+  const uint64_t node_base = global_ids_.size();
+  const uint64_t edge_base = out_edges_.size();
+  const uint64_t critical_base = critical_.size();
+  for (const Meta& m : other.meta_) {
+    meta_.push_back(Meta{m.node_begin + node_base, m.edge_begin + edge_base,
+                         m.critical_begin + critical_base, m.num_nodes,
+                         m.num_critical});
+  }
+  AppendSpan(global_ids_, other.raw_global_ids());
+  AppendSpan(out_offsets_, other.raw_out_offsets());
+  AppendSpan(in_offsets_, other.raw_in_offsets());
+  AppendSpan(out_edges_, other.raw_out_edges());
+  AppendSpan(in_edges_, other.raw_in_edges());
+  AppendSpan(critical_, other.raw_critical());
+  generation_ = NextGeneration();
 }
 
 PrrGraphView PrrStore::View(size_t id) const {

@@ -15,8 +15,8 @@ namespace kboost {
 /// shares five flat buffers — global ids, out/in offsets, out/in edges and
 /// critical nodes — with per-graph spans recorded in a small meta table.
 /// This removes ~6 allocations per boostable sample, keeps the greedy
-/// selection's re-evaluation scans on contiguous memory, and makes merging
-/// thread-local sampling shards a handful of memcpys.
+/// selection's re-evaluation scans on contiguous memory, and makes appending
+/// a sampling chunk's arena to the pool's a handful of memcpys.
 ///
 /// Offsets are stored graph-relative (graph i's out_offsets[0] == 0), so a
 /// PrrGraphView is drop-in compatible with the former per-graph layout.
@@ -45,12 +45,13 @@ class PrrStore {
   /// Appends a copy of a per-graph PrrGraph (compat path for tests/tools).
   size_t Add(const PrrGraph& graph);
 
-  /// Bulk-copies graph `id` of `other` into this store; returns the new id.
-  /// This is the shard-merge fast path: five span copies, no re-walk.
-  size_t AppendFrom(const PrrStore& other, size_t id);
+  /// Appends every graph of `other`, in order, after this store's graphs:
+  /// six span copies plus a shifted meta table, no re-walk. Offsets are
+  /// graph-relative, so they copy verbatim. The sampler's chunk merge.
+  void AppendAll(const PrrStore& other);
 
   /// The eight flat sections of one arena, as externally owned spans — the
-  /// in-memory shape of a v3 snapshot's per-shard region (src/io/pool_io).
+  /// in-memory shape of a v3 snapshot's arena region (src/io/pool_io).
   /// `num_nodes`/`num_critical` carry one entry per graph; the rest are the
   /// concatenated pools. The spans must stay valid for the lifetime of the
   /// store they are attached to (for a loaded snapshot: as long as the
@@ -122,9 +123,9 @@ class PrrStore {
   /// with comparable content must not change this.
   size_t AllocatedBytes() const;
 
-  /// Drops all graphs but keeps buffer capacity (shard reuse across
-  /// batches). On an external store this detaches the spans, leaving an
-  /// empty owned store.
+  /// Drops all graphs but keeps buffer capacity (chunk-arena reuse across
+  /// sampling batches). On an external store this detaches the spans,
+  /// leaving an empty owned store.
   void Clear();
 
  private:
@@ -187,6 +188,10 @@ class PrrStore {
 /// incremental relaxation (PrrIncrementalEvaluator) exact. Larger graphs
 /// keep only crit and are re-evaluated by the scratch evaluator, bounding
 /// arena memory on pathological pools.
+///
+/// Thread-safety model: a selection run reads and writes its state on the
+/// calling thread only, so concurrent runs need one state each and nothing
+/// else.
 class PrrEvalState {
  public:
   static constexpr uint32_t kMaxStateNodes = 1u << 16;
@@ -235,29 +240,9 @@ class PrrEvalState {
   std::vector<GraphStatus> status_;
 };
 
-/// Per-shard PrrEvalState bundle for a sharded pool: one bitmap arena per
-/// shard arena, each following the PrrEvalState attach/reuse rules (slot
-/// tables rebuilt only on generation mismatch).
-///
-/// Thread-safety model: a selection run reads and writes its states on the
-/// calling thread only, so concurrent runs need one bundle each and nothing
-/// else.
-class ShardedEvalState {
- public:
-  /// (Re)binds one eval state per shard arena. Safe to call with a different
-  /// shard count than last time (e.g. after a hot-swap onto a pool with
-  /// another S) — surplus states are dropped, missing ones allocated.
-  void Attach(std::span<const PrrStore> shards) {
-    states_.resize(shards.size());
-    for (size_t s = 0; s < shards.size(); ++s) states_[s].Attach(shards[s]);
-  }
-
-  PrrEvalState& shard(size_t s) { return states_[s]; }
-  size_t num_shards() const { return states_.size(); }
-
- private:
-  std::vector<PrrEvalState> states_;
-};
+/// Unused alias: kbench still names the eval state by its old sharded name.
+/// The next benchmark change (ROADMAP item 4) deletes it.
+using ShardedEvalState = PrrEvalState;
 
 }  // namespace kboost
 

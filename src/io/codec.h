@@ -11,8 +11,9 @@ namespace kboost {
 
 /// Per-block compression codecs for pool-snapshot sections (src/io/pool_io).
 ///
-/// A v3 snapshot stores each shard arena as eight flat uint32 sections; the
-/// codec that encoded each section is recorded per block in the snapshot's
+/// A v3 snapshot stores the pool's one arena as eight flat uint32 sections,
+/// plus a coverage section; the codec that encoded each section is recorded
+/// per block in the snapshot's
 /// section directory, so readers dispatch per block and a file may mix
 /// codecs. Two are built in:
 ///

@@ -14,7 +14,6 @@
 #include <limits>
 #include <new>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "src/core/prr_collection.h"
@@ -38,16 +37,16 @@ constexpr uint32_t kFlagSamplesCapped = 1u << 1;
 constexpr uint64_t kHeaderBytes = 128;  // fixed header
 constexpr uint64_t kExtBytes = 32;      // extension after the header
 constexpr uint32_t kEndianMarker = 0x01020304u;
-constexpr uint64_t kShardAlign = 4096;  // shard regions start page-aligned
+constexpr uint64_t kArenaAlign = 4096;  // the arena region starts page-aligned
 constexpr uint64_t kBlockAlign = 64;    // section blocks cache-line-aligned
 constexpr size_t kNumSections = 8;
 /// One directory record per section block: {u64 offset, u64 stored_bytes,
 /// u64 raw_bytes, u32 codec, u32 reserved}.
 constexpr uint64_t kSectionEntryBytes = 32;
-/// Per-shard directory entry: u64 num_graphs + kNumSections section records.
-/// One more section record after the shard entries locates the pool-level
-/// coverage section.
-constexpr uint64_t kDirEntryBytes = 8 + kNumSections * kSectionEntryBytes;
+/// The directory: u64 num_graphs and kNumSections section records for the
+/// arena, then one more section record that locates the coverage section.
+constexpr uint64_t kDirBytes =
+    8 + kNumSections * kSectionEntryBytes + kSectionEntryBytes;
 
 /// Fixed-size snapshot header: the first 128 bytes of the file (magic
 /// included), then a 32-byte extension. Every field is written explicitly
@@ -63,7 +62,7 @@ struct Header {
   uint64_t rng_seed = 0;
   uint64_t max_samples = 0;
   uint32_t num_threads = 0;
-  uint32_t num_shards = 1;
+  uint32_t num_shards = 1;  // always 1: the pool is one arena
   uint64_t num_seeds = 0;
   uint64_t num_boostable = 0;
   uint64_t num_activated = 0;
@@ -75,7 +74,7 @@ struct Header {
   // (which store critical sets, not arenas, and have no directory).
   uint32_t endian_marker = kEndianMarker;
   uint32_t default_codec = 0;
-  uint64_t section_align = kShardAlign;
+  uint64_t section_align = kArenaAlign;
   uint64_t dir_offset = 0;
   uint64_t reserved = 0;
 };
@@ -119,7 +118,7 @@ struct SectionEntry {
   uint32_t reserved = 0;
 };
 
-/// Section order within each shard's directory entry — the field order of
+/// Section order within the arena's directory entry — the field order of
 /// PrrStore::ArenaSections.
 enum SectionIndex : size_t {
   kSecNumNodes = 0,
@@ -132,7 +131,7 @@ enum SectionIndex : size_t {
   kSecCritical = 7,
 };
 
-struct ShardDir {
+struct ArenaDir {
   uint64_t num_graphs = 0;
   SectionEntry sections[kNumSections];
 };
@@ -221,6 +220,15 @@ Status ParseHeader(const char* base, uint64_t size, const std::string& path,
         "(endianness marker mismatch): " +
         path);
   }
+  // Older builds could split a pool into several arenas; this one reads
+  // only the single-arena layout.
+  if (h->num_shards != 1) {
+    return Status::InvalidArgument(
+        "pool snapshot stores " + std::to_string(h->num_shards) +
+        " arenas, but this build reads only single-arena snapshots; re-save "
+        "the pool from its graph and options: " +
+        path);
+  }
   return Status::Ok();
 }
 
@@ -301,36 +309,31 @@ Status ValidateSectionEntry(const SectionEntry& e, const std::string& where,
 }
 
 /// Structural validation of the section directory against the file length:
-/// every shard block plus the trailing pool-level coverage section, which
-/// must follow the shard regions and hold exactly as many values as the
-/// shard critical sections combined.
-Status ValidateDirectory(const std::vector<ShardDir>& dirs,
-                         const SectionEntry& coverage, uint64_t dir_end,
-                         uint64_t file_size, const std::string& path) {
+/// every arena block plus the trailing coverage section, which must follow
+/// the arena region and hold exactly as many values as the arena's critical
+/// section.
+Status ValidateDirectory(const ArenaDir& dir, const SectionEntry& coverage,
+                         uint64_t dir_end, uint64_t file_size,
+                         const std::string& path) {
   uint64_t prev_end = dir_end;
-  for (size_t s = 0; s < dirs.size(); ++s) {
-    const ShardDir& dir = dirs[s];
-    if (dir.num_graphs > file_size / sizeof(uint32_t)) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(s) +
-          " declares more graphs than the snapshot could hold: " + path);
+  if (dir.num_graphs > file_size / sizeof(uint32_t)) {
+    return Status::InvalidArgument(
+        "the arena declares more graphs than the snapshot could hold: " +
+        path);
+  }
+  for (size_t i = 0; i < kNumSections; ++i) {
+    const std::string where = "arena section " + std::to_string(i);
+    if (Status e = ValidateSectionEntry(dir.sections[i], where, file_size,
+                                        &prev_end, path);
+        !e.ok()) {
+      return e;
     }
-    for (size_t i = 0; i < kNumSections; ++i) {
-      const std::string where =
-          "section " + std::to_string(i) + " of shard " + std::to_string(s);
-      if (Status e = ValidateSectionEntry(dir.sections[i], where, file_size,
-                                          &prev_end, path);
-          !e.ok()) {
-        return e;
-      }
-    }
-    const uint64_t size_table_bytes = dir.num_graphs * sizeof(uint32_t);
-    if (dir.sections[kSecNumNodes].raw_bytes != size_table_bytes ||
-        dir.sections[kSecNumCritical].raw_bytes != size_table_bytes) {
-      return Status::InvalidArgument(
-          "size-table sections disagree with the graph count of shard " +
-          std::to_string(s) + ": " + path);
-    }
+  }
+  const uint64_t size_table_bytes = dir.num_graphs * sizeof(uint32_t);
+  if (dir.sections[kSecNumNodes].raw_bytes != size_table_bytes ||
+      dir.sections[kSecNumCritical].raw_bytes != size_table_bytes) {
+    return Status::InvalidArgument(
+        "size-table sections disagree with the arena's graph count: " + path);
   }
   // Older writers left this entry all-zero on compressed snapshots.
   if (coverage.offset == 0 && coverage.stored_bytes == 0 &&
@@ -345,13 +348,9 @@ Status ValidateDirectory(const std::vector<ShardDir>& dirs,
       !e.ok()) {
     return e;
   }
-  uint64_t critical_bytes = 0;
-  for (const ShardDir& dir : dirs) {
-    critical_bytes += dir.sections[kSecCritical].raw_bytes;
-  }
-  if (coverage.raw_bytes != critical_bytes) {
+  if (coverage.raw_bytes != dir.sections[kSecCritical].raw_bytes) {
     return Status::InvalidArgument(
-        "the coverage section disagrees with the shard critical pools: " +
+        "the coverage section disagrees with the arena's critical pool: " +
         path);
   }
   return Status::Ok();
@@ -361,32 +360,27 @@ Status ValidateDirectory(const std::vector<ShardDir>& dirs,
 /// and validates it.
 Status ParseDirectory(const char* base, uint64_t file_size,
                       uint64_t dir_offset, uint64_t body_begin,
-                      size_t num_shards, const std::string& path,
-                      std::vector<ShardDir>* dirs, SectionEntry* coverage) {
-  const uint64_t dir_bytes = num_shards * kDirEntryBytes + kSectionEntryBytes;
+                      const std::string& path, ArenaDir* dir,
+                      SectionEntry* coverage) {
   if (dir_offset < body_begin || dir_offset > file_size ||
-      dir_bytes > file_size - dir_offset) {
+      kDirBytes > file_size - dir_offset) {
     return Status::InvalidArgument("snapshot directory out of bounds: " +
                                    path);
   }
-  dirs->resize(num_shards);
   const char* p = base + dir_offset;
-  for (ShardDir& dir : *dirs) {
-    dir.num_graphs = LoadAt<uint64_t>(p);
-    p += sizeof(uint64_t);
-    for (SectionEntry& e : dir.sections) {
-      e = ReadSectionEntry(p);
-      p += kSectionEntryBytes;
-    }
+  dir->num_graphs = LoadAt<uint64_t>(p);
+  p += sizeof(uint64_t);
+  for (SectionEntry& e : dir->sections) {
+    e = ReadSectionEntry(p);
+    p += kSectionEntryBytes;
   }
   *coverage = ReadSectionEntry(p);
-  return ValidateDirectory(*dirs, *coverage, dir_offset + dir_bytes,
-                           file_size, path);
+  return ValidateDirectory(*dir, *coverage, dir_offset + kDirBytes, file_size,
+                           path);
 }
 
 /// Calls `f` on the global id of every critical node of every graph in
-/// `store`, in stored-graph order: the store's slice of the coverage
-/// section.
+/// `store`, in stored-graph order: the coverage section's contents.
 template <typename F>
 void ForEachCriticalGlobal(const PrrStore& store, F&& f) {
   const NodeId* ids = store.raw_global_ids().data();
@@ -402,12 +396,10 @@ void ForEachCriticalGlobal(const PrrStore& store, F&& f) {
   }
 }
 
-/// Deep check of one shard's slice of the coverage section against its
-/// arena.
-Status CheckCoverageSlice(const PrrStore& store,
-                          std::span<const uint32_t> slice,
-                          const std::string& path) {
-  const uint32_t* want = slice.data();
+/// Deep check of the coverage section against the arena.
+Status CheckCoverage(const PrrStore& store, std::span<const uint32_t> coverage,
+                     const std::string& path) {
+  const uint32_t* want = coverage.data();
   bool same = true;
   ForEachCriticalGlobal(store, [&](NodeId v) { same &= *want++ == v; });
   if (!same) {
@@ -624,7 +616,6 @@ uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session,
   h.rng_seed = session.options().seed;
   h.max_samples = session.options().max_samples;
   h.num_threads = static_cast<uint32_t>(session.options().num_threads);
-  h.num_shards = static_cast<uint32_t>(pool.num_shards());
   h.num_seeds = session.seeds().size();
   h.num_boostable = pool.num_boostable();
   h.num_activated = pool.num_activated();
@@ -644,15 +635,13 @@ uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session,
     return static_cast<uint64_t>(out.tellp());
   }
 
-  // Full-mode body: a zeroed directory placeholder, each shard's eight
-  // section blocks streamed straight from the arena (a nop block is the
-  // arena span verbatim; another codec stages one block at a time), the
-  // pool-level coverage section, then the directory backpatched with the
-  // final offsets and sizes.
-  const size_t num_shards = pool.num_shards();
-  const uint64_t dir_bytes = num_shards * kDirEntryBytes + kSectionEntryBytes;
-  WriteZeros(out, dir_bytes);
-  uint64_t pos = h.dir_offset + dir_bytes;
+  // Full-mode body: a zeroed directory placeholder, the arena's eight
+  // section blocks streamed straight from it (a nop block is the arena span
+  // verbatim; another codec stages one block at a time), the coverage
+  // section, then the directory backpatched with the final offsets and
+  // sizes.
+  WriteZeros(out, kDirBytes);
+  uint64_t pos = h.dir_offset + kDirBytes;
 
   std::string encode_buf;
   const auto write_block = [&](std::span<const uint32_t> values,
@@ -678,54 +667,44 @@ uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session,
     pos = block_begin + e->stored_bytes;
   };
 
-  std::vector<ShardDir> dirs(num_shards);
-  size_t total_critical = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    const PrrStore& store = pool.shard_store(s);
-    const size_t num_graphs = store.num_graphs();
-    std::vector<uint32_t> num_nodes(num_graphs), num_critical(num_graphs);
-    for (size_t g = 0; g < num_graphs; ++g) {
-      num_nodes[g] = store.num_nodes(g);
-      num_critical[g] = static_cast<uint32_t>(store.critical_count(g));
-    }
-    const std::span<const uint32_t> sections[kNumSections] = {
-        num_nodes,
-        num_critical,
-        store.raw_global_ids(),
-        store.raw_out_offsets(),
-        store.raw_in_offsets(),
-        store.raw_out_edges(),
-        store.raw_in_edges(),
-        store.raw_critical()};
-
-    dirs[s].num_graphs = num_graphs;
-    const uint64_t shard_begin = AlignUp(pos, kShardAlign);
-    WriteZeros(out, shard_begin - pos);
-    pos = shard_begin;
-    for (size_t i = 0; i < kNumSections; ++i) {
-      write_block(sections[i], &dirs[s].sections[i]);
-    }
-    total_critical += store.raw_critical().size();
+  const PrrStore& store = pool.store();
+  const size_t num_graphs = store.num_graphs();
+  std::vector<uint32_t> num_nodes(num_graphs), num_critical(num_graphs);
+  for (size_t g = 0; g < num_graphs; ++g) {
+    num_nodes[g] = store.num_nodes(g);
+    num_critical[g] = static_cast<uint32_t>(store.critical_count(g));
+  }
+  const std::span<const uint32_t> sections[kNumSections] = {
+      num_nodes,
+      num_critical,
+      store.raw_global_ids(),
+      store.raw_out_offsets(),
+      store.raw_in_offsets(),
+      store.raw_out_edges(),
+      store.raw_in_edges(),
+      store.raw_critical()};
+  ArenaDir dir;
+  dir.num_graphs = num_graphs;
+  const uint64_t arena_begin = AlignUp(pos, kArenaAlign);
+  WriteZeros(out, arena_begin - pos);
+  pos = arena_begin;
+  for (size_t i = 0; i < kNumSections; ++i) {
+    write_block(sections[i], &dir.sections[i]);
   }
 
-  // Pool-level coverage section: every graph's critical set translated to
-  // global ids, shard-major in stored-graph order — exactly the node pool
-  // the loader binds the greedy-coverage selector to.
+  // The coverage section: every graph's critical set translated to global
+  // ids, in stored-graph order — exactly the node pool the loader binds the
+  // greedy-coverage selector to.
   std::vector<uint32_t> coverage_pool;
-  coverage_pool.reserve(total_critical);
-  for (const PrrStore& store : pool.shards()) {
-    ForEachCriticalGlobal(store,
-                          [&](NodeId v) { coverage_pool.push_back(v); });
-  }
+  coverage_pool.reserve(store.raw_critical().size());
+  ForEachCriticalGlobal(store, [&](NodeId v) { coverage_pool.push_back(v); });
   SectionEntry coverage;
   write_block(coverage_pool, &coverage);
   const uint64_t file_bytes = pos;
 
   out.seekp(static_cast<std::streamoff>(h.dir_offset));
-  for (const ShardDir& dir : dirs) {
-    WritePod(out, dir.num_graphs);
-    for (const SectionEntry& e : dir.sections) WriteSectionEntry(out, e);
-  }
+  WritePod(out, dir.num_graphs);
+  for (const SectionEntry& e : dir.sections) WriteSectionEntry(out, e);
   WriteSectionEntry(out, coverage);
   return file_bytes;
 }
@@ -828,31 +807,29 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
         std::to_string(graph.num_nodes()));
   }
   if (h.pool_budget == 0 || h.num_seeds == 0 ||
-      h.num_seeds > graph.num_nodes() || h.num_shards == 0 ||
-      h.num_shards > static_cast<uint32_t>(PrrCollection::kMaxShards)) {
+      h.num_seeds > graph.num_nodes()) {
     return Status::InvalidArgument("corrupt pool snapshot header: " + path);
   }
   const bool lb_only = (h.flags & kFlagLbOnly) != 0;
 
-  // The writer's thread count is provenance, not a command: clamp it into
-  // the valid range before it reaches BoostOptions (whose trusting
-  // constructor would abort on garbage), and note that registering with a
-  // BoostService overrides it with the service's Options::num_threads.
-  const int load_threads = static_cast<int>(std::max<uint32_t>(
-      1, std::min<uint32_t>(h.num_threads,
-                            static_cast<uint32_t>(ThreadPool::kMaxWorkers))));
+  // The writer's thread count is provenance only (a loaded pool never
+  // samples), kept so a re-save writes the same header: clamp it into the
+  // valid range before it reaches BoostOptions, whose trusting constructor
+  // would abort on garbage.
   BoostOptions boost_options;
   boost_options.k = h.pool_budget;
   boost_options.epsilon = h.epsilon;
   boost_options.ell = h.ell;
   boost_options.seed = h.rng_seed;
   boost_options.max_samples = h.max_samples;
-  if (h.num_threads > 0) boost_options.num_threads = load_threads;
-  boost_options.num_shards = static_cast<int>(h.num_shards);
+  if (h.num_threads > 0) {
+    boost_options.num_threads = static_cast<int>(std::min<uint32_t>(
+        h.num_threads, static_cast<uint32_t>(ThreadPool::kMaxWorkers)));
+  }
   // These header-derived options feed the trusting BoostSession constructor,
-  // which KB_CHECK-aborts on invalid values — a corrupt ε/ℓ/k/shard count
-  // must surface as a typed rejection instead (NaN fails Validate's range
-  // comparisons too, so a garbage double cannot sneak through).
+  // which KB_CHECK-aborts on invalid values — a corrupt ε/ℓ/k must surface
+  // as a typed rejection instead (NaN fails Validate's range comparisons
+  // too, so a garbage double cannot sneak through).
   if (Status opt = boost_options.Validate(); !opt.ok()) {
     return Status::InvalidArgument(
         "snapshot header carries invalid sampling options (" +
@@ -879,9 +856,9 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     return Status::ResourceExhausted(
         "injected fault: allocation pressure restoring pool: " + path);
   }
-  // The body, all of it aliasing `bytes` or `decoded`: the shard arenas
-  // (none for an LB-only pool), the coverage node pool and its set sizes.
-  std::vector<PrrStore> stores;
+  // The body, all of it aliasing `bytes` or `decoded`: the arena (empty for
+  // an LB-only pool), the coverage node pool and its set sizes.
+  PrrStore store;
   std::vector<uint32_t> set_sizes;
   std::span<const NodeId> coverage_nodes;
   std::shared_ptr<SnapshotBytes> decoded;
@@ -893,98 +870,61 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
       return s;
     }
   } else {
-    std::vector<ShardDir> dirs;
+    ArenaDir dir;
     SectionEntry coverage;
     if (Status s = ParseDirectory(base, file_size, h.dir_offset, body_begin,
-                                  h.num_shards, path, &dirs, &coverage);
+                                  path, &dir, &coverage);
         !s.ok()) {
       return s;
     }
-    // Codec-coded blocks decode into one owned buffer, shard by shard and
-    // then the coverage block; nop blocks are read in place. The coverage
-    // section is shard-major, so each shard also knows where its slice of it
-    // begins.
-    const size_t num_shards = dirs.size();
-    std::vector<uint64_t> decode_at(num_shards + 1, 0);
-    std::vector<uint64_t> coverage_at(num_shards + 1, 0);
+    // Codec-coded blocks decode into one owned buffer, the arena's blocks
+    // first and then the coverage block; nop blocks are read in place.
+    uint64_t decoded_bytes = DecodedBytes(coverage);
     size_t in_place = IsNop(coverage) ? 1 : 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      decode_at[s + 1] = decode_at[s];
-      for (const SectionEntry& e : dirs[s].sections) {
-        decode_at[s + 1] += DecodedBytes(e);
-        in_place += IsNop(e) ? 1 : 0;
-      }
-      coverage_at[s + 1] = coverage_at[s] +
-                           dirs[s].sections[kSecCritical].raw_bytes /
-                               sizeof(uint32_t);
+    for (const SectionEntry& e : dir.sections) {
+      decoded_bytes += DecodedBytes(e);
+      in_place += IsNop(e) ? 1 : 0;
     }
-    const uint64_t decoded_bytes =
-        decode_at[num_shards] + DecodedBytes(coverage);
     if (decoded_bytes > 0) {
       decoded = std::make_shared<SnapshotBytes>(decoded_bytes);
     }
     char* decoded_base = decoded != nullptr ? decoded->mutable_data() : nullptr;
     reads_file = in_place > 0;
-    uint64_t at = decode_at[num_shards];
-    if (Status s = ResolveBlock(coverage, base, decoded_base, &at,
+    uint64_t decode_at = 0;
+    std::span<const uint32_t> v[kNumSections];
+    Status arena = Status::Ok();
+    for (size_t i = 0; i < kNumSections && arena.ok(); ++i) {
+      arena = ResolveBlock(dir.sections[i], base, decoded_base, &decode_at,
+                           &v[i]);
+    }
+    if (arena.ok()) {
+      arena = store.AttachExternal(
+          {v[kSecNumNodes], v[kSecNumCritical], v[kSecGlobalIds],
+           v[kSecOutOffsets], v[kSecInOffsets], v[kSecOutEdges],
+           v[kSecInEdges], v[kSecCritical]},
+          deep);
+    }
+    if (!arena.ok()) {
+      return Status::InvalidArgument("corrupt PRR-graph arena of snapshot " +
+                                     path + ": " + arena.ToString());
+    }
+    if (Status s = ResolveBlock(coverage, base, decoded_base, &decode_at,
                                 &coverage_nodes);
         !s.ok()) {
       return Status::InvalidArgument("corrupt coverage section of snapshot " +
                                      path + ": " + s.ToString());
     }
-
-    // Restore-time parallelism is capped by this host's cores: the writer
-    // may have had more, and an attach is O(num_graphs) metadata per shard.
-    const int io_threads = std::max(
-        1, std::min(load_threads,
-                    static_cast<int>(std::thread::hardware_concurrency())));
-    stores.resize(num_shards);
-    std::vector<std::span<const uint32_t>> shard_set_sizes(num_shards);
-    std::vector<Status> shard_status(num_shards, Status::Ok());
-    ParallelFor(
-        num_shards, io_threads,
-        [&](size_t s, int /*t*/) {
-          std::span<const uint32_t> v[kNumSections];
-          uint64_t shard_at = decode_at[s];
-          Status arena = Status::Ok();
-          for (size_t i = 0; i < kNumSections && arena.ok(); ++i) {
-            arena = ResolveBlock(dirs[s].sections[i], base, decoded_base,
-                                 &shard_at, &v[i]);
-          }
-          if (arena.ok()) {
-            arena = stores[s].AttachExternal(
-                {v[kSecNumNodes], v[kSecNumCritical], v[kSecGlobalIds],
-                 v[kSecOutOffsets], v[kSecInOffsets], v[kSecOutEdges],
-                 v[kSecInEdges], v[kSecCritical]},
-                deep);
-          }
-          if (!arena.ok()) {
-            shard_status[s] = Status::InvalidArgument(
-                "corrupt PRR-graph arena in shard " + std::to_string(s) +
-                " of snapshot " + path + ": " + arena.ToString());
-            return;
-          }
-          shard_set_sizes[s] = v[kSecNumCritical];
-          shard_status[s] = CheckGlobalIds(stores[s], graph.num_nodes());
-          if (deep && shard_status[s].ok()) {
-            shard_status[s] = CheckCoverageSlice(
-                stores[s],
-                coverage_nodes.subspan(coverage_at[s],
-                                       coverage_at[s + 1] - coverage_at[s]),
-                path);
-          }
-        },
-        /*chunk=*/1);
-    for (const Status& s : shard_status) {
-      if (!s.ok()) return s;
+    if (Status s = CheckGlobalIds(store, graph.num_nodes()); !s.ok()) return s;
+    if (deep) {
+      if (Status s = CheckCoverage(store, coverage_nodes, path); !s.ok()) {
+        return s;
+      }
     }
-    for (const std::span<const uint32_t> sizes : shard_set_sizes) {
-      set_sizes.insert(set_sizes.end(), sizes.begin(), sizes.end());
-    }
+    set_sizes.assign(v[kSecNumCritical].begin(), v[kSecNumCritical].end());
     if (set_sizes.size() != h.num_boostable) {
       return Status::InvalidArgument(
           "snapshot header declares " + std::to_string(h.num_boostable) +
-          " boostable graphs but the shard arenas hold " +
+          " boostable graphs but the arena holds " +
           std::to_string(set_sizes.size()));
     }
   }
@@ -993,9 +933,8 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     return s;
   }
 
-  auto pool = std::make_unique<PrrCollection>(
-      graph.num_nodes(), static_cast<int>(h.num_shards));
-  pool->RestorePool(std::move(stores), set_sizes, coverage_nodes,
+  auto pool = std::make_unique<PrrCollection>(graph.num_nodes());
+  pool->RestorePool(std::move(store), set_sizes, coverage_nodes,
                     h.num_activated, h.num_hopeless);
 
   PrrSamplerStats stats;

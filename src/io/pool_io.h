@@ -21,30 +21,32 @@ namespace kboost {
 /// Format v3, the only one this build reads or writes: a 128-byte header, a
 /// 32-byte extension (endianness marker, default codec, alignment, directory
 /// offset), the seed list, then the body. A full-mode body is a section
-/// directory over page-aligned shard regions of eight flat uint32 sections
-/// each, plus one pool-level coverage section — the critical sets
-/// pre-translated to global ids, shard-major — so the greedy-coverage node
-/// pool binds in place too. Every section is independently coded by a
-/// pluggable codec (src/io/codec.h); a nop-coded section IS the arena memory.
-/// An LB-only body is the critical sets as one flat offsets/nodes pair.
+/// directory over one page-aligned arena region of eight flat uint32
+/// sections, plus the coverage section — the critical sets pre-translated to
+/// global ids, in stored-graph order — so the greedy-coverage node pool
+/// binds in place too. Every section is independently coded by a pluggable
+/// codec (src/io/codec.h); a nop-coded section IS the arena memory. An
+/// LB-only body is the critical sets as one flat offsets/nodes pair.
 ///
 /// A pool is a deterministic function of graph + BoostOptions, so a snapshot
-/// is a cache, not an archive: v1/v2 files, and v3 files written without a
-/// coverage section, are rejected with a typed InvalidArgument that asks for
-/// a re-save.
+/// is a cache, not an archive: v1/v2 files, v3 files written without a
+/// coverage section, and v3 files whose header's num_shards is not 1 (older
+/// builds could split a pool into several arenas) are rejected with a typed
+/// InvalidArgument that asks for a re-save. A single-arena v3 file from an
+/// older build stays valid byte for byte.
 ///
 /// One load path: the file's bytes come from a read-only mmap (use_mmap) or
 /// from one read into an aligned heap buffer; codec-coded sections decode
-/// into one owned buffer; the shard arenas and the coverage pool are then
-/// bound over those bytes in place, and the session retains them.
+/// into one owned buffer; the arena and the coverage pool are then bound
+/// over those bytes in place, and the session retains them.
 ///
 /// Byte order: headers stamp an endianness marker and the loader rejects
 /// snapshots written on a different-endianness host with a typed Status.
 ///
-/// Thread count precedence: the header records the writer's num_threads as
-/// provenance only. The loader clamps it into [1, ThreadPool::kMaxWorkers]
-/// before using it, and any registration with a BoostService overrides it
-/// with the service's own Options::num_threads — service options win.
+/// Thread count: the header records the writer's num_threads (its sampling
+/// width) as provenance only. A loaded pool never samples, so the loader
+/// just clamps it into [1, ThreadPool::kMaxWorkers] and keeps it for a
+/// re-save of the same pool.
 
 /// How to write a snapshot.
 struct PoolSaveOptions {

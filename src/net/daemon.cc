@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <initializer_list>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -127,7 +126,7 @@ bool ParseMode(const char* text, SolveMode* out) {
 
 int RunServeCommand(int argc, char** argv, int flag_start) {
   if (!ValidateFlags(argc, argv, flag_start, "serve",
-                     {"--graph", "--pool", "--listen", "--bind", "--threads",
+                     {"--graph", "--pool", "--listen", "--bind",
                       "--deadline-ms", "--max-connections"},
                      {"--mmap-pool", "--no-remote-shutdown"})) {
     return 2;
@@ -137,9 +136,8 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
     std::fprintf(stderr,
                  "usage: serve --graph=PATH --pool=NAME=SNAPSHOT "
                  "[--pool=...] [--mmap-pool] [--listen=PORT] [--bind=ADDR]\n"
-                 "             [--threads=N] [--deadline-ms=N] "
-                 "[--max-connections=N]\n"
-                 "             [--no-remote-shutdown]\n");
+                 "             [--deadline-ms=N] [--max-connections=N] "
+                 "[--no-remote-shutdown]\n");
     return 2;
   }
 
@@ -162,10 +160,9 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
     return 2;
   }
 
-  uint64_t listen_port = 0, threads = 0, deadline_ms = 0;
+  uint64_t listen_port = 0, deadline_ms = 0;
   uint64_t max_connections = 256;
   if (!ParseUint64Flag(argc, argv, flag_start, "--listen", &listen_port) ||
-      !ParseUint64Flag(argc, argv, flag_start, "--threads", &threads) ||
       !ParseUint64Flag(argc, argv, flag_start, "--deadline-ms",
                        &deadline_ms) ||
       !ParseUint64Flag(argc, argv, flag_start, "--max-connections",
@@ -174,10 +171,6 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
   }
   if (listen_port > 65535) {
     std::fprintf(stderr, "error: --listen must be in [0, 65535]\n");
-    return 2;
-  }
-  if (threads > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    std::fprintf(stderr, "error: --threads out of range\n");
     return 2;
   }
 
@@ -189,7 +182,6 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
 
   BoostService::Options service_options;
   service_options.warm_pools = std::move(pools);
-  service_options.num_threads = static_cast<int>(threads);
   service_options.mmap_pools = HasFlag(argc, argv, flag_start, "--mmap-pool");
   service_options.default_deadline_ms = deadline_ms;
   StatusOr<std::unique_ptr<BoostService>> service =

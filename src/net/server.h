@@ -56,8 +56,8 @@ struct ServerCounters {
 /// The kboostd serving front-end: exposes one BoostService over TCP with
 /// the length-prefixed binary protocol of src/net/wire.h.
 ///
-/// Threading model: N = NumLoops() event loops, one per two hardware
-/// threads (epoll on Linux, poll elsewhere), plus one refresh thread.
+/// Threading model: N = NumLoops() event loops, one per two usable CPUs
+/// (epoll on Linux, poll elsewhere), plus one refresh thread.
 /// Loop 0 also owns the listening socket: it accepts, checks
 /// max_connections against the server-wide active-connection gauge, and
 /// deals accepted connection i to loop i mod N through that loop's inbox.
@@ -70,8 +70,8 @@ struct ServerCounters {
 /// non-blocking send. Write interest is registered only when bytes remain.
 /// REFRESH alone (loading and preparing a pool, ms to s) goes to the
 /// refresh thread, which hands the encoded reply back through the inbox of
-/// the loop that owns the connection. A host with fewer than four hardware
-/// threads runs the same code with one loop.
+/// the loop that owns the connection. A process with fewer than four
+/// usable CPUs runs the same code with one loop.
 ///
 /// One request is processed per connection at a time: while a connection
 /// has a reply pending or a refresh in flight, its next frame waits (and
@@ -113,13 +113,13 @@ class KboostServer {
   static StatusOr<std::unique_ptr<KboostServer>> Start(
       BoostService* service, const ServerOptions& options);
 
-  /// The number of event loops a server runs: DefaultThreadCount() / 2, at
-  /// least one. Each loop does its queries' CPU work inline; the other half
-  /// of the hardware threads is left to the peers and to the kernel's side
-  /// of every send and receive. A loop per hardware thread oversubscribes
-  /// the CPUs when callers share the host: each caller gets a private loop,
-  /// and throughput then swings from run to run with whether the scheduler
-  /// puts each caller on its loop's CPU.
+  /// The number of event loops a server runs: DefaultThreadCount() (the
+  /// CPUs in the process's affinity mask) / 2, at least one. Each loop does
+  /// its queries' CPU work inline; the other half of the CPUs is left to the
+  /// peers and to the kernel's side of every send and receive. A loop per
+  /// CPU oversubscribes the CPUs when callers share the host: each caller
+  /// gets a private loop, and throughput then swings from run to run with
+  /// whether the scheduler puts each caller on its loop's CPU.
   static int NumLoops();
 
   /// Graceful shutdown + join, if still running.

@@ -23,11 +23,6 @@ double NowEpochSeconds() {
 
 StatusOr<std::unique_ptr<BoostService>> BoostService::Create(
     const DirectedGraph& graph, const Options& options) {
-  if (options.num_threads != 0) {
-    BoostOptions probe;
-    probe.num_threads = options.num_threads;
-    if (Status s = probe.Validate(); !s.ok()) return s;
-  }
   if (options.snapshot_retry.max_attempts < 1) {
     return Status::InvalidArgument(
         "snapshot_retry.max_attempts must be >= 1, got " +
@@ -88,8 +83,8 @@ Status BoostService::LoadPool(const std::string& name,
   return added;
 }
 
-Status BoostService::CheckAndAdoptSession(const std::string& name,
-                                          BoostSession* session) {
+Status BoostService::CheckSession(const std::string& name,
+                                  const BoostSession* session) const {
   if (name.empty()) {
     return Status::InvalidArgument("pool name must be non-empty");
   }
@@ -102,21 +97,12 @@ Status BoostService::CheckAndAdoptSession(const std::string& name,
         std::to_string(session->graph().num_nodes()) + " nodes, not " +
         std::to_string(graph_.num_nodes()));
   }
-  // The service-wide worker-count override applies on EVERY registration
-  // path — snapshot loads, direct AddPool registrations and RefreshPool
-  // replacements — so a pool's thread count never depends on how it entered
-  // the registry.
-  if (options_.num_threads != 0) {
-    if (Status s = session->set_num_threads(options_.num_threads); !s.ok()) {
-      return s;
-    }
-  }
   return Status::Ok();
 }
 
 Status BoostService::AddPool(const std::string& name,
                              std::unique_ptr<BoostSession> session) {
-  if (Status s = CheckAndAdoptSession(name, session.get()); !s.ok()) return s;
+  if (Status s = CheckSession(name, session.get()); !s.ok()) return s;
   {
     // Fail fast on a duplicate before doing the expensive preparation.
     ReaderLock lock(mutex_);
@@ -144,7 +130,7 @@ Status BoostService::AddPool(const std::string& name,
 
 Status BoostService::RefreshPool(const std::string& name,
                                  std::unique_ptr<BoostSession> session) {
-  if (Status s = CheckAndAdoptSession(name, session.get()); !s.ok()) return s;
+  if (Status s = CheckSession(name, session.get()); !s.ok()) return s;
   {
     // Fail fast when the name is not registered — a refresh replaces, it
     // never creates. A removal racing the preparation below is re-checked

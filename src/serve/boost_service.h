@@ -93,13 +93,6 @@ class BoostService {
     /// Pools registered before Create() returns; any load failure fails
     /// construction with that pool's error.
     std::vector<PoolSpec> warm_pools;
-    /// Overrides every registered pool's worker count — applied uniformly
-    /// on BOTH registration paths (LoadPool snapshots, which carry the
-    /// count they were built with, and directly AddPool-ed sessions) and on
-    /// RefreshPool replacements; 0 keeps each session's own count. Either
-    /// way the snapshot's recorded thread count never survives registration
-    /// unclamped: service options win over snapshot headers.
-    int num_threads = 0;
     /// Serve snapshot-loaded pools zero-copy from an mmap of the file
     /// (LoadPool, RefreshPoolFromSnapshot and warm_pools all route through
     /// it); nop-coded sections are then served in place. The mapping is
@@ -222,9 +215,10 @@ class BoostService {
         admission_(AdmissionOptions{options.max_in_flight,
                                     options.max_queued}) {}
 
-  /// Shared validation + service-default thread override for every
-  /// registration path (AddPool and RefreshPool).
-  Status CheckAndAdoptSession(const std::string& name, BoostSession* session);
+  /// Shared validation for every registration path (AddPool and
+  /// RefreshPool).
+  Status CheckSession(const std::string& name,
+                      const BoostSession* session) const;
 
   /// The snapshot load both LoadPool and RefreshPoolFromSnapshot share:
   /// retries transient faults per Options::snapshot_retry and reports the

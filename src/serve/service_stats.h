@@ -45,10 +45,10 @@ struct PoolStatsSnapshot {
   double registered_at = 0.0;    ///< seconds since epoch, AddPool/LoadPool
   double refreshed_at = 0.0;     ///< seconds since epoch, last swap (0 = never)
   /// Wall milliseconds the most recent rebuild of this pool spent in
-  /// Prepare() — sampling, per-shard index warm-up and LB-order caching —
+  /// Prepare() — sampling, index warm-up and caching both greedy orders —
   /// i.e. the cost of the last AddPool/LoadPool or RefreshPool, measured
   /// outside the registry lock. What an operator watches to size refresh
-  /// cadence and judge the sharded rebuild speed-up.
+  /// cadence.
   double last_rebuild_ms = 0.0;
 };
 

@@ -1,5 +1,7 @@
 #include "src/util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -12,10 +14,13 @@ thread_local bool tls_in_pool_worker = false;
 }  // namespace
 
 int DefaultThreadCount() {
-  unsigned hc = std::thread::hardware_concurrency();
-  if (hc == 0) return 1;
+  // The CPUs this process may run on (taskset, a cpuset-limited container),
+  // not every CPU of the host; hardware_concurrency() is the fallback.
+  int count = static_cast<int>(std::thread::hardware_concurrency());
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) count = CPU_COUNT(&mask);
   // Clamp to the pool cap so default-built BoostOptions always validate.
-  return std::min(static_cast<int>(hc), ThreadPool::kMaxWorkers);
+  return std::clamp(count, 1, ThreadPool::kMaxWorkers);
 }
 
 ThreadPool& ThreadPool::Global() {

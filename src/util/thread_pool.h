@@ -12,7 +12,9 @@
 
 namespace kboost {
 
-/// Returns a sensible default worker count (hardware concurrency, at least 1).
+/// Returns a sensible default worker count: the CPUs in the calling thread's
+/// affinity mask (hardware concurrency if it cannot be read), clamped to
+/// [1, ThreadPool::kMaxWorkers].
 int DefaultThreadCount();
 
 /// A persistent worker pool with a condition-variable work queue. Threads are

@@ -54,6 +54,15 @@ expect_usage_error(${CLI} evaluate --graph=${graph} --seeds=0,1 --boost=2
                    --sims=0)
 expect_usage_error(${CLI} boost --graph=${graph} --seeds=0,1 --k=5
                    --epsilon=0.5x)
+# The pool is one arena: there is no shard count to set.
+expect_usage_error(${CLI} boost --graph=${graph} --seeds=0,1 --k=5
+                   --shards=4)
+# A loaded pool never samples, so a sampling width has nothing to size:
+# not on `boost --load-pool`, and not on `serve` (kboostd's command).
+expect_usage_error(${CLI} boost --graph=${graph} --load-pool=${unused}
+                   --threads=2)
+expect_usage_error(${CLI} serve --graph=${graph} --pool=a=${unused}
+                   --threads=2)
 # A command that no longer exists is unknown: usage, exit 2.
 expect_usage_error(${CLI} serve-bench --graph=${graph})
 expect_usage_error(${VIRAL_MARKETING} abc)

@@ -13,7 +13,6 @@
 #include "src/graph/graph_builder.h"
 #include "src/io/pool_io.h"
 #include "src/util/rng.h"
-#include "tests/same_answer.h"
 
 namespace kboost {
 namespace {
@@ -57,20 +56,19 @@ class Digest {
 };
 
 /// Digests a pool's realization: every stored graph's global ids, packed
-/// out-edges (with their offsets) and critical locals, in shard-major
-/// order, plus θ and the boostable/activated/hopeless counts.
+/// out-edges (with their offsets) and critical locals, in stored order,
+/// plus θ and the boostable/activated/hopeless counts.
 uint64_t PoolDigest(const PrrCollection& collection) {
   Digest digest;
-  for (const PrrStore& store : collection.shards()) {
-    digest.Add(store.num_graphs());
-    for (size_t g = 0; g < store.num_graphs(); ++g) {
-      const PrrGraphView view = store.View(g);
-      const uint32_t n = view.num_nodes();
-      digest.Add({view.global_ids, n});
-      digest.Add({view.out_offsets, n + 1});
-      digest.Add({view.out_edges, view.num_edges()});
-      digest.Add(view.critical());
-    }
+  const PrrStore& store = collection.store();
+  digest.Add(store.num_graphs());
+  for (size_t g = 0; g < store.num_graphs(); ++g) {
+    const PrrGraphView view = store.View(g);
+    const uint32_t n = view.num_nodes();
+    digest.Add({view.global_ids, n});
+    digest.Add({view.out_offsets, n + 1});
+    digest.Add({view.out_edges, view.num_edges()});
+    digest.Add(view.critical());
   }
   digest.Add(collection.num_samples());
   digest.Add(collection.num_boostable());
@@ -99,28 +97,20 @@ TEST(BoostSessionTest, NestedBudgetInvariantInLbMode) {
 /// Pins one small pool's realization. Every other test compares pools with
 /// each other, so a sampler change that draws a different but
 /// self-consistent pool would pass them all; this one fails instead. The
-/// digest depends on S (shard-major order) but never on the thread count.
-/// Update the constants only for a deliberate change to sampling.
+/// digest never depends on the thread count. Update the constant only for a
+/// deliberate change to sampling.
 TEST(BoostSessionTest, PoolRealizationIsPinned) {
   DirectedGraph g = MakeTestGraph();
-  const std::pair<int, uint64_t> pinned[] = {
-      {1, 0x1FF4E964B5B95402ULL},
-      {4, 0x6FA3EEA734F546BDULL},
-  };
-  for (const auto& [shards, want] : pinned) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE("S=" + std::to_string(shards) +
-                   " threads=" + std::to_string(threads));
-      BoostOptions options = MakeOptions(8);
-      options.num_shards = shards;
-      options.num_threads = threads;
-      BoostSession session(g, {0, 1, 2}, options);
-      session.Prepare();
-      const PrrCollection& collection = session.engine().collection();
-      ASSERT_GT(collection.num_stored_graphs(), 0u);
-      EXPECT_EQ(PoolDigest(collection), want)
-          << std::hex << "0x" << PoolDigest(collection);
-    }
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    BoostOptions options = MakeOptions(8);
+    options.num_threads = threads;
+    BoostSession session(g, {0, 1, 2}, options);
+    session.Prepare();
+    const PrrCollection& collection = session.engine().collection();
+    ASSERT_GT(collection.num_stored_graphs(), 0u);
+    EXPECT_EQ(PoolDigest(collection), 0x1FF4E964B5B95402ULL)
+        << std::hex << "0x" << PoolDigest(collection);
   }
 }
 
@@ -283,91 +273,21 @@ TEST(PoolIoTest, InflatedHeaderCountsAreRejectedNotAllocated) {
   std::filesystem::remove(path);
 }
 
-BoostOptions MakeShardedOptions(size_t k, int num_shards) {
-  BoostOptions options = MakeOptions(k);
-  options.num_shards = num_shards;
-  return options;
-}
-
-TEST(PoolIoTest, MultiShardSnapshotRoundTripsBitIdentically) {
-  // A full-mode pool split across 3 arenas must save → load → solve
-  // bit-identically, with the shard layout preserved by the snapshot.
-  DirectedGraph g = MakeTestGraph(17);
-  const std::vector<NodeId> seeds = {0, 5};
-  const std::string path = TempPath("kboost_pool_sharded.bin");
-  BoostSession session(g, seeds, MakeShardedOptions(10, 3));
-  ASSERT_TRUE(session.SavePool(path).ok());
-
-  StatusOr<std::unique_ptr<BoostSession>> loaded = LoadOwned(g, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  BoostSession& warm = *loaded.value();
-  EXPECT_EQ(warm.engine().collection().num_shards(), 3u);
-  EXPECT_EQ(warm.engine().options().num_shards, 3);
-  for (size_t k : {2, 6, 10}) {
-    BoostResult a = session.SolveForBudget(k);
-    BoostResult b = warm.SolveForBudget(k);
-    EXPECT_EQ(a.best_set, b.best_set);
-    EXPECT_EQ(a.delta_set, b.delta_set);
-    EXPECT_EQ(a.best_estimate, b.best_estimate);
-    EXPECT_EQ(a.num_samples, b.num_samples);
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(PoolIoTest, ShardedSnapshotMatchesMonolithicAnswers) {
-  // The shard layout is a storage detail, never a semantic one: at every S,
-  // the live pool, its owned load and its mmap load answer exactly what
-  // the S = 1 pool does.
-  DirectedGraph g = MakeTestGraph(19);
-  const std::vector<NodeId> seeds = {1, 2};
-  const std::vector<size_t> budgets = {1, 3, 8};
-  const std::string path = TempPath("kboost_pool_sharded_sweep.bin");
-  std::vector<BoostResult> reference;  // S = 1's live answers
-  for (int num_shards : {1, 2, 4, 8}) {
-    SCOPED_TRACE("S=" + std::to_string(num_shards));
-    BoostSession live(g, seeds, MakeShardedOptions(8, num_shards));
-    ASSERT_TRUE(live.SavePool(path).ok());
-    StatusOr<std::unique_ptr<BoostSession>> owned = LoadOwned(g, path);
-    PoolLoadOptions mmap_options;
-    mmap_options.use_mmap = true;
-    StatusOr<std::unique_ptr<BoostSession>> mapped =
-        LoadPoolSnapshot(g, path, mmap_options);
-    ASSERT_TRUE(owned.ok()) << owned.status().ToString();
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    ASSERT_EQ(mapped.value()->engine().collection().num_shards(),
-              static_cast<size_t>(num_shards));
-    for (size_t i = 0; i < budgets.size(); ++i) {
-      SCOPED_TRACE("k=" + std::to_string(budgets[i]));
-      const BoostResult answer = live.SolveForBudget(budgets[i]);
-      if (num_shards == 1) reference.push_back(answer);
-      EXPECT_TRUE(SameAnswer(answer, reference[i]));
-      EXPECT_TRUE(
-          SameAnswer(owned.value()->SolveForBudget(budgets[i]), answer));
-      EXPECT_TRUE(
-          SameAnswer(mapped.value()->SolveForBudget(budgets[i]), answer));
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(BoostSessionTest, ShardAndThreadCombosAnswerIdentically) {
-  // Session-level fuzz over (threads, shards, k): every combination must
-  // reproduce the serial S = 1 answers bit-for-bit.
+TEST(BoostSessionTest, ThreadCountsAnswerIdentically) {
+  // Session-level fuzz over (threads, k): every combination must reproduce
+  // the serial answers bit-for-bit.
   DirectedGraph g = MakeTestGraph(29);
   const std::vector<NodeId> seeds = {0, 1};
   BoostOptions reference_options = MakeOptions(10);
   reference_options.num_threads = 1;
-  reference_options.num_shards = 1;
   BoostSession reference(g, seeds, reference_options);
   Rng fuzz(737373);
   for (int combo = 0; combo < 4; ++combo) {
     BoostOptions options = MakeOptions(10);
     options.num_threads = 1 + static_cast<int>(fuzz.NextBounded(4));
-    options.num_shards = 2 + static_cast<int>(fuzz.NextBounded(5));
     BoostSession session(g, seeds, options);
     const size_t k = 1 + fuzz.NextBounded(10);
     SCOPED_TRACE("threads=" + std::to_string(options.num_threads) +
-                 " shards=" + std::to_string(options.num_shards) +
                  " k=" + std::to_string(k));
     BoostResult a = reference.SolveForBudget(k);
     BoostResult b = session.SolveForBudget(k);
@@ -377,18 +297,6 @@ TEST(BoostSessionTest, ShardAndThreadCombosAnswerIdentically) {
     EXPECT_EQ(a.best_estimate, b.best_estimate);
     EXPECT_EQ(a.lb_mu_hat, b.lb_mu_hat);
     EXPECT_EQ(a.num_samples, b.num_samples);
-  }
-}
-
-TEST(BoostSessionTest, RejectsOutOfRangeShardCounts) {
-  DirectedGraph g = MakeTestGraph();
-  for (int bad : {0, -3, PrrCollection::kMaxShards + 1}) {
-    BoostOptions options = MakeOptions(5);
-    options.num_shards = bad;
-    StatusOr<std::unique_ptr<BoostSession>> r =
-        BoostSession::Create(g, {0, 1}, options, /*lb_only=*/false);
-    EXPECT_FALSE(r.ok()) << "num_shards=" << bad;
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

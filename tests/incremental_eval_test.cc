@@ -2,8 +2,8 @@
 // fwd/bwd/crit bitmap state relaxed per commit must reproduce the scratch
 // evaluator's answers exactly — for reachability, critical sets, per-pick Δ̂
 // gains, the estimators (including Δ̂ of every cached LB prefix) and the bulk
-// shard-merge coverage path — across random graphs, random commit orders,
-// thread counts, shard counts, snapshot loads and pool reuse.
+// coverage append — across random graphs, random commit orders, thread
+// counts, snapshot loads and pool reuse.
 
 #include <gtest/gtest.h>
 
@@ -238,11 +238,10 @@ size_t ScratchActivated(const PrrCollection& collection,
   const std::vector<uint8_t> boosted =
       MakeNodeBitmap(collection.num_graph_nodes(), boost_set);
   PrrEvaluator scratch;
+  const PrrStore& store = collection.store();
   size_t activated = 0;
-  for (const PrrStore& store : collection.shards()) {
-    for (size_t g = 0; g < store.num_graphs(); ++g) {
-      activated += scratch.IsActivated(store.View(g), boosted.data());
-    }
+  for (size_t g = 0; g < store.num_graphs(); ++g) {
+    activated += scratch.IsActivated(store.View(g), boosted.data());
   }
   return activated;
 }
@@ -257,10 +256,8 @@ double ScratchDeltaHat(const PrrCollection& collection,
 
 /// The dataset-scale gate: on the digg stand-in pool the engine's Δ̂ greedy
 /// must match the from-scratch reference pick for pick, and EstimateDelta
-/// must match a scratch activation count, at 1 and 4 threads. The same pool
-/// sampled into S = 4 arenas must then select and estimate exactly what the
-/// S = 1 pool does: sample i goes to shard i mod S, so the partition is
-/// invisible in every answer.
+/// must match a scratch activation count, whether the pool was sampled on 1
+/// or 4 threads (one eval state serves both pools in turn).
 TEST(IncrementalEvalTest, StandInPoolMatchesScratchReference) {
   const Dataset dataset = MakeDataset(SpecByName("digg", 0.02));
   const size_t n = dataset.graph.num_nodes();
@@ -268,38 +265,33 @@ TEST(IncrementalEvalTest, StandInPoolMatchesScratchReference) {
       SelectInfluentialSeeds(dataset.graph, 10, 7, 4);
   const std::vector<uint8_t> excluded = MakeNodeBitmap(n, seeds);
   constexpr size_t kBudget = 100;
-  PrrCollection collection(n);
-  {
+  const auto sample = [&](int threads) {
+    auto pool = std::make_unique<PrrCollection>(n);
     PrrSampler sampler(dataset.graph, seeds, kBudget, /*lb_only=*/false,
-                       /*seed=*/11, /*num_threads=*/4);
-    sampler.EnsureSamples(collection, 20000);
-  }
+                       /*seed=*/11, threads);
+    sampler.EnsureSamples(*pool, 20000);
+    return pool;
+  };
+  const std::unique_ptr<PrrCollection> reference = sample(4);
   const std::vector<ReferencePick> want =
-      ReferenceGreedyDelta(collection, kBudget, excluded);
+      ReferenceGreedyDelta(*reference, kBudget, excluded);
   ASSERT_GT(want.size(), 10u);
   std::vector<NodeId> want_nodes;
   for (const ReferencePick& p : want) want_nodes.push_back(p.node);
-  const size_t want_activated = ScratchActivated(collection, want_nodes);
+  const size_t want_activated = ScratchActivated(*reference, want_nodes);
   const std::vector<NodeId> lb_set =
-      collection.SelectGreedyLowerBound(kBudget, excluded).nodes;
+      reference->SelectGreedyLowerBound(kBudget, excluded).nodes;
   const double want_lb_delta =
       static_cast<double>(n) *
-      static_cast<double>(ScratchActivated(collection, lb_set)) /
-      static_cast<double>(collection.num_samples());
+      static_cast<double>(ScratchActivated(*reference, lb_set)) /
+      static_cast<double>(reference->num_samples());
 
-  PrrCollection sharded(n, /*num_shards=*/4);
-  {
-    PrrSampler sampler(dataset.graph, seeds, kBudget, /*lb_only=*/false,
-                       /*seed=*/11, /*num_threads=*/4);
-    sampler.EnsureSamples(sharded, 20000);
-  }
-
-  ShardedEvalState state;  // reused across runs
-  ShardedEvalState sharded_state;
+  PrrEvalState state;  // reused across runs
   for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SCOPED_TRACE("sampled on " + std::to_string(threads) + " threads");
+    const std::unique_ptr<PrrCollection> collection = sample(threads);
     const PrrCollection::DeltaResult got =
-        collection.SelectGreedyDelta(kBudget, excluded, threads, &state);
+        collection->SelectGreedyDelta(kBudget, excluded, 1, &state);
     ASSERT_GE(got.nodes.size(), want.size());
     ASSERT_EQ(got.pick_gains.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {
@@ -307,16 +299,8 @@ TEST(IncrementalEvalTest, StandInPoolMatchesScratchReference) {
       EXPECT_EQ(got.pick_gains[i], want[i].gain) << "pick " << i;
     }
     EXPECT_EQ(got.activated_samples, want_activated);
-    EXPECT_EQ(collection.EstimateDelta(lb_set, threads), want_lb_delta);
-
-    const PrrCollection::DeltaResult got_sharded = sharded.SelectGreedyDelta(
-        kBudget, excluded, threads, &sharded_state);
-    EXPECT_EQ(got_sharded.nodes, got.nodes);
-    EXPECT_EQ(got_sharded.pick_gains, got.pick_gains);
-    EXPECT_EQ(got_sharded.activated_samples, got.activated_samples);
-    EXPECT_EQ(sharded.EstimateDelta(lb_set, threads),
-              collection.EstimateDelta(lb_set, threads));
-    EXPECT_EQ(sharded.EstimateMu(lb_set), collection.EstimateMu(lb_set));
+    EXPECT_EQ(collection->EstimateDelta(lb_set), want_lb_delta);
+    EXPECT_EQ(collection->EstimateMu(lb_set), reference->EstimateMu(lb_set));
   }
 }
 
@@ -386,10 +370,10 @@ TEST(IncrementalEvalTest, OversizedGraphFallsBackToScratchExactly) {
       ReferenceGreedyDelta(collection, 3, excluded);
   // a (gain 1) makes b critical in the big graph; b (gain 2) activates it.
   ASSERT_EQ(want.size(), 2u);
-  ShardedEvalState state;
+  PrrEvalState state;
   const PrrCollection::DeltaResult got =
       collection.SelectGreedyDelta(3, excluded, 1, &state);
-  EXPECT_FALSE(state.shard(0).has_reach(0));
+  EXPECT_FALSE(state.has_reach(0));
   ASSERT_EQ(got.pick_gains.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got.nodes[i], want[i].node) << "pick " << i;
@@ -424,9 +408,7 @@ TEST(IncrementalEvalTest, EstimatorsMatchScratchLoops) {
     const double want = static_cast<double>(n) *
                         static_cast<double>(activated) /
                         static_cast<double>(collection.num_samples());
-    for (int threads : {1, 4}) {
-      EXPECT_DOUBLE_EQ(collection.EstimateDelta(boost_set, threads), want);
-    }
+    EXPECT_DOUBLE_EQ(collection.EstimateDelta(boost_set), want);
   }
 }
 
@@ -472,13 +454,13 @@ std::vector<BudgetPool> MakeBudgetPools() {
 
 /// Every budget's full answer is a slice of the two greedy orders cached at
 /// Prepare. For every k ≤ k_max, on fresh, owned-loaded and mmap-loaded
-/// pools at S = 1 and S = 4, Solve({k, kFull}) must equal a fresh per-k run
-/// of both greedies: B_Δ and its Δ̂ are a fresh SelectGreedyDelta(k), B_µ is
-/// a fresh SelectGreedyLowerBound(k) whose Δ̂ matches a scratch evaluation
-/// over every stored graph, and the best set is the sandwich pick of the
-/// two — all with doubles compared exactly. SolveForBudget(k) must give the
-/// same answer. EstimateDelta's edge cases (empty set, repeated node, a
-/// seed) must match the scratch count too.
+/// pools sampled on 1 and 4 threads, Solve({k, kFull}) must equal a fresh
+/// per-k run of both greedies: B_Δ and its Δ̂ are a fresh
+/// SelectGreedyDelta(k), B_µ is a fresh SelectGreedyLowerBound(k) whose Δ̂
+/// matches a scratch evaluation over every stored graph, and the best set is
+/// the sandwich pick of the two — all with doubles compared exactly.
+/// SolveForBudget(k) must give the same answer. EstimateDelta's edge cases
+/// (empty set, repeated node, a seed) must match the scratch count too.
 TEST(IncrementalEvalTest, LbPrefixDeltaHatIsExactOnEveryPool) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "kboost_lb_prefix.bin")
@@ -487,8 +469,8 @@ TEST(IncrementalEvalTest, LbPrefixDeltaHatIsExactOnEveryPool) {
     const size_t k_max = pool.options.k;
     const std::vector<uint8_t> excluded =
         MakeNodeBitmap(pool.graph.num_nodes(), pool.seeds);
-    for (int shards : {1, 4}) {
-      pool.options.num_shards = shards;
+    for (int threads : {1, 4}) {
+      pool.options.num_threads = threads;
       BoostSession fresh(pool.graph, pool.seeds, pool.options);
       fresh.Prepare();
       ASSERT_TRUE(SavePoolSnapshot(fresh, path, PoolSaveOptions{}).ok());
@@ -505,7 +487,7 @@ TEST(IncrementalEvalTest, LbPrefixDeltaHatIsExactOnEveryPool) {
           {"fresh", &fresh}, {"owned", owned->get()}, {"mmap", mapped->get()}};
       for (const auto& [name, session] : sessions) {
         SCOPED_TRACE(std::string(pool.name) + " " + name +
-                     " S=" + std::to_string(shards));
+                     " threads=" + std::to_string(threads));
         session->Prepare();  // a loaded pool caches its orders here
         const PrrCollection& collection = session->engine().collection();
         ASSERT_GT(collection.num_stored_graphs(), 0u);
@@ -591,7 +573,7 @@ TEST(IncrementalEvalTest, SolveForBudgetReusesPoolBitIdentically) {
   }
 }
 
-/// The bulk shard-merge path (AppendSets + AddBoostableRound) must build
+/// The bulk coverage append (AppendSets + AddBoostableRound) must build
 /// exactly the coverage state the per-sample AddSet funnel builds.
 TEST(IncrementalEvalTest, BulkCoverageAppendMatchesPerSampleFunnel) {
   // Direct CoverageSelector equivalence, including empty sets.
@@ -671,66 +653,6 @@ TEST(IncrementalEvalTest, BulkCoverageAppendMatchesPerSampleFunnel) {
   const auto mu_ref = lb_funnel.SelectGreedyLowerBound(6, excluded);
   EXPECT_EQ(mu_nodes.nodes, mu_ref.nodes);
   EXPECT_EQ(mu_nodes.mu_hat, mu_ref.mu_hat);
-}
-
-/// The sharding determinism guarantee, fuzzed: for random graphs and random
-/// (threads, shards, k) combinations, a pool split across S arenas must
-/// produce bit-identical answers — Δ̂ selection (nodes, per-pick gains,
-/// activated count), both estimators and the LB order — to the monolithic
-/// S = 1 pool sampled serially with the same seed.
-TEST(IncrementalEvalTest, ShardedAnswersMatchMonolithAcrossFuzzedCombos) {
-  Rng fuzz(515151);
-  for (uint64_t trial = 0; trial < 8; ++trial) {
-    const NodeId n = 50 + static_cast<NodeId>(trial) * 9;
-    DirectedGraph graph = MakeRandomGraph(7000 + trial, n, 6 * n);
-    const std::vector<NodeId> seeds = {0, 1};
-    const std::vector<uint8_t> excluded = MakeNodeBitmap(n, seeds);
-    const size_t pool_k = 8;
-    const size_t target = 600;
-
-    // Reference: monolithic pool, single worker.
-    PrrCollection mono(n);
-    {
-      PrrSampler sampler(graph, seeds, pool_k, /*lb_only=*/false,
-                         /*seed=*/5000 + trial, /*num_threads=*/1);
-      sampler.EnsureSamples(mono, target);
-    }
-    const size_t k = 1 + fuzz.NextBounded(pool_k);
-    const PrrCollection::DeltaResult ref_delta =
-        mono.SelectGreedyDelta(k, excluded, 1);
-    const PrrCollection::LbResult ref_lb =
-        mono.SelectGreedyLowerBound(pool_k, excluded);
-    const double ref_delta_hat = mono.EstimateDelta(ref_delta.nodes, 1);
-    const double ref_mu_hat = mono.EstimateMu(ref_delta.nodes);
-
-    for (int combo = 0; combo < 3; ++combo) {
-      const int shards = 2 + static_cast<int>(fuzz.NextBounded(6));
-      const int threads = 1 + static_cast<int>(fuzz.NextBounded(4));
-      SCOPED_TRACE("trial=" + std::to_string(trial) +
-                   " shards=" + std::to_string(shards) +
-                   " threads=" + std::to_string(threads) +
-                   " k=" + std::to_string(k));
-      PrrCollection sharded(n, shards);
-      PrrSampler sampler(graph, seeds, pool_k, /*lb_only=*/false,
-                         /*seed=*/5000 + trial, threads);
-      sampler.EnsureSamples(sharded, target);
-      ASSERT_EQ(sharded.num_samples(), mono.num_samples());
-      ASSERT_EQ(sharded.num_stored_graphs(), mono.store().num_graphs());
-
-      const PrrCollection::DeltaResult got =
-          sharded.SelectGreedyDelta(k, excluded, threads);
-      EXPECT_EQ(got.nodes, ref_delta.nodes);
-      EXPECT_EQ(got.pick_gains, ref_delta.pick_gains);
-      EXPECT_EQ(got.activated_samples, ref_delta.activated_samples);
-      EXPECT_EQ(sharded.EstimateDelta(ref_delta.nodes, threads),
-                ref_delta_hat);
-      EXPECT_EQ(sharded.EstimateMu(ref_delta.nodes), ref_mu_hat);
-      const PrrCollection::LbResult lb =
-          sharded.SelectGreedyLowerBound(pool_k, excluded);
-      EXPECT_EQ(lb.nodes, ref_lb.nodes);
-      EXPECT_EQ(lb.prefix_mu_hat, ref_lb.prefix_mu_hat);
-    }
-  }
 }
 
 }  // namespace

@@ -146,7 +146,6 @@ TEST(KboostdTest, ServesItsFilesBitIdenticallyAndExitsCleanOnShutdown) {
     options.k = kBudget;
     options.seed = 11;
     options.num_threads = 2;
-    options.num_shards = 2;
     BoostSession session(*graph, {0, 1, 2}, options);
     session.Prepare();
     ASSERT_TRUE(SavePoolSnapshot(session, pool_path, {}).ok());

@@ -55,6 +55,7 @@
 #include "src/serve/boost_service.h"
 #include "src/util/fault.h"
 #include "src/util/rng.h"
+#include "tests/join_guard.h"
 #include "tests/same_answer.h"
 
 namespace kboost {
@@ -727,6 +728,7 @@ TEST_F(NetServerTest, RefreshMidStormKeepsEveryAnswer) {
   std::atomic<size_t> divergent{0};
   std::atomic<size_t> per_version[3] = {0, 0, 0};
   std::vector<std::thread> clients;
+  JoinGuard join_clients(clients, [&] { server_->RequestShutdown(); });
   for (size_t t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
       std::unique_ptr<KboostClient> client = MustConnect();
@@ -1058,6 +1060,7 @@ TEST_F(NetServerTest, PipelinedQueriesAreAnsweredInOrderBitIdentically) {
   // One write, from its own thread: this side must read replies while the
   // write runs, or both socket buffers fill and the server stops reading.
   std::thread writer([&] { RawConn::Send(fd, stream); });
+  JoinGuard join_writer(writer, [&] { ::shutdown(fd, SHUT_RDWR); });
   for (uint32_t i = 0; i < kFrames; ++i) {
     FrameHeader header;
     std::string body;
@@ -1139,6 +1142,8 @@ TEST_F(NetServerTest, NonReadingFlooderNeitherDelaysOthersNorKeepsItsSlot) {
     [[maybe_unused]] ssize_t sent =
         ::send(flooder, flood.data(), flood.size(), MSG_NOSIGNAL);
   });
+  JoinGuard join_flooder(flood_thread,
+                         [&] { ::shutdown(flooder, SHUT_RDWR); });
   // The server answers what the socket buffers take, then the flooder's
   // replies are stuck: wait until no frame has arrived for 100 ms.
   uint64_t frames = before_flood;
@@ -1303,6 +1308,7 @@ TEST_F(NetServerTest, SigtermMidStormDrainsWithZeroLeakedAdmissionSlots) {
   // one legitimate transport outcome once the drain finishes.
   std::atomic<int> ok_count{0}, unavailable{0}, shed{0}, untyped{0};
   std::vector<std::thread> clients;
+  JoinGuard join_clients(clients, [&] { server_->RequestShutdown(); });
   for (int c = 0; c < 6; ++c) {
     clients.emplace_back([&] {
       StatusOr<std::unique_ptr<KboostClient>> client =

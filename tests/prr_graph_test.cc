@@ -385,12 +385,12 @@ TEST(PrrSamplerTest, PoolAndStatsArePinned) {
   const DirectedGraph g = MakeDenseGraph();
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    PrrCollection collection(g.num_nodes(), /*num_shards=*/4);
+    PrrCollection collection(g.num_nodes());
     PrrSampler sampler(g, {0}, /*k=*/100, /*lb_only=*/false, /*seed=*/11,
                        threads);
     sampler.EnsureSamples(collection, 4000);
     Digest digest;
-    for (const PrrStore& store : collection.shards()) AddStore(store, &digest);
+    AddStore(collection.store(), &digest);
     digest.Add(collection.num_samples());
     digest.Add(collection.num_boostable());
     digest.Add(collection.num_activated());
@@ -398,7 +398,7 @@ TEST(PrrSamplerTest, PoolAndStatsArePinned) {
     digest.Add(sampler.stats().edges_examined);
     digest.Add(sampler.stats().uncompressed_edges);
     digest.Add(sampler.stats().compressed_edges);
-    EXPECT_EQ(digest.value(), 0xF00A24F59F804CA7ULL)
+    EXPECT_EQ(digest.value(), 0xAA97F22F094AECB6ULL)
         << std::hex << "0x" << digest.value();
   }
 }

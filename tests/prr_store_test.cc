@@ -69,20 +69,20 @@ TEST(PrrStoreTest, ViewMatchesSourceArrays) {
   }
 }
 
-TEST(PrrStoreTest, AppendFromCopiesAcrossStores) {
+TEST(PrrStoreTest, AppendAllCopiesAcrossStores) {
   std::vector<PrrGraph> graphs = SampleGraphs(20, 13);
-  PrrStore shard;
-  for (const PrrGraph& g : graphs) shard.Add(g);
-  PrrStore merged;
-  // Interleave to exercise offset bookkeeping.
-  for (size_t i = 0; i < graphs.size(); i += 2) merged.AppendFrom(shard, i);
-  for (size_t i = 1; i < graphs.size(); i += 2) merged.AppendFrom(shard, i);
-  size_t slot = 0;
-  for (size_t i = 0; i < graphs.size(); i += 2, ++slot) {
-    EXPECT_TRUE(SameGraph(merged.ToPrrGraph(slot), graphs[i]));
+  // Three chunk stores of uneven sizes, one of them empty, appended after a
+  // graph the target already holds: exercises the shifted offsets.
+  PrrStore chunks[3];
+  for (size_t i = 1; i < graphs.size(); ++i) {
+    chunks[i < 8 ? 0 : 2].Add(graphs[i]);
   }
-  for (size_t i = 1; i < graphs.size(); i += 2, ++slot) {
-    EXPECT_TRUE(SameGraph(merged.ToPrrGraph(slot), graphs[i]));
+  PrrStore merged;
+  merged.Add(graphs[0]);
+  for (const PrrStore& chunk : chunks) merged.AppendAll(chunk);
+  ASSERT_EQ(merged.num_graphs(), graphs.size());
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    EXPECT_TRUE(SameGraph(merged.ToPrrGraph(i), graphs[i])) << "graph " << i;
   }
 }
 
@@ -123,10 +123,10 @@ TEST(PrrStoreTest, ClearKeepsNothing) {
 }
 
 TEST(PrrStoreTest, ClearKeepsCapacity) {
-  // The keep-capacity contract the sampler's persistent shard arenas rely
-  // on: Clear() drops contents but never releases buffers, so clearing and
-  // refilling with the same graphs must leave the reserved footprint
-  // bit-for-bit unchanged — no reallocation churn across refresh rounds.
+  // The keep-capacity contract the sampler's chunk arenas rely on: Clear()
+  // drops contents but never releases buffers, so clearing and refilling
+  // with the same graphs must leave the reserved footprint bit-for-bit
+  // unchanged — no reallocation churn across sampling batches.
   std::vector<PrrGraph> graphs = SampleGraphs(20, 15);
   PrrStore store;
   for (const PrrGraph& g : graphs) store.Add(g);
@@ -175,51 +175,6 @@ TEST_F(PrrDeterminismTest, PoolIsIdenticalForAnyThreadCount) {
                           parallel.store().ToPrrGraph(g)))
         << "graph " << g;
   }
-}
-
-TEST_F(PrrDeterminismTest, ShardedPoolIsIdenticalForAnyThreadCount) {
-  // Sample→shard assignment is a pure function of the GLOBAL sample index
-  // (sample i → shard i mod S) and each sample's Rng is seeded by that
-  // index, so every shard arena must be bit-identical no matter how many
-  // workers generated it.
-  PrrCollection serial(dataset_.graph.num_nodes(), /*num_shards=*/3);
-  PrrCollection parallel(dataset_.graph.num_nodes(), /*num_shards=*/3);
-  FillPool(serial, 1, 3000, /*lb_only=*/false);
-  FillPool(parallel, 4, 3000, /*lb_only=*/false);
-  ASSERT_EQ(serial.num_samples(), parallel.num_samples());
-  ASSERT_EQ(serial.num_boostable(), parallel.num_boostable());
-  for (size_t s = 0; s < serial.num_shards(); ++s) {
-    const PrrStore& a = serial.shard_store(s);
-    const PrrStore& b = parallel.shard_store(s);
-    ASSERT_EQ(a.num_graphs(), b.num_graphs()) << "shard " << s;
-    for (size_t g = 0; g < a.num_graphs(); ++g) {
-      ASSERT_TRUE(SameGraph(a.ToPrrGraph(g), b.ToPrrGraph(g)))
-          << "shard " << s << " graph " << g;
-    }
-  }
-}
-
-TEST_F(PrrDeterminismTest, ShardCountIsInvisibleInEveryAnswer) {
-  // Estimators are additive over samples and selection settles gains before
-  // each pick, so partitioning one pool into S arenas must not change a
-  // single bit of any answer.
-  PrrCollection mono(dataset_.graph.num_nodes());
-  PrrCollection sharded(dataset_.graph.num_nodes(), /*num_shards=*/5);
-  FillPool(mono, 2, 3000, /*lb_only=*/false);
-  FillPool(sharded, 2, 3000, /*lb_only=*/false);
-  ASSERT_EQ(mono.num_samples(), sharded.num_samples());
-  ASSERT_EQ(sharded.num_stored_graphs(), mono.store().num_graphs());
-  PrrCollection::DeltaResult dm = mono.SelectGreedyDelta(15, excluded_, 2);
-  PrrCollection::DeltaResult ds = sharded.SelectGreedyDelta(15, excluded_, 2);
-  EXPECT_EQ(dm.nodes, ds.nodes);
-  EXPECT_EQ(dm.pick_gains, ds.pick_gains);
-  EXPECT_EQ(dm.activated_samples, ds.activated_samples);
-  EXPECT_EQ(mono.EstimateDelta(dm.nodes, 2), sharded.EstimateDelta(ds.nodes, 2));
-  EXPECT_EQ(mono.EstimateMu(dm.nodes), sharded.EstimateMu(ds.nodes));
-  PrrCollection::LbResult lm = mono.SelectGreedyLowerBound(15, excluded_);
-  PrrCollection::LbResult ls = sharded.SelectGreedyLowerBound(15, excluded_);
-  EXPECT_EQ(lm.nodes, ls.nodes);
-  EXPECT_EQ(lm.mu_hat, ls.mu_hat);
 }
 
 TEST_F(PrrDeterminismTest, SelectGreedyDeltaIsThreadCountInvariant) {

@@ -27,6 +27,7 @@
 #include "src/util/fault.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
+#include "tests/join_guard.h"
 #include "tests/same_answer.h"
 
 namespace kboost {
@@ -107,17 +108,6 @@ TEST(BoostSessionCreateTest, CreatedSessionAnswersLikeConstructed) {
 
   BoostSession constructed(g, {0, 1}, MakeOptions(8));
   EXPECT_TRUE(SameAnswer(via_create, constructed.SolveForBudget(8)));
-}
-
-TEST(BoostSessionTest, SetNumThreadsValidatesThroughOptions) {
-  DirectedGraph g = MakeTestGraph();
-  BoostSession session(g, {0, 1}, MakeOptions(5));
-  EXPECT_EQ(session.set_num_threads(0).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(session.set_num_threads(-1).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(session.set_num_threads(ThreadPool::kMaxWorkers + 1).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(session.set_num_threads(4).ok());
-  EXPECT_EQ(session.options().num_threads, 4);
 }
 
 TEST(BoostSessionSolveTest, RequiresPrepare) {
@@ -436,43 +426,6 @@ TEST(BoostServiceTest, WarmStartFromSnapshotsAnswersIdentically) {
   std::remove(lb_path.c_str());
 }
 
-TEST(BoostServiceTest, AddPoolAppliesServiceThreadDefault) {
-  // Regression: AddPool used to skip the default_num_threads_ override that
-  // LoadPool applied, so directly-registered sessions ignored
-  // Options::num_threads. All three registration paths must apply it.
-  DirectedGraph g = MakeTestGraph();
-  BoostService::Options options;
-  options.num_threads = 3;
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g, options);
-  ASSERT_TRUE(service_or.ok());
-  BoostService& service = **service_or;
-
-  // MakeOptions builds sessions with num_threads = 2; the service default
-  // must win on AddPool...
-  ASSERT_TRUE(service
-                  .AddPool("a", std::make_unique<BoostSession>(
-                                    g, std::vector<NodeId>{0, 1},
-                                    MakeOptions(4)))
-                  .ok());
-  EXPECT_EQ(service.GetPool("a")->options().num_threads, 3);
-  // ...and on RefreshPool replacements.
-  ASSERT_TRUE(service
-                  .RefreshPool("a", std::make_unique<BoostSession>(
-                                        g, std::vector<NodeId>{0, 1},
-                                        MakeOptions(4)))
-                  .ok());
-  EXPECT_EQ(service.GetPool("a")->options().num_threads, 3);
-
-  // LoadPool keeps applying it (it always did).
-  const std::string path = TempPath("kboost_serve_threads.pool");
-  BoostSession to_save(g, {0, 1}, MakeOptions(4));
-  ASSERT_TRUE(to_save.SavePool(path).ok());
-  ASSERT_TRUE(service.LoadPool("b", path).ok());
-  EXPECT_EQ(service.GetPool("b")->options().num_threads, 3);
-  std::remove(path.c_str());
-}
-
 TEST(BoostServiceLifecycleTest, RefreshPoolValidatesItsArguments) {
   DirectedGraph g = MakeTestGraph();
   StatusOr<std::unique_ptr<BoostService>> service_or = BoostService::Create(g);
@@ -648,14 +601,14 @@ TEST(BoostServiceLifecycleTest, RefreshUnderConcurrentSolvesNeverNotFound) {
   BoostService& service = **service_or;
 
   // Two pool builds; different rng seeds give different pools, so an
-  // answer reveals which build produced it. A is built at S = 4 and at
-  // S = 1: the shard count must not show in any answer, so both map to A's
-  // reference.
+  // answer reveals which build produced it. A is sampled on 4 threads and
+  // on 1: the sampling width must not show in any answer, so both map to
+  // A's reference.
   const std::vector<NodeId> seeds = {0, 1};
   BoostOptions opts_a = MakeOptions(8);
-  opts_a.num_shards = 4;
+  opts_a.num_threads = 4;
   BoostOptions opts_a1 = opts_a;
-  opts_a1.num_shards = 1;
+  opts_a1.num_threads = 1;
   BoostOptions opts_b = MakeOptions(8);
   opts_b.seed = 99;
 
@@ -691,6 +644,7 @@ TEST(BoostServiceLifecycleTest, RefreshUnderConcurrentSolvesNeverNotFound) {
   std::atomic<size_t> not_found{0};
   std::atomic<size_t> other_failures{0};
   std::vector<std::thread> clients;
+  JoinGuard join_clients(clients, [&] { stop.store(true); });
   for (size_t t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
       BoostRequest request;
@@ -712,7 +666,7 @@ TEST(BoostServiceLifecycleTest, RefreshUnderConcurrentSolvesNeverNotFound) {
   }
 
   // The lifecycle churn, all from this thread: the hot pool is refreshed 4
-  // times (B, A at S = 1, B, A at S = 4) while unrelated pools are added,
+  // times (B, A on 1 thread, B, A on 4) while unrelated pools are added,
   // queried and removed — AddPool/RefreshPool/RemovePool racing live
   // Solve() traffic.
   for (int round = 0; round < 4; ++round) {
@@ -761,21 +715,20 @@ TEST(BoostServiceLifecycleTest, RefreshUnderConcurrentSolvesNeverNotFound) {
 
 /// The acceptance-criterion test: pools prepared once, mixed-budget
 /// mixed-mode queries from N ≥ 4 threads, every answer bit-identical to the
-/// serial loop. The full pool is pinned to S = 4 arenas (the default S is
-/// the core count, 1 on a 1-vCPU runner). With unlimited admission nothing
-/// is shed or timed out, and no slot is held once the threads join. Runs
-/// under ASan/UBSan and TSan in CI.
+/// serial loop. The full pool is sampled on 4 threads (the default is the
+/// core count, 1 on a 1-vCPU runner). With unlimited admission nothing is
+/// shed or timed out, and no slot is held once the threads join. Runs under
+/// ASan/UBSan and TSan in CI.
 TEST(BoostServiceConcurrencyTest, MixedQueriesFromManyThreadsAreBitIdentical) {
   DirectedGraph g = MakeTestGraph();
   StatusOr<std::unique_ptr<BoostService>> service_or = BoostService::Create(g);
   ASSERT_TRUE(service_or.ok());
   BoostService& service = **service_or;
-  BoostOptions sharded = MakeOptions(16);
-  sharded.num_shards = 4;
+  BoostOptions wide = MakeOptions(16);
+  wide.num_threads = 4;
   ASSERT_TRUE(service
                   .AddPool("full", std::make_unique<BoostSession>(
-                                       g, std::vector<NodeId>{0, 1, 2},
-                                       sharded))
+                                       g, std::vector<NodeId>{0, 1, 2}, wide))
                   .ok());
   ASSERT_TRUE(service
                   .AddPool("lb", std::make_unique<BoostSession>(

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -405,6 +406,26 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   std::vector<std::atomic<int>> hits(count);
   ParallelFor(count, 4, [&](size_t i, int) { hits[i]++; });
   for (size_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ThreadPoolTest, DefaultThreadCountCountsTheAffinityMask) {
+  // DefaultThreadCount() sizes sampling and kboostd's event loops, so it
+  // must count the CPUs this process may run on (taskset, a cpuset), not
+  // the host's: pinned to one CPU it reads 1. Only this thread's mask
+  // changes, and it is restored before anything else is checked.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  const int usable = std::clamp(CPU_COUNT(&saved), 1, ThreadPool::kMaxWorkers);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned = DefaultThreadCount();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1);
+  EXPECT_EQ(DefaultThreadCount(), usable);
 }
 
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
