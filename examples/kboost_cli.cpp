@@ -222,15 +222,14 @@ int Usage() {
       "      Monte-Carlo estimate of the spread and boost of a given set\n"
       "  serve --graph=PATH --pool=NAME=SNAPSHOT [--pool=...]\n"
       "        [--listen=PORT] [--bind=ADDR] [--mmap-pool]\n"
-      "        [--deadline-ms=N] [--max-connections=N]\n"
-      "        [--no-remote-shutdown]\n"
+      "        [--max-connections=N] [--no-remote-shutdown]\n"
       "      run the kboostd network server in-process: serve the listed\n"
       "      pool snapshots over TCP (docs/PROTOCOL.md) from one event\n"
       "      loop per two usable CPUs, with REFRESH on one background\n"
       "      thread, until SIGINT or SIGTERM triggers the graceful drain;\n"
       "      --listen=0 binds an ephemeral port and prints it\n"
       "  query --connect=HOST:PORT --k=N [--pool=NAME]\n"
-      "        [--mode=auto|full|lb] [--deadline-ms=N] [--timeout-ms=N]\n"
+      "        [--mode=auto|full|lb] [--timeout-ms=N]\n"
       "      round-trip one query against a running kboostd and print the\n"
       "      typed outcome (exit 0 only when the remote solve succeeded);\n"
       "      --timeout-ms bounds each socket send/receive (default 30000,\n"

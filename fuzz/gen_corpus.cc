@@ -68,7 +68,6 @@ void GenerateWireCorpus(const fs::path& dir) {
   query.pool = "default";
   query.k = 5;
   query.mode = SolveMode::kAuto;
-  query.deadline_ms = 250;
   WriteCase(dir, "query.bin", EncodeQueryFrame(1, query));
 
   WireQuery lb_query;
@@ -76,11 +75,6 @@ void GenerateWireCorpus(const fs::path& dir) {
   lb_query.k = std::numeric_limits<uint64_t>::max();
   lb_query.mode = SolveMode::kLbOnly;
   WriteCase(dir, "query_lb_extreme_k.bin", EncodeQueryFrame(2, lb_query));
-
-  // A "never" deadline: the service saturates it instead of overflowing.
-  WireQuery max_deadline = query;
-  max_deadline.deadline_ms = std::numeric_limits<uint64_t>::max();
-  WriteCase(dir, "query_max_deadline.bin", EncodeQueryFrame(3, max_deadline));
 
   WireQueryReply reply;
   reply.status = Status::Ok();
@@ -99,9 +93,11 @@ void GenerateWireCorpus(const fs::path& dir) {
   reply.num_boostable = 17;
   WriteCase(dir, "query_reply_ok.bin", EncodeQueryReplyFrame(1, reply));
 
-  WireQueryReply shed;
-  shed.status = Status::ResourceExhausted("admission queue full");
-  WriteCase(dir, "query_reply_shed.bin", EncodeQueryReplyFrame(9, shed));
+  // A non-OK reply the query path still produces: the drain's reject.
+  WireQueryReply draining;
+  draining.status = Status::Unavailable("server shutting down");
+  WriteCase(dir, "query_reply_unavailable.bin",
+            EncodeQueryReplyFrame(9, draining));
 
   WriteCase(dir, "stats.bin", EncodeStatsFrame(4));
 
@@ -112,16 +108,9 @@ void GenerateWireCorpus(const fs::path& dir) {
   pool.refreshes = 1;
   pool.queries = 100;
   pool.errors = 3;
-  pool.shed = 2;
-  pool.deadline_misses = 1;
   pool.load_retries = 1;
   stats.pools.push_back(pool);
   stats.not_found = 5;
-  stats.in_flight = 2;
-  stats.queued = 1;
-  stats.admitted = 100;
-  stats.shed = 2;
-  stats.queue_timeouts = 1;
   WriteCase(dir, "stats_reply.bin", EncodeStatsReplyFrame(4, stats));
 
   WireRefresh refresh;

@@ -74,7 +74,9 @@ class BoostSession {
   /// Concurrent serving path: answers `spec` against the prepared pool,
   /// touching no session-owned mutable state. Safe to call from any number
   /// of threads once Prepare() has run; bit-identical to SolveForBudget for
-  /// the same (k, mode). `context` is unused; delete it with the next
+  /// the same (k, mode). It fails only on a request it cannot answer (the
+  /// statuses of PrrBoostEngine::Solve): an O(k) slice has nothing to
+  /// cancel or time out. `context` is unused; delete it with the next
   /// benchmark change.
   StatusOr<BoostResult> Solve(const SolveSpec& spec,
                               SolveContext* context = nullptr) const {

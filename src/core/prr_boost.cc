@@ -194,23 +194,6 @@ BoostResult PrrBoostEngine::SolveForBudget(size_t k) {
   return result;
 }
 
-namespace {
-
-/// The request's stop condition, if it holds: Cancelled when its cancel flag
-/// is raised, DeadlineExceeded when its deadline has passed, else OK.
-Status StopStatus(const SolveSpec& spec, const char* when) {
-  if (spec.cancel != nullptr && spec.cancel->load(std::memory_order_relaxed)) {
-    return Status::Cancelled(std::string("request cancelled ") + when);
-  }
-  if (spec.deadline_ns > 0 && SteadyNowNanos() >= spec.deadline_ns) {
-    return Status::DeadlineExceeded(std::string("request deadline passed ") +
-                                    when);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 StatusOr<BoostResult> PrrBoostEngine::Solve(const SolveSpec& spec,
                                             SolveContext* /*context*/) const {
   if (!serving_ready_) {
@@ -243,15 +226,7 @@ StatusOr<BoostResult> PrrBoostEngine::Solve(const SolveSpec& spec,
         std::to_string(ThreadPool::kMaxWorkers) + "], got " +
         std::to_string(spec.num_threads));
   }
-  if (Status s = StopStatus(spec, "before selection started"); !s.ok()) {
-    return s;
-  }
   MaybeInjectFaultDelay(FaultSite::kSolveStart);
-  // A full answer checks once more, so a request that stalled at the fault
-  // site above past its deadline (or its caller's cancel) is not served.
-  if (!lb_answer) {
-    if (Status s = StopStatus(spec, "during selection"); !s.ok()) return s;
-  }
 
   WallTimer selection_timer;
   BoostResult result = SolvePrepared(spec.k, lb_answer);

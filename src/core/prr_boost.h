@@ -1,7 +1,6 @@
 #ifndef KBOOST_CORE_PRR_BOOST_H_
 #define KBOOST_CORE_PRR_BOOST_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -60,18 +59,6 @@ struct SolveSpec {
   /// [1, ThreadPool::kMaxWorkers]) because kbench sets it; delete it with
   /// the next change to the benchmark.
   int num_threads = 0;
-  /// Optional cooperative cancellation, checked at solve entry and, for a
-  /// full answer, once more after the kSolveStart fault site; when it reads
-  /// true the solve reports Status::Cancelled. A prepared solve is an O(k)
-  /// slice, so there is no loop to poll inside. The flag must outlive the
-  /// call.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Optional absolute deadline in SteadyNowNanos() time (0 = none), checked
-  /// at the same points as `cancel`; a solve past it reports
-  /// Status::DeadlineExceeded. Absolute (not a duration) so queue wait and
-  /// solve time draw down the same budget when a service sets it at
-  /// admission.
-  int64_t deadline_ns = 0;
 };
 
 /// Everything Algorithm 2 produces, plus the statistics the paper reports.
@@ -154,12 +141,11 @@ class PrrBoostEngine {
   /// The concurrent serving path: answers `spec` against the prepared pool
   /// without touching any engine-owned mutable state. Any number of threads
   /// may call Solve() simultaneously on one prepared engine, with results
-  /// bit-identical to the serial SolveForBudget loop. Fails with
-  /// FailedPrecondition before Prepare(), InvalidArgument for an
-  /// out-of-range budget or spec.num_threads or a full-mode request against
-  /// an LB pool, and Cancelled or DeadlineExceeded when spec.cancel was
-  /// raised or spec.deadline_ns passed (see SolveSpec). `context` is
-  /// unused; delete it with the next benchmark change.
+  /// bit-identical to the serial SolveForBudget loop. Validates, passes the
+  /// kSolveStart fault site, then slices. Fails with FailedPrecondition
+  /// before Prepare(), and InvalidArgument for an out-of-range budget or
+  /// spec.num_threads or a full-mode request against an LB pool. `context`
+  /// is unused; delete it with the next benchmark change.
   StatusOr<BoostResult> Solve(const SolveSpec& spec,
                               SolveContext* context = nullptr) const;
 

@@ -13,9 +13,10 @@ namespace kboost {
 
 struct ClientOptions {
   /// Socket send/receive timeout (SO_SNDTIMEO/SO_RCVTIMEO, also bounding
-  /// the connect); 0 disables it, so every call waits indefinitely. A
-  /// remote solve on a large pool can take seconds, so a nonzero value must
-  /// comfortably exceed the request's own deadline.
+  /// the connect); 0 disables it, so every call waits indefinitely. A call
+  /// that times out fails with DeadlineExceeded. A query is answered in
+  /// microseconds, but a REFRESH loads and prepares a pool, which can take
+  /// seconds, so a nonzero value must comfortably exceed that.
   uint64_t io_timeout_ms = 30000;
   /// Decoder bound on reply frames (mirror of the server-side bound).
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
@@ -31,9 +32,9 @@ struct ClientOptions {
 ///     frames (which also mean the server is closing this connection).
 ///   - A successfully transported QueryReply/RefreshReply carries the remote
 ///     operation's own typed Status in its `status` field — a remote
-///     DeadlineExceeded or kUnavailable shed is a *successful* round trip
+///     NotFound or a drain's kUnavailable is a *successful* round trip
 ///     whose payload says the solve did not happen. Callers classifying
-///     overload outcomes read reply.status, not the wrapper.
+///     remote outcomes read reply.status, not the wrapper.
 class KboostClient {
  public:
   /// Connects (IPv4, blocking with io_timeout_ms) to host:port.

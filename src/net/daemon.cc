@@ -127,7 +127,7 @@ bool ParseMode(const char* text, SolveMode* out) {
 int RunServeCommand(int argc, char** argv, int flag_start) {
   if (!ValidateFlags(argc, argv, flag_start, "serve",
                      {"--graph", "--pool", "--listen", "--bind",
-                      "--deadline-ms", "--max-connections"},
+                      "--max-connections"},
                      {"--mmap-pool", "--no-remote-shutdown"})) {
     return 2;
   }
@@ -136,7 +136,7 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
     std::fprintf(stderr,
                  "usage: serve --graph=PATH --pool=NAME=SNAPSHOT "
                  "[--pool=...] [--mmap-pool] [--listen=PORT] [--bind=ADDR]\n"
-                 "             [--deadline-ms=N] [--max-connections=N] "
+                 "             [--max-connections=N] "
                  "[--no-remote-shutdown]\n");
     return 2;
   }
@@ -160,17 +160,21 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
     return 2;
   }
 
-  uint64_t listen_port = 0, deadline_ms = 0;
+  uint64_t listen_port = 0;
   uint64_t max_connections = 256;
   if (!ParseUint64Flag(argc, argv, flag_start, "--listen", &listen_port) ||
-      !ParseUint64Flag(argc, argv, flag_start, "--deadline-ms",
-                       &deadline_ms) ||
       !ParseUint64Flag(argc, argv, flag_start, "--max-connections",
                        &max_connections)) {
     return 2;
   }
   if (listen_port > 65535) {
     std::fprintf(stderr, "error: --listen must be in [0, 65535]\n");
+    return 2;
+  }
+  if (max_connections == 0) {
+    std::fprintf(stderr,
+                 "error: --max-connections must be >= 1 (0 would refuse "
+                 "every client)\n");
     return 2;
   }
 
@@ -183,7 +187,6 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
   BoostService::Options service_options;
   service_options.warm_pools = std::move(pools);
   service_options.mmap_pools = HasFlag(argc, argv, flag_start, "--mmap-pool");
-  service_options.default_deadline_ms = deadline_ms;
   StatusOr<std::unique_ptr<BoostService>> service =
       BoostService::Create(graph.value(), service_options);
   if (!service.ok()) {
@@ -235,8 +238,7 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
 
 int RunQueryCommand(int argc, char** argv, int flag_start) {
   if (!ValidateFlags(argc, argv, flag_start, "query",
-                     {"--connect", "--pool", "--k", "--mode", "--deadline-ms",
-                      "--timeout-ms"})) {
+                     {"--connect", "--pool", "--k", "--mode", "--timeout-ms"})) {
     return 2;
   }
   const char* connect = FlagValue(argc, argv, flag_start, "--connect");
@@ -244,9 +246,8 @@ int RunQueryCommand(int argc, char** argv, int flag_start) {
   if (connect == nullptr || k_s == nullptr) {
     std::fprintf(stderr,
                  "usage: query --connect=HOST:PORT --k=N [--pool=NAME]\n"
-                 "             [--mode=auto|full|lb] [--deadline-ms=N]\n"
-                 "             [--timeout-ms=N]  (socket timeout, default "
-                 "30000; 0 = none)\n");
+                 "             [--mode=auto|full|lb] [--timeout-ms=N]  (socket "
+                 "timeout, default 30000; 0 = none)\n");
     return 2;
   }
   std::string host;
@@ -258,8 +259,6 @@ int RunQueryCommand(int argc, char** argv, int flag_start) {
   query.pool = pool != nullptr ? pool : "pool";
   uint64_t timeout_ms = 30000;
   if (!ParseUint64Flag(argc, argv, flag_start, "--k", &query.k) ||
-      !ParseUint64Flag(argc, argv, flag_start, "--deadline-ms",
-                       &query.deadline_ms) ||
       !ParseUint64Flag(argc, argv, flag_start, "--timeout-ms", &timeout_ms)) {
     return 2;
   }
@@ -282,7 +281,7 @@ int RunQueryCommand(int argc, char** argv, int flag_start) {
   }
   if (!reply.value().status.ok()) {
     // The round trip worked; the remote solve answered a typed non-OK
-    // outcome (shed, deadline, unknown pool, shutting down, ...).
+    // outcome (bad budget, unknown pool, shutting down, ...).
     std::fprintf(stderr, "remote: %s\n",
                  reply.value().status.ToString().c_str());
     return 1;

@@ -293,6 +293,10 @@ StatusOr<std::unique_ptr<KboostServer>> KboostServer::Start(
     return Status::InvalidArgument(
         "max_frame_bytes must be >= 64 (a query frame does not fit below)");
   }
+  if (options.max_connections == 0) {
+    return Status::InvalidArgument(
+        "max_connections must be >= 1 (0 would refuse every client)");
+  }
   std::unique_ptr<KboostServer> server(new KboostServer(service, options));
   for (int i = 0; i < NumLoops(); ++i) {
     server->loops_.push_back(std::make_unique<Loop>(server.get()));
@@ -472,8 +476,8 @@ void KboostServer::Loop::Run() {
 
   // Nothing is owed on this loop. Sockets loop 0 dealt it before the drain
   // began may still sit in the inbox: adopt them, then close every
-  // connection. No admission slot can be held here — every Solve this loop
-  // started ran to completion on its thread.
+  // connection. Every Solve this loop started ran to completion on its
+  // thread.
   HandleInbox();
   std::vector<std::shared_ptr<Connection>> open;
   open.reserve(connections_.size());
@@ -675,7 +679,6 @@ void KboostServer::Loop::HandleFrame(const std::shared_ptr<Connection>& conn,
         request.pool = std::move(query.pool);
         request.k = static_cast<size_t>(query.k);
         request.mode = query.mode;
-        request.deadline_ms = query.deadline_ms;
         reply = ToWireReply(server_->service_->Solve(request));
       }
       QueueReply(conn, EncodeQueryReplyFrame(header.request_id, reply));

@@ -34,7 +34,7 @@ struct ServerOptions {
   /// most two such frames of input before the server stops reading it.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Accepted connections beyond this are sent one kUnavailable error frame
-  /// and closed.
+  /// and closed. Must be at least 1: Start() rejects 0 as InvalidArgument.
   size_t max_connections = 256;
   /// Whether a SHUTDOWN admin frame from a client triggers graceful
   /// shutdown (operators may prefer signals only).
@@ -82,18 +82,10 @@ struct ServerCounters {
 /// leaves a partial frame hanging, is closed after kPeerStallMs without
 /// progress; it never blocks its loop or another connection.
 ///
-/// Per-request deadlines resolve through BoostService's single-budget
-/// deadline path: the wire deadline_ms lands in BoostRequest::deadline_ms
-/// untouched, and Solve() converts it once at entry to an absolute deadline
-/// covering admission and solve only. Time spent on a loop and in the
-/// sockets before Solve() is entered is not charged to the budget. With N
-/// loops solving at once, an admission budget configured on the service
-/// can bind: a queued query waits on its loop's thread, and a shed one is
-/// answered typed ResourceExhausted. Every
-/// overload outcome (shed, deadline miss, shutdown reject, connection
-/// limit) travels as a typed frame; a connection is only closed without a
-/// reply when the peer vanished or stalled, or sent bytes that do not parse
-/// as a frame (and then an error frame is attempted first).
+/// Every reject (shutdown, connection limit) travels as a typed frame; a
+/// connection is only closed without a reply when the peer vanished or
+/// stalled, or sent bytes that do not parse as a frame (and then an error
+/// frame is attempted first).
 ///
 /// Graceful shutdown (RequestShutdown, a SHUTDOWN frame, or an installed
 /// SIGINT/SIGTERM handler): loop 0 closes the acceptor and fans the drain
@@ -102,14 +94,14 @@ struct ServerCounters {
 /// and each loop exits once none of its connections has a refresh running
 /// or output unflushed (or the peer-stall rule reaped it); it then closes
 /// its connections; the last loop out stops the refresh thread. Wait()
-/// joins every loop, then the refresh thread. Admission slots cannot leak:
-/// they are RAII tickets inside Solve, and every Solve a loop starts runs
-/// to completion before that loop exits.
+/// joins every loop, then the refresh thread. Every Solve a loop starts
+/// runs to completion before that loop exits.
 class KboostServer {
  public:
   /// Binds, listens and starts the event-loop and refresh threads. `service`
-  /// must outlive the server. Typed errors for bind/listen failures
-  /// (kUnavailable when the address is in use).
+  /// must outlive the server. InvalidArgument for options no server can
+  /// run with (max_frame_bytes < 64, max_connections == 0) and typed errors
+  /// for bind/listen failures (kUnavailable when the address is in use).
   static StatusOr<std::unique_ptr<KboostServer>> Start(
       BoostService* service, const ServerOptions& options);
 

@@ -309,7 +309,6 @@ std::string EncodeQueryFrame(uint32_t request_id, const WireQuery& query) {
   AppendString(query.pool, &body);
   AppendU64(query.k, &body);
   AppendU8(static_cast<uint8_t>(query.mode), &body);
-  AppendU64(query.deadline_ms, &body);
   return Frame(FrameType::kQuery, request_id, std::move(body));
 }
 
@@ -317,8 +316,7 @@ Status DecodeQueryBody(const uint8_t* body, size_t len, WireQuery* out) {
   Reader reader(body, len);
   uint8_t mode = 0;
   if (!reader.ReadString(&out->pool) || !reader.ReadU64(&out->k) ||
-      !reader.ReadU8(&mode) || !reader.ReadU64(&out->deadline_ms) ||
-      !reader.AtEnd()) {
+      !reader.ReadU8(&mode) || !reader.AtEnd()) {
     return Malformed("query");
   }
   if (mode > static_cast<uint8_t>(SolveMode::kLbOnly)) {
@@ -386,11 +384,6 @@ std::string EncodeStatsReplyFrame(uint32_t request_id,
                                   const ServiceStatsSnapshot& stats) {
   std::string body;
   AppendU64(stats.not_found, &body);
-  AppendU64(stats.in_flight, &body);
-  AppendU64(stats.queued, &body);
-  AppendU64(stats.admitted, &body);
-  AppendU64(stats.shed, &body);
-  AppendU64(stats.queue_timeouts, &body);
   AppendU32(static_cast<uint32_t>(stats.pools.size()), &body);
   for (const PoolStatsSnapshot& pool : stats.pools) {
     AppendString(pool.pool, &body);
@@ -398,8 +391,6 @@ std::string EncodeStatsReplyFrame(uint32_t request_id,
     AppendU64(pool.refreshes, &body);
     AppendU64(pool.queries, &body);
     AppendU64(pool.errors, &body);
-    AppendU64(pool.shed, &body);
-    AppendU64(pool.deadline_misses, &body);
     AppendU64(pool.load_retries, &body);
     AppendF64(pool.latency_mean_ms, &body);
     AppendF64(pool.latency_p50_ms, &body);
@@ -416,10 +407,7 @@ Status DecodeStatsReplyBody(const uint8_t* body, size_t len,
                             ServiceStatsSnapshot* out) {
   Reader reader(body, len);
   uint32_t num_pools = 0;
-  if (!reader.ReadU64(&out->not_found) || !reader.ReadU64(&out->in_flight) ||
-      !reader.ReadU64(&out->queued) || !reader.ReadU64(&out->admitted) ||
-      !reader.ReadU64(&out->shed) || !reader.ReadU64(&out->queue_timeouts) ||
-      !reader.ReadU32(&num_pools)) {
+  if (!reader.ReadU64(&out->not_found) || !reader.ReadU32(&num_pools)) {
     return Malformed("stats reply");
   }
   out->pools.clear();
@@ -427,9 +415,7 @@ Status DecodeStatsReplyBody(const uint8_t* body, size_t len,
     PoolStatsSnapshot pool;
     if (!reader.ReadString(&pool.pool) || !reader.ReadU64(&pool.version) ||
         !reader.ReadU64(&pool.refreshes) || !reader.ReadU64(&pool.queries) ||
-        !reader.ReadU64(&pool.errors) || !reader.ReadU64(&pool.shed) ||
-        !reader.ReadU64(&pool.deadline_misses) ||
-        !reader.ReadU64(&pool.load_retries) ||
+        !reader.ReadU64(&pool.errors) || !reader.ReadU64(&pool.load_retries) ||
         !reader.ReadF64(&pool.latency_mean_ms) ||
         !reader.ReadF64(&pool.latency_p50_ms) ||
         !reader.ReadF64(&pool.latency_p95_ms) ||

@@ -34,7 +34,7 @@ namespace kboost {
 /// are a typed error, never ignored. docs/PROTOCOL.md is the normative
 /// description.
 inline constexpr uint32_t kWireMagic = 0x5453424Bu;  // "KBST" little-endian
-inline constexpr uint8_t kWireVersion = 3;
+inline constexpr uint8_t kWireVersion = 4;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Default decoder bound on body_len. Generous for answers (a selection is
 /// k u32s) yet small enough that a hostile length can't balloon memory.
@@ -85,21 +85,17 @@ StatusOr<StatusCode> StatusCodeFromWire(uint8_t wire_code);
 
 // ---- Frame bodies ----------------------------------------------------------
 
-/// A query request on the wire — the network twin of BoostRequest (minus the
-/// in-process-only cancel pointer; over a socket, closing the connection is
-/// the cancel signal).
+/// A query request on the wire — the network twin of BoostRequest.
 struct WireQuery {
   std::string pool;
   uint64_t k = 0;
   SolveMode mode = SolveMode::kAuto;
-  uint64_t deadline_ms = 0;
 };
 
 /// A query reply on the wire: the typed Status outcome plus, when OK, the
-/// answer fields a client (and the loadgen's bit-identity gate) consumes.
-/// Every overload outcome of the serving stack — shed (ResourceExhausted),
-/// deadline miss, shutdown reject (Unavailable) — is representable here, so
-/// overload never surfaces as a dropped connection.
+/// answer fields a client (and kbench's bit-identity check) consumes. Every
+/// non-OK outcome of a query — a bad request, an unknown pool, the drain's
+/// Unavailable — travels here typed, never as a dropped connection.
 struct WireQueryReply {
   Status status;  ///< the remote Solve outcome, typed
   uint64_t pool_version = 0;

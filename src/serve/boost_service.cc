@@ -256,11 +256,6 @@ ServiceStatsSnapshot BoostService::Stats() const {
   }
   ServiceStatsSnapshot result;
   result.not_found = not_found_.load(std::memory_order_relaxed);
-  result.in_flight = admission_.in_flight();
-  result.queued = admission_.queued();
-  result.admitted = admission_.admitted();
-  result.shed = admission_.shed();
-  result.queue_timeouts = admission_.queue_timeouts();
   result.pools.reserve(pending.size());
   for (Pending& p : pending) {
     p.stats->FillSnapshot(&p.snapshot);
@@ -292,38 +287,14 @@ StatusOr<BoostResponse> BoostService::Solve(
                             std::to_string(num_pools()) + " registered)");
   }
 
-  // One latency budget from here on: admission wait and solve time draw
-  // down the same absolute deadline.
-  const int64_t deadline_ns = DeadlineAfterMillis(
-      request.deadline_ms != 0 ? request.deadline_ms
-                               : options_.default_deadline_ms);
-
-  // Admission: the ticket's destructor returns the slot on every exit path
-  // below, so slots cannot leak. Shed requests never ran and never waited —
-  // they are neither queries nor errors, just shed.
-  StatusOr<AdmissionController::Ticket> ticket = admission_.Admit(deadline_ns);
-  if (!ticket.ok()) {
-    if (ticket.status().code() == StatusCode::kResourceExhausted) {
-      stats->RecordShed();
-    } else {
-      stats->RecordDeadlineMiss();
-    }
-    return ticket.status();
-  }
-
   SolveSpec spec;
   spec.k = request.k;
   spec.mode = request.mode;
-  spec.cancel = request.cancel;
-  spec.deadline_ns = deadline_ns;
 
   WallTimer timer;
   StatusOr<BoostResult> solved = pool->Solve(spec);
   if (!solved.ok()) {
     stats->RecordError();
-    if (solved.status().code() == StatusCode::kDeadlineExceeded) {
-      stats->RecordDeadlineMiss();
-    }
     return solved.status();
   }
   const double solve_seconds = timer.Seconds();

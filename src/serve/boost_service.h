@@ -10,7 +10,6 @@
 
 #include "src/core/boost_session.h"
 #include "src/core/solve_context.h"
-#include "src/serve/admission.h"
 #include "src/serve/service_stats.h"
 #include "src/util/backoff.h"
 #include "src/util/status.h"
@@ -32,15 +31,6 @@ struct BoostRequest {
   /// pool from its LB order alone; kFull is rejected against LB-only pools.
   /// (SolveMode/SolveSpec are defined in src/core.)
   SolveMode mode = SolveMode::kAuto;
-  /// Optional cooperative cancellation, checked where SolveSpec::cancel is.
-  /// Must outlive the Solve() call.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Per-request latency budget in milliseconds, measured from Solve()
-  /// entry and covering admission wait AND solve time (one budget, not
-  /// two). 0 = the service's Options::default_deadline_ms (which may itself
-  /// be 0 = no deadline). A request that overruns gets DeadlineExceeded.
-  /// Any u64 is valid: a budget too large to represent never expires.
-  uint64_t deadline_ms = 0;
 };
 
 /// A solved request: the full BoostResult (best set, estimates, pool
@@ -100,19 +90,6 @@ class BoostService {
     /// and removals stay safe: the bytes outlive every in-flight query.
     /// Replace a served snapshot only by rename (SavePoolSnapshot does).
     bool mmap_pools = false;
-
-    // ---- Overload protection (all off by default) ----
-
-    /// Admission budget: at most this many solves run concurrently
-    /// (0 = unlimited). When all slots are busy, up to `max_queued` more
-    /// requests wait for one; anything beyond is shed immediately with
-    /// ResourceExhausted instead of piling onto a saturated machine.
-    uint64_t max_in_flight = 0;
-    /// Waiting room beyond max_in_flight (ignored when max_in_flight is 0).
-    uint64_t max_queued = 0;
-    /// Deadline applied to requests that carry none (deadline_ms == 0).
-    /// 0 = no default; see BoostRequest::deadline_ms for semantics.
-    uint64_t default_deadline_ms = 0;
     /// Retry schedule for transient snapshot-load faults (I/O errors,
     /// allocation pressure) in LoadPool / RefreshPoolFromSnapshot /
     /// warm_pools. Permanent errors (corruption, graph mismatch) are never
@@ -179,17 +156,11 @@ class BoostService {
   ServiceStatsSnapshot Stats() const;
 
   /// Answers one request. Thread-safe; any number of concurrent callers.
-  ///
-  /// The overload contract, in order: NotFound for an unknown pool name
-  /// (checked before admission — a typo never consumes a slot);
-  /// ResourceExhausted when the admission waiting room is full (the request
-  /// is shed without waiting); DeadlineExceeded when the request's deadline
-  /// passes while queued for admission or at solve entry; otherwise exactly
-  /// the statuses of BoostSession::Solve (InvalidArgument, Cancelled). Every
-  /// non-OK return is one of these typed statuses — overload never surfaces
-  /// as a crash or an untyped error — and the RAII admission ticket
-  /// guarantees the slot is returned on every path. `context` is unused;
-  /// delete it with the next benchmark change.
+  /// Three steps: look the pool up (NotFound for an unknown name), solve on
+  /// the calling thread (exactly the statuses of BoostSession::Solve), and
+  /// record the outcome against the pool. A prepared solve is an O(k)
+  /// slice, so there is nothing to queue, shed or time out. `context` is
+  /// unused; delete it with the next benchmark change.
   StatusOr<BoostResponse> Solve(const BoostRequest& request,
                                 SolveContext* context = nullptr) const;
 
@@ -210,10 +181,7 @@ class BoostService {
   };
 
   BoostService(const DirectedGraph& graph, const Options& options)
-      : graph_(graph),
-        options_(options),
-        admission_(AdmissionOptions{options.max_in_flight,
-                                    options.max_queued}) {}
+      : graph_(graph), options_(options) {}
 
   /// Shared validation for every registration path (AddPool and
   /// RefreshPool).
@@ -233,7 +201,6 @@ class BoostService {
 
   const DirectedGraph& graph_;
   const Options options_;  // warm_pools unused after Create()
-  mutable AdmissionController admission_;
   /// Source of pool versions: every registration/refresh stamps
   /// ++next_version_, so versions are unique and strictly increasing across
   /// the whole service lifetime (re-registering a removed name never reuses

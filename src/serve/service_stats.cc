@@ -20,14 +20,6 @@ void PoolStatsCollector::RecordError() {
   ++errors_;
 }
 
-void PoolStatsCollector::RecordShed() {
-  shed_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PoolStatsCollector::RecordDeadlineMiss() {
-  deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void PoolStatsCollector::RecordLoadRetries(uint64_t retries) {
   load_retries_.fetch_add(retries, std::memory_order_relaxed);
 }
@@ -42,8 +34,6 @@ void PoolStatsCollector::FillSnapshot(PoolStatsSnapshot* out) const {
     out->latency_ewma_ms = ewma_ms_;
     window = window_ms_;
   }
-  out->shed = shed_.load(std::memory_order_relaxed);
-  out->deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
   out->load_retries = load_retries_.load(std::memory_order_relaxed);
   // Quantile sorts a copy; done outside the lock so a slow snapshot never
   // stalls the query path.

@@ -24,13 +24,6 @@ struct PoolStatsSnapshot {
   uint64_t refreshes = 0;     ///< completed RefreshPool swaps
   uint64_t queries = 0;       ///< successfully answered solves
   uint64_t errors = 0;        ///< solves that returned a non-OK status
-  /// Requests shed at admission with ResourceExhausted (waiting room full).
-  /// Shed requests never reach the solve path: counted neither as queries
-  /// nor as errors — the overload contract keeps them a separate budget.
-  uint64_t shed = 0;
-  /// Requests whose deadline passed — waiting for an admission slot or
-  /// mid-solve (the latter also count as errors; the former do not).
-  uint64_t deadline_misses = 0;
   /// Transient snapshot-load faults absorbed by the retry-with-backoff loop
   /// while loading or refreshing this pool (retries that led to an eventual
   /// success or gave up; either way each retry counts once).
@@ -58,14 +51,6 @@ struct PoolStatsSnapshot {
 struct ServiceStatsSnapshot {
   std::vector<PoolStatsSnapshot> pools;
   uint64_t not_found = 0;  ///< Solve() calls rejected with NotFound
-  // Admission-control state (service-wide; zeros when admission is
-  // unlimited). in_flight/queued are point-in-time gauges, the rest are
-  // lifetime totals.
-  uint64_t in_flight = 0;       ///< solves currently admitted
-  uint64_t queued = 0;          ///< requests currently waiting for a slot
-  uint64_t admitted = 0;        ///< total requests granted a slot
-  uint64_t shed = 0;            ///< total requests shed (waiting room full)
-  uint64_t queue_timeouts = 0;  ///< total deadline expiries while queued
 };
 
 /// Thread-safe latency/outcome accumulator for one pool name. Any number of
@@ -85,14 +70,9 @@ class PoolStatsCollector {
 
   /// Records one successfully answered query and its solve latency.
   void RecordQuery(double latency_seconds);
-  /// Records one query that failed against this pool (bad request,
-  /// cancellation, deadline mid-solve, ...). NotFound is service-level,
-  /// not per-pool.
+  /// Records one query that failed against this pool (a bad budget or
+  /// mode). NotFound is service-level, not per-pool.
   void RecordError();
-  /// Records one request shed at admission (not a query, not an error).
-  void RecordShed();
-  /// Records one deadline miss — while queued for admission or mid-solve.
-  void RecordDeadlineMiss();
   /// Records transient snapshot-load faults retried while (re)loading this
   /// pool's snapshot.
   void RecordLoadRetries(uint64_t retries);
@@ -109,10 +89,7 @@ class PoolStatsCollector {
   /// Ring buffer of the last kWindow solves.
   std::vector<double> window_ms_ KB_GUARDED_BY(mutex_);
   size_t window_next_ KB_GUARDED_BY(mutex_) = 0;
-  // Outside the mutex: bumped on paths that must not contend with solvers
-  // (shed happens exactly when the service is saturated).
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> deadline_misses_{0};
+  // Outside the mutex: bumped by snapshot loads, never on the query path.
   std::atomic<uint64_t> load_retries_{0};
 };
 

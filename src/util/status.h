@@ -17,21 +17,19 @@ enum class StatusCode {
   kInternal = 4,
   kIoError = 5,
   kFailedPrecondition = 6,
+  /// Nothing produces it today; the code and its wire value stay frozen.
   kCancelled = 7,
-  /// A per-request deadline passed before the answer was produced — while
-  /// waiting for an admission slot or mid-selection (the solve paths poll
-  /// cooperatively). The serving layer's "too late" signal.
+  /// A wait ran out of time: the client's socket send or receive timed out
+  /// (ClientOptions::io_timeout_ms).
   kDeadlineExceeded = 8,
-  /// A bounded resource was at capacity and the work was shed rather than
-  /// queued unboundedly — admission-control rejections, allocation pressure.
-  /// Transient by definition: the same request may succeed on retry.
+  /// A bounded resource was at capacity — allocation pressure during a
+  /// snapshot load. Transient by definition: the same request may succeed
+  /// on retry.
   kResourceExhausted = 9,
   /// The service as a whole cannot take the request right now — it is
-  /// shutting down, or the connection was refused at the front door. Where
-  /// ResourceExhausted means "this request was shed by the admission
-  /// budget", Unavailable means "the serving process itself is not
-  /// accepting work"; clients should back off and retry against the same or
-  /// another replica.
+  /// shutting down, or the connection was refused at the front door
+  /// (connection limit). Clients should back off and retry against the
+  /// same or another replica.
   kUnavailable = 10,
 };
 

@@ -1,7 +1,6 @@
 #ifndef KBOOST_UTIL_SYNC_H_
 #define KBOOST_UTIL_SYNC_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -177,17 +176,6 @@ class CondVar {
     std::unique_lock<std::mutex> adopted(mu.mu_, std::adopt_lock);
     cv_.wait(adopted);
     adopted.release();  // the caller (or its scoped lock) still owns mu
-  }
-
-  /// Blocks until notified or `deadline` passes. Returns true when woken
-  /// before the deadline (the caller re-checks its condition either way —
-  /// wakeups may be spurious). `mu` must be held.
-  bool WaitUntil(Mutex& mu, std::chrono::steady_clock::time_point deadline)
-      KB_REQUIRES(mu) {
-    std::unique_lock<std::mutex> adopted(mu.mu_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_until(adopted, deadline);
-    adopted.release();
-    return status == std::cv_status::no_timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

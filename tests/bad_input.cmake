@@ -63,6 +63,16 @@ expect_usage_error(${CLI} boost --graph=${graph} --load-pool=${unused}
                    --threads=2)
 expect_usage_error(${CLI} serve --graph=${graph} --pool=a=${unused}
                    --threads=2)
+# A prepared solve is an O(k) slice: there is no request deadline to set,
+# on the daemon or on a query. Unknown flags are rejected before any load
+# or connect (nothing listens on port 1).
+expect_usage_error(${CLI} serve --graph=${graph} --pool=a=${unused}
+                   --deadline-ms=5)
+expect_usage_error(${CLI} query --connect=127.0.0.1:1 --k=1 --deadline-ms=5)
+# A connection limit of 0 would start a daemon that refuses every client;
+# it is a usage error before the graph loads.
+expect_usage_error(${CLI} serve --graph=${graph} --pool=a=${unused}
+                   --max-connections=0)
 # A command that no longer exists is unknown: usage, exit 2.
 expect_usage_error(${CLI} serve-bench --graph=${graph})
 expect_usage_error(${VIRAL_MARKETING} abc)

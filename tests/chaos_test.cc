@@ -1,11 +1,11 @@
 // The chaos harness: deterministic fault injection (src/util/fault.h)
 // driven against the serving stack's robustness machinery — snapshot-load
-// retry with backoff, per-request deadlines and admission control — while
-// lifecycle churn (add/refresh/remove) races live
-// traffic. The invariant under every storm: no crash, no untyped error, no
-// admission-slot leak, and answers that do come back are bit-identical to
-// the fault-free reference. Runs under the ASan/UBSan job and the TSan job
-// in CI.
+// retry with backoff, allocation pressure, corrupt files, re-saves under an
+// mmap-served pool — and stalled solves racing lifecycle churn
+// (add/refresh/remove). The invariant under every storm: no crash, no
+// untyped error, every request answered and counted, and every answer
+// bit-identical to the fault-free reference. Runs under the ASan/UBSan job
+// and the TSan job in CI.
 
 #include <gtest/gtest.h>
 
@@ -247,8 +247,8 @@ bool FileIsMapped(const std::string& path) {
 /// while four clients solve a fixed k-mix. A save renames a new file over
 /// the path instead of rewriting the mapped one, so every served pool stays
 /// whole: each answer is A's or B's serial reference, one pool_version is
-/// always one pool, nothing errors, and no admission slot leaks. The pool
-/// served last is really served from a mapping of the file at the path.
+/// always one pool, and nothing errors. The pool served last is really
+/// served from a mapping of the file at the path.
 TEST_F(ChaosTest, ResaveAndRefreshStormUnderMmapServesWholePools) {
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_chaos_resave.pool");
@@ -326,92 +326,17 @@ TEST_F(ChaosTest, ResaveAndRefreshStormUnderMmapServesWholePools) {
   }
   EXPECT_GT(answered, 0u);
   EXPECT_EQ(service.PoolVersion("p"), 1u + kRounds);
-  ServiceStatsSnapshot stats = service.Stats();
-  EXPECT_EQ(stats.in_flight, 0u);
-  EXPECT_EQ(stats.queued, 0u);
   EXPECT_TRUE(FileIsMapped(path)) << "the mmap refresh installed a copy";
   std::remove(path.c_str());
 }
 
-/// Deadline storm: every request carries a deadline far below the injected
-/// solve time. All of them must come back typed DeadlineExceeded (or OK if
-/// one slips under), nothing crashes, and a deadline-free replay afterwards
-/// records zero additional misses and bit-identical answers.
-TEST_F(ChaosTest, DeadlineStormShedsTypedAndRepliesCleanAfterward) {
+/// Stalled solves under lifecycle churn: eight clients whose solves each
+/// stall 5 ms at entry, while another thread adds/refreshes/removes pools.
+/// Every request is answered, bit-identical to the serial reference, and
+/// counted as a query; afterwards the service answers as before.
+TEST_F(ChaosTest, StalledSolvesUnderChurnAnswerEveryRequestBitIdentically) {
   DirectedGraph g = MakeTestGraph();
   StatusOr<std::unique_ptr<BoostService>> service_or = BoostService::Create(g);
-  ASSERT_TRUE(service_or.ok());
-  BoostService& service = **service_or;
-  ASSERT_TRUE(service
-                  .AddPool("p", std::make_unique<BoostSession>(
-                                    g, std::vector<NodeId>{0, 1},
-                                    MakeOptions(8)))
-                  .ok());
-  const BoostResult expect =
-      BoostSession(g, {0, 1}, MakeOptions(8)).SolveForBudget(8);
-
-  // Every solve stalls 20 ms at entry; the storm's deadlines are 2 ms.
-  FaultInjector::Plan slow;
-  slow.delay_micros = 20000;
-  FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
-
-  constexpr size_t kClients = 4;
-  constexpr int kPerClient = 3;
-  std::atomic<size_t> missed{0};
-  std::atomic<size_t> ok{0};
-  std::atomic<size_t> untyped{0};
-  std::vector<std::thread> clients;
-  for (size_t t = 0; t < kClients; ++t) {
-    clients.emplace_back([&] {
-      for (int i = 0; i < kPerClient; ++i) {
-        BoostRequest request;
-        request.pool = "p";
-        request.k = 8;
-        request.deadline_ms = 2;
-        StatusOr<BoostResponse> r = service.Solve(request);
-        if (r.ok()) {
-          ok.fetch_add(1);
-        } else if (r.status().code() == StatusCode::kDeadlineExceeded) {
-          missed.fetch_add(1);
-        } else {
-          untyped.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& c : clients) c.join();
-  EXPECT_EQ(untyped.load(), 0u);
-  EXPECT_EQ(ok.load() + missed.load(), kClients * kPerClient);
-  EXPECT_GT(missed.load(), 0u);
-  EXPECT_EQ(service.Stats().pools[0].deadline_misses, missed.load());
-
-  // Deadline-free replay on the recovered service: zero new misses, answers
-  // bit-identical to the fault-free reference.
-  FaultInjector::Global().DisarmAll();
-  const uint64_t misses_before = service.Stats().pools[0].deadline_misses;
-  for (int i = 0; i < 3; ++i) {
-    BoostRequest request;
-    request.pool = "p";
-    request.k = 8;
-    StatusOr<BoostResponse> r = service.Solve(request);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(SameAnswer(expect, r->result));
-  }
-  EXPECT_EQ(service.Stats().pools[0].deadline_misses, misses_before);
-}
-
-/// Queue saturation under lifecycle churn: a small admission budget, slow
-/// injected solves, 2× more clients than capacity, while another thread
-/// adds/refreshes/removes pools. Excess load sheds typed, every admitted
-/// answer is bit-identical to the serial reference, and when the storm
-/// drains, no admission slot has leaked.
-TEST_F(ChaosTest, QueueSaturationShedsTypedWithNoSlotLeaks) {
-  DirectedGraph g = MakeTestGraph();
-  BoostService::Options options;
-  options.max_in_flight = 2;
-  options.max_queued = 2;
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g, options);
   ASSERT_TRUE(service_or.ok());
   BoostService& service = **service_or;
   ASSERT_TRUE(service
@@ -427,19 +352,18 @@ TEST_F(ChaosTest, QueueSaturationShedsTypedWithNoSlotLeaks) {
   }
 
   FaultInjector::Plan slow;
-  slow.delay_micros = 5000;  // 5 ms per solve: a queue forms immediately
+  slow.delay_micros = 5000;  // 5 ms per solve: all eight overlap
   FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
 
-  constexpr size_t kClients = 8;  // 2x the in-flight + queued capacity
+  constexpr size_t kClients = 8;
   constexpr int kPerClient = 4;
   std::atomic<size_t> answered{0};
   std::atomic<size_t> divergent{0};
-  std::atomic<size_t> shed{0};
   std::atomic<size_t> untyped{0};
   std::atomic<bool> stop_churn{false};
   std::thread churn([&] {
-    // Registry churn racing the saturated query path: the overload
-    // machinery must not deadlock with, or corrupt, lifecycle mutations.
+    // Registry churn racing the stalled query path: lookups must not
+    // deadlock with, or be corrupted by, lifecycle mutations.
     int round = 0;
     while (!stop_churn.load(std::memory_order_relaxed)) {
       const std::string name = "churn" + std::to_string(round % 2);
@@ -467,8 +391,6 @@ TEST_F(ChaosTest, QueueSaturationShedsTypedWithNoSlotLeaks) {
         if (r.ok()) {
           answered.fetch_add(1);
           if (!SameAnswer(r->result, reference[q])) divergent.fetch_add(1);
-        } else if (r.status().code() == StatusCode::kResourceExhausted) {
-          shed.fetch_add(1);
         } else {
           untyped.fetch_add(1);
         }
@@ -481,19 +403,12 @@ TEST_F(ChaosTest, QueueSaturationShedsTypedWithNoSlotLeaks) {
 
   EXPECT_EQ(untyped.load(), 0u);
   EXPECT_EQ(divergent.load(), 0u);
-  EXPECT_EQ(answered.load() + shed.load(), kClients * kPerClient);
-  EXPECT_GT(shed.load(), 0u);
+  EXPECT_EQ(answered.load(), kClients * kPerClient);
 
+  // The lifetime counters reconcile exactly with what the clients saw.
   ServiceStatsSnapshot stats = service.Stats();
-  // No slot leaks: the storm drained, so the gauges must read empty and the
-  // lifetime counters must reconcile exactly with what the clients saw.
-  EXPECT_EQ(stats.in_flight, 0u);
-  EXPECT_EQ(stats.queued, 0u);
-  EXPECT_EQ(stats.shed, shed.load());
   ASSERT_EQ(stats.pools.size(), 1u);
   EXPECT_EQ(stats.pools[0].queries, answered.load());
-  EXPECT_EQ(stats.pools[0].shed, shed.load());
-  // Sheds are neither queries nor errors.
   EXPECT_EQ(stats.pools[0].errors, 0u);
 
   // The service is fully usable after the storm.
@@ -502,51 +417,6 @@ TEST_F(ChaosTest, QueueSaturationShedsTypedWithNoSlotLeaks) {
   request.pool = "p";
   request.k = 4;
   EXPECT_TRUE(service.Solve(request).ok());
-}
-
-TEST_F(ChaosTest, QueuedRequestsTimeOutTypedWhenTheirDeadlinePasses) {
-  DirectedGraph g = MakeTestGraph();
-  BoostService::Options options;
-  options.max_in_flight = 1;
-  options.max_queued = 4;
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g, options);
-  ASSERT_TRUE(service_or.ok());
-  BoostService& service = **service_or;
-  ASSERT_TRUE(service
-                  .AddPool("p", std::make_unique<BoostSession>(
-                                    g, std::vector<NodeId>{0, 1},
-                                    MakeOptions(6)))
-                  .ok());
-
-  FaultInjector::Plan slow;
-  slow.delay_micros = 50000;  // the slot holder solves for >= 50 ms
-  FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
-
-  std::thread holder([&] {
-    BoostRequest request;
-    request.pool = "p";
-    request.k = 4;
-    EXPECT_TRUE(service.Solve(request).ok());
-  });
-  // Give the holder time to take the only slot, then queue behind it with a
-  // deadline far shorter than its injected solve time.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  BoostRequest hopeless;
-  hopeless.pool = "p";
-  hopeless.k = 4;
-  hopeless.deadline_ms = 5;
-  StatusOr<BoostResponse> r = service.Solve(hopeless);
-  holder.join();
-  // Either the queue wait timed out (the expected path) or — if the holder
-  // finished implausibly fast — the solve itself ran; both must be typed.
-  if (!r.ok()) {
-    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-    EXPECT_GE(service.Stats().queue_timeouts, 1u);
-    EXPECT_GE(service.Stats().pools[0].deadline_misses, 1u);
-  }
-  EXPECT_EQ(service.Stats().in_flight, 0u);
-  EXPECT_EQ(service.Stats().queued, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // kboostd as a real process. The built daemon, started from a graph file
 // and a pool snapshot on an ephemeral port, answers a k × mode query stream
 // from concurrent clients bit-identically to an in-process load of the same
-// files, reports empty admission gauges over STATS, and exits 0 once a
+// files, counts every one of those queries in STATS, and exits 0 once a
 // SHUTDOWN frame has drained it. The server itself is tested in-process by
 // net_test; this covers what only the binary has: flag parsing, file
 // loading, the "listening on" line scripts parse, and the exit code.
@@ -227,10 +227,6 @@ TEST(KboostdTest, ServesItsFilesBitIdenticallyAndExitsCleanOnShutdown) {
   ASSERT_TRUE(admin.ok()) << admin.status().ToString();
   StatusOr<ServiceStatsSnapshot> stats = (*admin)->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->in_flight, 0u);
-  EXPECT_EQ(stats->queued, 0u);
-  EXPECT_EQ(stats->shed, 0u);
-  EXPECT_EQ(stats->queue_timeouts, 0u);
   ASSERT_EQ(stats->pools.size(), 1u);
   EXPECT_EQ(stats->pools[0].queries, kClients * kRounds * queries.size());
 

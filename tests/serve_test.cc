@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,9 +23,7 @@
 #include "src/graph/graph_builder.h"
 #include "src/io/pool_io.h"
 #include "src/serve/boost_service.h"
-#include "src/util/fault.h"
 #include "src/util/rng.h"
-#include "src/util/timer.h"
 #include "tests/join_guard.h"
 #include "tests/same_answer.h"
 
@@ -188,156 +185,7 @@ TEST(BoostSessionSolveTest, LbOnlyModeOnFullPoolSlicesTheCachedOrder) {
   EXPECT_TRUE(fast->delta_set.empty());
 }
 
-TEST(BoostSessionSolveTest, CancelFlagShortCircuits) {
-  DirectedGraph g = MakeTestGraph();
-  BoostSession session(g, {0, 1}, MakeOptions(8));
-  session.Prepare();
-  std::atomic<bool> cancel{true};
-  SolveSpec spec;
-  spec.k = 8;
-  spec.cancel = &cancel;
-  EXPECT_EQ(session.Solve(spec).status().code(), StatusCode::kCancelled);
-  cancel.store(false);
-  EXPECT_TRUE(session.Solve(spec).ok());
-}
-
-/// Restores a pristine injector around tests that arm fault sites, so a
-/// failing assertion can't leak an armed site into later tests.
-struct ScopedDisarm {
-  ScopedDisarm() { FaultInjector::Global().DisarmAll(); }
-  ~ScopedDisarm() { FaultInjector::Global().DisarmAll(); }
-};
-
-/// A cancel that lands while a solve is stalled at its entry fault site is
-/// caught by the check after the site: the request is answered Cancelled,
-/// not served.
-TEST(BoostSessionSolveTest, CancelDuringTheEntryStallIsTyped) {
-  ScopedDisarm guard;
-  DirectedGraph g = MakeTestGraph();
-  BoostSession session(g, {0, 1}, MakeOptions(8));
-  session.Prepare();
-
-  FaultInjector::Plan slow;
-  slow.delay_micros = 30000;
-  FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
-
-  std::atomic<bool> cancel{false};
-  SolveSpec spec;
-  spec.k = 1;
-  spec.cancel = &cancel;
-  StatusOr<BoostResult> solved = Status::InvalidArgument("not solved yet");
-  std::thread solver([&] { solved = session.Solve(spec); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  cancel.store(true);
-  solver.join();
-
-  EXPECT_EQ(solved.status().code(), StatusCode::kCancelled);
-}
-
-TEST(BoostSessionSolveTest, DeadlineAlreadyPassedIsTypedBeforeAnyWork) {
-  DirectedGraph g = MakeTestGraph();
-  BoostSession session(g, {0, 1}, MakeOptions(6));
-  session.Prepare();
-  SolveSpec spec;
-  spec.k = 4;
-  spec.deadline_ns = SteadyNowNanos() - 1;
-  EXPECT_EQ(session.Solve(spec).status().code(),
-            StatusCode::kDeadlineExceeded);
-  // The same request with headroom succeeds: the deadline is absolute, not
-  // a duration.
-  spec.deadline_ns = SteadyNowNanos() + 10'000'000'000;  // +10 s
-  EXPECT_TRUE(session.Solve(spec).ok());
-}
-
-TEST(BoostSessionSolveTest, DeadlineExpiringDuringTheEntryStallIsTyped) {
-  ScopedDisarm guard;
-  DirectedGraph g = MakeTestGraph();
-  BoostSession session(g, {0, 1}, MakeOptions(8));
-  session.Prepare();
-
-  FaultInjector::Plan slow;
-  slow.delay_micros = 30000;
-  FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
-
-  SolveSpec spec;
-  spec.k = 4;
-  // Alive at entry, dead by the end of the 30 ms stall.
-  spec.deadline_ns = SteadyNowNanos() + 5'000'000;  // +5 ms
-  EXPECT_EQ(session.Solve(spec).status().code(),
-            StatusCode::kDeadlineExceeded);
-}
-
-TEST(BoostServiceTest, DefaultDeadlineAppliesAndPerRequestOverrides) {
-  ScopedDisarm guard;
-  DirectedGraph g = MakeTestGraph();
-  BoostService::Options options;
-  options.default_deadline_ms = 5;
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g, options);
-  ASSERT_TRUE(service_or.ok());
-  BoostService& service = **service_or;
-  ASSERT_TRUE(service
-                  .AddPool("p", std::make_unique<BoostSession>(
-                                    g, std::vector<NodeId>{0, 1},
-                                    MakeOptions(6)))
-                  .ok());
-
-  // Every solve stalls 20 ms at entry — past the 5 ms service default.
-  FaultInjector::Plan slow;
-  slow.delay_micros = 20000;
-  FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
-
-  BoostRequest request;
-  request.pool = "p";
-  request.k = 4;
-  StatusOr<BoostResponse> r = service.Solve(request);
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-
-  // A per-request deadline with headroom overrides the tight default.
-  request.deadline_ms = 5000;
-  r = service.Solve(request);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-
-  // The miss was recorded as both an error and a deadline miss; the
-  // successful solve as a query.
-  ServiceStatsSnapshot stats = service.Stats();
-  ASSERT_EQ(stats.pools.size(), 1u);
-  EXPECT_EQ(stats.pools[0].queries, 1u);
-  EXPECT_EQ(stats.pools[0].errors, 1u);
-  EXPECT_EQ(stats.pools[0].deadline_misses, 1u);
-}
-
-/// Regression: deadline_ms is untrusted (a QUERY frame, a CLI flag), and the
-/// old ms→ns conversion overflowed — 2^64−1 ms wrapped to a deadline that had
-/// already passed, and 10^13 ms was signed-integer-overflow UB. A budget too
-/// far out to represent now saturates to "never".
-TEST(BoostServiceTest, HugeDeadlinesSaturateInsteadOfOverflowing) {
-  DirectedGraph g = MakeTestGraph();
-  BoostService::Options options;
-  options.default_deadline_ms = std::numeric_limits<uint64_t>::max();
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g, options);
-  ASSERT_TRUE(service_or.ok());
-  BoostService& service = **service_or;
-  ASSERT_TRUE(service
-                  .AddPool("p", std::make_unique<BoostSession>(
-                                    g, std::vector<NodeId>{0, 1},
-                                    MakeOptions(6)))
-                  .ok());
-  BoostRequest request;
-  request.pool = "p";
-  request.k = 4;
-  // 0 takes the service default.
-  for (const uint64_t deadline_ms :
-       {uint64_t{0}, uint64_t{10'000'000'000'000},
-        std::numeric_limits<uint64_t>::max()}) {
-    request.deadline_ms = deadline_ms;
-    StatusOr<BoostResponse> r = service.Solve(request);
-    EXPECT_TRUE(r.ok()) << deadline_ms << " ms: " << r.status().ToString();
-  }
-}
-
-TEST(BoostServiceTest, CreateValidatesOverloadOptions) {
+TEST(BoostServiceTest, CreateValidatesTheSnapshotRetryPolicy) {
   DirectedGraph g = MakeTestGraph();
   BoostService::Options bad;
   bad.snapshot_retry.max_attempts = 0;
@@ -716,9 +564,8 @@ TEST(BoostServiceLifecycleTest, RefreshUnderConcurrentSolvesNeverNotFound) {
 /// The acceptance-criterion test: pools prepared once, mixed-budget
 /// mixed-mode queries from N ≥ 4 threads, every answer bit-identical to the
 /// serial loop. The full pool is sampled on 4 threads (the default is the
-/// core count, 1 on a 1-vCPU runner). With unlimited admission nothing is
-/// shed or timed out, and no slot is held once the threads join. Runs under
-/// ASan/UBSan and TSan in CI.
+/// core count, 1 on a 1-vCPU runner). Runs under ASan/UBSan and TSan in
+/// CI.
 TEST(BoostServiceConcurrencyTest, MixedQueriesFromManyThreadsAreBitIdentical) {
   DirectedGraph g = MakeTestGraph();
   StatusOr<std::unique_ptr<BoostService>> service_or = BoostService::Create(g);
@@ -779,11 +626,6 @@ TEST(BoostServiceConcurrencyTest, MixedQueriesFromManyThreadsAreBitIdentical) {
       EXPECT_TRUE(SameAnswer(reference[i], answers[t][slot]));
     }
   }
-  const ServiceStatsSnapshot stats = service.Stats();
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.queue_timeouts, 0u);
-  EXPECT_EQ(stats.in_flight, 0u);
-  EXPECT_EQ(stats.queued, 0u);
 }
 
 }  // namespace
