@@ -6,8 +6,7 @@
 //   kboost_cli seeds    --graph=graph.txt --count=20 [--random]
 //   kboost_cli boost    --graph=graph.txt --seeds=0,5,9 --k=50 [--lb]
 //                       [--k-sweep=1,10,50] [--save-pool=pool.bin]
-//                       [--codec=nop|varint] [--load-pool=pool.bin]
-//                       [--mmap-pool]
+//                       [--load-pool=pool.bin] [--mmap-pool]
 //   kboost_cli evaluate --graph=graph.txt --seeds=0,5,9 --boost=1,2,3
 //   kboost_cli serve    --graph=graph.txt --pool=digg=pool.bin [--listen=7447]
 //   kboost_cli query    --connect=127.0.0.1:7447 --pool=digg --k=10
@@ -15,17 +14,15 @@
 // Graphs are the text edge-list format of src/graph/graph_io.h. Pool
 // snapshots (--save-pool/--load-pool) are the binary format of
 // src/io/pool_io.h: sample once, then serve any budget ≤ the pool's from
-// the same file — across processes and restarts. --codec picks the section
-// codec written into the snapshot (varint shrinks it for cold storage);
-// --mmap-pool serves the snapshot from an mmap of the file instead of a
-// private copy (zero-copy for a nop-coded snapshot).
+// the same file — across processes and restarts. A snapshot stores the
+// pool's sections raw, so --mmap-pool serves it zero-copy from an mmap of
+// the file instead of a private copy.
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <string>
@@ -44,53 +41,8 @@ namespace {
 
 using namespace kboost;
 
-const char* FlagValue(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-/// Rejects unknown arguments: every flag must be a known `--name=value` or a
-/// known `--switch`, otherwise the command fails loudly instead of silently
-/// ignoring a typo (e.g. --kk=50).
-bool ValidateFlags(int argc, char** argv,
-                   std::initializer_list<const char*> value_flags,
-                   std::initializer_list<const char*> switches = {}) {
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    bool known = false;
-    for (const char* name : value_flags) {
-      const size_t len = std::strlen(name);
-      if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-        known = true;
-        break;
-      }
-    }
-    for (const char* name : switches) {
-      if (known) break;
-      if (std::strcmp(arg, name) == 0) known = true;
-    }
-    if (!known) {
-      std::fprintf(stderr,
-                   "error: unknown flag '%s' for 'kboost_cli %s' "
-                   "(see kboost_cli --help)\n",
-                   arg, argv[1]);
-      return false;
-    }
-  }
-  return true;
-}
+// Every command's flags start at argv[2], after the command name: that is
+// the `start` every flag helper of src/util/parse.h is given here.
 
 /// Parses a comma-separated list of non-negative integers into `out`.
 /// Returns false (leaving a clear error on stderr to the caller) on any
@@ -125,27 +77,12 @@ bool ParseUintList(const char* text, const char* flag_name,
   }
 }
 
-/// The one validated integer-flag parser: strict whole-string base-10 parse
-/// through kboost::ParseUint64 (no bare strtoull anywhere — "abc" or "12x"
-/// must be an error, not a silent 0/12). Returns false with the error on
-/// stderr. When the flag is absent, `*out` keeps its preloaded default.
-bool ParseUint64Flag(int argc, char** argv, const char* flag_name,
-                     uint64_t* out) {
-  const char* text = FlagValue(argc, argv, flag_name);
-  if (text == nullptr) return true;
-  if (Status s = ParseUint64(text, flag_name, out); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-    return false;
-  }
-  return true;
-}
-
 /// The double-flag twin of ParseUint64Flag: a strict whole-string parse
 /// through kboost::ParseDouble ("abc" is an error, not atof's silent 0).
 /// Range checks stay with the caller.
 bool ParseDoubleFlag(int argc, char** argv, const char* flag_name,
                      double* out) {
-  const char* text = FlagValue(argc, argv, flag_name);
+  const char* text = FlagValue(argc, argv, 2, flag_name);
   if (text == nullptr) return true;
   if (Status s = ParseDouble(text, flag_name, out); !s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
@@ -174,7 +111,7 @@ bool NodesInRange(const std::vector<NodeId>& nodes, size_t num_nodes,
 /// `*threads` stays 0 when the flag is absent.
 bool ParseThreadsFlag(int argc, char** argv, int* threads) {
   *threads = 0;
-  const char* text = FlagValue(argc, argv, "--threads");
+  const char* text = FlagValue(argc, argv, 2, "--threads");
   if (text == nullptr) return true;
   char* end = nullptr;
   errno = 0;
@@ -206,18 +143,16 @@ int Usage() {
       "      print an influential (IMM) or uniform-random seed set\n"
       "  boost --graph=PATH --seeds=a,b,c --k=N [--lb] [--epsilon=F]\n"
       "        [--seed=N] [--k-sweep=a,b,c] [--save-pool=PATH]\n"
-      "        [--codec=nop|varint] [--load-pool=PATH] [--mmap-pool]\n"
-      "        [--threads=N]\n"
+      "        [--load-pool=PATH] [--mmap-pool] [--threads=N]\n"
       "      run PRR-Boost (or PRR-Boost-LB with --lb); prints the boost\n"
       "      set and its Monte-Carlo-verified boost. --k-sweep answers\n"
       "      every listed budget from ONE sampled pool (a BoostSession);\n"
-      "      --save-pool snapshots that pool (--codec=varint delta-codes\n"
-      "      the arena sections for cold storage), --load-pool serves from\n"
-      "      a snapshot without resampling (seeds/mode come from the file)\n"
-      "      and --mmap-pool maps it instead of copying it in (zero-copy\n"
-      "      for a nop-coded snapshot); --threads samples the pool on N\n"
-      "      workers (the pool and every answer are bit-identical for\n"
-      "      every N; each solve runs on one thread)\n"
+      "      --save-pool snapshots that pool, --load-pool serves from a\n"
+      "      snapshot without resampling (seeds/mode come from the file)\n"
+      "      and --mmap-pool maps it instead of copying it in (zero-copy);\n"
+      "      --threads samples the pool on N workers (the pool and every\n"
+      "      answer are bit-identical for every N; each solve runs on one\n"
+      "      thread)\n"
       "  evaluate --graph=PATH --seeds=a,b,c --boost=x,y,z [--sims=N]\n"
       "      Monte-Carlo estimate of the spread and boost of a given set\n"
       "  serve --graph=PATH --pool=NAME=SNAPSHOT [--pool=...]\n"
@@ -238,11 +173,12 @@ int Usage() {
 }
 
 int CmdGenerate(int argc, char** argv) {
-  if (!ValidateFlags(argc, argv, {"--dataset", "--out", "--scale", "--beta"})) {
+  if (!ValidateFlags(argc, argv, 2, "kboost_cli generate",
+                     {"--dataset", "--out", "--scale", "--beta"})) {
     return 2;
   }
-  const char* name = FlagValue(argc, argv, "--dataset");
-  const char* out = FlagValue(argc, argv, "--out");
+  const char* name = FlagValue(argc, argv, 2, "--dataset");
+  const char* out = FlagValue(argc, argv, 2, "--out");
   if (name == nullptr || out == nullptr) return Usage();
   double scale = 0.02, beta = 2.0;
   if (!ParseDoubleFlag(argc, argv, "--scale", &scale) ||
@@ -267,12 +203,12 @@ int CmdGenerate(int argc, char** argv) {
 }
 
 int CmdSeeds(int argc, char** argv) {
-  if (!ValidateFlags(argc, argv, {"--graph", "--count", "--seed"},
-                     {"--random"})) {
+  if (!ValidateFlags(argc, argv, 2, "kboost_cli seeds",
+                     {"--graph", "--count", "--seed"}, {"--random"})) {
     return 2;
   }
-  const char* path = FlagValue(argc, argv, "--graph");
-  const char* count_s = FlagValue(argc, argv, "--count");
+  const char* path = FlagValue(argc, argv, 2, "--graph");
+  const char* count_s = FlagValue(argc, argv, 2, "--count");
   if (path == nullptr || count_s == nullptr) return Usage();
   StatusOr<DirectedGraph> g = LoadEdgeList(path);
   if (!g.ok()) {
@@ -281,8 +217,8 @@ int CmdSeeds(int argc, char** argv) {
   }
   uint64_t count = 0;
   uint64_t seed = 42;
-  if (!ParseUint64Flag(argc, argv, "--count", &count) ||
-      !ParseUint64Flag(argc, argv, "--seed", &seed)) {
+  if (!ParseUint64Flag(argc, argv, 2, "--count", &count) ||
+      !ParseUint64Flag(argc, argv, 2, "--seed", &seed)) {
     return 2;
   }
   if (count < 1 || count > g.value().num_nodes()) {
@@ -291,7 +227,7 @@ int CmdSeeds(int argc, char** argv) {
     return 2;
   }
   std::vector<NodeId> seeds =
-      HasFlag(argc, argv, "--random")
+      HasFlag(argc, argv, 2, "--random")
           ? SelectRandomSeeds(g.value(), count, seed)
           : SelectInfluentialSeeds(g.value(), count, seed, 0);
   for (size_t i = 0; i < seeds.size(); ++i) {
@@ -302,47 +238,37 @@ int CmdSeeds(int argc, char** argv) {
 }
 
 int CmdBoost(int argc, char** argv) {
-  if (!ValidateFlags(argc, argv,
+  if (!ValidateFlags(argc, argv, 2, "kboost_cli boost",
                      {"--graph", "--seeds", "--k", "--k-sweep", "--epsilon",
-                      "--seed", "--save-pool", "--load-pool", "--codec",
-                      "--threads"},
+                      "--seed", "--save-pool", "--load-pool", "--threads"},
                      {"--lb", "--mmap-pool"})) {
     return 2;
   }
-  const char* path = FlagValue(argc, argv, "--graph");
-  const char* k_s = FlagValue(argc, argv, "--k");
+  const char* path = FlagValue(argc, argv, 2, "--graph");
+  const char* k_s = FlagValue(argc, argv, 2, "--k");
   uint64_t k_flag = 0;
-  if (!ParseUint64Flag(argc, argv, "--k", &k_flag)) return 2;
-  const bool has_threads = FlagValue(argc, argv, "--threads") != nullptr;
+  if (!ParseUint64Flag(argc, argv, 2, "--k", &k_flag)) return 2;
+  const bool has_threads = FlagValue(argc, argv, 2, "--threads") != nullptr;
   int threads = 0;
   if (!ParseThreadsFlag(argc, argv, &threads)) return 2;
-  const char* load_pool = FlagValue(argc, argv, "--load-pool");
-  const char* save_pool = FlagValue(argc, argv, "--save-pool");
-  const char* codec_s = FlagValue(argc, argv, "--codec");
-  const bool mmap_pool = HasFlag(argc, argv, "--mmap-pool");
-  if (codec_s != nullptr && save_pool == nullptr) {
-    std::fprintf(stderr, "error: --codec only applies to --save-pool\n");
-    return 2;
-  }
-  PoolSaveOptions save_options;
-  if (codec_s != nullptr) {
-    const Codec* codec = CodecByName(codec_s);
-    if (codec == nullptr) {
-      std::fprintf(stderr, "error: unknown --codec '%s' (nop|varint)\n",
-                   codec_s);
-      return 2;
-    }
-    save_options.codec = codec->id();
-  }
+  const char* load_pool = FlagValue(argc, argv, 2, "--load-pool");
+  const char* save_pool = FlagValue(argc, argv, 2, "--save-pool");
+  const bool mmap_pool = HasFlag(argc, argv, 2, "--mmap-pool");
   if (mmap_pool && load_pool == nullptr) {
     std::fprintf(stderr, "error: --mmap-pool only applies to --load-pool\n");
     return 2;
   }
   std::vector<size_t> sweep;
   std::vector<NodeId> seeds;
-  if (!ParseUintList(FlagValue(argc, argv, "--k-sweep"), "--k-sweep",
+  if (!ParseUintList(FlagValue(argc, argv, 2, "--k-sweep"), "--k-sweep",
                      &sweep) ||
-      !ParseUintList(FlagValue(argc, argv, "--seeds"), "--seeds", &seeds)) {
+      !ParseUintList(FlagValue(argc, argv, 2, "--seeds"), "--seeds", &seeds)) {
+    return 2;
+  }
+  // A budget of 0 is a usage error, caught before the graph loads.
+  if ((k_s != nullptr && k_flag == 0) ||
+      std::find(sweep.begin(), sweep.end(), size_t{0}) != sweep.end()) {
+    std::fprintf(stderr, "error: --k and --k-sweep budgets must be >= 1\n");
     return 2;
   }
   if (load_pool != nullptr) {
@@ -350,7 +276,7 @@ int CmdBoost(int argc, char** argv) {
     // pool never samples, so --threads has nothing to size; accepting these
     // flags alongside --load-pool would silently discard them.
     for (const char* name : {"--seeds", "--epsilon", "--seed"}) {
-      if (FlagValue(argc, argv, name) != nullptr) {
+      if (FlagValue(argc, argv, 2, name) != nullptr) {
         std::fprintf(stderr,
                      "error: %s comes from the pool snapshot; it cannot be "
                      "combined with --load-pool\n",
@@ -364,7 +290,7 @@ int CmdBoost(int argc, char** argv) {
                    "samples; it cannot be combined with --load-pool\n");
       return 2;
     }
-    if (HasFlag(argc, argv, "--lb")) {
+    if (HasFlag(argc, argv, 2, "--lb")) {
       std::fprintf(stderr,
                    "error: the snapshot fixes the lb/full mode; --lb cannot "
                    "be combined with --load-pool\n");
@@ -401,14 +327,13 @@ int CmdBoost(int argc, char** argv) {
     BoostOptions options;
     options.k = k_flag;
     for (size_t k : sweep) options.k = std::max(options.k, k);
-    if (options.k == 0) return Usage();
     if (!ParseDoubleFlag(argc, argv, "--epsilon", &options.epsilon) ||
-        !ParseUint64Flag(argc, argv, "--seed", &options.seed)) {
+        !ParseUint64Flag(argc, argv, 2, "--seed", &options.seed)) {
       return 2;
     }
     if (has_threads) options.num_threads = threads;
     StatusOr<std::unique_ptr<BoostSession>> created = BoostSession::Create(
-        g.value(), seeds, options, HasFlag(argc, argv, "--lb"));
+        g.value(), seeds, options, HasFlag(argc, argv, 2, "--lb"));
     if (!created.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    created.status().ToString().c_str());
@@ -451,29 +376,32 @@ int CmdBoost(int argc, char** argv) {
   if (save_pool != nullptr) {
     session->Prepare();
     StatusOr<PoolSaveResult> saved =
-        SavePoolSnapshot(*session, save_pool, save_options);
+        SavePoolSnapshot(*session, save_pool, PoolSaveOptions{});
     if (!saved.ok()) {
       std::fprintf(stderr, "error: %s\n", saved.status().ToString().c_str());
       return 1;
     }
     std::printf("saved pool to %s: %llu bytes, %llu samples, "
-                "%.2f bytes/sample (%s codec)\n",
+                "%.2f bytes/sample\n",
                 save_pool,
                 static_cast<unsigned long long>(saved->file_bytes),
                 static_cast<unsigned long long>(saved->num_samples),
-                saved->bytes_per_sample, CodecName(save_options.codec));
+                saved->bytes_per_sample);
   }
   return 0;
 }
 
 int CmdEvaluate(int argc, char** argv) {
-  if (!ValidateFlags(argc, argv, {"--graph", "--seeds", "--boost", "--sims"})) {
+  if (!ValidateFlags(argc, argv, 2, "kboost_cli evaluate",
+                     {"--graph", "--seeds", "--boost", "--sims"})) {
     return 2;
   }
-  const char* path = FlagValue(argc, argv, "--graph");
+  const char* path = FlagValue(argc, argv, 2, "--graph");
   std::vector<NodeId> seeds, boost;
-  if (!ParseUintList(FlagValue(argc, argv, "--seeds"), "--seeds", &seeds) ||
-      !ParseUintList(FlagValue(argc, argv, "--boost"), "--boost", &boost)) {
+  if (!ParseUintList(FlagValue(argc, argv, 2, "--seeds"), "--seeds",
+                     &seeds) ||
+      !ParseUintList(FlagValue(argc, argv, 2, "--boost"), "--boost",
+                     &boost)) {
     return 2;
   }
   if (path == nullptr || seeds.empty()) return Usage();
@@ -489,7 +417,7 @@ int CmdEvaluate(int argc, char** argv) {
   }
   SimulationOptions sim;
   uint64_t sims = sim.num_simulations;
-  if (!ParseUint64Flag(argc, argv, "--sims", &sims)) return 2;
+  if (!ParseUint64Flag(argc, argv, 2, "--sims", &sims)) return 2;
   if (sims < 1) {
     std::fprintf(stderr, "error: --sims must be >= 1\n");
     return 2;

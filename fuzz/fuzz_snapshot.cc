@@ -8,7 +8,7 @@
 // loaded twice against a small fixed graph through the one load path —
 // once owned (a private heap copy, deep-validated) and once from an mmap
 // with verify_mapped set, so both byte sources run the header, directory
-// and LB-body parses, every codec decode and the deep checks. When a load
+// and LB-body parses and the deep checks. When a load
 // accepts the bytes, the loaded session must answer a solve: anything the
 // validator lets through has to actually be servable, which is precisely
 // the promise the loader's validation makes.

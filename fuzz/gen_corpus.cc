@@ -7,7 +7,7 @@
 // Wire seeds are one valid frame of every type plus one instance of each
 // header rejection (bad magic / version / flags / type / oversized length /
 // truncation) — the decoder-hardening matrix from tests/net_test.cc as
-// files. Snapshot seeds are v3-nop / v3-varint / LB-only snapshots of one
+// files. Snapshot seeds are full-mode and LB-only v3 snapshots of one
 // tiny fixed pool (the same graph fuzz_snapshot.cc loads against) plus one
 // file per corruption-matrix case from tests/snapshot_test.cc, so the
 // mutation fuzzer starts at the validator's known edges instead of
@@ -108,7 +108,6 @@ void GenerateWireCorpus(const fs::path& dir) {
   pool.refreshes = 1;
   pool.queries = 100;
   pool.errors = 3;
-  pool.load_retries = 1;
   stats.pools.push_back(pool);
   stats.not_found = 5;
   WriteCase(dir, "stats_reply.bin", EncodeStatsReplyFrame(4, stats));
@@ -201,11 +200,9 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
 
   const std::string scratch =
       (fs::temp_directory_path() / "kboost_gen_corpus.bin").string();
-  auto save_bytes = [&](const BoostSession& pool,
-                        SnapshotCodec codec) -> std::string {
-    PoolSaveOptions save;
-    save.codec = codec;
-    StatusOr<PoolSaveResult> result = SavePoolSnapshot(pool, scratch, save);
+  auto save_bytes = [&](const BoostSession& pool) -> std::string {
+    StatusOr<PoolSaveResult> result =
+        SavePoolSnapshot(pool, scratch, PoolSaveOptions{});
     KB_CHECK(result.ok());
     std::ifstream in(scratch, std::ios::binary);
     return std::string((std::istreambuf_iterator<char>(in)),
@@ -215,13 +212,11 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   BoostSession lb_session(graph, seeds, options, /*lb_only=*/true);
   lb_session.Prepare();
 
-  const std::string v3_nop = save_bytes(session, SnapshotCodec::kNop);
-  const std::string v3_varint = save_bytes(session, SnapshotCodec::kVarint);
-  const std::string v3_lb = save_bytes(lb_session, SnapshotCodec::kNop);
+  const std::string v3_nop = save_bytes(session);
+  const std::string v3_lb = save_bytes(lb_session);
   fs::remove(scratch);
 
   WriteCase(dir, "v3_nop.bin", v3_nop);
-  WriteCase(dir, "v3_varint.bin", v3_varint);
   WriteCase(dir, "v3_lb_only.bin", v3_lb);
 
   // Older formats are rejected typed, asking for a re-save: a v3 file whose

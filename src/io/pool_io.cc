@@ -73,7 +73,7 @@ struct Header {
   // Extension, at bytes [128, 160). dir_offset is 0 on LB-only snapshots
   // (which store critical sets, not arenas, and have no directory).
   uint32_t endian_marker = kEndianMarker;
-  uint32_t default_codec = 0;
+  uint32_t default_codec = 0;  // always 0: sections are stored raw
   uint64_t section_align = kArenaAlign;
   uint64_t dir_offset = 0;
   uint64_t reserved = 0;
@@ -107,9 +107,8 @@ void VisitHeader(H& h, F&& f) {
 }
 
 /// One section block as recorded in the directory. `offset` is absolute in
-/// the file; `raw_bytes` is the decoded length (4 × value count); for
-/// SnapshotCodec::kNop, stored_bytes == raw_bytes and the block IS the
-/// arena memory.
+/// the file; `raw_bytes` is 4 × the value count. A valid block has codec 0
+/// and stored_bytes == raw_bytes: it IS the arena memory.
 struct SectionEntry {
   uint64_t offset = 0;
   uint64_t stored_bytes = 0;
@@ -150,10 +149,6 @@ T LoadAt(const char* p) {
 
 uint64_t AlignUp(uint64_t value, uint64_t alignment) {
   return (value + alignment - 1) / alignment * alignment;
-}
-
-bool IsNop(const SectionEntry& e) {
-  return e.codec == static_cast<uint32_t>(SnapshotCodec::kNop);
 }
 
 void WriteZeros(std::ostream& out, uint64_t count) {
@@ -272,10 +267,9 @@ Status CheckCoverageIds(std::span<const NodeId> nodes,
 }
 
 /// Per-entry structural checks for one section block: 4-byte aligned, in
-/// bounds, non-overlapping and in file order (`prev_end` advances); codec
-/// known; nop blocks stored verbatim; value count bounded by stored bytes
-/// (all codecs emit ≥ 1 byte per value, so a corrupt raw_bytes can never
-/// drive a pathological allocation).
+/// bounds, non-overlapping and in file order (`prev_end` advances), stored
+/// raw (codec 0, stored_bytes == raw_bytes, so a corrupt raw_bytes can never
+/// reach past the file).
 Status ValidateSectionEntry(const SectionEntry& e, const std::string& where,
                             uint64_t file_size, uint64_t* prev_end,
                             const std::string& path) {
@@ -291,18 +285,17 @@ Status ValidateSectionEntry(const SectionEntry& e, const std::string& where,
     return Status::InvalidArgument(where + " has a non-uint32 raw length: " +
                                    path);
   }
-  if (CodecById(e.codec) == nullptr) {
-    return Status::InvalidArgument("unknown codec id " +
-                                   std::to_string(e.codec) + " in " + where +
-                                   ": " + path);
-  }
-  if (IsNop(e) && e.stored_bytes != e.raw_bytes) {
-    return Status::InvalidArgument("nop-coded " + where +
-                                   " has stored != raw bytes: " + path);
-  }
-  if (e.raw_bytes / sizeof(uint32_t) > e.stored_bytes) {
+  // Older builds could varint-code a section (codec 1); this one reads
+  // only raw sections.
+  if (e.codec != 0) {
     return Status::InvalidArgument(
-        where + " declares more values than its stored bytes encode: " + path);
+        "unknown codec id " + std::to_string(e.codec) + " in " + where +
+        ": this build reads only raw sections; re-save the pool from its "
+        "graph and options: " + path);
+  }
+  if (e.stored_bytes != e.raw_bytes) {
+    return Status::InvalidArgument(where + " has stored != raw bytes: " +
+                                   path);
   }
   *prev_end = e.offset + e.stored_bytes;
   return Status::Ok();
@@ -464,33 +457,16 @@ Status ParseLbBody(const char* base, uint64_t file_size, uint64_t begin,
   return Status::Ok();
 }
 
-/// Bytes a block takes in the decode buffer: none when it is read in place.
-uint64_t DecodedBytes(const SectionEntry& e) {
-  return IsNop(e) ? 0 : AlignUp(e.raw_bytes, kBlockAlign);
-}
-
-/// Resolves one validated block to its values: a nop block is read in place
-/// from `base`; any other codec decodes into `decoded` at `*decode_at`,
-/// which then advances past it.
-Status ResolveBlock(const SectionEntry& e, const char* base, char* decoded,
-                    uint64_t* decode_at, std::span<const uint32_t>* values) {
-  const size_t count = e.raw_bytes / sizeof(uint32_t);
-  if (IsNop(e)) {
-    *values = {reinterpret_cast<const uint32_t*>(base + e.offset), count};
-    return Status::Ok();
-  }
-  uint32_t* out = reinterpret_cast<uint32_t*>(decoded + *decode_at);
-  *decode_at += DecodedBytes(e);
-  *values = {out, count};
-  return CodecById(e.codec)->Decode(
-      std::span<const char>(base + e.offset, e.stored_bytes),
-      std::span<uint32_t>(out, count));
+/// The values of one validated block, in place in the snapshot bytes.
+std::span<const uint32_t> BlockValues(const SectionEntry& e,
+                                      const char* base) {
+  return {reinterpret_cast<const uint32_t*>(base + e.offset),
+          e.raw_bytes / sizeof(uint32_t)};
 }
 
 /// The bytes one load reads from: a read-only private mapping of the file,
-/// or a heap buffer — an owned load's copy of the file, or the decode target
-/// of codec-coded sections. Restored arenas and the coverage pool alias
-/// these bytes, so the loaded session retains them
+/// or an owned load's heap copy of it. Restored arenas and the coverage pool
+/// alias these bytes, so the loaded session retains them
 /// (BoostSession::RetainResource).
 class SnapshotBytes {
  public:
@@ -600,8 +576,7 @@ StatusOr<std::shared_ptr<SnapshotBytes>> OpenSnapshotBytes(
 }
 
 /// Streams the snapshot of `session` to `out`; returns the file length.
-uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session,
-                       const Codec& codec) {
+uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session) {
   const PrrBoostEngine& engine = session.engine();
   const PrrCollection& pool = engine.collection();
   const PrrSamplerStats& stats = engine.stats();
@@ -624,7 +599,6 @@ uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session,
   h.uncompressed_edges = stats.uncompressed_edges;
   h.compressed_edges = stats.compressed_edges;
   const uint64_t seeds_bytes = h.num_seeds * sizeof(NodeId);
-  h.default_codec = static_cast<uint32_t>(codec.id());
   h.dir_offset = session.lb_only() ? 0 : kHeaderBytes + kExtBytes + seeds_bytes;
   WriteHeader(out, h);
   out.write(reinterpret_cast<const char*>(session.seeds().data()),
@@ -636,33 +610,21 @@ uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session,
   }
 
   // Full-mode body: a zeroed directory placeholder, the arena's eight
-  // section blocks streamed straight from it (a nop block is the arena span
-  // verbatim; another codec stages one block at a time), the coverage
-  // section, then the directory backpatched with the final offsets and
-  // sizes.
+  // section blocks streamed verbatim from its spans, the coverage section,
+  // then the directory backpatched with the final offsets and sizes.
   WriteZeros(out, kDirBytes);
   uint64_t pos = h.dir_offset + kDirBytes;
 
-  std::string encode_buf;
   const auto write_block = [&](std::span<const uint32_t> values,
                                SectionEntry* e) {
     const uint64_t block_begin = AlignUp(pos, kBlockAlign);
     WriteZeros(out, block_begin - pos);
     e->offset = block_begin;
     e->raw_bytes = values.size() * sizeof(uint32_t);
-    e->codec = static_cast<uint32_t>(codec.id());
-    if (codec.id() == SnapshotCodec::kNop) {
-      if (!values.empty()) {
-        out.write(reinterpret_cast<const char*>(values.data()),
-                  static_cast<std::streamsize>(e->raw_bytes));
-      }
-      e->stored_bytes = e->raw_bytes;
-    } else {
-      encode_buf.clear();
-      codec.Encode(values, &encode_buf);
-      out.write(encode_buf.data(),
-                static_cast<std::streamsize>(encode_buf.size()));
-      e->stored_bytes = encode_buf.size();
+    e->stored_bytes = e->raw_bytes;
+    if (!values.empty()) {
+      out.write(reinterpret_cast<const char*>(values.data()),
+                static_cast<std::streamsize>(e->raw_bytes));
     }
     pos = block_begin + e->stored_bytes;
   };
@@ -722,16 +684,10 @@ Status SyncPath(const std::string& path, int flags) {
 
 StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
                                           const std::string& path,
-                                          const PoolSaveOptions& options) {
+                                          const PoolSaveOptions& /*options*/) {
   if (!session.prepared()) {
     return Status::InvalidArgument(
         "session pool not prepared; call Prepare() before saving");
-  }
-  const Codec* codec = CodecById(static_cast<uint32_t>(options.codec));
-  if (codec == nullptr) {
-    return Status::InvalidArgument("unknown snapshot codec id " +
-                                   std::to_string(static_cast<uint32_t>(
-                                       options.codec)));
   }
   // Write a sibling temp file, make it durable, then rename it over `path`:
   // a process mapping the old file keeps the old inode, and a failed or
@@ -744,7 +700,7 @@ StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
     if (!out) return Status::IoError("cannot open for writing: " + temp);
-    file_bytes = WriteSnapshot(out, session, *codec);
+    file_bytes = WriteSnapshot(out, session);
     out.close();
     if (!out) status = Status::IoError("write failed: " + temp);
   }
@@ -856,13 +812,11 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     return Status::ResourceExhausted(
         "injected fault: allocation pressure restoring pool: " + path);
   }
-  // The body, all of it aliasing `bytes` or `decoded`: the arena (empty for
-  // an LB-only pool), the coverage node pool and its set sizes.
+  // The body, all of it aliasing `bytes`: the arena (empty for an LB-only
+  // pool), the coverage node pool and its set sizes.
   PrrStore store;
   std::vector<uint32_t> set_sizes;
   std::span<const NodeId> coverage_nodes;
-  std::shared_ptr<SnapshotBytes> decoded;
-  bool reads_file = true;
   if (lb_only) {
     if (Status s = ParseLbBody(base, file_size, body_begin, h.num_boostable,
                                path, &set_sizes, &coverage_nodes);
@@ -877,43 +831,20 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
         !s.ok()) {
       return s;
     }
-    // Codec-coded blocks decode into one owned buffer, the arena's blocks
-    // first and then the coverage block; nop blocks are read in place.
-    uint64_t decoded_bytes = DecodedBytes(coverage);
-    size_t in_place = IsNop(coverage) ? 1 : 0;
-    for (const SectionEntry& e : dir.sections) {
-      decoded_bytes += DecodedBytes(e);
-      in_place += IsNop(e) ? 1 : 0;
-    }
-    if (decoded_bytes > 0) {
-      decoded = std::make_shared<SnapshotBytes>(decoded_bytes);
-    }
-    char* decoded_base = decoded != nullptr ? decoded->mutable_data() : nullptr;
-    reads_file = in_place > 0;
-    uint64_t decode_at = 0;
     std::span<const uint32_t> v[kNumSections];
-    Status arena = Status::Ok();
-    for (size_t i = 0; i < kNumSections && arena.ok(); ++i) {
-      arena = ResolveBlock(dir.sections[i], base, decoded_base, &decode_at,
-                           &v[i]);
+    for (size_t i = 0; i < kNumSections; ++i) {
+      v[i] = BlockValues(dir.sections[i], base);
     }
-    if (arena.ok()) {
-      arena = store.AttachExternal(
-          {v[kSecNumNodes], v[kSecNumCritical], v[kSecGlobalIds],
-           v[kSecOutOffsets], v[kSecInOffsets], v[kSecOutEdges],
-           v[kSecInEdges], v[kSecCritical]},
-          deep);
-    }
-    if (!arena.ok()) {
+    if (Status arena = store.AttachExternal(
+            {v[kSecNumNodes], v[kSecNumCritical], v[kSecGlobalIds],
+             v[kSecOutOffsets], v[kSecInOffsets], v[kSecOutEdges],
+             v[kSecInEdges], v[kSecCritical]},
+            deep);
+        !arena.ok()) {
       return Status::InvalidArgument("corrupt PRR-graph arena of snapshot " +
                                      path + ": " + arena.ToString());
     }
-    if (Status s = ResolveBlock(coverage, base, decoded_base, &decode_at,
-                                &coverage_nodes);
-        !s.ok()) {
-      return Status::InvalidArgument("corrupt coverage section of snapshot " +
-                                     path + ": " + s.ToString());
-    }
+    coverage_nodes = BlockValues(coverage, base);
     if (Status s = CheckGlobalIds(store, graph.num_nodes()); !s.ok()) return s;
     if (deep) {
       if (Status s = CheckCoverage(store, coverage_nodes, path); !s.ok()) {
@@ -946,9 +877,7 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
                                                 boost_options, lb_only);
   session->engine().AdoptPool(std::move(pool), stats,
                               (h.flags & kFlagSamplesCapped) != 0);
-  // A fully decoded pool reads nothing from the file bytes any more.
-  if (reads_file) session->RetainResource(bytes);
-  if (decoded != nullptr) session->RetainResource(std::move(decoded));
+  session->RetainResource(bytes);
   return session;
 }
 

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/core/boost_session.h"
-#include "src/io/codec.h"
 #include "src/util/status.h"
 
 namespace kboost {
@@ -19,26 +18,28 @@ namespace kboost {
 /// restarts and cross-process serving against one prepared index.
 ///
 /// Format v3, the only one this build reads or writes: a 128-byte header, a
-/// 32-byte extension (endianness marker, default codec, alignment, directory
-/// offset), the seed list, then the body. A full-mode body is a section
-/// directory over one page-aligned arena region of eight flat uint32
-/// sections, plus the coverage section — the critical sets pre-translated to
-/// global ids, in stored-graph order — so the greedy-coverage node pool
-/// binds in place too. Every section is independently coded by a pluggable
-/// codec (src/io/codec.h); a nop-coded section IS the arena memory. An
-/// LB-only body is the critical sets as one flat offsets/nodes pair.
+/// 32-byte extension (endianness marker, a codec field written as 0,
+/// alignment, directory offset), the seed list, then the body. A full-mode
+/// body is a section directory over one page-aligned arena region of eight
+/// flat uint32 sections, plus the coverage section — the critical sets
+/// pre-translated to global ids, in stored-graph order — so the
+/// greedy-coverage node pool binds in place too. Every section is stored
+/// raw: its bytes ARE the arena memory. An LB-only body is the critical sets
+/// as one flat offsets/nodes pair.
 ///
 /// A pool is a deterministic function of graph + BoostOptions, so a snapshot
 /// is a cache, not an archive: v1/v2 files, v3 files written without a
-/// coverage section, and v3 files whose header's num_shards is not 1 (older
-/// builds could split a pool into several arenas) are rejected with a typed
-/// InvalidArgument that asks for a re-save. A single-arena v3 file from an
-/// older build stays valid byte for byte.
+/// coverage section, v3 files whose header's num_shards is not 1 (older
+/// builds could split a pool into several arenas) and v3 files with a
+/// section coded by any codec but 0 (older builds could varint-code them)
+/// are rejected with a typed InvalidArgument that asks for a re-save. A
+/// single-arena raw v3 file from an older build stays valid byte for byte.
 ///
-/// One load path: the file's bytes come from a read-only mmap (use_mmap) or
-/// from one read into an aligned heap buffer; codec-coded sections decode
-/// into one owned buffer; the arena and the coverage pool are then bound
-/// over those bytes in place, and the session retains them.
+/// One load path, one attempt: the file's bytes come from a read-only mmap
+/// (use_mmap) or from one read into an aligned heap buffer; the arena and
+/// the coverage pool are then bound over those bytes in place, and the
+/// session retains them. A failed load returns its typed Status; the caller
+/// decides whether to try again.
 ///
 /// Byte order: headers stamp an endianness marker and the loader rejects
 /// snapshots written on a different-endianness host with a typed Status.
@@ -48,13 +49,10 @@ namespace kboost {
 /// just clamps it into [1, ThreadPool::kMaxWorkers] and keeps it for a
 /// re-save of the same pool.
 
-/// How to write a snapshot.
-struct PoolSaveOptions {
-  /// Codec applied to every section block (recorded per block in the
-  /// directory). kNop makes the file servable in place from an mmap; kVarint
-  /// shrinks it for cold storage at the cost of a decode on every load.
-  SnapshotCodec codec = SnapshotCodec::kNop;
-};
+/// How to write a snapshot: nothing to choose. The struct stays only
+/// because the benchmark (kbench/) constructs it; delete it with the next
+/// benchmark change.
+struct PoolSaveOptions {};
 
 /// What a save produced. num_samples is θ — every sampled PRR-graph,
 /// boostable or not — so bytes_per_sample is comparable across modes.
@@ -67,9 +65,9 @@ struct PoolSaveResult {
 /// How to load a snapshot.
 struct PoolLoadOptions {
   /// Serve the pool from a read-only mmap of the file (prefaulted with
-  /// MAP_POPULATE) instead of a private heap copy. Nop-coded sections are
-  /// then served zero-copy, warm start costs ~O(validate directory) instead
-  /// of O(bytes), and the page cache shares the pool across every process
+  /// MAP_POPULATE) instead of a private heap copy. The sections are then
+  /// served zero-copy, warm start costs ~O(validate directory) instead of
+  /// O(bytes), and the page cache shares the pool across every process
   /// mapping it. The mapping pins the file's inode, so replace a served
   /// snapshot only by rename (SavePoolSnapshot does); rewriting it in place
   /// can kill the serving process.

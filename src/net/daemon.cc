@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,65 +18,6 @@
 namespace kboost {
 
 namespace {
-
-// Flag scanning mirrors kboost_cli's discipline — strict `--name=value` /
-// `--switch`, unknown flags rejected loudly, every integer through the
-// whole-string ParseUint64 — parameterised on where flags start so the same
-// command serves `kboostd --graph=...` and `kboost_cli serve --graph=...`.
-
-const char* FlagValue(int argc, char** argv, int start, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = start; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, int start, const char* name) {
-  for (int i = start; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-bool ValidateFlags(int argc, char** argv, int start, const char* command,
-                   std::initializer_list<const char*> value_flags,
-                   std::initializer_list<const char*> switches = {}) {
-  for (int i = start; i < argc; ++i) {
-    const char* arg = argv[i];
-    bool known = false;
-    for (const char* name : value_flags) {
-      const size_t len = std::strlen(name);
-      if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-        known = true;
-        break;
-      }
-    }
-    for (const char* name : switches) {
-      if (known) break;
-      if (std::strcmp(arg, name) == 0) known = true;
-    }
-    if (!known) {
-      std::fprintf(stderr, "error: unknown flag '%s' for '%s'\n", arg,
-                   command);
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ParseUint64Flag(int argc, char** argv, int start, const char* flag_name,
-                     uint64_t* out) {
-  const char* text = FlagValue(argc, argv, start, flag_name);
-  if (text == nullptr) return true;
-  if (Status s = ParseUint64(text, flag_name, out); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-    return false;
-  }
-  return true;
-}
 
 /// Splits "host:port" with a strict port parse. The last ':' separates, so
 /// this stays correct if hosts ever grow colons.

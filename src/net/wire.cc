@@ -391,7 +391,6 @@ std::string EncodeStatsReplyFrame(uint32_t request_id,
     AppendU64(pool.refreshes, &body);
     AppendU64(pool.queries, &body);
     AppendU64(pool.errors, &body);
-    AppendU64(pool.load_retries, &body);
     AppendF64(pool.latency_mean_ms, &body);
     AppendF64(pool.latency_p50_ms, &body);
     AppendF64(pool.latency_p95_ms, &body);
@@ -415,7 +414,7 @@ Status DecodeStatsReplyBody(const uint8_t* body, size_t len,
     PoolStatsSnapshot pool;
     if (!reader.ReadString(&pool.pool) || !reader.ReadU64(&pool.version) ||
         !reader.ReadU64(&pool.refreshes) || !reader.ReadU64(&pool.queries) ||
-        !reader.ReadU64(&pool.errors) || !reader.ReadU64(&pool.load_retries) ||
+        !reader.ReadU64(&pool.errors) ||
         !reader.ReadF64(&pool.latency_mean_ms) ||
         !reader.ReadF64(&pool.latency_p50_ms) ||
         !reader.ReadF64(&pool.latency_p95_ms) ||

@@ -34,7 +34,7 @@ namespace kboost {
 /// are a typed error, never ignored. docs/PROTOCOL.md is the normative
 /// description.
 inline constexpr uint32_t kWireMagic = 0x5453424Bu;  // "KBST" little-endian
-inline constexpr uint8_t kWireVersion = 4;
+inline constexpr uint8_t kWireVersion = 5;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Default decoder bound on body_len. Generous for answers (a selection is
 /// k u32s) yet small enough that a hostile length can't balloon memory.

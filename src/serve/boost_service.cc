@@ -23,11 +23,6 @@ double NowEpochSeconds() {
 
 StatusOr<std::unique_ptr<BoostService>> BoostService::Create(
     const DirectedGraph& graph, const Options& options) {
-  if (options.snapshot_retry.max_attempts < 1) {
-    return Status::InvalidArgument(
-        "snapshot_retry.max_attempts must be >= 1, got " +
-        std::to_string(options.snapshot_retry.max_attempts));
-  }
   std::unique_ptr<BoostService> service(new BoostService(graph, options));
   for (const PoolSpec& spec : options.warm_pools) {
     if (Status s = service->LoadPool(spec.name, spec.snapshot_path); !s.ok()) {
@@ -38,49 +33,12 @@ StatusOr<std::unique_ptr<BoostService>> BoostService::Create(
   return service;
 }
 
-StatusOr<std::unique_ptr<BoostSession>> BoostService::LoadSnapshotWithRetry(
-    const std::string& snapshot_path, uint64_t* retries) const {
-  PoolLoadOptions load_options;
-  load_options.use_mmap = options_.mmap_pools;
-  // Jitter stream seeded per path so concurrent loads of different
-  // snapshots decorrelate, deterministically for a given path.
-  JitteredBackoff backoff(options_.snapshot_retry,
-                          std::hash<std::string>{}(snapshot_path) ^
-                              0x9E3779B97F4A7C15ULL);
-  for (;;) {
-    StatusOr<std::unique_ptr<BoostSession>> loaded =
-        LoadPoolSnapshot(graph_, snapshot_path, load_options);
-    if (loaded.ok() || !IsTransientStatus(loaded.status()) ||
-        !backoff.SleepAndRetry()) {
-      *retries = static_cast<uint64_t>(backoff.retries());
-      return loaded;
-    }
-  }
-}
-
-void BoostService::NoteLoadRetries(const std::string& name,
-                                   uint64_t retries) const {
-  if (retries == 0) return;
-  std::shared_ptr<PoolStatsCollector> stats;
-  {
-    ReaderLock lock(mutex_);
-    auto it = pools_.find(name);
-    if (it != pools_.end()) stats = it->second.stats;
-  }
-  if (stats != nullptr) stats->RecordLoadRetries(retries);
-}
-
 Status BoostService::LoadPool(const std::string& name,
                               const std::string& snapshot_path) {
-  uint64_t retries = 0;
-  StatusOr<std::unique_ptr<BoostSession>> loaded =
-      LoadSnapshotWithRetry(snapshot_path, &retries);
+  StatusOr<std::unique_ptr<BoostSession>> loaded = LoadPoolSnapshot(
+      graph_, snapshot_path, {.use_mmap = options_.mmap_pools});
   if (!loaded.ok()) return loaded.status();
-  Status added = AddPool(name, std::move(loaded).value());
-  // The entry exists only after AddPool; retries absorbed on the way in are
-  // attributed to it now (a failed registration has no entry to charge).
-  if (added.ok()) NoteLoadRetries(name, retries);
-  return added;
+  return AddPool(name, std::move(loaded).value());
 }
 
 Status BoostService::CheckSession(const std::string& name,
@@ -176,12 +134,8 @@ Status BoostService::RefreshPool(const std::string& name,
 
 Status BoostService::RefreshPoolFromSnapshot(const std::string& name,
                                              const std::string& snapshot_path) {
-  uint64_t retries = 0;
-  StatusOr<std::unique_ptr<BoostSession>> loaded =
-      LoadSnapshotWithRetry(snapshot_path, &retries);
-  // A refresh targets a live entry, so retries are recorded even when the
-  // load ultimately failed — the operator sees the flakiness either way.
-  NoteLoadRetries(name, retries);
+  StatusOr<std::unique_ptr<BoostSession>> loaded = LoadPoolSnapshot(
+      graph_, snapshot_path, {.use_mmap = options_.mmap_pools});
   if (!loaded.ok()) return loaded.status();
   return RefreshPool(name, std::move(loaded).value());
 }

@@ -11,7 +11,6 @@
 #include "src/core/boost_session.h"
 #include "src/core/solve_context.h"
 #include "src/serve/service_stats.h"
-#include "src/util/backoff.h"
 #include "src/util/status.h"
 #include "src/util/sync.h"
 
@@ -85,17 +84,11 @@ class BoostService {
     std::vector<PoolSpec> warm_pools;
     /// Serve snapshot-loaded pools zero-copy from an mmap of the file
     /// (LoadPool, RefreshPoolFromSnapshot and warm_pools all route through
-    /// it); nop-coded sections are then served in place. The mapping is
-    /// pinned by the session (BoostSession::RetainResource), so hot-swaps
-    /// and removals stay safe: the bytes outlive every in-flight query.
-    /// Replace a served snapshot only by rename (SavePoolSnapshot does).
+    /// it). The mapping is pinned by the session
+    /// (BoostSession::RetainResource), so hot-swaps and removals stay safe:
+    /// the bytes outlive every in-flight query. Replace a served snapshot
+    /// only by rename (SavePoolSnapshot does).
     bool mmap_pools = false;
-    /// Retry schedule for transient snapshot-load faults (I/O errors,
-    /// allocation pressure) in LoadPool / RefreshPoolFromSnapshot /
-    /// warm_pools. Permanent errors (corruption, graph mismatch) are never
-    /// retried. Set max_attempts = 1 to disable. Retries taken are counted
-    /// per pool in Stats().
-    BackoffPolicy snapshot_retry;
   };
 
   /// Builds a service over `graph` (which must outlive it) and warm-starts
@@ -108,7 +101,9 @@ class BoostService {
   }
 
   /// Loads a pool snapshot, prepares it for serving and registers it under
-  /// `name`. InvalidArgument on a duplicate name or corrupt snapshot.
+  /// `name`. One load attempt: its typed Status is returned as is (IoError
+  /// for a missing, unreadable or truncated file, InvalidArgument on a
+  /// duplicate name or corrupt snapshot).
   Status LoadPool(const std::string& name, const std::string& snapshot_path);
 
   /// Prepares `session` for serving (sampling now if it never ran) and
@@ -132,7 +127,8 @@ class BoostService {
   Status RefreshPool(const std::string& name,
                      std::unique_ptr<BoostSession> session);
 
-  /// RefreshPool from a snapshot file, mirroring LoadPool.
+  /// RefreshPool from a snapshot file, mirroring LoadPool: a failed load
+  /// leaves the live pool, its version and its answers unchanged.
   Status RefreshPoolFromSnapshot(const std::string& name,
                                  const std::string& snapshot_path);
 
@@ -187,17 +183,6 @@ class BoostService {
   /// RefreshPool).
   Status CheckSession(const std::string& name,
                       const BoostSession* session) const;
-
-  /// The snapshot load both LoadPool and RefreshPoolFromSnapshot share:
-  /// retries transient faults per Options::snapshot_retry and reports the
-  /// retries taken through `retries` (recorded against the pool entry by
-  /// the caller once it exists).
-  StatusOr<std::unique_ptr<BoostSession>> LoadSnapshotWithRetry(
-      const std::string& snapshot_path, uint64_t* retries) const;
-
-  /// Adds `retries` to the named pool's load-retry counter (no-op when the
-  /// name is not registered).
-  void NoteLoadRetries(const std::string& name, uint64_t retries) const;
 
   const DirectedGraph& graph_;
   const Options options_;  // warm_pools unused after Create()

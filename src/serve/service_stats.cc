@@ -20,10 +20,6 @@ void PoolStatsCollector::RecordError() {
   ++errors_;
 }
 
-void PoolStatsCollector::RecordLoadRetries(uint64_t retries) {
-  load_retries_.fetch_add(retries, std::memory_order_relaxed);
-}
-
 void PoolStatsCollector::FillSnapshot(PoolStatsSnapshot* out) const {
   std::vector<double> window;
   {
@@ -34,7 +30,6 @@ void PoolStatsCollector::FillSnapshot(PoolStatsSnapshot* out) const {
     out->latency_ewma_ms = ewma_ms_;
     window = window_ms_;
   }
-  out->load_retries = load_retries_.load(std::memory_order_relaxed);
   // Quantile sorts a copy; done outside the lock so a slow snapshot never
   // stalls the query path.
   if (!window.empty()) {

@@ -1,7 +1,6 @@
 #ifndef KBOOST_SERVE_SERVICE_STATS_H_
 #define KBOOST_SERVE_SERVICE_STATS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,10 +23,6 @@ struct PoolStatsSnapshot {
   uint64_t refreshes = 0;     ///< completed RefreshPool swaps
   uint64_t queries = 0;       ///< successfully answered solves
   uint64_t errors = 0;        ///< solves that returned a non-OK status
-  /// Transient snapshot-load faults absorbed by the retry-with-backoff loop
-  /// while loading or refreshing this pool (retries that led to an eventual
-  /// success or gave up; either way each retry counts once).
-  uint64_t load_retries = 0;
   double latency_mean_ms = 0.0;  ///< lifetime mean solve latency
   double latency_p50_ms = 0.0;   ///< median over the recent window
   double latency_p95_ms = 0.0;   ///< 95th percentile over the recent window
@@ -73,9 +68,6 @@ class PoolStatsCollector {
   /// Records one query that failed against this pool (a bad budget or
   /// mode). NotFound is service-level, not per-pool.
   void RecordError();
-  /// Records transient snapshot-load faults retried while (re)loading this
-  /// pool's snapshot.
-  void RecordLoadRetries(uint64_t retries);
 
   /// Fills the count and latency fields of `out` (the identity fields —
   /// name, version, timestamps — belong to the registry entry).
@@ -89,8 +81,6 @@ class PoolStatsCollector {
   /// Ring buffer of the last kWindow solves.
   std::vector<double> window_ms_ KB_GUARDED_BY(mutex_);
   size_t window_next_ KB_GUARDED_BY(mutex_) = 0;
-  // Outside the mutex: bumped by snapshot loads, never on the query path.
-  std::atomic<uint64_t> load_retries_{0};
 };
 
 }  // namespace kboost

@@ -39,8 +39,9 @@ class FaultInjector {
  public:
   /// What an armed site should do on each hit.
   struct Plan {
-    /// Fail the first `fail_first` hits unconditionally — the deterministic
-    /// "transient fault heals after N attempts" shape retry tests want.
+    /// Fail the first `fail_first` hits unconditionally, then heal: the
+    /// deterministic shape that shows one call failing typed and the next
+    /// call on the same input succeeding.
     uint64_t fail_first = 0;
     /// After fail_first, fail each hit independently with this probability
     /// (seeded, reproducible). 0 = never, 1 = always.

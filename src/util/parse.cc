@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -59,6 +60,54 @@ Status ParseDouble(const char* text, const char* what, double* out) {
   }
   *out = value;
   return Status::Ok();
+}
+
+const char* FlagValue(int argc, char** argv, int start, const char* name) {
+  const size_t len = std::strlen(name);
+  for (int i = start; i < argc; ++i) {
+    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
+      return argv[i] + len + 1;
+    }
+  }
+  return nullptr;
+}
+
+bool HasFlag(int argc, char** argv, int start, const char* name) {
+  for (int i = start; i < argc; ++i) {
+    if (std::strcmp(argv[i], name) == 0) return true;
+  }
+  return false;
+}
+
+bool ValidateFlags(int argc, char** argv, int start, const char* command,
+                   std::initializer_list<const char*> value_flags,
+                   std::initializer_list<const char*> switches) {
+  for (int i = start; i < argc; ++i) {
+    const char* arg = argv[i];
+    bool known = false;
+    for (const char* name : value_flags) {
+      const size_t len = std::strlen(name);
+      known |= std::strncmp(arg, name, len) == 0 && arg[len] == '=';
+    }
+    for (const char* name : switches) known |= std::strcmp(arg, name) == 0;
+    if (!known) {
+      std::fprintf(stderr, "error: unknown flag '%s' for '%s'\n", arg,
+                   command);
+      return false;
+    }
+  }
+  return true;
+}
+
+bool ParseUint64Flag(int argc, char** argv, int start, const char* name,
+                     uint64_t* out) {
+  const char* text = FlagValue(argc, argv, start, name);
+  if (text == nullptr) return true;
+  if (Status s = ParseUint64(text, name, out); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace kboost

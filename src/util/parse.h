@@ -2,6 +2,7 @@
 #define KBOOST_UTIL_PARSE_H_
 
 #include <cstdint>
+#include <initializer_list>
 
 #include "src/util/status.h"
 
@@ -27,6 +28,30 @@ Status ParseUint64(const char* text, const char* what, uint64_t* out);
 /// malformed input and OutOfRange when the value overflows or underflows a
 /// double, with `what` naming the input in the message.
 Status ParseDouble(const char* text, const char* what, double* out);
+
+// Command-line flags are `--name=value` or a bare `--switch`, read from
+// argv[start] on: 1 for a binary's own flags (`kboostd --graph=...`), 2
+// after a subcommand (`kboost_cli boost --graph=...`).
+
+/// The value of `--name=value`, or nullptr when the flag is absent.
+const char* FlagValue(int argc, char** argv, int start, const char* name);
+
+/// True when the bare switch `name` is present.
+bool HasFlag(int argc, char** argv, int start, const char* name);
+
+/// Rejects unknown arguments, so a typo (`--kk=50`) fails loudly instead of
+/// being ignored: every argument must be one of `value_flags` with a value
+/// or one of `switches`. Returns false with the offending argument and
+/// `command` on stderr.
+bool ValidateFlags(int argc, char** argv, int start, const char* command,
+                   std::initializer_list<const char*> value_flags,
+                   std::initializer_list<const char*> switches = {});
+
+/// Parses `name` through ParseUint64 when present; `*out` keeps its
+/// preloaded default when it is absent. Returns false with the error on
+/// stderr.
+bool ParseUint64Flag(int argc, char** argv, int start, const char* name,
+                     uint64_t* out);
 
 }  // namespace kboost
 

@@ -5,6 +5,7 @@
 #
 #   cmake -DCLI=<example_kboost_cli> -DVIRAL_MARKETING=<its example>
 #         -DWORK_DIR=<dir> -P bad_input.cmake
+#   cmake -DKBOOSTD=<kboostd> -P bad_input.cmake
 #   cmake -DHARNESS=<a bench_fig*/bench_table* binary> -P bad_input.cmake
 
 function(expect_usage_error)
@@ -31,6 +32,22 @@ if(DEFINED HARNESS)
   return()
 endif()
 
+if(DEFINED KBOOSTD)
+  # The daemon's own flags start at argv[1]. Each of these is rejected
+  # before any load, so the graph and snapshot paths need not exist (a run
+  # that got past the flags would fail to load them and exit 1, not 2).
+  # The event loops answer every query themselves (no worker pool), an
+  # O(k) slice has no deadline to miss, a loaded pool never samples (no
+  # thread count), and a connection limit of 0 would refuse every client.
+  set(timeout 20)
+  set(files --graph=no_such_graph.txt --pool=a=no_such_pool.bin)
+  expect_usage_error(${KBOOSTD} ${files} --workers=2)
+  expect_usage_error(${KBOOSTD} ${files} --deadline-ms=5)
+  expect_usage_error(${KBOOSTD} ${files} --threads=2)
+  expect_usage_error(${KBOOSTD} ${files} --max-connections=0)
+  return()
+endif()
+
 set(timeout 20)
 set(graph ${WORK_DIR}/bad_input_graph.txt)
 set(unused ${WORK_DIR}/bad_input_unused.txt)
@@ -54,6 +71,14 @@ expect_usage_error(${CLI} evaluate --graph=${graph} --seeds=0,1 --boost=2
                    --sims=0)
 expect_usage_error(${CLI} boost --graph=${graph} --seeds=0,1 --k=5
                    --epsilon=0.5x)
+# A budget of 0, in --k or in a sweep, is a usage error before the graph
+# or a --load-pool snapshot loads.
+expect_usage_error(${CLI} boost --graph=${graph} --seeds=0,1 --k-sweep=0,5)
+expect_usage_error(${CLI} boost --graph=${unused} --seeds=0,1 --k=0)
+expect_usage_error(${CLI} boost --graph=${graph} --load-pool=${unused} --k=0)
+# Sections are stored raw: there is no codec to pick.
+expect_usage_error(${CLI} boost --graph=${graph} --seeds=0,1 --k=5
+                   --save-pool=${unused} --codec=varint)
 # The pool is one arena: there is no shard count to set.
 expect_usage_error(${CLI} boost --graph=${graph} --seeds=0,1 --k=5
                    --shards=4)

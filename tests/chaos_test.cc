@@ -1,6 +1,7 @@
 // The chaos harness: deterministic fault injection (src/util/fault.h)
-// driven against the serving stack's robustness machinery — snapshot-load
-// retry with backoff, allocation pressure, corrupt files, re-saves under an
+// driven against the serving stack — snapshot-load faults and allocation
+// pressure that each fail one load attempt typed, corrupt, missing and
+// truncated files, failed refreshes of a live pool, re-saves under an
 // mmap-served pool — and stalled solves racing lifecycle churn
 // (add/refresh/remove). The invariant under every storm: no crash, no
 // untyped error, every request answered and counted, and every answer
@@ -60,170 +61,139 @@ class ChaosTest : public ::testing::Test {
   void TearDown() override { FaultInjector::Global().DisarmAll(); }
 };
 
-TEST_F(ChaosTest, SnapshotLoadRetriesTransientFaultsUntilSuccess) {
+BoostRequest Request(size_t k) {
+  BoostRequest request;
+  request.pool = "p";
+  request.k = k;
+  return request;
+}
+
+/// Every injected load fault surfaces typed on the load's one attempt: the
+/// site is hit once, nothing is registered, and the next load of the same
+/// file (the fault is spent) serves the pool bit-identically.
+TEST_F(ChaosTest, EachLoadFaultSurfacesTypedOnItsOneAttempt) {
   DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_chaos_retry.pool");
+  const std::string path = TempPath("kboost_chaos_fault.pool");
   BoostSession reference(g, {0, 1}, MakeOptions(6));
   ASSERT_TRUE(reference.SavePool(path).ok());
   const BoostResult expect = reference.SolveForBudget(4);
 
-  // The open fails twice, then heals — the classic transient fault shape.
-  FaultInjector::Plan plan;
-  plan.fail_first = 2;
-  FaultInjector::Global().Arm(FaultSite::kSnapshotOpen, plan);
+  const struct {
+    FaultSite site;
+    bool mmap;
+    StatusCode code;
+  } rows[] = {
+      {FaultSite::kSnapshotOpen, false, StatusCode::kIoError},
+      {FaultSite::kSnapshotRead, false, StatusCode::kIoError},
+      {FaultSite::kSnapshotShortRead, false, StatusCode::kIoError},
+      {FaultSite::kSnapshotMmap, true, StatusCode::kIoError},
+      {FaultSite::kAllocPressure, false, StatusCode::kResourceExhausted},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(FaultSiteName(row.site));
+    BoostService::Options options;
+    options.mmap_pools = row.mmap;
+    StatusOr<std::unique_ptr<BoostService>> service_or =
+        BoostService::Create(g, options);
+    ASSERT_TRUE(service_or.ok());
+    BoostService& service = **service_or;
 
-  BoostService::Options options;
-  options.snapshot_retry.max_attempts = 5;
-  options.snapshot_retry.initial_delay_micros = 50;
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g, options);
-  ASSERT_TRUE(service_or.ok());
-  BoostService& service = **service_or;
-  ASSERT_TRUE(service.LoadPool("p", path).ok());
-  EXPECT_EQ(FaultInjector::Global().hits(FaultSite::kSnapshotOpen), 3u);
+    FaultInjector::Plan plan;
+    plan.fail_first = 1;
+    FaultInjector::Global().Arm(row.site, plan);
+    EXPECT_EQ(service.LoadPool("p", path).code(), row.code);
+    EXPECT_EQ(FaultInjector::Global().hits(row.site), 1u);
+    EXPECT_EQ(service.num_pools(), 0u);
 
-  // The retries were absorbed, counted, and the answer is unharmed.
-  ServiceStatsSnapshot stats = service.Stats();
-  ASSERT_EQ(stats.pools.size(), 1u);
-  EXPECT_EQ(stats.pools[0].load_retries, 2u);
-  BoostRequest request;
-  request.pool = "p";
-  request.k = 4;
-  StatusOr<BoostResponse> r = service.Solve(request);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(SameAnswer(expect, r->result));
+    ASSERT_TRUE(service.LoadPool("p", path).ok());
+    StatusOr<BoostResponse> r = service.Solve(Request(4));
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(SameAnswer(expect, r->result));
+    FaultInjector::Global().DisarmAll();
+  }
   std::remove(path.c_str());
 }
 
-TEST_F(ChaosTest, SnapshotLoadGivesUpTypedAfterMaxAttempts) {
-  DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_chaos_giveup.pool");
-  BoostSession reference(g, {0, 1}, MakeOptions(6));
-  ASSERT_TRUE(reference.SavePool(path).ok());
-
-  FaultInjector::Plan plan;
-  plan.fail_first = 100;  // never heals within the budget
-  FaultInjector::Global().Arm(FaultSite::kSnapshotRead, plan);
-
-  BoostService::Options options;
-  options.snapshot_retry.max_attempts = 3;
-  options.snapshot_retry.initial_delay_micros = 50;
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g, options);
-  ASSERT_TRUE(service_or.ok());
-  Status s = (*service_or)->LoadPool("p", path);
-  EXPECT_EQ(s.code(), StatusCode::kIoError);
-  // Exactly max_attempts loads ran, then the typed error surfaced.
-  EXPECT_EQ(FaultInjector::Global().hits(FaultSite::kSnapshotRead), 3u);
-  EXPECT_EQ((*service_or)->num_pools(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST_F(ChaosTest, MmapFaultsRetryLikeStreamFaults) {
-  DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_chaos_mmap.pool");
-  BoostSession reference(g, {0, 1}, MakeOptions(6));
-  ASSERT_TRUE(reference.SavePool(path).ok());
-
-  FaultInjector::Plan plan;
-  plan.fail_first = 1;
-  FaultInjector::Global().Arm(FaultSite::kSnapshotMmap, plan);
-
-  BoostService::Options options;
-  options.mmap_pools = true;
-  options.snapshot_retry.max_attempts = 3;
-  options.snapshot_retry.initial_delay_micros = 50;
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g, options);
-  ASSERT_TRUE(service_or.ok());
-  BoostService& service = **service_or;
-  ASSERT_TRUE(service.LoadPool("p", path).ok());
-  EXPECT_EQ(service.Stats().pools[0].load_retries, 1u);
-  BoostRequest request;
-  request.pool = "p";
-  request.k = 4;
-  EXPECT_TRUE(service.Solve(request).ok());
-  std::remove(path.c_str());
-}
-
-TEST_F(ChaosTest, AllocationPressureSurfacesAsResourceExhaustedAndRetries) {
-  DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_chaos_alloc.pool");
-  BoostSession reference(g, {0, 1}, MakeOptions(6));
-  ASSERT_TRUE(reference.SavePool(path).ok());
-
-  // Direct load: the typed status reaches the caller un-retried.
-  FaultInjector::Plan plan;
-  plan.fail_first = 1;
-  FaultInjector::Global().Arm(FaultSite::kAllocPressure, plan);
-  EXPECT_EQ(LoadPoolSnapshot(g, path, PoolLoadOptions{}).status().code(),
-            StatusCode::kResourceExhausted);
-
-  // Service load: ResourceExhausted is transient, so the retry loop absorbs
-  // it (the counter reset by Arm makes the next hit succeed).
-  FaultInjector::Global().Arm(FaultSite::kAllocPressure, plan);
-  BoostService::Options options;
-  options.snapshot_retry.max_attempts = 3;
-  options.snapshot_retry.initial_delay_micros = 50;
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g, options);
-  ASSERT_TRUE(service_or.ok());
-  ASSERT_TRUE((*service_or)->LoadPool("p", path).ok());
-  EXPECT_EQ((*service_or)->Stats().pools[0].load_retries, 1u);
-  std::remove(path.c_str());
-}
-
+/// A file that cannot be a snapshot fails on the first attempt with its
+/// typed status: garbage, a missing path, an empty file and one cut inside
+/// its header. Each input is opened exactly once and registers nothing.
 TEST_F(ChaosTest, CorruptSnapshotIsPermanentAndNeverRetried) {
   DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_chaos_corrupt.pool");
+  const std::string valid = TempPath("kboost_chaos_valid.pool");
+  BoostSession reference(g, {0, 1}, MakeOptions(6));
+  ASSERT_TRUE(reference.SavePool(valid).ok());
+  std::string header_bytes(100, '\0');
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    std::vector<char> garbage(512, 'x');  // wrong magic, full-size header
-    out.write(garbage.data(), static_cast<std::streamsize>(garbage.size()));
+    std::ifstream in(valid, std::ios::binary);
+    ASSERT_TRUE(in.read(header_bytes.data(), 100));
   }
-  // Count load attempts through the (never-failing) open site.
-  FaultInjector::Global().Arm(FaultSite::kSnapshotOpen, FaultInjector::Plan{});
+  std::remove(valid.c_str());
 
-  BoostService::Options options;
-  options.snapshot_retry.max_attempts = 5;
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g, options);
+  const struct {
+    const char* name;
+    std::string bytes;  // written to the path unless `missing`
+    bool missing;
+    StatusCode code;
+  } rows[] = {
+      // Wrong magic, full-size header.
+      {"garbage", std::string(512, 'x'), false, StatusCode::kInvalidArgument},
+      {"missing", "", true, StatusCode::kIoError},
+      {"empty", "", false, StatusCode::kIoError},
+      {"header-truncated", header_bytes, false, StatusCode::kIoError},
+  };
+  const std::string path = TempPath("kboost_chaos_corrupt.pool");
+  StatusOr<std::unique_ptr<BoostService>> service_or = BoostService::Create(g);
   ASSERT_TRUE(service_or.ok());
-  Status s = (*service_or)->LoadPool("p", path);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  // Corruption is permanent: one attempt, no backoff loop.
-  EXPECT_EQ(FaultInjector::Global().hits(FaultSite::kSnapshotOpen), 1u);
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    std::remove(path.c_str());
+    if (!row.missing) {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(row.bytes.data(),
+                static_cast<std::streamsize>(row.bytes.size()));
+    }
+    // Count load attempts through the (never-failing) open site.
+    FaultInjector::Global().Arm(FaultSite::kSnapshotOpen,
+                                FaultInjector::Plan{});
+    EXPECT_EQ((*service_or)->LoadPool("p", path).code(), row.code);
+    EXPECT_EQ(FaultInjector::Global().hits(FaultSite::kSnapshotOpen), 1u);
+    EXPECT_EQ((*service_or)->num_pools(), 0u);
+  }
   std::remove(path.c_str());
 }
 
-TEST_F(ChaosTest, RefreshRecordsRetriesEvenWhenTheLoadUltimatelyFails) {
+/// A refresh whose load fails — an injected open fault, or a path that does
+/// not exist — returns the typed error after one attempt and leaves the
+/// live pool serving: same version, no refresh counted, same bits.
+TEST_F(ChaosTest, FailedRefreshLeavesTheLivePoolUnchanged) {
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_chaos_refresh.pool");
   BoostSession reference(g, {0, 1}, MakeOptions(6));
   ASSERT_TRUE(reference.SavePool(path).ok());
 
-  BoostService::Options options;
-  options.snapshot_retry.max_attempts = 2;
-  options.snapshot_retry.initial_delay_micros = 50;
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g, options);
+  StatusOr<std::unique_ptr<BoostService>> service_or = BoostService::Create(g);
   ASSERT_TRUE(service_or.ok());
   BoostService& service = **service_or;
   ASSERT_TRUE(service.LoadPool("p", path).ok());
+  StatusOr<BoostResponse> before = service.Solve(Request(4));
+  ASSERT_TRUE(before.ok());
 
   FaultInjector::Plan plan;
-  plan.fail_first = 100;
+  plan.fail_first = 1;
   FaultInjector::Global().Arm(FaultSite::kSnapshotOpen, plan);
   EXPECT_EQ(service.RefreshPoolFromSnapshot("p", path).code(),
             StatusCode::kIoError);
+  EXPECT_EQ(FaultInjector::Global().hits(FaultSite::kSnapshotOpen), 1u);
   FaultInjector::Global().DisarmAll();
+  EXPECT_EQ(service.RefreshPoolFromSnapshot("p", path + ".missing").code(),
+            StatusCode::kIoError);
 
-  // The live entry kept serving and carries the retry evidence.
-  EXPECT_EQ(service.Stats().pools[0].load_retries, 1u);
-  BoostRequest request;
-  request.pool = "p";
-  request.k = 4;
-  EXPECT_TRUE(service.Solve(request).ok());
+  EXPECT_EQ(service.PoolVersion("p"), before->pool_version);
+  EXPECT_EQ(service.Stats().pools[0].refreshes, 0u);
+  StatusOr<BoostResponse> after = service.Solve(Request(4));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->pool_version, before->pool_version);
+  EXPECT_TRUE(SameAnswer(before->result, after->result));
   std::remove(path.c_str());
 }
 

@@ -150,7 +150,7 @@ TEST(WireFrameTest, HeaderHardeningMatrixIsTypedOnEveryRow) {
   // Unknown version: typed as FailedPrecondition so a peer one version
   // ahead or behind gets a distinguishable error. A v3 peer (whose QUERY
   // still carried a deadline) is refused, so the bump itself is tested.
-  EXPECT_EQ(kWireVersion, 4);
+  EXPECT_EQ(kWireVersion, 5);
   for (const int version : {kWireVersion + 1, kWireVersion - 1}) {
     bad = good;
     bad[4] = static_cast<char>(version);
@@ -297,7 +297,6 @@ TEST(WireAdminTest, StatsReplyRoundTrips) {
   pool.refreshes = 3;
   pool.queries = 100;
   pool.errors = 2;
-  pool.load_retries = 2;
   pool.latency_mean_ms = 1.5;
   pool.latency_p50_ms = 1.25;
   pool.latency_p95_ms = 4.75;
@@ -327,7 +326,6 @@ TEST(WireAdminTest, StatsReplyRoundTrips) {
   EXPECT_EQ(p.refreshes, pool.refreshes);
   EXPECT_EQ(p.queries, pool.queries);
   EXPECT_EQ(p.errors, pool.errors);
-  EXPECT_EQ(p.load_retries, pool.load_retries);
   EXPECT_EQ(p.latency_mean_ms, pool.latency_mean_ms);
   EXPECT_EQ(p.latency_p50_ms, pool.latency_p50_ms);
   EXPECT_EQ(p.latency_p95_ms, pool.latency_p95_ms);
@@ -918,6 +916,21 @@ TEST_F(NetServerTest, StatsAndRefreshAdminFramesWork) {
   EXPECT_EQ(missing.value().status.code(), StatusCode::kNotFound)
       << missing.value().status.ToString();
   std::remove(snapshot.c_str());
+
+  // A refresh from a snapshot path that does not exist fails its one load
+  // attempt with a typed IoError; the live pool keeps its version and bits.
+  StatusOr<WireRefreshReply> no_file =
+      client->Refresh(WireRefresh{"pool", snapshot});
+  ASSERT_TRUE(no_file.ok()) << no_file.status().ToString();
+  EXPECT_EQ(no_file.value().status.code(), StatusCode::kIoError)
+      << no_file.value().status.ToString();
+  StatusOr<WireQueryReply> unchanged = client->Query(WireQuery{"pool", 8});
+  ASSERT_TRUE(unchanged.ok());
+  ASSERT_TRUE(unchanged.value().status.ok());
+  EXPECT_EQ(unchanged.value().pool_version, 2u);
+  EXPECT_TRUE(SameAnswer(unchanged.value(),
+                         InProcessAnswers({WireQuery{"pool", 8}})[0]));
+  EXPECT_EQ(unchanged.value().best_estimate, after.value().best_estimate);
 }
 
 TEST_F(NetServerTest, ConnectionLimitSendsTypedUnavailableErrorFrame) {

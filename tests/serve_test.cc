@@ -185,14 +185,6 @@ TEST(BoostSessionSolveTest, LbOnlyModeOnFullPoolSlicesTheCachedOrder) {
   EXPECT_TRUE(fast->delta_set.empty());
 }
 
-TEST(BoostServiceTest, CreateValidatesTheSnapshotRetryPolicy) {
-  DirectedGraph g = MakeTestGraph();
-  BoostService::Options bad;
-  bad.snapshot_retry.max_attempts = 0;
-  EXPECT_EQ(BoostService::Create(g, bad).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(BoostServiceTest, RegistryLifecycle) {
   DirectedGraph g = MakeTestGraph();
   StatusOr<std::unique_ptr<BoostService>> service_or = BoostService::Create(g);

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/util/backoff.h"
 #include "src/util/bounds.h"
 #include "src/util/fault.h"
 #include "src/util/parse.h"
@@ -89,41 +88,6 @@ TEST(StatusTest, OverloadCodesCarryCodeMessageAndName) {
   EXPECT_NE(StatusCode::kUnavailable, StatusCode::kResourceExhausted);
   EXPECT_NE(StatusCode::kUnavailable, StatusCode::kDeadlineExceeded);
   EXPECT_NE(StatusCode::kUnavailable, StatusCode::kCancelled);
-}
-
-TEST(BackoffTest, TransientStatusClassification) {
-  // Only faults that can heal on retry are transient; everything else must
-  // surface immediately.
-  EXPECT_TRUE(IsTransientStatus(Status::IoError("blip")));
-  EXPECT_TRUE(IsTransientStatus(Status::ResourceExhausted("pressure")));
-  EXPECT_TRUE(IsTransientStatus(Status::Unavailable("draining")));
-  EXPECT_FALSE(IsTransientStatus(Status()));
-  EXPECT_FALSE(IsTransientStatus(Status::InvalidArgument("corrupt")));
-  EXPECT_FALSE(IsTransientStatus(Status::NotFound("gone")));
-  EXPECT_FALSE(IsTransientStatus(Status::DeadlineExceeded("late")));
-  EXPECT_FALSE(IsTransientStatus(Status::Cancelled("bye")));
-}
-
-TEST(BackoffTest, StopsExactlyAtMaxAttempts) {
-  BackoffPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_delay_micros = 1;  // keep the test fast
-  policy.max_delay_micros = 2;
-  JitteredBackoff backoff(policy);
-  // Attempt 1 has already run when SleepAndRetry is first consulted.
-  EXPECT_TRUE(backoff.SleepAndRetry());   // allows attempt 2
-  EXPECT_TRUE(backoff.SleepAndRetry());   // allows attempt 3
-  EXPECT_FALSE(backoff.SleepAndRetry());  // budget spent
-  EXPECT_FALSE(backoff.SleepAndRetry());  // and stays spent
-  EXPECT_EQ(backoff.retries(), 2);
-}
-
-TEST(BackoffTest, SingleAttemptPolicyNeverRetries) {
-  BackoffPolicy policy;
-  policy.max_attempts = 1;
-  JitteredBackoff backoff(policy);
-  EXPECT_FALSE(backoff.SleepAndRetry());
-  EXPECT_EQ(backoff.retries(), 0);
 }
 
 TEST(FaultInjectorTest, DisarmedInjectorNeverFires) {
