@@ -60,13 +60,15 @@ const DirectedGraph& FuzzGraph() {
 }
 
 // One scratch file per process, reused across inputs (libFuzzer runs
-// thousands of inputs per second; a mkstemp per input would be pure churn).
+// thousands of inputs per second; a mkstemp per input would be pure churn),
+// and removed when the process exits normally.
 const std::string& ScratchPath() {
   static const std::string* path = [] {
     char buf[] = "/tmp/kboost_fuzz_snapshot_XXXXXX";
     const int fd = mkstemp(buf);
     FUZZ_ASSERT(fd >= 0);
     close(fd);
+    FUZZ_ASSERT(std::atexit([] { unlink(ScratchPath().c_str()); }) == 0);
     return new std::string(buf);
   }();
   return *path;

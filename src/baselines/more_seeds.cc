@@ -1,14 +1,11 @@
 #include "src/baselines/more_seeds.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/im/coverage.h"
 #include "src/im/rr_set.h"
 #include "src/sim/boost_model.h"
 #include "src/util/logging.h"
-#include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace kboost {
 
@@ -18,39 +15,13 @@ std::vector<NodeId> SelectMoreSeeds(const DirectedGraph& graph,
   const size_t n = graph.num_nodes();
   KB_CHECK(n >= 2);
   const std::vector<uint8_t> seed_bitmap = MakeNodeBitmap(n, seeds);
-  const int threads = std::max(1, options.num_threads);
 
   CoverageSelector selector(n);
-
+  // RR sets already hit by the seeds carry zero marginal value: the sampler
+  // keeps them in the denominator only.
+  RrSampler sampler(graph, options.seed, options.num_threads, &seed_bitmap);
   auto ensure_samples = [&](size_t target) -> size_t {
-    const size_t have = selector.num_sets();
-    if (target <= have) return have;
-    const size_t need = target - have;
-    std::vector<std::vector<NodeId>> batch(need);
-    std::vector<uint8_t> covered_by_s(need, 0);
-    std::vector<RrScratch> scratch(threads);
-    ParallelFor(need, threads, [&](size_t j, int t) {
-      uint64_t s = options.seed;
-      s ^= (have + j + 1) * 0x9E3779B97F4A7C15ULL;
-      Rng rng(s);
-      GenerateRandomRrSet(graph, rng, scratch[t], batch[j]);
-      for (NodeId v : batch[j]) {
-        if (seed_bitmap[v]) {
-          covered_by_s[j] = 1;
-          break;
-        }
-      }
-    });
-    for (size_t j = 0; j < need; ++j) {
-      // RR-sets hit by existing seeds carry zero marginal value: keep them
-      // in the denominator only.
-      if (covered_by_s[j]) {
-        selector.AddEmptySet();
-      } else {
-        selector.AddSet(batch[j]);
-      }
-    }
-    return selector.num_sets();
+    return sampler.EnsureSamples(selector, target);
   };
   auto select_coverage = [&]() -> double {
     return selector.SelectGreedy(options.k, &seed_bitmap).coverage_fraction;

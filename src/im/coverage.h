@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -19,26 +21,28 @@ namespace kboost {
 /// and RR-sets already reached by existing seeds enter the estimates.
 ///
 /// Storage is fully flat: samples are appended to one nodes/offsets pair,
-/// and the node→samples inverted index is a CSR built lazily in a single
-/// counting-sort pass over the appended nodes. Appending is therefore a
-/// cheap bulk copy (no per-node vector growth), which is what makes merging
-/// thread-local sampling shards allocation-free.
+/// and the node→samples inverted index is a CSR that is brought up to date
+/// lazily, extended by the samples appended since its last update: old runs
+/// shift right in place and only the new samples are scattered, so a pool
+/// that grows through IMM's levels indexes each sample once. Appending is a
+/// bulk copy (no per-node vector growth), so a sampler can fill a whole
+/// batch's sets on many workers.
 class CoverageSelector {
  public:
   explicit CoverageSelector(size_t num_nodes);
 
   /// Appends one sample set. Node ids must be < num_nodes and distinct.
-  /// Invalidates the lazily-built inverted index. Aborts on a selector whose
-  /// node pool is externally bound (BindExternalSets).
+  /// Aborts on a selector whose node pool is externally bound
+  /// (BindExternalSets).
   void AddSet(std::span<const NodeId> nodes);
   /// Bulk-appends `sizes.size()` sets whose node counts the caller already
   /// knows, growing the flat pool once, and returns the base of the reserved
   /// node region: set i's nodes must be written at the prefix-sum offset of
-  /// `sizes[0..i)`. The spans are disjoint, so the fill may run on many
-  /// workers — this is the shard-merge path that replaces one serialized
-  /// AddSet call per sample. Equivalent to AddSet called `sizes.size()`
-  /// times in order (zero-size entries count as non-empty sets of size 0,
-  /// exactly as AddSet({}) does).
+  /// `sizes[0..i)`, before the index is next read. The spans are disjoint,
+  /// so the fill may run on many workers — the samplers' batch path, which
+  /// replaces one serialized AddSet call per sample. Equivalent to AddSet
+  /// called `sizes.size()` times in order (zero-size entries count as
+  /// non-empty sets of size 0, exactly as AddSet({}) does).
   NodeId* AppendSets(std::span<const uint32_t> sizes);
   /// Binds the flat sample-node pool to externally owned read-only memory —
   /// the critical sets of a loaded pool snapshot — appending `sizes.size()`
@@ -86,8 +90,8 @@ class CoverageSelector {
   Result SelectGreedy(size_t k, const std::vector<uint8_t>* excluded = nullptr)
       const;
 
-  /// Builds the node→samples CSR now if it is stale. The lazy build inside
-  /// the const accessors is NOT thread-safe, so anything that hands this
+  /// Brings the node→samples CSR up to date now. The lazy update inside the
+  /// const accessors is NOT thread-safe, so anything that hands this
   /// selector to concurrent readers (a prepared serving pool) must warm the
   /// index first — PrrCollection::WarmIndexes / BoostSession::Prepare do.
   void WarmIndex() const { EnsureIndex(); }
@@ -106,9 +110,35 @@ class CoverageSelector {
   }
 
  private:
-  /// Builds the node→samples CSR in one counting-sort pass. Not thread-safe;
-  /// call before handing spans to parallel readers.
+  /// Extends the node→samples CSR by the sets appended since its last run
+  /// (a first build is the same extension of an empty index). The new sets
+  /// are cut into ranges balanced by entry count; each range counts and
+  /// then scatters its sets with cursors of its own, on its own worker, and
+  /// old runs shift right in place, so every node's run stays in ascending
+  /// set order — bit for bit a from-scratch build. Not thread-safe; call
+  /// before handing spans to parallel readers.
   void EnsureIndex() const;
+
+  /// std::allocator whose value-less construct default-initializes, so
+  /// resize() leaves new elements unwritten: the pages of a grown flat array
+  /// are first touched by the parallel fill that follows, not by a serial
+  /// zeroing pass.
+  template <typename T>
+  struct FillLaterAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = FillLaterAllocator<U>;
+    };
+    FillLaterAllocator() = default;
+    template <typename U>
+    FillLaterAllocator(const FillLaterAllocator<U>& /*other*/) noexcept {}
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+  template <typename T>
+  using FillLaterVector = std::vector<T, FillLaterAllocator<T>>;
 
   /// The flat node pool, whichever mode owns it.
   std::span<const NodeId> flat_nodes() const {
@@ -120,18 +150,18 @@ class CoverageSelector {
   // Flattened sample storage: nodes of sample i are
   // flat_nodes()[set_offsets_[i] .. set_offsets_[i+1]).
   std::vector<size_t> set_offsets_{0};
-  std::vector<NodeId> set_nodes_;
+  FillLaterVector<NodeId> set_nodes_;
   // External (view) mode: when external_ is set, set_nodes_ is empty and the
   // span below aliases memory owned elsewhere (a loaded snapshot's critical
   // sets). Same lifetime contract as PrrStore's external spans: the data
   // is trivially destructible, only reads must be fenced by the owner.
   bool external_ = false;
   std::span<const NodeId> ext_set_nodes_;
-  // Lazily-built inverted CSR: samples containing node v are
-  // node_sets_[node_offsets_[v] .. node_offsets_[v+1]).
+  // Inverted CSR over the first indexed_sets_ non-empty sets: samples
+  // containing node v are node_sets_[node_offsets_[v] .. node_offsets_[v+1]).
   mutable std::vector<size_t> node_offsets_;
-  mutable std::vector<uint32_t> node_sets_;
-  mutable bool index_built_ = false;
+  mutable FillLaterVector<uint32_t> node_sets_;
+  mutable size_t indexed_sets_ = 0;
 };
 
 }  // namespace kboost

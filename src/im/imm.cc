@@ -1,13 +1,10 @@
 #include "src/im/imm.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "src/im/coverage.h"
 #include "src/im/rr_set.h"
 #include "src/util/logging.h"
-#include "src/util/rng.h"
 
 namespace kboost {
 
@@ -18,61 +15,9 @@ ImmResult SelectSeedsImm(const DirectedGraph& graph,
   KB_CHECK(options.k >= 1 && options.k <= n);
 
   CoverageSelector selector(n);
-  // Shared-state discipline of this sampler (mutex-free, so nothing here
-  // carries a KB_GUARDED_BY): the only cross-thread write is this relaxed
-  // statistics counter; every other structure below is either partitioned
-  // per worker (shards, scratch, per-sample owner bytes — each index is
-  // written by exactly one thread) or written only between ParallelFor
-  // batches on the calling thread, whose fork/join edges order the accesses.
-  std::atomic<size_t> edges_examined{0};
-  // Clamped to 255 so the per-sample owner byte below cannot overflow.
-  const int threads = std::max(1, std::min(options.num_threads, 255));
-
-  // Thread-local RR-set shards: each worker appends its sets to one flat
-  // nodes/offsets pool (no per-set vector), and shards are merged into the
-  // selector in sample order so pools are thread-count independent.
-  struct RrShard {
-    std::vector<size_t> offsets{0};
-    std::vector<NodeId> nodes;
-    size_t edges = 0;
-    void Clear() {
-      offsets.assign(1, 0);
-      nodes.clear();
-      edges = 0;
-    }
-  };
-  std::vector<RrShard> shards(threads);
-  std::vector<RrScratch> scratch(threads);
-  std::vector<uint8_t> owner;
-
-  // Samples are seeded by global index so results are thread-count
-  // independent.
+  RrSampler sampler(graph, options.seed, options.num_threads);
   auto ensure_samples = [&](size_t target) -> size_t {
-    const size_t have = selector.num_sets();
-    if (target <= have) return have;
-    const size_t need = target - have;
-
-    for (RrShard& shard : shards) shard.Clear();
-    owner.assign(need, 0);
-    ParallelFor(need, threads, [&](size_t j, int t) {
-      uint64_t s = options.seed;
-      s ^= (have + j + 1) * 0x9E3779B97F4A7C15ULL;
-      Rng rng(s);
-      RrShard& shard = shards[t];
-      shard.edges += GenerateRandomRrSet(graph, rng, scratch[t], shard.nodes);
-      shard.offsets.push_back(shard.nodes.size());
-      owner[j] = static_cast<uint8_t>(t);
-    });
-    std::vector<size_t> pos(threads, 0);
-    for (size_t j = 0; j < need; ++j) {
-      RrShard& shard = shards[owner[j]];
-      const size_t r = pos[owner[j]]++;
-      selector.AddSet(std::span<const NodeId>(
-          shard.nodes.data() + shard.offsets[r],
-          shard.offsets[r + 1] - shard.offsets[r]));
-    }
-    for (const RrShard& shard : shards) edges_examined += shard.edges;
-    return selector.num_sets();
+    return sampler.EnsureSamples(selector, target);
   };
 
   auto select_coverage = [&]() -> double {
@@ -94,7 +39,7 @@ ImmResult SelectSeedsImm(const DirectedGraph& graph,
   result.seeds = std::move(sel.selected);
   result.estimated_spread = static_cast<double>(n) * sel.coverage_fraction;
   result.num_rr_sets = schedule.num_samples;
-  result.edges_examined = edges_examined.load();
+  result.edges_examined = sampler.edges_examined();
   return result;
 }
 

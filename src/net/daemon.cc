@@ -19,6 +19,12 @@ namespace kboost {
 
 namespace {
 
+/// The command a flag error names: kboostd takes its flags from argv[1],
+/// kboost_cli's commands take theirs from argv[2].
+std::string CommandName(int flag_start, const char* command) {
+  return flag_start == 1 ? "kboostd" : std::string("kboost_cli ") + command;
+}
+
 /// Splits "host:port" with a strict port parse. The last ':' separates, so
 /// this stays correct if hosts ever grow colons.
 bool ParseHostPort(const char* text, std::string* host, uint16_t* port) {
@@ -65,7 +71,8 @@ bool ParseMode(const char* text, SolveMode* out) {
 }  // namespace
 
 int RunServeCommand(int argc, char** argv, int flag_start) {
-  if (!ValidateFlags(argc, argv, flag_start, "serve",
+  if (!ValidateFlags(argc, argv, flag_start,
+                     CommandName(flag_start, "serve").c_str(),
                      {"--graph", "--pool", "--listen", "--bind",
                       "--max-connections"},
                      {"--mmap-pool", "--no-remote-shutdown"})) {
@@ -177,7 +184,8 @@ int RunServeCommand(int argc, char** argv, int flag_start) {
 }
 
 int RunQueryCommand(int argc, char** argv, int flag_start) {
-  if (!ValidateFlags(argc, argv, flag_start, "query",
+  if (!ValidateFlags(argc, argv, flag_start,
+                     CommandName(flag_start, "query").c_str(),
                      {"--connect", "--pool", "--k", "--mode", "--timeout-ms"})) {
     return 2;
   }

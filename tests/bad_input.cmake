@@ -8,6 +8,8 @@
 #   cmake -DKBOOSTD=<kboostd> -P bad_input.cmake
 #   cmake -DHARNESS=<a bench_fig*/bench_table* binary> -P bad_input.cmake
 
+# When `names` is set, the message must contain it too (the command that a
+# flag error is reported against).
 function(expect_usage_error)
   execute_process(COMMAND ${ARGN}
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT ${timeout})
@@ -15,6 +17,8 @@ function(expect_usage_error)
     message(SEND_ERROR "'${ARGN}' exited '${rc}', want 2:\n${err}")
   elseif(err STREQUAL "")
     message(SEND_ERROR "'${ARGN}' exited 2 without a message")
+  elseif(DEFINED names AND NOT err MATCHES "${names}")
+    message(SEND_ERROR "'${ARGN}' exited 2 without naming ${names}:\n${err}")
   endif()
 endfunction()
 
@@ -40,10 +44,14 @@ if(DEFINED KBOOSTD)
   # O(k) slice has no deadline to miss, a loaded pool never samples (no
   # thread count), and a connection limit of 0 would refuse every client.
   set(timeout 20)
+  # An unknown flag is reported against 'kboostd', the command the user
+  # ran.
   set(files --graph=no_such_graph.txt --pool=a=no_such_pool.bin)
+  set(names "'kboostd'")
   expect_usage_error(${KBOOSTD} ${files} --workers=2)
   expect_usage_error(${KBOOSTD} ${files} --deadline-ms=5)
   expect_usage_error(${KBOOSTD} ${files} --threads=2)
+  unset(names)
   expect_usage_error(${KBOOSTD} ${files} --max-connections=0)
   return()
 endif()

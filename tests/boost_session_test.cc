@@ -13,6 +13,7 @@
 #include "src/graph/graph_builder.h"
 #include "src/io/pool_io.h"
 #include "src/util/rng.h"
+#include "tests/digest.h"
 
 namespace kboost {
 namespace {
@@ -36,24 +37,6 @@ BoostOptions MakeOptions(size_t k) {
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
-
-/// FNV-1a over 64-bit words: a stable fingerprint of a pool's contents.
-class Digest {
- public:
-  void Add(uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ = (hash_ ^ ((word >> (8 * byte)) & 0xFF)) * 0x100000001B3ULL;
-    }
-  }
-  void Add(std::span<const uint32_t> words) {
-    Add(words.size());
-    for (const uint32_t w : words) Add(w);
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
 
 /// Digests a pool's realization: every stored graph's global ids, packed
 /// out-edges (with their offsets) and critical locals, in stored order,

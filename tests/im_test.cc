@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "src/expt/datasets.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_builder.h"
 #include "src/im/coverage.h"
@@ -11,6 +13,7 @@
 #include "src/im/rr_set.h"
 #include "src/sim/ic_model.h"
 #include "src/util/rng.h"
+#include "tests/digest.h"
 
 namespace kboost {
 namespace {
@@ -177,6 +180,44 @@ TEST(ImmTest, DeterministicAcrossThreadCounts) {
   ImmOptions many = one;
   many.num_threads = 8;
   EXPECT_EQ(SelectSeedsImm(g, one).seeds, SelectSeedsImm(g, many).seeds);
+}
+
+/// Pins IMM on the benchmark's two instances (influential seeds at seed
+/// 2017, as kbench's set-up picks them): the seeds, θ, the examined edges
+/// and the bits of the spread estimate, at one and at four threads. Every
+/// other IMM test compares runs with each other or with a brute force, so a
+/// sampler or index change that picks a different but plausible seed set
+/// would pass them; this one fails instead. Update a constant only for a
+/// deliberate change to RR-set sampling or selection.
+TEST(ImmTest, BenchmarkInstancesArePinned) {
+  struct Case {
+    const char* dataset;
+    double scale;
+    size_t k;
+    uint64_t want;
+  };
+  const Case cases[] = {
+      {"twitter", 0.01, 10, 0x71141C1D726EFBB5ULL},
+      {"digg", 0.05, 50, 0x9BD66D18BBB6F908ULL},
+  };
+  for (const Case& c : cases) {
+    const Dataset dataset = MakeDataset(SpecByName(c.dataset, c.scale));
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(c.dataset) +
+                   " threads=" + std::to_string(threads));
+      ImmOptions options;
+      options.k = c.k;
+      options.seed = 2017;
+      options.num_threads = threads;
+      const ImmResult r = SelectSeedsImm(dataset.graph, options);
+      Digest digest;
+      digest.Add(r.seeds);
+      digest.Add(r.num_rr_sets);
+      digest.Add(r.edges_examined);
+      digest.AddBits(r.estimated_spread);
+      EXPECT_EQ(digest.value(), c.want) << std::hex << "0x" << digest.value();
+    }
+  }
 }
 
 /// IMM's pick must be near-optimal on instances small enough to brute

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -574,7 +575,8 @@ TEST(IncrementalEvalTest, SolveForBudgetReusesPoolBitIdentically) {
 }
 
 /// The bulk coverage append (AppendSets + AddBoostableRound) must build
-/// exactly the coverage state the per-sample AddSet funnel builds.
+/// exactly the coverage state the per-sample AddSet funnel builds, and an
+/// index extended between appends must equal one built in one go.
 TEST(IncrementalEvalTest, BulkCoverageAppendMatchesPerSampleFunnel) {
   // Direct CoverageSelector equivalence, including empty sets.
   CoverageSelector per_sample(10);
@@ -599,6 +601,82 @@ TEST(IncrementalEvalTest, BulkCoverageAppendMatchesPerSampleFunnel) {
   const auto b = bulk.SelectGreedy(3);
   EXPECT_EQ(a.selected, b.selected);
   EXPECT_EQ(a.covered_sets, b.covered_sets);
+
+  // Index extension: AddSet, AppendSets, empty sets and greedy runs
+  // interleave, so the index is built first and then extended — by rounds
+  // large enough to fan out over the workers and by single sets. Every
+  // node's run must hold exactly the ids of the sets containing it, in
+  // ascending order, as must the index of a selector built in one go and
+  // that of one bound to the same sets (a snapshot restore's first build).
+  constexpr size_t kNodes = 500;
+  Rng rng(77);
+  std::vector<NodeId> ids(kNodes);
+  std::iota(ids.begin(), ids.end(), 0);
+  auto draw = [&](size_t count) {
+    std::vector<std::vector<NodeId>> drawn(count);
+    for (std::vector<NodeId>& set : drawn) {
+      const size_t size = 1 + rng.NextBounded(400);
+      for (size_t i = 0; i < size; ++i) {
+        std::swap(ids[i], ids[i + rng.NextBounded(kNodes - i)]);
+      }
+      set.assign(ids.begin(), ids.begin() + size);
+    }
+    return drawn;
+  };
+  CoverageSelector grown(kNodes);
+  std::vector<std::vector<NodeId>> pool;
+  size_t empties = 0;
+  auto add_each = [&](const std::vector<std::vector<NodeId>>& drawn) {
+    for (const std::vector<NodeId>& set : drawn) grown.AddSet(set);
+    pool.insert(pool.end(), drawn.begin(), drawn.end());
+  };
+  auto append_all = [&](const std::vector<std::vector<NodeId>>& drawn) {
+    std::vector<uint32_t> drawn_sizes;
+    for (const auto& set : drawn) drawn_sizes.push_back(set.size());
+    NodeId* out = grown.AppendSets(drawn_sizes);
+    for (const auto& set : drawn) out = std::copy(set.begin(), set.end(), out);
+    pool.insert(pool.end(), drawn.begin(), drawn.end());
+  };
+  add_each(draw(40));
+  grown.SelectGreedy(5);
+  append_all(draw(300));
+  grown.AddEmptySet();
+  grown.AddEmptySets(3);
+  empties += 4;
+  grown.SelectGreedy(5);
+  add_each(draw(2));
+  grown.WarmIndex();
+  append_all(draw(250));
+  add_each(draw(10));
+  grown.AddEmptySets(2);
+  empties += 2;
+
+  std::vector<std::vector<uint32_t>> want(kNodes);
+  std::vector<uint32_t> pool_sizes;
+  std::vector<NodeId> flat;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    for (NodeId v : pool[i]) want[v].push_back(static_cast<uint32_t>(i));
+    pool_sizes.push_back(static_cast<uint32_t>(pool[i].size()));
+    flat.insert(flat.end(), pool[i].begin(), pool[i].end());
+  }
+  CoverageSelector whole(kNodes);
+  std::copy(flat.begin(), flat.end(), whole.AppendSets(pool_sizes));
+  whole.AddEmptySets(empties);
+  CoverageSelector bound(kNodes);
+  bound.BindExternalSets(pool_sizes, flat);
+  bound.AddEmptySets(empties);
+  const auto whole_pick = whole.SelectGreedy(8);
+  for (const CoverageSelector* selector : {&grown, &whole, &bound}) {
+    ASSERT_EQ(selector->num_sets(), pool.size() + empties);
+    for (NodeId v = 0; v < kNodes; ++v) {
+      ASSERT_EQ(selector->SetCount(v), want[v].size()) << "node " << v;
+      ASSERT_TRUE(std::ranges::equal(selector->SetsContaining(v), want[v]))
+          << "node " << v;
+    }
+    const auto pick = selector->SelectGreedy(8);
+    EXPECT_EQ(pick.selected, whole_pick.selected);
+    EXPECT_EQ(pick.pick_gains, whole_pick.pick_gains);
+  }
 
   // Full pipeline: a pool sampled on 1 worker equals the same pool sampled
   // on 4 workers (identical coverage totals, LB order, Δ̂ selection).

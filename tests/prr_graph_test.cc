@@ -16,6 +16,7 @@
 #include "src/graph/graph_builder.h"
 #include "src/sim/boost_model.h"
 #include "src/util/rng.h"
+#include "tests/digest.h"
 
 namespace kboost {
 namespace {
@@ -281,24 +282,6 @@ TEST(PrrGeneratorTest, LbModeCriticalsMatchFullModeDistribution) {
 // self-consistent sample would pass them all; these fail instead. Update the
 // constants only for a deliberate change to sampling.
 // ---------------------------------------------------------------------------
-
-/// FNV-1a over 64-bit words: a stable fingerprint.
-class Digest {
- public:
-  void Add(uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ = (hash_ ^ ((word >> (8 * byte)) & 0xFF)) * 0x100000001B3ULL;
-    }
-  }
-  void Add(std::span<const uint32_t> words) {
-    Add(words.size());
-    for (const uint32_t w : words) Add(w);
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
 
 /// Adds a store's six arrays, graph by graph.
 void AddStore(const PrrStore& store, Digest* digest) {
