@@ -74,37 +74,6 @@ GraphBuilder BuildPreferentialAttachment(NodeId num_nodes, double out_degree,
   return builder;
 }
 
-GraphBuilder BuildWattsStrogatz(NodeId num_nodes, int k, double rewire_prob,
-                                Rng& rng) {
-  KB_CHECK(num_nodes >= 3);
-  KB_CHECK(k >= 1 && static_cast<NodeId>(k) < num_nodes);
-  KB_CHECK(rewire_prob >= 0.0 && rewire_prob <= 1.0);
-  GraphBuilder builder(num_nodes);
-  std::unordered_set<uint64_t> seen;
-  auto add_unique = [&](NodeId u, NodeId v) {
-    if (u == v) return false;
-    uint64_t key = (static_cast<uint64_t>(u) << 32) | v;
-    if (!seen.insert(key).second) return false;
-    builder.AddEdge(u, v);
-    return true;
-  };
-  for (NodeId u = 0; u < num_nodes; ++u) {
-    for (int j = 1; j <= k; ++j) {
-      NodeId v = static_cast<NodeId>((u + j) % num_nodes);
-      if (rng.NextBernoulli(rewire_prob)) {
-        // Rewire to a uniform random target, retrying over collisions.
-        for (int attempt = 0; attempt < 32; ++attempt) {
-          NodeId w = static_cast<NodeId>(rng.NextBounded(num_nodes));
-          if (add_unique(u, w)) break;
-        }
-      } else {
-        add_unique(u, v);
-      }
-    }
-  }
-  return builder;
-}
-
 GraphBuilder BuildDirectedPath(NodeId num_nodes) {
   KB_CHECK(num_nodes >= 1);
   GraphBuilder builder(num_nodes);

@@ -30,12 +30,6 @@ GraphBuilder BuildPreferentialAttachment(NodeId num_nodes, int out_degree,
 GraphBuilder BuildPreferentialAttachment(NodeId num_nodes, double out_degree,
                                          double reciprocity, Rng& rng);
 
-/// Watts–Strogatz small world: directed ring lattice where each node points
-/// to its k nearest clockwise neighbours, each edge rewired to a uniform
-/// random target with probability `rewire_prob`.
-GraphBuilder BuildWattsStrogatz(NodeId num_nodes, int k, double rewire_prob,
-                                Rng& rng);
-
 /// Simple deterministic shapes used heavily in unit tests.
 GraphBuilder BuildDirectedPath(NodeId num_nodes);
 /// Star with edges hub -> leaf for every leaf.

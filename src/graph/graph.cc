@@ -1,10 +1,5 @@
 #include "src/graph/graph.h"
 
-#include <cmath>
-
-#include "src/graph/graph_builder.h"
-#include "src/util/logging.h"
-
 namespace kboost {
 
 double DirectedGraph::AverageProbability() const {
@@ -12,19 +7,6 @@ double DirectedGraph::AverageProbability() const {
   double sum = 0.0;
   for (const OutEdge& e : out_edges_) sum += e.p;
   return sum / static_cast<double>(out_edges_.size());
-}
-
-DirectedGraph DirectedGraph::WithBoostBeta(double beta) const {
-  KB_CHECK(beta >= 1.0) << "beta=" << beta;
-  GraphBuilder builder(static_cast<NodeId>(num_nodes_));
-  for (NodeId u = 0; u < num_nodes_; ++u) {
-    for (const OutEdge& e : OutEdges(u)) {
-      double p = e.p;
-      double pb = 1.0 - std::pow(1.0 - p, beta);
-      builder.AddEdge(u, e.to, p, pb);
-    }
-  }
-  return std::move(builder).Build();
 }
 
 size_t DirectedGraph::MemoryBytes() const {

@@ -86,11 +86,6 @@ class DirectedGraph {
   /// probability" statistic of Table 1). Returns 0 for edgeless graphs.
   double AverageProbability() const;
 
-  /// Returns a copy of this graph with boosted probabilities reassigned as
-  /// p' = 1 - (1-p)^beta — the paper's boosting-parameter model (Sec. VII).
-  /// Requires beta >= 1.
-  DirectedGraph WithBoostBeta(double beta) const;
-
   /// Approximate heap footprint in bytes (adjacency arrays + offsets).
   size_t MemoryBytes() const;
 

@@ -46,31 +46,11 @@ GraphBuilder& GraphBuilder::AssignConstantProbability(double p) {
   return *this;
 }
 
-GraphBuilder& GraphBuilder::AssignTrivalencyProbabilities(Rng& rng) {
-  static constexpr double kLevels[3] = {0.1, 0.01, 0.001};
-  for (Edge& e : edges_) {
-    e.p = static_cast<float>(kLevels[rng.NextBounded(3)]);
-    e.p_boost = std::max(e.p_boost, e.p);
-  }
-  return *this;
-}
-
-GraphBuilder& GraphBuilder::AssignWeightedCascadeProbabilities() {
-  std::vector<uint32_t> in_degree(num_nodes_, 0);
-  for (const Edge& e : edges_) ++in_degree[e.to];
-  for (Edge& e : edges_) {
-    e.p = 1.0f / static_cast<float>(in_degree[e.to]);
-    e.p_boost = std::max(e.p_boost, e.p);
-  }
-  return *this;
-}
-
 GraphBuilder& GraphBuilder::AssignExponentialProbabilities(double mean,
-                                                           Rng& rng,
-                                                           double cap) {
-  KB_CHECK(mean > 0.0 && cap > 0.0 && cap <= 1.0);
+                                                           Rng& rng) {
+  KB_CHECK(mean > 0.0);
   for (Edge& e : edges_) {
-    double p = std::min(rng.NextExponential(mean), cap);
+    double p = std::min(rng.NextExponential(mean), 1.0);
     // Exponential can return exactly 0 only in the limit; clamp away from 0
     // so every edge keeps a usable probability.
     p = std::max(p, 1e-6);

@@ -8,10 +8,9 @@
 
 namespace kboost {
 
-/// Accumulates edges and probability assignments, then freezes them into an
-/// immutable DirectedGraph. The probability-model setters exist here (rather
-/// than on DirectedGraph) because models like weighted-cascade need the final
-/// degree sequence before probabilities can be fixed.
+/// Accumulates edges and their probabilities, then freezes them into an
+/// immutable DirectedGraph. Probabilities are assigned here because a
+/// DirectedGraph never changes once built.
 class GraphBuilder {
  public:
   /// A staged edge before CSR layout.
@@ -46,15 +45,10 @@ class GraphBuilder {
 
   /// Every edge gets base probability p.
   GraphBuilder& AssignConstantProbability(double p);
-  /// Trivalency model: each edge's p drawn uniformly from {0.1, 0.01, 0.001}.
-  GraphBuilder& AssignTrivalencyProbabilities(Rng& rng);
-  /// Weighted cascade: p_uv = 1 / in_degree(v).
-  GraphBuilder& AssignWeightedCascadeProbabilities();
-  /// p drawn i.i.d. Exponential(mean), capped to (0, cap]. Matches a learned
-  /// probability distribution's mean while keeping the heavy skew observed in
-  /// Goyal-style learned probabilities.
-  GraphBuilder& AssignExponentialProbabilities(double mean, Rng& rng,
-                                               double cap = 1.0);
+  /// p drawn i.i.d. Exponential(mean), clamped to [1e-6, 1]. Matches a
+  /// learned probability distribution's mean while keeping the heavy skew
+  /// observed in Goyal-style learned probabilities.
+  GraphBuilder& AssignExponentialProbabilities(double mean, Rng& rng);
 
   /// Sets p' = 1 - (1-p)^beta on every edge (boosting parameter, Sec. VII).
   GraphBuilder& SetBoostWithBeta(double beta);

@@ -8,39 +8,55 @@
 
 namespace kboost {
 
-std::vector<uint8_t> MakeNodeBitmap(size_t num_nodes,
-                                    const std::vector<NodeId>& nodes) {
-  std::vector<uint8_t> bitmap(num_nodes, 0);
+namespace {
+
+/// The one id check of this module, shared by seeds and boost sets.
+void CheckNodeIds(size_t num_nodes, const std::vector<NodeId>& nodes) {
   for (NodeId v : nodes) {
     KB_CHECK(v < num_nodes) << "node " << v << " out of range";
-    bitmap[v] = 1;
   }
+}
+
+/// Activated-node counts of simulations 0..sims-1, simulation i in world
+/// (seed, i). They are written by index and reduced in that order by the
+/// callers, so every estimate is bit-identical at every thread count.
+std::vector<size_t> SimulateWorlds(const DirectedGraph& graph,
+                                   const std::vector<NodeId>& seeds,
+                                   const uint8_t* boosted,
+                                   const SimulationOptions& options) {
+  const size_t sims = options.num_simulations;
+  KB_CHECK(sims >= 1);
+  const int threads = std::max(1, options.num_threads);
+  std::vector<size_t> counts(sims);
+  std::vector<SimScratch> scratch(threads);
+  ParallelFor(sims, threads, [&](size_t i, int t) {
+    const uint64_t world = options.seed * 0x100000001B3ULL + i;
+    counts[i] = SimulateDiffusionOnce(graph, seeds, world, boosted, scratch[t]);
+  });
+  return counts;
+}
+
+}  // namespace
+
+std::vector<uint8_t> MakeNodeBitmap(size_t num_nodes,
+                                    const std::vector<NodeId>& nodes) {
+  CheckNodeIds(num_nodes, nodes);
+  std::vector<uint8_t> bitmap(num_nodes, 0);
+  for (NodeId v : nodes) bitmap[v] = 1;
   return bitmap;
 }
 
 SpreadEstimate EstimateBoostedSpread(const DirectedGraph& graph,
                                      const std::vector<NodeId>& seeds,
                                      const std::vector<NodeId>& boost_set,
-                                     const SimulationOptions& options,
-                                     BoostSemantics semantics) {
-  const size_t sims = options.num_simulations;
-  KB_CHECK(sims >= 1);
-  const int threads = std::max(1, options.num_threads);
+                                     const SimulationOptions& options) {
+  CheckNodeIds(graph.num_nodes(), seeds);
   const std::vector<uint8_t> boosted =
       MakeNodeBitmap(graph.num_nodes(), boost_set);
-
-  // Counts are reduced in simulation order, so the estimate is
-  // bit-identical at every thread count.
-  std::vector<size_t> counts(sims);
-  std::vector<SimScratch> scratch(threads);
-  ParallelFor(sims, threads, [&](size_t i, int t) {
-    uint64_t world = options.seed * 0x100000001B3ULL + i;
-    counts[i] = SimulateDiffusionOnce(graph, seeds, world, boosted.data(),
-                                      scratch[t], semantics);
-  });
-
   RunningStat total;
-  for (size_t count : counts) total.Add(static_cast<double>(count));
+  for (size_t count : SimulateWorlds(graph, seeds, boosted.data(), options)) {
+    total.Add(static_cast<double>(count));
+  }
   return SpreadEstimate{total.mean(), total.stddev(), total.stderr_mean(),
                         total.count()};
 }
@@ -48,30 +64,20 @@ SpreadEstimate EstimateBoostedSpread(const DirectedGraph& graph,
 BoostEstimate EstimateBoost(const DirectedGraph& graph,
                             const std::vector<NodeId>& seeds,
                             const std::vector<NodeId>& boost_set,
-                            const SimulationOptions& options,
-                            BoostSemantics semantics) {
-  const size_t sims = options.num_simulations;
-  KB_CHECK(sims >= 1);
-  const int threads = std::max(1, options.num_threads);
+                            const SimulationOptions& options) {
+  CheckNodeIds(graph.num_nodes(), seeds);
   const std::vector<uint8_t> boosted =
       MakeNodeBitmap(graph.num_nodes(), boost_set);
-
-  // Counts are reduced in simulation order, so the estimate is
-  // bit-identical at every thread count.
-  std::vector<size_t> base(sims), with(sims);
-  std::vector<SimScratch> scratch(threads);
-  ParallelFor(sims, threads, [&](size_t i, int t) {
-    uint64_t world = options.seed * 0x100000001B3ULL + i;
-    // Same world evaluated twice: base edges are a subset of boosted edges,
-    // so the difference is a nonnegative, low-variance sample of the boost.
-    base[i] = SimulateDiffusionOnce(graph, seeds, world, nullptr, scratch[t],
-                                    semantics);
-    with[i] = SimulateDiffusionOnce(graph, seeds, world, boosted.data(),
-                                    scratch[t], semantics);
-  });
+  // The same worlds evaluated twice: base edges are a subset of boosted
+  // edges, so each difference is a nonnegative, low-variance sample of the
+  // boost.
+  const std::vector<size_t> base =
+      SimulateWorlds(graph, seeds, nullptr, options);
+  const std::vector<size_t> with =
+      SimulateWorlds(graph, seeds, boosted.data(), options);
 
   RunningStat diff, with_boost, without_boost;
-  for (size_t i = 0; i < sims; ++i) {
+  for (size_t i = 0; i < base.size(); ++i) {
     diff.Add(static_cast<double>(with[i]) - static_cast<double>(base[i]));
     with_boost.Add(static_cast<double>(with[i]));
     without_boost.Add(static_cast<double>(base[i]));
@@ -87,11 +93,11 @@ BoostEstimate EstimateBoost(const DirectedGraph& graph,
 
 double ExactBoostedSpread(const DirectedGraph& graph,
                           const std::vector<NodeId>& seeds,
-                          const std::vector<NodeId>& boost_set,
-                          BoostSemantics semantics) {
+                          const std::vector<NodeId>& boost_set) {
   const size_t m = graph.num_edges();
   KB_CHECK(m <= 24) << "ExactBoostedSpread is exponential in m; m=" << m;
   const size_t n = graph.num_nodes();
+  CheckNodeIds(n, seeds);
   const std::vector<uint8_t> boosted = MakeNodeBitmap(n, boost_set);
 
   double expected = 0.0;
@@ -101,13 +107,9 @@ double ExactBoostedSpread(const DirectedGraph& graph,
     double prob = 1.0;
     for (NodeId u = 0; u < n && prob > 0.0; ++u) {
       size_t idx = graph.OutOffset(u);
-      const bool boost_head =
-          semantics == BoostSemantics::kBoostedAreEasierToInfluence;
       for (const DirectedGraph::OutEdge& e : graph.OutEdges(u)) {
         const bool live = (world >> idx) & 1;
-        const bool use_boost = boost_head ? boosted[e.to] != 0
-                                          : boosted[u] != 0;
-        const double p = use_boost ? e.p_boost : e.p;
+        const double p = boosted[e.to] ? e.p_boost : e.p;
         prob *= live ? p : (1.0 - p);
         ++idx;
       }
@@ -141,10 +143,9 @@ double ExactBoostedSpread(const DirectedGraph& graph,
 }
 
 double ExactBoost(const DirectedGraph& graph, const std::vector<NodeId>& seeds,
-                  const std::vector<NodeId>& boost_set,
-                  BoostSemantics semantics) {
-  return ExactBoostedSpread(graph, seeds, boost_set, semantics) -
-         ExactBoostedSpread(graph, seeds, {}, semantics);
+                  const std::vector<NodeId>& boost_set) {
+  return ExactBoostedSpread(graph, seeds, boost_set) -
+         ExactBoostedSpread(graph, seeds, {});
 }
 
 }  // namespace kboost

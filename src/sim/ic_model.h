@@ -24,14 +24,6 @@ struct SpreadEstimate {
   size_t num_simulations = 0;
 };
 
-/// Which side of an edge a boost strengthens. The paper's main model
-/// (Def. 1) boosts the head: a boosted node is easier to influence. The
-/// Sec. III-A variant boosts the tail: a boosted node influences harder.
-enum class BoostSemantics {
-  kBoostedAreEasierToInfluence,  ///< edge (u,v) uses p' iff v ∈ B (default)
-  kBoostedAreMoreInfluential,    ///< edge (u,v) uses p' iff u ∈ B
-};
-
 /// Reusable per-thread scratch for BFS so repeated simulations allocate
 /// nothing. One instance per thread; resized lazily to the graph.
 class SimScratch {
@@ -48,19 +40,23 @@ class SimScratch {
 /// maps below its probability. `boosted` may be null (no boosting) or an
 /// n-sized bitmap; boosted heads use p_boost. Returns the number of
 /// activated nodes. Identical world_seed ⇒ identical world, which couples
-/// boosted/unboosted runs for low-variance boost estimates.
-size_t SimulateDiffusionOnce(
-    const DirectedGraph& graph, const std::vector<NodeId>& seeds,
-    uint64_t world_seed, const uint8_t* boosted, SimScratch& scratch,
-    BoostSemantics semantics = BoostSemantics::kBoostedAreEasierToInfluence);
+/// boosted/unboosted runs for low-variance boost estimates. Seed ids are
+/// checked only in debug builds here; the estimators check them once in
+/// every build before the first simulation.
+size_t SimulateDiffusionOnce(const DirectedGraph& graph,
+                             const std::vector<NodeId>& seeds,
+                             uint64_t world_seed, const uint8_t* boosted,
+                             SimScratch& scratch);
 
-/// Expected IC influence spread of `seeds` (no boosting), by Monte Carlo.
+/// Expected IC influence spread of `seeds` (no boosting), by Monte Carlo:
+/// EstimateBoostedSpread with an empty boost set.
 SpreadEstimate EstimateSpread(const DirectedGraph& graph,
                               const std::vector<NodeId>& seeds,
                               const SimulationOptions& options = {});
 
-/// Exact IC influence spread by exhaustive enumeration of live-edge worlds.
-/// Requires num_edges <= 24; intended for tests only.
+/// Exact IC influence spread by exhaustive enumeration of live-edge worlds:
+/// ExactBoostedSpread with an empty boost set. Requires num_edges <= 24;
+/// intended for tests only.
 double ExactSpread(const DirectedGraph& graph,
                    const std::vector<NodeId>& seeds);
 

@@ -48,13 +48,6 @@ void FaultInjector::Arm(FaultSite s, const Plan& plan) {
   }
 }
 
-void FaultInjector::Disarm(FaultSite s) {
-  Site& st = site(s);
-  if (st.armed.exchange(false, std::memory_order_relaxed)) {
-    any_armed_.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
 void FaultInjector::DisarmAll() {
   for (int i = 0; i < static_cast<int>(FaultSite::kNumSites); ++i) {
     Site& st = sites_[i];

@@ -56,8 +56,6 @@ class FaultInjector {
 
   /// Arms `site` with `plan`, resetting its hit/failure counters.
   void Arm(FaultSite site, const Plan& plan);
-  /// Disarms `site`; counters keep their values for post-hoc assertions.
-  void Disarm(FaultSite site);
   /// Disarms every site and zeroes all counters — test teardown.
   void DisarmAll();
   /// Reseeds the probability stream (applies to subsequent hits).

@@ -1,6 +1,5 @@
 #include "src/util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -9,57 +8,31 @@
 namespace kboost {
 
 namespace {
-std::atomic<internal::LogSeverity> g_min_severity{
-    internal::LogSeverity::kWarning};
-
-/// Serializes message emission so two threads logging at once cannot
-/// interleave their bytes on stderr (stderr is unbuffered; one fprintf is
-/// not atomic). Leaked-on-purpose shape is unnecessary here: the mutex is
-/// trivially destructible state used only while the process is alive.
+/// Serializes message emission so two threads failing a check at once
+/// cannot interleave their bytes on stderr (stderr is unbuffered; one
+/// fprintf is not atomic). Leaked-on-purpose shape is unnecessary here: the
+/// mutex is trivially destructible state used only while the process is
+/// alive.
 Mutex& EmitMutex() {
   static Mutex* mu = new Mutex();
   return *mu;
 }
-
-const char* SeverityName(internal::LogSeverity s) {
-  switch (s) {
-    case internal::LogSeverity::kInfo:
-      return "I";
-    case internal::LogSeverity::kWarning:
-      return "W";
-    case internal::LogSeverity::kError:
-      return "E";
-    case internal::LogSeverity::kFatal:
-      return "F";
-  }
-  return "?";
-}
 }  // namespace
-
-void SetMinLogSeverity(internal::LogSeverity severity) {
-  g_min_severity.store(severity, std::memory_order_relaxed);
-}
-
-internal::LogSeverity MinLogSeverity() {
-  return g_min_severity.load(std::memory_order_relaxed);
-}
 
 namespace internal {
 
-LogMessage::LogMessage(LogSeverity severity, const char* file, int line)
-    : severity_(severity) {
-  stream_ << "[" << SeverityName(severity) << " " << file << ":" << line
-          << "] ";
+FatalMessage::FatalMessage(const char* file, int line) {
+  stream_ << "[F " << file << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
-  if (severity_ >= MinLogSeverity() || severity_ == LogSeverity::kFatal) {
-    std::string msg = stream_.str();
+FatalMessage::~FatalMessage() {
+  std::string msg = stream_.str();
+  {
     MutexLock lock(EmitMutex());
     std::fprintf(stderr, "%s\n", msg.c_str());
     std::fflush(stderr);
   }
-  if (severity_ == LogSeverity::kFatal) std::abort();
+  std::abort();
 }
 
 }  // namespace internal

@@ -7,56 +7,37 @@
 namespace kboost {
 namespace internal {
 
-/// Severity levels for KB_LOG.
-enum class LogSeverity { kInfo, kWarning, kError, kFatal };
-
-/// Stream-style log sink. Collects the message and emits it (to stderr) on
-/// destruction; aborts the process for kFatal.
-class LogMessage {
+/// Stream-style sink of a failed check. Collects the message, writes it to
+/// stderr as one line on destruction, then aborts the process.
+class FatalMessage {
  public:
-  LogMessage(LogSeverity severity, const char* file, int line);
-  ~LogMessage();
+  FatalMessage(const char* file, int line);
+  ~FatalMessage();
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  FatalMessage(const FatalMessage&) = delete;
+  FatalMessage& operator=(const FatalMessage&) = delete;
 
   std::ostream& stream() { return stream_; }
 
  private:
-  LogSeverity severity_;
   std::ostringstream stream_;
 };
 
 }  // namespace internal
-
-/// Global verbosity: messages below this severity are suppressed.
-/// Defaults to kWarning so library internals stay quiet in tests/benches.
-void SetMinLogSeverity(internal::LogSeverity severity);
-internal::LogSeverity MinLogSeverity();
-
 }  // namespace kboost
-
-#define KB_LOG(severity)                                                  \
-  ::kboost::internal::LogMessage(                                         \
-      ::kboost::internal::LogSeverity::k##severity, __FILE__, __LINE__)   \
-      .stream()
 
 /// Contract check: aborts with a message when `cond` is false. Used for
 /// programming errors (invalid indices, broken invariants), never for
 /// recoverable conditions — those return Status.
-#define KB_CHECK(cond)                                                \
-  if (!(cond))                                                        \
-  ::kboost::internal::LogMessage(                                     \
-      ::kboost::internal::LogSeverity::kFatal, __FILE__, __LINE__)    \
-      .stream()                                                       \
+#define KB_CHECK(cond)                                               \
+  if (!(cond))                                                       \
+  ::kboost::internal::FatalMessage(__FILE__, __LINE__).stream()      \
       << "Check failed: " #cond " "
 
 #define KB_CHECK_OK(status_expr)                                     \
   if (const ::kboost::Status& kb_check_ok_s = (status_expr);         \
       !kb_check_ok_s.ok())                                           \
-  ::kboost::internal::LogMessage(                                    \
-      ::kboost::internal::LogSeverity::kFatal, __FILE__, __LINE__)   \
-      .stream()                                                      \
+  ::kboost::internal::FatalMessage(__FILE__, __LINE__).stream()      \
       << "Non-OK status: " << kb_check_ok_s.ToString() << " "
 
 #ifndef NDEBUG

@@ -39,12 +39,4 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-Rng Rng::Fork() {
-  // Derive a child seed from two outputs; mixing through SplitMix64 in the
-  // constructor decorrelates the child stream.
-  uint64_t a = NextU64();
-  uint64_t b = NextU64();
-  return Rng(a ^ Rotl(b, 31) ^ 0xD1B54A32D192ED03ULL);
-}
-
 }  // namespace kboost

@@ -46,10 +46,6 @@ class Rng {
   /// Exponential draw with the given mean (mean > 0).
   double NextExponential(double mean);
 
-  /// Forks an independent generator; the child stream is decorrelated from
-  /// the parent's continuation. Used to hand one Rng per worker thread.
-  Rng Fork();
-
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -14,22 +14,6 @@ void RunningStat::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  size_t total = count_ + other.count_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) /
-                         static_cast<double>(total);
-  mean_ += delta * static_cast<double>(other.count_) /
-           static_cast<double>(total);
-  count_ = total;
-}
-
 double RunningStat::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);

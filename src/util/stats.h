@@ -12,8 +12,6 @@ namespace kboost {
 class RunningStat {
  public:
   void Add(double x);
-  /// Merges another accumulator into this one (parallel reduction).
-  void Merge(const RunningStat& other);
 
   size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }

@@ -24,7 +24,6 @@ class WallTimer {
 
   /// Seconds elapsed since construction or last Restart().
   double Seconds() const;
-  double Millis() const { return Seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -1,16 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <set>
 
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_builder.h"
 #include "src/graph/graph_io.h"
-#include "src/graph/probability_models.h"
 #include "src/util/rng.h"
 
 namespace kboost {
@@ -71,50 +68,12 @@ TEST(GraphBuilderTest, DeduplicateRemovesDupsAndSelfLoops) {
   EXPECT_FLOAT_EQ(g.OutEdges(0)[0].p, 0.5f);
 }
 
-TEST(GraphBuilderTest, WeightedCascadeAssignsInverseInDegree) {
-  GraphBuilder b(4);
-  b.AddEdge(0, 3).AddEdge(1, 3).AddEdge(2, 3).AddEdge(0, 1);
-  b.AssignWeightedCascadeProbabilities();
-  DirectedGraph g = std::move(b).Build();
-  for (const auto& e : g.InEdges(3)) EXPECT_FLOAT_EQ(e.p, 1.0f / 3);
-  for (const auto& e : g.InEdges(1)) EXPECT_FLOAT_EQ(e.p, 1.0f);
-}
-
-TEST(GraphBuilderTest, TrivalencyDrawsFromThreeLevels) {
-  Rng rng(1);
-  GraphBuilder b = BuildErdosRenyi(40, 300, rng);
-  b.AssignTrivalencyProbabilities(rng);
-  DirectedGraph g = std::move(b).Build();
-  std::set<float> seen;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const auto& e : g.OutEdges(v)) seen.insert(e.p);
-  }
-  EXPECT_EQ(seen.size(), 3u);
-  for (float p : seen) {
-    EXPECT_TRUE(p == 0.1f || p == 0.01f || p == 0.001f) << p;
-  }
-}
-
 TEST(GraphBuilderTest, BoostBetaMatchesFormula) {
   GraphBuilder b(2);
   b.AddEdge(0, 1, 0.2);
   b.SetBoostWithBeta(2.0);
   DirectedGraph g = std::move(b).Build();
   EXPECT_NEAR(g.OutEdges(0)[0].p_boost, 1.0 - 0.8 * 0.8, 1e-6);
-}
-
-TEST(GraphTest, WithBoostBetaRewritesAllEdges) {
-  Rng rng(9);
-  GraphBuilder b = BuildErdosRenyi(30, 200, rng);
-  b.AssignConstantProbability(0.3);
-  DirectedGraph g = std::move(b).Build();
-  DirectedGraph g3 = g.WithBoostBeta(3.0);
-  EXPECT_EQ(g3.num_edges(), g.num_edges());
-  for (NodeId v = 0; v < g3.num_nodes(); ++v) {
-    for (const auto& e : g3.OutEdges(v)) {
-      EXPECT_NEAR(e.p_boost, 1.0 - std::pow(1.0 - 0.3, 3.0), 1e-6);
-    }
-  }
 }
 
 TEST(GraphTest, AverageProbability) {
@@ -282,44 +241,12 @@ TEST(GeneratorsTest, PreferentialAttachmentReciprocityAddsBackEdges) {
   EXPECT_EQ(missing, 0u);
 }
 
-TEST(GeneratorsTest, WattsStrogatzZeroRewireIsRing) {
-  Rng rng(23);
-  GraphBuilder b = BuildWattsStrogatz(20, 2, 0.0, rng);
-  DirectedGraph g = std::move(b).Build();
-  EXPECT_EQ(g.num_edges(), 40u);
-  for (NodeId v = 0; v < 20; ++v) {
-    auto out = g.OutEdges(v);
-    ASSERT_EQ(out.size(), 2u);
-  }
-}
-
 TEST(GeneratorsTest, DirectedPathAndStar) {
   DirectedGraph path = std::move(BuildDirectedPath(5)).Build();
   EXPECT_EQ(path.num_edges(), 4u);
   DirectedGraph star = std::move(BuildOutStar(6)).Build();
   EXPECT_EQ(star.num_nodes(), 7u);
   EXPECT_EQ(star.OutDegree(0), 6u);
-}
-
-TEST(ProbabilityModelsTest, DispatchesAllModels) {
-  for (ProbabilityModel model :
-       {ProbabilityModel::kConstant, ProbabilityModel::kTrivalency,
-        ProbabilityModel::kWeightedCascade,
-        ProbabilityModel::kExponential}) {
-    Rng rng(31);
-    GraphBuilder b = BuildErdosRenyi(20, 80, rng);
-    ProbabilityModelParams params;
-    params.beta = 2.0;
-    ApplyProbabilityModel(b, model, params, rng);
-    DirectedGraph g = std::move(b).Build();
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      for (const auto& e : g.OutEdges(v)) {
-        EXPECT_GT(e.p, 0.0f);
-        EXPECT_GE(e.p_boost, e.p);
-        EXPECT_LE(e.p_boost, 1.0f);
-      }
-    }
-  }
 }
 
 class GeneratorSweep : public ::testing::TestWithParam<int> {};
@@ -335,7 +262,7 @@ TEST_P(GeneratorSweep, EdgesAlwaysValid) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (const auto& e : g.OutEdges(v)) {
       EXPECT_LT(e.to, g.num_nodes());
-      EXPECT_GE(e.p, 0.0f);
+      EXPECT_GT(e.p, 0.0f);
       EXPECT_LE(e.p, 1.0f);
       EXPECT_GE(e.p_boost, e.p);
       EXPECT_LE(e.p_boost, 1.0f);

@@ -23,7 +23,6 @@
 #include "src/expt/datasets.h"
 #include "src/expt/seed_selection.h"
 #include "src/graph/generators.h"
-#include "src/graph/probability_models.h"
 #include "src/im/coverage.h"
 #include "src/io/pool_io.h"
 #include "src/sim/boost_model.h"
@@ -38,10 +37,9 @@ DirectedGraph MakeRandomGraph(uint64_t seed, NodeId num_nodes,
                               size_t num_edges, double p = 0.3) {
   Rng rng(seed);
   GraphBuilder builder = BuildErdosRenyi(num_nodes, num_edges, rng);
-  ProbabilityModelParams params;
-  params.constant_p = p;
-  params.beta = 4.0;  // strong boost: plenty of live-upon-boost edges
-  ApplyProbabilityModel(builder, ProbabilityModel::kConstant, params, rng);
+  builder.AssignConstantProbability(p);
+  // Strong boost: plenty of live-upon-boost edges.
+  builder.SetBoostWithBeta(4.0);
   return std::move(builder).Build();
 }
 

@@ -141,24 +141,41 @@ TEST(PrrBoostTest, EstimateTracksMonteCarloTruth) {
               0.35 * std::max(1.0, mc.boost) + 6 * mc.boost_stderr);
 }
 
-class PrrBoostVsBruteForce : public ::testing::TestWithParam<int> {};
+/// A brute-forceable instance: draw `draw` of G(8, num_edges), its seeds
+/// and the budget.
+struct TinyInstance {
+  int draw;
+  size_t num_edges;
+  std::vector<NodeId> seeds;
+  size_t k;
+};
+
+std::vector<TinyInstance> TinyInstances() {
+  std::vector<TinyInstance> out;
+  for (int draw = 1; draw <= 10; ++draw) out.push_back({draw, 13, {0}, 2});
+  // Two seeds and a larger budget, so the greedy's later picks count too.
+  out.push_back({11, 14, {0, 1}, 3});
+  return out;
+}
+
+class PrrBoostVsBruteForce : public ::testing::TestWithParam<TinyInstance> {};
 
 TEST_P(PrrBoostVsBruteForce, NearOptimalOnTinyGraphs) {
-  Rng rng(GetParam() * 97 + 11);
-  GraphBuilder b = BuildErdosRenyi(8, 13, rng);
+  const TinyInstance& c = GetParam();
+  Rng rng(c.draw * 97 + 11);
+  GraphBuilder b = BuildErdosRenyi(8, c.num_edges, rng);
   b.AssignConstantProbability(0.3);
   b.SetBoostWithBeta(3.0);
   DirectedGraph g = std::move(b).Build();
-  const std::vector<NodeId> seeds = {0};
-  const size_t k = 2;
+  const std::vector<NodeId>& seeds = c.seeds;
 
-  const double opt = BruteForceOptBoost(g, seeds, k);
+  const double opt = BruteForceOptBoost(g, seeds, c.k);
   if (opt < 0.02) GTEST_SKIP() << "degenerate draw, nothing to boost";
 
   BoostOptions opts;
-  opts.k = k;
+  opts.k = c.k;
   opts.epsilon = 0.2;
-  opts.seed = GetParam();
+  opts.seed = c.draw;
   BoostResult r = PrrBoost(g, seeds, opts);
   const double achieved = ExactBoost(g, seeds, r.best_set);
   // The guarantee is (1-1/e-ε)·µ(B*)/Δ(B*)·OPT; empirically the sandwich
@@ -167,7 +184,7 @@ TEST_P(PrrBoostVsBruteForce, NearOptimalOnTinyGraphs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, PrrBoostVsBruteForce,
-                         ::testing::Range(1, 11));
+                         ::testing::ValuesIn(TinyInstances()));
 
 }  // namespace
 }  // namespace kboost

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "src/graph/generators.h"
 #include "src/graph/graph_builder.h"
 #include "src/sim/boost_model.h"
 #include "src/sim/ic_model.h"
 #include "src/util/rng.h"
+#include "tests/digest.h"
 
 namespace kboost {
 namespace {
@@ -16,6 +18,16 @@ DirectedGraph Fig1Graph() {
   GraphBuilder b(3);
   b.AddEdge(0, 1, 0.2, 0.4);
   b.AddEdge(1, 2, 0.1, 0.2);
+  return std::move(b).Build();
+}
+
+/// Draw `rng_seed` of G(n, m) with constant p and p' = 1 - (1-p)^beta.
+DirectedGraph ErGraph(uint64_t rng_seed, NodeId n, size_t m, double p,
+                      double beta) {
+  Rng rng(rng_seed);
+  GraphBuilder b = BuildErdosRenyi(n, m, rng);
+  b.AssignConstantProbability(p);
+  b.SetBoostWithBeta(beta);
   return std::move(b).Build();
 }
 
@@ -32,11 +44,7 @@ TEST(ExactTest, Fig1MatchesPaperTable) {
 }
 
 TEST(ExactTest, ExactSpreadEqualsBoostedSpreadWithEmptyBoost) {
-  Rng rng(2);
-  GraphBuilder b = BuildErdosRenyi(8, 14, rng);
-  b.AssignConstantProbability(0.3);
-  b.SetBoostWithBeta(2.0);
-  DirectedGraph g = std::move(b).Build();
+  const DirectedGraph g = ErGraph(2, 8, 14, 0.3, 2.0);
   EXPECT_NEAR(ExactSpread(g, {0, 3}), ExactBoostedSpread(g, {0, 3}, {}),
               1e-12);
 }
@@ -51,11 +59,7 @@ TEST(ExactTest, SeedOnlyGraphSpreadsOverComponent) {
 }
 
 TEST(ExactTest, BoostMonotoneInBoostSet) {
-  Rng rng(5);
-  GraphBuilder b = BuildErdosRenyi(7, 12, rng);
-  b.AssignConstantProbability(0.25);
-  b.SetBoostWithBeta(3.0);
-  DirectedGraph g = std::move(b).Build();
+  const DirectedGraph g = ErGraph(5, 7, 12, 0.25, 3.0);
   double prev = ExactBoostedSpread(g, {0}, {});
   std::vector<NodeId> boost;
   for (NodeId v = 1; v < 7; ++v) {
@@ -84,11 +88,7 @@ TEST(MonteCarloTest, MatchesExactOnFig1) {
 TEST(MonteCarloTest, CoupledEstimatorHasNonNegativeSamples) {
   // The coupled Δ estimator can never produce a negative mean: base live
   // edges are a subset of boosted live edges in every world.
-  Rng rng(8);
-  GraphBuilder b = BuildErdosRenyi(40, 200, rng);
-  b.AssignConstantProbability(0.1);
-  b.SetBoostWithBeta(4.0);
-  DirectedGraph g = std::move(b).Build();
+  const DirectedGraph g = ErGraph(8, 40, 200, 0.1, 4.0);
   BoostEstimate e = EstimateBoost(g, {0, 1}, {5, 6, 7}, {});
   EXPECT_GE(e.boost, 0.0);
   EXPECT_GE(e.boosted_spread, e.base_spread);
@@ -104,10 +104,12 @@ TEST(MonteCarloTest, DeterministicAcrossThreadCounts) {
   one.num_threads = 1;
   SimulationOptions eight = one;
   eight.num_threads = 8;
-  // Per-world counts are deterministic; only the Welford merge order
-  // differs across thread counts, so means agree to FP accumulation noise.
-  EXPECT_NEAR(EstimateSpread(g, {0}, one).mean,
-              EstimateSpread(g, {0}, eight).mean, 1e-9);
+  // Per-world counts are deterministic and are reduced in simulation order,
+  // so the estimate is bit-identical at every thread count.
+  const SpreadEstimate serial = EstimateSpread(g, {0}, one);
+  const SpreadEstimate parallel = EstimateSpread(g, {0}, eight);
+  EXPECT_EQ(serial.mean, parallel.mean);
+  EXPECT_EQ(serial.stddev, parallel.stddev);
 }
 
 TEST(MonteCarloTest, MoreSeedsNeverReduceSpread) {
@@ -130,6 +132,63 @@ TEST(MonteCarloTest, DuplicateSeedsAreIdempotent) {
                    EstimateSpread(g, {0, 0, 0}, opts).mean);
 }
 
+/// Pins the bits of every field each estimator returns, Monte Carlo at one
+/// and at four threads, on the instances of
+/// CoupledEstimatorHasNonNegativeSamples and McVsExact/0. The other tests
+/// here compare estimates with each other or with tolerances, so a change
+/// to the diffusion loop or the reduction that moves the numbers but keeps
+/// them plausible would pass them; this one fails instead.
+TEST(SimPinTest, EstimatorOutputsArePinned) {
+  const std::vector<NodeId> seeds = {0, 1};
+  {
+    const DirectedGraph g = ErGraph(8, 40, 200, 0.1, 4.0);
+    const std::vector<NodeId> boost = {5, 6, 7};
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      SimulationOptions opts;
+      opts.num_simulations = 3000;
+      opts.num_threads = threads;
+      Digest digest;
+      for (const SpreadEstimate& e :
+           {EstimateSpread(g, seeds, opts),
+            EstimateBoostedSpread(g, seeds, boost, opts)}) {
+        digest.AddBits(e.mean);
+        digest.AddBits(e.stddev);
+        digest.AddBits(e.stderr_mean);
+        digest.Add(e.num_simulations);
+      }
+      const BoostEstimate e = EstimateBoost(g, seeds, boost, opts);
+      digest.AddBits(e.boost);
+      digest.AddBits(e.boost_stderr);
+      digest.AddBits(e.boosted_spread);
+      digest.AddBits(e.base_spread);
+      digest.Add(e.num_simulations);
+      EXPECT_EQ(digest.value(), 0x1566A5F12C5B2BF0ULL)
+          << std::hex << "0x" << digest.value();
+    }
+  }
+  const DirectedGraph g = ErGraph(1017, 8, 14, 0.25, 2.0);
+  const std::vector<NodeId> boost = {2, 3, 4};
+  Digest digest;
+  digest.AddBits(ExactSpread(g, seeds));
+  digest.AddBits(ExactBoostedSpread(g, seeds, boost));
+  digest.AddBits(ExactBoost(g, seeds, boost));
+  EXPECT_EQ(digest.value(), 0xA97D4014F1DAD7CDULL)
+      << std::hex << "0x" << digest.value();
+}
+
+/// A seed id out of range aborts before the first simulation, in every
+/// build, with the message an out-of-range boost id gets.
+TEST(SimDeathTest, OutOfRangeSeedAborts) {
+  const DirectedGraph g = ErGraph(8, 40, 200, 0.1, 4.0);
+  const NodeId n = static_cast<NodeId>(g.num_nodes());
+  SimulationOptions opts;
+  opts.num_simulations = 100;
+  EXPECT_DEATH(EstimateBoost(g, {n}, {}, opts), "node 40 out of range");
+  EXPECT_DEATH(EstimateBoost(g, {0, n + 1000}, {1}, opts), "out of range");
+  EXPECT_DEATH(ExactBoostedSpread(Fig1Graph(), {3}, {}), "out of range");
+}
+
 TEST(MakeNodeBitmapTest, SetsRequestedBits) {
   std::vector<uint8_t> bm = MakeNodeBitmap(5, {1, 3});
   EXPECT_EQ(bm, (std::vector<uint8_t>{0, 1, 0, 1, 0}));
@@ -139,11 +198,8 @@ TEST(MakeNodeBitmapTest, SetsRequestedBits) {
 class McVsExact : public ::testing::TestWithParam<int> {};
 
 TEST_P(McVsExact, BoostEstimateMatchesExhaustiveEnumeration) {
-  Rng rng(GetParam() * 1000 + 17);
-  GraphBuilder b = BuildErdosRenyi(8, 14, rng);
-  b.AssignConstantProbability(0.2 + 0.05 * (GetParam() % 4));
-  b.SetBoostWithBeta(2.0);
-  DirectedGraph g = std::move(b).Build();
+  const DirectedGraph g = ErGraph(GetParam() * 1000 + 17, 8, 14,
+                                  0.2 + 0.05 * (GetParam() % 4), 2.0);
   const std::vector<NodeId> seeds = {0, 1};
   const std::vector<NodeId> boost = {2, 3, 4};
 

@@ -292,41 +292,12 @@ TEST(RngTest, ExponentialMeanMatches) {
   EXPECT_NEAR(sum / trials, 0.25, 0.01);
 }
 
-TEST(RngTest, ForkDecorrelates) {
-  Rng a(42);
-  Rng b = a.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += (a.NextU64() == b.NextU64());
-  EXPECT_LT(same, 3);
-}
-
 TEST(RunningStatTest, MeanAndVariance) {
   RunningStat s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(RunningStatTest, MergeEqualsSequential) {
-  RunningStat a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    double x = std::sin(i) * 10;
-    (i % 2 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(RunningStatTest, EmptyMergeIsNoop) {
-  RunningStat a, empty;
-  a.Add(3.0);
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.mean(), 3.0);
 }
 
 TEST(QuantileTest, MedianAndExtremes) {
