@@ -5,13 +5,14 @@
 // of the file bytes, or an unbounded allocation.
 //
 // Shape of one input: the bytes are written to a per-process temp file and
-// loaded twice against a small fixed graph through the one load path —
-// once owned (a private heap copy, deep-validated) and once from an mmap
-// with verify_mapped set, so both byte sources run the header, directory
-// and LB-body parses and the deep checks. When a load
-// accepts the bytes, the loaded session must answer a solve: anything the
-// validator lets through has to actually be servable, which is precisely
-// the promise the loader's validation makes.
+// loaded three times against a small fixed graph through the one load path
+// — owned (a private heap copy, deep-validated), from an mmap with
+// verify_mapped set, so both byte sources run the header and directory
+// parses, the arena walk and the deep checks, and from an mmap without
+// them, as `kboostd --mmap-pool` loads. When a load accepts the bytes, the
+// loaded session must answer a solve: anything the validator lets through
+// has to actually be servable, which is precisely the promise the loader's
+// validation makes — the deep checks guard answers, never memory.
 //
 // The graph is intentionally tiny (matching fuzz/gen_corpus.cc, whose
 // checked-in seeds were snapshotted against the same graph) so accepted
@@ -83,29 +84,18 @@ void FuzzOne(const uint8_t* data, size_t size) {
 
   const DirectedGraph& graph = FuzzGraph();
 
-  // Owned load: a private copy, always deep-validated.
-  StatusOr<std::unique_ptr<BoostSession>> owned =
-      LoadPoolSnapshot(graph, ScratchPath(), PoolLoadOptions{});
-  if (owned.ok()) {
+  // Owned (always deep-validated), mmap with the deep checks, and mmap
+  // without them (the default a serving process uses).
+  for (const int load : {0, 1, 2}) {
+    PoolLoadOptions options;
+    options.use_mmap = load > 0;
+    options.verify_mapped = load == 1;
+    StatusOr<std::unique_ptr<BoostSession>> loaded =
+        LoadPoolSnapshot(graph, ScratchPath(), options);
+    if (!loaded.ok()) continue;
     // The loader's contract: anything it accepts is a prepared, servable
     // pool. A crash or wild answer here means validation let bad data by.
-    BoostSession& session = **owned;
-    FUZZ_ASSERT(session.prepared());
-    BoostResult result = session.SolveForBudget(1);
-    FUZZ_ASSERT(result.best_set.size() <= 1);
-  }
-
-  // Mapped load with the deep checks ON, so the fuzzer reaches the
-  // edge/critical-id range checks on this byte source too (a host refresh
-  // path runs them off by default, but the validator's job is exactly these
-  // checks, so fuzz them).
-  PoolLoadOptions mmap_options;
-  mmap_options.use_mmap = true;
-  mmap_options.verify_mapped = true;
-  StatusOr<std::unique_ptr<BoostSession>> mapped =
-      LoadPoolSnapshot(graph, ScratchPath(), mmap_options);
-  if (mapped.ok()) {
-    BoostSession& session = **mapped;
+    BoostSession& session = **loaded;
     FUZZ_ASSERT(session.prepared());
     BoostResult result = session.SolveForBudget(1);
     FUZZ_ASSERT(result.best_set.size() <= 1);

@@ -7,7 +7,7 @@
 // Wire seeds are one valid frame of every type plus one instance of each
 // header rejection (bad magic / version / flags / type / oversized length /
 // truncation) — the decoder-hardening matrix from tests/net_test.cc as
-// files. Snapshot seeds are full-mode and LB-only v3 snapshots of one
+// files. Snapshot seeds are full-mode and LB-only v4 snapshots of one
 // tiny fixed pool (the same graph fuzz_snapshot.cc loads against) plus one
 // file per corruption-matrix case from tests/snapshot_test.cc, so the
 // mutation fuzzer starts at the validator's known edges instead of
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/core/boost_session.h"
+#include "src/core/prr_graph.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_builder.h"
 #include "src/io/pool_io.h"
@@ -50,6 +51,13 @@ void PokeU32(std::string* bytes, size_t offset, uint32_t value) {
 void PokeU64(std::string* bytes, size_t offset, uint64_t value) {
   KB_CHECK(offset + sizeof(value) <= bytes->size());
   std::memcpy(bytes->data() + offset, &value, sizeof(value));
+}
+
+uint32_t PeekU32(const std::string& bytes, size_t offset) {
+  uint32_t value;
+  KB_CHECK(offset + sizeof(value) <= bytes.size());
+  std::memcpy(&value, bytes.data() + offset, sizeof(value));
+  return value;
 }
 
 uint64_t PeekU64(const std::string& bytes, size_t offset) {
@@ -173,16 +181,27 @@ DirectedGraph CorpusGraph() {
   return std::move(b).Build();
 }
 
-// v3 layout landmarks (tests/snapshot_test.cc documents the layout): the
-// 128-byte header, the 32-byte extension, the seed list, then the arena's
-// section directory.
+// v4 layout landmarks (tests/snapshot_test.cc documents the layout): the
+// 120-byte header, the seed list, then the directory — a u64 set count and
+// one 16-byte {offset, bytes} entry per section.
 constexpr size_t kVersionOffset = 8;
+constexpr size_t kFlagsOffset = 12;
 constexpr size_t kNumThreadsOffset = 64;
-constexpr size_t kNumShardsOffset = 68;
-constexpr size_t kEndianOffset = 128;
-size_t DirOffset(size_t num_seeds) { return 128 + 32 + 4 * num_seeds; }
-size_t SectionEntryOffset(size_t dir, size_t section) {
-  return dir + 8 + section * 32;
+constexpr size_t kEndianOffset = 68;
+enum Section : size_t {
+  kSetSizes,
+  kCoverage,
+  kNumNodes,
+  kGlobalIds,
+  kOutOffsets,
+  kInOffsets,
+  kOutEdges,
+  kInEdges,
+  kCritical,
+};
+size_t DirOffset(size_t num_seeds) { return 120 + 4 * num_seeds; }
+size_t SectionEntryOffset(size_t dir, Section section) {
+  return dir + 8 + section * 16;
 }
 
 void GenerateSnapshotCorpus(const fs::path& dir) {
@@ -212,66 +231,56 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   BoostSession lb_session(graph, seeds, options, /*lb_only=*/true);
   lb_session.Prepare();
 
-  const std::string v3_nop = save_bytes(session);
-  const std::string v3_lb = save_bytes(lb_session);
+  const std::string full = save_bytes(session);
+  const std::string lb = save_bytes(lb_session);
   fs::remove(scratch);
 
-  WriteCase(dir, "v3_nop.bin", v3_nop);
-  WriteCase(dir, "v3_lb_only.bin", v3_lb);
+  WriteCase(dir, "v4_full.bin", full);
+  WriteCase(dir, "v4_lb_only.bin", lb);
 
-  // Older formats are rejected typed, asking for a re-save: a v3 file whose
-  // header claims version 2 exercises that gate, and one whose header claims
-  // two arenas (older builds could split a pool) the single-arena gate.
-  std::string version2 = v3_nop;
-  PokeU32(&version2, kVersionOffset, 2);
-  WriteCase(dir, "version2_header.bin", version2);
-  std::string two_arenas = v3_nop;
-  PokeU32(&two_arenas, kNumShardsOffset, 2);
-  WriteCase(dir, "two_arena_header.bin", two_arenas);
+  // Older formats are rejected typed, asking for a re-save: a v4 file whose
+  // header claims version 3 exercises that gate.
+  std::string version3 = full;
+  PokeU32(&version3, kVersionOffset, 3);
+  WriteCase(dir, "version3_header.bin", version3);
 
-  // The PR 9 corruption matrix as seed files: each is the valid v3-nop
-  // snapshot with one structural lie, mirroring tests/snapshot_test.cc.
+  // The corruption matrix as seed files: each is a valid snapshot with one
+  // structural lie, mirroring tests/snapshot_test.cc.
   const size_t d = DirOffset(seeds.size());
-  KB_CHECK(v3_nop.size() > SectionEntryOffset(d, 7) + 32);
+  const auto section_offset = [d](const std::string& bytes, Section s) {
+    return PeekU64(bytes, SectionEntryOffset(d, s));
+  };
+  const auto section_count = [d](const std::string& bytes, Section s) {
+    return PeekU64(bytes, SectionEntryOffset(d, s) + 8) / 4;
+  };
 
-  WriteCase(dir, "truncated.bin", v3_nop.substr(0, v3_nop.size() - 5));
-  WriteCase(dir, "truncated_header.bin", v3_nop.substr(0, 40));
+  WriteCase(dir, "truncated.bin", full.substr(0, full.size() - 5));
+  WriteCase(dir, "truncated_header.bin", full.substr(0, 40));
 
-  std::string misaligned = v3_nop;
-  const size_t entry0 = SectionEntryOffset(d, 0);
+  std::string misaligned = full;
+  const size_t entry0 = SectionEntryOffset(d, kSetSizes);
   PokeU64(&misaligned, entry0, PeekU64(misaligned, entry0) + 2);
   WriteCase(dir, "misaligned_section.bin", misaligned);
 
-  std::string overlapping = v3_nop;
-  PokeU64(&overlapping, SectionEntryOffset(d, 1),
-          PeekU64(overlapping, SectionEntryOffset(d, 0)));
+  std::string overlapping = full;
+  PokeU64(&overlapping, SectionEntryOffset(d, kCoverage),
+          section_offset(full, kSetSizes));
   WriteCase(dir, "overlapping_sections.bin", overlapping);
 
-  std::string overstated = v3_nop;
-  PokeU64(&overstated, SectionEntryOffset(d, 2) + 8, uint64_t{1} << 60);
+  std::string overstated = full;
+  PokeU64(&overstated, SectionEntryOffset(d, kNumNodes) + 8,
+          uint64_t{1} << 60);
   WriteCase(dir, "overstated_section.bin", overstated);
 
-  std::string bad_codec = v3_nop;
-  PokeU32(&bad_codec, SectionEntryOffset(d, 0) + 24, 77);
-  WriteCase(dir, "unknown_codec.bin", bad_codec);
-
-  std::string inflated = v3_nop;
-  PokeU64(&inflated, SectionEntryOffset(d, 5) + 16, uint64_t{1} << 40);
+  std::string inflated = full;
+  PokeU64(&inflated, SectionEntryOffset(d, kOutEdges) + 8, uint64_t{1} << 40);
   WriteCase(dir, "inflated_value_count.bin", inflated);
 
-  std::string nop_mismatch = v3_nop;
-  const size_t entry5 = SectionEntryOffset(d, 5);
-  const uint64_t raw = PeekU64(nop_mismatch, entry5 + 16);
-  if (raw >= 8) {
-    PokeU64(&nop_mismatch, entry5 + 16, raw - 4);
-    WriteCase(dir, "nop_size_mismatch.bin", nop_mismatch);
-  }
-
-  std::string byteswapped = v3_nop;
+  std::string byteswapped = full;
   PokeU32(&byteswapped, kEndianOffset, 0x04030201u);
   WriteCase(dir, "endian_mismatch.bin", byteswapped);
 
-  std::string wild_threads = v3_nop;
+  std::string wild_threads = full;
   PokeU32(&wild_threads, kNumThreadsOffset, 0xFFFFFFFFu);
   WriteCase(dir, "wild_thread_count.bin", wild_threads);
 
@@ -279,16 +288,15 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   // first ran. (1) A critical entry pointing at the super-seed slot (local
   // 0) used to pass deep validation and smuggle the slot's kInvalidNode
   // global id into the coverage index — a segfault at first solve.
-  std::string superseed_critical = v3_nop;
-  const size_t crit_entry = SectionEntryOffset(d, 7);
-  const uint64_t crit_off = PeekU64(superseed_critical, crit_entry);
-  PokeU32(&superseed_critical, crit_off, 0);
+  std::string superseed_critical = full;
+  KB_CHECK(section_count(full, kCritical) >= 1);
+  PokeU32(&superseed_critical, section_offset(full, kCritical), 0);
   WriteCase(dir, "critical_superseed.bin", superseed_critical);
 
   // (2) A corrupt header ℓ (offset 40) used to reach the trusting
   // BoostSession constructor and abort the process via KB_CHECK instead of
   // being rejected typed.
-  std::string zero_ell = v3_nop;
+  std::string zero_ell = full;
   PokeU64(&zero_ell, 40, 0);  // 0.0 ℓ — Validate() must reject, not abort
   WriteCase(dir, "zero_ell.bin", zero_ell);
 
@@ -296,16 +304,58 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   // with its boost bit cleared. Sampling never stores such an activated
   // graph, so deep validation must reject it; it used to load and read
   // Δ̂(∅) > 0.
-  std::string live_superseed = v3_nop;
-  const size_t edges_entry = SectionEntryOffset(d, 5);
-  KB_CHECK(PeekU64(live_superseed, edges_entry + 16) >= sizeof(uint32_t));
-  const uint64_t edges_off = PeekU64(live_superseed, edges_entry);
-  uint32_t first_edge = 0;
-  std::memcpy(&first_edge, live_superseed.data() + edges_off,
-              sizeof(first_edge));
-  KB_CHECK((first_edge & 1u) != 0) << "super-seed edges are boost edges";
+  std::string live_superseed = full;
+  KB_CHECK(section_count(full, kOutEdges) >= 1);
+  const uint64_t edges_off = section_offset(full, kOutEdges);
+  const uint32_t first_edge = PeekU32(live_superseed, edges_off);
+  KB_CHECK(PrrGraph::EdgeBoost(first_edge))
+      << "super-seed edges are boost edges";
   PokeU32(&live_superseed, edges_off, first_edge & ~1u);
   WriteCase(dir, "live_superseed_edge.bin", live_superseed);
+
+  // Two files a default mmap load used to accept and crash on: an out-edge
+  // head past its graph, and every out-edge x -> root of an intermediate x
+  // retargeted to the super-seed slot (boost bit kept).
+  std::string wild_endpoint = full;
+  PokeU32(&wild_endpoint, edges_off, PrrGraph::PackEdge(0xFFFFFFu, true));
+  WriteCase(dir, "edge_endpoint_out_of_range.bin", wild_endpoint);
+
+  std::string into_superseed = full;
+  const uint64_t num_nodes = section_offset(full, kNumNodes);
+  const uint64_t out_offsets = section_offset(full, kOutOffsets);
+  uint64_t node_begin = 0, edge_begin = 0, retargeted = 0;
+  for (uint64_t g = 0; g < section_count(full, kNumNodes); ++g) {
+    const uint32_t n = PeekU32(full, num_nodes + 4 * g);
+    const uint64_t offsets = out_offsets + 4 * (node_begin + g);
+    for (uint32_t x = 2; x < n; ++x) {
+      for (uint32_t e = PeekU32(full, offsets + 4 * x);
+           e < PeekU32(full, offsets + 4 * (x + 1)); ++e) {
+        const uint64_t at = edges_off + 4 * (edge_begin + e);
+        const uint32_t packed = PeekU32(full, at);
+        if (PrrGraph::EdgeNode(packed) != PrrGraph::kRootLocal) continue;
+        PokeU32(&into_superseed, at,
+                PrrGraph::PackEdge(PrrGraph::kSuperSeedLocal,
+                                   PrrGraph::EdgeBoost(packed)));
+        ++retargeted;
+      }
+    }
+    edge_begin += PeekU32(full, offsets + 4 * n);
+    node_begin += n;
+  }
+  KB_CHECK(retargeted > 0);
+  WriteCase(dir, "edge_into_superseed.bin", into_superseed);
+
+  // The LB-only rows: set sizes that overstate the coverage section, and a
+  // full pool's file whose flags claim an LB-only pool (a non-empty arena).
+  std::string lb_overstated = lb;
+  KB_CHECK(section_count(lb, kSetSizes) >= 1);
+  const uint64_t sizes_off = section_offset(lb, kSetSizes);
+  PokeU32(&lb_overstated, sizes_off, PeekU32(lb, sizes_off) + 1);
+  WriteCase(dir, "lb_set_sizes_overstated.bin", lb_overstated);
+
+  std::string lb_with_arena = full;
+  PokeU32(&lb_with_arena, kFlagsOffset, PeekU32(full, kFlagsOffset) | 1u);
+  WriteCase(dir, "lb_flag_with_arena.bin", lb_with_arena);
 }
 
 }  // namespace

@@ -184,8 +184,7 @@ namespace {
 /// afterwards. Because boosting only opens edges, reach and criticality grow
 /// monotonically until a graph activates — so commits credit only newly
 /// critical nodes, and debit a graph's crit bitmap exactly once, on
-/// activation. Graphs too large for reach bitmaps fall back to the scratch
-/// evaluator's full recompute, diffed against crit.
+/// activation.
 ///
 /// Gains start from the pool's per-node critical-set counts and settle in
 /// place. They are sums over graphs, so the scan order does not show in the
@@ -246,64 +245,35 @@ class DeltaOracle final : public SelectionOracle {
         PrrIncrementalEvaluator::SetBit(crit, c);
       }
     }
-    bool activated = false;
-    if (!state.has_reach(g)) {
-      activated = ScratchCommit(view, crit, state.words_per_bitmap(g), touched);
-    } else {
-      uint64_t* fwd = state.fwd(g);
-      uint64_t* bwd = state.bwd(g);
-      if (first_touch) inc_.InitEmptyReach(view, fwd, bwd);
-      activated =
-          PrrIncrementalEvaluator::TestBit(fwd, PrrGraph::kRootLocal) ||
-          inc_.RelaxCommit(view, boosted_.data(), local, fwd, bwd);
-      if (!activated) {
-        fresh_.clear();
-        inc_.AppendNewCriticalFrontier(view, boosted_.data(), fwd, bwd, crit,
-                                       &fresh_);
-        // Newly critical nodes are never boosted (the evaluator checks).
-        for (uint32_t c : fresh_) {
-          const NodeId global = view.global_ids[c];
-          ++gains_[global];
-          touched->push_back(global);
-        }
+    uint64_t* fwd = state.fwd(g);
+    uint64_t* bwd = state.bwd(g);
+    if (first_touch) inc_.InitEmptyReach(view, fwd, bwd);
+    const bool activated =
+        PrrIncrementalEvaluator::TestBit(fwd, PrrGraph::kRootLocal) ||
+        inc_.RelaxCommit(view, boosted_.data(), local, fwd, bwd);
+    if (!activated) {
+      fresh_.clear();
+      inc_.AppendNewCriticalFrontier(view, boosted_.data(), fwd, bwd, crit,
+                                     &fresh_);
+      // Newly critical nodes are never boosted (the evaluator checks).
+      for (uint32_t c : fresh_) {
+        const NodeId global = view.global_ids[c];
+        ++gains_[global];
+        touched->push_back(global);
       }
+      return;
     }
-    if (!activated) return;
+    // Activated: debit every non-boosted node of its crit bitmap, once.
     state.MarkActivated(g);
     ++activated_;
     for (uint32_t w = 0; w < state.words_per_bitmap(g); ++w) {
-      Settle(view, crit[w], w * 64, -1, touched);
-    }
-  }
-
-  /// Full-recompute fallback for graphs without reach bitmaps: settles the
-  /// difference between the old critical set (crit) and the new one, and
-  /// leaves crit holding the new one. Returns true when the graph activated;
-  /// crit then still holds the old set, for the activation debit.
-  bool ScratchCommit(const PrrGraphView& view, uint64_t* crit, uint32_t words,
-                     std::vector<NodeId>* touched) {
-    if (evaluator_.CriticalNodes(view, boosted_.data(), &fresh_)) return true;
-    next_.assign(words, 0);
-    for (uint32_t c : fresh_) PrrIncrementalEvaluator::SetBit(next_.data(), c);
-    for (uint32_t w = 0; w < words; ++w) {
-      Settle(view, crit[w] & ~next_[w], w * 64, -1, touched);
-      Settle(view, next_[w] & ~crit[w], w * 64, +1, touched);
-      crit[w] = next_[w];
-    }
-    return false;
-  }
-
-  /// Moves the gain of every non-boosted node in `bits` (one crit word whose
-  /// bit 0 is local id `base`) by `delta`, reporting each.
-  void Settle(const PrrGraphView& view, uint64_t bits, uint32_t base,
-              int delta, std::vector<NodeId>* touched) {
-    for (; bits != 0; bits &= bits - 1) {
-      const NodeId global =
-          view.global_ids[base + static_cast<uint32_t>(std::countr_zero(bits))];
-      if (boosted_[global]) continue;
-      gains_[global] =
-          static_cast<uint32_t>(static_cast<int64_t>(gains_[global]) + delta);
-      touched->push_back(global);
+      for (uint64_t bits = crit[w]; bits != 0; bits &= bits - 1) {
+        const NodeId global = view.global_ids
+            [w * 64 + static_cast<uint32_t>(std::countr_zero(bits))];
+        if (boosted_[global]) continue;
+        --gains_[global];
+        touched->push_back(global);
+      }
     }
   }
 
@@ -312,9 +282,7 @@ class DeltaOracle final : public SelectionOracle {
   std::vector<uint32_t> gains_;
   PrrEvalState* state_;
   PrrIncrementalEvaluator inc_;
-  PrrEvaluator evaluator_;
   std::vector<uint32_t> fresh_;  // one graph's newly critical locals
-  std::vector<uint64_t> next_;   // scratch recompute's new crit words
   size_t activated_ = 0;
   std::vector<size_t> activated_after_;
 };

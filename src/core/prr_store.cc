@@ -4,6 +4,7 @@
 #include <atomic>
 
 #include "src/util/logging.h"
+#include "src/util/thread_pool.h"
 
 namespace kboost {
 
@@ -215,43 +216,77 @@ Status PrrStore::BuildMetaFromSizes(std::span<const uint32_t> num_nodes,
   return Status::Ok();
 }
 
+Status PrrStore::ValidateIds(uint64_t num_graph_nodes) const {
+  const NodeId* ids = raw_global_ids().data();
+  const uint32_t* oo = raw_out_offsets().data();
+  const uint32_t* oe = raw_out_edges().data();
+  const uint32_t* ie = raw_in_edges().data();
+  const uint32_t* cr = raw_critical().data();
+  // Which checks graph g fails, as bits: 1 a global id (local >= 1) outside
+  // the serving graph, 2 an out-edge head outside [1, n) or an in-edge tail
+  // outside [0, n), 4 a critical id outside [1, n). The super-seed (local 0)
+  // has no global id, so nothing may point into it. Branch-free: this runs
+  // on every load, mmap ones included.
+  const auto failures = [&](size_t g) {
+    const Meta& m = meta_[g];
+    const uint32_t n = m.num_nodes;
+    bool ids_ok = true, edges_ok = true, critical_ok = true;
+    for (uint64_t v = m.node_begin + PrrGraph::kRootLocal;
+         v < m.node_begin + n; ++v) {
+      ids_ok &= ids[v] < num_graph_nodes;
+    }
+    const uint64_t edge_end = m.edge_begin + oo[m.node_begin + g + n];
+    for (uint64_t e = m.edge_begin; e < edge_end; ++e) {
+      const uint32_t head = PrrGraph::EdgeNode(oe[e]);
+      edges_ok &= (head != PrrGraph::kSuperSeedLocal) & (head < n) &
+                  (PrrGraph::EdgeNode(ie[e]) < n);
+    }
+    for (uint64_t c = m.critical_begin; c < m.critical_begin + m.num_critical;
+         ++c) {
+      critical_ok &= (cr[c] != PrrGraph::kSuperSeedLocal) & (cr[c] < n);
+    }
+    return (ids_ok ? 0 : 1) | (edges_ok ? 0 : 2) | (critical_ok ? 0 : 4);
+  };
+  // Ranges of graphs, not single graphs: a pool holds many tiny ones.
+  constexpr size_t kRange = 2048;
+  std::atomic<bool> bad{false};
+  ParallelFor(
+      (meta_.size() + kRange - 1) / kRange, DefaultThreadCount(),
+      [&](size_t r, int /*t*/) {
+        int fail = 0;
+        const size_t end = std::min(meta_.size(), (r + 1) * kRange);
+        for (size_t g = r * kRange; g < end; ++g) fail |= failures(g);
+        if (fail != 0) bad.store(true, std::memory_order_relaxed);
+      },
+      /*chunk=*/1);
+  if (!bad.load()) return Status::Ok();
+  // Error path only: the first failing graph, for a precise message.
+  for (size_t g = 0; g < meta_.size(); ++g) {
+    if (const int fail = failures(g); fail != 0) {
+      const char* what = (fail & 1) != 0   ? "global id"
+                         : (fail & 2) != 0 ? "edge endpoint"
+                                           : "critical id";
+      return Status::OutOfRange(std::string(what) +
+                                " out of range in arena graph " +
+                                std::to_string(g));
+    }
+  }
+  return Status::Ok();
+}
+
 Status PrrStore::ValidateDeep() const {
-  // Every packed edge endpoint and critical id must be a valid local node,
-  // and every super-seed out-edge must be a boost edge.
+  // A live super-seed edge would make f_R(∅) = 1: an activated sample,
+  // which sampling never stores and which every Δ̂ path assumes absent.
   const std::span<const uint32_t> oo = raw_out_offsets();
   const std::span<const uint32_t> oe = raw_out_edges();
-  const std::span<const uint32_t> ie = raw_in_edges();
-  const std::span<const uint32_t> cr = raw_critical();
   for (size_t g = 0; g < meta_.size(); ++g) {
     const Meta& m = meta_[g];
-    const uint64_t edges = oo[m.node_begin + g + m.num_nodes];
-    for (uint64_t e = 0; e < edges; ++e) {
-      if (PrrGraph::EdgeNode(oe[m.edge_begin + e]) >= m.num_nodes ||
-          PrrGraph::EdgeNode(ie[m.edge_begin + e]) >= m.num_nodes) {
-        return Status::OutOfRange("edge endpoint out of range in arena graph " +
-                                  std::to_string(g));
-      }
-    }
-    // A live super-seed edge would make f_R(∅) = 1: an activated sample,
-    // which sampling never stores and which every Δ̂ path assumes absent.
-    if (m.num_nodes > 0) {
-      const uint64_t ss = m.node_begin + g + PrrGraph::kSuperSeedLocal;
-      for (uint64_t e = oo[ss]; e < oo[ss + 1]; ++e) {
-        if (!PrrGraph::EdgeBoost(oe[m.edge_begin + e])) {
-          return Status::InvalidArgument(
-              "live super-seed out-edge in arena graph " + std::to_string(g));
-        }
-      }
-    }
-    for (uint32_t c = 0; c < m.num_critical; ++c) {
-      // The super-seed slot (local 0) is excluded as well as out-of-range
-      // ids: its global id is kInvalidNode by construction, so a critical
-      // entry pointing at it would smuggle an unvalidated id past the
-      // global-id range check and into the coverage index.
-      const uint32_t id = cr[m.critical_begin + c];
-      if (id == PrrGraph::kSuperSeedLocal || id >= m.num_nodes) {
-        return Status::OutOfRange("critical id out of range in arena graph " +
-                                  std::to_string(g));
+    if (m.num_nodes == 0) continue;
+    const uint64_t ss = m.node_begin + g + PrrGraph::kSuperSeedLocal;
+    for (uint64_t e = oo[ss]; e < oo[ss + 1]; ++e) {
+      if (!PrrGraph::EdgeBoost(oe[m.edge_begin + e])) {
+        return Status::InvalidArgument(
+            "live super-seed out-edge in arena graph " + std::to_string(g));
       }
     }
   }
@@ -259,7 +294,7 @@ Status PrrStore::ValidateDeep() const {
 }
 
 Status PrrStore::AttachExternal(const ArenaSections& sections,
-                                bool deep_validate) {
+                                uint64_t num_graph_nodes, bool deep_validate) {
   KB_CHECK(meta_.empty()) << "AttachExternal to a non-empty store";
   external_ = true;
   ext_global_ids_ = sections.global_ids;
@@ -277,6 +312,7 @@ Status PrrStore::AttachExternal(const ArenaSections& sections,
     status = Status::InvalidArgument(
         "arena edge/critical sections disagree with the offset pools");
   }
+  if (status.ok()) status = ValidateIds(num_graph_nodes);
   if (status.ok() && deep_validate) status = ValidateDeep();
   if (!status.ok()) Clear();
   return status;
@@ -307,11 +343,9 @@ void PrrEvalState::Attach(const PrrStore& store) {
     slots_.resize(num_graphs);
     uint64_t begin = 0;
     for (size_t g = 0; g < num_graphs; ++g) {
-      const uint32_t n = store.num_nodes(g);
-      const uint32_t wpb = (n + 63) / 64;
-      const bool has_reach = n <= kMaxStateNodes;
-      slots_[g] = Slot{begin, wpb, has_reach};
-      begin += (has_reach ? 3ull : 1ull) * wpb;
+      const uint32_t wpb = (store.num_nodes(g) + 63) / 64;
+      slots_[g] = Slot{begin, wpb};
+      begin += 3ull * wpb;
     }
     words_.resize(begin);
   }
@@ -320,8 +354,8 @@ void PrrEvalState::Attach(const PrrStore& store) {
 
 void PrrEvalState::Touch(size_t g) {
   const Slot& slot = slots_[g];
-  std::fill_n(words_.data() + slot.begin,
-              (slot.has_reach ? 3 : 1) * size_t{slot.words_per_bitmap}, 0);
+  std::fill_n(words_.data() + slot.begin, 3 * size_t{slot.words_per_bitmap},
+              0);
   status_[g] = GraphStatus::kLive;
 }
 

@@ -50,10 +50,11 @@ class PrrStore {
   /// graph-relative, so they copy verbatim. The sampler's chunk merge.
   void AppendAll(const PrrStore& other);
 
-  /// The eight flat sections of one arena, as externally owned spans — the
-  /// in-memory shape of a v3 snapshot's arena region (src/io/pool_io).
+  /// The eight flat sections of one arena, as externally owned spans.
   /// `num_nodes`/`num_critical` carry one entry per graph; the rest are the
-  /// concatenated pools. The spans must stay valid for the lifetime of the
+  /// concatenated pools. A v4 snapshot (src/io/pool_io) stores all but
+  /// `num_critical` as its arena region, and its set-size section serves as
+  /// `num_critical`. The spans must stay valid for the lifetime of the
   /// store they are attached to (for a loaded snapshot: as long as the
   /// session retaining its bytes lives).
   struct ArenaSections {
@@ -68,12 +69,14 @@ class PrrStore {
   };
 
   /// Binds this (empty) store over externally owned sections without copying.
-  /// Always performs the structural checks that memory safety depends on
-  /// (section lengths mutually consistent, offsets graph-relative and
-  /// monotone — evaluators index edge pools through them); `deep_validate`
-  /// additionally walks every edge endpoint and critical id (O(total_edges)).
-  /// On error the store is Clear()ed.
-  Status AttachExternal(const ArenaSections& sections, bool deep_validate);
+  /// Always performs the checks that memory safety depends on: section
+  /// lengths mutually consistent, offsets graph-relative and monotone
+  /// (evaluators index edge pools through them), and the id walk
+  /// (ValidateIds) against a serving graph of `num_graph_nodes` nodes.
+  /// `deep_validate` additionally rejects a live super-seed out-edge, which
+  /// can only make answers wrong. On error the store is Clear()ed.
+  Status AttachExternal(const ArenaSections& sections,
+                        uint64_t num_graph_nodes, bool deep_validate);
 
   PrrGraphView View(size_t id) const;
 
@@ -147,9 +150,15 @@ class PrrStore {
                             std::span<const uint32_t> num_critical,
                             uint64_t* total_edges, uint64_t* total_critical);
 
-  /// O(total_edges) walk: every packed edge endpoint and critical id must be
-  /// a valid local node of its graph, and every super-seed out-edge must be
-  /// a boost edge (f_R(∅) = 0). Requires a built meta table.
+  /// O(total_edges) walk, run in parallel over ranges of graphs: every
+  /// global id of a local >= 1 must be < num_graph_nodes, every out-edge
+  /// head in [1, n), every in-edge tail in [0, n) and every critical id in
+  /// [1, n). Every id an evaluator or the pool's inverted index reads
+  /// through then stays in bounds. Requires a built meta table.
+  Status ValidateIds(uint64_t num_graph_nodes) const;
+
+  /// Every super-seed out-edge must be a boost edge (f_R(∅) = 0). Requires
+  /// a built meta table.
   Status ValidateDeep() const;
 
   std::vector<Meta> meta_;
@@ -178,24 +187,21 @@ class PrrStore {
 
 /// Per-run evaluation state for every graph of a PrrStore, the one record of
 /// where each graph stands during a Δ̂ selection: a status byte (untouched,
-/// live or activated) plus bitmaps packed as contiguous uint64 words in one
-/// arena — crit (current critical-set membership) for every graph, and fwd
+/// live or activated) plus three bitmaps per graph, packed as contiguous
+/// uint64 words in one arena — crit (current critical-set membership), fwd
 /// (0-weight-reached from the super-seed under the current boost set) and
-/// bwd (0-weight-reaches the root) for graphs of at most kMaxStateNodes
-/// nodes. Small graphs need only a handful of words, so a graph's whole
-/// state usually fits in one cache line. Because boosting only ever *opens*
-/// edges, fwd/bwd/crit grow monotonically under commits, which is what makes
-/// incremental relaxation (PrrIncrementalEvaluator) exact. Larger graphs
-/// keep only crit and are re-evaluated by the scratch evaluator, bounding
-/// arena memory on pathological pools.
+/// bwd (0-weight-reaches the root). Small graphs need only a handful of
+/// words, so a graph's whole state usually fits in one cache line; the three
+/// bitmaps of an n-node graph cost about 3n/8 bytes, against the 12n or more
+/// its arena stores. Because boosting only ever *opens* edges, fwd/bwd/crit
+/// grow monotonically under commits, which is what makes incremental
+/// relaxation (PrrIncrementalEvaluator) exact.
 ///
 /// Thread-safety model: a selection run reads and writes its state on the
 /// calling thread only, so concurrent runs need one state each and nothing
 /// else.
 class PrrEvalState {
  public:
-  static constexpr uint32_t kMaxStateNodes = 1u << 16;
-
   /// Where a graph stands in the current run.
   enum class GraphStatus : uint8_t {
     kUntouched,  ///< no pick has reached it; its words are garbage
@@ -214,8 +220,6 @@ class PrrEvalState {
   void Touch(size_t g);
   void MarkActivated(size_t g) { status_[g] = GraphStatus::kActivated; }
 
-  /// Whether graph g has fwd/bwd bitmaps (at most kMaxStateNodes nodes).
-  bool has_reach(size_t g) const { return slots_[g].has_reach; }
   uint32_t words_per_bitmap(size_t g) const {
     return slots_[g].words_per_bitmap;
   }
@@ -231,7 +235,6 @@ class PrrEvalState {
   struct Slot {
     uint64_t begin = 0;             // into words_
     uint32_t words_per_bitmap = 0;  // ceil(num_nodes/64)
-    bool has_reach = false;         // fwd/bwd follow crit
   };
 
   uint64_t generation_ = 0;

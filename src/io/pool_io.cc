@@ -11,7 +11,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <new>
 #include <span>
 #include <vector>
@@ -28,30 +27,21 @@ namespace {
 constexpr char kMagic[8] = {'K', 'B', 'P', 'R', 'R', 'P', 'O', 'L'};
 /// The only format version this build reads or writes (layout in
 /// pool_io.h). Versions 1 and 2 were stream formats without the section
-/// directory; their files are rejected with a request to re-save.
-constexpr uint32_t kVersion = 3;
+/// directory, and version 3 stored LB-only pools in a body of their own;
+/// their files are rejected with a request to re-save.
+constexpr uint32_t kVersion = 4;
 
 constexpr uint32_t kFlagLbOnly = 1u << 0;
 constexpr uint32_t kFlagSamplesCapped = 1u << 1;
 
-constexpr uint64_t kHeaderBytes = 128;  // fixed header
-constexpr uint64_t kExtBytes = 32;      // extension after the header
+constexpr uint64_t kHeaderBytes = 120;  // magic included
 constexpr uint32_t kEndianMarker = 0x01020304u;
 constexpr uint64_t kArenaAlign = 4096;  // the arena region starts page-aligned
 constexpr uint64_t kBlockAlign = 64;    // section blocks cache-line-aligned
-constexpr size_t kNumSections = 8;
-/// One directory record per section block: {u64 offset, u64 stored_bytes,
-/// u64 raw_bytes, u32 codec, u32 reserved}.
-constexpr uint64_t kSectionEntryBytes = 32;
-/// The directory: u64 num_graphs and kNumSections section records for the
-/// arena, then one more section record that locates the coverage section.
-constexpr uint64_t kDirBytes =
-    8 + kNumSections * kSectionEntryBytes + kSectionEntryBytes;
 
-/// Fixed-size snapshot header: the first 128 bytes of the file (magic
-/// included), then a 32-byte extension. Every field is written explicitly
-/// (VisitHeader, no struct dump), so the on-disk layout is independent of
-/// compiler padding.
+/// Fixed-size snapshot header: the first kHeaderBytes of the file, magic
+/// included. Every field is written explicitly (VisitHeader, no struct
+/// dump), so the on-disk layout is independent of compiler padding.
 struct Header {
   uint32_t version = kVersion;
   uint32_t flags = 0;
@@ -62,21 +52,13 @@ struct Header {
   uint64_t rng_seed = 0;
   uint64_t max_samples = 0;
   uint32_t num_threads = 0;
-  uint32_t num_shards = 1;  // always 1: the pool is one arena
+  uint32_t endian_marker = kEndianMarker;
   uint64_t num_seeds = 0;
-  uint64_t num_boostable = 0;
   uint64_t num_activated = 0;
   uint64_t num_hopeless = 0;
   uint64_t edges_examined = 0;
   uint64_t uncompressed_edges = 0;
   uint64_t compressed_edges = 0;
-  // Extension, at bytes [128, 160). dir_offset is 0 on LB-only snapshots
-  // (which store critical sets, not arenas, and have no directory).
-  uint32_t endian_marker = kEndianMarker;
-  uint32_t default_codec = 0;  // always 0: sections are stored raw
-  uint64_t section_align = kArenaAlign;
-  uint64_t dir_offset = 0;
-  uint64_t reserved = 0;
 };
 
 /// Calls `f` on every header field in file order (after the magic).
@@ -91,49 +73,37 @@ void VisitHeader(H& h, F&& f) {
   f(h.rng_seed);
   f(h.max_samples);
   f(h.num_threads);
-  f(h.num_shards);
+  f(h.endian_marker);
   f(h.num_seeds);
-  f(h.num_boostable);
   f(h.num_activated);
   f(h.num_hopeless);
   f(h.edges_examined);
   f(h.uncompressed_edges);
   f(h.compressed_edges);
-  f(h.endian_marker);
-  f(h.default_codec);
-  f(h.section_align);
-  f(h.dir_offset);
-  f(h.reserved);
 }
 
-/// One section block as recorded in the directory. `offset` is absolute in
-/// the file; `raw_bytes` is 4 × the value count. A valid block has codec 0
-/// and stored_bytes == raw_bytes: it IS the arena memory.
-struct SectionEntry {
-  uint64_t offset = 0;
-  uint64_t stored_bytes = 0;
-  uint64_t raw_bytes = 0;
-  uint32_t codec = 0;
-  uint32_t reserved = 0;
-};
-
-/// Section order within the arena's directory entry — the field order of
-/// PrrStore::ArenaSections.
+/// The sections, in directory and file order: a pool's critical sets as
+/// per-set sizes plus their concatenated global ids (the coverage node
+/// pool), then the arena region — PrrStore::ArenaSections, whose
+/// num_critical is the set-size section. An LB-only pool stores its critical
+/// sets alone, so its arena sections are empty.
 enum SectionIndex : size_t {
-  kSecNumNodes = 0,
-  kSecNumCritical = 1,
-  kSecGlobalIds = 2,
-  kSecOutOffsets = 3,
-  kSecInOffsets = 4,
-  kSecOutEdges = 5,
-  kSecInEdges = 6,
-  kSecCritical = 7,
+  kSecSetSizes,
+  kSecCoverage,
+  kSecNumNodes,
+  kSecGlobalIds,
+  kSecOutOffsets,
+  kSecInOffsets,
+  kSecOutEdges,
+  kSecInEdges,
+  kSecCritical,
+  kNumSections,
 };
 
-struct ArenaDir {
-  uint64_t num_graphs = 0;
-  SectionEntry sections[kNumSections];
-};
+/// The directory, right after the seed list: u64 num_sets (the boostable
+/// sample count), then one {u64 offset, u64 bytes} entry per section.
+/// Offsets are absolute in the file; a section's bytes ARE its uint32 values.
+constexpr uint64_t kDirBytes = 8 + kNumSections * 16;
 
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
@@ -165,24 +135,6 @@ void WriteHeader(std::ostream& out, const Header& h) {
   VisitHeader(h, [&out](const auto& field) { WritePod(out, field); });
 }
 
-void WriteSectionEntry(std::ostream& out, const SectionEntry& e) {
-  WritePod(out, e.offset);
-  WritePod(out, e.stored_bytes);
-  WritePod(out, e.raw_bytes);
-  WritePod(out, e.codec);
-  WritePod(out, e.reserved);
-}
-
-SectionEntry ReadSectionEntry(const char* p) {
-  SectionEntry e;
-  e.offset = LoadAt<uint64_t>(p);
-  e.stored_bytes = LoadAt<uint64_t>(p + 8);
-  e.raw_bytes = LoadAt<uint64_t>(p + 16);
-  e.codec = LoadAt<uint32_t>(p + 24);
-  e.reserved = LoadAt<uint32_t>(p + 28);
-  return e;
-}
-
 /// Parses the header from the first bytes of the file.
 Status ParseHeader(const char* base, uint64_t size, const std::string& path,
                    Header* h) {
@@ -201,7 +153,7 @@ Status ParseHeader(const char* base, uint64_t size, const std::string& path,
         std::to_string(kVersion) +
         "; re-save the pool from its graph and options: " + path);
   }
-  if (size < kHeaderBytes + kExtBytes) {
+  if (size < kHeaderBytes) {
     return Status::IoError("truncated pool snapshot header: " + path);
   }
   const char* p = base + sizeof(kMagic);
@@ -214,42 +166,6 @@ Status ParseHeader(const char* base, uint64_t size, const std::string& path,
         "pool snapshot byte order does not match this host "
         "(endianness marker mismatch): " +
         path);
-  }
-  // Older builds could split a pool into several arenas; this one reads
-  // only the single-arena layout.
-  if (h->num_shards != 1) {
-    return Status::InvalidArgument(
-        "pool snapshot stores " + std::to_string(h->num_shards) +
-        " arenas, but this build reads only single-arena snapshots; re-save "
-        "the pool from its graph and options: " +
-        path);
-  }
-  return Status::Ok();
-}
-
-/// Global ids must fit the serving graph before views reach evaluators: the
-/// pool's inverted index is addressed by global id, so an oversized id would
-/// index out of bounds. Local 0 is the super-seed slot, not a graph node.
-Status CheckGlobalIds(const PrrStore& store, uint64_t num_graph_nodes) {
-  // Flat prefix-sum walk over the arena's id pool — identical coverage to
-  // iterating View(g) per graph (every slot from kRootLocal on), but without
-  // materializing a view per graph; this runs on every snapshot load.
-  const NodeId* ids = store.raw_global_ids().data();
-  const size_t num_graphs = store.num_graphs();
-  uint64_t begin = 0;
-  for (size_t g = 0; g < num_graphs; ++g) {
-    const uint32_t n = store.num_nodes(g);
-    const NodeId* p = ids + begin + PrrGraph::kRootLocal;
-    const NodeId* end = ids + begin + n;
-    bool ok = true;
-    for (; p < end; ++p) ok &= *p < num_graph_nodes;
-    if (!ok) {
-      for (p = ids + begin + PrrGraph::kRootLocal; *p < num_graph_nodes; ++p) {
-      }
-      return Status::OutOfRange("snapshot PRR-graph node out of range: " +
-                                std::to_string(*p));
-    }
-    begin += n;
   }
   return Status::Ok();
 }
@@ -266,202 +182,80 @@ Status CheckCoverageIds(std::span<const NodeId> nodes,
   return Status::Ok();
 }
 
-/// Per-entry structural checks for one section block: 4-byte aligned, in
-/// bounds, non-overlapping and in file order (`prev_end` advances), stored
-/// raw (codec 0, stored_bytes == raw_bytes, so a corrupt raw_bytes can never
-/// reach past the file).
-Status ValidateSectionEntry(const SectionEntry& e, const std::string& where,
-                            uint64_t file_size, uint64_t* prev_end,
-                            const std::string& path) {
-  if (e.offset % sizeof(uint32_t) != 0) {
-    return Status::InvalidArgument("misaligned " + where + ": " + path);
-  }
-  if (e.offset < *prev_end || e.offset > file_size ||
-      e.stored_bytes > file_size - e.offset) {
-    return Status::InvalidArgument(
-        where + " overlaps another section or exceeds the snapshot: " + path);
-  }
-  if (e.raw_bytes % sizeof(uint32_t) != 0) {
-    return Status::InvalidArgument(where + " has a non-uint32 raw length: " +
-                                   path);
-  }
-  // Older builds could varint-code a section (codec 1); this one reads
-  // only raw sections.
-  if (e.codec != 0) {
-    return Status::InvalidArgument(
-        "unknown codec id " + std::to_string(e.codec) + " in " + where +
-        ": this build reads only raw sections; re-save the pool from its "
-        "graph and options: " + path);
-  }
-  if (e.stored_bytes != e.raw_bytes) {
-    return Status::InvalidArgument(where + " has stored != raw bytes: " +
-                                   path);
-  }
-  *prev_end = e.offset + e.stored_bytes;
-  return Status::Ok();
-}
-
-/// Structural validation of the section directory against the file length:
-/// every arena block plus the trailing coverage section, which must follow
-/// the arena region and hold exactly as many values as the arena's critical
-/// section.
-Status ValidateDirectory(const ArenaDir& dir, const SectionEntry& coverage,
-                         uint64_t dir_end, uint64_t file_size,
-                         const std::string& path) {
-  uint64_t prev_end = dir_end;
-  if (dir.num_graphs > file_size / sizeof(uint32_t)) {
-    return Status::InvalidArgument(
-        "the arena declares more graphs than the snapshot could hold: " +
-        path);
-  }
-  for (size_t i = 0; i < kNumSections; ++i) {
-    const std::string where = "arena section " + std::to_string(i);
-    if (Status e = ValidateSectionEntry(dir.sections[i], where, file_size,
-                                        &prev_end, path);
-        !e.ok()) {
-      return e;
-    }
-  }
-  const uint64_t size_table_bytes = dir.num_graphs * sizeof(uint32_t);
-  if (dir.sections[kSecNumNodes].raw_bytes != size_table_bytes ||
-      dir.sections[kSecNumCritical].raw_bytes != size_table_bytes) {
-    return Status::InvalidArgument(
-        "size-table sections disagree with the arena's graph count: " + path);
-  }
-  // Older writers left this entry all-zero on compressed snapshots.
-  if (coverage.offset == 0 && coverage.stored_bytes == 0 &&
-      coverage.raw_bytes == 0) {
-    return Status::InvalidArgument(
-        "pool snapshot has no coverage section (written by an older build); "
-        "re-save the pool from its graph and options: " +
-        path);
-  }
-  if (Status e = ValidateSectionEntry(coverage, "the coverage section",
-                                      file_size, &prev_end, path);
-      !e.ok()) {
-    return e;
-  }
-  if (coverage.raw_bytes != dir.sections[kSecCritical].raw_bytes) {
-    return Status::InvalidArgument(
-        "the coverage section disagrees with the arena's critical pool: " +
-        path);
-  }
-  return Status::Ok();
-}
-
-/// Reads the directory at `dir_offset` (which must lie past `body_begin`)
-/// and validates it.
-Status ParseDirectory(const char* base, uint64_t file_size,
-                      uint64_t dir_offset, uint64_t body_begin,
-                      const std::string& path, ArenaDir* dir,
-                      SectionEntry* coverage) {
-  if (dir_offset < body_begin || dir_offset > file_size ||
-      kDirBytes > file_size - dir_offset) {
+/// Reads the directory at `dir_begin` and validates it against the file:
+/// every section 4-byte aligned, in bounds, in file order and a whole number
+/// of uint32 values; num_sets set sizes that sum to the coverage section's
+/// count (CoverageSelector::BindExternalSets aborts otherwise); and an empty
+/// arena for an LB-only pool. Outputs each section's values, in place in the
+/// snapshot bytes.
+Status ParseDirectory(const char* base, uint64_t file_size, uint64_t dir_begin,
+                      bool lb_only, const std::string& path,
+                      std::span<const uint32_t> (&values)[kNumSections]) {
+  if (dir_begin > file_size || kDirBytes > file_size - dir_begin) {
     return Status::InvalidArgument("snapshot directory out of bounds: " +
                                    path);
   }
-  const char* p = base + dir_offset;
-  dir->num_graphs = LoadAt<uint64_t>(p);
-  p += sizeof(uint64_t);
-  for (SectionEntry& e : dir->sections) {
-    e = ReadSectionEntry(p);
-    p += kSectionEntryBytes;
+  const char* dir = base + dir_begin;
+  const uint64_t num_sets = LoadAt<uint64_t>(dir);
+  uint64_t prev_end = dir_begin + kDirBytes;
+  for (size_t i = 0; i < kNumSections; ++i) {
+    const uint64_t offset = LoadAt<uint64_t>(dir + 8 + 16 * i);
+    const uint64_t bytes = LoadAt<uint64_t>(dir + 16 + 16 * i);
+    const auto reject = [&](const char* what) {
+      return Status::InvalidArgument("section " + std::to_string(i) + " " +
+                                     what + ": " + path);
+    };
+    if (offset % sizeof(uint32_t) != 0 || bytes % sizeof(uint32_t) != 0) {
+      return reject("is misaligned");
+    }
+    if (offset < prev_end || offset > file_size ||
+        bytes > file_size - offset) {
+      return reject("overlaps another section or exceeds the snapshot");
+    }
+    if (lb_only && i >= kSecNumNodes && bytes != 0) {
+      return Status::InvalidArgument(
+          "LB-only pool snapshot carries a PRR-graph arena: " + path);
+    }
+    values[i] = {reinterpret_cast<const uint32_t*>(base + offset),
+                 bytes / sizeof(uint32_t)};
+    prev_end = offset + bytes;
   }
-  *coverage = ReadSectionEntry(p);
-  return ValidateDirectory(*dir, *coverage, dir_offset + kDirBytes, file_size,
-                           path);
+  if (values[kSecSetSizes].size() != num_sets) {
+    return Status::InvalidArgument(
+        "the set-size section disagrees with the directory's set count: " +
+        path);
+  }
+  uint64_t total = 0;
+  for (const uint32_t size : values[kSecSetSizes]) total += size;
+  if (total != values[kSecCoverage].size()) {
+    return Status::InvalidArgument(
+        "set sizes sum to " + std::to_string(total) +
+        " but the coverage section holds " +
+        std::to_string(values[kSecCoverage].size()) + " nodes: " + path);
+  }
+  return Status::Ok();
 }
 
-/// Calls `f` on the global id of every critical node of every graph in
-/// `store`, in stored-graph order: the coverage section's contents.
-template <typename F>
-void ForEachCriticalGlobal(const PrrStore& store, F&& f) {
+/// Deep check of the coverage section against the arena: every graph's
+/// critical set translated to global ids, in stored-graph order.
+Status CheckCoverage(const PrrStore& store, std::span<const uint32_t> coverage,
+                     const std::string& path) {
   const NodeId* ids = store.raw_global_ids().data();
-  const uint32_t* cursor = store.raw_critical().data();
+  const uint32_t* critical = store.raw_critical().data();
+  const uint32_t* want = coverage.data();
+  bool same = true;
   uint64_t node_begin = 0;
   for (size_t g = 0; g < store.num_graphs(); ++g) {
-    const NodeId* base = ids + node_begin;
-    for (const uint32_t* end = cursor + store.critical_count(g);
-         cursor != end; ++cursor) {
-      f(base[*cursor]);
+    for (size_t c = 0; c < store.critical_count(g); ++c) {
+      same &= *want++ == ids[node_begin + *critical++];
     }
     node_begin += store.num_nodes(g);
   }
-}
-
-/// Deep check of the coverage section against the arena.
-Status CheckCoverage(const PrrStore& store, std::span<const uint32_t> coverage,
-                     const std::string& path) {
-  const uint32_t* want = coverage.data();
-  bool same = true;
-  ForEachCriticalGlobal(store, [&](NodeId v) { same &= *want++ == v; });
   if (!same) {
     return Status::InvalidArgument(
         "coverage section disagrees with the arena critical sets: " + path);
   }
   return Status::Ok();
-}
-
-/// LB body: the critical sets as one flat offsets/nodes pair over the
-/// non-empty sample numbering — u64 num_sets, num_sets + 1 u64 offsets,
-/// then the u32 nodes.
-void WriteLbBody(std::ostream& out, const PrrCollection& pool) {
-  const CoverageSelector& coverage = pool.coverage();
-  const uint64_t num_sets = coverage.num_nonempty_sets();
-  WritePod(out, num_sets);
-  uint64_t offset = 0;
-  WritePod(out, offset);
-  for (uint64_t i = 0; i < num_sets; ++i) {
-    offset += coverage.SetNodes(i).size();
-    WritePod(out, offset);
-  }
-  for (uint64_t i = 0; i < num_sets; ++i) {
-    const std::span<const NodeId> nodes = coverage.SetNodes(i);
-    out.write(reinterpret_cast<const char*>(nodes.data()),
-              static_cast<std::streamsize>(nodes.size() * sizeof(NodeId)));
-  }
-}
-
-/// Parses the LB body starting at `begin` into per-set sizes plus the node
-/// pool, which stays in place in the snapshot bytes.
-Status ParseLbBody(const char* base, uint64_t file_size, uint64_t begin,
-                   uint64_t num_boostable, const std::string& path,
-                   std::vector<uint32_t>* set_sizes,
-                   std::span<const NodeId>* nodes) {
-  const Status corrupt =
-      Status::InvalidArgument("corrupt LB pool snapshot: " + path);
-  if (file_size - begin < sizeof(uint64_t)) return corrupt;
-  const uint64_t num_sets = LoadAt<uint64_t>(base + begin);
-  const uint64_t offsets_begin = begin + sizeof(uint64_t);
-  if (num_sets != num_boostable ||
-      num_sets >= (file_size - offsets_begin) / sizeof(uint64_t)) {
-    return corrupt;
-  }
-  const char* offsets = base + offsets_begin;
-  uint64_t prev = LoadAt<uint64_t>(offsets);
-  if (prev != 0) return corrupt;
-  set_sizes->resize(num_sets);
-  for (uint64_t i = 0; i < num_sets; ++i) {
-    const uint64_t next =
-        LoadAt<uint64_t>(offsets + (i + 1) * sizeof(uint64_t));
-    if (next < prev || next - prev > std::numeric_limits<uint32_t>::max()) {
-      return corrupt;
-    }
-    (*set_sizes)[i] = static_cast<uint32_t>(next - prev);
-    prev = next;
-  }
-  const uint64_t nodes_begin =
-      offsets_begin + (num_sets + 1) * sizeof(uint64_t);
-  if (prev > (file_size - nodes_begin) / sizeof(NodeId)) return corrupt;
-  *nodes = {reinterpret_cast<const NodeId*>(base + nodes_begin), prev};
-  return Status::Ok();
-}
-
-/// The values of one validated block, in place in the snapshot bytes.
-std::span<const uint32_t> BlockValues(const SectionEntry& e,
-                                      const char* base) {
-  return {reinterpret_cast<const uint32_t*>(base + e.offset),
-          e.raw_bytes / sizeof(uint32_t)};
 }
 
 /// The bytes one load reads from: a read-only private mapping of the file,
@@ -592,83 +386,64 @@ uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session) {
   h.max_samples = session.options().max_samples;
   h.num_threads = static_cast<uint32_t>(session.options().num_threads);
   h.num_seeds = session.seeds().size();
-  h.num_boostable = pool.num_boostable();
   h.num_activated = pool.num_activated();
   h.num_hopeless = pool.num_hopeless();
   h.edges_examined = stats.edges_examined;
   h.uncompressed_edges = stats.uncompressed_edges;
   h.compressed_edges = stats.compressed_edges;
   const uint64_t seeds_bytes = h.num_seeds * sizeof(NodeId);
-  h.dir_offset = session.lb_only() ? 0 : kHeaderBytes + kExtBytes + seeds_bytes;
   WriteHeader(out, h);
   out.write(reinterpret_cast<const char*>(session.seeds().data()),
             static_cast<std::streamsize>(seeds_bytes));
 
-  if (session.lb_only()) {
-    WriteLbBody(out, pool);
-    return static_cast<uint64_t>(out.tellp());
+  // The critical sets as the coverage selector holds them (for a full pool,
+  // in stored-graph order): exactly the node pool the loader binds it to.
+  const CoverageSelector& coverage = pool.coverage();
+  std::vector<uint32_t> set_sizes, coverage_nodes;
+  set_sizes.reserve(coverage.num_nonempty_sets());
+  for (size_t i = 0; i < coverage.num_nonempty_sets(); ++i) {
+    const std::span<const NodeId> set = coverage.SetNodes(i);
+    set_sizes.push_back(static_cast<uint32_t>(set.size()));
+    coverage_nodes.insert(coverage_nodes.end(), set.begin(), set.end());
   }
-
-  // Full-mode body: a zeroed directory placeholder, the arena's eight
-  // section blocks streamed verbatim from its spans, the coverage section,
-  // then the directory backpatched with the final offsets and sizes.
-  WriteZeros(out, kDirBytes);
-  uint64_t pos = h.dir_offset + kDirBytes;
-
-  const auto write_block = [&](std::span<const uint32_t> values,
-                               SectionEntry* e) {
-    const uint64_t block_begin = AlignUp(pos, kBlockAlign);
-    WriteZeros(out, block_begin - pos);
-    e->offset = block_begin;
-    e->raw_bytes = values.size() * sizeof(uint32_t);
-    e->stored_bytes = e->raw_bytes;
-    if (!values.empty()) {
-      out.write(reinterpret_cast<const char*>(values.data()),
-                static_cast<std::streamsize>(e->raw_bytes));
-    }
-    pos = block_begin + e->stored_bytes;
-  };
-
   const PrrStore& store = pool.store();
-  const size_t num_graphs = store.num_graphs();
-  std::vector<uint32_t> num_nodes(num_graphs), num_critical(num_graphs);
-  for (size_t g = 0; g < num_graphs; ++g) {
-    num_nodes[g] = store.num_nodes(g);
-    num_critical[g] = static_cast<uint32_t>(store.critical_count(g));
-  }
+  std::vector<uint32_t> num_nodes(store.num_graphs());
+  for (size_t g = 0; g < num_nodes.size(); ++g) num_nodes[g] = store.num_nodes(g);
   const std::span<const uint32_t> sections[kNumSections] = {
+      set_sizes,
+      coverage_nodes,
       num_nodes,
-      num_critical,
       store.raw_global_ids(),
       store.raw_out_offsets(),
       store.raw_in_offsets(),
       store.raw_out_edges(),
       store.raw_in_edges(),
       store.raw_critical()};
-  ArenaDir dir;
-  dir.num_graphs = num_graphs;
-  const uint64_t arena_begin = AlignUp(pos, kArenaAlign);
-  WriteZeros(out, arena_begin - pos);
-  pos = arena_begin;
+
+  // A zeroed directory placeholder, the section blocks streamed verbatim,
+  // then the directory backpatched with their offsets and sizes.
+  const uint64_t dir_begin = kHeaderBytes + seeds_bytes;
+  WriteZeros(out, kDirBytes);
+  uint64_t pos = dir_begin + kDirBytes;
+  uint64_t offsets[kNumSections];
   for (size_t i = 0; i < kNumSections; ++i) {
-    write_block(sections[i], &dir.sections[i]);
+    const uint64_t begin =
+        AlignUp(pos, i == kSecNumNodes ? kArenaAlign : kBlockAlign);
+    WriteZeros(out, begin - pos);
+    if (!sections[i].empty()) {
+      out.write(reinterpret_cast<const char*>(sections[i].data()),
+                static_cast<std::streamsize>(sections[i].size_bytes()));
+    }
+    offsets[i] = begin;
+    pos = begin + sections[i].size_bytes();
   }
-
-  // The coverage section: every graph's critical set translated to global
-  // ids, in stored-graph order — exactly the node pool the loader binds the
-  // greedy-coverage selector to.
-  std::vector<uint32_t> coverage_pool;
-  coverage_pool.reserve(store.raw_critical().size());
-  ForEachCriticalGlobal(store, [&](NodeId v) { coverage_pool.push_back(v); });
-  SectionEntry coverage;
-  write_block(coverage_pool, &coverage);
-  const uint64_t file_bytes = pos;
-
-  out.seekp(static_cast<std::streamoff>(h.dir_offset));
-  WritePod(out, dir.num_graphs);
-  for (const SectionEntry& e : dir.sections) WriteSectionEntry(out, e);
-  WriteSectionEntry(out, coverage);
-  return file_bytes;
+  out.seekp(static_cast<std::streamoff>(dir_begin));
+  WritePod(out, uint64_t{set_sizes.size()});
+  for (size_t i = 0; i < kNumSections; ++i) {
+    WritePod(out, offsets[i]);
+    WritePod(out, uint64_t{sections[i].size_bytes()});
+  }
+  return pos;
 }
 
 /// fsyncs the file or directory at `path`, opened with `flags`.
@@ -749,7 +524,8 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
   const char* base = bytes->data();
   const uint64_t file_size = bytes->size();
   // An owned load is a private copy that always gets the deep checks; an
-  // mmap load runs them on request (verify_mapped).
+  // mmap load runs them on request (verify_mapped). Every load runs the
+  // arena walk that memory safety needs (PrrStore::AttachExternal).
   const bool deep = !options.use_mmap || options.verify_mapped;
 
   Header h;
@@ -792,15 +568,12 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
         opt.ToString() + "): " + path);
   }
 
-  const uint64_t seeds_begin = kHeaderBytes + kExtBytes;
-  const uint64_t body_begin = seeds_begin + h.num_seeds * sizeof(NodeId);
-  if (body_begin > file_size ||
-      MaybeInjectFault(FaultSite::kSnapshotShortRead)) {
+  const uint64_t dir_begin = kHeaderBytes + h.num_seeds * sizeof(NodeId);
+  if (dir_begin > file_size) {
     return Status::IoError("truncated pool snapshot: " + path);
   }
   std::vector<NodeId> seeds(h.num_seeds);
-  std::memcpy(seeds.data(), base + seeds_begin,
-              h.num_seeds * sizeof(NodeId));
+  std::memcpy(seeds.data(), base + kHeaderBytes, h.num_seeds * sizeof(NodeId));
   for (NodeId s : seeds) {
     if (s >= graph.num_nodes()) {
       return Status::OutOfRange("snapshot seed out of range: " +
@@ -808,64 +581,37 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     }
   }
 
-  if (MaybeInjectFault(FaultSite::kAllocPressure)) {
-    return Status::ResourceExhausted(
-        "injected fault: allocation pressure restoring pool: " + path);
+  // Every section aliases `bytes`: the critical sets, and for a full pool
+  // the arena, attached with the set sizes as its num_critical table.
+  std::span<const uint32_t> v[kNumSections];
+  if (Status s = ParseDirectory(base, file_size, dir_begin, lb_only, path, v);
+      !s.ok()) {
+    return s;
   }
-  // The body, all of it aliasing `bytes`: the arena (empty for an LB-only
-  // pool), the coverage node pool and its set sizes.
+  if (Status s = CheckCoverageIds(v[kSecCoverage], graph.num_nodes(), path);
+      !s.ok()) {
+    return s;
+  }
   PrrStore store;
-  std::vector<uint32_t> set_sizes;
-  std::span<const NodeId> coverage_nodes;
-  if (lb_only) {
-    if (Status s = ParseLbBody(base, file_size, body_begin, h.num_boostable,
-                               path, &set_sizes, &coverage_nodes);
-        !s.ok()) {
-      return s;
-    }
-  } else {
-    ArenaDir dir;
-    SectionEntry coverage;
-    if (Status s = ParseDirectory(base, file_size, h.dir_offset, body_begin,
-                                  path, &dir, &coverage);
-        !s.ok()) {
-      return s;
-    }
-    std::span<const uint32_t> v[kNumSections];
-    for (size_t i = 0; i < kNumSections; ++i) {
-      v[i] = BlockValues(dir.sections[i], base);
-    }
+  if (!lb_only) {
     if (Status arena = store.AttachExternal(
-            {v[kSecNumNodes], v[kSecNumCritical], v[kSecGlobalIds],
+            {v[kSecNumNodes], v[kSecSetSizes], v[kSecGlobalIds],
              v[kSecOutOffsets], v[kSecInOffsets], v[kSecOutEdges],
              v[kSecInEdges], v[kSecCritical]},
-            deep);
+            graph.num_nodes(), deep);
         !arena.ok()) {
       return Status::InvalidArgument("corrupt PRR-graph arena of snapshot " +
                                      path + ": " + arena.ToString());
     }
-    coverage_nodes = BlockValues(coverage, base);
-    if (Status s = CheckGlobalIds(store, graph.num_nodes()); !s.ok()) return s;
     if (deep) {
-      if (Status s = CheckCoverage(store, coverage_nodes, path); !s.ok()) {
+      if (Status s = CheckCoverage(store, v[kSecCoverage], path); !s.ok()) {
         return s;
       }
     }
-    set_sizes.assign(v[kSecNumCritical].begin(), v[kSecNumCritical].end());
-    if (set_sizes.size() != h.num_boostable) {
-      return Status::InvalidArgument(
-          "snapshot header declares " + std::to_string(h.num_boostable) +
-          " boostable graphs but the arena holds " +
-          std::to_string(set_sizes.size()));
-    }
-  }
-  if (Status s = CheckCoverageIds(coverage_nodes, graph.num_nodes(), path);
-      !s.ok()) {
-    return s;
   }
 
   auto pool = std::make_unique<PrrCollection>(graph.num_nodes());
-  pool->RestorePool(std::move(store), set_sizes, coverage_nodes,
+  pool->RestorePool(std::move(store), v[kSecSetSizes], v[kSecCoverage],
                     h.num_activated, h.num_hopeless);
 
   PrrSamplerStats stats;

@@ -17,29 +17,29 @@ namespace kboost {
 /// SolveForBudget with bit-identical best sets and estimates, enabling warm
 /// restarts and cross-process serving against one prepared index.
 ///
-/// Format v3, the only one this build reads or writes: a 128-byte header, a
-/// 32-byte extension (endianness marker, a codec field written as 0,
-/// alignment, directory offset), the seed list, then the body. A full-mode
-/// body is a section directory over one page-aligned arena region of eight
-/// flat uint32 sections, plus the coverage section — the critical sets
-/// pre-translated to global ids, in stored-graph order — so the
-/// greedy-coverage node pool binds in place too. Every section is stored
-/// raw: its bytes ARE the arena memory. An LB-only body is the critical sets
-/// as one flat offsets/nodes pair.
+/// Format v4, the only one this build reads or writes: a 120-byte header
+/// (endianness marker included), the seed list, then one section directory
+/// for both pool kinds — a set count, then an {offset, bytes} entry per flat
+/// uint32 section. The first two sections are the pool's critical sets: the
+/// per-set sizes, and the coverage section, the sets pre-translated to
+/// global ids in stored-graph order, so the greedy-coverage node pool binds
+/// in place. Then comes one page-aligned arena region of seven sections
+/// (PrrStore::ArenaSections; the set sizes are its num_critical table). An
+/// LB-only pool stores its critical sets alone: every arena section is
+/// empty. Every section is stored raw: its bytes ARE the pool's memory.
 ///
 /// A pool is a deterministic function of graph + BoostOptions, so a snapshot
-/// is a cache, not an archive: v1/v2 files, v3 files written without a
-/// coverage section, v3 files whose header's num_shards is not 1 (older
-/// builds could split a pool into several arenas) and v3 files with a
-/// section coded by any codec but 0 (older builds could varint-code them)
-/// are rejected with a typed InvalidArgument that asks for a re-save. A
-/// single-arena raw v3 file from an older build stays valid byte for byte.
+/// is a cache, not an archive: files of any other version (v1/v2 stream
+/// formats, and v3, whose LB-only pools had a body of their own) are
+/// rejected with a typed InvalidArgument that asks for a re-save.
 ///
 /// One load path, one attempt: the file's bytes come from a read-only mmap
 /// (use_mmap) or from one read into an aligned heap buffer; the arena and
 /// the coverage pool are then bound over those bytes in place, and the
-/// session retains them. A failed load returns its typed Status; the caller
-/// decides whether to try again.
+/// session retains them. Every load, owned or mmap, validates the directory
+/// and walks every id in the arena (PrrStore::AttachExternal), so no corrupt
+/// file can make a later solve read out of bounds. A failed load returns its
+/// typed Status; the caller decides whether to try again.
 ///
 /// Byte order: headers stamp an endianness marker and the loader rejects
 /// snapshots written on a different-endianness host with a typed Status.
@@ -72,12 +72,13 @@ struct PoolLoadOptions {
   /// snapshot only by rename (SavePoolSnapshot does); rewriting it in place
   /// can kill the serving process.
   bool use_mmap = false;
-  /// Also run the deep checks on an mmap load: the O(total_edges) walk over
-  /// every edge endpoint and critical id, and the element-wise cross-check
-  /// of the coverage section against the arenas. The structural checks
-  /// memory safety needs always run; an owned load always runs the deep
-  /// checks too. Off by default for mmap, since re-walking every edge pages
-  /// in the whole file — set it for files from outside the program.
+  /// Also run the deep checks on an mmap load: every super-seed out-edge
+  /// must be a boost edge, and the coverage section must match the arena's
+  /// critical sets element for element. A file that fails them loads
+  /// memory-safely without them, but answers wrongly. Every load runs the
+  /// directory checks and the arena id walk; an owned load always runs the
+  /// deep checks too. Off by default for mmap, to keep a warm start cheap —
+  /// set it for files from outside the program.
   bool verify_mapped = false;
 };
 

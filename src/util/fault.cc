@@ -13,14 +13,10 @@ const char* FaultSiteName(FaultSite site) {
       return "snapshot_open";
     case FaultSite::kSnapshotRead:
       return "snapshot_read";
-    case FaultSite::kSnapshotShortRead:
-      return "snapshot_short_read";
     case FaultSite::kSnapshotMmap:
       return "snapshot_mmap";
     case FaultSite::kSnapshotWrite:
       return "snapshot_write";
-    case FaultSite::kAllocPressure:
-      return "alloc_pressure";
     case FaultSite::kSolveStart:
       return "solve_start";
     case FaultSite::kNumSites:

@@ -12,14 +12,12 @@ namespace kboost {
 /// load when nothing is armed, so they stay in release builds and the chaos
 /// suite exercises the exact binaries that serve traffic.
 enum class FaultSite : int {
-  kSnapshotOpen = 0,   ///< opening a snapshot file (load / refresh)
-  kSnapshotRead,       ///< a body read from an open snapshot stream
-  kSnapshotShortRead,  ///< truncate a read mid-record (corruption path)
-  kSnapshotMmap,       ///< mmap()ing a snapshot for zero-copy serving
-  kSnapshotWrite,      ///< a saved snapshot, written but not yet renamed
-  kAllocPressure,      ///< large-arena reservation before pool restore
-  kSolveStart,         ///< entry of a prepared solve (delay site)
-  kNumSites,           ///< sentinel — keep last
+  kSnapshotOpen = 0,  ///< opening a snapshot file (load / refresh)
+  kSnapshotRead,      ///< reading an open snapshot's bytes
+  kSnapshotMmap,      ///< mmap()ing a snapshot for zero-copy serving
+  kSnapshotWrite,     ///< a saved snapshot, written but not yet renamed
+  kSolveStart,        ///< entry of a prepared solve (delay site)
+  kNumSites,          ///< sentinel — keep last
 };
 
 /// Returns a short stable name for a site ("snapshot_open", ...).

@@ -22,9 +22,8 @@ enum class StatusCode {
   /// A wait ran out of time: the client's socket send or receive timed out
   /// (ClientOptions::io_timeout_ms).
   kDeadlineExceeded = 8,
-  /// A bounded resource was at capacity. Only the kAllocPressure fault site
-  /// produces it today (an injected allocation failure while a snapshot
-  /// load restores its pool); the code and its wire value stay frozen.
+  /// A bounded resource was at capacity. Nothing produces it today; the code
+  /// and its wire value stay frozen.
   kResourceExhausted = 9,
   /// The service as a whole cannot take the request right now — it is
   /// shutting down, or the connection was refused at the front door

@@ -239,7 +239,7 @@ TEST(PoolIoTest, InflatedHeaderCountsAreRejectedNotAllocated) {
   // A corrupt count must produce an error Status, not a multi-gigabyte
   // allocation. num_seeds sits at byte 72 of the header (after magic,
   // version, flags, n, budget, epsilon, ell, rng seed, max_samples,
-  // num_threads, num_shards).
+  // num_threads, endianness marker).
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_pool_inflated.bin");
   BoostSession session(g, {0, 1}, MakeOptions(5));

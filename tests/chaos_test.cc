@@ -1,8 +1,8 @@
 // The chaos harness: deterministic fault injection (src/util/fault.h)
-// driven against the serving stack — snapshot-load faults and allocation
-// pressure that each fail one load attempt typed, corrupt, missing and
-// truncated files, failed refreshes of a live pool, re-saves under an
-// mmap-served pool — and stalled solves racing lifecycle churn
+// driven against the serving stack — snapshot-load faults that each fail
+// one load attempt typed, corrupt, missing and truncated files, failed
+// refreshes of a live pool, re-saves under an mmap-served pool — and
+// stalled solves racing lifecycle churn
 // (add/refresh/remove). The invariant under every storm: no crash, no
 // untyped error, every request answered and counted, and every answer
 // bit-identical to the fault-free reference. Runs under the ASan/UBSan job
@@ -85,9 +85,7 @@ TEST_F(ChaosTest, EachLoadFaultSurfacesTypedOnItsOneAttempt) {
   } rows[] = {
       {FaultSite::kSnapshotOpen, false, StatusCode::kIoError},
       {FaultSite::kSnapshotRead, false, StatusCode::kIoError},
-      {FaultSite::kSnapshotShortRead, false, StatusCode::kIoError},
       {FaultSite::kSnapshotMmap, true, StatusCode::kIoError},
-      {FaultSite::kAllocPressure, false, StatusCode::kResourceExhausted},
   };
   for (const auto& row : rows) {
     SCOPED_TRACE(FaultSiteName(row.site));
@@ -115,17 +113,19 @@ TEST_F(ChaosTest, EachLoadFaultSurfacesTypedOnItsOneAttempt) {
 }
 
 /// A file that cannot be a snapshot fails on the first attempt with its
-/// typed status: garbage, a missing path, an empty file and one cut inside
-/// its header. Each input is opened exactly once and registers nothing.
+/// typed status: garbage, a missing path, an empty file, one cut inside its
+/// header and one cut inside its seed list. Each input is opened exactly
+/// once and registers nothing.
 TEST_F(ChaosTest, CorruptSnapshotIsPermanentAndNeverRetried) {
   DirectedGraph g = MakeTestGraph();
   const std::string valid = TempPath("kboost_chaos_valid.pool");
   BoostSession reference(g, {0, 1}, MakeOptions(6));
   ASSERT_TRUE(reference.SavePool(valid).ok());
-  std::string header_bytes(100, '\0');
+  // The 120-byte header, then the two seeds' 8 bytes: cut at 100 and 124.
+  std::string prefix_bytes(124, '\0');
   {
     std::ifstream in(valid, std::ios::binary);
-    ASSERT_TRUE(in.read(header_bytes.data(), 100));
+    ASSERT_TRUE(in.read(prefix_bytes.data(), 124));
   }
   std::remove(valid.c_str());
 
@@ -139,7 +139,9 @@ TEST_F(ChaosTest, CorruptSnapshotIsPermanentAndNeverRetried) {
       {"garbage", std::string(512, 'x'), false, StatusCode::kInvalidArgument},
       {"missing", "", true, StatusCode::kIoError},
       {"empty", "", false, StatusCode::kIoError},
-      {"header-truncated", header_bytes, false, StatusCode::kIoError},
+      {"header-truncated", prefix_bytes.substr(0, 100), false,
+       StatusCode::kIoError},
+      {"seed-list-truncated", prefix_bytes, false, StatusCode::kIoError},
   };
   const std::string path = TempPath("kboost_chaos_corrupt.pool");
   StatusOr<std::unique_ptr<BoostService>> service_or = BoostService::Create(g);

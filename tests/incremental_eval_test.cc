@@ -335,12 +335,12 @@ PrrGraph HandBuiltGraph(std::vector<NodeId> globals,
   return g;
 }
 
-/// Graphs over kMaxStateNodes keep only a crit bitmap and are re-evaluated
-/// from scratch on every touch; the diff against crit must credit new
-/// criticals and the activation debit must clear the whole old set.
-TEST(IncrementalEvalTest, OversizedGraphFallsBackToScratchExactly) {
+/// A graph of more than 2^16 nodes runs the incremental path like any
+/// other: the relax must credit new criticals and the activation debit must
+/// clear the whole crit bitmap, pick for pick with the reference greedy.
+TEST(IncrementalEvalTest, LargeFanGraphMatchesTheReferenceExactly) {
   // Globals: 0 the shared root, 1 = a, 2 = b, then the fan x_i.
-  const uint32_t fan = PrrEvalState::kMaxStateNodes;
+  const uint32_t fan = 1u << 16;
   const NodeId n = fan + 3;
   // Big graph: super-seed -b-> x_i -> root for every i (all critical at ∅)
   // plus super-seed -b-> a -b-> b -> root, so b turns critical once a is
@@ -372,7 +372,6 @@ TEST(IncrementalEvalTest, OversizedGraphFallsBackToScratchExactly) {
   PrrEvalState state;
   const PrrCollection::DeltaResult got =
       collection.SelectGreedyDelta(3, excluded, 1, &state);
-  EXPECT_FALSE(state.has_reach(0));
   ASSERT_EQ(got.pick_gains.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got.nodes[i], want[i].node) << "pick " << i;

@@ -4,7 +4,8 @@
 // files, counts every one of those queries in STATS, and exits 0 once a
 // SHUTDOWN frame has drained it. The server itself is tested in-process by
 // net_test; this covers what only the binary has: flag parsing, file
-// loading, the "listening on" line scripts parse, and the exit code.
+// loading, the "listening on" line scripts parse, and the exit code — 1,
+// with a typed message, for a corrupt warm pool served by mmap.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,8 +44,9 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-/// A kboostd child process with its stdout on a pipe. The destructor kills
-/// and reaps a child that is still running, so a failed test leaks nothing.
+/// A kboostd child process with its stdout and stderr on one pipe. The
+/// destructor kills and reaps a child that is still running, so a failed
+/// test leaks nothing.
 class DaemonProcess {
  public:
   explicit DaemonProcess(const std::vector<std::string>& flags) {
@@ -51,6 +55,7 @@ class DaemonProcess {
     posix_spawn_file_actions_t actions;
     posix_spawn_file_actions_init(&actions);
     posix_spawn_file_actions_adddup2(&actions, fds[1], STDOUT_FILENO);
+    posix_spawn_file_actions_adddup2(&actions, fds[1], STDERR_FILENO);
     posix_spawn_file_actions_addclose(&actions, fds[0]);
     posix_spawn_file_actions_addclose(&actions, fds[1]);
     std::vector<std::string> args = {KBOOSTD_PATH};
@@ -126,30 +131,38 @@ class DaemonProcess {
   int out_fd_ = -1;
 };
 
-TEST(KboostdTest, ServesItsFilesBitIdenticallyAndExitsCleanOnShutdown) {
-  // The files a deployment starts kboostd from: an edge list, and a pool
-  // sampled from that same file.
-  const std::string graph_path = TempPath("kboostd_test_graph.txt");
-  const std::string pool_path = TempPath("kboostd_test_pool.bin");
-  {
-    Rng rng(7);
-    GraphBuilder b = BuildErdosRenyi(80, 500, rng);
-    b.AssignConstantProbability(0.12);
-    b.SetBoostWithBeta(2.0);
-    ASSERT_TRUE(SaveEdgeList(std::move(b).Build(), graph_path).ok());
+constexpr size_t kBudget = 8;
+
+/// Writes the files a deployment starts kboostd from: an edge list, and a
+/// pool sampled from that same file. Returns the graph as loaded back.
+StatusOr<DirectedGraph> WriteGraphAndPool(const std::string& graph_path,
+                                          const std::string& pool_path) {
+  Rng rng(7);
+  GraphBuilder b = BuildErdosRenyi(80, 500, rng);
+  b.AssignConstantProbability(0.12);
+  b.SetBoostWithBeta(2.0);
+  if (Status s = SaveEdgeList(std::move(b).Build(), graph_path); !s.ok()) {
+    return s;
   }
   StatusOr<DirectedGraph> graph = LoadEdgeList(graph_path);
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  constexpr size_t kBudget = 8;
-  {
-    BoostOptions options;
-    options.k = kBudget;
-    options.seed = 11;
-    options.num_threads = 2;
-    BoostSession session(*graph, {0, 1, 2}, options);
-    session.Prepare();
-    ASSERT_TRUE(SavePoolSnapshot(session, pool_path, {}).ok());
+  if (!graph.ok()) return graph.status();
+  BoostOptions options;
+  options.k = kBudget;
+  options.seed = 11;
+  options.num_threads = 2;
+  BoostSession session(*graph, {0, 1, 2}, options);
+  session.Prepare();
+  if (Status s = SavePoolSnapshot(session, pool_path, {}).status(); !s.ok()) {
+    return s;
   }
+  return graph;
+}
+
+TEST(KboostdTest, ServesItsFilesBitIdenticallyAndExitsCleanOnShutdown) {
+  const std::string graph_path = TempPath("kboostd_test_graph.txt");
+  const std::string pool_path = TempPath("kboostd_test_pool.bin");
+  StatusOr<DirectedGraph> graph = WriteGraphAndPool(graph_path, pool_path);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
 
   // The in-process reference: the same files, loaded the way kboostd does.
   StatusOr<std::unique_ptr<BoostService>> reference_service =
@@ -233,6 +246,46 @@ TEST(KboostdTest, ServesItsFilesBitIdenticallyAndExitsCleanOnShutdown) {
   Status shutdown = (*admin)->Shutdown();
   ASSERT_TRUE(shutdown.ok()) << shutdown.ToString();
   EXPECT_EQ(daemon.AwaitExit(std::chrono::seconds(60)), 0);
+  std::filesystem::remove(graph_path);
+  std::filesystem::remove(pool_path);
+}
+
+TEST(KboostdTest, CorruptWarmPoolServedByMmapExitsOneTyped) {
+  // A warm pool whose critical ids all point at the super-seed slot. An mmap
+  // load used to accept it, and the daemon died with SIGSEGV (exit 139) in
+  // the pool's Prepare().
+  const std::string graph_path = TempPath("kboostd_test_corrupt_graph.txt");
+  const std::string pool_path = TempPath("kboostd_test_corrupt_pool.bin");
+  ASSERT_TRUE(WriteGraphAndPool(graph_path, pool_path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(pool_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // The v4 directory follows the 120-byte header and the three seeds; the
+  // critical section's entry is its ninth {u64 offset, u64 bytes} pair.
+  const size_t entry = 120 + 4 * 3 + 8 + 8 * 16;
+  ASSERT_GT(bytes.size(), entry + 16);
+  uint64_t offset = 0, size = 0;
+  std::memcpy(&offset, bytes.data() + entry, sizeof(offset));
+  std::memcpy(&size, bytes.data() + entry + 8, sizeof(size));
+  ASSERT_GT(size, 0u);
+  ASSERT_LE(offset + size, bytes.size());
+  std::memset(bytes.data() + offset, 0, size);
+  {
+    std::ofstream out(pool_path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  DaemonProcess daemon({"--graph=" + graph_path, "--pool=digg=" + pool_path,
+                        "--listen=0", "--mmap-pool"});
+  ASSERT_TRUE(daemon.started());
+  const std::string error =
+      daemon.AwaitLine("error: ", std::chrono::seconds(120));
+  EXPECT_NE(error.find("critical id out of range"), std::string::npos)
+      << error;
+  EXPECT_EQ(daemon.AwaitExit(std::chrono::seconds(60)), 1);
   std::filesystem::remove(graph_path);
   std::filesystem::remove(pool_path);
 }

@@ -1,7 +1,7 @@
-// Tests for the v3 snapshot layout and its one load path (src/io/pool_io):
-// mmap-vs-owned bit-identity, structural rejection of corrupted
-// directories, typed rejection of older formats (including coded
-// sections), endianness and thread-count header handling, the atomic-save
+// Tests for the v4 snapshot layout and its one load path (src/io/pool_io):
+// mmap-vs-owned bit-identity for full and LB-only pools, typed rejection of
+// corrupted directories and arenas on every load, typed rejection of older
+// formats, endianness and thread-count header handling, the atomic-save
 // contract, and the mmap load-time gate on the digg stand-in pool.
 
 #include <gtest/gtest.h>
@@ -62,7 +62,7 @@ StatusOr<std::unique_ptr<BoostSession>> Load(const DirectedGraph& g,
   return LoadPoolSnapshot(g, path, options);
 }
 
-Status SaveV3(BoostSession& session, const std::string& path) {
+Status Save(BoostSession& session, const std::string& path) {
   session.Prepare();
   return SavePoolSnapshot(session, path, PoolSaveOptions{}).status();
 }
@@ -87,24 +87,41 @@ void PokeU64(std::string* bytes, size_t offset, uint64_t value) {
   std::memcpy(bytes->data() + offset, &value, sizeof(value));
 }
 
+uint32_t PeekU32(const std::string& bytes, size_t offset) {
+  uint32_t value;
+  std::memcpy(&value, bytes.data() + offset, sizeof(value));
+  return value;
+}
+
 uint64_t PeekU64(const std::string& bytes, size_t offset) {
   uint64_t value;
   std::memcpy(&value, bytes.data() + offset, sizeof(value));
   return value;
 }
 
-/// v3 layout landmarks for the corruption tests below: the 128-byte header,
-/// the 32-byte extension, the seed list, then the directory (u64 num_graphs
-/// + 8 x 32-byte section entries for the arena, then the coverage entry).
+/// v4 layout landmarks for the corruption tests below: the 120-byte header,
+/// the seed list, then the directory (u64 set count, then one 16-byte
+/// {u64 offset, u64 bytes} entry per section, in Section order).
 constexpr size_t kVersionOffset = 8;      // u32 right after the magic
-constexpr size_t kNumThreadsOffset = 64;  // u32 in the header prefix
-constexpr size_t kNumShardsOffset = 68;   // u32 right after num_threads
-constexpr size_t kEndianOffset = 128;     // first field of the extension
-size_t DirOffset(size_t num_seeds) { return 128 + 32 + 4 * num_seeds; }
-size_t SectionEntryOffset(size_t dir, size_t section) {
-  return dir + 8 + section * 32;
+constexpr size_t kFlagsOffset = 12;       // u32 right after the version
+constexpr size_t kNumThreadsOffset = 64;  // u32
+constexpr size_t kEndianOffset = 68;      // u32 right after num_threads
+constexpr uint32_t kFlagLbOnly = 1;
+enum Section : size_t {
+  kSetSizes,
+  kCoverage,
+  kNumNodes,
+  kGlobalIds,
+  kOutOffsets,
+  kInOffsets,
+  kOutEdges,
+  kInEdges,
+  kCritical,
+};
+size_t DirOffset(size_t num_seeds) { return 120 + 4 * num_seeds; }
+size_t SectionEntryOffset(size_t dir, Section section) {
+  return dir + 8 + section * 16;
 }
-size_t CoverageEntryOffset(size_t dir) { return dir + 8 + 8 * 32; }
 
 void ExpectSameAnswers(BoostSession& a, BoostSession& b,
                        const std::vector<size_t>& budgets) {
@@ -114,18 +131,18 @@ void ExpectSameAnswers(BoostSession& a, BoostSession& b,
   }
 }
 
-// ---- v3 round trips: mmap vs owned ----------------------------------------
+// ---- round trips: mmap vs owned -------------------------------------------
 
-TEST(SnapshotV3Test, MmapRoundTripIsBitIdenticalAcrossThreads) {
+TEST(SnapshotTest, MmapRoundTripIsBitIdenticalAcrossThreads) {
   DirectedGraph g = MakeTestGraph(13);
   const std::vector<NodeId> seeds = {0, 5};
-  const std::string path = TempPath("kboost_v3_fuzz.bin");
+  const std::string path = TempPath("kboost_snap_fuzz.bin");
   Rng fuzz(4242);
   for (int combo = 0; combo < 4; ++combo) {
     const int num_threads = 1 + static_cast<int>(fuzz.NextBounded(4));
     SCOPED_TRACE("threads=" + std::to_string(num_threads));
     BoostSession session(g, seeds, MakeOptions(10, num_threads));
-    ASSERT_TRUE(SaveV3(session, path).ok());
+    ASSERT_TRUE(Save(session, path).ok());
 
     StatusOr<std::unique_ptr<BoostSession>> owned = Load(g, path);
     ASSERT_TRUE(owned.ok()) << owned.status().ToString();
@@ -144,11 +161,11 @@ TEST(SnapshotV3Test, MmapRoundTripIsBitIdenticalAcrossThreads) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV3Test, MmapVerifyMappedAlsoLoads) {
+TEST(SnapshotTest, MmapVerifyMappedAlsoLoads) {
   DirectedGraph g = MakeTestGraph(31);
-  const std::string path = TempPath("kboost_v3_verify.bin");
+  const std::string path = TempPath("kboost_snap_verify.bin");
   BoostSession session(g, {0, 1}, MakeOptions(8, 2));
-  ASSERT_TRUE(SaveV3(session, path).ok());
+  ASSERT_TRUE(Save(session, path).ok());
   PoolLoadOptions options;
   options.use_mmap = true;
   options.verify_mapped = true;
@@ -159,14 +176,14 @@ TEST(SnapshotV3Test, MmapVerifyMappedAlsoLoads) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV3Test, MmapSurvivesFileUnlink) {
+TEST(SnapshotTest, MmapSurvivesFileUnlink) {
   // The session pins the mapping (RetainResource), and POSIX keeps mapped
   // pages valid after unlink — a hot-swap that deletes the old snapshot
   // must not pull the arena out from under in-flight queries.
   DirectedGraph g = MakeTestGraph(37);
-  const std::string path = TempPath("kboost_v3_unlink.bin");
+  const std::string path = TempPath("kboost_snap_unlink.bin");
   BoostSession session(g, {0, 2}, MakeOptions(8, 2));
-  ASSERT_TRUE(SaveV3(session, path).ok());
+  ASSERT_TRUE(Save(session, path).ok());
   StatusOr<std::unique_ptr<BoostSession>> mapped =
       Load(g, path, /*use_mmap=*/true);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -176,11 +193,11 @@ TEST(SnapshotV3Test, MmapSurvivesFileUnlink) {
 
 // ---- one load path: every mode, owned or mapped ---------------------------
 
-TEST(SnapshotV3Test, MmapLoadsLbOnlySnapshots) {
+TEST(SnapshotTest, MmapLoadsLbOnlySnapshots) {
   DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_v3_lb_mmap.bin");
+  const std::string path = TempPath("kboost_snap_lb_mmap.bin");
   BoostSession session(g, {0, 1}, MakeOptions(5), /*lb_only=*/true);
-  ASSERT_TRUE(SaveV3(session, path).ok());
+  ASSERT_TRUE(Save(session, path).ok());
   for (const bool use_mmap : {false, true}) {
     StatusOr<std::unique_ptr<BoostSession>> r = Load(g, path, use_mmap);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -192,13 +209,13 @@ TEST(SnapshotV3Test, MmapLoadsLbOnlySnapshots) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV3Test, OwnedLoadIsAPrivateCopy) {
+TEST(SnapshotTest, OwnedLoadIsAPrivateCopy) {
   // An owned load keeps no tie to the file: truncating it to zero bytes
   // (which would fault a mapping) leaves the session's answers unchanged.
   DirectedGraph g = MakeTestGraph(53);
-  const std::string path = TempPath("kboost_v3_private.bin");
+  const std::string path = TempPath("kboost_snap_private.bin");
   BoostSession session(g, {0, 4}, MakeOptions(8, 3));
-  ASSERT_TRUE(SaveV3(session, path).ok());
+  ASSERT_TRUE(Save(session, path).ok());
   StatusOr<std::unique_ptr<BoostSession>> owned = Load(g, path);
   ASSERT_TRUE(owned.ok()) << owned.status().ToString();
   std::filesystem::resize_file(path, 0);
@@ -206,28 +223,21 @@ TEST(SnapshotV3Test, OwnedLoadIsAPrivateCopy) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV3Test, OlderVersionsAreRejectedTypedAskingForAResave) {
+TEST(SnapshotTest, OlderVersionsAreRejectedTypedAskingForAResave) {
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_old_version.bin");
   BoostSession session(g, {0, 1}, MakeOptions(5));
-  ASSERT_TRUE(SaveV3(session, path).ok());
+  ASSERT_TRUE(Save(session, path).ok());
   const std::string bytes = ReadFileBytes(path);
-  // Versions 1, 2 and a future 4, and a v3 header that splits the pool into
-  // two arenas, as older builds could.
-  const struct {
-    size_t offset;
-    uint32_t value;
-    const char* name;
-  } rows[] = {{kVersionOffset, 1, "version 1"},
-              {kVersionOffset, 2, "version 2"},
-              {kVersionOffset, 4, "version 4"},
-              {kNumShardsOffset, 2, "two arenas"}};
-  for (const auto& row : rows) {
+  // Versions 1 and 2 (stream formats), 3 (a body of its own for LB-only
+  // pools) and a future 5.
+  for (const uint32_t version : {1u, 2u, 3u, 5u}) {
     std::string old = bytes;
-    PokeU32(&old, row.offset, row.value);
+    PokeU32(&old, kVersionOffset, version);
     WriteFileBytes(path, old);
     for (const bool use_mmap : {false, true}) {
-      SCOPED_TRACE(std::string(row.name) + (use_mmap ? " mmap" : " owned"));
+      SCOPED_TRACE("version " + std::to_string(version) +
+                   (use_mmap ? " mmap" : " owned"));
       StatusOr<std::unique_ptr<BoostSession>> r = Load(g, path, use_mmap);
       ASSERT_FALSE(r.ok());
       EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -253,15 +263,15 @@ std::vector<std::string> TempSiblings(const std::string& path) {
   return found;
 }
 
-TEST(SnapshotV3Test, ResaveUnderAMappedSessionKeepsItServing) {
+TEST(SnapshotTest, ResaveUnderAMappedSessionKeepsItServing) {
   // Re-saving the snapshot a session serves from an mmap used to rewrite
   // the mapped file in place and kill the process at its next solve. The
   // save now renames a new file over the path; the mapping keeps the old
   // inode and its answers.
   DirectedGraph g = MakeTestGraph(59);
-  const std::string path = TempPath("kboost_v3_resave.bin");
+  const std::string path = TempPath("kboost_snap_resave.bin");
   BoostSession pool_a(g, {0, 1}, MakeOptions(8, 2));
-  ASSERT_TRUE(SaveV3(pool_a, path).ok());
+  ASSERT_TRUE(Save(pool_a, path).ok());
   StatusOr<std::unique_ptr<BoostSession>> mapped =
       Load(g, path, /*use_mmap=*/true);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -269,7 +279,7 @@ TEST(SnapshotV3Test, ResaveUnderAMappedSessionKeepsItServing) {
   BoostOptions options_b = MakeOptions(12, 3);
   options_b.seed = 97;
   BoostSession pool_b(g, {2, 3}, options_b);
-  ASSERT_TRUE(SaveV3(pool_b, path).ok());
+  ASSERT_TRUE(Save(pool_b, path).ok());
 
   ExpectSameAnswers(pool_a, *mapped.value(), {1, 5, 8});
   // The path now holds B.
@@ -280,11 +290,11 @@ TEST(SnapshotV3Test, ResaveUnderAMappedSessionKeepsItServing) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV3Test, FailedSaveLeavesTheOldFileAndNoTempFile) {
+TEST(SnapshotTest, FailedSaveLeavesTheOldFileAndNoTempFile) {
   DirectedGraph g = MakeTestGraph(61);
-  const std::string path = TempPath("kboost_v3_failed_save.bin");
+  const std::string path = TempPath("kboost_snap_failed_save.bin");
   BoostSession pool_a(g, {0, 1}, MakeOptions(6));
-  ASSERT_TRUE(SaveV3(pool_a, path).ok());
+  ASSERT_TRUE(Save(pool_a, path).ok());
   const std::string before = ReadFileBytes(path);
 
   BoostSession pool_b(g, {2, 3}, MakeOptions(9, 2));
@@ -383,9 +393,9 @@ TEST(SnapshotStandInTest, MmapLoadBeatsTheColdLoadBitIdentically) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV3Test, SaveResultReportsBytesPerSample) {
+TEST(SnapshotTest, SaveResultReportsBytesPerSample) {
   DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_v3_result.bin");
+  const std::string path = TempPath("kboost_snap_result.bin");
   BoostSession session(g, {0, 1}, MakeOptions(5));
   session.Prepare();
   StatusOr<PoolSaveResult> saved =
@@ -403,11 +413,11 @@ TEST(SnapshotV3Test, SaveResultReportsBytesPerSample) {
 
 // ---- header handling ------------------------------------------------------
 
-TEST(SnapshotV3Test, EndianMarkerMismatchIsRejected) {
+TEST(SnapshotTest, EndianMarkerMismatchIsRejected) {
   DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_v3_endian.bin");
+  const std::string path = TempPath("kboost_snap_endian.bin");
   BoostSession session(g, {0, 1}, MakeOptions(5));
-  ASSERT_TRUE(SaveV3(session, path).ok());
+  ASSERT_TRUE(Save(session, path).ok());
   std::string bytes = ReadFileBytes(path);
   PokeU32(&bytes, kEndianOffset, 0x04030201u);  // byte-swapped marker
   WriteFileBytes(path, bytes);
@@ -418,11 +428,11 @@ TEST(SnapshotV3Test, EndianMarkerMismatchIsRejected) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV3Test, ThreadCountIsClampedNotTrusted) {
+TEST(SnapshotTest, ThreadCountIsClampedNotTrusted) {
   DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_v3_threads.bin");
+  const std::string path = TempPath("kboost_snap_threads.bin");
   BoostSession session(g, {0, 1}, MakeOptions(5));
-  ASSERT_TRUE(SaveV3(session, path).ok());
+  ASSERT_TRUE(Save(session, path).ok());
   std::string bytes = ReadFileBytes(path);
 
   // An absurd recorded thread count must load, clamped into the worker
@@ -448,36 +458,49 @@ TEST(SnapshotV3Test, ThreadCountIsClampedNotTrusted) {
   std::filesystem::remove(path);
 }
 
-// ---- structural rejection of corrupt v3 directories -----------------------
+// ---- typed rejection of corrupt directories and arenas --------------------
 
-class V3CorruptionTest : public ::testing::Test {
+class SnapshotCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = TempPath("kboost_v3_corrupt.bin");
-    BoostSession session(graph_, seeds_, MakeOptions(6));
-    ASSERT_TRUE(SaveV3(session, path_).ok());
+    path_ = TempPath("kboost_snap_corrupt.bin");
+    SaveAndRead(/*lb_only=*/false);
+  }
+
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  void SaveAndRead(bool lb_only) {
+    BoostSession session(graph_, seeds_, MakeOptions(6), lb_only);
+    ASSERT_TRUE(Save(session, path_).ok());
     bytes_ = ReadFileBytes(path_);
     dir_ = DirOffset(seeds_.size());
     ASSERT_GT(bytes_.size(), dir_);
   }
 
-  void TearDown() override { std::filesystem::remove(path_); }
+  /// Section `section`'s absolute offset and uint32 count.
+  size_t SectionOffset(Section section) const {
+    return PeekU64(bytes_, SectionEntryOffset(dir_, section));
+  }
+  size_t SectionCount(Section section) const {
+    return PeekU64(bytes_, SectionEntryOffset(dir_, section) + 8) / 4;
+  }
 
+  /// Every load rejects the bytes typed: owned, mmap, and mmap with the deep
+  /// checks, which an mmap load skips unless asked.
   void ExpectRejected(const std::string& needle) {
     WriteFileBytes(path_, bytes_);
-    StatusOr<std::unique_ptr<BoostSession>> r =
-        Load(graph_, path_);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(r.status().message().find(needle), std::string::npos)
-        << r.status().ToString();
-    // The mmap path runs the same structural validation.
-    StatusOr<std::unique_ptr<BoostSession>> m =
-        Load(graph_, path_, /*use_mmap=*/true);
-    ASSERT_FALSE(m.ok());
-    EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(m.status().message().find(needle), std::string::npos)
-        << m.status().ToString();
+    for (const int load : {0, 1, 2}) {
+      SCOPED_TRACE(load == 0 ? "owned" : load == 1 ? "mmap" : "mmap+verify");
+      PoolLoadOptions options;
+      options.use_mmap = load > 0;
+      options.verify_mapped = load == 2;
+      StatusOr<std::unique_ptr<BoostSession>> r =
+          LoadPoolSnapshot(graph_, path_, options);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find(needle), std::string::npos)
+          << r.status().ToString();
+    }
   }
 
   DirectedGraph graph_ = MakeTestGraph(47);
@@ -487,80 +510,98 @@ class V3CorruptionTest : public ::testing::Test {
   size_t dir_ = 0;
 };
 
-TEST_F(V3CorruptionTest, TruncatedSnapshotIsRejected) {
+TEST_F(SnapshotCorruptionTest, TruncatedSnapshotIsRejected) {
   WriteFileBytes(path_, bytes_);
   std::filesystem::resize_file(path_, bytes_.size() - 5);
   EXPECT_FALSE(Load(graph_, path_).ok());
   EXPECT_FALSE(Load(graph_, path_, /*use_mmap=*/true).ok());
 }
 
-TEST_F(V3CorruptionTest, MisalignedSectionIsRejected) {
-  const size_t entry = SectionEntryOffset(dir_, 0);
+TEST_F(SnapshotCorruptionTest, MisalignedSectionIsRejected) {
+  const size_t entry = SectionEntryOffset(dir_, kSetSizes);
   PokeU64(&bytes_, entry, PeekU64(bytes_, entry) + 2);  // 4-misalign offset
   ExpectRejected("misaligned");
 }
 
-TEST_F(V3CorruptionTest, OverlappingSectionsAreRejected) {
-  // Point section 1 back into section 0's block.
-  const size_t first = SectionEntryOffset(dir_, 0);
-  const size_t second = SectionEntryOffset(dir_, 1);
-  PokeU64(&bytes_, second, PeekU64(bytes_, first));
+TEST_F(SnapshotCorruptionTest, OverlappingSectionsAreRejected) {
+  // Point the coverage section back into the set-size section's block.
+  PokeU64(&bytes_, SectionEntryOffset(dir_, kCoverage),
+          SectionOffset(kSetSizes));
   ExpectRejected("overlaps");
 }
 
-TEST_F(V3CorruptionTest, OverstatedSectionIsRejected) {
-  PokeU64(&bytes_, SectionEntryOffset(dir_, 2) + 8, uint64_t{1} << 60);
+TEST_F(SnapshotCorruptionTest, OverstatedSectionIsRejected) {
+  PokeU64(&bytes_, SectionEntryOffset(dir_, kNumNodes) + 8, uint64_t{1} << 60);
   ExpectRejected("overlaps another section or exceeds");
 }
 
-TEST_F(V3CorruptionTest, UnknownCodecIdIsRejected) {
-  // Sections are stored raw (codec 0). Older builds could also write
-  // codec 1, a varint coding; a re-save from the graph replaces such a file.
-  const size_t codec_field = SectionEntryOffset(dir_, 0) + 24;
-  PokeU32(&bytes_, codec_field, 77);
-  ExpectRejected("unknown codec");
-  PokeU32(&bytes_, codec_field, 1);
-  ExpectRejected("codec id 1");
-  ExpectRejected("re-save");
-}
-
-TEST_F(V3CorruptionTest, InflatedValueCountIsRejectedNotAllocated) {
-  // raw_bytes promising billions of values from a small stored block must
-  // be rejected before any allocation sized from it.
-  const size_t entry = SectionEntryOffset(dir_, 5);
-  PokeU64(&bytes_, entry + 16, uint64_t{1} << 40);
+TEST_F(SnapshotCorruptionTest, InflatedValueCountIsRejectedNotAllocated) {
+  // A byte count promising billions of values from a small block must be
+  // rejected before any allocation sized from it.
+  PokeU64(&bytes_, SectionEntryOffset(dir_, kOutEdges) + 8, uint64_t{1} << 40);
   ExpectRejected("");
 }
 
-TEST_F(V3CorruptionTest, CriticalEntryAtSuperSeedSlotIsRejected) {
+TEST_F(SnapshotCorruptionTest, CriticalEntryAtSuperSeedSlotIsRejected) {
   // Local 0 is the super-seed slot; its global id is kInvalidNode, so a
   // critical entry pointing at it would feed an unvalidated id to the
-  // coverage index (found by fuzz_snapshot: segfault at first solve).
-  const size_t entry = SectionEntryOffset(dir_, 7);
-  const uint64_t crit_offset = PeekU64(bytes_, entry);
-  ASSERT_GE(PeekU64(bytes_, entry + 16), 4u);  // the arena has criticals
-  PokeU32(&bytes_, crit_offset, 0);
-  WriteFileBytes(path_, bytes_);
-  StatusOr<std::unique_ptr<BoostSession>> r = Load(graph_, path_);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  // The mmap path runs the same deep walk when verification is requested.
-  PoolLoadOptions verify;
-  verify.use_mmap = true;
-  verify.verify_mapped = true;
-  EXPECT_FALSE(LoadPoolSnapshot(graph_, path_, verify).ok());
+  // coverage index (found by fuzz_snapshot: segfault at first solve). A
+  // default mmap load used to skip the check and crash at Prepare().
+  ASSERT_GE(SectionCount(kCritical), 1u);  // the arena has criticals
+  PokeU32(&bytes_, SectionOffset(kCritical), 0);
+  ExpectRejected("critical id out of range");
 }
 
-TEST_F(V3CorruptionTest, LiveSuperSeedEdgeIsRejected) {
+TEST_F(SnapshotCorruptionTest, EdgeEndpointOutOfRangeIsRejected) {
+  // An out-edge head past its graph's nodes; a default mmap load used to
+  // accept it and crash in the first Δ̂ evaluation.
+  ASSERT_GE(SectionCount(kOutEdges), 1u);
+  PokeU32(&bytes_, SectionOffset(kOutEdges),
+          PrrGraph::PackEdge(0xFFFFFFu, true));
+  ExpectRejected("edge endpoint out of range");
+}
+
+TEST_F(SnapshotCorruptionTest, EdgeIntoTheSuperSeedIsRejected) {
+  // Every out-edge x -> root of an intermediate x retargeted to the
+  // super-seed slot, its boost bit kept: every endpoint stays inside its
+  // graph and every super-seed out-edge stays a boost edge, yet an
+  // evaluator reaching local 0 reads its kInvalidNode global id. Owned and
+  // mmap loads alike used to accept it and crash at Prepare().
+  const size_t num_nodes = SectionOffset(kNumNodes);
+  const size_t out_offsets = SectionOffset(kOutOffsets);
+  const size_t out_edges = SectionOffset(kOutEdges);
+  size_t node_begin = 0, edge_begin = 0, retargeted = 0;
+  for (size_t g = 0; g < SectionCount(kNumNodes); ++g) {
+    const uint32_t n = PeekU32(bytes_, num_nodes + 4 * g);
+    const size_t offsets = out_offsets + 4 * (node_begin + g);
+    for (uint32_t x = 2; x < n; ++x) {
+      for (uint32_t e = PeekU32(bytes_, offsets + 4 * x);
+           e < PeekU32(bytes_, offsets + 4 * (x + 1)); ++e) {
+        const size_t at = out_edges + 4 * (edge_begin + e);
+        const uint32_t packed = PeekU32(bytes_, at);
+        if (PrrGraph::EdgeNode(packed) != PrrGraph::kRootLocal) continue;
+        PokeU32(&bytes_, at,
+                PrrGraph::PackEdge(PrrGraph::kSuperSeedLocal,
+                                   PrrGraph::EdgeBoost(packed)));
+        ++retargeted;
+      }
+    }
+    edge_begin += PeekU32(bytes_, offsets + 4 * n);
+    node_begin += n;
+  }
+  ASSERT_GT(retargeted, 0u);
+  ExpectRejected("edge endpoint out of range");
+}
+
+TEST_F(SnapshotCorruptionTest, LiveSuperSeedEdgeIsRejected) {
   // Sampling stores only graphs with f_R(∅) = 0, so every super-seed
   // out-edge is a boost edge. The arena's first out-edge is graph 0's first
   // super-seed edge; with its boost bit cleared the graph is an activated
-  // sample, which used to load and read Δ̂(∅) > 0.
-  const size_t entry = SectionEntryOffset(dir_, 5);
-  ASSERT_GE(PeekU64(bytes_, entry + 16), 4u);  // the arena stores edges
-  const uint64_t edges_offset = PeekU64(bytes_, entry);
-  uint32_t first_edge = 0;
-  std::memcpy(&first_edge, bytes_.data() + edges_offset, sizeof(first_edge));
+  // sample, which used to load and read Δ̂(∅) > 0. It cannot read out of
+  // bounds, so only the deep checks look for it.
+  ASSERT_GE(SectionCount(kOutEdges), 1u);  // the arena stores edges
+  const size_t edges_offset = SectionOffset(kOutEdges);
+  const uint32_t first_edge = PeekU32(bytes_, edges_offset);
   ASSERT_TRUE(PrrGraph::EdgeBoost(first_edge));
   PokeU32(&bytes_, edges_offset, first_edge & ~1u);
   WriteFileBytes(path_, bytes_);
@@ -578,7 +619,7 @@ TEST_F(V3CorruptionTest, LiveSuperSeedEdgeIsRejected) {
   EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(V3CorruptionTest, InvalidHeaderSamplingOptionsAreRejectedTyped) {
+TEST_F(SnapshotCorruptionTest, InvalidHeaderSamplingOptionsAreRejectedTyped) {
   // ℓ lives at header offset 40; zero must be a typed rejection — it used
   // to reach the trusting BoostSession constructor and KB_CHECK-abort the
   // process (found by fuzz_snapshot).
@@ -592,23 +633,22 @@ TEST_F(V3CorruptionTest, InvalidHeaderSamplingOptionsAreRejectedTyped) {
   EXPECT_FALSE(Load(graph_, path_, /*use_mmap=*/true).ok());
 }
 
-TEST_F(V3CorruptionTest, NopSectionWithMismatchedSizesIsRejected) {
-  // A raw block is stored verbatim: shrink raw_bytes (keeping it a
-  // multiple of 4) and the stored/raw equality check must fire.
-  const size_t entry = SectionEntryOffset(dir_, 5);
-  const uint64_t raw = PeekU64(bytes_, entry + 16);
-  if (raw >= 8) {
-    PokeU64(&bytes_, entry + 16, raw - 4);
-    ExpectRejected("stored != raw");
-  }
+TEST_F(SnapshotCorruptionTest, LbSetSizesOverstatingTheCoverageAreRejected) {
+  // The set sizes must sum to the coverage section's count; binding them
+  // otherwise would abort the process.
+  SaveAndRead(/*lb_only=*/true);
+  ASSERT_GE(SectionCount(kSetSizes), 1u);
+  const size_t first = SectionOffset(kSetSizes);
+  PokeU32(&bytes_, first, PeekU32(bytes_, first) + 1);
+  ExpectRejected("set sizes sum to");
 }
 
-TEST_F(V3CorruptionTest, MissingCoverageSectionIsRejectedAskingForAResave) {
-  // Older builds wrote compressed snapshots without the coverage section
-  // (an all-zero directory entry); every load now binds it in place.
-  const size_t entry = CoverageEntryOffset(dir_);
-  for (size_t i = 0; i < 32; i += 8) PokeU64(&bytes_, entry + i, 0);
-  ExpectRejected("re-save");
+TEST_F(SnapshotCorruptionTest, LbFileWithAnArenaIsRejected) {
+  // A full pool's file whose flags claim an LB-only pool: an LB-only pool
+  // stores its critical sets alone, so a non-empty arena entry is corrupt.
+  ASSERT_GE(SectionCount(kNumNodes), 1u);
+  PokeU32(&bytes_, kFlagsOffset, PeekU32(bytes_, kFlagsOffset) | kFlagLbOnly);
+  ExpectRejected("LB-only pool snapshot carries a PRR-graph arena");
 }
 
 }  // namespace
