@@ -152,9 +152,11 @@ void RunBoostVsK(SeedMode mode, const BenchFlags& flags) {
                               MakeBoostOptions(k_max, flags));
     BoostSession lb_session(g, instance.seeds, MakeBoostOptions(k_max, flags),
                             /*lb_only=*/true);
+    full_session.Prepare();
+    lb_session.Prepare();
     for (size_t k : sweep) {
-      BoostResult prr = full_session.SolveForBudget(k);
-      BoostResult lb = lb_session.SolveForBudget(k);
+      BoostResult prr = full_session.Solve({.k = k}).value();
+      BoostResult lb = lb_session.Solve({.k = k}).value();
       ImmOptions mopts;
       mopts.k = k;
       mopts.seed = flags.seed;
@@ -239,11 +241,10 @@ void RunSandwich(SeedMode mode, const std::vector<double>& betas,
       const DirectedGraph& g = instance.dataset.graph;
       for (size_t k : ks) {
         if (k + instance.seeds.size() >= g.num_nodes()) continue;
-        PrrBoostEngine engine(g, instance.seeds, MakeBoostOptions(k, flags),
-                              /*lb_only=*/false);
-        BoostResult result = engine.Run();
-        const double delta_sa =
-            engine.EstimateDelta(result.best_set);
+        BoostSession session(g, instance.seeds, MakeBoostOptions(k, flags));
+        session.Prepare();
+        BoostResult result = session.Solve({.k = k}).value();
+        const double delta_sa = session.EstimateDelta(result.best_set);
         // 300 perturbed sets, as in the paper; keep those achieving at
         // least half of Δ̂(B_sa).
         auto sets = PerturbBoostSets(instance, result.best_set, 300,
@@ -251,9 +252,9 @@ void RunSandwich(SeedMode mode, const std::vector<double>& betas,
         double min_ratio = 1.0, sum_ratio = 0.0;
         size_t used = 0;
         for (const auto& set : sets) {
-          const double delta = engine.EstimateDelta(set);
+          const double delta = session.EstimateDelta(set);
           if (delta < 0.5 * delta_sa || delta <= 0.0) continue;
-          const double ratio = engine.EstimateMu(set) / delta;
+          const double ratio = session.EstimateMu(set) / delta;
           min_ratio = std::min(min_ratio, ratio);
           sum_ratio += ratio;
           ++used;

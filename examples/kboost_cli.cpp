@@ -320,7 +320,7 @@ int CmdBoost(int argc, char** argv) {
     session = std::move(loaded).value();
     std::printf("loaded pool %s: budget=%zu theta=%zu mode=%s%s\n", load_pool,
                 session->budget(),
-                session->engine().collection().num_samples(),
+                session->collection().num_samples(),
                 session->lb_only() ? "lb" : "full",
                 mmap_pool ? " (mmap)" : "");
   } else {
@@ -355,14 +355,14 @@ int CmdBoost(int argc, char** argv) {
                    k, session->budget());
       return 1;
     }
-    BoostResult r = session->SolveForBudget(k);
+    session->Prepare();
+    BoostResult r = session->Solve({.k = k}).value();
     std::printf("k=%zu boost_set: ", k);
     for (size_t i = 0; i < r.best_set.size(); ++i) {
       std::printf("%s%u", i ? "," : "", r.best_set[i]);
     }
-    std::printf("\nestimate (%s): %.3f%s\n", lb ? "mu_hat" : "delta_hat",
-                r.best_estimate,
-                r.pool_reused ? "  [pool reused]" : "");
+    std::printf("\nestimate (%s): %.3f\n", lb ? "mu_hat" : "delta_hat",
+                r.best_estimate);
     BoostEstimate mc =
         EstimateBoost(g.value(), session->seeds(), r.best_set, {});
     std::printf("monte_carlo: boost %.3f +- %.3f (spread %.1f -> %.1f)\n",
@@ -374,7 +374,6 @@ int CmdBoost(int argc, char** argv) {
   }
 
   if (save_pool != nullptr) {
-    session->Prepare();
     StatusOr<PoolSaveResult> saved =
         SavePoolSnapshot(*session, save_pool, PoolSaveOptions{});
     if (!saved.ok()) {

@@ -57,7 +57,7 @@ int main() {
     return 1;
   }
   std::printf("saved PRR pool (theta=%zu) to %s\n",
-              session.engine().collection().num_samples(), pool_path.c_str());
+              session.collection().num_samples(), pool_path.c_str());
 
   StatusOr<std::unique_ptr<BoostSession>> restored =
       LoadPoolSnapshot(g, pool_path, PoolLoadOptions{});
@@ -69,11 +69,11 @@ int main() {
   BoostSession& warm = *restored.value();
   // The reloaded session answers any budget ≤ its pool budget without
   // resampling — here a sweep, each answer selection-only.
+  warm.Prepare();
   for (size_t k : {5, 15, 25}) {
-    BoostResult sweep = warm.SolveForBudget(k);
-    std::printf("reloaded pool, k=%2zu: boost %.2f (%zu samples, %s)\n", k,
-                sweep.best_estimate, sweep.num_samples,
-                sweep.pool_reused ? "pool reused" : "pool sampled");
+    BoostResult sweep = warm.Solve({.k = k}).value();
+    std::printf("reloaded pool, k=%2zu: boost %.2f (%zu samples)\n", k,
+                sweep.best_estimate, sweep.num_samples);
   }
   return 0;
 }

@@ -42,7 +42,7 @@ int main() {
     return 1;
   }
   std::printf("prepared and saved pool (theta=%zu) to %s\n",
-              (*session)->engine().collection().num_samples(),
+              (*session)->collection().num_samples(),
               pool_path.c_str());
 
   // ---- Online: warm-start a service from the snapshot --------------------
@@ -119,11 +119,10 @@ int main() {
       }
       std::printf(
           "client %zu: k=%2zu mode=%-6s boost %.2f in %.3fs "
-          "(pool_budget=%zu, %s)\n",
+          "(pool_budget=%zu)\n",
           c, requests[i].k,
           requests[i].mode == SolveMode::kLbOnly ? "lb" : "auto",
-          r.result.best_estimate, r.solve_seconds, r.result.pool_budget,
-          r.result.pool_reused ? "pool reused" : "pool sampled");
+          r.result.best_estimate, r.solve_seconds, r.result.pool_budget);
     }
   }
   if (mismatches != 0) {

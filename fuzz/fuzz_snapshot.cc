@@ -97,8 +97,9 @@ void FuzzOne(const uint8_t* data, size_t size) {
     // pool. A crash or wild answer here means validation let bad data by.
     BoostSession& session = **loaded;
     FUZZ_ASSERT(session.prepared());
-    BoostResult result = session.SolveForBudget(1);
-    FUZZ_ASSERT(result.best_set.size() <= 1);
+    session.Prepare();
+    StatusOr<BoostResult> result = session.Solve({.k = 1});
+    FUZZ_ASSERT(result.ok() && result->best_set.size() <= 1);
   }
 }
 

@@ -84,7 +84,6 @@ void CheckQueryReplyRoundTrip(const uint8_t* body, size_t len) {
   FUZZ_ASSERT(std::memcmp(&again.delta_delta_hat, &reply.delta_delta_hat,
                           sizeof(double)) == 0);
   FUZZ_ASSERT(again.pool_budget == reply.pool_budget);
-  FUZZ_ASSERT(again.pool_reused == reply.pool_reused);
   FUZZ_ASSERT(again.num_samples == reply.num_samples);
   FUZZ_ASSERT(again.num_boostable == reply.num_boostable);
 }

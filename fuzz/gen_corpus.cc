@@ -96,7 +96,6 @@ void GenerateWireCorpus(const fs::path& dir) {
   reply.delta_set = {6};
   reply.delta_delta_hat = std::numeric_limits<double>::infinity();
   reply.pool_budget = 10;
-  reply.pool_reused = true;
   reply.num_samples = 4096;
   reply.num_boostable = 17;
   WriteCase(dir, "query_reply_ok.bin", EncodeQueryReplyFrame(1, reply));

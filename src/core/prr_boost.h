@@ -1,12 +1,8 @@
 #ifndef KBOOST_CORE_PRR_BOOST_H_
 #define KBOOST_CORE_PRR_BOOST_H_
 
-#include <memory>
 #include <vector>
 
-#include "src/core/prr_collection.h"
-#include "src/core/prr_sampler.h"
-#include "src/core/solve_context.h"
 #include "src/graph/graph.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"
@@ -74,14 +70,11 @@ struct BoostResult {
   std::vector<NodeId> delta_set;   ///< B_Δ from NodeSelection (full mode)
   double delta_delta_hat = 0.0;    ///< Δ̂(B_Δ) (full mode only)
 
-  // Pool provenance. `pool_budget` is the budget the IMM schedule sampled
-  // the pool at; a BoostSession answering SolveForBudget(k) for k <
-  // pool_budget reuses that pool, so the (1-1/e-ε) constants formally
-  // correspond to pool_budget (selection quality for the smaller budget is
-  // the paper's budget-reuse heuristic). `pool_reused` is set when the call
-  // answered from an existing pool without sampling.
+  /// The budget the IMM schedule sampled the pool at. A session answering
+  /// k < pool_budget reuses that pool, so the (1-1/e-ε) constants formally
+  /// correspond to pool_budget (selection quality for the smaller budget is
+  /// the paper's budget-reuse heuristic).
   size_t pool_budget = 0;
-  bool pool_reused = false;
 
   // Sampling statistics (Tables 2/3, Figs. 6/11).
   size_t num_samples = 0;    ///< θ
@@ -94,111 +87,11 @@ struct BoostResult {
   double compression_ratio = 0.0;
   size_t stored_graph_bytes = 0;
   size_t edges_examined = 0;
-  double sampling_seconds = 0.0;
-  double selection_seconds = 0.0;
 };
 
-/// Shared machinery behind PRR-Boost and PRR-Boost-LB. Exposed so the
-/// experiment harness can reuse the sampled pool (e.g. to evaluate the
-/// sandwich ratio μ(B)/Δ_S(B) on perturbed boost sets, Fig. 7/9/12).
-class PrrBoostEngine {
- public:
-  /// `lb_only` selects the PRR-Boost-LB pipeline: distance-1 sampling and
-  /// no stored PRR-graphs.
-  PrrBoostEngine(const DirectedGraph& graph, std::vector<NodeId> seeds,
-                 const BoostOptions& options, bool lb_only);
-
-  /// Runs SamplingLB (IMM schedule over μ̂), then the node-selection steps,
-  /// and returns the assembled result. Idempotent: the pool is sampled once.
-  /// Equivalent to SolveForBudget(options.k).
-  BoostResult Run();
-
-  /// Samples the pool at options.k via the IMM schedule. Idempotent; called
-  /// lazily by SolveForBudget/Run, or eagerly (BoostSession::Prepare).
-  void EnsureSampled();
-
-  /// Makes the engine ready for concurrent const Solve() calls: samples the
-  /// pool (if needed), builds every lazily-constructed read-only index, and
-  /// caches both greedy orders at the pool budget — the μ̂ (LB) order with μ̂
-  /// and (full pools) Δ̂ of every prefix, and (full pools) the Δ̂ order with
-  /// Δ̂ of every prefix. Idempotent. After Prepare() the engine's query
-  /// surface is strictly read-only, which is the thread-safety contract
-  /// Solve() relies on, and a solve runs no greedy: it slices the two orders.
-  void Prepare();
-  /// Whether Prepare() has run (a snapshot-adopted pool still needs it).
-  bool serving_ready() const { return serving_ready_; }
-
-  /// Answers the k-boosting problem for any budget k ≤ options.k on the
-  /// already-sampled pool — selection only, no resampling. Both greedy
-  /// orders are nested in k (round i reads only picks 0..i−1, never k), so
-  /// every answer is the k-prefix of the two cached orders plus their cached
-  /// prefix estimates; the first call caches them.
-  /// The returned result carries pool_budget/pool_reused provenance.
-  /// Serial convenience path: samples lazily and KB_CHECKs the budget — NOT
-  /// safe to call concurrently.
-  BoostResult SolveForBudget(size_t k);
-
-  /// The concurrent serving path: answers `spec` against the prepared pool
-  /// without touching any engine-owned mutable state. Any number of threads
-  /// may call Solve() simultaneously on one prepared engine, with results
-  /// bit-identical to the serial SolveForBudget loop. Validates, passes the
-  /// kSolveStart fault site, then slices. Fails with FailedPrecondition
-  /// before Prepare(), and InvalidArgument for an out-of-range budget or
-  /// spec.num_threads or a full-mode request against an LB pool. `context`
-  /// is unused; delete it with the next benchmark change.
-  StatusOr<BoostResult> Solve(const SolveSpec& spec,
-                              SolveContext* context = nullptr) const;
-
-  /// The sampled pool (valid after Run()).
-  const PrrCollection& collection() const { return *collection_; }
-  /// Δ̂ on the pool for any boost set (full mode only).
-  double EstimateDelta(const std::vector<NodeId>& boost_set) const;
-  /// μ̂ on the pool for any boost set.
-  double EstimateMu(const std::vector<NodeId>& boost_set) const;
-
-  const DirectedGraph& graph() const { return graph_; }
-  const std::vector<NodeId>& seeds() const { return seeds_; }
-  const BoostOptions& options() const { return options_; }
-  bool lb_only() const { return lb_only_; }
-  bool sampled() const { return sampled_; }
-  bool samples_capped() const { return samples_capped_; }
-  /// Aggregate sampling statistics of the pool (valid once sampled).
-  const PrrSamplerStats& stats() const { return stats_; }
-
-  /// Pool-snapshot restore (src/io/pool_io): adopts an already-filled pool
-  /// and marks sampling done, so every SolveForBudget answers from it.
-  /// The engine must not have sampled yet.
-  void AdoptPool(std::unique_ptr<PrrCollection> collection,
-                 const PrrSamplerStats& stats, bool samples_capped);
-
- private:
-  /// Caches the two greedy orders at the pool budget (see Prepare()).
-  /// Idempotent.
-  void CacheGreedyOrders();
-
-  /// The one selection core both solve paths share: slices of the cached
-  /// orders, plus the sandwich compare on full answers. Requires a sampled
-  /// pool and cached orders; reads them const. `lb_answer` selects the
-  /// LB-slice answer (LB pools, or SolveMode::kLbOnly on a full pool).
-  /// Timing/provenance fields are left for the caller.
-  BoostResult SolvePrepared(size_t k, bool lb_answer) const;
-
-  const DirectedGraph& graph_;
-  std::vector<NodeId> seeds_;
-  BoostOptions options_;
-  bool lb_only_;
-  std::vector<uint8_t> excluded_;  // seeds cannot be boosted
-  std::unique_ptr<PrrCollection> collection_;
-  bool sampled_ = false;
-  bool samples_capped_ = false;
-  bool serving_ready_ = false;
-  PrrSamplerStats stats_;
-  bool orders_ready_ = false;
-  PrrCollection::LbResult lb_order_;        // μ̂ greedy order at options_.k
-  PrrCollection::DeltaResult delta_order_;  // Δ̂ greedy order (full pools)
-};
-
-/// PRR-Boost (Algorithm 2): sandwich approximation over {B_µ, B_Δ}.
+/// PRR-Boost (Algorithm 2): sandwich approximation over {B_µ, B_Δ}. One
+/// BoostSession (src/core/boost_session.h) answering its own budget; a
+/// caller with several budgets, or a need for the pool, holds the session.
 /// Returns a (1 − 1/e − ε)·µ(B*)/Δ_S(B*) approximation w.p. ≥ 1 − n^-ℓ.
 BoostResult PrrBoost(const DirectedGraph& graph,
                      const std::vector<NodeId>& seeds,

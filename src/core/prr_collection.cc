@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "src/select/greedy.h"
-#include "src/util/thread_pool.h"
 
 namespace kboost {
 
@@ -82,44 +81,24 @@ void PrrCollection::WarmIndexes(int /*unused*/) const {
 }
 
 void PrrCollection::AddBoostableRound(
-    std::span<const BoostableSampleRef> items, bool lb_only, int num_threads) {
-  const size_t count = items.size();
-  if (count == 0) return;
-  std::vector<uint32_t> sizes(count);
-  if (lb_only) {
-    size_t total = 0;
-    for (size_t i = 0; i < count; ++i) {
-      sizes[i] = items[i].critical_count;
-      total += items[i].critical_count;
-    }
-    lb_critical_bytes_ += total * sizeof(NodeId);
-  } else {
-    // Graphs already sit in the arena (the sampler appended them); only the
-    // critical sets still need to reach the coverage structure.
-    for (size_t i = 0; i < count; ++i) {
-      sizes[i] =
-          static_cast<uint32_t>(store_.critical_count(items[i].graph_id));
-    }
-    graph_index_built_ = false;
+    std::span<const BoostableSampleRef> items) {
+  if (items.empty()) return;
+  std::vector<uint32_t> sizes(items.size());
+  size_t total = 0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    sizes[i] = items[i].critical_count;
+    total += items[i].critical_count;
   }
-  NodeId* base = coverage_.AppendSets(sizes);
-  std::vector<size_t> offsets(count + 1, 0);
-  for (size_t i = 0; i < count; ++i) offsets[i + 1] = offsets[i] + sizes[i];
-  ParallelFor(
-      count, num_threads,
-      [&](size_t i, int /*t*/) {
-        NodeId* dst = base + offsets[i];
-        if (lb_only) {
-          std::copy(items[i].critical, items[i].critical + sizes[i], dst);
-        } else {
-          const PrrGraphView view = store_.View(items[i].graph_id);
-          for (uint32_t c = 0; c < sizes[i]; ++c) {
-            dst[c] = view.global_ids[view.critical_locals[c]];
-          }
-        }
-      },
-      /*chunk=*/64);
-  num_boostable_ += count;
+  // A full pool's stored bytes are its arena's, which already holds the
+  // round's graphs; an LB-only pool stores its critical sets alone (as in
+  // RestorePool).
+  if (store_.num_graphs() == 0) lb_critical_bytes_ += total * sizeof(NodeId);
+  graph_index_built_ = false;
+  NodeId* dst = coverage_.AppendSets(sizes);
+  for (const BoostableSampleRef& item : items) {
+    dst = std::copy(item.critical, item.critical + item.critical_count, dst);
+  }
+  num_boostable_ += items.size();
 }
 
 void PrrCollection::RestorePool(PrrStore&& store,

@@ -44,24 +44,19 @@ class PrrCollection {
   /// its chunk arenas and accounts through AddBoostableRound.)
   void AddBoostable(const PrrGraph& graph);
 
-  /// One sampling round's boostable sample, in batch order. Full mode
-  /// references a graph the sampler already appended to this collection's
-  /// arena (via mutable_store); LB mode references a flat critical-set span
-  /// (alive through AddBoostableRound).
+  /// One sampling round's boostable sample, in batch order: its critical
+  /// set as global ids, the list PrrGenerator returned (alive through
+  /// AddBoostableRound). In full mode the sample's graph is already in this
+  /// collection's arena (the sampler appended it via mutable_store).
   struct BoostableSampleRef {
-    uint32_t graph_id = 0;             ///< full mode: graph id in the arena
-    const NodeId* critical = nullptr;  ///< LB mode: critical globals
-    uint32_t critical_count = 0;       ///< LB mode: critical set size
+    const NodeId* critical = nullptr;  ///< critical globals
+    uint32_t critical_count = 0;       ///< critical set size
   };
   /// Accounts one sampling round: the round's critical sets land in the
-  /// coverage structure through ONE grow — the per-sample fill (critical-id
-  /// translation in full mode, flat copies in LB mode) runs on `num_threads`
-  /// workers over disjoint spans. Full-mode graphs are *not* copied here;
-  /// they were already written in place by the sampler. Bit-identical to the
-  /// equivalent sequence of per-sample AddBoostable* calls for every thread
-  /// count.
-  void AddBoostableRound(std::span<const BoostableSampleRef> items,
-                         bool lb_only, int num_threads);
+  /// coverage structure through ONE grow. Full-mode graphs are *not* copied
+  /// here; the sampler already wrote them in place. Bit-identical to the
+  /// equivalent sequence of per-sample AddBoostable* calls.
+  void AddBoostableRound(std::span<const BoostableSampleRef> items);
   /// LB mode: adds a boostable sample given only its critical set.
   void AddBoostableCriticalOnly(std::span<const NodeId> critical_globals);
   void AddBoostableCriticalOnly(std::initializer_list<NodeId> critical) {
@@ -97,7 +92,8 @@ class PrrCollection {
     double mu_hat = 0.0;
     /// μ̂(nodes[0..i]) for each i — the nested-budget answers.
     std::vector<double> prefix_mu_hat;
-    /// Δ̂(nodes[0..i]) for each i; PrrBoostEngine fills it on full pools.
+    /// Δ̂(nodes[0..i]) for each i; BoostSession::Prepare fills it on full
+    /// pools.
     std::vector<double> prefix_delta_hat;
   };
   LbResult SelectGreedyLowerBound(size_t k,
@@ -106,20 +102,20 @@ class PrrCollection {
   /// Greedy maximization of Δ̂ (the NodeSelection step; full mode only) — a
   /// push-model oracle over the shared src/select lazy-greedy engine,
   /// backed by the incremental evaluation engine: every graph keeps its
-  /// status and crit bitmap, plus fwd/bwd reach bitmaps when small enough,
-  /// in a PrrEvalState, so committing a pick only relaxes reachability
-  /// forward/backward from the newly boosted node instead of recomputing
-  /// from the super-seed. Each pick's re-evaluation runs on the calling
-  /// thread; ties break toward smaller node ids. If gains hit zero before k
-  /// picks (no single node helps), remaining slots are filled by
-  /// PRR-occurrence counts so the budget is never silently wasted. The `int`
+  /// status and its fwd, bwd and crit bitmaps in a PrrEvalState, so
+  /// committing a pick only relaxes reachability forward/backward from the
+  /// newly boosted node instead of recomputing from the super-seed. Each
+  /// pick's re-evaluation runs on the calling thread; ties break toward
+  /// smaller node ids. If gains hit zero before k picks (no single node
+  /// helps), remaining slots are filled by PRR-occurrence counts so the
+  /// budget is never silently wasted. The `int`
   /// parameter is unused; kbench still passes a thread count, and the next
   /// benchmark change (ROADMAP item 4) deletes it.
   ///
   /// The answer is nested in k: round i's argmax reads only picks 0..i−1,
   /// and the padding order is sorted independently of k, so the k-node
   /// answer is the k-prefix of the k_max one and `prefix_delta_hat[k−1]` is
-  /// its Δ̂. PrrBoostEngine::Prepare runs it once, at k_max.
+  /// its Δ̂. BoostSession::Prepare runs it once, at k_max.
   ///
   /// Concurrency: all mutable state is oracle-local or lives in the
   /// caller-supplied `eval_state`, so
@@ -204,7 +200,7 @@ class PrrCollection {
   /// here, node→samples inside the coverage structure) now. The lazy builds
   /// inside the const accessors are NOT thread-safe, so a pool that will
   /// serve concurrent readers must be warmed once, from one thread, before
-  /// serving starts — PrrBoostEngine::Prepare does. After warming, every
+  /// serving starts — BoostSession::Prepare does. After warming, every
   /// read-only query path (SelectGreedyLowerBound, SelectGreedyDelta with
   /// per-call eval state, PrefixDeltaHat, EstimateDelta, EstimateMu,
   /// GraphsContaining) is safe to run concurrently. The `int` parameter is

@@ -36,7 +36,7 @@ PrrSampler::PrrSampler(const DirectedGraph& graph,
       k_(k),
       lb_only_(lb_only),
       seed_(seed),
-      num_threads_(std::max(1, std::min(num_threads, 255))),
+      num_threads_(std::max(1, num_threads)),
       generators_(static_cast<size_t>(num_threads_)) {}
 
 size_t PrrSampler::EnsureSamples(PrrCollection& collection, size_t target) {
@@ -71,12 +71,11 @@ size_t PrrSampler::EnsureSamples(PrrCollection& collection, size_t target) {
             chunk.edges_examined += r.edges_examined;
             if (r.status == PrrStatus::kBoostable) {
               chunk.uncompressed_edges += r.uncompressed_edges;
-              if (lb_only_) {
-                chunk.crit_nodes.insert(chunk.crit_nodes.end(),
-                                        r.critical_globals.begin(),
-                                        r.critical_globals.end());
-                chunk.crit_offsets.push_back(chunk.crit_nodes.size());
-              } else {
+              chunk.crit_nodes.insert(chunk.crit_nodes.end(),
+                                      r.critical_globals.begin(),
+                                      r.critical_globals.end());
+              chunk.crit_offsets.push_back(chunk.crit_nodes.size());
+              if (sink != nullptr) {
                 chunk.compressed_edges += sink->total_edges() - edges_before;
               }
             }
@@ -86,14 +85,13 @@ size_t PrrSampler::EnsureSamples(PrrCollection& collection, size_t target) {
 
     // Ordered merge: chunk arenas join the pool's arena in chunk order, and
     // the records are walked in global sample order. Non-boostable samples
-    // just bump counters; boostable samples are collected as refs and handed
-    // to the collection in ONE round call — the coverage structure grows
-    // once and the critical-set fill fans back out over the workers.
+    // just bump counters; boostable samples' critical sets are collected as
+    // refs and handed to the collection in ONE round call, so the coverage
+    // structure grows once.
     PrrStore* arena = collection.mutable_store();
     round_items_.clear();
     for (size_t c = 0; c < num_chunks; ++c) {
       const Chunk& chunk = chunks_[c];
-      const uint32_t base = static_cast<uint32_t>(arena->num_graphs());
       if (!lb_only_) arena->AppendAll(chunk.store);
       size_t b = 0;
       for (const PrrStatus status : chunk.statuses) {
@@ -102,13 +100,9 @@ size_t PrrSampler::EnsureSamples(PrrCollection& collection, size_t target) {
           continue;
         }
         PrrCollection::BoostableSampleRef ref;
-        if (lb_only_) {
-          ref.critical = chunk.crit_nodes.data() + chunk.crit_offsets[b];
-          ref.critical_count = static_cast<uint32_t>(
-              chunk.crit_offsets[b + 1] - chunk.crit_offsets[b]);
-        } else {
-          ref.graph_id = base + static_cast<uint32_t>(b);
-        }
+        ref.critical = chunk.crit_nodes.data() + chunk.crit_offsets[b];
+        ref.critical_count = static_cast<uint32_t>(chunk.crit_offsets[b + 1] -
+                                                   chunk.crit_offsets[b]);
         ++b;
         round_items_.push_back(ref);
       }
@@ -116,7 +110,7 @@ size_t PrrSampler::EnsureSamples(PrrCollection& collection, size_t target) {
       stats_.uncompressed_edges += chunk.uncompressed_edges;
       stats_.compressed_edges += chunk.compressed_edges;
     }
-    collection.AddBoostableRound(round_items_, lb_only_, num_threads_);
+    collection.AddBoostableRound(round_items_);
   }
   return collection.num_samples();
 }

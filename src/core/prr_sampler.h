@@ -46,8 +46,8 @@ class PrrSampler {
   struct Chunk {
     PrrStore store;                       // full mode: the chunk's graphs
     std::vector<PrrStatus> statuses;      // the chunk's samples, in order
-    std::vector<size_t> crit_offsets{0};  // LB mode: spans into crit_nodes
-    std::vector<NodeId> crit_nodes;
+    std::vector<size_t> crit_offsets{0};  // boostable samples' critical sets:
+    std::vector<NodeId> crit_nodes;       // spans into crit_nodes, in order
     size_t edges_examined = 0;
     size_t uncompressed_edges = 0;
     size_t compressed_edges = 0;

@@ -4,9 +4,9 @@
 namespace kboost {
 
 /// Unused: a prepared solve slices cached orders and keeps no per-query
-/// state. Still accepted by the Solve() overloads of PrrBoostEngine,
-/// BoostSession and BoostService because kbench names it; delete with the
-/// next benchmark change.
+/// state. Still accepted by the Solve() overloads of BoostSession and
+/// BoostService because kbench names it; delete with the next benchmark
+/// change.
 struct SolveContext {};
 
 }  // namespace kboost

@@ -44,6 +44,7 @@ std::vector<BudgetAllocationPoint> RunBudgetAllocation(
       BoostOptions bopts = options.boost_options;
       bopts.k = budget_max;
       session = std::make_unique<BoostSession>(graph, seeds, bopts);
+      session->Prepare();
     }
 
     for (size_t r = 0; r < num_ratios; ++r) {
@@ -54,7 +55,7 @@ std::vector<BudgetAllocationPoint> RunBudgetAllocation(
       point.num_boosted = budgets[r];
       std::vector<NodeId> boosted;
       if (point.num_boosted > 0) {
-        boosted = session->SolveForBudget(point.num_boosted).best_set;
+        boosted = session->Solve({.k = point.num_boosted}).value().best_set;
       }
       point.boosted_spread =
           EstimateBoostedSpread(graph, seeds, boosted, options.sim_options)

@@ -371,13 +371,12 @@ StatusOr<std::shared_ptr<SnapshotBytes>> OpenSnapshotBytes(
 
 /// Streams the snapshot of `session` to `out`; returns the file length.
 uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session) {
-  const PrrBoostEngine& engine = session.engine();
-  const PrrCollection& pool = engine.collection();
-  const PrrSamplerStats& stats = engine.stats();
+  const PrrCollection& pool = session.collection();
+  const PrrSamplerStats& stats = session.stats();
 
   Header h;
   h.flags = (session.lb_only() ? kFlagLbOnly : 0) |
-            (engine.samples_capped() ? kFlagSamplesCapped : 0);
+            (session.samples_capped() ? kFlagSamplesCapped : 0);
   h.num_graph_nodes = pool.num_graph_nodes();
   h.pool_budget = session.budget();
   h.epsilon = session.options().epsilon;
@@ -499,7 +498,7 @@ StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
   }
 
   PoolSaveResult result;
-  const PrrCollection& pool = session.engine().collection();
+  const PrrCollection& pool = session.collection();
   result.file_bytes = file_bytes;
   result.num_samples =
       pool.num_boostable() + pool.num_activated() + pool.num_hopeless();
@@ -621,8 +620,8 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
 
   auto session = std::make_unique<BoostSession>(graph, std::move(seeds),
                                                 boost_options, lb_only);
-  session->engine().AdoptPool(std::move(pool), stats,
-                              (h.flags & kFlagSamplesCapped) != 0);
+  session->AdoptPool(std::move(pool), stats,
+                     (h.flags & kFlagSamplesCapped) != 0);
   session->RetainResource(bytes);
   return session;
 }

@@ -13,9 +13,9 @@ namespace kboost {
 /// Binary snapshot save/load of a prepared BoostSession pool — the sampled
 /// PRR-graph arena (full mode) or critical sets (LB mode), the sample
 /// counters, the sampler statistics and the sampling metadata (seeds, budget,
-/// ε, ℓ, rng seed), behind a versioned header. A reloaded session answers
-/// SolveForBudget with bit-identical best sets and estimates, enabling warm
-/// restarts and cross-process serving against one prepared index.
+/// ε, ℓ, rng seed), behind a versioned header. A reloaded session, once
+/// prepared, answers Solve with bit-identical best sets and estimates,
+/// enabling warm restarts and cross-process serving against one index.
 ///
 /// Format v4, the only one this build reads or writes: a 120-byte header
 /// (endianness marker included), the seed list, then one section directory
@@ -83,7 +83,7 @@ struct PoolLoadOptions {
 };
 
 /// Writes the session's pool to `path`. The session must be prepared()
-/// (BoostSession::SavePool prepares and delegates here). The snapshot is
+/// (BoostSession::SavePool samples if needed and delegates here). The snapshot is
 /// written to a temp file in the target's directory, fsynced, renamed over
 /// `path`, and the directory is fsynced: a process serving the old file from
 /// an mmap keeps its inode, and on any failure `path` is left untouched and
@@ -94,7 +94,8 @@ StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
 
 /// Restores a session from a snapshot taken against a graph with the same
 /// node count. Seeds and BoostOptions come from the snapshot; the returned
-/// session is prepared() and never resamples.
+/// session is prepared() and never resamples, but answers only after its
+/// Prepare() caches the greedy orders.
 StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     const DirectedGraph& graph, const std::string& path,
     const PoolLoadOptions& options);

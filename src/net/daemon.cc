@@ -243,11 +243,10 @@ int RunQueryCommand(int argc, char** argv, int flag_start) {
     std::printf("%s%u", i ? "," : "", r.best_set[i]);
   }
   std::printf("\nestimate: %.6f\n", r.best_estimate);
-  std::printf("samples: %llu (boostable %llu, pool budget %llu%s)\n",
+  std::printf("samples: %llu (boostable %llu, pool budget %llu)\n",
               static_cast<unsigned long long>(r.num_samples),
               static_cast<unsigned long long>(r.num_boostable),
-              static_cast<unsigned long long>(r.pool_budget),
-              r.pool_reused ? ", reused" : "");
+              static_cast<unsigned long long>(r.pool_budget));
   std::printf("solve_seconds: %.4f\n", r.solve_seconds);
   return 0;
 }

@@ -86,7 +86,6 @@ WireQueryReply ToWireReply(StatusOr<BoostResponse> solved) {
   reply.delta_set = std::move(result.delta_set);
   reply.delta_delta_hat = result.delta_delta_hat;
   reply.pool_budget = result.pool_budget;
-  reply.pool_reused = result.pool_reused;
   reply.num_samples = result.num_samples;
   reply.num_boostable = result.num_boostable;
   return reply;

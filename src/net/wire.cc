@@ -342,7 +342,6 @@ std::string EncodeQueryReplyFrame(uint32_t request_id,
     AppendNodeVec(reply.delta_set, &body);
     AppendF64(reply.delta_delta_hat, &body);
     AppendU64(reply.pool_budget, &body);
-    AppendU8(reply.pool_reused ? 1 : 0, &body);
     AppendU64(reply.num_samples, &body);
     AppendU64(reply.num_boostable, &body);
   }
@@ -356,7 +355,6 @@ Status DecodeQueryReplyBody(const uint8_t* body, size_t len,
   if (!out->status.ok()) {
     return reader.AtEnd() ? Status::Ok() : Malformed("query reply");
   }
-  uint8_t pool_reused = 0;
   if (!reader.ReadU64(&out->pool_version) ||
       !reader.ReadF64(&out->solve_seconds) ||
       !reader.ReadNodeVec(&out->best_set) ||
@@ -365,12 +363,11 @@ Status DecodeQueryReplyBody(const uint8_t* body, size_t len,
       !reader.ReadF64(&out->lb_delta_hat) ||
       !reader.ReadNodeVec(&out->delta_set) ||
       !reader.ReadF64(&out->delta_delta_hat) ||
-      !reader.ReadU64(&out->pool_budget) || !reader.ReadU8(&pool_reused) ||
+      !reader.ReadU64(&out->pool_budget) ||
       !reader.ReadU64(&out->num_samples) ||
       !reader.ReadU64(&out->num_boostable) || !reader.AtEnd()) {
     return Malformed("query reply");
   }
-  out->pool_reused = pool_reused != 0;
   return Status::Ok();
 }
 

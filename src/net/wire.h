@@ -34,7 +34,7 @@ namespace kboost {
 /// are a typed error, never ignored. docs/PROTOCOL.md is the normative
 /// description.
 inline constexpr uint32_t kWireMagic = 0x5453424Bu;  // "KBST" little-endian
-inline constexpr uint8_t kWireVersion = 5;
+inline constexpr uint8_t kWireVersion = 6;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Default decoder bound on body_len. Generous for answers (a selection is
 /// k u32s) yet small enough that a hostile length can't balloon memory.
@@ -108,7 +108,6 @@ struct WireQueryReply {
   std::vector<NodeId> delta_set;
   double delta_delta_hat = 0.0;
   uint64_t pool_budget = 0;
-  bool pool_reused = false;
   uint64_t num_samples = 0;
   uint64_t num_boostable = 0;
 };

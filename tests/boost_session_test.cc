@@ -14,6 +14,7 @@
 #include "src/io/pool_io.h"
 #include "src/util/rng.h"
 #include "tests/digest.h"
+#include "tests/same_answer.h"
 
 namespace kboost {
 namespace {
@@ -63,11 +64,11 @@ uint64_t PoolDigest(const PrrCollection& collection) {
 TEST(BoostSessionTest, NestedBudgetInvariantInLbMode) {
   DirectedGraph g = MakeTestGraph();
   BoostSession session(g, {0, 1, 2}, MakeOptions(16), /*lb_only=*/true);
-  BoostResult full = session.SolveForBudget(16);
+  BoostResult full = SolveAt(session, 16);
   // Greedy on the submodular μ̂ yields nested solutions: every smaller
   // budget's answer is a prefix of the largest budget's.
   for (size_t k : {1, 2, 5, 9, 13}) {
-    BoostResult r = session.SolveForBudget(k);
+    BoostResult r = SolveAt(session, k);
     ASSERT_LE(r.best_set.size(), full.best_set.size());
     for (size_t i = 0; i < r.best_set.size(); ++i) {
       EXPECT_EQ(r.best_set[i], full.best_set[i]) << "prefix diverges at " << i;
@@ -90,7 +91,7 @@ TEST(BoostSessionTest, PoolRealizationIsPinned) {
     options.num_threads = threads;
     BoostSession session(g, {0, 1, 2}, options);
     session.Prepare();
-    const PrrCollection& collection = session.engine().collection();
+    const PrrCollection& collection = session.collection();
     ASSERT_GT(collection.num_stored_graphs(), 0u);
     EXPECT_EQ(PoolDigest(collection), 0x1FF4E964B5B95402ULL)
         << std::hex << "0x" << PoolDigest(collection);
@@ -101,17 +102,21 @@ TEST(BoostSessionTest, SweepSamplesThePoolExactlyOnce) {
   DirectedGraph g = MakeTestGraph();
   BoostSession session(g, {0, 1}, MakeOptions(12));
   EXPECT_FALSE(session.prepared());
-  size_t pools_sampled = 0;
-  size_t theta = 0;
+  session.Prepare();
+  EXPECT_TRUE(session.prepared());
+  const PrrCollection* pool = &session.collection();
+  const size_t theta = pool->num_samples();
+  const uint64_t digest = PoolDigest(*pool);
   for (size_t k : {1, 4, 8, 12}) {
-    BoostResult r = session.SolveForBudget(k);
-    pools_sampled += r.pool_reused ? 0 : 1;
+    BoostResult r = SolveAt(session, k);
     EXPECT_EQ(r.pool_budget, 12u);
-    if (theta == 0) theta = r.num_samples;
     EXPECT_EQ(r.num_samples, theta) << "pool changed mid-sweep";
   }
-  EXPECT_EQ(pools_sampled, 1u);
-  EXPECT_TRUE(session.prepared());
+  // A second Prepare() samples nothing: same collection, same θ and graphs.
+  session.Prepare();
+  EXPECT_EQ(&session.collection(), pool);
+  EXPECT_EQ(pool->num_samples(), theta);
+  EXPECT_EQ(PoolDigest(*pool), digest);
 }
 
 TEST(BoostSessionTest, SweepAnswersMatchAFreshRunAtTheSameBudget) {
@@ -119,8 +124,8 @@ TEST(BoostSessionTest, SweepAnswersMatchAFreshRunAtTheSameBudget) {
   const std::vector<NodeId> seeds = {0, 1, 2};
   // Session answers after sweeping down from k_max...
   BoostSession session(g, seeds, MakeOptions(12));
-  BoostResult at_12 = session.SolveForBudget(12);
-  BoostResult at_5 = session.SolveForBudget(5);
+  BoostResult at_12 = SolveAt(session, 12);
+  BoostResult at_5 = SolveAt(session, 5);
 
   // ...must equal a one-shot run at k_max (identical schedule and pool)...
   BoostResult fresh_12 = PrrBoost(g, seeds, MakeOptions(12));
@@ -131,9 +136,9 @@ TEST(BoostSessionTest, SweepAnswersMatchAFreshRunAtTheSameBudget) {
   EXPECT_EQ(at_12.num_samples, fresh_12.num_samples);
 
   // ...and a second session over the same pool budget answering k=5 first
-  // (the cached-order prefix path must equal direct selection at k=5).
+  // (an answer must not depend on the budgets asked before it).
   BoostSession direct(g, seeds, MakeOptions(12));
-  BoostResult direct_5 = direct.SolveForBudget(5);
+  BoostResult direct_5 = SolveAt(direct, 5);
   EXPECT_EQ(at_5.best_set, direct_5.best_set);
   EXPECT_EQ(at_5.lb_set, direct_5.lb_set);
   EXPECT_EQ(at_5.delta_set, direct_5.delta_set);
@@ -144,7 +149,7 @@ TEST(BoostSessionTest, LbModeMatchesPrrBoostLbAtFullBudget) {
   DirectedGraph g = MakeTestGraph(9);
   const std::vector<NodeId> seeds = {3, 4};
   BoostSession session(g, seeds, MakeOptions(10), /*lb_only=*/true);
-  BoostResult session_result = session.SolveForBudget(10);
+  BoostResult session_result = SolveAt(session, 10);
   BoostResult fresh = PrrBoostLb(g, seeds, MakeOptions(10));
   EXPECT_EQ(session_result.best_set, fresh.best_set);
   EXPECT_EQ(session_result.lb_mu_hat, fresh.lb_mu_hat);
@@ -175,14 +180,14 @@ TEST_P(PoolRoundTripTest, SaveLoadSolveIsBitIdentical) {
   EXPECT_EQ(warm.lb_only(), lb_only);
   EXPECT_EQ(warm.budget(), 10u);
   EXPECT_EQ(warm.seeds(), seeds);
-  EXPECT_EQ(warm.engine().collection().num_samples(),
-            session.engine().collection().num_samples());
-  EXPECT_EQ(warm.engine().collection().StoredGraphBytes(),
-            session.engine().collection().StoredGraphBytes());
+  EXPECT_EQ(warm.collection().num_samples(),
+            session.collection().num_samples());
+  EXPECT_EQ(warm.collection().StoredGraphBytes(),
+            session.collection().StoredGraphBytes());
 
   for (size_t k : {2, 6, 10}) {
-    BoostResult a = session.SolveForBudget(k);
-    BoostResult b = warm.SolveForBudget(k);
+    BoostResult a = SolveAt(session, k);
+    BoostResult b = SolveAt(warm, k);
     EXPECT_EQ(a.best_set, b.best_set);
     EXPECT_EQ(a.lb_set, b.lb_set);
     EXPECT_EQ(a.delta_set, b.delta_set);
@@ -194,7 +199,6 @@ TEST_P(PoolRoundTripTest, SaveLoadSolveIsBitIdentical) {
     EXPECT_EQ(a.num_samples, b.num_samples);
     EXPECT_EQ(a.num_boostable, b.num_boostable);
     EXPECT_EQ(a.avg_compressed_edges, b.avg_compressed_edges);
-    EXPECT_TRUE(b.pool_reused);
   }
   std::filesystem::remove(path);
 }
@@ -272,8 +276,8 @@ TEST(BoostSessionTest, ThreadCountsAnswerIdentically) {
     const size_t k = 1 + fuzz.NextBounded(10);
     SCOPED_TRACE("threads=" + std::to_string(options.num_threads) +
                  " k=" + std::to_string(k));
-    BoostResult a = reference.SolveForBudget(k);
-    BoostResult b = session.SolveForBudget(k);
+    BoostResult a = SolveAt(reference, k);
+    BoostResult b = SolveAt(session, k);
     EXPECT_EQ(a.best_set, b.best_set);
     EXPECT_EQ(a.lb_set, b.lb_set);
     EXPECT_EQ(a.delta_set, b.delta_set);
@@ -292,12 +296,6 @@ TEST(PoolIoTest, TruncatedSnapshotFailsCleanly) {
   std::filesystem::resize_file(path, full_size / 2);
   EXPECT_FALSE(LoadOwned(g, path).ok());
   std::filesystem::remove(path);
-}
-
-TEST(BoostSessionTest, RejectsBudgetsAboveThePoolBudget) {
-  DirectedGraph g = MakeTestGraph();
-  BoostSession session(g, {0}, MakeOptions(5));
-  EXPECT_DEATH(session.SolveForBudget(6), "exceeds");
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST_F(ChaosTest, EachLoadFaultSurfacesTypedOnItsOneAttempt) {
   const std::string path = TempPath("kboost_chaos_fault.pool");
   BoostSession reference(g, {0, 1}, MakeOptions(6));
   ASSERT_TRUE(reference.SavePool(path).ok());
-  const BoostResult expect = reference.SolveForBudget(4);
+  const BoostResult expect = SolveAt(reference, 4);
 
   const struct {
     FaultSite site;
@@ -231,8 +231,8 @@ TEST_F(ChaosTest, ResaveAndRefreshStormUnderMmapServesWholePools) {
   const std::vector<size_t> ks = {1, 4, 8};
   std::vector<BoostResult> reference_a, reference_b;
   for (size_t k : ks) {
-    reference_a.push_back(pool_a.SolveForBudget(k));
-    reference_b.push_back(pool_b.SolveForBudget(k));
+    reference_a.push_back(SolveAt(pool_a, k));
+    reference_b.push_back(SolveAt(pool_b, k));
   }
   ASSERT_FALSE(SameAnswer(reference_a.back(), reference_b.back()));
   ASSERT_TRUE(SavePoolSnapshot(pool_a, path, PoolSaveOptions{}).ok());
@@ -320,7 +320,7 @@ TEST_F(ChaosTest, StalledSolvesUnderChurnAnswerEveryRequestBitIdentically) {
   std::vector<BoostResult> reference;
   {
     BoostSession serial(g, {0, 1}, MakeOptions(8));
-    for (size_t k : ks) reference.push_back(serial.SolveForBudget(k));
+    for (size_t k : ks) reference.push_back(SolveAt(serial, k));
   }
 
   FaultInjector::Plan slow;

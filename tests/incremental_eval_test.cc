@@ -27,6 +27,7 @@
 #include "src/io/pool_io.h"
 #include "src/sim/boost_model.h"
 #include "src/util/rng.h"
+#include "tests/same_answer.h"
 
 namespace kboost {
 namespace {
@@ -457,8 +458,8 @@ std::vector<BudgetPool> MakeBudgetPools() {
 /// SelectGreedyDelta(k), B_µ is a fresh SelectGreedyLowerBound(k) whose Δ̂
 /// matches a scratch evaluation over every stored graph, and the best set is
 /// the sandwich pick of the two — all with doubles compared exactly.
-/// SolveForBudget(k) must give the same answer. EstimateDelta's edge cases
-/// (empty set, repeated node, a seed) must match the scratch count too.
+/// EstimateDelta's edge cases (empty set, repeated node, a seed) must match
+/// the scratch count too.
 TEST(IncrementalEvalTest, LbPrefixDeltaHatIsExactOnEveryPool) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "kboost_lb_prefix.bin")
@@ -487,7 +488,7 @@ TEST(IncrementalEvalTest, LbPrefixDeltaHatIsExactOnEveryPool) {
         SCOPED_TRACE(std::string(pool.name) + " " + name +
                      " threads=" + std::to_string(threads));
         session->Prepare();  // a loaded pool caches its orders here
-        const PrrCollection& collection = session->engine().collection();
+        const PrrCollection& collection = session->collection();
         ASSERT_GT(collection.num_stored_graphs(), 0u);
         // The padded pool must actually pad, or its case tests nothing.
         const PrrCollection::DeltaResult order =
@@ -515,15 +516,6 @@ TEST(IncrementalEvalTest, LbPrefixDeltaHatIsExactOnEveryPool) {
           EXPECT_EQ(got->best_set, lb_wins ? got->lb_set : delta.nodes);
           EXPECT_EQ(got->best_estimate,
                     lb_wins ? lb_delta_hat : delta.delta_hat);
-
-          const BoostResult serial = session->SolveForBudget(k);
-          EXPECT_EQ(serial.best_set, got->best_set);
-          EXPECT_EQ(serial.best_estimate, got->best_estimate);
-          EXPECT_EQ(serial.lb_set, got->lb_set);
-          EXPECT_EQ(serial.lb_mu_hat, got->lb_mu_hat);
-          EXPECT_EQ(serial.lb_delta_hat, got->lb_delta_hat);
-          EXPECT_EQ(serial.delta_set, got->delta_set);
-          EXPECT_EQ(serial.delta_delta_hat, got->delta_delta_hat);
         }
         const NodeId v = session->Solve(SolveSpec{.k = 1})->lb_set.at(0);
         for (const std::vector<NodeId>& set :
@@ -540,9 +532,9 @@ TEST(IncrementalEvalTest, LbPrefixDeltaHatIsExactOnEveryPool) {
 }
 
 /// Pool reuse: one session answering several budgets (in both directions)
-/// must match a twin session and be thread-count invariant — the eval-state
-/// arena is re-zeroed per selection run, never leaking state across runs.
-TEST(IncrementalEvalTest, SolveForBudgetReusesPoolBitIdentically) {
+/// must match a twin session sampled at another width — a solve slices the
+/// cached orders and leaves no state behind for the next query.
+TEST(IncrementalEvalTest, SolveReusesPoolBitIdentically) {
   DirectedGraph graph = MakeRandomGraph(8001, 80, 480);
   const std::vector<NodeId> seeds = {0, 1, 2};
   BoostOptions options;
@@ -556,15 +548,14 @@ TEST(IncrementalEvalTest, SolveForBudgetReusesPoolBitIdentically) {
   options.num_threads = 4;
   BoostSession up(graph, seeds, options);
 
-  // Warm both sessions with opposite sweep directions so every later query
-  // reuses the pool and a previously-exercised eval-state arena.
-  for (size_t k : {12, 7, 3}) down.SolveForBudget(k);
-  for (size_t k : {3, 7, 12}) up.SolveForBudget(k);
+  // Sweep both sessions in opposite directions first, so every later query
+  // follows a different history on each.
+  for (size_t k : {12, 7, 3}) SolveAt(down, k);
+  for (size_t k : {3, 7, 12}) SolveAt(up, k);
   // Per-budget answers must agree across sweep direction and thread count.
   for (size_t k : {3, 7, 12}) {
-    BoostResult a = down.SolveForBudget(k);
-    BoostResult b = up.SolveForBudget(k);
-    EXPECT_TRUE(a.pool_reused && b.pool_reused);
+    BoostResult a = SolveAt(down, k);
+    BoostResult b = SolveAt(up, k);
     EXPECT_EQ(a.best_set, b.best_set) << "k=" << k;
     EXPECT_EQ(a.delta_set, b.delta_set) << "k=" << k;
     EXPECT_DOUBLE_EQ(a.best_estimate, b.best_estimate) << "k=" << k;

@@ -148,9 +148,10 @@ TEST(WireFrameTest, HeaderHardeningMatrixIsTypedOnEveryRow) {
             StatusCode::kInvalidArgument);
 
   // Unknown version: typed as FailedPrecondition so a peer one version
-  // ahead or behind gets a distinguishable error. A v3 peer (whose QUERY
-  // still carried a deadline) is refused, so the bump itself is tested.
-  EXPECT_EQ(kWireVersion, 5);
+  // ahead or behind gets a distinguishable error. A v5 peer (whose
+  // QUERY_REPLY carried one more byte) is refused, so the bump itself is
+  // tested.
+  EXPECT_EQ(kWireVersion, 6);
   for (const int version : {kWireVersion + 1, kWireVersion - 1}) {
     bad = good;
     bad[4] = static_cast<char>(version);
@@ -238,7 +239,6 @@ TEST(WireQueryTest, QueryReplyRoundTripsDoublesBitIdentically) {
   reply.delta_set = {0};
   reply.delta_delta_hat = 1e308;
   reply.pool_budget = 50;
-  reply.pool_reused = true;
   reply.num_samples = 31577;
   reply.num_boostable = 5299;
 
@@ -264,7 +264,6 @@ TEST(WireQueryTest, QueryReplyRoundTripsDoublesBitIdentically) {
   EXPECT_EQ(out.delta_set, reply.delta_set);
   EXPECT_EQ(out.delta_delta_hat, reply.delta_delta_hat);
   EXPECT_EQ(out.pool_budget, reply.pool_budget);
-  EXPECT_EQ(out.pool_reused, reply.pool_reused);
   EXPECT_EQ(out.num_samples, reply.num_samples);
   EXPECT_EQ(out.num_boostable, reply.num_boostable);
 }

@@ -3,7 +3,7 @@
 
 // The comparators behind the serving guarantee — an answer is bit-identical
 // to its reference, doubles compared with == — shared by every suite that
-// checks it: in process, across shard counts and snapshot loads, under
+// checks it: in process, across thread counts and snapshot loads, under
 // concurrent load and over the wire.
 //
 //   EXPECT_TRUE(SameAnswer(got, want));          // names the first mismatch
@@ -11,15 +11,26 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "src/core/boost_session.h"
 #include "src/core/prr_boost.h"
 #include "src/net/wire.h"
 #include "src/serve/boost_service.h"
 
 namespace kboost {
 
-/// Every field of two answers, doubles bit for bit, except the ones that
-/// describe the call rather than the answer: the two wall-clock timings and
-/// `pool_reused` (false on the call that sampled the pool).
+/// The reference answer at budget `k` in the session's native mode:
+/// prepares `session` (a no-op once it is) and solves. A failed solve fails
+/// the calling test and returns an empty answer.
+inline BoostResult SolveAt(BoostSession& session, size_t k) {
+  session.Prepare();
+  StatusOr<BoostResult> answer = session.Solve({.k = k});
+  EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+  return answer.ok() ? std::move(answer).value() : BoostResult{};
+}
+
+/// Every field of two answers, doubles bit for bit.
 inline ::testing::AssertionResult SameAnswer(const BoostResult& a,
                                              const BoostResult& b) {
   const char* differs =
@@ -64,7 +75,6 @@ inline ::testing::AssertionResult SameAnswer(const WireQueryReply& got,
       : got.delta_set != r.delta_set              ? "delta_set"
       : got.delta_delta_hat != r.delta_delta_hat  ? "delta_delta_hat"
       : got.pool_budget != r.pool_budget          ? "pool_budget"
-      : got.pool_reused != r.pool_reused          ? "pool_reused"
       : got.num_samples != r.num_samples          ? "num_samples"
       : got.num_boostable != r.num_boostable      ? "num_boostable"
                                                   : nullptr;

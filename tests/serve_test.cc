@@ -101,10 +101,10 @@ TEST(BoostSessionCreateTest, CreatedSessionAnswersLikeConstructed) {
   StatusOr<std::unique_ptr<BoostSession>> created =
       BoostSession::Create(g, {0, 1}, MakeOptions(8));
   ASSERT_TRUE(created.ok());
-  BoostResult via_create = (*created)->SolveForBudget(8);
+  BoostResult via_create = SolveAt(**created, 8);
 
   BoostSession constructed(g, {0, 1}, MakeOptions(8));
-  EXPECT_TRUE(SameAnswer(via_create, constructed.SolveForBudget(8)));
+  EXPECT_TRUE(SameAnswer(via_create, SolveAt(constructed, 8)));
 }
 
 TEST(BoostSessionSolveTest, RequiresPrepare) {
@@ -148,19 +148,21 @@ TEST(BoostSessionSolveTest, FullModeRejectedOnLbPool) {
   EXPECT_TRUE(session.Solve(spec).ok());
 }
 
-TEST(BoostSessionSolveTest, MatchesSerialSolveForBudget) {
+TEST(BoostSessionSolveTest, RepeatedSolvesAnswerIdentically) {
   DirectedGraph g = MakeTestGraph();
   for (bool lb_only : {false, true}) {
     BoostSession session(g, {0, 1, 2}, MakeOptions(12), lb_only);
     session.Prepare();
-    for (size_t k : {1, 4, 9, 12}) {
-      BoostResult serial = session.SolveForBudget(k);
-      SolveSpec spec;
-      spec.k = k;
-      StatusOr<BoostResult> served = session.Solve(spec);
-      ASSERT_TRUE(served.ok());
-      EXPECT_TRUE(SameAnswer(serial, *served));
-      EXPECT_TRUE(served->pool_reused);
+    const std::vector<size_t> ks = {1, 4, 9, 12};
+    std::vector<BoostResult> first;
+    for (size_t k : ks) first.push_back(SolveAt(session, k));
+    // A solve keeps no state: the same budgets asked again, in reverse
+    // order, answer bit for bit as before.
+    for (size_t i = ks.size(); i-- > 0;) {
+      StatusOr<BoostResult> again = session.Solve({.k = ks[i]});
+      ASSERT_TRUE(again.ok());
+      EXPECT_TRUE(SameAnswer(first[i], *again)) << "k=" << ks[i];
+      EXPECT_EQ(again->pool_budget, 12u);
     }
   }
 }
@@ -214,7 +216,6 @@ TEST(BoostServiceTest, RegistryLifecycle) {
   StatusOr<BoostResponse> response = service.Solve(request);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->pool, "a");
-  EXPECT_TRUE(response->result.pool_reused);
 
   // Removal never invalidates a handle already held.
   std::shared_ptr<const BoostSession> held = service.GetPool("a");
@@ -250,12 +251,12 @@ TEST(BoostServiceTest, WarmStartFromSnapshotsAnswersIdentically) {
     request.k = k;
     StatusOr<BoostResponse> served = service.Solve(request);
     ASSERT_TRUE(served.ok());
-    EXPECT_TRUE(SameAnswer(full.SolveForBudget(k), served->result));
+    EXPECT_TRUE(SameAnswer(SolveAt(full, k), served->result));
 
     request.pool = "lb";
     served = service.Solve(request);
     ASSERT_TRUE(served.ok());
-    EXPECT_TRUE(SameAnswer(lb.SolveForBudget(k), served->result));
+    EXPECT_TRUE(SameAnswer(SolveAt(lb, k), served->result));
   }
 
   BoostService::Options missing;
@@ -455,8 +456,8 @@ TEST(BoostServiceLifecycleTest, RefreshUnderConcurrentSolvesNeverNotFound) {
   // Per-build reference answers, solved serially on private sessions.
   BoostSession ref_a(g, seeds, opts_a);
   BoostSession ref_b(g, seeds, opts_b);
-  const BoostResult expect_a = ref_a.SolveForBudget(3);
-  const BoostResult expect_b = ref_b.SolveForBudget(3);
+  const BoostResult expect_a = SolveAt(ref_a, 3);
+  const BoostResult expect_b = SolveAt(ref_b, 3);
   const auto same_bits = [](const BoostResult& x, const BoostResult& y) {
     return x.best_set == y.best_set && x.best_estimate == y.best_estimate &&
            x.lb_set == y.lb_set && x.lb_mu_hat == y.lb_mu_hat &&

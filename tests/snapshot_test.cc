@@ -126,7 +126,7 @@ size_t SectionEntryOffset(size_t dir, Section section) {
 void ExpectSameAnswers(BoostSession& a, BoostSession& b,
                        const std::vector<size_t>& budgets) {
   for (size_t k : budgets) {
-    EXPECT_TRUE(SameAnswer(a.SolveForBudget(k), b.SolveForBudget(k)))
+    EXPECT_TRUE(SameAnswer(SolveAt(a, k), SolveAt(b, k)))
         << "k=" << k;
   }
 }
@@ -150,9 +150,9 @@ TEST(SnapshotTest, MmapRoundTripIsBitIdenticalAcrossThreads) {
         Load(g, path, /*use_mmap=*/true);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-    const PrrCollection& pool = mapped.value()->engine().collection();
+    const PrrCollection& pool = mapped.value()->collection();
     EXPECT_EQ(pool.num_samples(),
-              session.engine().collection().num_samples());
+              session.collection().num_samples());
 
     const size_t k = 1 + fuzz.NextBounded(10);
     ExpectSameAnswers(session, *mapped.value(), {1, k, 10});
@@ -202,8 +202,8 @@ TEST(SnapshotTest, MmapLoadsLbOnlySnapshots) {
     StatusOr<std::unique_ptr<BoostSession>> r = Load(g, path, use_mmap);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r.value()->lb_only());
-    EXPECT_EQ(r.value()->engine().collection().StoredGraphBytes(),
-              session.engine().collection().StoredGraphBytes());
+    EXPECT_EQ(r.value()->collection().StoredGraphBytes(),
+              session.collection().StoredGraphBytes());
     ExpectSameAnswers(session, *r.value(), {1, 5});
   }
   std::filesystem::remove(path);
@@ -362,7 +362,7 @@ TEST(SnapshotStandInTest, MmapLoadBeatsTheColdLoadBitIdentically) {
   BoostSession live(
       g, SelectInfluentialSeeds(g, 20, 42, options.num_threads), options);
   live.Prepare();
-  const size_t num_samples = live.engine().collection().num_samples();
+  const size_t num_samples = live.collection().num_samples();
 
   const std::string path = TempPath("kboost_stand_in.bin");
   StatusOr<PoolSaveResult> saved = SavePoolSnapshot(live, path, {});
@@ -402,7 +402,7 @@ TEST(SnapshotTest, SaveResultReportsBytesPerSample) {
       SavePoolSnapshot(session, path, PoolSaveOptions());
   ASSERT_TRUE(saved.ok());
   EXPECT_EQ(saved->file_bytes, std::filesystem::file_size(path));
-  const PrrCollection& pool = session.engine().collection();
+  const PrrCollection& pool = session.collection();
   EXPECT_EQ(saved->num_samples, pool.num_samples());
   ASSERT_GT(saved->num_samples, 0u);
   EXPECT_DOUBLE_EQ(saved->bytes_per_sample,
@@ -441,7 +441,7 @@ TEST(SnapshotTest, ThreadCountIsClampedNotTrusted) {
   WriteFileBytes(path, bytes);
   StatusOr<std::unique_ptr<BoostSession>> clamped = Load(g, path);
   ASSERT_TRUE(clamped.ok()) << clamped.status().ToString();
-  EXPECT_EQ(clamped.value()->engine().options().num_threads,
+  EXPECT_EQ(clamped.value()->options().num_threads,
             ThreadPool::kMaxWorkers);
   // One solve is enough here (answers are thread-count-invariant); keep the
   // 256-worker session cheap under the sanitizers.
@@ -453,7 +453,7 @@ TEST(SnapshotTest, ThreadCountIsClampedNotTrusted) {
   StatusOr<std::unique_ptr<BoostSession>> defaulted =
       Load(g, path);
   ASSERT_TRUE(defaulted.ok()) << defaulted.status().ToString();
-  EXPECT_EQ(defaulted.value()->engine().options().num_threads,
+  EXPECT_EQ(defaulted.value()->options().num_threads,
             BoostOptions().num_threads);
   std::filesystem::remove(path);
 }
